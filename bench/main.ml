@@ -16,8 +16,9 @@
      dune exec bench/main.exe -- fault-matrix [--smoke]
      dune exec bench/main.exe -- jit [--smoke]
                                         -- closure-JIT vs tree-walking
-                                           interpreter wall clock; fails
-                                           unless one app clears 3x
+                                           interpreter wall clock, best
+                                           and worst app; fails unless
+                                           one app clears 3x
      dune exec bench/main.exe -- serve [--smoke]
                                         -- ompiserve under load: multi-
                                            stream vs serialized throughput,
@@ -1066,7 +1067,9 @@ let autopolicy ~smoke () =
    outputs, identical simulated times) and visible only to the wall
    clock.  Per app: best-of-[reps] wall time for each executor, the
    cross-checks, and a once-per-module-load compile assertion; the run
-   fails unless at least one app clears a 3x speedup. *)
+   fails unless at least one app clears a 3x speedup.  Both the best and
+   the worst app's speedup are headlines, so a regression confined to
+   the slowest apps is gated too. *)
 let jit_bench ~smoke () =
   say "== closure JIT vs tree-walking interpreter (wall clock) ==\n";
   let failures = ref 0 in
@@ -1087,6 +1090,7 @@ let jit_bench ~smoke () =
   in
   let rows = ref [] in
   let best = ref (0.0, "none") in
+  let worst = ref (infinity, "none") in
   List.iter
     (fun (app : Polybench.Suite.app) ->
       let name = app.Polybench.Suite.ap_name in
@@ -1110,6 +1114,7 @@ let jit_bench ~smoke () =
       let sp = !wall_i /. !wall_j in
       say "  %-12s n=%-4d interp=%.3fs jit=%.3fs speedup=%.2fx\n" name n !wall_i !wall_j sp;
       if sp > fst !best then best := (sp, name);
+      if sp < fst !worst then worst := (sp, name);
       rows :=
         Printf.sprintf
           "    { \"name\": %S, \"n\": %d, \"interp_s\": %.6f, \"jit_s\": %.6f, \"speedup\": %.3f }"
@@ -1131,6 +1136,7 @@ let jit_bench ~smoke () =
   check (c1 >= 1) "no closure_compile event on a JIT run";
   check (c2 = c1) "closure compile fired again on relaunch (must be once per module load)";
   let sp_max, sp_app = !best in
+  let sp_min, sp_min_app = !worst in
   let oc = open_out "BENCH_jit.json" in
   Printf.fprintf oc
     "{\n\
@@ -1140,11 +1146,13 @@ let jit_bench ~smoke () =
      %s\n\
     \  ],\n\
     \  \"max_speedup\": %.3f,\n\
-    \  \"max_speedup_app\": %S\n\
+    \  \"max_speedup_app\": %S,\n\
+    \  \"min_speedup\": %.3f,\n\
+    \  \"min_speedup_app\": %S\n\
      }\n"
     reps
     (String.concat ",\n" (List.rev !rows))
-    sp_max sp_app;
+    sp_max sp_app sp_min sp_min_app;
   close_out oc;
   say "  [written: BENCH_jit.json]\n";
   check (sp_max >= 3.0) (Printf.sprintf "best JIT speedup %.2fx (%s) is below the 3x bar" sp_max sp_app);
@@ -1152,7 +1160,7 @@ let jit_bench ~smoke () =
     say "jit: FAIL (%d check(s))\n" !failures;
     exit 1
   end;
-  say "jit: PASS (best %.2fx on %s)\n" sp_max sp_app
+  say "jit: PASS (best %.2fx on %s, worst %.2fx on %s)\n" sp_max sp_app sp_min sp_min_app
 
 (* ------------------------------------------------------------------ *)
 (* serve: the offload server under load                                 *)

@@ -3,8 +3,10 @@
    The same engine is used in two roles:
    - host role: executes the translated host program, with the ORT host
      runtime registered as builtins;
-   - device role: one instance per GPU thread, with the cudadev device
-     library registered as builtins, driven by the SIMT scheduler.
+   - device role: one context per GPU thread, driven by the SIMT
+     scheduler.  The builtin table (the cudadev device library) is built
+     once per launch and shared by every thread; each context carries
+     only its [lane] and per-thread state.
 
    Per-operation hooks ([on_step], [on_access]) feed the performance
    model without contaminating the semantics. *)
@@ -32,18 +34,23 @@ type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 type t = {
   structs : Cty.layout_env;
   funcs : (string, Ast.fundef) Hashtbl.t;
+  (* May be shared between contexts (all threads of a launch): builtins
+     must find their per-thread state through the context, e.g. [lane]. *)
   builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  lane : int; (* device role: linear thread id within the block *)
   resolve : Addr.space -> Mem.t; (* address space -> backing memory *)
   local : Mem.t; (* this execution context's stack *)
   globals : (string, Cty.t * Addr.t) Hashtbl.t;
-  strings : (string, Addr.t) Hashtbl.t;
+  (* string-literal intern cache and function-pointer ids: allocated on
+     first use, since most device threads need neither *)
+  mutable strings : (string, Addr.t) Hashtbl.t option;
   mutable on_step : step -> unit;
   mutable on_access : access -> unit;
   (* Shared-variable registry: declarations marked __shared__ resolve
      here so that all threads of a block see a single instance. *)
   shared_decl : (string -> Cty.t -> Addr.t) option;
   output : Buffer.t;
-  fn_ptrs : (string, int) Hashtbl.t;
+  mutable fn_ptrs : (string, int) Hashtbl.t option;
   mutable frames : frame list;
   mutable depth : int;
   max_depth : int;
@@ -54,24 +61,40 @@ type t = {
   mutable dispatch : (t -> Ast.fundef -> Value.t list -> Value.t) option;
 }
 
-let create ~structs ~funcs ~resolve ~local ?shared_decl ?(output = Buffer.create 256) () =
+type builtin = t -> Value.t list -> Value.t
+
+type builtins = (string, builtin) Hashtbl.t
+
+let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?shared_decl
+    ?(output = Buffer.create 256) () =
   (* Interned string literals live in a private arena outside any frame
-     so that stack rollback cannot invalidate the intern cache. *)
-  let strings_arena = Mem.create ~initial:1024 ~space:Addr.Strings "strings" in
-  let resolve = function Addr.Strings -> strings_arena | sp -> resolve sp in
+     so that stack rollback cannot invalidate the intern cache; it is
+     created by the first access to it. *)
+  let strings_arena = ref None in
+  let resolve = function
+    | Addr.Strings -> (
+      match !strings_arena with
+      | Some m -> m
+      | None ->
+        let m = Mem.create ~initial:1024 ~space:Addr.Strings "strings" in
+        strings_arena := Some m;
+        m)
+    | sp -> resolve sp
+  in
   {
     structs;
     funcs;
-    builtins = Hashtbl.create 64;
+    builtins = (match builtins with Some b -> b | None -> Hashtbl.create 64);
+    lane;
     resolve;
     local;
-    globals = Hashtbl.create 16;
-    strings = Hashtbl.create 16;
+    globals = (match globals with Some g -> g | None -> Hashtbl.create 16);
+    strings = None;
     on_step = (fun _ -> ());
     on_access = (fun _ -> ());
     shared_decl;
     output;
-    fn_ptrs = Hashtbl.create 8;
+    fn_ptrs = None;
     frames = [];
     depth = 0;
     max_depth = 256;
@@ -89,12 +112,20 @@ let fn_ptr_tag = 0x7F00_0000_0000_0000L
 
 let function_pointer ctx (name : string) : Value.t =
   if not (Hashtbl.mem ctx.funcs name) then runtime_error "unknown function '%s'" name;
+  let fn_ptrs =
+    match ctx.fn_ptrs with
+    | Some t -> t
+    | None ->
+      let t = Hashtbl.create 8 in
+      ctx.fn_ptrs <- Some t;
+      t
+  in
   let id =
-    match Hashtbl.find_opt ctx.fn_ptrs name with
+    match Hashtbl.find_opt fn_ptrs name with
     | Some id -> id
     | None ->
-      let id = Hashtbl.length ctx.fn_ptrs in
-      Hashtbl.replace ctx.fn_ptrs name id;
+      let id = Hashtbl.length fn_ptrs in
+      Hashtbl.replace fn_ptrs name id;
       id
   in
   Value.int ~ty:Cty.Long (Int64.logor fn_ptr_tag (Int64.of_int id))
@@ -104,7 +135,11 @@ let function_of_pointer ctx (v : Value.t) : Ast.fundef =
   if Int64.logand i fn_ptr_tag <> fn_ptr_tag then
     runtime_error "value %s is not a function pointer" (Value.show v);
   let id = Int64.to_int (Int64.logand i 0xFFFFL) in
-  let found = Hashtbl.fold (fun name i acc -> if i = id then Some name else acc) ctx.fn_ptrs None in
+  let found =
+    match ctx.fn_ptrs with
+    | Some t -> Hashtbl.fold (fun name i acc -> if i = id then Some name else acc) t None
+    | None -> None
+  in
   match found with
   | Some name -> Hashtbl.find ctx.funcs name
   | None -> runtime_error "dangling function pointer"
@@ -144,13 +179,21 @@ let store_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) (v : Value.t) : uni
   Mem.store_scalar m ctx.structs a ty (Value.cast ty v)
 
 let intern_string ctx (s : string) : Addr.t =
-  match Hashtbl.find_opt ctx.strings s with
+  let strings =
+    match ctx.strings with
+    | Some t -> t
+    | None ->
+      let t = Hashtbl.create 16 in
+      ctx.strings <- Some t;
+      t
+  in
+  match Hashtbl.find_opt strings s with
   | Some a -> a
   | None ->
     let m = ctx.resolve Addr.Strings in
     let a = Mem.alloc m (String.length s + 1) in
     String.iteri (fun i c -> Mem.store_scalar m ctx.structs (Addr.add a i) Cty.Uchar (Value.of_int ~ty:Cty.Uchar (Char.code c))) s;
-    Hashtbl.replace ctx.strings s a;
+    Hashtbl.replace strings s a;
     a
 
 let read_c_string ctx (a : Addr.t) : string =
@@ -622,8 +665,9 @@ let format_printf ctx (fmt_string : string) (args : Value.t list) : string =
   Buffer.contents buf
 
 (* Default builtins shared by host and device roles. *)
-let install_common_builtins ctx =
-  register_builtin ctx "printf" (fun ctx args ->
+let install_common_builtins (tbl : builtins) =
+  let reg name fn = Hashtbl.replace tbl name fn in
+  reg "printf" (fun ctx args ->
       match args with
       | fmt :: rest ->
         let s = format_printf ctx (read_c_string ctx (Value.as_addr fmt)) rest in
@@ -631,14 +675,14 @@ let install_common_builtins ctx =
         Value.of_int (String.length s)
       | [] -> runtime_error "printf: missing format");
   let float1 name fn cost =
-    register_builtin ctx name (fun ctx args ->
+    reg name (fun ctx args ->
         step ctx cost;
         match args with
         | [ a ] -> Value.flt ~ty:Cty.Double (fn (Value.as_float a))
         | _ -> runtime_error "%s expects 1 argument" name)
   in
   let float1f name fn =
-    register_builtin ctx name (fun ctx args ->
+    reg name (fun ctx args ->
         step ctx St_special;
         match args with
         | [ a ] -> Value.flt ~ty:Cty.Float (fn (Value.as_float a))
@@ -651,12 +695,12 @@ let install_common_builtins ctx =
   float1f "sqrtf" sqrt;
   float1f "fabsf" abs_float;
   float1f "expf" exp;
-  register_builtin ctx "pow" (fun ctx args ->
+  reg "pow" (fun ctx args ->
       step ctx St_special;
       match args with
       | [ a; b ] -> Value.flt ~ty:Cty.Double (Float.pow (Value.as_float a) (Value.as_float b))
       | _ -> runtime_error "pow expects 2 arguments");
-  register_builtin ctx "abs" (fun ctx args ->
+  reg "abs" (fun ctx args ->
       step ctx St_arith;
       match args with
       | [ a ] -> Value.int ~ty:Cty.Int (Int64.abs (Value.as_int a))

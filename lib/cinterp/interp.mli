@@ -3,8 +3,10 @@
     The same engine is used in two roles:
     - host role: executes the translated host program, with the ORT host
       runtime registered as builtins;
-    - device role: one instance per GPU thread, with the cudadev device
-      library registered as builtins, driven by the SIMT scheduler.
+    - device role: one context per GPU thread, driven by the SIMT
+      scheduler.  The builtin table (the cudadev device library) is
+      built once per launch and shared by every thread; a context
+      carries only its {!t.lane} and per-thread state.
 
     Per-operation hooks ({!t.on_step}, {!t.on_access}) feed the
     performance model without contaminating the semantics. *)
@@ -27,16 +29,21 @@ type t = {
   structs : Cty.layout_env;
   funcs : (string, Ast.fundef) Hashtbl.t;
   builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+      (** may be shared between contexts: a builtin finds its
+          per-thread state through the context it is called with *)
+  lane : int;  (** device role: linear thread id within the block *)
   resolve : Addr.space -> Mem.t;  (** address space -> backing memory *)
   local : Mem.t;  (** this context's stack (all declared variables) *)
   globals : (string, Cty.t * Addr.t) Hashtbl.t;
-  strings : (string, Addr.t) Hashtbl.t;
+  mutable strings : (string, Addr.t) Hashtbl.t option;
+      (** string-literal intern cache, allocated on first use *)
   mutable on_step : step -> unit;
   mutable on_access : access -> unit;
   shared_decl : (string -> Cty.t -> Addr.t) option;
       (** resolver for [__shared__] declarations (device role only) *)
   output : Buffer.t;  (** printf destination *)
-  fn_ptrs : (string, int) Hashtbl.t;
+  mutable fn_ptrs : (string, int) Hashtbl.t option;
+      (** function-pointer ids, allocated on first use *)
   mutable frames : frame list;
   mutable depth : int;
   max_depth : int;
@@ -46,17 +53,28 @@ type t = {
           tree-walker *)
 }
 
+type builtin = t -> Value.t list -> Value.t
+
+type builtins = (string, builtin) Hashtbl.t
+
+(** [?builtins] and [?globals] may be tables shared with other contexts
+    (default: fresh ones); the context never writes to them except
+    through {!register_builtin}/{!register_global}.  [?lane] defaults
+    to 0.  The string-literal arena is created on first access. *)
 val create :
   structs:Cty.layout_env ->
   funcs:(string, Ast.fundef) Hashtbl.t ->
   resolve:(Addr.space -> Mem.t) ->
   local:Mem.t ->
+  ?builtins:builtins ->
+  ?globals:(string, Cty.t * Addr.t) Hashtbl.t ->
+  ?lane:int ->
   ?shared_decl:(string -> Cty.t -> Addr.t) ->
   ?output:Buffer.t ->
   unit ->
   t
 
-val register_builtin : t -> string -> (t -> Value.t list -> Value.t) -> unit
+val register_builtin : t -> string -> builtin -> unit
 
 val register_global : t -> string -> Cty.t -> Addr.t -> unit
 
@@ -124,8 +142,9 @@ val apply_binop : t -> Ast.binop -> Value.t -> Value.t -> Value.t
     already charged it (the JIT's specialized arithmetic closures). *)
 val apply_binop_unstepped : t -> Ast.binop -> Value.t -> Value.t -> Value.t
 
-(** printf/math builtins shared by the host and device roles. *)
-val install_common_builtins : t -> unit
+(** Add the printf/math builtins shared by the host and device roles to
+    a builtin table. *)
+val install_common_builtins : builtins -> unit
 
 (** Load a program's function definitions and struct layouts. *)
 val load_program : t -> Ast.program -> unit

@@ -9,8 +9,12 @@
    - local variables are resolved to slots of a flat per-call frame
      (an [Addr.t array]), so reads and writes are array indexing
      instead of hashtable probes through a frame list;
-   - free names (threadIdx, device globals, ...) and call targets are
-     resolved lazily on first execution and memoized per thread.
+   - call targets are resolved lazily on first execution and memoized
+     once per launch ([link]): every thread of a launch shares one
+     builtin table and one function table, so a call site resolves the
+     same way for all of them;
+   - free names (threadIdx, device globals, ...) are resolved lazily and
+     memoized per thread, since their addresses differ between threads.
 
    Per-thread state (the interpreter context, the slot frame) is
    threaded through every closure as an explicit [env] argument, so one
@@ -51,7 +55,7 @@ type cell =
   | Cell_var of Cty.t * Addr.t
   | Cell_fn of Value.t (* function pointer value *)
 
-(* Per-thread memoized resolution of one call site. *)
+(* Memoized resolution of one call site, shared by the threads of a launch. *)
 type target =
   | Tgt_unresolved
   | Tgt_builtin of (Interp.t -> Value.t list -> Value.t)
@@ -71,7 +75,7 @@ and cfun = {
 and inst = {
   i_ctx : Interp.t;
   i_cells : cell array;
-  i_calls : target array;
+  i_calls : target array; (* the launch's [l_calls], shared *)
 }
 
 (* Execution environment threaded through every closure: the thread's
@@ -87,6 +91,16 @@ type compiled = {
   c_funcs : (string, cfun) Hashtbl.t;
   c_ncells : int;
   c_ncalls : int;
+}
+
+(* A compiled module linked for one launch: the call-target memo shared
+   by every context attached to it, all of which use [l_builtins] and
+   [l_funcs]. *)
+type linked = {
+  l_compiled : compiled;
+  l_builtins : Interp.builtins;
+  l_funcs : (string, Ast.fundef) Hashtbl.t;
+  l_calls : target array;
 }
 
 let function_count c = Hashtbl.length c.c_funcs
@@ -837,7 +851,7 @@ and compile_init k (ty : Cty.t) (init : Ast.init) : env -> Addr.t -> unit =
     fun _ _ -> Interp.runtime_error "brace initializer for scalar %s" shown
 
 (* ---------------------------------------------------------------- *)
-(* Module compilation and per-thread attachment                       *)
+(* Module compilation, per-launch linking, per-thread attachment      *)
 (* ---------------------------------------------------------------- *)
 
 let compile_fun k (fd : Ast.fundef) : cfun =
@@ -894,13 +908,17 @@ let compile ~(structs : Cty.layout_env) ~(funcs : (string, Ast.fundef) Hashtbl.t
     names;
   { c_funcs = k.k_compiled; c_ncells = k.k_ncells; c_ncalls = k.k_ncalls }
 
-let attach (c : compiled) (ctx : Interp.t) : unit =
+let link (c : compiled) ~(builtins : Interp.builtins) ~(funcs : (string, Ast.fundef) Hashtbl.t) :
+    linked =
+  { l_compiled = c; l_builtins = builtins; l_funcs = funcs; l_calls = Array.make (max 1 c.c_ncalls) Tgt_unresolved }
+
+let attach (l : linked) (ctx : Interp.t) : unit =
+  (* call sites resolve against the shared tables, once for all threads *)
+  if ctx.Interp.builtins != l.l_builtins || ctx.Interp.funcs != l.l_funcs then
+    invalid_arg "Jit.attach: context does not use the linked builtin and function tables";
+  let c = l.l_compiled in
   let inst =
-    {
-      i_ctx = ctx;
-      i_cells = Array.make (max 1 c.c_ncells) Cell_unresolved;
-      i_calls = Array.make (max 1 c.c_ncalls) Tgt_unresolved;
-    }
+    { i_ctx = ctx; i_cells = Array.make (max 1 c.c_ncells) Cell_unresolved; i_calls = l.l_calls }
   in
   ctx.Interp.dispatch <-
     Some

@@ -3,8 +3,8 @@
     Compiles a module's function bodies once — at module-load time —
     into pre-resolved OCaml closure chains: locals become slots of a
     flat per-call frame of addresses, constructor dispatch happens at
-    compile time, and free names / call targets are memoized per
-    thread.  Semantics (hook sequences, evaluation order, stack
+    compile time, call targets are memoized once per launch and free
+    names once per thread.  Semantics (hook sequences, evaluation order, stack
     mark/push/release behavior, builtin routing, and therefore
     barriers, divergence, counters, cost model, zero-copy and fault
     injection) are mirrored from {!Interp} exactly; the tree-walker
@@ -25,7 +25,17 @@ val compile : structs:Cty.layout_env -> funcs:(string, Ast.fundef) Hashtbl.t -> 
 (** Number of functions that were compiled to closure form. *)
 val function_count : compiled -> int
 
+(** A compiled module linked for one launch: holds the call-target memo
+    shared by every context attached to it. *)
+type linked
+
+(** Link a module against the builtin and function tables that every
+    context of the launch shares. *)
+val link : compiled -> builtins:Interp.builtins -> funcs:(string, Ast.fundef) Hashtbl.t -> linked
+
 (** Route an interpreter context's function calls through the compiled
-    forms (per-thread memoization state is created here).  Calls to
-    functions without a compiled form use {!Interp.tree_call_fundef}. *)
-val attach : compiled -> Interp.t -> unit
+    forms (per-thread free-name memoization is created here).  Calls to
+    functions without a compiled form use {!Interp.tree_call_fundef}.
+    Raises [Invalid_argument] unless the context uses the linked
+    builtin and function tables. *)
+val attach : linked -> Interp.t -> unit

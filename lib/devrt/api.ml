@@ -1,7 +1,9 @@
 (* The cudadev device runtime library (paper §4.2.2), exposed to kernel
-   code as interpreter builtins.  One [install] call per GPU thread wires
-   the library to that thread's interpreter instance, closing over the
-   SIMT block/thread state. *)
+   code as interpreter builtins.  One [install] call per launch fills the
+   launch's shared builtin table.  As in the real runtime, state lives
+   per team (the block) and a thread carries only its ids: a builtin
+   finds the running block through the launch's accessor and its thread
+   as [bs_threads.(ctx.lane)], and closes over neither. *)
 
 open Machine
 open Gpusim
@@ -9,12 +11,6 @@ open Gpusim
 exception Devrt_error of string
 
 let devrt_error fmt = Format.kasprintf (fun s -> raise (Devrt_error s)) fmt
-
-(* Per-thread OpenMP execution context.  Defaults describe the combined
-   target teams distribute parallel for mode, where every launched
-   thread is a team member; the master/worker engine overrides them for
-   the duration of a parallel region. *)
-type omp_ctx = { mutable omp_id : int; mutable omp_num : int }
 
 let int_arg = Value.to_int
 
@@ -128,27 +124,26 @@ let atomic_rmw ctx (bs : Simt.block_state) (ptr : Value.t) (f : Value.t -> Value
 (* Installation                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_state) : unit =
-  let spec = bs.bs_spec in
-  let block_threads = Simt.dim3_total bs.bs_block_dim in
-  let omp = { omp_id = ts.ts_lin; omp_num = block_threads } in
-  let reg name fn = Cinterp.Interp.register_builtin ctx name fn in
+let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) : unit =
+  let reg name fn = Hashtbl.replace tbl name fn in
+  let thread (bs : Simt.block_state) (ctx : Cinterp.Interp.t) = bs.bs_threads.(ctx.Cinterp.Interp.lane) in
+  let block_threads (bs : Simt.block_state) = Simt.dim3_total bs.bs_block_dim in
 
   (* -------- identity -------- *)
-  reg "cudadev_thread_id" (fun _ _ -> ret_int ts.ts_lin);
-  reg "cudadev_team_id" (fun _ _ -> ret_int (team_linear bs));
-  reg "cudadev_num_teams" (fun _ _ -> ret_int (num_teams bs));
-  reg "cudadev_num_threads" (fun _ _ -> ret_int block_threads);
-  reg "omp_get_thread_num" (fun _ _ -> ret_int omp.omp_id);
-  reg "omp_get_num_threads" (fun _ _ -> ret_int omp.omp_num);
-  reg "omp_get_team_num" (fun _ _ -> ret_int (team_linear bs));
-  reg "omp_get_num_teams" (fun _ _ -> ret_int (num_teams bs));
+  reg "cudadev_thread_id" (fun ctx _ -> ret_int ctx.Cinterp.Interp.lane);
+  reg "cudadev_team_id" (fun _ _ -> ret_int (team_linear (block ())));
+  reg "cudadev_num_teams" (fun _ _ -> ret_int (num_teams (block ())));
+  reg "cudadev_num_threads" (fun _ _ -> ret_int (block_threads (block ())));
+  reg "omp_get_thread_num" (fun ctx _ -> ret_int (thread (block ()) ctx).ts_omp_id);
+  reg "omp_get_num_threads" (fun ctx _ -> ret_int (thread (block ()) ctx).ts_omp_num);
+  reg "omp_get_team_num" (fun _ _ -> ret_int (team_linear (block ())));
+  reg "omp_get_num_teams" (fun _ _ -> ret_int (num_teams (block ())));
   reg "omp_is_initial_device" (fun _ _ -> ret_int 0);
 
   (* -------- master/worker scheme (§3.2) -------- *)
   reg "cudadev_in_masterwarp" (fun _ args ->
       match args with
-      | [ thrid ] -> ret_int (if int_arg thrid < spec.Spec.warp_size then 1 else 0)
+      | [ thrid ] -> ret_int (if int_arg thrid < (block ()).bs_spec.Spec.warp_size then 1 else 0)
       | _ -> bad_args "cudadev_in_masterwarp");
   reg "cudadev_is_masterthr" (fun _ args ->
       match args with
@@ -157,8 +152,9 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_register_parallel" (fun ctx args ->
       match args with
       | [ fnptr; vars; nthreads ] ->
+        let bs = block () in
         let fd = Cinterp.Interp.function_of_pointer ctx fnptr in
-        let workers = block_threads - spec.Spec.warp_size in
+        let workers = block_threads bs - bs.bs_spec.Spec.warp_size in
         let requested = int_arg nthreads in
         let n = if requested <= 0 then workers else min requested workers in
         bs.bs_region <- Some { Simt.pr_fn = fd.Minic.Ast.f_name; pr_args = [ vars ]; pr_nthreads = n };
@@ -170,25 +166,27 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_workerfunc" (fun ctx args ->
       match args with
       | [ thrid ] ->
+        let bs = block () in
+        let ts = thread bs ctx in
         let thrid = int_arg thrid in
-        let wid = thrid - spec.Spec.warp_size in
+        let wid = thrid - bs.bs_spec.Spec.warp_size in
         if wid < 0 then devrt_error "cudadev_workerfunc called from the master warp";
         let rec serve () =
           Simt.bar_sync barrier_id_b1 (b1_participants bs);
           if not bs.bs_target_done then begin
             (match bs.bs_region with
             | Some r when wid < r.Simt.pr_nthreads ->
-              let saved_id = omp.omp_id and saved_num = omp.omp_num in
-              omp.omp_id <- wid;
-              omp.omp_num <- r.Simt.pr_nthreads;
+              let saved_id = ts.ts_omp_id and saved_num = ts.ts_omp_num in
+              ts.ts_omp_id <- wid;
+              ts.ts_omp_num <- r.Simt.pr_nthreads;
               let fd =
                 match Hashtbl.find_opt ctx.Cinterp.Interp.funcs r.Simt.pr_fn with
                 | Some fd -> fd
                 | None -> devrt_error "worker: unknown thread function '%s'" r.Simt.pr_fn
               in
               ignore (Cinterp.Interp.call_fundef ctx fd r.Simt.pr_args);
-              omp.omp_id <- saved_id;
-              omp.omp_num <- saved_num;
+              ts.ts_omp_id <- saved_id;
+              ts.ts_omp_num <- saved_num;
               Simt.bar_sync barrier_id_b2 r.Simt.pr_nthreads
             | Some _ | None -> ());
             Simt.bar_sync barrier_id_b1 (b1_participants bs);
@@ -201,6 +199,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_exit_target" (fun _ args ->
       match args with
       | [] ->
+        let bs = block () in
         bs.bs_target_done <- true;
         Simt.bar_sync barrier_id_b1 (b1_participants bs);
         ret_void
@@ -210,6 +209,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_push_shmem" (fun ctx args ->
       match args with
       | [ Value.VPtr (origin, ty); size ] ->
+        let bs = block () in
         let size = int_arg size in
         let mark = Mem.mark bs.bs_shared in
         let sh = Mem.push bs.bs_shared size in
@@ -221,6 +221,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_pop_shmem" (fun ctx args ->
       match args with
       | [ Value.VPtr (origin, _); size ] ->
+        let bs = block () in
         let size = int_arg size in
         (match Stack.pop_opt bs.bs_shmem_stack with
         | Some (sh, origin', size', mark) ->
@@ -243,6 +244,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_get_distribute_chunk" (fun ctx args ->
       match args with
       | [ lb_out; ub_out; lo; hi ] ->
+        let bs = block () in
         let r =
           Sched.distribute_chunk ~team:(team_linear bs) ~num_teams:(num_teams bs)
             { Sched.lo = int_arg lo; hi = int_arg hi }
@@ -255,6 +257,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
       (* dist_schedule(static, c): the team's k-th block-cyclic chunk *)
       match args with
       | [ k; chunk; lo; hi; lb_out; ub_out ] ->
+        let bs = block () in
         let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
         (match
            Sched.static_cyclic_chunk ~thread:(team_linear bs) ~num_threads:(num_teams bs)
@@ -269,8 +272,9 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_get_static_chunk" (fun ctx args ->
       match args with
       | [ lb_out; ub_out; lo; hi ] ->
+        let ts = thread (block ()) ctx in
         let r =
-          Sched.static_chunk ~thread:omp.omp_id ~num_threads:omp.omp_num
+          Sched.static_chunk ~thread:ts.ts_omp_id ~num_threads:ts.ts_omp_num
             { Sched.lo = int_arg lo; hi = int_arg hi }
         in
         store_int ctx lb_out r.Sched.lo;
@@ -280,6 +284,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_get_dynamic_chunk" (fun ctx args ->
       match args with
       | [ rid; chunk; lo; hi; lb_out; ub_out ] ->
+        let bs = block () in
         let rid = int_arg rid and chunk = max 1 (int_arg chunk) in
         if rid < 0 then devrt_error "cudadev_get_dynamic_chunk: invalid region id %d" rid;
         let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
@@ -296,18 +301,20 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
           Simt.yield ();
           ret_int 1
         | None ->
-          dyn_drained bs rid (max 1 omp.omp_num);
+          dyn_drained bs rid (max 1 (thread bs ctx).ts_omp_num);
           ret_int 0)
       | _ -> bad_args "cudadev_get_dynamic_chunk");
   reg "cudadev_get_guided_chunk" (fun ctx args ->
       match args with
       | [ rid; minchunk; lo; hi; lb_out; ub_out ] ->
+        let bs = block () in
+        let ts = thread bs ctx in
         let rid = int_arg rid and minchunk = max 1 (int_arg minchunk) in
         if rid < 0 then devrt_error "cudadev_get_guided_chunk: invalid region id %d" rid;
         let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
         let counter = dyn_counter bs rid ~init:range.Sched.lo in
         bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
-        (match Sched.guided_chunk ~counter:!counter ~num_threads:(max 1 omp.omp_num) ~min_chunk:minchunk range with
+        (match Sched.guided_chunk ~counter:!counter ~num_threads:(max 1 ts.ts_omp_num) ~min_chunk:minchunk range with
         | Some r ->
           counter := r.Sched.hi;
           bs.bs_counters.Counters.chunk_grabs <- bs.bs_counters.Counters.chunk_grabs + 1;
@@ -316,23 +323,24 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
           Simt.yield ();
           ret_int 1
         | None ->
-          dyn_drained bs rid (max 1 omp.omp_num);
+          dyn_drained bs rid (max 1 ts.ts_omp_num);
           ret_int 0)
       | _ -> bad_args "cudadev_get_guided_chunk");
-  reg "cudadev_ws_barrier" (fun _ args ->
+  reg "cudadev_ws_barrier" (fun ctx args ->
       match args with
       | [ rid; nthr ] ->
+        let bs = block () in
         let nthr = int_arg nthr in
-        let nthr = if nthr <= 0 then omp.omp_num else nthr in
+        let nthr = if nthr <= 0 then (thread bs ctx).ts_omp_num else nthr in
         ws_finish bs (int_arg rid) nthr;
         Simt.bar_sync barrier_id_user nthr;
         ret_void
       | _ -> bad_args "cudadev_ws_barrier");
-  reg "cudadev_barrier" (fun _ args ->
+  reg "cudadev_barrier" (fun ctx args ->
       match args with
       | [ nthr ] ->
         let n = int_arg nthr in
-        let n = if n <= 0 then omp.omp_num else n in
+        let n = if n <= 0 then (thread (block ()) ctx).ts_omp_num else n in
         (* The paper's rounding rule X = W * ceil(N/W) is applied for the
            cost side inside the scheduler; participation is exact. *)
         Simt.bar_sync barrier_id_user n;
@@ -344,14 +352,16 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
      different warps" (§4.2.2): the first sections are reserved for one
      leader lane per warp; only once every warp leader is busy does the
      shared counter hand sections to arbitrary threads. *)
-  reg "cudadev_sections_next" (fun _ args ->
+  reg "cudadev_sections_next" (fun ctx args ->
       match args with
       | [ rid; nsections ] ->
+        let bs = block () in
+        let ts = thread bs ctx in
         let rid = int_arg rid and nsections = int_arg nsections in
         let c = section_counter bs rid in
         bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
-        let warp = spec.Spec.warp_size in
-        let my_warp = ts.Simt.ts_lin / warp in
+        let warp = bs.bs_spec.Spec.warp_size in
+        let my_warp = ts.ts_lin / warp in
         let grant mine =
           incr c;
           (* ablation bookkeeping: did this warp already own a section? *)
@@ -365,13 +375,13 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
           ret_int mine
         in
         let reserved =
-          if !Config.sections_anti_divergence then min nsections ((omp.omp_num + warp - 1) / warp)
+          if !Config.sections_anti_divergence then min nsections ((ts.ts_omp_num + warp - 1) / warp)
           else 0
         in
-        let is_leader = omp.omp_id mod warp = 0 && omp.omp_id / warp < reserved in
-        if is_leader && !c <= omp.omp_id / warp then begin
+        let is_leader = ts.ts_omp_id mod warp = 0 && ts.ts_omp_id / warp < reserved in
+        if is_leader && !c <= ts.ts_omp_id / warp then begin
           (* leaders take their reserved section exactly once *)
-          let mine = omp.omp_id / warp in
+          let mine = ts.ts_omp_id / warp in
           if !c = mine then grant mine
           else begin
             (* another leader has not arrived yet; wait for our slot *)
@@ -396,6 +406,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_lock" (fun ctx args ->
       match args with
       | [ Value.VPtr (addr, _) ] ->
+        let bs = block () in
         let rec spin () =
           bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
           let cur = Value.to_int (Cinterp.Interp.load ctx addr Cty.Int) in
@@ -419,7 +430,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   let reduce name f =
     reg name (fun ctx args ->
         match args with
-        | [ ptr; v ] -> ignore (atomic_rmw ctx bs ptr (fun old -> f old v)); ret_void
+        | [ ptr; v ] -> ignore (atomic_rmw ctx (block ()) ptr (fun old -> f old v)); ret_void
         | _ -> bad_args name)
   in
   reduce "cudadev_reduce_fadd" (fun old v ->
@@ -464,7 +475,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "atomicAdd" (fun ctx args ->
       match args with
       | [ ptr; v ] ->
-        atomic_rmw ctx bs ptr (fun old ->
+        atomic_rmw ctx (block ()) ptr (fun old ->
             match old with
             | Value.VFlt (f, ty) -> Value.flt ~ty (f +. Value.as_float v)
             | Value.VInt (i, ty) -> Value.int ~ty (Int64.add i (Value.as_int v))
@@ -473,9 +484,9 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "atomicCAS" (fun ctx args ->
       match args with
       | [ ptr; cmp; v ] ->
-        atomic_rmw ctx bs ptr (fun old -> if Value.as_int old = Value.as_int cmp then v else old)
+        atomic_rmw ctx (block ()) ptr (fun old -> if Value.as_int old = Value.as_int cmp then v else old)
       | _ -> bad_args "atomicCAS");
   reg "atomicExch" (fun ctx args ->
       match args with
-      | [ ptr; v ] -> atomic_rmw ctx bs ptr (fun _ -> v)
+      | [ ptr; v ] -> atomic_rmw ctx (block ()) ptr (fun _ -> v)
       | _ -> bad_args "atomicExch")

@@ -1,9 +1,13 @@
 (** The cudadev device runtime library (paper 4.2.2), exposed to kernel
     code as interpreter builtins.
 
-    One {!install} call per GPU thread wires the library to that
-    thread's interpreter instance, closing over the SIMT block/thread
-    state.  Installed entry points include:
+    One {!install} call per launch fills the launch's shared builtin
+    table.  No builtin closes over block or thread state: each finds the
+    running block through the launch's current-block accessor and its
+    thread as [bs_threads.(ctx.lane)], whose OpenMP ids
+    ({!Gpusim.Simt.thread_state.ts_omp_id}/[ts_omp_num]) the
+    master/worker engine overrides for the duration of a parallel
+    region.  Installed entry points include:
 
     - identity: [cudadev_thread_id], [cudadev_team_id],
       [omp_get_thread_num], [omp_get_num_threads], ...;
@@ -23,10 +27,6 @@
 
 exception Devrt_error of string
 
-(** Per-thread OpenMP execution context (thread id / team size); the
-    master/worker engine overrides it for the duration of a region. *)
-type omp_ctx = { mutable omp_id : int; mutable omp_num : int }
-
 val b1_participants : Gpusim.Simt.block_state -> int
 
 val barrier_id_b1 : int
@@ -35,4 +35,4 @@ val barrier_id_b2 : int
 
 val barrier_id_user : int
 
-val install : Cinterp.Interp.t -> Gpusim.Simt.block_state -> Gpusim.Simt.thread_state -> unit
+val install : Gpusim.Simt.installer

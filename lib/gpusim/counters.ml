@@ -202,9 +202,11 @@ let on_step t (lin : int) (k : Cinterp.Interp.step) =
   | Cinterp.Interp.St_call -> c.call <- c.call + 1
   | Cinterp.Interp.St_special -> c.special <- c.special + 1
 
-(* [seq] is the per-thread per-allocation access counter, provided by the
-   thread state so that lanes can be aligned. *)
-let on_global_access t ~(lin : int) ~(seq : (int, int ref) Hashtbl.t) (acc : Cinterp.Interp.access) =
+(* [seq ()] is the per-thread per-allocation access counter, provided by
+   the thread state so that lanes can be aligned; it is only asked for
+   in sampled blocks. *)
+let on_global_access t ~(lin : int) ~(seq : unit -> (int, int ref) Hashtbl.t)
+    (acc : Cinterp.Interp.access) =
   let off = acc.acc_addr.Addr.off in
   match find_range_idx t.alloc_table off with
   | -1 -> ()
@@ -220,6 +222,7 @@ let on_global_access t ~(lin : int) ~(seq : (int, int ref) Hashtbl.t) (acc : Cin
       if rel + acc.acc_bytes > s.a_store_hi then s.a_store_hi <- rel + acc.acc_bytes);
     if t.sample_block_seq >= 0 then begin
       let warp = lin / t.spec.Spec.warp_size in
+      let seq = seq () in
       let k =
         match Hashtbl.find_opt seq id with
         | Some r ->

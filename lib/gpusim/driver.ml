@@ -522,7 +522,7 @@ let record_launch t ~entry ~grid ~block (counters : Counters.t) (breakdown : Cos
 
 let launch_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.dim3)
     ~(block : Simt.dim3) ~(args : Value.t list)
-    ~(install_builtins : Cinterp.Interp.t -> Simt.block_state -> Simt.thread_state -> unit)
+    ~(install_builtins : Simt.installer)
     ?(block_filter : (int -> bool) option) ?(logical_blocks : int option)
     ?(occupancy_penalty = 1.0) () : launch_stats =
   ensure_initialized t;
@@ -636,7 +636,7 @@ let memcpy_d2h_async t ~(stream : stream) ~(host : Mem.t) ~(src : Addr.t) ~(dst 
    cuLaunchKernel issue overhead. *)
 let launch_kernel_async t ~(stream : stream) ~(modul : loaded_module) ~(entry : string)
     ~(grid : Simt.dim3) ~(block : Simt.dim3) ~(args : Value.t list)
-    ~(install_builtins : Cinterp.Interp.t -> Simt.block_state -> Simt.thread_state -> unit)
+    ~(install_builtins : Simt.installer)
     ?(block_filter : (int -> bool) option) ?(logical_blocks : int option)
     ?(occupancy_penalty = 1.0) () : launch_stats =
   ensure_initialized t;

@@ -181,7 +181,7 @@ val launch_kernel :
   grid:Simt.dim3 ->
   block:Simt.dim3 ->
   args:Value.t list ->
-  install_builtins:(Cinterp.Interp.t -> Simt.block_state -> Simt.thread_state -> unit) ->
+  install_builtins:Simt.installer ->
   ?block_filter:(int -> bool) ->
   ?logical_blocks:int ->
   ?occupancy_penalty:float ->
@@ -235,7 +235,7 @@ val launch_kernel_async :
   grid:Simt.dim3 ->
   block:Simt.dim3 ->
   args:Value.t list ->
-  install_builtins:(Cinterp.Interp.t -> Simt.block_state -> Simt.thread_state -> unit) ->
+  install_builtins:Simt.installer ->
   ?block_filter:(int -> bool) ->
   ?logical_blocks:int ->
   ?occupancy_penalty:float ->

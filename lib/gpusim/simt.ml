@@ -1,7 +1,12 @@
 (* SIMT execution engine.
 
    Each GPU thread is a coroutine (OCaml effect handler fiber) running
-   one mini-C interpreter instance over the kernel AST.  Blocks execute
+   one mini-C interpreter context over the kernel AST.  The device
+   builtin table (common builtins plus the device runtime) is built once
+   per launch and shared by every thread: a builtin finds its block
+   through the launch's current-block accessor and its thread as
+   [bs_threads.(ctx.lane)], so per-thread setup is only the context, its
+   stack frame and the four dim3 bindings.  Blocks execute
    sequentially; threads within a block are interleaved cooperatively.
    Named barriers (PTX bar.sync) suspend threads until the expected
    number of participants arrive — the mechanism behind the paper's B1/B2
@@ -39,8 +44,23 @@ type barrier = {
 type thread_state = {
   ts_lin : int; (* linear id within block *)
   ts_tid : dim3;
-  ts_alloc_seq : (int, int ref) Hashtbl.t; (* per-allocation access counter *)
+  (* OpenMP thread id / team size (omp_get_thread_num/num_threads): every
+     thread of the block by default, as in the combined target teams
+     distribute parallel for mode; the master/worker engine overrides
+     them for the duration of a parallel region. *)
+  mutable ts_omp_id : int;
+  mutable ts_omp_num : int;
+  (* per-allocation access counter, only needed in sampled blocks *)
+  mutable ts_alloc_seq : (int, int ref) Hashtbl.t option;
 }
+
+let alloc_seq ts =
+  match ts.ts_alloc_seq with
+  | Some t -> t
+  | None ->
+    let t = Hashtbl.create 4 in
+    ts.ts_alloc_seq <- Some t;
+    t
 
 (* Master/worker region descriptor registered by the master thread
    (cudadev_register_parallel) and consumed by the workers. *)
@@ -53,6 +73,7 @@ type block_state = {
   bs_block_lin : int;
   bs_shared : Mem.t;
   bs_shared_vars : (string, Addr.t) Hashtbl.t;
+  bs_threads : thread_state array; (* indexed by lane (linear thread id) *)
   bs_barriers : barrier array;
   bs_runq : (unit -> unit) Queue.t;
   mutable bs_live : int;
@@ -71,7 +92,9 @@ type block_state = {
 type kernel_source = {
   ks_structs : Cty.layout_env;
   ks_funcs : (string, Ast.fundef) Hashtbl.t;
-  ks_globals : (string, Cty.t * Addr.t) Hashtbl.t; (* device globals, filled at module load *)
+  (* device globals, filled at module load; every thread's context uses
+     this table as its (read-only) globals *)
+  ks_globals : (string, Cty.t * Addr.t) Hashtbl.t;
 }
 
 let kernel_source_of_program ?(alloc_global : (int -> Addr.t) option) (p : Ast.program) :
@@ -118,7 +141,12 @@ type launch_config = {
    plain host addresses still fault with a helpful message. *)
 type device_memories = { dm_global : Mem.t; dm_host : Mem.t option }
 
-(* Write a dim3 value into thread-local memory and register it. *)
+(* Fills a launch's shared builtin table; builtins reach the running
+   block through the accessor. *)
+type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
+
+(* Write a dim3 value into thread-local memory, bound in the thread's
+   base frame. *)
 let bind_dim3 (ctx : Cinterp.Interp.t) name (d : dim3) =
   let addr = Cinterp.Interp.declare_var ctx name (Cty.Struct "dim3") in
   let store off v =
@@ -127,16 +155,29 @@ let bind_dim3 (ctx : Cinterp.Interp.t) name (d : dim3) =
   in
   store 0 d.x;
   store 4 d.y;
-  store 8 d.z;
-  Cinterp.Interp.register_global ctx name (Cty.Struct "dim3") addr
+  store 8 d.z
 
-(* Execute one block to completion. *)
+(* Execute one block to completion, making it the launch's current
+   block for the shared builtins. *)
 let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
-    ~(compiled : Cinterp.Jit.compiled option) ~(counters : Counters.t)
-    ~(install_builtins : Cinterp.Interp.t -> block_state -> thread_state -> unit)
-    ~(local_pool : Mem.t array) ~(output : Buffer.t) ~(config : launch_config) ~(block_idx : dim3)
-    ~(block_lin : int) : unit =
+    ~(builtins : Cinterp.Interp.builtins) ~(linked : Cinterp.Jit.linked option)
+    ~(current : block_state option ref) ~(counters : Counters.t) ~(local_pool : Mem.t array)
+    ~(output : Buffer.t) ~(config : launch_config) ~(block_idx : dim3) ~(block_lin : int) : unit =
   let n_threads = dim3_total config.lc_block in
+  let thread lin =
+    {
+      ts_lin = lin;
+      ts_tid =
+        {
+          x = lin mod config.lc_block.x;
+          y = lin / config.lc_block.x mod config.lc_block.y;
+          z = lin / (config.lc_block.x * config.lc_block.y);
+        };
+      ts_omp_id = lin;
+      ts_omp_num = n_threads;
+      ts_alloc_seq = None;
+    }
+  in
   let bs =
     {
       bs_block_idx = block_idx;
@@ -145,6 +186,7 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
       bs_block_lin = block_lin;
       bs_shared = Mem.create ~initial:4096 ~limit:spec.Spec.shared_mem_per_block ~space:(Addr.Shared block_lin) "shared";
       bs_shared_vars = Hashtbl.create 8;
+      bs_threads = Array.init n_threads thread;
       bs_barriers =
         Array.init spec.Spec.max_named_barriers (fun _ ->
             { arrived = 0; expected = -1; live_count = false; waiting = [] });
@@ -161,52 +203,49 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
       bs_spec = spec;
     }
   in
+  current := Some bs;
   Counters.begin_block counters n_threads;
   let entry_fn =
     match Hashtbl.find_opt source.ks_funcs config.lc_entry with
     | Some f -> f
     | None -> simt_error "kernel entry '%s' not found in kernel source" config.lc_entry
   in
+  let resolve = function
+    | Addr.Global -> mem.dm_global
+    | Addr.Shared b when b = block_lin -> bs.bs_shared
+    | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
+    | Addr.Local i when i < Array.length local_pool -> local_pool.(i)
+    | Addr.Local i -> simt_error "access to foreign local memory %d" i
+    | Addr.Host -> (
+      match mem.dm_host with
+      | Some m -> m
+      | None -> simt_error "device code accessed host memory (missing map clause?)")
+    | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
+  in
+  let shared_decl name ty =
+    match Hashtbl.find_opt bs.bs_shared_vars name with
+    | Some a -> a
+    | None ->
+      let a = Mem.push bs.bs_shared (Cty.sizeof source.ks_structs ty) in
+      Hashtbl.replace bs.bs_shared_vars name a;
+      a
+  in
+  (* Per-thread setup: a context over the launch's shared builtin table
+     and the module's globals, plus this thread's stack and hooks. *)
   let make_thread_body lin =
-    let tid =
-      {
-        x = lin mod config.lc_block.x;
-        y = lin / config.lc_block.x mod config.lc_block.y;
-        z = lin / (config.lc_block.x * config.lc_block.y);
-      }
-    in
-    let ts = { ts_lin = lin; ts_tid = tid; ts_alloc_seq = Hashtbl.create 4 } in
+    let ts = bs.bs_threads.(lin) in
     let local = local_pool.(lin) in
     Mem.release local 16;
-    let resolve = function
-      | Addr.Global -> mem.dm_global
-      | Addr.Shared b when b = block_lin -> bs.bs_shared
-      | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
-      | Addr.Local i when i < Array.length local_pool -> local_pool.(i)
-      | Addr.Local i -> simt_error "access to foreign local memory %d" i
-      | Addr.Host -> (
-        match mem.dm_host with
-        | Some m -> m
-        | None -> simt_error "device code accessed host memory (missing map clause?)")
-      | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
-    in
-    let shared_decl name ty =
-      match Hashtbl.find_opt bs.bs_shared_vars name with
-      | Some a -> a
-      | None ->
-        let a = Mem.push bs.bs_shared (Cty.sizeof source.ks_structs ty) in
-        Hashtbl.replace bs.bs_shared_vars name a;
-        a
-    in
     let ctx =
       Cinterp.Interp.create ~structs:source.ks_structs ~funcs:source.ks_funcs ~resolve ~local
-        ~shared_decl ~output ()
+        ~builtins ~globals:source.ks_globals ~lane:lin ~shared_decl ~output ()
     in
     ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
+    let seq () = alloc_seq ts in
     ctx.Cinterp.Interp.on_access <-
       (fun acc ->
         match acc.Cinterp.Interp.acc_addr.Addr.space with
-        | Addr.Global -> Counters.on_global_access counters ~lin ~seq:ts.ts_alloc_seq acc
+        | Addr.Global -> Counters.on_global_access counters ~lin ~seq acc
         | Addr.Shared _ -> counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
         | Addr.Host -> (
           (* only pinned (zero-copy) ranges are reachable: dm_host is None
@@ -218,19 +257,16 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
               acc.Cinterp.Interp.acc_addr.Addr.off)
         | Addr.Local _ | Addr.Strings ->
           counters.Counters.local_accesses <- counters.Counters.local_accesses + 1);
-    Cinterp.Interp.install_common_builtins ctx;
-    Hashtbl.iter (fun name (ty, addr) -> Cinterp.Interp.register_global ctx name ty addr) source.ks_globals;
     (* base frame for the implicit thread context (threadIdx etc.) *)
     Cinterp.Interp.push_frame ctx;
-    bind_dim3 ctx "threadIdx" tid;
+    bind_dim3 ctx "threadIdx" ts.ts_tid;
     bind_dim3 ctx "blockIdx" block_idx;
     bind_dim3 ctx "blockDim" config.lc_block;
     bind_dim3 ctx "gridDim" config.lc_grid;
-    install_builtins ctx bs ts;
     (* Route this thread's calls through the module's closure-compiled
        form (if any); builtins and the effects-based yield points are
        untouched, so scheduling semantics do not change. *)
-    (match compiled with Some c -> Cinterp.Jit.attach c ctx | None -> ());
+    (match linked with Some l -> Cinterp.Jit.attach l ctx | None -> ());
     fun () -> ignore (Cinterp.Interp.call_fundef ctx entry_fn config.lc_args)
   in
   (* Spawn all threads as fibers. *)
@@ -318,8 +354,7 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
 (* Launch a kernel over the whole grid (subject to the block filter). *)
 let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ?(compiled : Cinterp.Jit.compiled option) ~(counters : Counters.t)
-    ~(install_builtins : Cinterp.Interp.t -> block_state -> thread_state -> unit)
-    ~(output : Buffer.t) (config : launch_config) : unit =
+    ~(install_builtins : installer) ~(output : Buffer.t) (config : launch_config) : unit =
   ensure_dim3 source.ks_structs;
   let n_threads = dim3_total config.lc_block in
   if n_threads > spec.Spec.max_threads_per_block then
@@ -328,6 +363,16 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
   let local_pool =
     Array.init n_threads (fun i -> Mem.create ~initial:8192 ~space:(Addr.Local i) "local")
   in
+  (* one builtin table (and one JIT call-target memo) for every thread
+     of every block *)
+  let current = ref None in
+  let builtins = Hashtbl.create 64 in
+  Cinterp.Interp.install_common_builtins builtins;
+  install_builtins
+    (fun () ->
+      match !current with Some bs -> bs | None -> simt_error "device builtin called outside a block")
+    builtins;
+  let linked = Option.map (fun c -> Cinterp.Jit.link c ~builtins ~funcs:source.ks_funcs) compiled in
   let total_blocks = dim3_total config.lc_grid in
   counters.Counters.blocks_total <- counters.Counters.blocks_total + total_blocks;
   let sampled_blocks = ref 0 in
@@ -346,7 +391,7 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
             counters.Counters.block_contributed <- false
           end
           else counters.Counters.sample_block_seq <- -1;
-          run_block ~spec ~mem ~source ~compiled ~counters ~install_builtins ~local_pool ~output
+          run_block ~spec ~mem ~source ~builtins ~linked ~current ~counters ~local_pool ~output
             ~config ~block_idx:{ x = bx; y = by; z = bz } ~block_lin;
           if counters.Counters.sample_block_seq >= 0 && counters.Counters.block_contributed then
             incr sampled_blocks
@@ -354,4 +399,5 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
       done
     done
   done;
+  current := None;
   counters.Counters.sample_block_seq <- -1

@@ -1,7 +1,10 @@
 (** SIMT execution engine.
 
     Each GPU thread is a coroutine (OCaml effect-handler fiber) running
-    one mini-C interpreter instance over the kernel AST.  Blocks execute
+    one mini-C interpreter context over the kernel AST.  The device
+    builtin table is built once per launch and shared by all threads; a
+    builtin finds its block through the launch's current-block accessor
+    and its thread as [bs_threads.(ctx.lane)].  Blocks execute
     sequentially; threads within a block are interleaved cooperatively.
     Named barriers (PTX bar.sync) suspend threads until the expected
     number of participants arrive — the mechanism behind the paper's
@@ -49,7 +52,12 @@ type barrier = {
 type thread_state = {
   ts_lin : int;  (** linear id within the block *)
   ts_tid : dim3;
-  ts_alloc_seq : (int, int ref) Hashtbl.t;  (** per-allocation access counters *)
+  mutable ts_omp_id : int;
+      (** [omp_get_thread_num]: [ts_lin] by default; the master/worker
+          engine overrides it for the duration of a parallel region *)
+  mutable ts_omp_num : int;  (** [omp_get_num_threads]: the block size by default *)
+  mutable ts_alloc_seq : (int, int ref) Hashtbl.t option;
+      (** per-allocation access counters, created on demand *)
 }
 
 (** Master/worker region descriptor registered by the master thread
@@ -63,6 +71,7 @@ type block_state = {
   bs_block_lin : int;
   bs_shared : Mem.t;
   bs_shared_vars : (string, Addr.t) Hashtbl.t;
+  bs_threads : thread_state array;  (** indexed by lane (linear thread id) *)
   bs_barriers : barrier array;
   bs_runq : (unit -> unit) Queue.t;
   mutable bs_live : int;
@@ -101,9 +110,16 @@ type launch_config = {
     only when pinned (zero-copy) host ranges are registered. *)
 type device_memories = { dm_global : Mem.t; dm_host : Mem.t option }
 
+(** Fills a launch's shared builtin table (once per launch).  Builtins
+    must not capture per-block or per-thread state: they reach the
+    running block through the accessor and their thread through the
+    calling context's {!Cinterp.Interp.t.lane}. *)
+type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
+
 (** Launch a kernel over the grid (subject to the block filter),
     detecting barrier deadlocks and illegal memory-space accesses.
-    With [?compiled], each thread executes the module's
+    [install_builtins] runs once per launch, after the common builtins
+    are installed.  With [?compiled], each thread executes the module's
     closure-compiled form instead of tree-walking the AST (identical
     semantics, hooks and yield points; see {!Cinterp.Jit}). *)
 val launch :
@@ -112,7 +128,7 @@ val launch :
   source:kernel_source ->
   ?compiled:Cinterp.Jit.compiled ->
   counters:Counters.t ->
-  install_builtins:(Cinterp.Interp.t -> block_state -> thread_state -> unit) ->
+  install_builtins:installer ->
   output:Buffer.t ->
   launch_config ->
   unit

@@ -222,7 +222,7 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
   in
   (* host locals also live in host memory *)
   let ctx = Cinterp.Interp.create ~structs ~funcs ~resolve ~local:rt.Rt.host_mem () in
-  Cinterp.Interp.install_common_builtins ctx;
+  Cinterp.Interp.install_common_builtins ctx.Cinterp.Interp.builtins;
   install_ort_builtins rt ctx;
   (* charge host execution to the simulated clock *)
   let cost = Rt.host_step_cost_ns rt in

@@ -19,7 +19,7 @@ let run ?(check = true) (src : string) (fn : string) (args : Value.t list) : Val
     | _ -> Alcotest.fail "non-host access in interp test"
   in
   let ctx = Cinterp.Interp.create ~structs ~funcs ~resolve ~local:host () in
-  Cinterp.Interp.install_common_builtins ctx;
+  Cinterp.Interp.install_common_builtins ctx.Cinterp.Interp.builtins;
   Cinterp.Interp.load_program ctx prog;
   (* allocate program globals, as the host runtime does *)
   List.iter

@@ -6,15 +6,21 @@ open Gpusim
 
 let make_driver () = Driver.create (Simclock.create ())
 
-(* Compile a CUDA-style kernel source and launch it. *)
-let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 32) (d : Driver.t) src entry args =
+(* Compile a CUDA-style kernel source and launch it; [jit] selects the
+   closure JIT or the tree-walking interpreter. *)
+let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 32) ?(jit = true)
+    ?(install = Devrt.Api.install) (d : Driver.t) src entry args =
   let prog = Minic.Parser.parse_program src in
   (match Minic.Typecheck.check_program ~cuda:true prog with
   | [] -> ()
   | errs -> Alcotest.failf "kernel type errors: %s" (String.concat "; " errs));
+  Driver.set_jit d jit;
   let artifact = Nvcc.compile ~mode:Nvcc.Cubin ~name:entry prog in
   let m = Driver.load_module d artifact in
-  Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ~install_builtins:Devrt.Api.install ()
+  Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ~install_builtins:install ()
+
+(* Run [f] once per executor, labelling its checks. *)
+let both_executors f = List.iter (fun (jit, label) -> f ~jit label) [ (true, "jit"); (false, "no-jit") ]
 
 let read_i32 (d : Driver.t) (a : Addr.t) i =
   Int32.to_int (Bytes.get_int32_le d.Driver.global.Mem.data (a.Addr.off + (4 * i)))
@@ -255,6 +261,113 @@ void k(int *data)
     Alcotest.(check int) (Printf.sprintf "idle worker %d untouched" id) 0 (read_i32 d buf id)
   done
 
+(* The device builtin table is built once per launch and shared by every
+   thread: a builtin finds its thread through the calling context's lane,
+   never through a per-thread install. *)
+let test_install_once_per_launch () =
+  both_executors (fun ~jit label ->
+      let d = make_driver () in
+      let grid = 4 and bx = 32 and by = 4 in
+      let nthr = bx * by in
+      let buf = Driver.mem_alloc d (4 * 5 * grid * nthr) in
+      let installs = ref 0 in
+      let install block tbl =
+        incr installs;
+        Devrt.Api.install block tbl
+      in
+      let src =
+        {|
+void k(int *out)
+{
+  int lin = threadIdx.x + blockDim.x * threadIdx.y;
+  int g = 5 * (blockIdx.x * blockDim.x * blockDim.y + lin);
+  out[g] = cudadev_thread_id();
+  out[g + 1] = omp_get_thread_num();
+  out[g + 2] = omp_get_num_threads();
+  out[g + 3] = omp_get_team_num();
+  out[g + 4] = threadIdx.x + 1000 * threadIdx.y;
+}
+|}
+      in
+      ignore
+        (launch ~grid:(Simt.dim3 grid) ~block:(Simt.dim3 bx ~y:by) ~jit ~install d src "k" [ fi buf ]);
+      Alcotest.(check int) (label ^ ": one install per launch") 1 !installs;
+      for b = 0 to grid - 1 do
+        for lin = 0 to nthr - 1 do
+          let g = 5 * ((b * nthr) + lin) in
+          let field i what expected =
+            Alcotest.(check int)
+              (Printf.sprintf "%s: block %d lane %d %s" label b lin what)
+              expected (read_i32 d buf (g + i))
+          in
+          field 0 "cudadev_thread_id" lin;
+          field 1 "omp_get_thread_num" lin;
+          field 2 "omp_get_num_threads" nthr;
+          field 3 "omp_get_team_num" b;
+          field 4 "threadIdx" ((lin mod bx) + (1000 * (lin / bx)))
+        done
+      done;
+      ignore (launch ~jit ~install d "void k2(void) { }" "k2" []);
+      Alcotest.(check int) (label ^ ": one more launch, one more install") 2 !installs)
+
+(* A standalone parallel region with fewer threads than workers: the
+   OpenMP ids live in each thread's state, are overridden only for the
+   region's participants and only for its duration, and are restored in
+   every block. *)
+let test_master_worker_id_isolation () =
+  both_executors (fun ~jit label ->
+      let d = make_driver () in
+      let grid = 3 and nthr = 96 and team = 20 in
+      let warp = d.Driver.spec.Spec.warp_size in
+      let buf = Driver.mem_alloc d (4 * 6 * grid * nthr) in
+      Driver.memset_d d ~dst:buf ~len:(4 * 6 * grid * nthr);
+      let src =
+        {|
+void region(int *rec)
+{
+  int g = 6 * (blockIdx.x * blockDim.x + cudadev_thread_id());
+  rec[g + 2] = omp_get_thread_num();
+  rec[g + 3] = omp_get_num_threads();
+}
+
+void k(int *rec, int team)
+{
+  int t = cudadev_thread_id();
+  int g = 6 * (blockIdx.x * blockDim.x + t);
+  rec[g] = omp_get_thread_num();
+  rec[g + 1] = omp_get_num_threads();
+  if (cudadev_in_masterwarp(t)) {
+    if (cudadev_is_masterthr(t)) {
+      cudadev_register_parallel(region, rec, team);
+      cudadev_exit_target();
+    }
+  } else {
+    cudadev_workerfunc(t);
+  }
+  rec[g + 4] = omp_get_thread_num();
+  rec[g + 5] = omp_get_num_threads();
+}
+|}
+      in
+      ignore
+        (launch ~grid:(Simt.dim3 grid) ~block:(Simt.dim3 nthr) ~jit d src "k"
+           [ fi buf; Value.of_int team ]);
+      for b = 0 to grid - 1 do
+        for t = 0 to nthr - 1 do
+          let g = 6 * ((b * nthr) + t) in
+          let pair i what (eid, enum) =
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s: block %d thread %d %s" label b t what)
+              (eid, enum)
+              (read_i32 d buf (g + i), read_i32 d buf (g + i + 1))
+          in
+          let wid = t - warp in
+          pair 0 "before" (t, nthr);
+          pair 2 "inside" (if wid >= 0 && wid < team then (wid, team) else (0, 0));
+          pair 4 "after" (t, nthr)
+        done
+      done)
+
 (* Regression: a live-count barrier (__syncthreads) must be re-evaluated
    when a thread retires.  Threads 0..n-1 arrive at the barrier while
    all block threads are still live, so the expected count is initially
@@ -371,7 +484,12 @@ let () =
             test_tree_reduce_divergent_shapes;
         ] );
       ( "master-worker",
-        [ Alcotest.test_case "B1/B2 protocol, non-warp-multiple team" `Quick test_master_worker_protocol ] );
+        [
+          Alcotest.test_case "B1/B2 protocol, non-warp-multiple team" `Quick test_master_worker_protocol;
+          Alcotest.test_case "worker ids restored after a region" `Quick test_master_worker_id_isolation;
+        ] );
+      ( "builtins",
+        [ Alcotest.test_case "one install per launch" `Quick test_install_once_per_launch ] );
       ( "failure modes",
         [
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
