@@ -97,10 +97,13 @@ let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_see
      if interesting then begin
        let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
        let st = Hostrt.Dataenv.stats dataenv in
-       Printf.eprintf "[mem: %d h2d + %d d2h elided, %d zero-copy accesses, %d resident buffer(s)]\n"
+       Printf.eprintf
+         "[mem: %d h2d + %d d2h elided, %d zero-copy accesses, %d resident buffer(s), %d byte(s) \
+          digested]\n"
          st.Hostrt.Dataenv.elided_h2d st.Hostrt.Dataenv.elided_d2h
          st.Hostrt.Dataenv.zerocopy_accesses
-         (Hostrt.Dataenv.resident_buffers dataenv);
+         (Hostrt.Dataenv.resident_buffers dataenv)
+         st.Hostrt.Dataenv.digested_bytes;
        if
          st.Hostrt.Dataenv.elided_h2d_pages + st.Hostrt.Dataenv.elided_d2h_pages
          + st.Hostrt.Dataenv.elided_update_to + st.Hostrt.Dataenv.elided_update_from

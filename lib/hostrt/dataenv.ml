@@ -104,6 +104,7 @@ type stats = {
   elided_update_to : int;
   elided_update_from : int;
   zerocopy_accesses : int;
+  digested_bytes : int;
 }
 
 type t = {
@@ -139,6 +140,7 @@ type t = {
   mutable elided_d2h_pages : int;
   mutable elided_update_to : int;
   mutable elided_update_from : int;
+  mutable digested_bytes : int; (* host bytes MD5-hashed, all digest kinds *)
 }
 
 (* Roughly a quarter of the Nano's 4 MiB L2 worth of parked images: big
@@ -173,6 +175,7 @@ let create ~(host : Mem.t) ~(driver : Driver.t) =
     elided_d2h_pages = 0;
     elided_update_to = 0;
     elided_update_from = 0;
+    digested_bytes = 0;
   }
 
 let is_dead t = t.de_dead <> None
@@ -217,6 +220,7 @@ let stats t =
     elided_update_to = t.elided_update_to;
     elided_update_from = t.elided_update_from;
     zerocopy_accesses = t.driver.Driver.zerocopy_total;
+    digested_bytes = t.digested_bytes;
   }
 
 let policy_decisions t = Mempolicy.decisions t.policy
@@ -259,7 +263,13 @@ let guard t ~label f =
 
 (* ------------------------- elision bookkeeping ------------------------- *)
 
-let host_digest t e = Digest.subbytes t.host.Mem.data e.e_host.Addr.off e.e_bytes
+(* Every host-image digest goes through here, so [digested_bytes]
+   counts them all: whole-buffer, per-page and the policy's. *)
+let digest_host t ~off ~len =
+  t.digested_bytes <- t.digested_bytes + len;
+  Digest.subbytes t.host.Mem.data off len
+
+let host_digest t e = digest_host t ~off:e.e_host.Addr.off ~len:e.e_bytes
 
 let digest_matches t e =
   match e.e_digest with Some d -> Digest.equal d (host_digest t e) | None -> false
@@ -269,7 +279,17 @@ let npages t bytes = (bytes + t.de_page_bytes - 1) / t.de_page_bytes
 let page_digest t e p =
   let off = p * t.de_page_bytes in
   let len = min t.de_page_bytes (e.e_bytes - off) in
-  Digest.subbytes t.host.Mem.data (e.e_host.Addr.off + off) len
+  digest_host t ~off:(e.e_host.Addr.off + off) ~len
+
+(* Can anything read this entry's whole-buffer sync digest?  Elision
+   checks compare it, and they run on elide-mode entries and, under the
+   automatic policy, on parked copy-mode entries once revived — which
+   only happens to entries within the resident budget ([park_resident]
+   frees a larger one outright).  Every other entry skips the hash: a
+   missing digest reads as "host changed", so at worst a later check
+   copies where it could have elided. *)
+let digest_readable t e =
+  Mempolicy.equal_mode e.e_mode Mempolicy.Elide || (t.de_auto && e.e_bytes <= t.resident_cap_bytes)
 
 (* Record "host and device agree over the full extent right now". *)
 let mark_synced t e =
@@ -277,7 +297,7 @@ let mark_synced t e =
     e.e_stores_at_sync <- Driver.alloc_stores t.driver e.e_alloc_id;
     e.e_epoch_at_sync <- t.driver.Driver.write_epoch;
     e.e_store_mark <- Driver.store_mark t.driver e.e_alloc_id;
-    e.e_digest <- Some (host_digest t e);
+    e.e_digest <- (if digest_readable t e then Some (host_digest t e) else None);
     (if Mempolicy.equal_mode e.e_mode Mempolicy.Elide then
        e.e_page_digests <- Some (Array.init (npages t e.e_bytes) (fun p -> Some (page_digest t e p)))
      else e.e_page_digests <- None);
@@ -405,8 +425,12 @@ let snapshot_map_counters t e =
     e.e_map_store_mark <- Driver.store_mark t.driver e.e_alloc_id
   end
 
-(* Fold one completed map→unmap cycle into the buffer's history. *)
-let observe_release t e =
+(* Fold one completed map→unmap cycle into the buffer's history.  The
+   release digest is only ever compared by the automatic policy's next
+   decision, so forced modes record none.  [synced_now] says the entry
+   was synced in this same unmap, so its sync digest (when one was
+   taken) is the current host image and is reused. *)
+let observe_release ?(synced_now = false) t e =
   if not (is_dead t) then begin
     let loads, stores =
       if e.e_zerocopy then begin
@@ -431,8 +455,15 @@ let observe_release t e =
         else float_of_int (min e.e_bytes hi - max 0 lo) /. float_of_int e.e_bytes
       end
     in
+    let digest =
+      if not t.de_auto then None
+      else
+        match e.e_digest with
+        | Some d when synced_now -> Some d
+        | _ -> Some (host_digest t e)
+    in
     Mempolicy.observe t.policy ~key:(buffer_key e.e_host ~bytes:e.e_bytes) ~loads ~stores
-      ~dev_dirty ~digest:(Some (host_digest t e))
+      ~dev_dirty ~digest
   end
 
 let est_int v = if Float.is_finite v then int_of_float v else -1
@@ -593,6 +624,15 @@ let find_containing t (haddr : Addr.t) ~bytes =
       && haddr.Addr.off + bytes <= e.e_host.Addr.off + e.e_bytes)
     t.entries
 
+(* The entry an unmap of [haddr] releases: the one mapped at exactly that
+   address, else the first containing it.  Containment alone is not
+   enough when maps overlap (two sessions sharing slices of one pool):
+   the first containing entry can be the other slice. *)
+let find_release t (haddr : Addr.t) =
+  match List.find_opt (fun e -> Addr.equal e.e_host haddr) t.entries with
+  | Some e -> Some e
+  | None -> find_containing t haddr ~bytes:1
+
 (* Translate a host address inside a mapped range to its device image.
    On a dead device the host address is its own image: the fallback
    path works directly on host memory.  (For zero-copy entries the
@@ -635,7 +675,7 @@ let resolve_mode ?(async = false) t (haddr : Addr.t) ~(bytes : int) ~(mt : map_t
         i_zerocopy_safe = (match mt with Tofrom | From -> true | To | Alloc -> false);
         i_can_zerocopy_if_readonly = equal_map_type mt To;
         i_revivable = peek_resident t haddr ~bytes;
-        i_host_digest = lazy (Digest.subbytes t.host.Mem.data haddr.Addr.off bytes);
+        i_host_digest = lazy (digest_host t ~off:haddr.Addr.off ~len:bytes);
       }
 
 (* Pin a host range for zero-copy: no device buffer, no copies; the
@@ -777,7 +817,7 @@ let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Ad
 (* Unmap (end of construct / target exit data).  The map type decides
    whether data flows back on the final release. *)
 let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
-  match find_containing t haddr ~bytes:1 with
+  match find_release t haddr with
   | None -> if not (is_dead t) then map_error "unmap of address %s that is not mapped" (Addr.show haddr)
   | Some e when e.e_zerocopy ->
     if e.e_refcount <= 1 && async_pending t e.e_host ~bytes:e.e_bytes then
@@ -812,28 +852,32 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
       if e.e_refcount <= 0 then
         try
           let elidable = Mempolicy.equal_mode e.e_mode Mempolicy.Elide && not always in
-          (match mt with
-          | From | Tofrom ->
-            if elidable && images_agree t e then begin
-              (* no kernel wrote the buffer and the host range is
-                 untouched since the last sync: the d2h is a no-op *)
-              t.elided_d2h <- t.elided_d2h + 1;
-              tr_mem t "elide_d2h" ~args:[ ("bytes", Perf.Trace.Int e.e_bytes) ]
-            end
-            else begin
-              match if elidable then partial_transfer t e ~label:"unmap_d2h" `D2h else None with
-              | Some pages ->
-                t.elided_d2h_pages <- t.elided_d2h_pages + pages;
-                tr_mem t "elide_d2h_pages"
-                  ~args:[ ("bytes", Perf.Trace.Int e.e_bytes); ("pages", Perf.Trace.Int pages) ]
-              | None ->
-                guard t ~label:"unmap_d2h" (fun () ->
-                    Driver.memcpy_d2h t.driver ~host:t.host ~src:e.e_dev ~dst:e.e_host
-                      ~len:e.e_bytes);
-                mark_synced t e
-            end
-          | Alloc | To -> ());
-          observe_release t e;
+          (* every from/tofrom branch leaves the entry synced at the
+             current host image *)
+          let synced_now =
+            match mt with
+            | From | Tofrom ->
+              (if elidable && images_agree t e then begin
+                 (* no kernel wrote the buffer and the host range is
+                    untouched since the last sync: the d2h is a no-op *)
+                 t.elided_d2h <- t.elided_d2h + 1;
+                 tr_mem t "elide_d2h" ~args:[ ("bytes", Perf.Trace.Int e.e_bytes) ]
+               end
+               else
+                 match if elidable then partial_transfer t e ~label:"unmap_d2h" `D2h else None with
+                 | Some pages ->
+                   t.elided_d2h_pages <- t.elided_d2h_pages + pages;
+                   tr_mem t "elide_d2h_pages"
+                     ~args:[ ("bytes", Perf.Trace.Int e.e_bytes); ("pages", Perf.Trace.Int pages) ]
+                 | None ->
+                   guard t ~label:"unmap_d2h" (fun () ->
+                       Driver.memcpy_d2h t.driver ~host:t.host ~src:e.e_dev ~dst:e.e_host
+                         ~len:e.e_bytes);
+                   mark_synced t e);
+              true
+            | Alloc | To -> false
+          in
+          observe_release ~synced_now t e;
           t.entries <- List.filter (fun e' -> e' != e) t.entries;
           (* under the automatic policy, a synced copy-mode buffer parks
              too: without a resident image the cost model could never
@@ -892,7 +936,7 @@ let map_async ?(always = false) t ~(stream : Driver.stream) (haddr : Addr.t) ~(b
 
 let unmap_async ?always:(_ = false) t ~(stream : Driver.stream) (haddr : Addr.t) (mt : map_type) :
     unit =
-  match find_containing t haddr ~bytes:1 with
+  match find_release t haddr with
   | None -> if not (is_dead t) then map_error "unmap of address %s that is not mapped" (Addr.show haddr)
   | Some e when e.e_zerocopy ->
     e.e_refcount <- e.e_refcount - 1;

@@ -62,7 +62,9 @@ val map : ?always:bool -> t -> Addr.t -> bytes:int -> map_type -> Addr.t
 
 (** Decrement; on the final release perform the map type's copy-back and
     free (or, under elision, park) the device buffer.  [always] forces
-    the from/tofrom copy-back on every decrement.
+    the from/tofrom copy-back on every decrement.  The entry released is
+    the one mapped at exactly [haddr], else the first containing it, so
+    partially overlapping maps each release their own entry.
     @raise Map_error if the final release hits a range with async work
     still in flight (missing taskwait) *)
 val unmap : ?always:bool -> t -> Addr.t -> map_type -> unit
@@ -107,6 +109,8 @@ type stats = {
   elided_update_to : int;  (** [target update to] fully elided *)
   elided_update_from : int;  (** [target update from] fully elided *)
   zerocopy_accesses : int;
+  digested_bytes : int;
+      (** host bytes MD5-hashed: sync, release, per-page and policy digests *)
 }
 
 val stats : t -> stats

@@ -22,18 +22,24 @@ let create ?(initial = 4096) ?(limit = 1 lsl 31) ~space name =
 
 let capacity t = Bytes.length t.data
 
+(* Grow the storage to hold [upto] bytes and report whether it grew.
+   Capacity becomes [min limit (max upto (2 * capacity))]: doubling keeps
+   a run of small growths amortised, while one large request is not
+   rounded up past what it asked for.  The new storage is written once:
+   the live prefix [0, brk) is copied and the rest zeroed, so bytes at
+   or above [brk] are fresh zeros after a growth. *)
 let ensure t upto =
   if upto > t.limit then
     raise (Out_of_memory (Printf.sprintf "%s: request for %d bytes exceeds limit %d" t.name upto t.limit));
-  if upto > Bytes.length t.data then begin
-    let cap = ref (Bytes.length t.data) in
-    while !cap < upto do
-      cap := !cap * 2
-    done;
-    let cap = min !cap t.limit in
-    let data = Bytes.make cap '\000' in
+  let old_cap = Bytes.length t.data in
+  if upto <= old_cap then false
+  else begin
+    let cap = min t.limit (max upto (2 * old_cap)) in
+    let data = Bytes.create cap in
     Bytes.blit t.data 0 data 0 t.brk;
-    t.data <- data
+    Bytes.fill data t.brk (cap - t.brk) '\000';
+    t.data <- data;
+    true
   end
 
 let align_up off align = (off + align - 1) / align * align
@@ -48,19 +54,22 @@ let alloc t size =
       Some (off, List.rev_append acc (remainder @ rest))
     | hole :: rest -> take (hole :: acc) rest
   in
-  let off =
+  (* cuMemAlloc zero semantics: a reused hole or a bump over old storage
+     may hold stale bytes and is cleared; a bump that just grew the
+     storage already lies in fresh zeros. *)
+  let off, fresh =
     match take [] t.free_list with
     | Some (off, free_list) ->
       t.free_list <- free_list;
-      off
+      (off, false)
     | None ->
       let off = align_up t.brk 8 in
-      ensure t (off + size);
+      let grew = ensure t (off + size) in
       t.brk <- off + size;
-      off
+      (off, grew)
   in
   Hashtbl.replace t.sizes off size;
-  Bytes.fill t.data off size '\000';
+  if not fresh then Bytes.fill t.data off size '\000';
   { Addr.space = t.space; off }
 
 let free t (a : Addr.t) =
@@ -88,7 +97,7 @@ let allocated_bytes t = Hashtbl.fold (fun _ s acc -> acc + s) t.sizes 0
 let push t size =
   let off = align_up t.brk 8 in
   let size = max 1 (align_up size 8) in
-  ensure t (off + size);
+  ignore (ensure t (off + size));
   t.brk <- off + size;
   Bytes.fill t.data off size '\000';
   { Addr.space = t.space; off }
@@ -182,12 +191,12 @@ let blit_out t ~src_off ~len : Bytes.t =
 
 let blit_in t ~dst_off (b : Bytes.t) =
   let len = Bytes.length b in
-  ensure t (dst_off + len);
+  ignore (ensure t (dst_off + len));
   if dst_off + len > t.brk then t.brk <- dst_off + len;
   Bytes.blit b 0 t.data dst_off len
 
 let copy ~src ~src_off ~dst ~dst_off ~len =
   check src src_off len;
-  ensure dst (dst_off + len);
+  ignore (ensure dst (dst_off + len));
   if dst_off + len > dst.brk then dst.brk <- dst_off + len;
   Bytes.blit src.data src_off dst.data dst_off len

@@ -21,6 +21,9 @@ exception Bad_access of string
 
 val create : ?initial:int -> ?limit:int -> space:Addr.space -> string -> t
 
+(** Current size of the storage.  It grows on demand to
+    [min limit (max needed (2 * capacity))]; bytes at or above [brk] are
+    zero right after a growth, and bytes below it are preserved. *)
 val capacity : t -> int
 
 (** {1 Heap discipline} *)

@@ -94,20 +94,45 @@ let mem_of ctx (a : Addr.t) : Mem.t =
   | Addr.Global -> (driver ctx).Driver.global
   | Addr.Shared _ | Addr.Local _ | Addr.Strings -> invalid_arg "mem_of: device-internal space"
 
+(* Bounds-checked little-endian 32-bit load, as [Bytes.get_int32_le] but
+   defined here so that ocamlopt inlines it and the loaded word stays
+   unboxed; the Stdlib call boxes it, which doubles the per-element cost
+   of a readback loop. *)
+external get_int32_ne : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let get_int32_le b i = if Sys.big_endian then swap32 (get_int32_ne b i) else get_int32_ne b i
+
 let set_f32 ctx (a : Addr.t) (i : int) (v : float) : unit =
   let m = mem_of ctx a in
   Bytes.set_int32_le m.Mem.data (a.Addr.off + (4 * i)) (Int32.bits_of_float v)
 
 let get_f32 ctx (a : Addr.t) (i : int) : float =
   let m = mem_of ctx a in
-  Int32.float_of_bits (Bytes.get_int32_le m.Mem.data (a.Addr.off + (4 * i)))
+  Int32.float_of_bits (get_int32_le m.Mem.data (a.Addr.off + (4 * i)))
 
+(* Bulk helpers resolve the memory once and touch its bytes directly,
+   one bounds-checked 4-byte access per element (an out-of-range element
+   raises [Invalid_argument]).  Fills re-read [m.data] per element so a
+   value closure that grows the memory cannot strand the writes. *)
 let fill_f32 ctx (a : Addr.t) (n : int) (f : int -> float) : unit =
+  let m = mem_of ctx a in
   for i = 0 to n - 1 do
-    set_f32 ctx a i (f i)
+    Bytes.set_int32_le m.Mem.data (a.Addr.off + (4 * i)) (Int32.bits_of_float (f i))
   done
 
-let read_f32_array ctx (a : Addr.t) (n : int) : float array = Array.init n (get_f32 ctx a)
+let read_f32_array ctx (a : Addr.t) (n : int) : float array =
+  let d = (mem_of ctx a).Mem.data in
+  let r = Array.create_float n in
+  for i = 0 to n - 1 do
+    r.(i) <- Int32.float_of_bits (get_int32_le d (a.Addr.off + (4 * i)))
+  done;
+  r
+
+(* Copy [n] float32 elements between host arrays in one blit. *)
+let copy_f32 ctx ~(src : Addr.t) ~(dst : Addr.t) (n : int) : unit =
+  Bytes.blit (mem_of ctx src).Mem.data src.Addr.off (mem_of ctx dst).Mem.data dst.Addr.off (4 * n)
 
 (* int32 host arrays, for integer-reduction workloads *)
 let alloc_i32 = alloc_f32
@@ -118,19 +143,27 @@ let set_i32 ctx (a : Addr.t) (i : int) (v : int) : unit =
 
 let get_i32 ctx (a : Addr.t) (i : int) : int =
   let m = mem_of ctx a in
-  Int32.to_int (Bytes.get_int32_le m.Mem.data (a.Addr.off + (4 * i)))
+  Int32.to_int (get_int32_le m.Mem.data (a.Addr.off + (4 * i)))
 
 let fill_i32 ctx (a : Addr.t) (n : int) (f : int -> int) : unit =
+  let m = mem_of ctx a in
   for i = 0 to n - 1 do
-    set_i32 ctx a i (f i)
+    Bytes.set_int32_le m.Mem.data (a.Addr.off + (4 * i)) (Int32.of_int (f i))
   done
 
-let read_i32_array ctx (a : Addr.t) (n : int) : int array = Array.init n (get_i32 ctx a)
+let read_i32_array ctx (a : Addr.t) (n : int) : int array =
+  let d = (mem_of ctx a).Mem.data in
+  let r = Array.make n 0 in
+  for i = 0 to n - 1 do
+    r.(i) <- Int32.to_int (get_int32_le d (a.Addr.off + (4 * i)))
+  done;
+  r
 
 let checksum ctx (a : Addr.t) (n : int) : float =
+  let d = (mem_of ctx a).Mem.data in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
-    acc := !acc +. Float.abs (get_f32 ctx a i)
+    acc := !acc +. Float.abs (Int32.float_of_bits (get_int32_le d (a.Addr.off + (4 * i))))
   done;
   !acc
 

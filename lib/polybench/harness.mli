@@ -95,9 +95,15 @@ val set_f32 : ctx -> Addr.t -> int -> float -> unit
 
 val get_f32 : ctx -> Addr.t -> int -> float
 
+(** [fill_f32 ctx a n f] stores [f i] at element [i] for [i < n].  The
+    bulk helpers raise [Invalid_argument] on an element outside the
+    memory's storage. *)
 val fill_f32 : ctx -> Addr.t -> int -> (int -> float) -> unit
 
 val read_f32_array : ctx -> Addr.t -> int -> float array
+
+(** [copy_f32 ctx ~src ~dst n] copies [n] elements bit for bit. *)
+val copy_f32 : ctx -> src:Addr.t -> dst:Addr.t -> int -> unit
 
 (** {1 Host int32 arrays} *)
 

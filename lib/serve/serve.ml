@@ -382,7 +382,7 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
           if se.se_spec.ss_shared_off = None then H.fill_f32 ctx la (n * n) (mat_fill sid);
           (* the mirror gets a private copy of the (possibly pool-backed)
              live matrix *)
-          Array.iteri (fun i v -> H.set_f32 ctx ma i v) (H.read_f32_array ctx la (n * n));
+          H.copy_f32 ctx ~src:la ~dst:ma (n * n);
           both lx mx n (vec_init sid);
           both ly my n (vec_init (sid + 100))
         | Ar_ingest { x = lx; y = ly; _ }, Ar_ingest { x = mx; y = my; _ } ->
@@ -598,6 +598,7 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
           elided_d2h = acc.Hostrt.Dataenv.elided_d2h + s.Hostrt.Dataenv.elided_d2h;
           elided_h2d_pages = acc.Hostrt.Dataenv.elided_h2d_pages + s.Hostrt.Dataenv.elided_h2d_pages;
           elided_d2h_pages = acc.Hostrt.Dataenv.elided_d2h_pages + s.Hostrt.Dataenv.elided_d2h_pages;
+          digested_bytes = acc.Hostrt.Dataenv.digested_bytes + s.Hostrt.Dataenv.digested_bytes;
         })
       (Hostrt.Dataenv.stats (env_of 0))
       (Array.sub rt.Hostrt.Rt.devices 1 (Array.length rt.Hostrt.Rt.devices - 1))

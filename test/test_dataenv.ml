@@ -349,6 +349,35 @@ let test_resident_cap_shrink () =
     (Invalid_argument "Dataenv.set_resident_cap_bytes: negative budget") (fun () ->
       Hostrt.Dataenv.set_resident_cap_bytes env (-1))
 
+(* Digests are taken only where something reads them.  One cold
+   tofrom + to cycle of two buffers (the tofrom map is [always], which
+   keeps it a copy-mode buffer under the automatic policy): above the
+   resident budget the policy hashes one release digest per buffer and
+   no sync digest (nothing could compare one), forced copy reads no
+   history and hashes nothing, while elide-mode and parkable buffers keep
+   their sync digests. *)
+let test_digested_bytes () =
+  let bytes = 4096 in
+  let cycle ?cap sel =
+    let env, host, _, _ = make () in
+    Hostrt.Dataenv.set_mem_mode env sel;
+    Option.iter (Hostrt.Dataenv.set_resident_cap_bytes env) cap;
+    let x = Mem.alloc host bytes and y = Mem.alloc host bytes in
+    ignore (Hostrt.Dataenv.map ~always:true env x ~bytes Hostrt.Dataenv.Tofrom);
+    ignore (Hostrt.Dataenv.map env y ~bytes Hostrt.Dataenv.To);
+    Hostrt.Dataenv.unmap env x Hostrt.Dataenv.Tofrom;
+    Hostrt.Dataenv.unmap env y Hostrt.Dataenv.To;
+    (Hostrt.Dataenv.stats env).Hostrt.Dataenv.digested_bytes
+  in
+  let auto = Hostrt.Mempolicy.Auto and forced m = Hostrt.Mempolicy.Forced m in
+  Alcotest.(check int) "auto above the budget: release digests only" (2 * bytes)
+    (cycle ~cap:(bytes - 1) auto);
+  Alcotest.(check int) "forced copy: no digests" 0
+    (cycle ~cap:(bytes - 1) (forced Hostrt.Mempolicy.Copy));
+  Alcotest.(check bool) "auto within the budget: sync digests kept" true (cycle auto > 2 * bytes);
+  Alcotest.(check bool) "elide above the budget: sync digests kept" true
+    (cycle ~cap:(bytes - 1) (forced Hostrt.Mempolicy.Elide) >= 2 * bytes)
+
 (* Zero-copy: the map pins the host range and hands kernels the host
    address itself — one shared image, no transfers. *)
 let test_zerocopy_map_in_place () =
@@ -367,6 +396,41 @@ let test_zerocopy_map_in_place () =
   Hostrt.Dataenv.unmap env h Hostrt.Dataenv.Tofrom;
   Alcotest.(check bool) "unpinned at release" true (driver.Driver.pinned = []);
   Alcotest.(check int) "entry removed" 0 (Hostrt.Dataenv.active_mappings env)
+
+(* Two partially overlapping maps (the second is not contained in the
+   first, so each gets its own entry): every unmap must release the entry
+   mapped at its own address, in any map and unmap order, even when the
+   other entry also contains that address. *)
+let test_overlapping_unmap () =
+  let run ~b_first ~unmap_b_first =
+    let env, host, driver, _ = make () in
+    let h = Mem.alloc host 256 in
+    (* a covers floats [0, 32), b covers floats [16, 48) *)
+    let a = h and b = Addr.add h 64 in
+    let map x = ignore (Hostrt.Dataenv.map env x ~bytes:128 Hostrt.Dataenv.Tofrom) in
+    if b_first then (map b; map a) else (map a; map b);
+    Alcotest.(check int) "two entries" 2 (Hostrt.Dataenv.active_mappings env);
+    (* tag each device image on a float only its own entry covers *)
+    let tag i v =
+      set_f32 driver.Driver.global (Hostrt.Dataenv.lookup_exn env (Addr.add h (4 * i))) 0 v
+    in
+    tag 0 1.0;
+    tag 47 2.0;
+    let first, second, first_elt, second_elt =
+      if unmap_b_first then (b, a, 47, 0) else (a, b, 0, 47)
+    in
+    Hostrt.Dataenv.unmap env first Hostrt.Dataenv.Tofrom;
+    Alcotest.(check bool) "its own image came back" true (get_f32 host h first_elt <> 0.0);
+    Alcotest.(check bool) "the other image stayed" true (get_f32 host h second_elt = 0.0);
+    Alcotest.(check bool) "the other map is still present" true
+      (Hostrt.Dataenv.is_present env second ~bytes:128);
+    Hostrt.Dataenv.unmap env second Hostrt.Dataenv.Tofrom;
+    Alcotest.(check bool) "then the other image" true (get_f32 host h second_elt <> 0.0);
+    Alcotest.(check int) "both released" 0 (Hostrt.Dataenv.active_mappings env)
+  in
+  List.iter
+    (fun (b_first, unmap_b_first) -> run ~b_first ~unmap_b_first)
+    [ (false, false); (false, true); (true, false); (true, true) ]
 
 let test_geometry () =
   let grid, block = Hostrt.Rt.geometry ~num_teams:100 ~num_threads:256 in
@@ -394,6 +458,7 @@ let () =
           Alcotest.test_case "interior-address lookup" `Quick test_containment_lookup;
           Alcotest.test_case "target update to/from" `Quick test_update_to_from;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "overlapping maps unmap their own entry" `Quick test_overlapping_unmap;
         ] );
       ( "async",
         [
@@ -417,6 +482,7 @@ let () =
             test_resident_large_spares_smalls;
           Alcotest.test_case "shrinking the byte budget evicts" `Quick test_resident_cap_shrink;
           Alcotest.test_case "zero-copy maps in place" `Quick test_zerocopy_map_in_place;
+          Alcotest.test_case "digests only where they are read" `Quick test_digested_bytes;
         ] );
       ("geometry", [ Alcotest.test_case "teams/threads to grid/block" `Quick test_geometry ]);
     ]

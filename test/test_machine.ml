@@ -213,6 +213,135 @@ let prop_alloc_no_overlap =
             regions)
         regions)
 
+(* One 67 MB allocation into a 1 MiB region grows it to exactly what the
+   allocation needs, not to the next power of two (128 MiB). *)
+let test_mem_growth_right_sized () =
+  let m = Mem.create ~initial:(1 lsl 20) ~space:Addr.Host "test" in
+  let a = Mem.alloc m 67_000_000 in
+  check_int "capacity = reserved prefix + request" (a.Addr.off + 67_000_000) (Mem.capacity m);
+  check_bool "below 128 MiB" true (Mem.capacity m < 1 lsl 27)
+
+type mem_op =
+  | Op_alloc of int
+  | Op_free of int (* index into the live allocations *)
+  | Op_push of int
+  | Op_release
+  | Op_store of int * int * int (* target kind, position, value *)
+
+let mem_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Op_alloc n) (int_range 1 300));
+        (2, map (fun i -> Op_free i) (int_bound 100));
+        (2, map (fun n -> Op_push n) (int_range 1 200));
+        (1, return Op_release);
+        (4, map3 (fun k p v -> Op_store (k, p, v)) (int_bound 2) (int_bound 10_000) int);
+      ])
+
+let show_mem_op = function
+  | Op_alloc n -> Printf.sprintf "alloc %d" n
+  | Op_free i -> Printf.sprintf "free #%d" i
+  | Op_push n -> Printf.sprintf "push %d" n
+  | Op_release -> "release"
+  | Op_store (k, p, v) -> Printf.sprintf "store kind=%d pos=%d %d" k p v
+
+(* Random heap/stack/store sequences.  Each allocation is filled with a
+   non-zero pattern once checked, and stores land in live allocations,
+   in freed holes and in [brk, capacity), so stale bytes sit wherever a
+   later allocation may be carved.  Every allocation must come back
+   all-zero, live allocations keep their contents, bytes below [brk]
+   survive a growth, and a growing allocation sizes the storage to
+   [min limit (max needed (2 * old))]. *)
+let prop_mem_growth_zeroing =
+  QCheck.Test.make ~name:"mem growth keeps the live prefix and allocations come back zeroed"
+    ~count:300
+    QCheck.(
+      pair (oneofl [ 16; 24; 64; 100 ])
+        (make ~print:(Print.list show_mem_op) Gen.(list_size (int_range 1 60) mem_op_gen)))
+    (fun (initial, ops) ->
+      let limit = 4096 in
+      let e = env () in
+      let m = Mem.create ~initial ~limit ~space:Addr.Global "test" in
+      let live = ref [] (* (off, shadow contents) *) and holes = ref [] and marks = ref [] in
+      let align8 n = (n + 7) / 8 * 8 in
+      let zeroed off len = Bytes.for_all (fun c -> c = '\000') (Bytes.sub m.Mem.data off len) in
+      let grown ~old_cap ~old_brk ~prefix ~needed =
+        let cap = Mem.capacity m in
+        if cap <> old_cap then begin
+          if cap <> min limit (max needed (2 * old_cap)) then
+            QCheck.Test.fail_reportf "capacity %d -> %d for %d needed bytes" old_cap cap needed;
+          if not (Bytes.equal prefix (Bytes.sub m.Mem.data 0 old_brk)) then
+            QCheck.Test.fail_report "bytes below brk lost in growth"
+        end
+      in
+      List.iter
+        (fun op ->
+          let old_cap = Mem.capacity m and old_brk = m.Mem.brk in
+          let prefix = Bytes.sub m.Mem.data 0 old_brk in
+          match op with
+          | Op_alloc n -> (
+            match Mem.alloc m n with
+            | exception Mem.Out_of_memory _ ->
+              if Mem.capacity m <> old_cap || m.Mem.brk <> old_brk then
+                QCheck.Test.fail_report "failed alloc changed the region"
+            | a ->
+              let len = align8 n in
+              if not (zeroed a.Addr.off len) then
+                QCheck.Test.fail_reportf "alloc %d at %d not zeroed" n a.Addr.off;
+              grown ~old_cap ~old_brk ~prefix ~needed:(align8 old_brk + len);
+              (* dirty it, so a later reuse or a lost prefix shows *)
+              let b = Bytes.init len (fun i -> Char.chr (1 + ((a.Addr.off + i) mod 255))) in
+              Bytes.iteri
+                (fun i c ->
+                  Mem.store_scalar m e (Addr.add a i) Cty.Uchar (Value.of_int (Char.code c)))
+                b;
+              live := (a.Addr.off, b) :: !live;
+              holes :=
+                List.filter (fun (o, l) -> o + l <= a.Addr.off || a.Addr.off + len <= o) !holes;
+              (* stack marks below this allocation would release over it *)
+              marks := [])
+          | Op_free i when !live <> [] ->
+            let off, b = List.nth !live (i mod List.length !live) in
+            Mem.free m { Addr.space = Addr.Global; off };
+            live := List.filter (fun (o, _) -> o <> off) !live;
+            holes := (off, Bytes.length b) :: !holes
+          | Op_free _ -> ()
+          | Op_push n -> (
+            let mark = Mem.mark m in
+            match Mem.push m n with
+            | exception Mem.Out_of_memory _ -> ()
+            | a ->
+              if not (zeroed a.Addr.off (align8 n)) then QCheck.Test.fail_report "push not zeroed";
+              grown ~old_cap ~old_brk ~prefix ~needed:(align8 old_brk + align8 n);
+              marks := mark :: !marks)
+          | Op_release -> (
+            match !marks with
+            | mark :: rest ->
+              Mem.release m mark;
+              marks := rest
+            | [] -> ())
+          | Op_store (kind, pos, v) ->
+            let byte = v land 0xFF in
+            let store off =
+              Mem.store_scalar m e { Addr.space = Addr.Global; off } Cty.Uchar (Value.of_int byte)
+            in
+            let pick = function [] -> None | l -> Some (List.nth l (pos mod List.length l)) in
+            (match kind with
+            | 0 ->
+              Option.iter
+                (fun (o, b) ->
+                  let i = pos mod Bytes.length b in
+                  store (o + i);
+                  Bytes.set b i (Char.chr byte))
+                (pick !live)
+            | 1 -> Option.iter (fun (o, l) -> store (o + (pos mod l))) (pick !holes)
+            | _ ->
+              let cap = Mem.capacity m in
+              if cap > m.Mem.brk then store (m.Mem.brk + (pos mod (cap - m.Mem.brk)))))
+        ops;
+      List.for_all (fun (o, b) -> Bytes.equal b (Bytes.sub m.Mem.data o (Bytes.length b))) !live)
+
 (* ------------------------- Simclock ------------------------- *)
 
 let test_clock () =
@@ -258,6 +387,8 @@ let () =
           Alcotest.test_case "stack discipline" `Quick test_mem_stack;
           Alcotest.test_case "bounds checking" `Quick test_mem_bounds;
           QCheck_alcotest.to_alcotest prop_alloc_no_overlap;
+          Alcotest.test_case "growth is right-sized" `Quick test_mem_growth_right_sized;
+          QCheck_alcotest.to_alcotest prop_mem_growth_zeroing;
         ] );
       ("simclock", [ Alcotest.test_case "advance and time" `Quick test_clock ]);
     ]

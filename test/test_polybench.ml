@@ -47,6 +47,86 @@ let suite_metadata () =
         (List.length a.Polybench.Suite.ap_sizes = 5))
     Polybench.Suite.all
 
+(* The bulk harness helpers must move exactly the bits the per-element
+   [set_*]/[get_*] accessors do, on the awkward float32 values too, and
+   fail the same way past the end of memory. *)
+module H = Polybench.Harness
+
+let f32_specials =
+  List.map Int32.float_of_bits
+    [
+      0x80000000l (* -0.0 *);
+      0x00000000l;
+      0x00000001l (* smallest subnormal *);
+      0x807FFFFFl (* largest negative subnormal *);
+      0x7F800000l (* +inf *);
+      0xFF800000l (* -inf *);
+      0x7FC00000l (* quiet NaN *);
+      0xFFC00123l (* negative NaN with payload *);
+      0x3FC00000l (* 1.5 *);
+    ]
+
+let bits_f32 xs = Array.map Int32.bits_of_float xs
+
+let test_bulk_f32 () =
+  let ctx = H.create () in
+  let vals = Array.of_list f32_specials in
+  let n = Array.length vals in
+  let ref_a = H.alloc_f32 ctx n and bulk_a = H.alloc_f32 ctx n and copy_a = H.alloc_f32 ctx n in
+  Array.iteri (H.set_f32 ctx ref_a) vals;
+  H.fill_f32 ctx bulk_a n (fun i -> vals.(i));
+  let per_elt a = Array.init n (H.get_f32 ctx a) in
+  Alcotest.(check (array int32)) "fill = per-element set" (bits_f32 (per_elt ref_a))
+    (bits_f32 (per_elt bulk_a));
+  Alcotest.(check (array int32)) "read = per-element get" (bits_f32 (per_elt ref_a))
+    (bits_f32 (H.read_f32_array ctx ref_a n));
+  H.copy_f32 ctx ~src:ref_a ~dst:copy_a n;
+  Alcotest.(check (array int32)) "copy is bit-exact" (bits_f32 (per_elt ref_a))
+    (bits_f32 (per_elt copy_a));
+  let finite = Array.of_list (List.filter Float.is_finite f32_specials) in
+  let m = Array.length finite in
+  let fin_a = H.alloc_f32 ctx m in
+  H.fill_f32 ctx fin_a m (fun i -> finite.(i));
+  let want = ref 0.0 in
+  for i = 0 to m - 1 do
+    want := !want +. Float.abs (H.get_f32 ctx fin_a i)
+  done;
+  Alcotest.(check bool) "checksum = per-element sum" true
+    (Float.equal !want (H.checksum ctx fin_a m))
+
+let test_bulk_i32 () =
+  let ctx = H.create () in
+  let vals = [| Int32.to_int Int32.min_int; Int32.to_int Int32.max_int; -1; 0; 1; 123456789 |] in
+  let n = Array.length vals in
+  let ref_a = H.alloc_i32 ctx n and bulk_a = H.alloc_i32 ctx n in
+  Array.iteri (H.set_i32 ctx ref_a) vals;
+  H.fill_i32 ctx bulk_a n (fun i -> vals.(i));
+  Alcotest.(check (array int)) "fill = per-element set" (Array.init n (H.get_i32 ctx ref_a))
+    (Array.init n (H.get_i32 ctx bulk_a));
+  Alcotest.(check (array int)) "read = per-element get" vals (H.read_i32_array ctx ref_a n)
+
+let test_bulk_bounds () =
+  let ctx = H.create () in
+  let host = ctx.H.rt.Hostrt.Rt.host_mem in
+  (* four elements starting two before the end of the storage *)
+  let a = { Machine.Addr.space = Machine.Addr.Host; off = Machine.Mem.capacity host - 8 } in
+  let ok = H.alloc_f32 ctx 4 in
+  let raises name f =
+    Alcotest.(check bool) (name ^ " raises Invalid_argument") true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  raises "set_f32" (fun () -> H.set_f32 ctx a 3 1.0);
+  raises "get_f32" (fun () -> ignore (H.get_f32 ctx a 3));
+  raises "fill_f32" (fun () -> H.fill_f32 ctx a 4 (fun _ -> 1.0));
+  raises "read_f32_array" (fun () -> ignore (H.read_f32_array ctx a 4));
+  raises "fill_i32" (fun () -> H.fill_i32 ctx a 4 (fun _ -> 1));
+  raises "read_i32_array" (fun () -> ignore (H.read_i32_array ctx a 4));
+  raises "checksum" (fun () -> ignore (H.checksum ctx a 4));
+  raises "copy_f32 from past the end" (fun () -> H.copy_f32 ctx ~src:a ~dst:ok 4);
+  raises "copy_f32 to past the end" (fun () -> H.copy_f32 ctx ~src:ok ~dst:a 4);
+  Alcotest.(check int) "no growth from a failed bulk write" (a.Machine.Addr.off + 8)
+    (Machine.Mem.capacity host)
+
 let validation_tests =
   List.concat_map
     (fun (app : Polybench.Suite.app) ->
@@ -78,6 +158,12 @@ let () =
   Alcotest.run "polybench"
     [
       ("suite", [ Alcotest.test_case "metadata" `Quick suite_metadata ]);
+      ( "harness",
+        [
+          Alcotest.test_case "bulk f32 helpers match per-element access" `Quick test_bulk_f32;
+          Alcotest.test_case "bulk i32 helpers match per-element access" `Quick test_bulk_i32;
+          Alcotest.test_case "bulk helpers bounds-checked" `Quick test_bulk_bounds;
+        ] );
       ("validation", validation_tests);
       ("differential", differential_tests);
     ]

@@ -207,6 +207,21 @@ let test_invalid_configs () =
   Alcotest.(check bool) "zero generations rejected" true
     (raises (fun () -> ignore (Serve.run { base_cfg with Serve.cf_generations = 0 } small_mix)))
 
+(* Session order must not matter to the overlapping shared slices: the
+   reversed smoke mix, and the smoke mix with its two matvec sessions
+   swapped, close every session's own maps and answer every request
+   bit-identically. *)
+let test_session_order () =
+  let smoke = Serve.default_sessions ~smoke:true in
+  let swapped = match smoke with a :: b :: rest -> b :: a :: rest | l -> l in
+  List.iter
+    (fun (name, specs) ->
+      let r, _ = Serve.run Serve.default_config specs in
+      Alcotest.(check int) (name ^ ": every request completed") r.Serve.rp_requests
+        r.Serve.rp_completed;
+      Alcotest.(check bool) (name ^ ": all responses bit-identical") true r.Serve.rp_all_identical)
+    [ ("reversed", List.rev smoke); ("matvec swapped", swapped) ]
+
 (* -------------------- QCheck isolation property -------------------- *)
 
 (* Random workloads of 2-3 sessions; matvec sessions draw their
@@ -279,6 +294,7 @@ let () =
             test_resident_cache_isolation;
           Alcotest.test_case "serve trace pairing" `Quick test_serve_trace_pairing;
           Alcotest.test_case "invalid configs rejected" `Quick test_invalid_configs;
+          Alcotest.test_case "session order with overlapping slices" `Quick test_session_order;
         ] );
       ("isolation", [ QCheck_alcotest.to_alcotest prop_interleaving_isolation ]);
     ]
