@@ -14,6 +14,11 @@
                                         -- target-nowait pipeline: async vs
                                            sync vs host, overlap evidence
      dune exec bench/main.exe -- fault-matrix [--smoke]
+     dune exec bench/main.exe -- autopolicy [--smoke]
+                                        -- per-buffer auto policy vs forced
+                                           copy / elide / zerocopy, bit-
+                                           checked vs host, elision and
+                                           map(always) ablation + fault cell
      dune exec bench/main.exe -- jit [--smoke]
                                         -- closure-JIT vs tree-walking
                                            interpreter wall clock, best
@@ -41,6 +46,29 @@
    are the reproduction target. *)
 
 let say fmt = Printf.printf fmt
+
+(* The self-checking modes share one scaffold: [check ok what] counts a
+   failed check and reports [what] on a "  <prefix>: " line; [tally ok]
+   counts a cell that already printed its own verdict; [verdict pass]
+   ends the mode with "<bench>: FAIL (k check(s))" and exit 1, or with
+   "<bench>: PASS<pass>". *)
+type checks = { check : bool -> string -> unit; tally : bool -> unit; verdict : string -> unit }
+
+let checks ?(prefix = "FAIL") bench =
+  let failed = ref 0 in
+  let tally ok = if not ok then incr failed in
+  let check ok what =
+    tally ok;
+    if not ok then say "  %s: %s\n" prefix what
+  in
+  let verdict pass =
+    if !failed > 0 then begin
+      say "%s: FAIL (%d check(s))\n" bench !failed;
+      exit 1
+    end;
+    say "%s: PASS%s\n" bench pass
+  in
+  { check; tally; verdict }
 
 (* ------------------------------------------------------------------ *)
 (* Figures 4a-4f                                                        *)
@@ -522,8 +550,7 @@ let overlap ~smoke () =
      matvec time close to its 32 KiB HtoD time, which is where a
      double-buffered pipeline pays off most. *)
   let n = 64 and rows = 128 in
-  let failures = ref 0 in
-  let check ok what = if not ok then (incr failures; say "  FAIL: %s\n" what) in
+  let { check; tally; verdict } = checks "overlap" in
   let row ?(streams = 4) ~assertive tiles =
     let _, y_host, _, _ = run_pipeline Ov_host ~n ~rows ~tiles in
     let t_sync, y_sync, _, _ = run_pipeline Ov_sync ~n ~rows ~tiles in
@@ -561,13 +588,9 @@ let overlap ~smoke () =
   say "  -- faults injected into queued stream work (differential vs host) --\n";
   let tiles = if smoke then 6 else 8 in
   List.iter
-    (fun cell -> if not (overlap_fault_cell ~n ~rows ~tiles y_ref cell) then incr failures)
+    (fun cell -> tally (overlap_fault_cell ~n ~rows ~tiles y_ref cell))
     [ ("launch:nth=2", Recover); ("transfer:from=3", Fallback) ];
-  if !failures > 0 then begin
-    say "overlap: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "overlap: PASS\n"
+  verdict ""
 
 (* ------------------------------------------------------------------ *)
 (* Fault matrix: differential correctness under injected faults         *)
@@ -674,7 +697,8 @@ let fault_matrix ~smoke () =
   say "fault-matrix: PASS (%d cells)\n" !total
 
 (* ------------------------------------------------------------------ *)
-(* memshift: copy vs zero-copy vs transfer elision (unified DRAM)       *)
+(* autopolicy: per-buffer policy vs each forced memory mode (unified   *)
+(* DRAM: copy, transfer elision, zero-copy)                             *)
 (* ------------------------------------------------------------------ *)
 
 (* The suite's ap_run entry points allocate fresh host arrays per call,
@@ -782,19 +806,16 @@ let ms_apps =
     };
   ]
 
-type ms_variant = Ms_copy | Ms_elide | Ms_zerocopy | Ms_auto | Ms_host
+(* [Ms_host] runs the sequential host interpreter (the reference);
+   [Ms_mode sel] offloads with every device in memory mode [sel]. *)
+type ms_variant = Ms_host | Ms_mode of Hostrt.Mempolicy.sel
 
-let run_memshift_variant ?(trace = false) ?faults ?(source = None) (app : ms_app) ~n ~iters variant
-    =
+let run_mem_variant ?(trace = false) ?faults ?(source = None) (app : ms_app) ~n ~iters variant =
   let ctx = Polybench.Harness.create () in
-  Polybench.Harness.set_sampling ctx None;
   (* block-sampled launches conservatively dirty the device write epoch,
      so elision is only meaningful (and only measured) unsampled *)
-  (match variant with
-  | Ms_elide -> Polybench.Harness.set_elide ctx true
-  | Ms_zerocopy -> Polybench.Harness.set_zerocopy ctx true
-  | Ms_auto -> Polybench.Harness.set_mem_mode ctx Hostrt.Mempolicy.Auto
-  | Ms_copy | Ms_host -> ());
+  Polybench.Harness.set_sampling ctx None;
+  (match variant with Ms_mode sel -> Polybench.Harness.set_mem_mode ctx sel | Ms_host -> ());
   let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
   (match faults with Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules | None -> ());
   let args, outs = app.ms_setup ctx ~n in
@@ -813,16 +834,19 @@ let run_memshift_variant ?(trace = false) ?faults ?(source = None) (app : ms_app
   in
   (t, result, tr, ctx)
 
-(* The elided-path fault cell of the acceptance criteria: a launch fault
-   injected into the second (fast-path, transfer-elided) iteration must
-   retry and still produce bit-identical data. *)
-let memshift_fault_cell app ~n ~iters (r_ref : float array) : bool =
+(* The elided-path fault cell: a launch fault injected into the second
+   (fast-path, transfer-elided) iteration must retry and still produce
+   bit-identical data. *)
+let elided_fault_cell app ~n ~iters (r_ref : float array) : bool =
   let rules =
     match Hostrt.Faults.parse "launch:nth=2" with
     | Ok rules -> rules
     | Error msg -> failwith ("bad spec: " ^ msg)
   in
-  let _, r, tr, ctx = run_memshift_variant ~trace:true ~faults:rules app ~n ~iters Ms_elide in
+  let _, r, tr, ctx =
+    run_mem_variant ~trace:true ~faults:rules app ~n ~iters
+      (Ms_mode (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide))
+  in
   let evs = trace_events (Option.get tr) in
   let st = Polybench.Harness.mem_stats ctx in
   let correct = r = r_ref in
@@ -833,88 +857,6 @@ let memshift_fault_cell app ~n ~iters (r_ref : float array) : bool =
     st.Hostrt.Dataenv.elided_h2d
     (if ok then "ok" else if correct then "FAIL(no evidence)" else "FAIL(wrong result)");
   ok
-
-let memshift ~smoke () =
-  say "=== memshift: copy vs zero-copy vs transfer elision (shared-DRAM model) ===\n";
-  let n = if smoke then 32 else 96 in
-  let iters = if smoke then 3 else 4 in
-  say "(each app: persistent host arrays, %d offloaded iterations at n=%d; simulated seconds)\n"
-    iters n;
-  let failures = ref 0 in
-  let check ok what = if not ok then (incr failures; say "  FAIL: %s\n" what) in
-  let json_rows = ref [] in
-  List.iter
-    (fun app ->
-      let _, r_host, _, _ = run_memshift_variant app ~n ~iters Ms_host in
-      let t_copy, r_copy, _, _ = run_memshift_variant app ~n ~iters Ms_copy in
-      let t_elide, r_elide, tr_elide, ctx_elide =
-        run_memshift_variant ~trace:true app ~n ~iters Ms_elide
-      in
-      let t_zc, r_zc, _, ctx_zc = run_memshift_variant app ~n ~iters Ms_zerocopy in
-      let st_e = Polybench.Harness.mem_stats ctx_elide in
-      let st_z = Polybench.Harness.mem_stats ctx_zc in
-      let identical = r_copy = r_host && r_elide = r_host && r_zc = r_host in
-      let sp_e = t_copy /. t_elide and sp_z = t_copy /. t_zc in
-      say
-        "  %-10s copy=%.6f elide=%.6f (%.2fx, h2d-elided=%d d2h-elided=%d) zerocopy=%.6f \
-         (%.2fx, %d accesses) %s\n"
-        app.ms_name t_copy t_elide sp_e st_e.Hostrt.Dataenv.elided_h2d
-        st_e.Hostrt.Dataenv.elided_d2h t_zc sp_z st_z.Hostrt.Dataenv.zerocopy_accesses
-        (if identical then "bit-identical" else "RESULTS DIFFER");
-      check identical (app.ms_name ^ ": copy/elide/zerocopy/host results differ");
-      check
-        (st_e.Hostrt.Dataenv.elided_h2d >= 1 || st_e.Hostrt.Dataenv.elided_d2h >= 1)
-        (app.ms_name ^ ": elision variant elided nothing");
-      check (st_z.Hostrt.Dataenv.zerocopy_accesses >= 1) (app.ms_name ^ ": no zero-copy accesses");
-      check (sp_e > 1.0)
-        (Printf.sprintf "%s: elision speedup %.3fx <= 1.0x over always-copy" app.ms_name sp_e);
-      (match Sys.getenv_opt "MEMSHIFT_TRACE" with
-      | Some file when app.ms_name = "atax" ->
-        Perf.Chrome_trace.write_file file (Option.get tr_elide)
-      | _ -> ());
-      json_rows :=
-        Printf.sprintf
-          {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
-      "speedup_elide": %.4f, "speedup_zerocopy": %.4f,
-      "elided_h2d": %d, "elided_d2h": %d, "zerocopy_accesses": %d, "bit_identical": %b }|}
-          app.ms_name t_copy t_elide t_zc sp_e sp_z st_e.Hostrt.Dataenv.elided_h2d
-          st_e.Hostrt.Dataenv.elided_d2h st_z.Hostrt.Dataenv.zerocopy_accesses identical
-        :: !json_rows)
-    ms_apps;
-  (* map(always, ...) must force the transfers even under elision *)
-  let readscale = List.find (fun a -> a.ms_name = "readscale") ms_apps in
-  let _, r_always, _, ctx_always =
-    run_memshift_variant ~source:(Some readscale_always_source) readscale ~n ~iters Ms_elide
-  in
-  let _, r_plain, _, _ = run_memshift_variant readscale ~n ~iters Ms_host in
-  let st_a = Polybench.Harness.mem_stats ctx_always in
-  say "  readscale under map(always,...): h2d-elided=%d d2h-elided=%d (both must be 0)\n"
-    st_a.Hostrt.Dataenv.elided_h2d st_a.Hostrt.Dataenv.elided_d2h;
-  check
-    (st_a.Hostrt.Dataenv.elided_h2d = 0 && st_a.Hostrt.Dataenv.elided_d2h = 0)
-    "map(always,...) failed to force transfers under elision";
-  check (r_always = r_plain) "map(always,...) changed the readscale result";
-  say "  -- fault injected into an elided-path launch (differential vs host) --\n";
-  let atax = List.hd ms_apps in
-  let _, r_ref, _, _ = run_memshift_variant atax ~n ~iters Ms_host in
-  if not (memshift_fault_cell atax ~n ~iters r_ref) then incr failures;
-  let oc = open_out "BENCH_memshift.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"memshift\",\n  \"smoke\": %b,\n  \"n\": %d,\n  \"iters\": %d,\n  \"apps\": \
-     [\n%s\n  ]\n}\n"
-    smoke n iters
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  say "  [written: BENCH_memshift.json]\n";
-  if !failures > 0 then begin
-    say "memshift: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "memshift: PASS\n"
-
-(* ------------------------------------------------------------------ *)
-(* autopolicy: trace-informed policy vs each hand-forced memory mode    *)
-(* ------------------------------------------------------------------ *)
 
 (* A region with deliberately mixed buffer temperatures: [a] is a hot
    read-only matrix (history should converge on elide — park it on the
@@ -960,58 +902,74 @@ let autopolicy ~smoke () =
   let iters = if smoke then 3 else 4 in
   say "(each app: persistent host arrays, %d offloaded iterations at n=%d; simulated seconds)\n"
     iters n;
-  let failures = ref 0 in
-  let check ok what = if not ok then (incr failures; say "  FAIL: %s\n" what) in
+  let { check; tally; verdict } = checks "autopolicy" in
   let json_rows = ref [] in
-  let ge13 = ref 0 in
-  let run_all ?(iters = iters) app =
-    let _, r_host, _, _ = run_memshift_variant app ~n ~iters Ms_host in
-    let t_copy, r_copy, _, _ = run_memshift_variant app ~n ~iters Ms_copy in
-    let t_elide, r_elide, _, _ = run_memshift_variant app ~n ~iters Ms_elide in
-    let t_zc, r_zc, _, _ = run_memshift_variant app ~n ~iters Ms_zerocopy in
-    let t_auto, r_auto, tr_auto, ctx_auto = run_memshift_variant ~trace:true app ~n ~iters Ms_auto in
-    let identical = r_copy = r_host && r_elide = r_host && r_zc = r_host && r_auto = r_host in
-    (t_copy, t_elide, t_zc, t_auto, identical, tr_auto, ctx_auto)
-  in
   let modes_str ctx =
     match Polybench.Harness.policy_modes_used ctx with
     | [] -> "none"
     | ms -> String.concat "+" (List.map Hostrt.Mempolicy.mode_name ms)
   in
-  let say_decisions ctx =
+  (* One app under the host reference and every memory mode: prints its
+     rows, checks what every app must show (bit-identity, elision and
+     zero-copy at work, elision faster than copy) and records its JSON
+     row; returns the times and the auto run's context. *)
+  let run_all ?(iters = iters) app =
+    let run ?trace v = run_mem_variant ?trace app ~n ~iters v in
+    let forced m = Ms_mode (Hostrt.Mempolicy.Forced m) in
+    let _, r_host, _, _ = run Ms_host in
+    let t_copy, r_copy, _, _ = run (forced Hostrt.Mempolicy.Copy) in
+    let t_elide, r_elide, _, ctx_elide = run (forced Hostrt.Mempolicy.Elide) in
+    let t_zc, r_zc, _, ctx_zc = run (forced Hostrt.Mempolicy.Zerocopy) in
+    let t_auto, r_auto, tr_auto, ctx_auto = run ~trace:true (Ms_mode Hostrt.Mempolicy.Auto) in
+    let identical = r_copy = r_host && r_elide = r_host && r_zc = r_host && r_auto = r_host in
+    let st_e = Polybench.Harness.mem_stats ctx_elide in
+    let st_z = Polybench.Harness.mem_stats ctx_zc in
+    let sp_auto = t_copy /. t_auto and sp_e = t_copy /. t_elide and sp_z = t_copy /. t_zc in
+    let vs_best = t_auto /. Float.min t_copy (Float.min t_elide t_zc) in
+    say
+      "  %-10s auto=%.6f copy=%.6f elide=%.6f zerocopy=%.6f (%.2fx vs copy, %.2f of best, modes \
+       %s) %s\n"
+      app.ms_name t_auto t_copy t_elide t_zc sp_auto vs_best (modes_str ctx_auto)
+      (if identical then "bit-identical" else "RESULTS DIFFER");
+    say "             elide %.2fx (h2d-elided=%d d2h-elided=%d), zerocopy %.2fx (%d accesses)\n"
+      sp_e st_e.Hostrt.Dataenv.elided_h2d st_e.Hostrt.Dataenv.elided_d2h sp_z
+      st_z.Hostrt.Dataenv.zerocopy_accesses;
     List.iter
       (fun ((off, bytes), row) ->
         say "      0x%x+%-6d %s\n" off bytes
           (String.concat ", " (List.map (fun (m, k) -> Printf.sprintf "%s x%d" m k) row)))
-      (Polybench.Harness.policy_decisions ctx)
+      (Polybench.Harness.policy_decisions ctx_auto);
+    check identical (app.ms_name ^ ": auto/copy/elide/zerocopy/host results differ");
+    check
+      (st_e.Hostrt.Dataenv.elided_h2d >= 1 || st_e.Hostrt.Dataenv.elided_d2h >= 1)
+      (app.ms_name ^ ": elision variant elided nothing");
+    check (st_z.Hostrt.Dataenv.zerocopy_accesses >= 1) (app.ms_name ^ ": no zero-copy accesses");
+    check (sp_e > 1.0)
+      (Printf.sprintf "%s: elision speedup %.3fx <= 1.0x over always-copy" app.ms_name sp_e);
+    (match Sys.getenv_opt "AUTOPOLICY_TRACE" with
+    | Some file when app.ms_name = "atax" -> Perf.Chrome_trace.write_file file (Option.get tr_auto)
+    | _ -> ());
+    json_rows :=
+      Printf.sprintf
+        {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
+      "t_auto_s": %.9f, "speedup_auto": %.4f, "auto_vs_best": %.4f,
+      "speedup_elide": %.4f, "speedup_zerocopy": %.4f,
+      "elided_h2d": %d, "elided_d2h": %d, "zerocopy_accesses": %d,
+      "modes": %S, "bit_identical": %b }|}
+        app.ms_name t_copy t_elide t_zc t_auto sp_auto vs_best sp_e sp_z
+        st_e.Hostrt.Dataenv.elided_h2d st_e.Hostrt.Dataenv.elided_d2h
+        st_z.Hostrt.Dataenv.zerocopy_accesses (modes_str ctx_auto) identical
+      :: !json_rows;
+    (t_copy, t_elide, t_zc, t_auto, vs_best, ctx_auto)
   in
+  let ge13 = ref 0 in
   List.iter
     (fun app ->
-      let t_copy, t_elide, t_zc, t_auto, identical, tr_auto, ctx_auto = run_all app in
-      let best = Float.min t_copy (Float.min t_elide t_zc) in
-      let sp_auto = t_copy /. t_auto in
-      let vs_best = t_auto /. best in
-      if sp_auto >= 1.3 then incr ge13;
-      say "  %-10s auto=%.6f copy=%.6f elide=%.6f zerocopy=%.6f (%.2fx vs copy, %.2f of best, \
-           modes %s) %s\n"
-        app.ms_name t_auto t_copy t_elide t_zc sp_auto vs_best (modes_str ctx_auto)
-        (if identical then "bit-identical" else "RESULTS DIFFER");
-      say_decisions ctx_auto;
-      check identical (app.ms_name ^ ": auto/copy/elide/zerocopy/host results differ");
+      let t_copy, _, _, t_auto, vs_best, _ = run_all app in
+      if t_copy /. t_auto >= 1.3 then incr ge13;
       check (vs_best <= 1.10)
-        (Printf.sprintf "%s: auto %.6fs is %.2fx the best forced mode (%.6fs), above the 10%% \
-                         budget" app.ms_name t_auto vs_best best);
-      (match Sys.getenv_opt "AUTOPOLICY_TRACE" with
-      | Some file when app.ms_name = "atax" ->
-        Perf.Chrome_trace.write_file file (Option.get tr_auto)
-      | _ -> ());
-      json_rows :=
-        Printf.sprintf
-          {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
-      "t_auto_s": %.9f, "speedup_auto": %.4f, "auto_vs_best": %.4f,
-      "modes": %S, "bit_identical": %b }|}
-          app.ms_name t_copy t_elide t_zc t_auto sp_auto vs_best (modes_str ctx_auto) identical
-        :: !json_rows)
+        (Printf.sprintf "%s: auto %.6fs is %.2fx the best forced mode, above the 10%% budget"
+           app.ms_name t_auto vs_best))
     ms_apps;
   check (!ge13 >= 2)
     (Printf.sprintf "auto beat forced-copy by >=1.3x on only %d app(s), need >=2" !ge13);
@@ -1020,31 +978,33 @@ let autopolicy ~smoke () =
   say "  -- hotcold: mixed buffer temperatures in one target region --\n";
   (* twice the iterations: the steady-state gains of the per-buffer mix
      must outweigh the first cold cycle's conservative choices *)
-  let t_copy, t_elide, t_zc, t_auto, identical, _, ctx_auto =
-    run_all ~iters:(2 * iters) hotcold_app
-  in
-  let modes = Polybench.Harness.policy_modes_used ctx_auto in
-  let sp_auto = t_copy /. t_auto in
-  say "  %-10s auto=%.6f copy=%.6f elide=%.6f zerocopy=%.6f (%.2fx vs copy, modes %s) %s\n"
-    hotcold_app.ms_name t_auto t_copy t_elide t_zc sp_auto (modes_str ctx_auto)
-    (if identical then "bit-identical" else "RESULTS DIFFER");
-  say_decisions ctx_auto;
-  check identical "hotcold: auto/copy/elide/zerocopy/host results differ";
-  check (List.length modes >= 2) "hotcold: auto used fewer than 2 distinct modes in one region";
+  let t_copy, t_elide, t_zc, t_auto, _, ctx_auto = run_all ~iters:(2 * iters) hotcold_app in
+  check
+    (List.length (Polybench.Harness.policy_modes_used ctx_auto) >= 2)
+    "hotcold: auto used fewer than 2 distinct modes in one region";
   check
     (t_auto < t_copy && t_auto < t_elide && t_auto < t_zc)
     (Printf.sprintf
        "hotcold: auto %.6fs does not beat every forcing (copy %.6f elide %.6f zerocopy %.6f)"
        t_auto t_copy t_elide t_zc);
-  json_rows :=
-    Printf.sprintf
-      {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
-      "t_auto_s": %.9f, "speedup_auto": %.4f, "auto_vs_best": %.4f,
-      "modes": %S, "bit_identical": %b }|}
-      hotcold_app.ms_name t_copy t_elide t_zc t_auto sp_auto
-      (t_auto /. Float.min t_copy (Float.min t_elide t_zc))
-      (modes_str ctx_auto) identical
-    :: !json_rows;
+  (* map(always, ...) must force the transfers even under elision *)
+  let readscale = List.find (fun a -> a.ms_name = "readscale") ms_apps in
+  let _, r_always, _, ctx_always =
+    run_mem_variant ~source:(Some readscale_always_source) readscale ~n ~iters
+      (Ms_mode (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide))
+  in
+  let _, r_plain, _, _ = run_mem_variant readscale ~n ~iters Ms_host in
+  let st_a = Polybench.Harness.mem_stats ctx_always in
+  say "  readscale under map(always,...): h2d-elided=%d d2h-elided=%d (both must be 0)\n"
+    st_a.Hostrt.Dataenv.elided_h2d st_a.Hostrt.Dataenv.elided_d2h;
+  check
+    (st_a.Hostrt.Dataenv.elided_h2d = 0 && st_a.Hostrt.Dataenv.elided_d2h = 0)
+    "map(always,...) failed to force transfers under elision";
+  check (r_always = r_plain) "map(always,...) changed the readscale result";
+  say "  -- fault injected into an elided-path launch (differential vs host) --\n";
+  let atax = List.hd ms_apps in
+  let _, r_ref, _, _ = run_mem_variant atax ~n ~iters Ms_host in
+  tally (elided_fault_cell atax ~n ~iters r_ref);
   let oc = open_out "BENCH_autopolicy.json" in
   Printf.fprintf oc
     "{\n  \"bench\": \"autopolicy\",\n  \"smoke\": %b,\n  \"n\": %d,\n  \"iters\": %d,\n  \
@@ -1053,11 +1013,7 @@ let autopolicy ~smoke () =
     (String.concat ",\n" (List.rev !json_rows));
   close_out oc;
   say "  [written: BENCH_autopolicy.json]\n";
-  if !failures > 0 then begin
-    say "autopolicy: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "autopolicy: PASS\n"
+  verdict ""
 
 (* ------------------------------------------------------------------ *)
 (* jit: closure-JIT executor vs tree-walking interpreter (wall clock)   *)
@@ -1072,13 +1028,7 @@ let autopolicy ~smoke () =
    the slowest apps is gated too. *)
 let jit_bench ~smoke () =
   say "== closure JIT vs tree-walking interpreter (wall clock) ==\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
+  let { check; verdict; _ } = checks ~prefix:"CHECK FAILED" "jit" in
   let reps = if smoke then 2 else 3 in
   let run_leg (app : Polybench.Suite.app) ~jit ~n =
     let ctx = Polybench.Harness.create () in
@@ -1156,11 +1106,7 @@ let jit_bench ~smoke () =
   close_out oc;
   say "  [written: BENCH_jit.json]\n";
   check (sp_max >= 3.0) (Printf.sprintf "best JIT speedup %.2fx (%s) is below the 3x bar" sp_max sp_app);
-  if !failures > 0 then begin
-    say "jit: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "jit: PASS (best %.2fx on %s, worst %.2fx on %s)\n" sp_max sp_app sp_min sp_min_app
+  verdict (Printf.sprintf " (best %.2fx on %s, worst %.2fx on %s)" sp_max sp_app sp_min sp_min_app)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the offload server under load                                 *)
@@ -1176,30 +1122,9 @@ let jit_bench ~smoke () =
    1.2x the serialized throughput. *)
 let serve_bench ~smoke () =
   say "=== serve: concurrent offload server — multi-stream vs serialized ===\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
+  let { check; verdict; _ } = checks ~prefix:"CHECK FAILED" "serve" in
   let sessions = Serve.default_sessions ~smoke in
-  let base =
-    {
-      Serve.cf_devices = 1;
-      cf_streams = 4;
-      cf_max_inflight = 8;
-      cf_generations = 2;
-      cf_seed = 42;
-      cf_elide = true;
-      cf_mem_policy = None;
-      cf_resident_cap_bytes = None;
-      cf_faults = [];
-      cf_fault_seed = 7;
-      cf_max_retries = None;
-      cf_trace = true;
-    }
-  in
+  let base = { Serve.default_config with Serve.cf_trace = true } in
   let fault_rules =
     match Hostrt.Faults.parse "h2d:every=7,kind=transient;launch:every=11,kind=transient" with
     | Ok rules -> rules
@@ -1276,11 +1201,7 @@ let serve_bench ~smoke () =
     (multi.Serve.rp_all_identical && serial.Serve.rp_all_identical);
   close_out oc;
   say "  [written: BENCH_serve.json]\n";
-  if !failures > 0 then begin
-    say "serve: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "serve: PASS (%.2fx multi-stream throughput)\n" speedup
+  verdict (Printf.sprintf " (%.2fx multi-stream throughput)" speedup)
 
 (* ------------------------------------------------------------------ *)
 (* reduction: tree reduce vs single-team serialized reduce              *)
@@ -1366,13 +1287,7 @@ let red_float_model ~n ~teams ~nthr : float =
    serialized simulated time. *)
 let reduction_bench ~smoke () =
   say "=== reduction: multi-team tree reduce vs single-team serialized ===\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
+  let { check; verdict; _ } = checks ~prefix:"CHECK FAILED" "reduction" in
   let n = if smoke then 8192 else 65536 in
   let teams = 16 and nthr = 128 in
   let run_float ~jit ~teams ~nthr =
@@ -1484,11 +1399,7 @@ let reduction_bench ~smoke () =
   say "  [written: BENCH_reduction.json]\n";
   check (speedup >= 1.2)
     (Printf.sprintf "tree speedup %.2fx below the 1.2x bar" speedup);
-  if !failures > 0 then begin
-    say "reduction: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "reduction: PASS (%.2fx over serialized)\n" speedup
+  verdict (Printf.sprintf " (%.2fx over serialized)" speedup)
 
 (* ------------------------------------------------------------------ *)
 (* multidev: sharded distribute across an N-device farm                 *)
@@ -1541,13 +1452,7 @@ let md_c _n i = Polybench.Refmath.r32 (float_of_int ((i mod 11) - 5) /. 8.0)
    collapse to the single-device path, bit-for-bit. *)
 let multidev_bench ~smoke () =
   say "=== multidev: sharded distribute across an N-device farm ===\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
+  let { check; verdict; _ } = checks ~prefix:"CHECK FAILED" "multidev" in
   let gemm_n = if smoke then 128 else 256 in
   let gemm_teams = 64 in
   let dot_n = if smoke then 8192 else 65536 in
@@ -1563,7 +1468,7 @@ let multidev_bench ~smoke () =
     Polybench.Harness.set_sampling ctx None;
     (* steady-state shape: the warm call re-broadcasts nothing the host
        has not dirtied, so the window is shards + the c traffic *)
-    Polybench.Harness.set_elide ctx true;
+    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
     let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
     (match faults with
     | None -> ()
@@ -1592,7 +1497,7 @@ let multidev_bench ~smoke () =
   let run_dot ?(host_interp = false) ~devices () =
     let ctx = Polybench.Harness.create ~devices () in
     Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_elide ctx true;
+    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
     let open Polybench.Harness in
     let x = alloc_f32 ctx dot_n and y = alloc_f32 ctx dot_n and out = alloc_f32 ctx 1 in
     fill_f32 ctx x dot_n red_fx;
@@ -1692,11 +1597,7 @@ let multidev_bench ~smoke () =
   say "  [written: BENCH_multidev.json]\n";
   check (g4_sp >= 1.5)
     (Printf.sprintf "gemm 4-device speedup %.2fx below the 1.5x bar" g4_sp);
-  if !failures > 0 then begin
-    say "multidev: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "multidev: PASS (%.2fx at 4 devices)\n" g4_sp
+  verdict (Printf.sprintf " (%.2fx at 4 devices)" g4_sp)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--") in
@@ -1723,8 +1624,6 @@ let () =
   | [ "overlap"; "--smoke" ] -> overlap ~smoke:true ()
   | [ "fault-matrix" ] -> fault_matrix ~smoke:false ()
   | [ "fault-matrix"; "--smoke" ] -> fault_matrix ~smoke:true ()
-  | [ "memshift" ] -> memshift ~smoke:false ()
-  | [ "memshift"; "--smoke" ] -> memshift ~smoke:true ()
   | [ "autopolicy" ] -> autopolicy ~smoke:false ()
   | [ "autopolicy"; "--smoke" ] -> autopolicy ~smoke:true ()
   | [ "jit" ] -> jit_bench ~smoke:false ()

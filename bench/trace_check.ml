@@ -9,7 +9,8 @@
 
    With --expect-elision, additionally requires at least one cat:"mem"
    elide_h2d/elide_d2h instant — the CI witness that the transfer-
-   elision layer actually fired (bench memshift --smoke emits these).
+   elision layer actually fired (the auto trace of bench autopolicy
+   --smoke carries these).
 
    With --expect-policy, requires at least one cat:"mem" policy_decide
    instant.  Whenever policy_decide events are present at all, their

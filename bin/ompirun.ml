@@ -16,7 +16,8 @@ let resolve_input path =
   else if Sys.file_exists (path ^ ".c") then Some (path ^ ".c")
   else None
 
-let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_seed streams devices zerocopy elide mem_policy no_jit verbose =
+let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_seed streams devices
+    mem_policy no_jit verbose =
   let input =
     match resolve_input input with
     | Some p -> p
@@ -45,16 +46,12 @@ let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_see
     Printf.eprintf "ompirun: --devices must be positive (got %d)\n" devices;
     exit 1
   end;
-  (* The explicit legacy flags force their mode; otherwise --mem-policy
-     decides (default: the per-buffer auto policy). *)
-  let mem_policy_sel =
-    if zerocopy || elide then None
-    else
-      match Hostrt.Mempolicy.sel_of_string mem_policy with
-      | Some sel -> Some sel
-      | None ->
-        Printf.eprintf "ompirun: bad --mem-policy %s (want auto|copy|elide|zerocopy)\n" mem_policy;
-        exit 1
+  let mem_policy =
+    match Hostrt.Mempolicy.sel_of_string mem_policy with
+    | Some sel -> sel
+    | None ->
+      Printf.eprintf "ompirun: bad --mem-policy %s (want auto|copy|elide|zerocopy)\n" mem_policy;
+      exit 1
   in
   let config =
     {
@@ -64,9 +61,7 @@ let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_see
       fault_seed;
       max_retries;
       streams;
-      zerocopy;
-      elide;
-      mem_policy = mem_policy_sel;
+      mem_policy;
       jit = not no_jit;
       devices;
     }
@@ -87,14 +82,8 @@ let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_see
         | Some reason -> Printf.sprintf "; device dead (%s), host fallback used" reason
         | None -> "")
     | None -> ());
-    (let interesting =
-       zerocopy || elide
-       || match mem_policy_sel with
-          | Some Hostrt.Mempolicy.Auto -> true
-          | Some (Hostrt.Mempolicy.Forced m) -> not (Hostrt.Mempolicy.equal_mode m Hostrt.Mempolicy.Copy)
-          | None -> false
-     in
-     if interesting then begin
+    (if not (Hostrt.Mempolicy.equal_sel mem_policy (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy))
+     then begin
        let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
        let st = Hostrt.Dataenv.stats dataenv in
        Printf.eprintf
@@ -216,36 +205,19 @@ let devices_arg =
            distribute launches are sharded across the farm by compute weight; device(n) clauses \
            pin a region to one device, and omp_get_num_devices() reports N")
 
-let zerocopy_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "zerocopy" ]
-        ~doc:
-          "Map target data through pinned host memory instead of device buffers: kernels access \
-           the shared DRAM in place (the Nano's CPU and GPU share LPDDR4), trading copy time for \
-           uncached device access")
-
-let elide_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "elide" ]
-        ~doc:
-          "Park released device buffers in a resident cache and skip host/device transfers whose \
-           source and destination provably hold the same bytes (map(always, ...) forces the \
-           transfer)")
-
 let mem_policy_arg =
   Arg.(
     value
     & opt string "auto"
     & info [ "mem-policy" ] ~docv:"MODE"
         ~doc:
-          "Per-buffer memory-mode policy: $(b,auto) (default) classifies each mapped buffer as \
-           copy, elide or zerocopy from its observed history and the device cost model; \
-           $(b,copy), $(b,elide) or $(b,zerocopy) force that mode for every buffer.  The \
-           explicit --zerocopy / --elide flags override this option")
+          "Memory mode: $(b,auto) (default) classifies each mapped buffer as copy, elide or \
+           zerocopy from its observed history and the device cost model; $(b,copy), $(b,elide) \
+           or $(b,zerocopy) force that mode for every buffer.  $(b,elide) parks released device \
+           buffers and skips transfers whose source and destination provably hold the same \
+           bytes (map(always, ...) forces the transfer); $(b,zerocopy) maps through pinned host \
+           memory so kernels access the shared LPDDR4 in place, trading copy time for uncached \
+           device access")
 
 let no_jit_arg =
   Arg.(
@@ -265,7 +237,7 @@ let cmd =
     (Cmd.info "ompirun" ~doc)
     Term.(
       const run_cmd $ input_arg $ entry_arg $ mode_arg $ trace_arg $ faults_arg $ max_retries_arg
-      $ fault_seed_arg $ streams_arg $ devices_arg $ zerocopy_arg $ elide_arg $ mem_policy_arg
+      $ fault_seed_arg $ streams_arg $ devices_arg $ mem_policy_arg
       $ no_jit_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

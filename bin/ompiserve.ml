@@ -7,17 +7,14 @@
 
 open Cmdliner
 
-let run_cmd devices streams inflight generations seed smoke no_elide mem_policy resident_cap
+let run_cmd devices streams inflight generations seed smoke mem_policy resident_cap
     faults_spec fault_seed max_retries trace_file =
   let cf_mem_policy =
-    match mem_policy with
-    | None -> None
-    | Some spec -> (
-      match Hostrt.Mempolicy.sel_of_string spec with
-      | Some sel -> Some sel
-      | None ->
-        Printf.eprintf "ompiserve: bad --mem-policy %s (want auto|copy|elide|zerocopy)\n" spec;
-        exit 1)
+    match Hostrt.Mempolicy.sel_of_string mem_policy with
+    | Some sel -> sel
+    | None ->
+      Printf.eprintf "ompiserve: bad --mem-policy %s (want auto|copy|elide|zerocopy)\n" mem_policy;
+      exit 1
   in
   let faults =
     match faults_spec with
@@ -36,9 +33,7 @@ let run_cmd devices streams inflight generations seed smoke no_elide mem_policy 
       cf_max_inflight = inflight;
       cf_generations = generations;
       cf_seed = seed;
-      cf_elide = not no_elide;
       cf_mem_policy;
-      (* applied after the legacy elide knob, so --mem-policy wins *)
       cf_resident_cap_bytes = resident_cap;
       cf_faults = faults;
       cf_fault_seed = fault_seed;
@@ -74,18 +69,15 @@ let run_cmd devices streams inflight generations seed smoke no_elide mem_policy 
     if r.Serve.rp_elided_pages > 0 then
       Printf.printf "  dirty tracking: %d clean page(s) skipped by partial transfers\n"
         r.Serve.rp_elided_pages;
-    (match cf_mem_policy with
-    | Some sel ->
-      Printf.printf "  mem policy: %s\n" (Hostrt.Mempolicy.sel_name sel);
-      List.iter
-        (fun (dev, rows) ->
-          List.iter
-            (fun ((off, bytes), row) ->
-              Printf.printf "    dev %d buffer 0x%x+%d -> %s\n" dev off bytes
-                (String.concat ", " (List.map (fun (m, n) -> Printf.sprintf "%s x%d" m n) row)))
-            rows)
-        r.Serve.rp_policy
-    | None -> ());
+    Printf.printf "  mem policy: %s\n" (Hostrt.Mempolicy.sel_name cf_mem_policy);
+    List.iter
+      (fun (dev, rows) ->
+        List.iter
+          (fun ((off, bytes), row) ->
+            Printf.printf "    dev %d buffer 0x%x+%d -> %s\n" dev off bytes
+              (String.concat ", " (List.map (fun (m, n) -> Printf.sprintf "%s x%d" m n) row)))
+          rows)
+      r.Serve.rp_policy;
     if r.Serve.rp_faults_injected > 0 || r.Serve.rp_device_dead then
       Printf.printf "  faults: %d injected%s\n" r.Serve.rp_faults_injected
         (if r.Serve.rp_device_dead then "; device dead, host fallback" else "");
@@ -134,19 +126,16 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Arri
 
 let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Small CI-sized workload")
 
-let no_elide_arg =
-  Arg.(value & flag & info [ "no-elide" ] ~doc:"Disable the resident cache / transfer elision")
-
 let mem_policy_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt string "elide"
     & info [ "mem-policy" ] ~docv:"MODE"
         ~doc:
-          "Per-buffer memory-mode policy for every session's persistent data environment: \
-           $(b,auto) classifies each buffer copy/elide/zerocopy from its observed history; \
-           $(b,copy), $(b,elide) or $(b,zerocopy) force one mode.  Overrides --no-elide; unset \
-           keeps the legacy elide behaviour")
+          "Memory mode for every session's persistent data environment: $(b,elide) (default) \
+           parks closed sessions' buffers in the resident cache and skips provably redundant \
+           transfers; $(b,copy) always transfers; $(b,zerocopy) maps pinned host memory; \
+           $(b,auto) classifies each buffer copy/elide/zerocopy from its observed history")
 
 let resident_cap_arg =
   Arg.(
@@ -189,7 +178,7 @@ let cmd =
     (Cmd.info "ompiserve" ~doc)
     Term.(
       const run_cmd $ devices_arg $ streams_arg $ inflight_arg $ generations_arg $ seed_arg
-      $ smoke_arg $ no_elide_arg $ mem_policy_arg $ resident_cap_arg $ faults_arg $ fault_seed_arg
+      $ smoke_arg $ mem_policy_arg $ resident_cap_arg $ faults_arg $ fault_seed_arg
       $ max_retries_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

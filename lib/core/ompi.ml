@@ -23,11 +23,7 @@ type config = {
   fault_seed : int; (* seed for probabilistic fault rules *)
   max_retries : int option; (* retry-policy override; None = default *)
   streams : int; (* stream-pool size for `target ... nowait` regions *)
-  zerocopy : bool; (* pin-and-share host memory instead of copying (unified DRAM) *)
-  elide : bool; (* park released buffers and skip provably redundant transfers *)
-  mem_policy : Hostrt.Mempolicy.sel option;
-  (* per-buffer memory-mode policy (--mem-policy); None keeps the
-     zerocopy/elide flags above (the legacy forced knobs) *)
+  mem_policy : Hostrt.Mempolicy.sel; (* copy / elide / zero-copy / per-buffer auto (--mem-policy) *)
   jit : bool; (* closure-compile kernels at module load (--no-jit disables) *)
   devices : int; (* simultaneously-live device instances (--devices N) *)
   specs : Spec.t list; (* per-device spec overrides for heterogeneous farms *)
@@ -41,9 +37,7 @@ let default_config =
     fault_seed = 42;
     max_retries = None;
     streams = Hostrt.Async.default_streams;
-    zerocopy = false;
-    elide = false;
-    mem_policy = None;
+    mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy;
     jit = true;
     devices = 1;
     specs = [];
@@ -80,9 +74,7 @@ let load ?(config = default_config) ?(trace = false) (compiled : compiled) : ins
   Hostrt.Rt.set_trace rt tr;
   if config.faults <> [] then
     Hostrt.Rt.set_faults rt (Some (Hostrt.Faults.create ~seed:config.fault_seed config.faults));
-  if config.zerocopy then Hostrt.Rt.set_zerocopy rt true;
-  if config.elide then Hostrt.Rt.set_elide rt true;
-  Option.iter (Hostrt.Rt.set_mem_mode rt) config.mem_policy;
+  Hostrt.Rt.set_mem_mode rt config.mem_policy;
   if not config.jit then Hostrt.Rt.set_jit rt false;
   (match config.max_retries with
   | Some n ->

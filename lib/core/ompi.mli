@@ -27,19 +27,12 @@ type config = {
   streams : int;
       (** stream-pool size used by [target ... nowait] regions (default
           {!Hostrt.Async.default_streams}) *)
-  zerocopy : bool;
-      (** map via pinned host memory instead of device buffers — the
-          Nano's CPU and GPU share DRAM (see
-          {!Hostrt.Dataenv.set_zerocopy}); default off *)
-  elide : bool;
-      (** park released device buffers and skip provably redundant
-          transfers (see {!Hostrt.Dataenv.set_elide}); default off *)
-  mem_policy : Hostrt.Mempolicy.sel option;
-      (** per-buffer memory-mode policy (the [--mem-policy] CLI knob):
-          [Some Auto] classifies each buffer copy/elide/zero-copy from
-          its observed history (see {!Hostrt.Mempolicy}), [Some (Forced
-          m)] forces one mode everywhere; [None] (default) keeps the
-          [zerocopy]/[elide] flags above *)
+  mem_policy : Hostrt.Mempolicy.sel;
+      (** memory mode (the [--mem-policy] CLI knob; see
+          {!Hostrt.Dataenv.set_mem_mode}): [Forced m] maps every buffer
+          by copy, elision or pinned zero-copy — the Nano's CPU and GPU
+          share DRAM; [Auto] classifies each buffer from its observed
+          history (see {!Hostrt.Mempolicy}).  Default [Forced Copy]. *)
   jit : bool;
       (** closure-compile kernel ASTs at module load (see
           {!Cinterp.Jit}); default on — [--no-jit] falls back to the

@@ -28,11 +28,11 @@
      ranges are registered with the stream dependency tracker so
      zero-copy composes with [--streams].
 
-   The mode comes either from the forced run-level flags ([set_elide] /
-   [set_zerocopy], the PR 5 behaviour) or, under [set_mem_mode Auto],
-   from the per-buffer [Mempolicy] cost model fed by each buffer's
-   observed history.  Every cold map emits a cat:"mem" "policy_decide"
-   instant naming the chosen mode and the signals that drove it.
+   The mode comes from the one run-level selector ([set_mem_mode]):
+   [Forced m] puts every buffer in mode [m]; [Auto] asks the per-buffer
+   [Mempolicy] cost model, fed by each buffer's observed history.  Every
+   cold map emits a cat:"mem" "policy_decide" instant naming the chosen
+   mode and the signals that drove it.
 
    Driver calls made here are fallible under fault injection; they are
    wrapped in the Resilience retry policy, and when an operation still
@@ -123,9 +123,7 @@ type t = {
   mutable de_sync_range : (Addr.t -> bytes:int -> unit) option;
   mutable de_register_pinned : (Addr.t -> bytes:int -> unit) option;
   mutable de_unregister_pinned : (Addr.t -> bytes:int -> unit) option;
-  mutable de_elide : bool;
-  mutable de_zerocopy : bool;
-  mutable de_auto : bool; (* per-buffer policy decides the mode *)
+  mutable de_mode : Mempolicy.sel;
   mutable de_page_bytes : int; (* dirty-tracking granularity *)
   mutable resident : entry list; (* refcount-0 parked buffers, MRU first *)
   (* Eviction is byte-accounted, not entry-counted: a multiplexing
@@ -162,9 +160,7 @@ let create ~(host : Mem.t) ~(driver : Driver.t) =
     de_sync_range = None;
     de_register_pinned = None;
     de_unregister_pinned = None;
-    de_elide = false;
-    de_zerocopy = false;
-    de_auto = false;
+    de_mode = Mempolicy.Forced Mempolicy.Copy;
     de_page_bytes = default_page_bytes;
     resident = [];
     resident_cap_bytes = default_resident_cap_bytes;
@@ -184,26 +180,11 @@ let dead_reason t = t.de_dead
 
 let set_policy t policy = t.de_policy <- policy
 
-let set_elide t on = t.de_elide <- on
+let set_mem_mode t sel = t.de_mode <- sel
 
-let set_zerocopy t on = t.de_zerocopy <- on
+let mem_mode t = t.de_mode
 
-let set_mem_mode t (sel : Mempolicy.sel) =
-  match sel with
-  | Mempolicy.Auto ->
-    t.de_auto <- true;
-    t.de_elide <- false;
-    t.de_zerocopy <- false
-  | Mempolicy.Forced m ->
-    t.de_auto <- false;
-    t.de_elide <- Mempolicy.equal_mode m Mempolicy.Elide;
-    t.de_zerocopy <- Mempolicy.equal_mode m Mempolicy.Zerocopy
-
-let mem_mode t : Mempolicy.sel =
-  if t.de_auto then Mempolicy.Auto
-  else if t.de_zerocopy then Mempolicy.Forced Mempolicy.Zerocopy
-  else if t.de_elide then Mempolicy.Forced Mempolicy.Elide
-  else Mempolicy.Forced Mempolicy.Copy
+let is_auto t = match t.de_mode with Mempolicy.Auto -> true | Mempolicy.Forced _ -> false
 
 let set_page_bytes t n =
   if n <= 0 then invalid_arg "Dataenv.set_page_bytes: non-positive page size";
@@ -289,7 +270,7 @@ let page_digest t e p =
    missing digest reads as "host changed", so at worst a later check
    copies where it could have elided. *)
 let digest_readable t e =
-  Mempolicy.equal_mode e.e_mode Mempolicy.Elide || (t.de_auto && e.e_bytes <= t.resident_cap_bytes)
+  Mempolicy.equal_mode e.e_mode Mempolicy.Elide || (is_auto t && e.e_bytes <= t.resident_cap_bytes)
 
 (* Record "host and device agree over the full extent right now". *)
 let mark_synced t e =
@@ -456,7 +437,7 @@ let observe_release ?(synced_now = false) t e =
       end
     in
     let digest =
-      if not t.de_auto then None
+      if not (is_auto t) then None
       else
         match e.e_digest with
         | Some d when synced_now -> Some d
@@ -552,7 +533,10 @@ let drop_resident_overlapping t (haddr : Addr.t) ~bytes =
   t.resident <- keep
 
 (* May this environment have parked buffers at all? *)
-let parking_possible t = t.de_elide || t.de_auto
+let parking_possible t =
+  match t.de_mode with
+  | Mempolicy.Auto | Mempolicy.Forced Mempolicy.Elide -> true
+  | Mempolicy.Forced (Mempolicy.Copy | Mempolicy.Zerocopy) -> false
 
 (* Park a released buffer under the byte budget: LRU entries are evicted
    from the tail until the new total fits.  A buffer larger than the
@@ -653,17 +637,14 @@ let is_present t haddr ~bytes = (not (is_dead t)) && find_containing t haddr ~by
 
 let dev_of e (haddr : Addr.t) = Addr.add e.e_dev (haddr.Addr.off - e.e_host.Addr.off)
 
-(* Decide the transfer mode for a cold map: the forced run-level flags
-   when set, otherwise the per-buffer policy. *)
+(* Decide the transfer mode for a cold map: the forced run-level mode,
+   or under [Auto] the per-buffer policy. *)
 let resolve_mode ?(async = false) t (haddr : Addr.t) ~(bytes : int) ~(mt : map_type)
     ~(always : bool) : Mempolicy.decision =
   let key = buffer_key haddr ~bytes in
-  if not t.de_auto then
-    Mempolicy.forced t.policy ~key
-      (if t.de_zerocopy then Mempolicy.Zerocopy
-       else if t.de_elide then Mempolicy.Elide
-       else Mempolicy.Copy)
-  else
+  match t.de_mode with
+  | Mempolicy.Forced m -> Mempolicy.forced t.policy ~key m
+  | Mempolicy.Auto ->
     Mempolicy.decide t.policy ~key
       {
         Mempolicy.i_bytes = bytes;
@@ -885,7 +866,7 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
              cold copy decision would be self-perpetuating *)
           if
             Mempolicy.equal_mode e.e_mode Mempolicy.Elide
-            || (t.de_auto && e.e_synced)
+            || (is_auto t && e.e_synced)
           then park_resident t e
           else Driver.mem_free t.driver e.e_dev
         with Resilience.Device_dead reason ->

@@ -16,10 +16,10 @@
     in a small resident cache, copies are skipped whole-buffer or
     page-wise where host and device images provably agree), and
     zero-copy (the map pins the host range so kernels address it in
-    place — no device buffer, no copies).  The mode comes either from
-    the forced run-level flags ({!set_elide} / {!set_zerocopy}) or, under
-    {!set_mem_mode} [Auto], from the per-buffer {!Mempolicy} cost model
-    fed by observed history; every cold map emits a cat:"mem"
+    place — no device buffer, no copies).  The mode comes from the
+    run-level selector {!set_mem_mode}: [Forced m] fixes it for every
+    buffer, [Auto] asks the per-buffer {!Mempolicy} cost model fed by
+    observed history; every cold map emits a cat:"mem"
     "policy_decide" trace instant.  A map with the [always] modifier
     forces the transfers regardless.
 
@@ -71,22 +71,17 @@ val unmap : ?always:bool -> t -> Addr.t -> map_type -> unit
 
 (** {1 Unified-memory optimisations} *)
 
-(** Enable transfer elision: released device buffers are parked in a
-    small resident cache, and h2d/d2h copies are skipped when host and
-    device images provably agree (host side: digest at last sync point;
-    device side: the driver's per-allocation store counts and write
-    epoch).  Off by default. *)
-val set_elide : t -> bool -> unit
-
-(** Enable zero-copy mapping: a map pins the host range
-    (cuMemHostRegister) and returns the host address itself — kernels
-    access the shared DRAM in place, paying the uncached-access cost
-    instead of copy time.  Off by default. *)
-val set_zerocopy : t -> bool -> unit
-
-(** Select the memory-mode policy: [Auto] decides per buffer via
-    {!Mempolicy}; [Forced m] behaves like the corresponding run-level
-    flag ([Forced Copy] clears both). *)
+(** Select the memory mode of every later cold map (default
+    [Forced Copy]):
+    - [Forced Elide]: released device buffers park in a small resident
+      cache, and h2d/d2h copies are skipped when host and device images
+      provably agree (host side: digest at last sync point; device side:
+      the driver's per-allocation store counts and write epoch);
+    - [Forced Zerocopy]: a map pins the host range (cuMemHostRegister)
+      and returns the host address itself — kernels access the shared
+      DRAM in place, paying the uncached-access cost instead of copy
+      time;
+    - [Auto]: decide per buffer via {!Mempolicy}. *)
 val set_mem_mode : t -> Mempolicy.sel -> unit
 
 val mem_mode : t -> Mempolicy.sel

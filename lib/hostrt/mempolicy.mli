@@ -18,7 +18,9 @@ open Gpusim
 type mode = Copy | Elide | Zerocopy [@@deriving show, eq]
 
 (** A run-level selection: decide per buffer, or force one mode for
-    every buffer (the PR 5 global flags). *)
+    every buffer.  This one value is the memory mode at every layer
+    ({!Dataenv.set_mem_mode}, [Ompi.config], [Serve.config], the
+    [--mem-policy] CLI option). *)
 type sel = Auto | Forced of mode [@@deriving show, eq]
 
 val mode_name : mode -> string

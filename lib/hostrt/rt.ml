@@ -146,13 +146,6 @@ let set_fault_policy t (policy : Resilience.policy) : unit =
 (* Resize every device's stream pool (the --streams N CLI knob). *)
 let set_streams t (n : int) : unit = Array.iter (fun d -> Async.set_streams d.dev_async n) t.devices
 
-(* Unified-memory knobs (the --zerocopy / elision CLI and bench modes). *)
-let set_zerocopy t (on : bool) : unit =
-  Array.iter (fun d -> Dataenv.set_zerocopy d.dev_dataenv on) t.devices
-
-let set_elide t (on : bool) : unit =
-  Array.iter (fun d -> Dataenv.set_elide d.dev_dataenv on) t.devices
-
 (* The --mem-policy knob: per-buffer auto policy or one forced mode, on
    every device (each keeps its own buffer histories). *)
 let set_mem_mode t (sel : Mempolicy.sel) : unit =

@@ -94,16 +94,10 @@ val set_fault_policy : t -> Resilience.policy -> unit
     @raise Invalid_argument if non-positive or tasks are in flight *)
 val set_streams : t -> int -> unit
 
-(** Enable zero-copy mapping on every device (see {!Dataenv.set_zerocopy}). *)
-val set_zerocopy : t -> bool -> unit
-
-(** Enable transfer elision on every device (see {!Dataenv.set_elide}). *)
-val set_elide : t -> bool -> unit
-
-(** Select the memory-mode policy on every device (the [--mem-policy]
-    CLI knob): [Auto] decides per buffer via {!Mempolicy}, with each
-    device keeping its own buffer histories; [Forced m] behaves like the
-    corresponding run-level flag. *)
+(** Select the memory mode on every device (the [--mem-policy] CLI
+    knob; see {!Dataenv.set_mem_mode}): [Auto] decides per buffer via
+    {!Mempolicy}, with each device keeping its own buffer histories;
+    [Forced m] puts every buffer in mode [m]. *)
 val set_mem_mode : t -> Mempolicy.sel -> unit
 
 (** Enable/disable the closure JIT on every device (see

@@ -60,12 +60,8 @@ let driver ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_driver
 
 let dataenv ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
 
-(* Unified-memory knobs: zero-copy pinned-host mapping and transfer
-   elision (bench memshift toggles these between variants). *)
-let set_zerocopy ctx (on : bool) : unit = Hostrt.Rt.set_zerocopy ctx.rt on
-
-let set_elide ctx (on : bool) : unit = Hostrt.Rt.set_elide ctx.rt on
-
+(* The memory mode: copy, elide, zero-copy or the per-buffer auto
+   policy (bench autopolicy runs every app under each). *)
 let set_mem_mode ctx (sel : Hostrt.Mempolicy.sel) : unit = Hostrt.Rt.set_mem_mode ctx.rt sel
 
 (* Closure-JIT knob: the differential tests and the jit bench run the

@@ -57,15 +57,7 @@ val driver : ctx -> Driver.t
 
 val dataenv : ctx -> Hostrt.Dataenv.t
 
-(** Enable zero-copy pinned-host mapping on device 0 (see
-    {!Hostrt.Dataenv.set_zerocopy}). *)
-val set_zerocopy : ctx -> bool -> unit
-
-(** Enable transfer elision on every device of the farm (see
-    {!Hostrt.Dataenv.set_elide}). *)
-val set_elide : ctx -> bool -> unit
-
-(** Select the memory-mode policy on every device (see
+(** Select the memory mode on every device (see
     {!Hostrt.Rt.set_mem_mode}). *)
 val set_mem_mode : ctx -> Hostrt.Mempolicy.sel -> unit
 

@@ -49,9 +49,7 @@ type config = {
   cf_max_inflight : int;
   cf_generations : int;
   cf_seed : int;
-  cf_elide : bool;
-  cf_mem_policy : Hostrt.Mempolicy.sel option;
-  (* per-buffer memory-mode policy; None keeps the cf_elide legacy knob *)
+  cf_mem_policy : Hostrt.Mempolicy.sel;
   cf_resident_cap_bytes : int option;
   cf_faults : Hostrt.Faults.rule list;
   cf_fault_seed : int;
@@ -66,8 +64,7 @@ let default_config =
     cf_max_inflight = 8;
     cf_generations = 2;
     cf_seed = 42;
-    cf_elide = true;
-    cf_mem_policy = None;
+    cf_mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
     cf_resident_cap_bytes = None;
     cf_faults = [];
     cf_fault_seed = 7;
@@ -275,8 +272,7 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
   let trace = if cfg.cf_trace then Some (H.enable_trace ctx) else None in
   H.set_sampling ctx None;
   H.set_streams ctx cfg.cf_streams;
-  H.set_elide ctx cfg.cf_elide;
-  Option.iter (Hostrt.Rt.set_mem_mode rt) cfg.cf_mem_policy;
+  H.set_mem_mode ctx cfg.cf_mem_policy;
   (match cfg.cf_resident_cap_bytes with
   | Some cap ->
     Array.iter

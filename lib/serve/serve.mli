@@ -69,11 +69,10 @@ type config = {
       (** open-serve-close cycles: generation ≥ 2 re-opens sessions
           against the resident cache *)
   cf_seed : int;  (** arrival-process seed *)
-  cf_elide : bool;
-  cf_mem_policy : Hostrt.Mempolicy.sel option;
-      (** per-buffer memory-mode policy applied to every device (see
-          {!Hostrt.Rt.set_mem_mode}); [None] keeps the [cf_elide] legacy
-          knob *)
+  cf_mem_policy : Hostrt.Mempolicy.sel;
+      (** memory mode applied to every device (see
+          {!Hostrt.Rt.set_mem_mode}); default [Forced Elide], so closed
+          sessions park their buffers *)
   cf_resident_cap_bytes : int option;  (** resident-cache byte budget override *)
   cf_faults : Hostrt.Faults.rule list;
   cf_fault_seed : int;

@@ -205,7 +205,7 @@ let elided_d2h env = (Hostrt.Dataenv.stats env).Hostrt.Dataenv.elided_d2h
    the h2d; dirtying the host image forces the copy again. *)
 let test_elide_clean_remap () =
   let env, host, _, clock = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   let h = Mem.alloc host 256 in
   set_f32 host h 0 1.0;
   ignore (Hostrt.Dataenv.map env h ~bytes:256 Hostrt.Dataenv.To);
@@ -225,7 +225,7 @@ let test_elide_clean_remap () =
    kernel stores are recorded against the allocation it must happen. *)
 let test_elide_d2h_unwritten () =
   let env, host, driver, _ = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   let h = Mem.alloc host 64 in
   set_f32 host h 1 3.5;
   ignore (Hostrt.Dataenv.map env h ~bytes:64 Hostrt.Dataenv.Tofrom);
@@ -244,7 +244,7 @@ let test_elide_d2h_unwritten () =
 (* The [always] modifier defeats elision in both directions. *)
 let test_always_forces_transfers () =
   let env, host, driver, clock = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   let h = Mem.alloc host 128 in
   ignore (Hostrt.Dataenv.map env h ~bytes:128 Hostrt.Dataenv.To);
   Hostrt.Dataenv.unmap env h Hostrt.Dataenv.To;
@@ -263,7 +263,7 @@ let test_always_forces_transfers () =
 let test_elide_pending_never_elided () =
   let env, host, _, _ = make () in
   let in_flight, synced = install_fake_hooks env in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   let h = Mem.alloc host 256 in
   ignore (Hostrt.Dataenv.map env h ~bytes:256 Hostrt.Dataenv.To);
   Hostrt.Dataenv.unmap env h Hostrt.Dataenv.To;
@@ -277,7 +277,7 @@ let test_elide_pending_never_elided () =
    budget is freed instead of parked. *)
 let test_resident_oversized_not_parked () =
   let env, host, _, _ = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   Hostrt.Dataenv.set_resident_cap_bytes env 512;
   let h = Mem.alloc host 1024 in
   ignore (Hostrt.Dataenv.map env h ~bytes:1024 Hostrt.Dataenv.To);
@@ -289,7 +289,7 @@ let test_resident_oversized_not_parked () =
    the total fits again. *)
 let test_resident_lru_byte_eviction () =
   let env, host, _, _ = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   Hostrt.Dataenv.set_resident_cap_bytes env 512;
   let park bytes =
     let h = Mem.alloc host bytes in
@@ -312,7 +312,7 @@ let test_resident_lru_byte_eviction () =
    buffer: an over-budget release is freed, the smalls stay warm. *)
 let test_resident_large_spares_smalls () =
   let env, host, _, _ = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   Hostrt.Dataenv.set_resident_cap_bytes env 1024;
   let cycle bytes =
     let h = Mem.alloc host bytes in
@@ -331,7 +331,7 @@ let test_resident_large_spares_smalls () =
    rejected. *)
 let test_resident_cap_shrink () =
   let env, host, _, _ = make () in
-  Hostrt.Dataenv.set_elide env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   let park bytes =
     let h = Mem.alloc host bytes in
     ignore (Hostrt.Dataenv.map env h ~bytes Hostrt.Dataenv.To);
@@ -382,7 +382,7 @@ let test_digested_bytes () =
    address itself — one shared image, no transfers. *)
 let test_zerocopy_map_in_place () =
   let env, host, driver, _ = make () in
-  Hostrt.Dataenv.set_zerocopy env true;
+  Hostrt.Dataenv.set_mem_mode env (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Zerocopy);
   let h = Mem.alloc host 64 in
   set_f32 host h 0 2.5;
   let d = Hostrt.Dataenv.map env h ~bytes:64 Hostrt.Dataenv.Tofrom in

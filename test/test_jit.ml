@@ -74,14 +74,13 @@ let check_identical name (jit : obs) (interp : obs) =
 (* Differential suite over the Polybench apps                         *)
 (* ---------------------------------------------------------------- *)
 
-let run_app ?(faults = []) ?streams ?(zerocopy = false) ?(elide = false) (app : Suite.app)
-    (variant : Harness.variant) ~(jit : bool) ~(n : int) : obs =
+let run_app ?(faults = []) ?streams ?(mem = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy)
+    (app : Suite.app) (variant : Harness.variant) ~(jit : bool) ~(n : int) : obs =
   let ctx = Harness.create () in
   Harness.set_sampling ctx None;
   Harness.set_jit ctx jit;
   (match streams with Some k -> Harness.set_streams ctx k | None -> ());
-  if zerocopy then Harness.set_zerocopy ctx true;
-  if elide then Harness.set_elide ctx true;
+  Harness.set_mem_mode ctx mem;
   (match faults with [] -> () | rules -> Harness.set_faults ctx rules);
   let time, out = app.Suite.ap_run ctx variant ~n in
   { ob_time = time; ob_out = out; ob_log = launch_log ctx }
@@ -121,9 +120,11 @@ let test_config_legs () =
   config_leg "atax faulted launch" ~run:(fun ~jit ->
       run_app ~faults:(parse_ok "launch:nth=1") app Harness.Ompi_cudadev ~jit ~n);
   config_leg "atax zero-copy" ~run:(fun ~jit ->
-      run_app ~zerocopy:true app Harness.Ompi_cudadev ~jit ~n);
+      run_app ~mem:(Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Zerocopy) app Harness.Ompi_cudadev
+        ~jit ~n);
   config_leg "atax transfer elision" ~run:(fun ~jit ->
-      run_app ~elide:true app Harness.Ompi_cudadev ~jit ~n);
+      run_app ~mem:(Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide) app Harness.Ompi_cudadev
+        ~jit ~n);
   config_leg "atax single stream" ~run:(fun ~jit ->
       run_app ~streams:1 app Harness.Ompi_cudadev ~jit ~n)
 

@@ -36,7 +36,7 @@ let fill_words host (a : Addr.t) words f =
    revival moves only that page and counts the other three as elided. *)
 let test_partial_h2d_single_dirty_page () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -55,7 +55,7 @@ let test_partial_h2d_single_dirty_page () =
    they form one run, so the partial path still beats a full copy. *)
 let test_page_boundary_writes () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -76,7 +76,7 @@ let test_page_boundary_writes () =
    fallback does a whole-extent copy and elides nothing. *)
 let test_partial_falls_back_when_latency_dominates () =
   let env, host, _, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   ignore (De.map env h ~bytes:256 De.To);
@@ -91,7 +91,7 @@ let test_partial_falls_back_when_latency_dominates () =
 (* An untouched host image revives whole-buffer: zero transfers. *)
 let test_clean_remap_elides_whole_buffer () =
   let env, host, _, clock = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
   ignore (De.map env h ~bytes:256 De.To);
@@ -106,7 +106,7 @@ let test_clean_remap_elides_whole_buffer () =
 
 let test_update_to_clean_elides () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -131,7 +131,7 @@ let test_update_to_clean_elides () =
 
 let test_update_from_clean_elides () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -300,6 +300,31 @@ let test_sel_of_string () =
   Alcotest.(check bool) "zerocopy" true
     (Mp.sel_of_string "zerocopy" = Some (Mp.Forced Mp.Zerocopy));
   Alcotest.(check bool) "junk" true (Mp.sel_of_string "unified" = None)
+
+(* The memory mode is one selector at every layer; these are the
+   defaults each layer must keep. *)
+let test_mode_defaults () =
+  let sel = Alcotest.testable Mp.pp_sel Mp.equal_sel in
+  let copy = Mp.Forced Mp.Copy in
+  let env, _, _, _ = make () in
+  Alcotest.check sel "fresh Dataenv" copy (De.mem_mode env);
+  let rt = Hostrt.Rt.create ~devices:3 () in
+  let each_device what want =
+    Alcotest.(check int) "3-device farm" 3 (Array.length rt.Hostrt.Rt.devices);
+    Array.iteri
+      (fun i (d : Hostrt.Rt.device) ->
+        Alcotest.check sel (Printf.sprintf "%s, device %d" what i) want
+          (De.mem_mode d.Hostrt.Rt.dev_dataenv))
+      rt.Hostrt.Rt.devices
+  in
+  each_device "fresh Rt device" copy;
+  let ctx = Polybench.Harness.create () in
+  Alcotest.check sel "fresh Harness ctx" copy (De.mem_mode (Polybench.Harness.dataenv ctx));
+  Alcotest.check sel "Ompi.default_config" copy Ompi.default_config.Ompi.mem_policy;
+  Alcotest.check sel "Serve.default_config" (Mp.Forced Mp.Elide)
+    Serve.default_config.Serve.cf_mem_policy;
+  Hostrt.Rt.set_mem_mode rt Mp.Auto;
+  each_device "Rt.set_mem_mode" Mp.Auto
 
 (* ------------- differential property: auto ≡ forced copy ------------- *)
 
@@ -504,6 +529,7 @@ let () =
           Alcotest.test_case "map(always) overrides the policy" `Quick
             test_auto_always_forces_transfers;
           Alcotest.test_case "selector parsing" `Quick test_sel_of_string;
+          Alcotest.test_case "one selector, defaults kept at every layer" `Quick test_mode_defaults;
         ] );
       ( "streams",
         [

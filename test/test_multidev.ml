@@ -111,12 +111,13 @@ let dead ctx d = Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.Harness.rt d).Host
 
 type obs = { ob_bits : int32 array; ob_time : float; ob_log : string list }
 
-let run_gemm ?(host_interp = false) ?(jit = true) ?(elide = false) ?specs ?faults ~devices ~n
-    ~teams ~nthr () : obs * Harness.ctx =
+let run_gemm ?(host_interp = false) ?(jit = true)
+    ?(mem = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy) ?specs ?faults ~devices ~n ~teams ~nthr ()
+    : obs * Harness.ctx =
   let ctx = Harness.create ~devices ?specs () in
   Harness.set_sampling ctx None;
   Harness.set_jit ctx jit;
-  Harness.set_elide ctx elide;
+  Harness.set_mem_mode ctx mem;
   (match faults with None -> () | Some rules -> Harness.set_faults ctx ~seed:7 rules);
   let nn = n * n in
   let a = Harness.alloc_f32 ctx nn and b = Harness.alloc_f32 ctx nn in
@@ -221,7 +222,10 @@ let test_executors_agree_on_farm () =
 (* Transfer elision may drop broadcasts, never bytes. *)
 let test_elision_on_farm () =
   let plain, _ = run_gemm ~devices:2 ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  let elided, _ = run_gemm ~devices:2 ~elide:true ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
+  let elided, _ =
+    run_gemm ~devices:2 ~mem:(Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide) ~n:gemm_n
+      ~teams:gemm_teams ~nthr:64 ()
+  in
   Alcotest.(check bool) "elided farm bytes identical" true (elided.ob_bits = plain.ob_bits)
 
 (* A fatal fault on the second shard launch (device 1, ascending order)

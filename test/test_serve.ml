@@ -25,8 +25,7 @@ let base_cfg =
     cf_max_inflight = 8;
     cf_generations = 2;
     cf_seed = 42;
-    cf_elide = true;
-    cf_mem_policy = None;
+    cf_mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
     cf_resident_cap_bytes = None;
     cf_faults = [];
     cf_fault_seed = 7;
@@ -157,8 +156,8 @@ let test_resident_cache_isolation () =
   let rt = Hostrt.Rt.create ~devices:2 () in
   let env d = (Hostrt.Rt.device rt d).Hostrt.Rt.dev_dataenv in
   let host = rt.Hostrt.Rt.host_mem in
-  Hostrt.Dataenv.set_elide (env 0) true;
-  Hostrt.Dataenv.set_elide (env 1) true;
+  Hostrt.Dataenv.set_mem_mode (env 0) (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
+  Hostrt.Dataenv.set_mem_mode (env 1) (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   Hostrt.Dataenv.set_resident_cap_bytes (env 0) 512;
   Hostrt.Dataenv.set_resident_cap_bytes (env 1) 4096;
   (* park one buffer on device 1 *)
