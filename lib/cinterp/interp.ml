@@ -27,7 +27,10 @@ type step =
   | St_call
   | St_special (* sqrt and friends *)
 
-type access = { acc_kind : [ `Load | `Store ]; acc_addr : Addr.t; acc_bytes : int }
+(* Kind of a memory access reported to [on_access]; the hook also gets
+   the address and the byte count as plain arguments, so reporting an
+   access allocates nothing. *)
+type access = Load | Store
 
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 
@@ -45,7 +48,7 @@ type t = {
      first use, since most device threads need neither *)
   mutable strings : (string, Addr.t) Hashtbl.t option;
   mutable on_step : step -> unit;
-  mutable on_access : access -> unit;
+  mutable on_access : access -> Addr.t -> int -> unit;
   (* Shared-variable registry: declarations marked __shared__ resolve
      here so that all threads of a block see a single instance. *)
   shared_decl : (string -> Cty.t -> Addr.t) option;
@@ -91,7 +94,7 @@ let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?share
     globals = (match globals with Some g -> g | None -> Hashtbl.create 16);
     strings = None;
     on_step = (fun _ -> ());
-    on_access = (fun _ -> ());
+    on_access = (fun _ _ _ -> ());
     shared_decl;
     output;
     fn_ptrs = None;
@@ -154,7 +157,7 @@ let load ctx (a : Addr.t) (ty : Cty.t) : Value.t =
   let m = ctx.resolve a.Addr.space in
   (match ty with
   | Cty.Array _ | Cty.Struct _ | Cty.Func _ -> ()
-  | _ -> ctx.on_access { acc_kind = `Load; acc_addr = a; acc_bytes = sizeof ctx ty });
+  | _ -> ctx.on_access Load a (sizeof ctx ty));
   match ty with
   | Cty.Struct _ -> Value.ptr a (* struct rvalues are handled by address *)
   | Cty.Func _ -> runtime_error "load of function type"
@@ -162,7 +165,7 @@ let load ctx (a : Addr.t) (ty : Cty.t) : Value.t =
 
 let store ctx (a : Addr.t) (ty : Cty.t) (v : Value.t) : unit =
   let m = ctx.resolve a.Addr.space in
-  ctx.on_access { acc_kind = `Store; acc_addr = a; acc_bytes = sizeof ctx ty };
+  ctx.on_access Store a (sizeof ctx ty);
   Mem.store_scalar m ctx.structs a ty (Value.cast (Cty.decay ty) v)
 
 (* [load]/[store] for a scalar type whose byte size the caller resolved
@@ -170,13 +173,20 @@ let store ctx (a : Addr.t) (ty : Cty.t) (v : Value.t) : unit =
    so it need not re-derive the size on every access). *)
 let load_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) : Value.t =
   let m = ctx.resolve a.Addr.space in
-  ctx.on_access { acc_kind = `Load; acc_addr = a; acc_bytes = bytes };
+  ctx.on_access Load a bytes;
   Mem.load_scalar m ctx.structs a ty
 
 let store_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) (v : Value.t) : unit =
   let m = ctx.resolve a.Addr.space in
-  ctx.on_access { acc_kind = `Store; acc_addr = a; acc_bytes = bytes };
+  ctx.on_access Store a bytes;
   Mem.store_scalar m ctx.structs a ty (Value.cast ty v)
+
+(* Load of a pointer-typed word that needs only the address (indexing
+   through a pointer variable): no [VPtr] is built. *)
+let load_addr ctx (a : Addr.t) : Addr.t =
+  let m = ctx.resolve a.Addr.space in
+  ctx.on_access Load a 8;
+  Mem.load_addr m a
 
 let intern_string ctx (s : string) : Addr.t =
   let strings =

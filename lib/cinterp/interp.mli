@@ -21,7 +21,9 @@ val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Instruction classes for the cost model. *)
 type step = St_arith | St_mul | St_div | St_branch | St_call | St_special
 
-type access = { acc_kind : [ `Load | `Store ]; acc_addr : Addr.t; acc_bytes : int }
+(** Kind of a memory access; {!t.on_access} receives it with the
+    address and the byte count. *)
+type access = Load | Store
 
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 
@@ -38,7 +40,7 @@ type t = {
   mutable strings : (string, Addr.t) Hashtbl.t option;
       (** string-literal intern cache, allocated on first use *)
   mutable on_step : step -> unit;
-  mutable on_access : access -> unit;
+  mutable on_access : access -> Addr.t -> int -> unit;
   shared_decl : (string -> Cty.t -> Addr.t) option;
       (** resolver for [__shared__] declarations (device role only) *)
   output : Buffer.t;  (** printf destination *)
@@ -92,6 +94,9 @@ val store : t -> Addr.t -> Cty.t -> Value.t -> unit
 val load_sized : t -> Addr.t -> Cty.t -> bytes:int -> Value.t
 
 val store_sized : t -> Addr.t -> Cty.t -> bytes:int -> Value.t -> unit
+
+(** [load_sized] of a pointer-typed word, returning only the address. *)
+val load_addr : t -> Addr.t -> Addr.t
 
 val intern_string : t -> string -> Addr.t
 

@@ -6,9 +6,9 @@
    nvcc/module-load time — into chains of OCaml closures:
 
    - constructor dispatch happens once per expression, at compile time;
-   - local variables are resolved to slots of a flat per-call frame
-     (an [Addr.t array]), so reads and writes are array indexing
-     instead of hashtable probes through a frame list;
+   - local variables are resolved to slots of a flat per-call frame, so
+     reads and writes are array indexing instead of hashtable probes
+     through a frame list;
    - call targets are resolved lazily on first execution and memoized
      once per launch ([link]): every thread of a launch shares one
      builtin table and one function table, so a call site resolves the
@@ -26,17 +26,32 @@
    call), same [Mem] mark/push/release sequence, and builtins still run
    through the interpreter context — so barriers/yield points,
    divergence, counters, cost model, zero-copy and fault injection all
-   behave identically.  Variables still live in simulated memory (the
-   frame holds their addresses), keeping addressability and access
-   accounting; only the *name resolution* and *dispatch* work is
-   hoisted to compile time.
+   behave identically.
+
+   Scalar locals are promoted, as a GPU compiler keeps private scalars
+   in registers: a local or parameter of scalar type that is not
+   [__shared__] and whose name is never the operand of [&] in its
+   function holds its value in the per-call [e_vals] array instead of
+   in simulated memory.  Nothing but the function's own code can reach
+   such a variable, so memory never needs its bytes.  Everything the
+   model observes is kept: the declaration still pushes its bytes on
+   the thread's stack (so every other local keeps its address), starts
+   at the zero [Mem.push] would give it, and every read and write still
+   fires [on_access] at that stack address with the variable's size,
+   so [local_accesses] and every other counter are unchanged.  Holding
+   [Value.cast ty v] instead of the stored bytes is exact because a
+   store followed by a load of any scalar type yields that same value
+   (test_machine checks the identity).  Locals whose address is taken,
+   arrays, structs and [__shared__] variables stay in memory and the
+   frame holds their addresses.
 
    Compilation is total: constructs that the interpreter would reject
    at runtime (unlowered OpenMP pragmas, brace-initialized scalars...)
    compile to closures that raise the interpreter's exact error at
-   execution time, and any unexpected compile-time failure simply
-   leaves that function out of the compiled table, falling back to the
-   tree-walker. *)
+   execution time.  A function whose compilation fails anyway is left
+   out of the compiled table and runs on the tree-walker; [left_out]
+   names it, so a gap shows up as a failed test rather than as lost
+   speed. *)
 
 open Machine
 open Minic
@@ -65,7 +80,7 @@ type target =
 (* One compiled function: body closure plus the frame shape. *)
 and cfun = {
   cf_def : Ast.fundef;
-  cf_params : (Cty.t * int) array; (* decayed type, size; slot = index *)
+  cf_params : (Cty.t * int * bool) array; (* decayed type, size, promoted; slot = index *)
   cf_ret : Cty.t;
   mutable cf_nslots : int;
   mutable cf_body : cstmt;
@@ -79,9 +94,10 @@ and inst = {
 }
 
 (* Execution environment threaded through every closure: the thread's
-   instantiation plus the current call's slot frame (addresses of the
-   locals in simulated memory). *)
-and env = { e_inst : inst; e_frame : Addr.t array }
+   instantiation plus the current call's slot frame.  [e_frame] holds
+   every local's stack address; [e_vals] holds the values of the
+   promoted ones (the other entries are unused). *)
+and env = { e_inst : inst; e_frame : Addr.t array; e_vals : Value.t array }
 
 and cexpr = env -> Value.t
 
@@ -91,6 +107,7 @@ type compiled = {
   c_funcs : (string, cfun) Hashtbl.t;
   c_ncells : int;
   c_ncalls : int;
+  c_left_out : (string * string) list; (* function, why it failed to compile *)
 }
 
 (* A compiled module linked for one launch: the call-target memo shared
@@ -105,9 +122,18 @@ type linked = {
 
 let function_count c = Hashtbl.length c.c_funcs
 
+let left_out c = c.c_left_out
+
 (* ---------------------------------------------------------------- *)
 (* Compile-time state                                                 *)
 (* ---------------------------------------------------------------- *)
+
+(* A local bound in the function being compiled. *)
+type local = {
+  lc_slot : int;
+  lc_ty : Cty.t;
+  lc_reg : bool; (* promoted: the value lives in [e_vals.(lc_slot)] *)
+}
 
 type comp = {
   k_structs : Cty.layout_env;
@@ -116,7 +142,8 @@ type comp = {
   mutable k_ncells : int;
   mutable k_ncalls : int;
   (* per-function scope: innermost binding first *)
-  mutable k_scope : (string * (int * Cty.t)) list;
+  mutable k_scope : (string * local) list;
+  mutable k_escaped : string list; (* names under [&] in the current function *)
   mutable k_next_slot : int;
   mutable k_max_slots : int;
 }
@@ -135,12 +162,75 @@ let call_site k =
   k.k_ncalls <- i + 1;
   i
 
-let declare_slot k name ty : int =
+(* Byte size of [ty] when it is a plain scalar whose layout is known at
+   compile time, so slot accesses can skip the per-access sizeof. *)
+let scalar_bytes k (ty : Cty.t) : int option =
+  match ty with
+  | Cty.Struct _ | Cty.Void | Cty.Array _ | Cty.Func _ -> None
+  | _ -> ( match Cty.sizeof k.k_structs ty with n -> Some n | exception _ -> None)
+
+let promotable k ~shared name ty =
+  (not shared) && scalar_bytes k ty <> None && not (List.mem name k.k_escaped)
+
+let declare_slot k ?(shared = false) name ty : local =
   let slot = k.k_next_slot in
   k.k_next_slot <- slot + 1;
   if k.k_next_slot > k.k_max_slots then k.k_max_slots <- k.k_next_slot;
-  k.k_scope <- (name, (slot, ty)) :: k.k_scope;
-  slot
+  let lc = { lc_slot = slot; lc_ty = ty; lc_reg = promotable k ~shared name ty } in
+  k.k_scope <- (name, lc) :: k.k_scope;
+  lc
+
+(* Names that are the operand of [&] anywhere in [fd]: only variables
+   with these names can be reached through a pointer, so only they must
+   keep their value in simulated memory.  By name, not by binding: a
+   shadowing declaration of an escaping name stays in memory too. *)
+let address_taken (fd : Ast.fundef) : string list =
+  let acc = ref [] in
+  let rec ex (e : Ast.expr) =
+    match e with
+    | Ast.AddrOf (Ast.Ident x) -> acc := x :: !acc
+    | Ast.IntLit _ | Ast.FloatLit _ | Ast.CharLit _ | Ast.StrLit _ | Ast.Ident _ | Ast.SizeofT _ ->
+      ()
+    | Ast.Unop (_, a)
+    | Ast.Member (a, _)
+    | Ast.Arrow (a, _)
+    | Ast.Deref a
+    | Ast.AddrOf a
+    | Ast.Cast (_, a)
+    | Ast.SizeofE a ->
+      ex a
+    | Ast.Binop (_, a, b) | Ast.Assign (_, a, b) | Ast.Index (a, b) | Ast.Comma (a, b) ->
+      ex a;
+      ex b
+    | Ast.Call (_, args) -> List.iter ex args
+    | Ast.Cond (a, b, c) ->
+      ex a;
+      ex b;
+      ex c
+  and init = function Ast.Iexpr e -> ex e | Ast.Ilist l -> List.iter init l
+  and st (s : Ast.stmt) =
+    match s with
+    | Ast.Sexpr e -> ex e
+    | Ast.Sdecl ds -> List.iter (fun (d : Ast.decl) -> Option.iter init d.Ast.d_init) ds
+    | Ast.Sblock ss -> List.iter st ss
+    | Ast.Sif (c, t, e) ->
+      ex c;
+      st t;
+      Option.iter st e
+    | Ast.Swhile (c, b) | Ast.Sdo (b, c) ->
+      ex c;
+      st b
+    | Ast.Sfor (i, c, u, b) ->
+      Option.iter st i;
+      Option.iter ex c;
+      Option.iter ex u;
+      st b
+    | Ast.Sreturn e -> Option.iter ex e
+    | Ast.Sbreak | Ast.Scontinue | Ast.Snop -> ()
+    | Ast.Spragma (_, b) -> Option.iter st b
+  in
+  st fd.Ast.f_body;
+  !acc
 
 (* Scope discipline mirrors the interpreter's frame pushes: [Sblock]
    and [Sfor] open a scope (slots are reused after it closes); a
@@ -190,14 +280,19 @@ let invoke (inst : inst) (cf : cfun) (args : Value.t list) : Value.t =
     ctx.Interp.depth <- ctx.Interp.depth - 1
   in
   let frame = Array.make cf.cf_nslots Addr.null in
-  let env = { e_inst = inst; e_frame = frame } in
+  let vals = Array.make cf.cf_nslots Value.VVoid in
+  let env = { e_inst = inst; e_frame = frame; e_vals = vals } in
   match
     List.iteri
       (fun i v ->
-        let ty, size = cf.cf_params.(i) in
+        let ty, size, reg = cf.cf_params.(i) in
         let addr = Mem.push ctx.Interp.local size in
         frame.(i) <- addr;
-        Interp.store ctx addr ty v)
+        if reg then begin
+          ctx.Interp.on_access Interp.Store addr size;
+          vals.(i) <- Value.cast ty v
+        end
+        else Interp.store ctx addr ty v)
       args;
     cf.cf_body env
   with
@@ -215,6 +310,89 @@ let invoke (inst : inst) (cf : cfun) (args : Value.t list) : Value.t =
 (* Expression compilation                                             *)
 (* ---------------------------------------------------------------- *)
 
+(* Read and write of a bound scalar local of [bytes] bytes.  A promoted
+   one touches only [e_vals], firing the access hook at its stack
+   address as [Interp.load_sized]/[store_sized] would; [v] must already
+   carry the local's type. *)
+let[@inline] get_local env (lc : local) ~bytes : Value.t =
+  let slot = lc.lc_slot in
+  if lc.lc_reg then begin
+    env.e_inst.i_ctx.Interp.on_access Interp.Load env.e_frame.(slot) bytes;
+    env.e_vals.(slot)
+  end
+  else Interp.load_sized env.e_inst.i_ctx env.e_frame.(slot) lc.lc_ty ~bytes
+
+let[@inline] set_local env (lc : local) ~bytes (v : Value.t) : unit =
+  let slot = lc.lc_slot in
+  if lc.lc_reg then begin
+    env.e_inst.i_ctx.Interp.on_access Interp.Store env.e_frame.(slot) bytes;
+    env.e_vals.(slot) <- v
+  end
+  else Interp.store_sized env.e_inst.i_ctx env.e_frame.(slot) lc.lc_ty ~bytes v
+
+(* The address held by a bound pointer local, without a [VPtr]: a
+   promoted slot always holds a [VPtr] (every write casts to the
+   pointer type); a memory-resident one is read as a bare address. *)
+let[@inline] get_ptr_local env (lc : local) : Addr.t =
+  let slot = lc.lc_slot in
+  if lc.lc_reg then begin
+    env.e_inst.i_ctx.Interp.on_access Interp.Load env.e_frame.(slot) 8;
+    Value.as_addr env.e_vals.(slot)
+  end
+  else Interp.load_addr env.e_inst.i_ctx env.e_frame.(slot)
+
+let step_class (op : Ast.binop) : Interp.step =
+  match op with
+  | Ast.Mul -> Interp.St_mul
+  | Ast.Div | Ast.Mod -> Interp.St_div
+  | _ -> Interp.St_arith
+
+(* [Interp.apply_binop_unstepped] with shape-specialized paths for the
+   two operand shapes that dominate kernels.  [Cty.common_arith Float
+   Float = Float] and [common_arith Int Int = Int], so these reproduce
+   the generic dispatch bit-for-bit; every other shape (pointers, mixed
+   or wider types, div/mod with their zero checks) falls through. *)
+let[@inline] arith ctx (op : Ast.binop) (va : Value.t) (vb : Value.t) : Value.t =
+  match (va, vb) with
+  | Value.VFlt (x, Cty.Float), Value.VFlt (y, Cty.Float) -> (
+    match op with
+    | Ast.Add -> Value.flt ~ty:Cty.Float (x +. y)
+    | Ast.Sub -> Value.flt ~ty:Cty.Float (x -. y)
+    | Ast.Mul -> Value.flt ~ty:Cty.Float (x *. y)
+    | Ast.Div -> Value.flt ~ty:Cty.Float (x /. y)
+    | Ast.Lt -> Value.bool (x < y)
+    | Ast.Gt -> Value.bool (x > y)
+    | Ast.Le -> Value.bool (x <= y)
+    | Ast.Ge -> Value.bool (x >= y)
+    | Ast.Eq -> Value.bool (x = y)
+    | Ast.Ne -> Value.bool (x <> y)
+    | _ -> Interp.apply_binop_unstepped ctx op va vb)
+  | Value.VInt (x, Cty.Int), Value.VInt (y, Cty.Int) -> (
+    (* [Int]-typed payloads are normalised to 32 bits, so native
+       arithmetic plus [Value.of_int]'s truncation is exact: the low 32
+       bits survive the (at most one) 63-bit wrap. *)
+    let xi = Int64.to_int x and yi = Int64.to_int y in
+    match op with
+    | Ast.Add -> Value.of_int (xi + yi)
+    | Ast.Sub -> Value.of_int (xi - yi)
+    | Ast.Mul -> Value.of_int (xi * yi)
+    | Ast.Lt -> Value.bool (xi < yi)
+    | Ast.Gt -> Value.bool (xi > yi)
+    | Ast.Le -> Value.bool (xi <= yi)
+    | Ast.Ge -> Value.bool (xi >= yi)
+    | Ast.Eq -> Value.bool (xi = yi)
+    | Ast.Ne -> Value.bool (xi <> yi)
+    | _ -> Interp.apply_binop_unstepped ctx op va vb)
+  | _ -> Interp.apply_binop_unstepped ctx op va vb
+
+(* The value [++]/[--] stores, as in interp's [eval_unop]. *)
+let bump ctx (delta : int) (old : Value.t) : Value.t =
+  match old with
+  | Value.VInt (i, ity) -> Value.int ~ty:ity (Int64.add i (Int64.of_int delta))
+  | Value.VFlt (f, fty) -> Value.flt ~ty:fty (f +. float_of_int delta)
+  | Value.VPtr (p, elt) -> Value.ptr ~ty:elt (Addr.add p (delta * Interp.sizeof ctx elt))
+  | Value.VVoid -> Interp.runtime_error "increment of void"
+
 let seq (l : cstmt list) : cstmt =
   match l with
   | [] -> fun _ -> ()
@@ -226,13 +404,6 @@ let seq (l : cstmt list) : cstmt =
   | l ->
     let a = Array.of_list l in
     fun env -> Array.iter (fun s -> s env) a
-
-(* Byte size of [ty] when it is a plain scalar whose layout is known at
-   compile time, so slot accesses can skip the per-access sizeof. *)
-let scalar_bytes k (ty : Cty.t) : int option =
-  match ty with
-  | Cty.Struct _ | Cty.Void | Cty.Array _ | Cty.Func _ -> None
-  | _ -> ( match Cty.sizeof k.k_structs ty with n -> Some n | exception _ -> None)
 
 let rec compile_expr k (e : Ast.expr) : cexpr =
   match e with
@@ -248,14 +419,19 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
   | Ast.StrLit s -> fun env -> Value.ptr ~ty:Cty.Char (Interp.intern_string env.e_inst.i_ctx s)
   | Ast.Ident x -> (
     match List.assoc_opt x k.k_scope with
-    | Some (slot, ty) -> (
+    | Some lc -> (
       (* bound local: the slot type is static, so array decay / struct
          handling / load specialize at compile time *)
-      match ty with
+      let slot = lc.lc_slot in
+      match lc.lc_ty with
       | Cty.Array (elt, _) -> fun env -> Value.ptr ~ty:elt env.e_frame.(slot)
       | Cty.Func _ -> fun _ -> Interp.runtime_error "function used as value"
       | ty -> (
         match scalar_bytes k ty with
+        | Some bytes when lc.lc_reg ->
+          fun env ->
+            env.e_inst.i_ctx.Interp.on_access Interp.Load env.e_frame.(slot) bytes;
+            env.e_vals.(slot)
         | Some bytes -> fun env -> Interp.load_sized env.e_inst.i_ctx env.e_frame.(slot) ty ~bytes
         | None -> fun env -> Interp.load env.e_inst.i_ctx env.e_frame.(slot) ty))
     | None ->
@@ -267,31 +443,19 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
         | Cell_var (ty, addr) -> Interp.load env.e_inst.i_ctx addr ty
         | Cell_fn v -> v
         | Cell_unresolved -> assert false))
-  | Ast.Index (Ast.Ident x, i)
-    when match List.assoc_opt x k.k_scope with
-         | Some (_, Cty.Ptr elt) -> scalar_bytes k elt <> None
-         | _ -> false ->
+  | Ast.Index (Ast.Ident x, i) when scalar_ptr_local k x <> None ->
     (* [p[i]] with [p] a bound pointer-to-scalar local: the pointee type
        and both access sizes are static, and no (addr, ty) tuple is
        built.  Stores into the slot are cast to [Ptr elt], so the
        runtime pointee always equals the static one. *)
-    let slot, elt =
-      match List.assoc_opt x k.k_scope with
-      | Some (slot, Cty.Ptr elt) -> (slot, elt)
-      | _ -> assert false
-    in
-    let pty = Cty.Ptr elt in
-    let ptrsz = Option.get (scalar_bytes k pty) in
-    let eltsz = Option.get (scalar_bytes k elt) in
+    let lc, elt, eltsz = Option.get (scalar_ptr_local k x) in
     let ci = compile_expr k i in
     fun env ->
       let ctx = env.e_inst.i_ctx in
-      let base = Interp.load_sized ctx env.e_frame.(slot) pty ~bytes:ptrsz in
+      let base = get_ptr_local env lc in
       let idx = Value.to_int (ci env) in
       ctx.Interp.on_step Interp.St_arith;
-      (match base with
-      | Value.VPtr (addr, elt) -> Interp.load_sized ctx (Addr.add addr (idx * eltsz)) elt ~bytes:eltsz
-      | v -> Interp.runtime_error "indexing non-pointer %s" (Value.show v))
+      Interp.load_sized ctx (Addr.add base (idx * eltsz)) elt ~bytes:eltsz
   | Ast.Index _ | Ast.Member _ | Ast.Arrow _ | Ast.Deref _ ->
     let cl = compile_lvalue k e in
     fun env ->
@@ -302,48 +466,60 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
       | _ -> Interp.load env.e_inst.i_ctx addr ty)
   | Ast.Unop (op, a) -> compile_unop k op a
   | Ast.Binop (op, a, b) -> compile_binop k op a b
-  | Ast.Assign (None, Ast.Index (Ast.Ident x, i), rhs)
-    when match List.assoc_opt x k.k_scope with
-         | Some (_, Cty.Ptr elt) -> scalar_bytes k elt <> None
-         | _ -> false ->
-    (* [p[i] = e] with [p] a bound pointer-to-scalar local, fused the
-       same way as the specialized [p[i]] load above *)
-    let slot, elt =
-      match List.assoc_opt x k.k_scope with
-      | Some (slot, Cty.Ptr elt) -> (slot, elt)
-      | _ -> assert false
-    in
-    let pty = Cty.Ptr elt in
-    let ptrsz = Option.get (scalar_bytes k pty) in
-    let eltsz = Option.get (scalar_bytes k elt) in
+  | Ast.Assign (op, Ast.Index (Ast.Ident x, i), rhs) when scalar_ptr_local k x <> None -> (
+    (* [p[i] = e] and [p[i] op= e], fused the same way as the [p[i]]
+       load above; the compound form keeps interp's order: element
+       address, current value, right-hand side, then the operator's
+       step *)
+    let lc, elt, eltsz = Option.get (scalar_ptr_local k x) in
     let ci = compile_expr k i in
     let cr = compile_expr k rhs in
-    fun env ->
-      let ctx = env.e_inst.i_ctx in
-      let base = Interp.load_sized ctx env.e_frame.(slot) pty ~bytes:ptrsz in
+    let elem env =
+      let base = get_ptr_local env lc in
       let idx = Value.to_int (ci env) in
-      ctx.Interp.on_step Interp.St_arith;
-      (match base with
-      | Value.VPtr (addr, elt) ->
-        let a = Addr.add addr (idx * eltsz) in
+      env.e_inst.i_ctx.Interp.on_step Interp.St_arith;
+      Addr.add base (idx * eltsz)
+    in
+    match op with
+    | None ->
+      fun env ->
+        let a = elem env in
         let v = Value.cast elt (cr env) in
-        Interp.store_sized ctx a elt ~bytes:eltsz v;
+        Interp.store_sized env.e_inst.i_ctx a elt ~bytes:eltsz v;
         v
-      | v -> Interp.runtime_error "indexing non-pointer %s" (Value.show v))
-  | Ast.Assign (None, Ast.Ident x, rhs)
-    when match List.assoc_opt x k.k_scope with
-         | Some (_, ty) -> scalar_bytes k ty <> None
-         | None -> false ->
-    (* plain store to a bound scalar local: type and size are static,
-       and the slot lvalue needs no (addr, ty) tuple per evaluation *)
-    let slot, ty = Option.get (List.assoc_opt x k.k_scope) in
-    let bytes = Option.get (scalar_bytes k ty) in
+    | Some bop ->
+      let sk = step_class bop in
+      fun env ->
+        let ctx = env.e_inst.i_ctx in
+        let a = elem env in
+        let cur = Interp.load_sized ctx a elt ~bytes:eltsz in
+        let rhs = cr env in
+        ctx.Interp.on_step sk;
+        let v = Value.cast elt (arith ctx bop cur rhs) in
+        Interp.store_sized ctx a elt ~bytes:eltsz v;
+        v)
+  | Ast.Assign (op, Ast.Ident x, rhs) when scalar_local k x <> None -> (
+    (* store (or read-modify-write) of a bound scalar local: type and
+       size are static, and the slot needs no (addr, ty) tuple *)
+    let lc, bytes = Option.get (scalar_local k x) in
+    let ty = lc.lc_ty in
     let cr = compile_expr k rhs in
-    fun env ->
-      let ctx = env.e_inst.i_ctx in
-      let v = Value.cast ty (cr env) in
-      Interp.store_sized ctx env.e_frame.(slot) ty ~bytes v;
-      v
+    match op with
+    | None ->
+      fun env ->
+        let v = Value.cast ty (cr env) in
+        set_local env lc ~bytes v;
+        v
+    | Some bop ->
+      let sk = step_class bop in
+      fun env ->
+        let ctx = env.e_inst.i_ctx in
+        let cur = get_local env lc ~bytes in
+        let rhs = cr env in
+        ctx.Interp.on_step sk;
+        let v = Value.cast ty (arith ctx bop cur rhs) in
+        set_local env lc ~bytes v;
+        v)
   | Ast.Assign (op, lhs, rhs) -> (
     let cl = compile_lvalue k lhs in
     let cr = compile_expr k rhs in
@@ -384,6 +560,9 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
     | exception _ ->
       (* layout not known at compile time; defer like the interpreter *)
       fun env -> Value.of_int ~ty:Cty.Ulong (Interp.sizeof env.e_inst.i_ctx ty))
+  | Ast.SizeofE (Ast.Ident x) when List.mem_assoc x k.k_scope ->
+    (* a bound local's type is static *)
+    compile_expr k (Ast.SizeofT (List.assoc x k.k_scope).lc_ty)
   | Ast.SizeofE a -> (
     (* sizeof(expr) needs the unconverted operand type *)
     match a with
@@ -409,11 +588,30 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
       ignore (ca env);
       cb env
 
+(* A bound scalar local and its size. *)
+and scalar_local k x : (local * int) option =
+  match List.assoc_opt x k.k_scope with
+  | Some lc -> Option.map (fun bytes -> (lc, bytes)) (scalar_bytes k lc.lc_ty)
+  | None -> None
+
+(* A bound pointer-to-scalar local, its pointee type and size. *)
+and scalar_ptr_local k x : (local * Cty.t * int) option =
+  match List.assoc_opt x k.k_scope with
+  | Some ({ lc_ty = Cty.Ptr elt; _ } as lc) ->
+    Option.map (fun eltsz -> (lc, elt, eltsz)) (scalar_bytes k elt)
+  | _ -> None
+
 and compile_lvalue k (e : Ast.expr) : env -> Addr.t * Cty.t =
   match e with
   | Ast.Ident x -> (
     match List.assoc_opt x k.k_scope with
-    | Some (slot, ty) -> fun env -> (env.e_frame.(slot), ty)
+    | Some lc ->
+      (* The stack address.  A promoted local only gets here as the
+         base of [x.f], which fails on its scalar type exactly as in the
+         interpreter: its reads, writes, [++]/[--] and [sizeof] are
+         compiled without an lvalue, and [&x] keeps [x] in memory. *)
+      let slot = lc.lc_slot and ty = lc.lc_ty in
+      fun env -> (env.e_frame.(slot), ty)
     | None ->
       let idx = cell_index k x in
       fun env -> (
@@ -496,53 +694,45 @@ and compile_unop k (op : Ast.unop) (a : Ast.expr) : cexpr =
       (match ca env with
       | Value.VInt (i, ty) -> Value.int ~ty (Int64.lognot i)
       | v -> Interp.runtime_error "bitwise not of %s" (Value.show v))
-  | (Ast.PreInc | Ast.PostInc | Ast.PreDec | Ast.PostDec)
-    when match a with
-         | Ast.Ident x -> (
-           match List.assoc_opt x k.k_scope with
-           | Some (_, Cty.Int) -> true
-           | _ -> false)
-         | _ -> false ->
-    (* [i++] on a bound int local — the loop-counter idiom.  The slot
-       holds a normalised 32-bit payload, so the native-int update plus
-       [Value.of_int]'s truncation matches the generic path exactly. *)
-    let slot =
-      match a with
-      | Ast.Ident x -> fst (Option.get (List.assoc_opt x k.k_scope))
-      | _ -> assert false
-    in
+  | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec -> (
     let post = op = Ast.PostInc || op = Ast.PostDec in
     let delta = if op = Ast.PreInc || op = Ast.PostInc then 1 else -1 in
-    fun env ->
-      let ctx = env.e_inst.i_ctx in
-      ctx.Interp.on_step Interp.St_arith;
-      let addr = env.e_frame.(slot) in
-      let old = Interp.load_sized ctx addr Cty.Int ~bytes:4 in
-      let updated =
-        match old with
-        | Value.VInt (i, _) -> Value.of_int (Int64.to_int i + delta)
-        | v -> Interp.runtime_error "increment of %s" (Value.show v)
-      in
-      Interp.store_sized ctx addr Cty.Int ~bytes:4 updated;
-      if post then old else updated
-  | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec ->
-    let cl = compile_lvalue k a in
-    let post = op = Ast.PostInc || op = Ast.PostDec in
-    let delta = if op = Ast.PreInc || op = Ast.PostInc then 1 else -1 in
-    fun env ->
-      let ctx = env.e_inst.i_ctx in
-      ctx.Interp.on_step Interp.St_arith;
-      let addr, ty = cl env in
-      let old = Interp.load ctx addr ty in
-      let updated =
-        match old with
-        | Value.VInt (i, ity) -> Value.int ~ty:ity (Int64.add i (Int64.of_int delta))
-        | Value.VFlt (f, fty) -> Value.flt ~ty:fty (f +. float_of_int delta)
-        | Value.VPtr (p, elt) -> Value.ptr ~ty:elt (Addr.add p (delta * Interp.sizeof ctx elt))
-        | Value.VVoid -> Interp.runtime_error "increment of void"
-      in
-      Interp.store ctx addr ty updated;
-      if post then old else updated
+    match a with
+    | Ast.Ident x when scalar_local k x <> None -> (
+      let lc, bytes = Option.get (scalar_local k x) in
+      match lc.lc_ty with
+      | Cty.Int ->
+        (* [i++] on an int local — the loop-counter idiom.  The value
+           is a normalised 32-bit payload, so the native-int update plus
+           [Value.of_int]'s truncation matches [bump] exactly. *)
+        fun env ->
+          env.e_inst.i_ctx.Interp.on_step Interp.St_arith;
+          let old = get_local env lc ~bytes in
+          let updated =
+            match old with
+            | Value.VInt (i, _) -> Value.of_int (Int64.to_int i + delta)
+            | v -> Interp.runtime_error "increment of %s" (Value.show v)
+          in
+          set_local env lc ~bytes updated;
+          if post then old else updated
+      | ty ->
+        fun env ->
+          let ctx = env.e_inst.i_ctx in
+          ctx.Interp.on_step Interp.St_arith;
+          let old = get_local env lc ~bytes in
+          let updated = bump ctx delta old in
+          set_local env lc ~bytes (Value.cast ty updated);
+          if post then old else updated)
+    | _ ->
+      let cl = compile_lvalue k a in
+      fun env ->
+        let ctx = env.e_inst.i_ctx in
+        ctx.Interp.on_step Interp.St_arith;
+        let addr, ty = cl env in
+        let old = Interp.load ctx addr ty in
+        let updated = bump ctx delta old in
+        Interp.store ctx addr ty updated;
+        if post then old else updated)
 
 and compile_binop k (op : Ast.binop) (a : Ast.expr) (b : Ast.expr) : cexpr =
   match op with
@@ -561,12 +751,7 @@ and compile_binop k (op : Ast.binop) (a : Ast.expr) (b : Ast.expr) : cexpr =
   | _ ->
     let ca = compile_expr k a in
     let cb = compile_expr k b in
-    let sk =
-      match op with
-      | Ast.Mul -> Interp.St_mul
-      | Ast.Div | Ast.Mod -> Interp.St_div
-      | _ -> Interp.St_arith
-    in
+    let sk = step_class op in
     fun env ->
       (* interp evaluates [apply_binop ctx op (eval a) (eval b)]:
          OCaml's right-to-left argument order runs b's effects before
@@ -576,42 +761,7 @@ and compile_binop k (op : Ast.binop) (a : Ast.expr) (b : Ast.expr) : cexpr =
       let va = ca env in
       let ctx = env.e_inst.i_ctx in
       ctx.Interp.on_step sk;
-      (* Shape-specialized paths for the two operand shapes that
-         dominate kernels.  [Cty.common_arith Float Float = Float] and
-         [common_arith Int Int = Int], so these reproduce the generic
-         dispatch bit-for-bit; every other shape (pointers, mixed or
-         wider types, div/mod with their zero checks) falls through. *)
-      (match (va, vb) with
-      | Value.VFlt (x, Cty.Float), Value.VFlt (y, Cty.Float) -> (
-        match op with
-        | Ast.Add -> Value.flt ~ty:Cty.Float (x +. y)
-        | Ast.Sub -> Value.flt ~ty:Cty.Float (x -. y)
-        | Ast.Mul -> Value.flt ~ty:Cty.Float (x *. y)
-        | Ast.Div -> Value.flt ~ty:Cty.Float (x /. y)
-        | Ast.Lt -> Value.bool (x < y)
-        | Ast.Gt -> Value.bool (x > y)
-        | Ast.Le -> Value.bool (x <= y)
-        | Ast.Ge -> Value.bool (x >= y)
-        | Ast.Eq -> Value.bool (x = y)
-        | Ast.Ne -> Value.bool (x <> y)
-        | _ -> Interp.apply_binop_unstepped ctx op va vb)
-      | Value.VInt (x, Cty.Int), Value.VInt (y, Cty.Int) -> (
-        (* [Int]-typed payloads are normalised to 32 bits, so native
-           arithmetic plus [Value.of_int]'s truncation is exact: the
-           low 32 bits survive the (at most one) 63-bit wrap. *)
-        let xi = Int64.to_int x and yi = Int64.to_int y in
-        match op with
-        | Ast.Add -> Value.of_int (xi + yi)
-        | Ast.Sub -> Value.of_int (xi - yi)
-        | Ast.Mul -> Value.of_int (xi * yi)
-        | Ast.Lt -> Value.bool (xi < yi)
-        | Ast.Gt -> Value.bool (xi > yi)
-        | Ast.Le -> Value.bool (xi <= yi)
-        | Ast.Ge -> Value.bool (xi >= yi)
-        | Ast.Eq -> Value.bool (xi = yi)
-        | Ast.Ne -> Value.bool (xi <> yi)
-        | _ -> Interp.apply_binop_unstepped ctx op va vb)
-      | _ -> Interp.apply_binop_unstepped ctx op va vb)
+      arith ctx op va vb
 
 and compile_call k (f : string) (args : Ast.expr list) : cexpr =
   let cargs = Array.of_list (List.map (compile_expr k) args) in
@@ -789,11 +939,13 @@ and compile_stmt k (s : Ast.stmt) : cstmt =
 and compile_decl k (d : Ast.decl) : cstmt =
   let ty = d.Ast.d_ty in
   let name = d.Ast.d_name in
-  let slot = declare_slot k name ty in
-  let init = Option.map (compile_init k ty) d.Ast.d_init in
-  if d.Ast.d_shared then
+  let lc = declare_slot k ~shared:d.Ast.d_shared name ty in
+  let slot = lc.lc_slot in
+  if lc.lc_reg then compile_promoted_decl k lc d.Ast.d_init
+  else if d.Ast.d_shared then
     (* all threads of a block resolve to one instance via the context's
        shared-variable registry; no local-stack push *)
+    let init = Option.map (compile_init k ty) d.Ast.d_init in
     fun env ->
       let ctx = env.e_inst.i_ctx in
       match ctx.Interp.shared_decl with
@@ -803,6 +955,7 @@ and compile_decl k (d : Ast.decl) : cstmt =
         env.e_frame.(slot) <- addr;
         (match init with Some ci -> ci env addr | None -> ())
   else
+    let init = Option.map (compile_init k ty) d.Ast.d_init in
     let size = match Cty.sizeof k.k_structs ty with n -> Some n | exception _ -> None in
     match init with
     | None ->
@@ -817,6 +970,34 @@ and compile_decl k (d : Ast.decl) : cstmt =
         let addr = Mem.push ctx.Interp.local sz in
         env.e_frame.(slot) <- addr;
         ci env addr
+
+(* A promoted declaration pushes its stack bytes like any other (the
+   address is what its accesses report) and starts at the zero that
+   [Mem.push] leaves in them; an initializer is stored as interp's
+   [exec_init] stores it: value first, then the access, then the cast. *)
+and compile_promoted_decl k (lc : local) (init : Ast.init option) : cstmt =
+  let slot = lc.lc_slot and ty = lc.lc_ty in
+  let bytes = Option.get (scalar_bytes k ty) in
+  let zero = Value.cast ty (Value.of_int 0) in
+  let declare env =
+    let addr = Mem.push env.e_inst.i_ctx.Interp.local bytes in
+    env.e_frame.(slot) <- addr;
+    env.e_vals.(slot) <- zero;
+    addr
+  in
+  match init with
+  | None -> fun env -> ignore (declare env)
+  | Some (Ast.Iexpr e) ->
+    let ce = compile_expr k e in
+    fun env ->
+      let addr = declare env in
+      let v = ce env in
+      env.e_inst.i_ctx.Interp.on_access Interp.Store addr bytes;
+      env.e_vals.(slot) <- Value.cast ty v
+  | Some (Ast.Ilist _ as init) ->
+    (* rejected at run time, before any access *)
+    let ci = compile_init k ty init in
+    fun env -> ci env (declare env)
 
 and compile_init k (ty : Cty.t) (init : Ast.init) : env -> Addr.t -> unit =
   match (init, ty) with
@@ -855,18 +1036,20 @@ and compile_init k (ty : Cty.t) (init : Ast.init) : env -> Addr.t -> unit =
 (* ---------------------------------------------------------------- *)
 
 let compile_fun k (fd : Ast.fundef) : cfun =
+  k.k_escaped <- address_taken fd;
+  k.k_scope <- [];
+  k.k_next_slot <- 0;
+  k.k_max_slots <- 0;
   let params =
     Array.of_list
       (List.map
-         (fun (_, ty) ->
+         (fun (name, ty) ->
            let ty = Cty.decay ty in
-           (ty, Cty.sizeof k.k_structs ty))
+           let size = Cty.sizeof k.k_structs ty in
+           let lc = declare_slot k name ty in
+           (ty, size, lc.lc_reg))
          fd.Ast.f_params)
   in
-  k.k_scope <-
-    List.mapi (fun i (name, ty) -> (name, (i, Cty.decay ty))) fd.Ast.f_params |> List.rev;
-  k.k_next_slot <- Array.length params;
-  k.k_max_slots <- Array.length params;
   let cf =
     {
       cf_def = fd;
@@ -890,23 +1073,28 @@ let compile ~(structs : Cty.layout_env) ~(funcs : (string, Ast.fundef) Hashtbl.t
       k_ncells = 0;
       k_ncalls = 0;
       k_scope = [];
+      k_escaped = [];
       k_next_slot = 0;
       k_max_slots = 0;
     }
   in
   (* deterministic compile order (hashtable fold order is not) *)
   let names = Hashtbl.fold (fun name _ acc -> name :: acc) funcs [] |> List.sort compare in
-  List.iter
-    (fun name ->
-      let fd = Hashtbl.find funcs name in
-      match compile_fun k fd with
-      | cf -> Hashtbl.replace k.k_compiled name cf
-      | exception _ ->
-        (* compilation is best-effort: a function we cannot compile is
-           simply left out and executes via the tree-walker *)
-        ())
-    names;
-  { c_funcs = k.k_compiled; c_ncells = k.k_ncells; c_ncalls = k.k_ncalls }
+  let left_out =
+    List.filter_map
+      (fun name ->
+        let fd = Hashtbl.find funcs name in
+        match compile_fun k fd with
+        | cf ->
+          Hashtbl.replace k.k_compiled name cf;
+          None
+        | exception e ->
+          (* left out: it executes via the tree-walker, and [left_out]
+             reports it *)
+          Some (name, Printexc.to_string e))
+      names
+  in
+  { c_funcs = k.k_compiled; c_ncells = k.k_ncells; c_ncalls = k.k_ncalls; c_left_out = left_out }
 
 let link (c : compiled) ~(builtins : Interp.builtins) ~(funcs : (string, Ast.fundef) Hashtbl.t) :
     linked =

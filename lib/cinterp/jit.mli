@@ -2,28 +2,34 @@
 
     Compiles a module's function bodies once — at module-load time —
     into pre-resolved OCaml closure chains: locals become slots of a
-    flat per-call frame of addresses, constructor dispatch happens at
-    compile time, call targets are memoized once per launch and free
-    names once per thread.  Semantics (hook sequences, evaluation order, stack
-    mark/push/release behavior, builtin routing, and therefore
-    barriers, divergence, counters, cost model, zero-copy and fault
-    injection) are mirrored from {!Interp} exactly; the tree-walker
-    remains the reference executor and the fallback for anything the
-    compiler cannot handle. *)
+    flat per-call frame, constructor dispatch happens at compile time,
+    call targets are memoized once per launch and free names once per
+    thread.  Scalar locals whose address is never taken are promoted:
+    their values live in the frame instead of in simulated memory,
+    while their stack bytes and every access hook are kept.  Semantics
+    (hook sequences, evaluation order, stack mark/push/release
+    behavior, builtin routing, and therefore barriers, divergence,
+    counters, cost model, zero-copy and fault injection) are mirrored
+    from {!Interp} exactly; the tree-walker remains the reference
+    executor. *)
 
 open Machine
 open Minic
 
 type compiled
 
-(** Compile every function of a module.  Total: functions that fail to
-    compile are left out (they fall back to the tree-walker), and
-    constructs the interpreter rejects at runtime compile to closures
-    raising the same errors. *)
+(** Compile every function of a module.  Constructs the interpreter
+    rejects at runtime compile to closures raising the same errors; a
+    function whose compilation fails anyway is left out (it runs on the
+    tree-walker) and listed by {!left_out}. *)
 val compile : structs:Cty.layout_env -> funcs:(string, Ast.fundef) Hashtbl.t -> compiled
 
 (** Number of functions that were compiled to closure form. *)
 val function_count : compiled -> int
+
+(** Functions left out of the compiled form, with the reason, in name
+    order; empty when every function compiled. *)
+val left_out : compiled -> (string * string) list
 
 (** A compiled module linked for one launch: holds the call-target memo
     shared by every context attached to it. *)

@@ -206,20 +206,20 @@ let on_step t (lin : int) (k : Cinterp.Interp.step) =
    the thread state so that lanes can be aligned; it is only asked for
    in sampled blocks. *)
 let on_global_access t ~(lin : int) ~(seq : unit -> (int, int ref) Hashtbl.t)
-    (acc : Cinterp.Interp.access) =
-  let off = acc.acc_addr.Addr.off in
+    (kind : Cinterp.Interp.access) (a : Addr.t) (bytes : int) =
+  let off = a.Addr.off in
   match find_range_idx t.alloc_table off with
   | -1 -> ()
   | i ->
     let base, _, id = Array.unsafe_get t.alloc_table i in
     let s = Array.unsafe_get t.alloc_table_stats i in
-    (match acc.acc_kind with
-    | `Load -> s.a_loads <- s.a_loads + 1
-    | `Store ->
+    (match kind with
+    | Cinterp.Interp.Load -> s.a_loads <- s.a_loads + 1
+    | Cinterp.Interp.Store ->
       s.a_stores <- s.a_stores + 1;
       let rel = off - base in
       if rel < s.a_store_lo then s.a_store_lo <- rel;
-      if rel + acc.acc_bytes > s.a_store_hi then s.a_store_hi <- rel + acc.acc_bytes);
+      if rel + bytes > s.a_store_hi then s.a_store_hi <- rel + bytes);
     if t.sample_block_seq >= 0 then begin
       let warp = lin / t.spec.Spec.warp_size in
       let seq = seq () in
@@ -285,13 +285,13 @@ let pin_stats t id =
     Hashtbl.replace t.per_pin id s;
     s
 
-let on_zerocopy_access t ~(pin : int) (acc : Cinterp.Interp.access) =
+let on_zerocopy_access t ~(pin : int) (kind : Cinterp.Interp.access) =
   let s = pin_stats t pin in
-  match acc.acc_kind with
-  | `Load ->
+  match kind with
+  | Cinterp.Interp.Load ->
     t.zerocopy_loads <- t.zerocopy_loads + 1;
     s.p_loads <- s.p_loads + 1
-  | `Store ->
+  | Cinterp.Interp.Store ->
     t.zerocopy_stores <- t.zerocopy_stores + 1;
     s.p_stores <- s.p_stores + 1
 

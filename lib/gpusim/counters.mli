@@ -88,10 +88,18 @@ val retire_block : t -> int -> unit
 
 val on_step : t -> int -> Cinterp.Interp.step -> unit
 
-(** [seq ()] yields the accessing thread's per-allocation access
-    counters; it is called only while a sampled block runs. *)
+(** [on_global_access t ~lin ~seq kind addr bytes] accounts one access
+    of [bytes] bytes at [addr].  [seq ()] yields the accessing thread's
+    per-allocation access counters; it is called only while a sampled
+    block runs. *)
 val on_global_access :
-  t -> lin:int -> seq:(unit -> (int, int ref) Hashtbl.t) -> Cinterp.Interp.access -> unit
+  t ->
+  lin:int ->
+  seq:(unit -> (int, int ref) Hashtbl.t) ->
+  Cinterp.Interp.access ->
+  Machine.Addr.t ->
+  int ->
+  unit
 
 (** Record the target bytes of an atomic read-modify-write (absolute
     device offset + length); used by multi-device sharding to exchange

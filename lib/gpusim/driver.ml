@@ -350,6 +350,8 @@ let load_module t (artifact : Nvcc.artifact) : loaded_module =
               ("module", Perf.Trace.Str artifact.Nvcc.art_name);
               ("hash", Perf.Trace.Str artifact.Nvcc.art_hash);
               ("functions", Perf.Trace.Int (Cinterp.Jit.function_count c));
+              ( "left_out",
+                Perf.Trace.Str (String.concat "," (List.map fst (Cinterp.Jit.left_out c))) );
             ];
         Some c
       end

@@ -95,7 +95,8 @@ val set_trace : t -> Perf.Trace.t option -> unit
 
 (** Enable/disable the closure JIT.  Affects subsequent module loads
     (whether a compiled form is built, with a cat:"jit"
-    "closure_compile" instant) and subsequent launches of
+    "closure_compile" instant whose [left_out] argument names the
+    functions that did not compile) and subsequent launches of
     already-loaded modules (whether their compiled form is used).
     Simulated times are identical either way — compilation is host-side
     simulator work, not a modelled device cost. *)

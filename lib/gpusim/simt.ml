@@ -243,18 +243,18 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
     ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
     let seq () = alloc_seq ts in
     ctx.Cinterp.Interp.on_access <-
-      (fun acc ->
-        match acc.Cinterp.Interp.acc_addr.Addr.space with
-        | Addr.Global -> Counters.on_global_access counters ~lin ~seq acc
+      (fun kind a bytes ->
+        match a.Addr.space with
+        | Addr.Global -> Counters.on_global_access counters ~lin ~seq kind a bytes
         | Addr.Shared _ -> counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
         | Addr.Host -> (
           (* only pinned (zero-copy) ranges are reachable: dm_host is None
              otherwise and [resolve] has already faulted *)
-          match Counters.find_pinned counters acc.Cinterp.Interp.acc_addr.Addr.off with
-          | Some pin -> Counters.on_zerocopy_access counters ~pin acc
+          match Counters.find_pinned counters a.Addr.off with
+          | Some pin -> Counters.on_zerocopy_access counters ~pin kind
           | None ->
             simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
-              acc.Cinterp.Interp.acc_addr.Addr.off)
+              a.Addr.off)
         | Addr.Local _ | Addr.Strings ->
           counters.Counters.local_accesses <- counters.Counters.local_accesses + 1);
     (* base frame for the implicit thread context (threadIdx etc.) *)

@@ -112,6 +112,10 @@ let check t off len =
 
 (* Raw accessors -------------------------------------------------------- *)
 
+external bytes_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
 let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
   let off = a.off in
   match ty with
@@ -141,7 +145,10 @@ let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
     Value.int ~ty (Bytes.get_int64_le t.data off)
   | Cty.Float ->
     check t off 4;
-    Value.flt ~ty (Int32.float_of_bits (Bytes.get_int32_le t.data off))
+    (* the word goes straight into the float conversion (no boxed
+       int32), and a binary32 read back needs no [round32] *)
+    let w = bytes_get32u t.data off in
+    Value.VFlt (Int32.float_of_bits (if Sys.big_endian then bswap32 w else w), Cty.Float)
   | Cty.Double ->
     check t off 8;
     Value.flt ~ty (Int64.float_of_bits (Bytes.get_int64_le t.data off))
@@ -152,6 +159,12 @@ let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
   | (Cty.Void | Cty.Struct _ | Cty.Func _) as ty ->
     ignore env;
     raise (Bad_access ("load of non-scalar type " ^ Cty.show ty))
+
+(* The address held by a pointer-typed word, without the [VPtr] that
+   [load_scalar] would build around it. *)
+let load_addr t (a : Addr.t) : Addr.t =
+  check t a.off 8;
+  Addr.of_int64 (Bytes.get_int64_le t.data a.off)
 
 let store_scalar t (_env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) (v : Value.t) =
   let off = a.off in

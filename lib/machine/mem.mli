@@ -55,6 +55,10 @@ val load_scalar : t -> Cty.layout_env -> Addr.t -> Cty.t -> Value.t
 
 val store_scalar : t -> Cty.layout_env -> Addr.t -> Cty.t -> Value.t -> unit
 
+(** The address stored in a pointer-typed word: [load_scalar]'s [Ptr]
+    case without building the pointer value. *)
+val load_addr : t -> Addr.t -> Addr.t
+
 (** {1 Bulk transfer} *)
 
 val blit_out : t -> src_off:int -> len:int -> Bytes.t

@@ -31,28 +31,58 @@ let parse_ok spec =
 (* Observation: everything a launch did, as comparable data           *)
 (* ---------------------------------------------------------------- *)
 
-(* Every dynamic statistic the cost model consumes, flattened to a
-   string so launch lists compare (and print on failure) wholesale. *)
+(* Every dynamic statistic of a launch, flattened to a string so launch
+   lists compare (and print on failure) wholesale: the totals, then each
+   allocation's and each pinned range's own record. *)
 let counters_summary (c : Counters.t) : string =
   let cl = c.Counters.classes in
-  Printf.sprintf
-    "arith=%d mul=%d div=%d branch=%d call=%d special=%d thread_sum=%.3f warp_sum=%.3f \
-     warp_max=%.3f shared=%d local=%d barriers=%d atomics=%d chunks=%d blocks=%d/%d zc=%d/%d \
-     glb=%d tx=%.3f"
-    cl.Counters.arith cl.Counters.mul cl.Counters.div cl.Counters.branch cl.Counters.call
-    cl.Counters.special c.Counters.thread_inst_sum c.Counters.warp_inst_sum
-    c.Counters.warp_inst_max c.Counters.shared_accesses c.Counters.local_accesses
-    c.Counters.barrier_warp_arrivals c.Counters.atomics c.Counters.chunk_grabs
-    c.Counters.blocks_executed c.Counters.blocks_total c.Counters.zerocopy_loads
-    c.Counters.zerocopy_stores
-    (Counters.global_accesses c)
-    (Counters.global_transactions c)
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun id s acc -> (id, s) :: acc) tbl []) in
+  let per_alloc =
+    List.map
+      (fun (id, (s : Counters.alloc_stats)) ->
+        let samples =
+          List.sort compare
+            (Hashtbl.fold
+               (fun key (set, count) acc -> (key, Counters.Int_set.elements !set, !count) :: acc)
+               s.Counters.samples [])
+        in
+        Printf.sprintf " a%d=%d/%d st[%d,%d) at[%d,%d) samples=%s" id s.Counters.a_loads
+          s.Counters.a_stores s.Counters.a_store_lo s.Counters.a_store_hi s.Counters.a_atomic_lo
+          s.Counters.a_atomic_hi
+          (String.concat ";"
+             (List.map
+                (fun (key, segs, n) ->
+                  Printf.sprintf "%d:%s*%d" key (String.concat "," (List.map string_of_int segs)) n)
+                samples)))
+      (sorted c.Counters.per_alloc)
+  in
+  let per_pin =
+    List.map
+      (fun (id, (s : Counters.pin_stats)) ->
+        Printf.sprintf " p%d=%d/%d" id s.Counters.p_loads s.Counters.p_stores)
+      (sorted c.Counters.per_pin)
+  in
+  let totals =
+    Printf.sprintf
+      "arith=%d mul=%d div=%d branch=%d call=%d special=%d thread_sum=%h warp_sum=%h \
+       warp_max=%h shared=%d local=%d barriers=%d atomics=%d chunks=%d blocks=%d/%d zc=%d/%d \
+       glb=%d tx=%h"
+      cl.Counters.arith cl.Counters.mul cl.Counters.div cl.Counters.branch cl.Counters.call
+      cl.Counters.special c.Counters.thread_inst_sum c.Counters.warp_inst_sum
+      c.Counters.warp_inst_max c.Counters.shared_accesses c.Counters.local_accesses
+      c.Counters.barrier_warp_arrivals c.Counters.atomics c.Counters.chunk_grabs
+      c.Counters.blocks_executed c.Counters.blocks_total c.Counters.zerocopy_loads
+      c.Counters.zerocopy_stores
+      (Counters.global_accesses c)
+      (Counters.global_transactions c)
+  in
+  totals ^ String.concat "" per_alloc ^ String.concat "" per_pin
 
 (* Per-launch record (oldest first): entry, counters, cycles, time. *)
 let launch_log ctx : string list =
   List.rev_map
     (fun (s : Driver.launch_stats) ->
-      Printf.sprintf "%s: %s | cycles=%.6f time_ns=%.6f" s.Driver.st_entry
+      Printf.sprintf "%s: %s | cycles=%h time_ns=%h" s.Driver.st_entry
         (counters_summary s.Driver.st_counters)
         s.Driver.st_breakdown.Costmodel.bd_total_cycles
         s.Driver.st_breakdown.Costmodel.bd_time_ns)
@@ -143,6 +173,40 @@ let test_module_carries_closures () =
   Alcotest.(check bool) "jit off: module loads without a closure form" false
     (Option.is_some m2.Driver.lm_compiled)
 
+(* No silent fallback: every function of every module the six Fig. 4
+   apps load — the CUDA modules and the OMPi-translated kernels with
+   their thread functions — has a closure form.  A function the JIT
+   left out would still run (on the tree-walker) and still pass the
+   differential tests; only its speed would be lost. *)
+let test_every_function_compiles () =
+  List.iter
+    (fun (app : Suite.app) ->
+      let n = smallest app in
+      List.iter
+        (fun variant ->
+          let ctx = Harness.create () in
+          Harness.set_sampling ctx None;
+          ignore (app.Suite.ap_run ctx variant ~n);
+          let modules = (Harness.driver ctx).Driver.modules in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s loaded a module" app.Suite.ap_name (Harness.variant_label variant))
+            true (Hashtbl.length modules > 0);
+          Hashtbl.iter
+            (fun _ (m : Driver.loaded_module) ->
+              let label = app.Suite.ap_name ^ "/" ^ m.Driver.lm_artifact.Nvcc.art_name in
+              match m.Driver.lm_compiled with
+              | None -> Alcotest.fail (label ^ ": module has no closure form")
+              | Some c ->
+                Alcotest.(check (list (pair string string)))
+                  (label ^ ": no function left out") [] (Cinterp.Jit.left_out c);
+                Alcotest.(check int)
+                  (label ^ ": every function compiled")
+                  (Hashtbl.length m.Driver.lm_source.Simt.ks_funcs)
+                  (Cinterp.Jit.function_count c))
+            modules)
+        [ Harness.Cuda; Harness.Ompi_cudadev ])
+    Suite.all
+
 (* ---------------------------------------------------------------- *)
 (* QCheck: random kernels                                             *)
 (* ---------------------------------------------------------------- *)
@@ -152,31 +216,71 @@ let test_module_carries_closures () =
    round-trips through __shared__ memory, and writes out[i] — with
    [t = threadIdx.x] available for divergence.  Barriers are generated
    at top level and inside uniform-trip loops only, never under the
-   tid-divergent branch (that would deadlock a real block). *)
+   tid-divergent branch (that would deadlock a real block).
+
+   Beside the float accumulator the kernel keeps locals of every other
+   scalar kind — char [c], short [s], unsigned [u], long [l], double
+   [d], a float pointer [q] — and an int [x] reached through [p = &x].
+   The statements update them with every compound operator and with
+   [++]/[--], and any of them can be made address-taken
+   ([rk_escaped]), so both the JIT's promoted locals and its
+   memory-resident ones are compared against the interpreter. *)
 
 let sh_size = 32
+
+(* integer-valued expressions over the integer locals *)
+type iexpr =
+  | Ivar of string (* c s u l x t i, or "*p" *)
+  | Iconst of int
+  | Ibin of string * iexpr * iexpr (* + - * & | ^ *)
+  | Iacc (* (int)acc *)
 
 type rexpr =
   | Rin of int (* in[(i + k) % n] *)
   | Rsh of int (* sh[(t + k) % sh_size] *)
   | Racc
   | Rconst of int (* k.0f, k >= 0 *)
+  | Rint of iexpr (* (float)(e) *)
   | Rbin of char * rexpr * rexpr
 
 type rstmt =
   | Racc_upd of char * rexpr (* acc = acc OP (e); *)
   | Rsh_write of int * rexpr (* sh[(t + k) % sh_size] = e; *)
+  | Rint_upd of string * string * iexpr (* v OP= e; on an integer local (or *p) *)
+  | Rflt_upd of string * char * rexpr (* acc/d OP= e; *)
+  | Rstep of string * bool * string (* pre?, "++" or "--": ++v / v++ / --v / v-- *)
+  | Rmove of int (* q = in + ((i + k) % n); *)
   | Rbarrier
   | Rif of rstmt list (* if (t % 2 == 0) { ... }  — divergent *)
   | Rloop of int * rstmt list (* for (jL = 0; jL < c; jL++) { ... } — uniform *)
 
-type rkernel = { rk_stmts : rstmt list }
+type rkernel = { rk_escaped : string list; rk_stmts : rstmt list }
+
+let int_vars = [ "c"; "s"; "u"; "l"; "x"; "*p" ]
+
+(* locals that can be made address-taken, with their C types *)
+let escapable = [ ("c", "char"); ("s", "short"); ("u", "unsigned"); ("l", "long"); ("d", "double"); ("acc", "float") ]
+
+let rec render_iexpr (b : Buffer.t) = function
+  | Ivar v -> Buffer.add_string b (if v = "*p" then "(*p)" else v)
+  | Iconst k -> Buffer.add_string b (string_of_int k)
+  | Iacc -> Buffer.add_string b "((int)acc)"
+  | Ibin (op, x, y) ->
+    Buffer.add_char b '(';
+    render_iexpr b x;
+    Buffer.add_string b (" " ^ op ^ " ");
+    render_iexpr b y;
+    Buffer.add_char b ')'
 
 let rec render_expr (b : Buffer.t) = function
   | Rin k -> Buffer.add_string b (Printf.sprintf "in[(i + %d) %% n]" k)
   | Rsh k -> Buffer.add_string b (Printf.sprintf "sh[(t + %d) %% %d]" k sh_size)
   | Racc -> Buffer.add_string b "acc"
   | Rconst k -> Buffer.add_string b (Printf.sprintf "%d.0f" k)
+  | Rint e ->
+    Buffer.add_string b "((float)";
+    render_iexpr b e;
+    Buffer.add_char b ')'
   | Rbin (op, x, y) ->
     Buffer.add_char b '(';
     render_expr b x;
@@ -195,6 +299,32 @@ let rec render_stmt (b : Buffer.t) ~(lvl : int) (indent : string) = function
     Buffer.add_string b (Printf.sprintf "%ssh[(t + %d) %% %d] = " indent k sh_size);
     render_expr b e;
     Buffer.add_string b ";\n"
+  | Rint_upd (v, op, e) ->
+    Buffer.add_string b (Printf.sprintf "%s%s %s= " indent v op);
+    (* divisors kept in 1..8 and shift counts in 0..7 *)
+    (match op with
+    | "/" | "%" ->
+      Buffer.add_string b "((";
+      render_iexpr b e;
+      Buffer.add_string b " & 7) + 1)"
+    | "<<" | ">>" ->
+      Buffer.add_char b '(';
+      render_iexpr b e;
+      Buffer.add_string b " & 7)"
+    | _ -> render_iexpr b e);
+    Buffer.add_string b ";\n"
+  | Rflt_upd (v, op, e) ->
+    Buffer.add_string b (Printf.sprintf "%s%s %c= " indent v op);
+    render_expr b e;
+    Buffer.add_string b ";\n"
+  | Rstep (v, pre, op) ->
+    let v' = if v = "*p" then "(*p)" else v in
+    Buffer.add_string b (Printf.sprintf "%s%s;\n" indent (if pre then op ^ v' else v' ^ op));
+    (* keep the pointer inside [in] *)
+    if v = "q" then
+      Buffer.add_string b
+        (Printf.sprintf "%sif (q >= in + n) q = in;\n%sif (q < in) q = in + n - 1;\n" indent indent)
+  | Rmove k -> Buffer.add_string b (Printf.sprintf "%sq = in + ((i + %d) %% n);\n" indent k)
   | Rbarrier -> Buffer.add_string b (indent ^ "__syncthreads();\n")
   | Rif body ->
     Buffer.add_string b (indent ^ "if (t % 2 == 0) {\n");
@@ -206,7 +336,7 @@ let rec render_stmt (b : Buffer.t) ~(lvl : int) (indent : string) = function
     Buffer.add_string b (indent ^ "}\n")
 
 let render (k : rkernel) : string =
-  let b = Buffer.create 512 in
+  let b = Buffer.create 1024 in
   Buffer.add_string b "void randk(float *in, float *out, int n)\n{\n";
   Buffer.add_string b "  int t = threadIdx.x;\n";
   Buffer.add_string b "  int i = blockIdx.x * blockDim.x + t;\n";
@@ -215,21 +345,60 @@ let render (k : rkernel) : string =
   Buffer.add_string b (Printf.sprintf "  sh[t %% %d] = in[i %% n] + t;\n" sh_size);
   Buffer.add_string b "  __syncthreads();\n";
   Buffer.add_string b "  float acc = in[i % n];\n";
+  Buffer.add_string b "  char c = t * 9;\n";
+  Buffer.add_string b "  short s = t * 1031;\n";
+  Buffer.add_string b "  unsigned u = i * 40503 - 7;\n";
+  Buffer.add_string b "  long l = i;\n";
+  Buffer.add_string b "  l = l * 65599 - 3;\n";
+  Buffer.add_string b "  double d = in[(i + 1) % n];\n";
+  Buffer.add_string b "  int x = t - 16;\n";
+  Buffer.add_string b "  int *p = &x;\n";
+  Buffer.add_string b "  float *q = in + (i % n);\n";
+  List.iter
+    (fun v ->
+      let ty = List.assoc v escapable in
+      Buffer.add_string b (Printf.sprintf "  %s *esc_%s = &%s;\n" ty v v))
+    k.rk_escaped;
   List.iter (render_stmt b ~lvl:0 "  ") k.rk_stmts;
-  Buffer.add_string b "  out[i % n] = acc;\n}\n";
+  Buffer.add_string b "  out[i % n] = acc + (float)(c + s + u + l + x) + (float)d + q[0];\n}\n";
   Buffer.contents b
+
+let gen_iexpr : iexpr QCheck.Gen.t =
+  QCheck.Gen.(
+    sized_size (int_bound 2)
+      (fix (fun self depth ->
+           let leaf =
+             frequency
+               [
+                 (4, map (fun v -> Ivar v) (oneofl (int_vars @ [ "t"; "i" ])));
+                 (2, map (fun k -> Iconst k) (int_range (-9) 300));
+                 (1, return Iacc);
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 2,
+                   map3
+                     (fun op x y -> Ibin (op, x, y))
+                     (oneofl [ "+"; "-"; "*"; "&"; "|"; "^" ])
+                     (self (depth - 1)) (self (depth - 1)) );
+               ])))
 
 let gen_expr : rexpr QCheck.Gen.t =
   QCheck.Gen.(
     sized_size (int_bound 3)
       (fix (fun self d ->
            let leaf =
-             oneof
+             frequency
                [
-                 map (fun k -> Rin k) (int_bound 5);
-                 map (fun k -> Rsh k) (int_bound 5);
-                 return Racc;
-                 map (fun k -> Rconst k) (int_bound 5);
+                 (2, map (fun k -> Rin k) (int_bound 5));
+                 (2, map (fun k -> Rsh k) (int_bound 5));
+                 (2, return Racc);
+                 (2, map (fun k -> Rconst k) (int_bound 5));
+                 (1, map (fun e -> Rint e) gen_iexpr);
                ]
            in
            if d = 0 then leaf
@@ -244,6 +413,8 @@ let gen_expr : rexpr QCheck.Gen.t =
                      (self (d - 1)) (self (d - 1)) );
                ])))
 
+let compound_ops = [ "+"; "-"; "*"; "/"; "%"; "<<"; ">>"; "&"; "|"; "^" ]
+
 (* [div] is true once we are under the tid-divergent branch: no barriers
    below that point.  [depth] bounds statement nesting at 2. *)
 let rec gen_stmt ~(div : bool) ~(depth : int) : rstmt QCheck.Gen.t =
@@ -252,6 +423,21 @@ let rec gen_stmt ~(div : bool) ~(depth : int) : rstmt QCheck.Gen.t =
       [
         (3, map2 (fun op e -> Racc_upd (op, e)) (oneofl [ '+'; '-'; '*' ]) gen_expr);
         (2, map2 (fun k e -> Rsh_write (k, e)) (int_bound 5) gen_expr);
+        ( 3,
+          map3 (fun v op e -> Rint_upd (v, op, e)) (oneofl int_vars) (oneofl compound_ops) gen_iexpr
+        );
+        ( 2,
+          map3
+            (fun v op e -> Rflt_upd (v, op, e))
+            (oneofl [ "acc"; "d" ])
+            (oneofl [ '+'; '-'; '*'; '/' ])
+            gen_expr );
+        ( 2,
+          map3
+            (fun v pre op -> Rstep (v, pre, op))
+            (oneofl [ "c"; "s"; "u"; "l"; "d"; "acc"; "q"; "x"; "*p" ])
+            bool (oneofl [ "++"; "--" ]) );
+        (1, map (fun k -> Rmove k) (int_bound 5));
       ]
     in
     let base = if div then base else (1, return Rbarrier) :: base in
@@ -271,14 +457,19 @@ and gen_stmts ~div ~depth : rstmt list QCheck.Gen.t =
   QCheck.Gen.(list_size (int_range 1 4) (gen_stmt ~div ~depth))
 
 let gen_kernel : rkernel QCheck.Gen.t =
-  QCheck.Gen.map (fun ss -> { rk_stmts = ss }) (gen_stmts ~div:false ~depth:2)
+  QCheck.Gen.(
+    map2
+      (fun esc ss -> { rk_escaped = List.filteri (fun j _ -> List.nth esc j) (List.map fst escapable); rk_stmts = ss })
+      (list_repeat (List.length escapable) (frequency [ (3, return false); (1, return true) ]))
+      (gen_stmts ~div:false ~depth:2))
 
-(* Shrink by dropping statements, thinning nested bodies and shortening
-   loops: counterexamples come back as minimal statement lists. *)
+(* Shrink by dropping statements, thinning nested bodies, shortening
+   loops and un-escaping locals: counterexamples come back as minimal
+   statement lists. *)
 let rec shrink_stmt (s : rstmt) : rstmt QCheck.Iter.t =
   QCheck.Iter.(
     match s with
-    | Racc_upd _ | Rsh_write _ | Rbarrier -> empty
+    | Racc_upd _ | Rsh_write _ | Rint_upd _ | Rflt_upd _ | Rstep _ | Rmove _ | Rbarrier -> empty
     | Rif body -> map (fun b -> Rif b) (shrink_stmts body)
     | Rloop (c, body) ->
       append
@@ -289,7 +480,10 @@ and shrink_stmts (ss : rstmt list) : rstmt list QCheck.Iter.t =
   QCheck.Shrink.list ~shrink:shrink_stmt ss
 
 let shrink_kernel (k : rkernel) : rkernel QCheck.Iter.t =
-  QCheck.Iter.map (fun ss -> { rk_stmts = ss }) (shrink_stmts k.rk_stmts)
+  QCheck.Iter.(
+    append
+      (map (fun ss -> { k with rk_stmts = ss }) (shrink_stmts k.rk_stmts))
+      (map (fun esc -> { k with rk_escaped = esc }) (QCheck.Shrink.list k.rk_escaped)))
 
 let print_kernel (k : rkernel) : string = render k
 
@@ -317,7 +511,7 @@ let run_random ~(jit : bool) (k : rkernel) : obs =
   { ob_time = time; ob_out = Harness.read_f32_array ctx h_out n; ob_log = launch_log ctx }
 
 let prop_random_kernel_equivalence =
-  QCheck.Test.make ~name:"random kernel: JIT == tree-walking interpreter" ~count:40
+  QCheck.Test.make ~name:"random kernel: JIT == tree-walking interpreter" ~count:100
     (QCheck.make gen_kernel ~shrink:shrink_kernel ~print:print_kernel) (fun k ->
       let jit = run_random ~jit:true k in
       let interp = run_random ~jit:false k in
@@ -413,6 +607,7 @@ let () =
           Alcotest.test_case "fault/zerocopy/elide/stream legs" `Slow test_config_legs;
           Alcotest.test_case "module carries closures iff jit on" `Quick
             test_module_carries_closures;
+          Alcotest.test_case "every Fig. 4 function compiles" `Quick test_every_function_compiles;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_random_kernel_equivalence ]);
       ( "cache",

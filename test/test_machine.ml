@@ -342,6 +342,82 @@ let prop_mem_growth_zeroing =
         ops;
       List.for_all (fun (o, b) -> Bytes.equal b (Bytes.sub m.Mem.data o (Bytes.length b))) !live)
 
+(* Storing [Value.cast ty v] and loading it back as [ty] yields the cast
+   value itself, for every scalar type and every kind of value.  The
+   closure JIT relies on this: it holds a promoted local's value as
+   that cast instead of in memory.  Floats compare by bit pattern, so
+   -0.0 and NaN payloads count. *)
+let scalar_types =
+  [
+    Cty.Char; Cty.Uchar; Cty.Short; Cty.Ushort; Cty.Int; Cty.Uint; Cty.Long; Cty.Ulong; Cty.Float;
+    Cty.Double; Cty.Ptr Cty.Float; Cty.Ptr Cty.Int; Cty.Ptr Cty.Char; Cty.Ptr (Cty.Ptr Cty.Double);
+  ]
+
+let same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.VFlt (x, tx), Value.VFlt (y, ty) ->
+    Cty.equal tx ty && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.VPtr (p, tp), Value.VPtr (q, tq) -> Cty.equal tp tq && Addr.equal p q
+  | _ -> Value.equal a b
+
+let gen_scalar_value : Value.t QCheck.Gen.t =
+  QCheck.Gen.(
+    (* both sides of every width's sign and wrap boundaries *)
+    let int_extremes =
+      0L :: 1L :: -1L
+      :: List.concat_map
+           (fun w ->
+             let half = Int64.shift_left 1L (w - 1) in
+             let full = Int64.shift_left 1L w in
+             [ half; Int64.pred half; Int64.neg half; Int64.pred (Int64.neg half); full; Int64.pred full ])
+           [ 8; 16; 32; 64 ]
+    in
+    let float_specials =
+      [
+        0.0; -0.0; 1.0; -1.5; Float.infinity; Float.neg_infinity; Float.nan; Float.max_float;
+        Float.min_float; Float.min_float /. 4.0 (* binary64 subnormal *);
+        Int32.float_of_bits 0x0000_0001l (* smallest binary32 subnormal *);
+        Int32.float_of_bits 0x007F_FFFFl (* largest binary32 subnormal *);
+        Int32.float_of_bits 0x7F7F_FFFFl (* largest binary32 *); 3.5e38 (* beyond binary32 *);
+        Int64.float_of_bits 0x7FF0_0000_0000_0001L (* signalling NaN payload *);
+        Int64.float_of_bits 0x7FF8_0000_0000_1234L; Int64.float_of_bits 0xFFF8_0000_DEAD_0000L;
+        Int32.float_of_bits 0x7FC0_1234l; Int32.float_of_bits 0xFF80_0001l; 1e-300; 0.1;
+      ]
+    in
+    let int_ty = oneofl [ Cty.Char; Cty.Uchar; Cty.Short; Cty.Ushort; Cty.Int; Cty.Uint; Cty.Long; Cty.Ulong ] in
+    let space =
+      oneof
+        [
+          return Addr.Global; return Addr.Host; map (fun i -> Addr.Shared i) (int_bound 0xFF_FFFF);
+          map (fun i -> Addr.Local i) (int_bound 0xFF_FFFF);
+        ]
+    in
+    oneof
+      [
+        map2 (fun ty i -> Value.int ~ty i) int_ty
+          (frequency [ (3, oneofl int_extremes); (1, ui64) ]);
+        map2 (fun ty f -> Value.flt ~ty f) (oneofl [ Cty.Float; Cty.Double ])
+          (oneof [ oneofl float_specials; float ]);
+        map3
+          (fun space off pointee -> Value.ptr ~ty:pointee { Addr.space; off })
+          space (int_bound 0xFFFF_FFFF) (oneofl [ Cty.Float; Cty.Int; Cty.Void ]);
+      ])
+
+let prop_store_load_is_cast =
+  QCheck.Test.make ~name:"store then load of any scalar type is Value.cast" ~count:5000
+    (QCheck.make
+       ~print:(fun (ty, v) -> Printf.sprintf "%s <- %s" (Cty.show ty) (Value.show v))
+       QCheck.Gen.(pair (oneofl scalar_types) gen_scalar_value))
+    (fun (ty, v) ->
+      match Value.cast ty v with
+      | exception (Value.Value_error _ | Invalid_argument _) -> QCheck.assume_fail ()
+      | cv ->
+        let e = env () in
+        let m = Mem.create ~space:Addr.Global "m" in
+        let a = Mem.alloc m 8 in
+        Mem.store_scalar m e a ty cv;
+        same_value (Mem.load_scalar m e a ty) cv)
+
 (* ------------------------- Simclock ------------------------- *)
 
 let test_clock () =
@@ -389,6 +465,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_alloc_no_overlap;
           Alcotest.test_case "growth is right-sized" `Quick test_mem_growth_right_sized;
           QCheck_alcotest.to_alcotest prop_mem_growth_zeroing;
+          QCheck_alcotest.to_alcotest prop_store_load_is_cast;
         ] );
       ("simclock", [ Alcotest.test_case "advance and time" `Quick test_clock ]);
     ]
