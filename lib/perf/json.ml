@@ -32,9 +32,14 @@ let escape_string (s : string) : string =
     s;
   Buffer.contents buf
 
+(* The shortest of %.15g and %.17g that reads back as the same float:
+   5.784 prints as "5.784", not "5.7839999999999998", and every finite
+   float survives a print/parse round trip bit for bit. *)
 let number_to_string (f : float) : string =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let short = Printf.sprintf "%.15g" f in
+    if float_of_string short = f then short else Printf.sprintf "%.17g" f
 
 let rec write (buf : Buffer.t) (v : t) : unit =
   match v with

@@ -1,6 +1,7 @@
 (* Perf.Trace / Perf.Json / Perf.Chrome_trace unit tests: ring-buffer
    retention and drop accounting, span pairing, exception safety,
-   JSON round-trips and the Chrome trace-event export shape. *)
+   JSON round-trips (bit-exact numbers) and the Chrome trace-event
+   export's shape and fidelity to the ring. *)
 
 open Perf
 
@@ -113,6 +114,38 @@ let test_json_round_trip () =
   match Json.of_string (Json.to_string v) with
   | Ok v' -> Alcotest.(check bool) "round trip" true (v = v')
   | Error msg -> Alcotest.failf "re-parse failed: %s" msg
+
+(* Numbers print in the shortest form that reads back as the same float. *)
+let test_json_number_digits () =
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (Json.to_string (Json.Num f)))
+    [
+      (5.784, "5.784"); (0.1, "0.1"); (1.5630, "1.563"); (-0.0, "-0"); (1536.0, "1536");
+      (1e15, "1e+15");
+    ];
+  Alcotest.(check string) "17 digits when 15 lose bits" "0.30000000000000004"
+    (Json.to_string (Json.Num (0.1 +. 0.2)))
+
+let gen_finite_float : float QCheck.Gen.t =
+  QCheck.Gen.(
+    let specials =
+      [
+        0.0; -0.0; 0.1; 5.784; 1e15; -1e15; 9007199254740993.0; Float.epsilon; Float.max_float;
+        -.Float.max_float; Float.min_float; Float.min_float /. 4.0 (* subnormal *);
+        Int64.float_of_bits 1L (* smallest subnormal *);
+        Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+      ]
+    in
+    frequency [ (1, oneofl specials); (3, map Int64.float_of_bits ui64); (1, float) ])
+
+let prop_json_number_round_trip =
+  QCheck.Test.make ~name:"every finite float survives to_string/of_string bit-exactly" ~count:5000
+    (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) gen_finite_float)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Json.of_string (Json.to_string (Json.List [ Json.Num f ])) with
+      | Ok (Json.List [ Json.Num g ]) -> Int64.bits_of_float g = Int64.bits_of_float f
+      | _ -> false)
 
 let test_json_parse_errors () =
   List.iter
@@ -228,6 +261,68 @@ let test_chrome_export_complete () =
   Alcotest.(check (option (float 0.0))) "dur us" (Some 1.5) (num "dur");
   Alcotest.(check (option (float 0.0))) "tid is the stream" (Some 3.0) (num "tid")
 
+(* What a reader of the exported file sees is exactly the ring: one
+   traceEvents entry per retained event, in order, with the same
+   cat/name/ph/tid and ts/dur in microseconds.  Benches count fault and
+   async events on the live ring, so this is what makes those counts
+   the counts of the trace file. *)
+let test_chrome_export_fidelity () =
+  let clock, tr = make ~capacity:12 () in
+  Trace.instant tr ~cat:"fault" "dropped_by_wrap";
+  Trace.instant tr ~cat:"fault" "dropped_by_wrap";
+  Machine.Simclock.advance_ns clock 1234.5678;
+  Trace.begin_span tr ~args:[ ("bytes", Trace.Int 4096) ] ~cat:"transfer" "HtoD";
+  Machine.Simclock.advance_ns clock 333.3;
+  Trace.instant tr ~args:[ ("site", Trace.Str "launch") ] ~cat:"fault" "fault_injected";
+  Trace.instant tr ~cat:"fault" "retry_backoff";
+  Trace.end_span tr ~cat:"transfer" "HtoD";
+  Trace.counter tr ~args:[ ("atomics", Trace.Int 16) ] ~cat:"kernel" "launch_counters";
+  Trace.complete tr ~tid:1 ~cat:"async" ~ts_ns:1600.1 ~dur_ns:777.7 "HtoD";
+  Trace.complete tr ~tid:3 ~cat:"async" ~ts_ns:1900.25 ~dur_ns:0.1 "kernel";
+  Trace.complete tr ~tid:2 ~cat:"async" ~ts_ns:1e12 ~dur_ns:1.0 "DtoH";
+  Machine.Simclock.advance_ns clock 0.7;
+  Trace.instant tr ~cat:"fault" "host_fallback";
+  Trace.instant tr ~cat:"fault" "device_dead";
+  Trace.complete tr ~cat:"kernel" ~ts_ns:0.0 ~dur_ns:2.5 "host_span";
+  Trace.instant tr ~cat:"mem" "mem_alloc";
+  Alcotest.(check int) "ring wrapped" 2 (Trace.dropped tr);
+  let exported =
+    match Json.of_string (Chrome_trace.to_string tr) with
+    | Ok doc -> (
+      match Option.bind (Json.member "traceEvents" doc) Json.to_list_opt with
+      | Some evs -> evs
+      | None -> Alcotest.fail "no traceEvents array")
+    | Error msg -> Alcotest.failf "export does not parse: %s" msg
+  in
+  let retained = Trace.events tr in
+  Alcotest.(check int) "one entry per retained event" (List.length retained) (List.length exported);
+  let ph = function
+    | Trace.Begin -> "B"
+    | Trace.End -> "E"
+    | Trace.Instant -> "i"
+    | Trace.Counter -> "C"
+    | Trace.Complete -> "X"
+  in
+  List.iteri
+    (fun i ((ev : Trace.event), e) ->
+      let str k = Option.bind (Json.member k e) Json.to_string_opt in
+      let num k = Option.bind (Json.member k e) Json.to_number_opt in
+      let at what = Printf.sprintf "event %d %s" i what in
+      Alcotest.(check (option string)) (at "cat") (Some ev.Trace.ev_cat) (str "cat");
+      Alcotest.(check (option string)) (at "name") (Some ev.Trace.ev_name) (str "name");
+      Alcotest.(check (option string)) (at "ph") (Some (ph ev.Trace.ev_kind)) (str "ph");
+      let us ns = Some (ns /. 1000.0) in
+      Alcotest.(check (option (float 0.0))) (at "tid")
+        (Some (float_of_int ev.Trace.ev_tid))
+        (num "tid");
+      Alcotest.(check (option (float 0.0))) (at "ts") (us ev.Trace.ev_ts_ns) (num "ts");
+      Alcotest.(check (option (float 0.0))) (at "dur")
+        (if ev.Trace.ev_kind = Trace.Complete then us ev.Trace.ev_dur_ns else None)
+        (num "dur"))
+    (List.combine retained exported);
+  let is_fault e = Option.bind (Json.member "cat" e) Json.to_string_opt = Some "fault" in
+  Alcotest.(check int) "fault instants exported" 4 (List.length (List.filter is_fault exported))
+
 let test_chrome_write_file () =
   let _, tr = make () in
   Trace.instant tr ~cat:"init" "device_init";
@@ -262,6 +357,8 @@ let () =
       ( "json",
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
+          Alcotest.test_case "shortest digits" `Quick test_json_number_digits;
+          QCheck_alcotest.to_alcotest prop_json_number_round_trip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
@@ -274,6 +371,7 @@ let () =
         [
           Alcotest.test_case "event shape" `Quick test_chrome_export_shape;
           Alcotest.test_case "Complete as ph X" `Quick test_chrome_export_complete;
+          Alcotest.test_case "one entry per ring event" `Quick test_chrome_export_fidelity;
           Alcotest.test_case "write_file" `Quick test_chrome_write_file;
         ] );
     ]
