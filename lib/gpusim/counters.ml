@@ -141,33 +141,30 @@ let set_alloc_table t (allocs : (int * int * int) array) =
 
 let set_pinned_table t (ranges : (int * int * int) array) = t.pinned_table <- sorted_ranges ranges
 
-let find_range (arr : (int * int * int) array) off : int option =
-  let n = Array.length arr in
-  let rec bsearch lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let o, len, id = arr.(mid) in
-      if off < o then bsearch lo mid
-      else if off >= o + len then bsearch (mid + 1) hi
-      else Some id
-  in
-  bsearch 0 n
+(* Index of the entry of the sorted [(off, len, id)] ranges
+   [arr.(lo..hi-1)] that covers [off], or -1.  A top-level function, not
+   a local closure over [arr] and [off], so the per-access lookup
+   allocates nothing. *)
+let rec bsearch_idx (arr : (int * int * int) array) off lo hi : int =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let o, len, _ = Array.unsafe_get arr mid in
+    if off < o then bsearch_idx arr off lo mid
+    else if off >= o + len then bsearch_idx arr off (mid + 1) hi
+    else mid
 
-(* Like [find_range] but yielding the entry index (-1 when absent), so
-   the caller can reach the parallel stats array without a probe. *)
+(* The entry index, so the caller can reach the parallel stats array
+   without a probe. *)
 let find_range_idx (arr : (int * int * int) array) off : int =
-  let n = Array.length arr in
-  let rec bsearch lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      let o, len, _ = Array.unsafe_get arr mid in
-      if off < o then bsearch lo mid
-      else if off >= o + len then bsearch (mid + 1) hi
-      else mid
-  in
-  bsearch 0 n
+  bsearch_idx arr off 0 (Array.length arr)
+
+let find_range (arr : (int * int * int) array) off : int option =
+  match find_range_idx arr off with
+  | -1 -> None
+  | i ->
+    let _, _, id = arr.(i) in
+    Some id
 
 let find_alloc t off : int option = find_range t.alloc_table off
 

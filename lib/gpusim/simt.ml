@@ -6,7 +6,11 @@
    per launch and shared by every thread: a builtin finds its block
    through the launch's current-block accessor and its thread as
    [bs_threads.(ctx.lane)], so per-thread setup is only the context, its
-   stack frame and the four dim3 bindings.  Blocks execute
+   stack frame and the four dim3 bindings.  Per-lane local memory is a
+   device resource the driver owns ([device_memories.dm_local]): each
+   launch resets the lanes it uses once, so it sees nothing of an
+   earlier launch, and its blocks then share them stale, each block
+   only unwinding a lane's stack to its base.  Blocks execute
    sequentially; threads within a block are interleaved cooperatively.
    Named barriers (PTX bar.sync) suspend threads until the expected
    number of participants arrive — the mechanism behind the paper's B1/B2
@@ -138,8 +142,12 @@ type launch_config = {
 
 (* [dm_host] is the host memory image as seen from the device: present
    only when the driver has pinned (zero-copy) host ranges registered, so
-   plain host addresses still fault with a helpful message. *)
-type device_memories = { dm_global : Mem.t; dm_host : Mem.t option }
+   plain host addresses still fault with a helpful message.  [dm_local]
+   is the device's per-lane local memory (entry i in space [Local i]);
+   a launch of n threads per block resets and uses the first n. *)
+type device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_local : Mem.t array }
+
+let local_bytes = 8192
 
 (* Fills a launch's shared builtin table; builtins reach the running
    block through the accessor. *)
@@ -161,8 +169,8 @@ let bind_dim3 (ctx : Cinterp.Interp.t) name (d : dim3) =
    block for the shared builtins. *)
 let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ~(builtins : Cinterp.Interp.builtins) ~(linked : Cinterp.Jit.linked option)
-    ~(current : block_state option ref) ~(counters : Counters.t) ~(local_pool : Mem.t array)
-    ~(output : Buffer.t) ~(config : launch_config) ~(block_idx : dim3) ~(block_lin : int) : unit =
+    ~(current : block_state option ref) ~(counters : Counters.t) ~(output : Buffer.t)
+    ~(config : launch_config) ~(block_idx : dim3) ~(block_lin : int) : unit =
   let n_threads = dim3_total config.lc_block in
   let thread lin =
     {
@@ -214,7 +222,7 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
     | Addr.Global -> mem.dm_global
     | Addr.Shared b when b = block_lin -> bs.bs_shared
     | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
-    | Addr.Local i when i < Array.length local_pool -> local_pool.(i)
+    | Addr.Local i when i < n_threads -> mem.dm_local.(i)
     | Addr.Local i -> simt_error "access to foreign local memory %d" i
     | Addr.Host -> (
       match mem.dm_host with
@@ -234,7 +242,7 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
      and the module's globals, plus this thread's stack and hooks. *)
   let make_thread_body lin =
     let ts = bs.bs_threads.(lin) in
-    let local = local_pool.(lin) in
+    let local = mem.dm_local.(lin) in
     Mem.release local 16;
     let ctx =
       Cinterp.Interp.create ~structs:source.ks_structs ~funcs:source.ks_funcs ~resolve ~local
@@ -360,9 +368,9 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
   if n_threads > spec.Spec.max_threads_per_block then
     simt_error "block of %d threads exceeds device limit %d" n_threads spec.Spec.max_threads_per_block;
   if n_threads = 0 then simt_error "empty thread block";
-  let local_pool =
-    Array.init n_threads (fun i -> Mem.create ~initial:8192 ~space:(Addr.Local i) "local")
-  in
+  for i = 0 to n_threads - 1 do
+    Mem.reset mem.dm_local.(i) ~initial:local_bytes
+  done;
   (* one builtin table (and one JIT call-target memo) for every thread
      of every block *)
   let current = ref None in
@@ -391,7 +399,7 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
             counters.Counters.block_contributed <- false
           end
           else counters.Counters.sample_block_seq <- -1;
-          run_block ~spec ~mem ~source ~builtins ~linked ~current ~counters ~local_pool ~output
+          run_block ~spec ~mem ~source ~builtins ~linked ~current ~counters ~output
             ~config ~block_idx:{ x = bx; y = by; z = bz } ~block_lin;
           if counters.Counters.sample_block_seq >= 0 && counters.Counters.block_contributed then
             incr sampled_blocks

@@ -4,7 +4,8 @@
     one mini-C interpreter context over the kernel AST.  The device
     builtin table is built once per launch and shared by all threads; a
     builtin finds its block through the launch's current-block accessor
-    and its thread as [bs_threads.(ctx.lane)].  Blocks execute
+    and its thread as [bs_threads.(ctx.lane)].  Per-lane local memory
+    belongs to the device (see {!device_memories}).  Blocks execute
     sequentially; threads within a block are interleaved cooperatively.
     Named barriers (PTX bar.sync) suspend threads until the expected
     number of participants arrive — the mechanism behind the paper's
@@ -106,9 +107,25 @@ type launch_config = {
   lc_block_filter : (int -> bool) option;
 }
 
-(** [dm_host] is the host memory image as seen from the device — present
-    only when pinned (zero-copy) host ranges are registered. *)
-type device_memories = { dm_global : Mem.t; dm_host : Mem.t option }
+(** The memories a launch runs against.  [dm_host] is the host memory
+    image as seen from the device — present only when pinned (zero-copy)
+    host ranges are registered.
+
+    [dm_local] is per-lane local memory, and it is a device resource,
+    not a launch's: the driver owns it (entry [i] in space
+    [Addr.Local i], created with {!local_bytes} of storage) and every
+    launch passes the same array.  A launch of [n] threads per block
+    uses the first [n] entries; it resets each once with
+    {!Machine.Mem.reset}, so a launch never sees a byte, a growth or a
+    frame of an earlier one, and an access to [Local i] with [i >= n]
+    is a foreign-lane error.  Between the blocks of one launch the
+    memories are only unwound to their base, as on the hardware: a
+    block's frames are zeroed when pushed, but bytes above the stack top
+    stay as the previous block left them. *)
+type device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_local : Mem.t array }
+
+(** Storage of one lane's local memory at the start of a launch. *)
+val local_bytes : int
 
 (** Fills a launch's shared builtin table (once per launch).  Builtins
     must not capture per-block or per-thread state: they reach the

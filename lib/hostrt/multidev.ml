@@ -273,7 +273,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
         entry_fn.Minic.Ast.f_params args
     in
     Simt.launch ~spec:driver.Driver.spec
-      ~mem:{ Simt.dm_global = driver.Driver.global; dm_host = Some host }
+      ~mem:(Driver.device_memories driver ~host:(Some host) ~block)
       ~source:c.c_modul.Driver.lm_source
       ?compiled:(if driver.Driver.closure_jit then c.c_modul.Driver.lm_compiled else None)
       ~counters ~install_builtins:Devrt.Api.install ~output:out

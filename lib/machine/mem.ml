@@ -22,6 +22,16 @@ let create ?(initial = 4096) ?(limit = 1 lsl 31) ~space name =
 
 let capacity t = Bytes.length t.data
 
+(* Back to what [create ~initial] gives, reusing the storage when its
+   capacity is already [initial]: a region reused across launches must
+   not show a byte, a growth or an allocation of its previous use. *)
+let reset t ~initial =
+  if Bytes.length t.data = initial then Bytes.fill t.data 0 initial '\000'
+  else t.data <- Bytes.make initial '\000';
+  t.brk <- 16;
+  t.free_list <- [];
+  Hashtbl.reset t.sizes
+
 (* Grow the storage to hold [upto] bytes and report whether it grew.
    Capacity becomes [min limit (max upto (2 * capacity))]: doubling keeps
    a run of small growths amortised, while one large request is not

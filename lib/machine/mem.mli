@@ -26,6 +26,12 @@ val create : ?initial:int -> ?limit:int -> space:Addr.space -> string -> t
     zero right after a growth, and bytes below it are preserved. *)
 val capacity : t -> int
 
+(** Restore the state [create ~initial] gives (the name, space and limit
+    are kept): capacity [initial], every byte zero, [mark] 16, no free
+    hole and no allocation.  Storage of the right size is zeroed in
+    place rather than reallocated. *)
+val reset : t -> initial:int -> unit
+
 (** {1 Heap discipline} *)
 
 (** First-fit allocation, 8-byte aligned, zero-filled. *)

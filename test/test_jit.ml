@@ -520,6 +520,92 @@ let prop_random_kernel_equivalence =
       && jit.ob_time = interp.ob_time)
 
 (* ---------------------------------------------------------------- *)
+(* Repeated launches: local memory is the device's, not the launch's  *)
+(* ---------------------------------------------------------------- *)
+
+(* The same kernel launched twice on one driver reuses the device's
+   local memories.  "clean" keeps to its frame; "dirty" reads the word
+   64 floats above its array (what the lane's previous block left
+   there) and leaves a mark there for the next block, so a launch that
+   saw an earlier launch's local bytes would compute something else. *)
+let relaunch_kernels =
+  [
+    ( "clean",
+      {|
+void relaunch(float *in, float *out, int n)
+{
+  float tmp[4];
+  int t = blockIdx.x * blockDim.x + threadIdx.x;
+  int k;
+  for (k = 0; k < 4; k++)
+    tmp[k] = in[t] * (k + 1);
+  if (t < n)
+    out[t] = tmp[0] + tmp[3] - tmp[t % 4];
+}
+|} );
+    ( "dirty",
+      {|
+void relaunch(float *in, float *out, int n)
+{
+  float tmp[4];
+  int t = blockIdx.x * blockDim.x + threadIdx.x;
+  float stale;
+  tmp[0] = in[t];
+  stale = tmp[64];
+  tmp[64] = in[t] + 1.0f;
+  if (t < n)
+    out[t] = stale + tmp[0];
+}
+|} );
+  ]
+
+(* [times] launches of [relaunch] on one fresh driver (2 blocks of 32
+   threads, [out] cleared before each): every launch's output bits, and
+   the driver's launch log. *)
+let relaunch_obs ~(jit : bool) ~(times : int) (src : string) : int32 list list * string list =
+  let n = 64 in
+  let ctx = Harness.create () in
+  Harness.set_sampling ctx None;
+  Harness.set_jit ctx jit;
+  let m = Harness.cuda_module ctx ~name:"relaunch" ~source:src in
+  let h_in = Harness.alloc_f32 ctx n and h_out = Harness.alloc_f32 ctx n in
+  Harness.fill_f32 ctx h_in n (fun i -> 0.25 *. float_of_int (i + 1));
+  let d_in = Harness.dev_alloc ctx (4 * n) and d_out = Harness.dev_alloc ctx (4 * n) in
+  Harness.h2d ctx ~src:h_in ~dst:d_in ~bytes:(4 * n);
+  let once () =
+    Harness.fill_f32 ctx h_out n (fun _ -> 0.0);
+    Harness.h2d ctx ~src:h_out ~dst:d_out ~bytes:(4 * n);
+    ignore
+      (Harness.launch_cuda ctx m ~entry:"relaunch" ~grid:(Simt.dim3 2) ~block:(Simt.dim3 32)
+         [ Harness.fptr d_in; Harness.fptr d_out; Harness.vint n ]);
+    Harness.d2h ctx ~src:d_out ~dst:h_out ~bytes:(4 * n);
+    bits (Harness.read_f32_array ctx h_out n)
+  in
+  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (once () :: acc) in
+  let outs = go times [] in
+  (outs, launch_log ctx)
+
+let test_relaunch_is_fresh () =
+  List.iter
+    (fun (kname, src) ->
+      List.iter
+        (fun jit ->
+          let label = Printf.sprintf "%s/%s" kname (if jit then "jit" else "no-jit") in
+          match (relaunch_obs ~jit ~times:2 src, relaunch_obs ~jit ~times:1 src) with
+          | ([ out1; out2 ], [ log1; log2 ]), ([ fresh_out ], [ fresh_log ]) ->
+            Alcotest.(check (list int32)) (label ^ ": second launch outputs = first") out1 out2;
+            Alcotest.(check (list int32))
+              (label ^ ": second launch outputs = fresh driver")
+              fresh_out out2;
+            Alcotest.(check string) (label ^ ": second launch counters = first") log1 log2;
+            Alcotest.(check string)
+              (label ^ ": second launch counters = fresh driver")
+              fresh_log log2
+          | _ -> Alcotest.failf "%s: expected two launches and one" label)
+        [ true; false ])
+    relaunch_kernels
+
+(* ---------------------------------------------------------------- *)
 (* Corrupt JIT cache: both compiled forms must be rebuilt             *)
 (* ---------------------------------------------------------------- *)
 
@@ -610,6 +696,10 @@ let () =
           Alcotest.test_case "every Fig. 4 function compiles" `Quick test_every_function_compiles;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_random_kernel_equivalence ]);
+      ( "relaunch",
+        [
+          Alcotest.test_case "second launch = first = fresh driver" `Quick test_relaunch_is_fresh;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "corrupt cache recompiles PTX and closures" `Quick

@@ -342,6 +342,57 @@ let prop_mem_growth_zeroing =
         ops;
       List.for_all (fun (o, b) -> Bytes.equal b (Bytes.sub m.Mem.data o (Bytes.length b))) !live)
 
+(* Whatever a region went through (heap and stack traffic, stores
+   anywhere below its capacity, growth), [reset ~initial] leaves it
+   indistinguishable from [create ~initial]: same capacity and mark,
+   every byte zero, and the next push and alloc land where a fresh
+   region's would (so no free hole or allocation survives). *)
+let prop_mem_reset_is_create =
+  QCheck.Test.make ~name:"reset ~initial is indistinguishable from create ~initial" ~count:300
+    QCheck.(
+      pair (oneofl [ 16; 64; 256 ])
+        (make ~print:(Print.list show_mem_op) Gen.(list_size (int_range 0 60) mem_op_gen)))
+    (fun (initial, ops) ->
+      let e = env () in
+      let space = Addr.Local 3 in
+      let m = Mem.create ~initial ~space "local" in
+      let live = ref [] and marks = ref [] in
+      List.iter
+        (function
+          | Op_alloc n -> live := Mem.alloc m n :: !live
+          | Op_free i -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let a = List.nth l (i mod List.length l) in
+              Mem.free m a;
+              live := List.filter (fun b -> b <> a) l)
+          | Op_push n ->
+            marks := Mem.mark m :: !marks;
+            ignore (Mem.push m n)
+          | Op_release -> (
+            match !marks with
+            | mark :: rest ->
+              Mem.release m mark;
+              marks := rest
+            | [] -> ())
+          | Op_store (kind, pos, v) ->
+            let ty = List.nth [ Cty.Uchar; Cty.Int; Cty.Long ] kind in
+            let off = pos mod (Mem.capacity m - 7) in
+            Mem.store_scalar m e { Addr.space; off } ty (Value.of_int v))
+        ops;
+      Mem.reset m ~initial;
+      let fresh = Mem.create ~initial ~space "local" in
+      if Mem.capacity m <> Mem.capacity fresh then
+        QCheck.Test.fail_reportf "capacity %d, fresh %d" (Mem.capacity m) (Mem.capacity fresh);
+      if Mem.mark m <> Mem.mark fresh then
+        QCheck.Test.fail_reportf "mark %d, fresh %d" (Mem.mark m) (Mem.mark fresh);
+      if not (Bytes.for_all (fun c -> c = '\000') m.Mem.data) then
+        QCheck.Test.fail_report "a byte survived the reset";
+      if Mem.allocated_bytes m <> 0 then QCheck.Test.fail_report "an allocation survived the reset";
+      let next r = (Mem.push r 40, Mem.alloc r 24, Mem.alloc r 8) in
+      next m = next fresh)
+
 (* Storing [Value.cast ty v] and loading it back as [ty] yields the cast
    value itself, for every scalar type and every kind of value.  The
    closure JIT relies on this: it holds a promoted local's value as
@@ -465,6 +516,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_alloc_no_overlap;
           Alcotest.test_case "growth is right-sized" `Quick test_mem_growth_right_sized;
           QCheck_alcotest.to_alcotest prop_mem_growth_zeroing;
+          QCheck_alcotest.to_alcotest prop_mem_reset_is_create;
           QCheck_alcotest.to_alcotest prop_store_load_is_cast;
         ] );
       ("simclock", [ Alcotest.test_case "advance and time" `Quick test_clock ]);

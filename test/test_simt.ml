@@ -463,6 +463,98 @@ let test_host_memory_guard () =
     | exception Simt.Simt_error _ -> true
     | _ -> false)
 
+(* ---------------------------------------------------------------- *)
+(* Local memory is a device resource: a reused pool is a fresh pool   *)
+(* ---------------------------------------------------------------- *)
+
+(* What a launch produced, as comparable data: its result or the
+   exception it raised. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let outcome_t = Alcotest.(result (list int) string)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  ln = 0 || go 0
+
+(* Run [second] on a driver that has just run [first], and on a fresh
+   driver: the earlier launch must leave no trace in the later one. *)
+let check_like_fresh label ~first ~second =
+  let reused = make_driver () in
+  first reused;
+  let after = outcome (fun () -> second reused) in
+  let fresh = outcome (fun () -> second (make_driver ())) in
+  Alcotest.check outcome_t label fresh after;
+  after
+
+(* Kernel A leaves a sentinel above the end of its local array (inside
+   the 8 KiB a lane starts with); kernel B has the same frame layout and
+   reads that word.  It must read 0, as on a fresh device. *)
+let test_local_pool_no_stale_bytes () =
+  both_executors (fun ~jit label ->
+      let writer =
+        "void ka(int *out) { int a[4]; a[0] = threadIdx.x; a[100] = 12345 + threadIdx.x; }"
+      in
+      let reader = "void kb(int *out) { int b[4]; out[threadIdx.x] = b[100]; }" in
+      let read d =
+        let buf = Driver.mem_alloc d (4 * 32) in
+        ignore (launch ~jit d reader "kb" [ fi buf ]);
+        List.init 32 (read_i32 d buf)
+      in
+      let after =
+        check_like_fresh (label ^ ": read above the frame as on a fresh device")
+          ~first:(fun d ->
+            let buf = Driver.mem_alloc d (4 * 32) in
+            ignore (launch ~jit d writer "ka" [ fi buf ]))
+          ~second:read
+      in
+      Alcotest.check outcome_t (label ^ ": reads 0") (Ok (List.init 32 (fun _ -> 0))) after)
+
+(* Kernel A grows every lane's stack past 8 KiB; the next launch must
+   start from 8 KiB again, so its access at offset >= 8192 faults
+   exactly as on a fresh device. *)
+let test_local_pool_capacity_restored () =
+  both_executors (fun ~jit label ->
+      let grow =
+        "void kg(int *out) { float big[4096]; big[0] = 1.0f; big[4095] = 2.0f; out[0] = 1; }"
+      in
+      let probe = "void kp(int *out) { int a[4]; a[0] = 1; out[threadIdx.x] = a[2100]; }" in
+      let run src entry d =
+        let buf = Driver.mem_alloc d (4 * 32) in
+        ignore (launch ~jit d src entry [ fi buf ]);
+        List.init 32 (read_i32 d buf)
+      in
+      let after =
+        check_like_fresh (label ^ ": out-of-capacity access as on a fresh device")
+          ~first:(fun d -> ignore (run grow "kg" d))
+          ~second:(run probe "kp")
+      in
+      Alcotest.(check bool) (label ^ ": access past 8 KiB faults") true (Result.is_error after))
+
+(* After a 256-thread launch the pool holds 256 lanes, but a 32-thread
+   launch may only address its own 32. *)
+let test_local_pool_foreign_lane () =
+  both_executors (fun ~jit label ->
+      let lane100 = Value.ptr ~ty:Cty.Int { Addr.space = Addr.Local 100; off = 64 } in
+      let after =
+        check_like_fresh (label ^ ": foreign lane as on a fresh device")
+          ~first:(fun d ->
+            let buf = Driver.mem_alloc d (4 * 256) in
+            ignore
+              (launch ~jit ~block:(Simt.dim3 256) d "void kw(int *out) { out[threadIdx.x] = 1; }"
+                 "kw" [ fi buf ]))
+          ~second:(fun d ->
+            ignore (launch ~jit d "void kf(int *p) { p[0] = 7; }" "kf" [ lane100 ]);
+            [])
+      in
+      match after with
+      | Error msg ->
+        Alcotest.(check bool)
+          (label ^ ": raises foreign local memory") true
+          (contains msg "foreign local memory")
+      | Ok _ -> Alcotest.failf "%s: access to Local 100 from a 32-thread launch succeeded" label)
+
 let () =
   Alcotest.run "simt"
     [
@@ -501,5 +593,12 @@ let () =
         [
           Alcotest.test_case "device printf" `Quick test_device_printf;
           Alcotest.test_case "divergence metric" `Quick test_divergence_metric;
+        ] );
+      ( "local pool",
+        [
+          Alcotest.test_case "no stale bytes across launches" `Quick test_local_pool_no_stale_bytes;
+          Alcotest.test_case "capacity back to 8 KiB" `Quick test_local_pool_capacity_restored;
+          Alcotest.test_case "foreign lane after a wider launch" `Quick
+            test_local_pool_foreign_lane;
         ] );
     ]
