@@ -1011,15 +1011,17 @@ let autopolicy ~smoke () =
 
 (* The closure JIT must be invisible to the simulation (bit-identical
    outputs, identical simulated times) and visible only to the wall
-   clock.  Per app: best-of-[reps] wall time for each executor, the
+   clock.  Per app: best-of-3 wall time for each executor, the
    cross-checks, and a once-per-module-load compile assertion; the run
    fails unless at least one app clears a 3x speedup.  Both the best and
    the worst app's speedup are headlines, so a regression confined to
-   the slowest apps is gated too. *)
+   the slowest apps is gated too.  Smoke runs take three reps as well:
+   with two, one slowed rep on a busy machine could sink the worst-app
+   gate. *)
 let jit_bench ~smoke () =
   say "== closure JIT vs tree-walking interpreter (wall clock) ==\n";
   let { check; verdict; _ } = checks ~prefix:"CHECK FAILED" "jit" in
-  let reps = if smoke then 2 else 3 in
+  let reps = 3 in
   let run_leg (app : Polybench.Suite.app) ~jit ~n =
     let ctx = Polybench.Harness.create () in
     Polybench.Harness.set_sampling ctx None;

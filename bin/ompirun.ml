@@ -225,9 +225,9 @@ let no_jit_arg =
     & flag
     & info [ "no-jit" ]
         ~doc:
-          "Disable the closure JIT: execute kernels with the reference tree-walking interpreter \
-           instead of the closure-compiled form built at module load.  Results, counters and \
-           simulated times are identical; only real (host) execution is slower")
+          "Disable the closure JIT: execute the host program and the kernels with the reference \
+           tree-walking interpreter instead of their closure-compiled forms.  Output, counters \
+           and simulated times are identical; only real (host) execution is slower")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print per-launch statistics")
 

@@ -1,12 +1,19 @@
 (** Tree-walking interpreter for the mini-C AST.
 
-    The same engine is used in two roles:
-    - host role: executes the translated host program, with the ORT host
-      runtime registered as builtins;
+    The same context type is used in two roles:
+    - host role: one context runs the translated host program, with the
+      ORT host runtime registered as builtins (see
+      [Hostrt.Hostexec.make_context]);
     - device role: one context per GPU thread, driven by the SIMT
       scheduler.  The builtin table (the cudadev device library) is
       built once per launch and shared by every thread; a context
       carries only its {!t.lane} and per-thread state.
+
+    In both roles the closure JIT ({!Jit}) normally executes function
+    bodies through the {!t.dispatch} hook; the tree-walker here is the
+    reference executor, selected for host and device code together by
+    [Hostrt.Rt.set_jit false] ([--no-jit]), and the fallback for any
+    function the JIT left out.
 
     Per-operation hooks ({!t.on_step}, {!t.on_access}) feed the
     performance model without contaminating the semantics. *)

@@ -1,9 +1,12 @@
-(* Closure-compiling JIT for mini-C kernel ASTs.
+(* Closure-compiling JIT for mini-C programs: kernels and translated
+   host programs alike.
 
    The tree-walking interpreter (interp.ml) re-resolves every name and
    re-dispatches on every AST constructor for every thread at every
-   step.  This module compiles a module's function bodies ONCE — at
-   nvcc/module-load time — into chains of OCaml closures:
+   step.  This module compiles a program's function bodies ONCE — a
+   kernel module at nvcc/module-load time, a host program when its
+   context is built (Hostexec.make_context) — into chains of OCaml
+   closures:
 
    - constructor dispatch happens once per expression, at compile time;
    - local variables are resolved to slots of a flat per-call frame, so

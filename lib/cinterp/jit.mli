@@ -1,17 +1,20 @@
-(** Closure-compiling JIT for mini-C kernel ASTs.
+(** Closure-compiling JIT for mini-C programs: kernels and translated
+    host programs alike.
 
-    Compiles a module's function bodies once — at module-load time —
-    into pre-resolved OCaml closure chains: locals become slots of a
-    flat per-call frame, constructor dispatch happens at compile time,
-    call targets are memoized once per launch and free names once per
-    thread.  Scalar locals whose address is never taken are promoted:
-    their values live in the frame instead of in simulated memory,
-    while their stack bytes and every access hook are kept.  Semantics
-    (hook sequences, evaluation order, stack mark/push/release
-    behavior, builtin routing, and therefore barriers, divergence,
-    counters, cost model, zero-copy and fault injection) are mirrored
-    from {!Interp} exactly; the tree-walker remains the reference
-    executor. *)
+    Compiles a program's function bodies once — at module load for
+    kernels, when the host context is built for host programs — into
+    pre-resolved OCaml closure chains: locals become slots of a flat
+    per-call frame, constructor dispatch happens at compile time, call
+    targets are memoized once per link (a kernel launch, a host
+    context) and free names once per attached context (a GPU thread,
+    the host program).  Scalar locals whose address is never taken are
+    promoted: their values live in the frame instead of in simulated
+    memory, while their stack bytes and every access hook are kept.
+    Semantics (hook sequences, evaluation order, stack
+    mark/push/release behavior, builtin routing, and therefore
+    barriers, divergence, counters, cost model, zero-copy and fault
+    injection) are mirrored from {!Interp} exactly; the tree-walker
+    remains the reference executor. *)
 
 open Machine
 open Minic
@@ -31,12 +34,13 @@ val function_count : compiled -> int
     order; empty when every function compiled. *)
 val left_out : compiled -> (string * string) list
 
-(** A compiled module linked for one launch: holds the call-target memo
-    shared by every context attached to it. *)
+(** A compiled module linked for one launch (or one host context):
+    holds the call-target memo shared by every context attached to
+    it. *)
 type linked
 
 (** Link a module against the builtin and function tables that every
-    context of the launch shares. *)
+    context of the launch (or the one host context) uses. *)
 val link : compiled -> builtins:Interp.builtins -> funcs:(string, Ast.fundef) Hashtbl.t -> linked
 
 (** Route an interpreter context's function calls through the compiled

@@ -24,7 +24,7 @@ type config = {
   max_retries : int option; (* retry-policy override; None = default *)
   streams : int; (* stream-pool size for `target ... nowait` regions *)
   mem_policy : Hostrt.Mempolicy.sel; (* copy / elide / zero-copy / per-buffer auto (--mem-policy) *)
-  jit : bool; (* closure-compile kernels at module load (--no-jit disables) *)
+  jit : bool; (* run host program and kernels on the closure JIT (--no-jit: tree-walker) *)
   devices : int; (* simultaneously-live device instances (--devices N) *)
   specs : Spec.t list; (* per-device spec overrides for heterogeneous farms *)
 }

@@ -34,9 +34,10 @@ type config = {
           share DRAM; [Auto] classifies each buffer from its observed
           history (see {!Hostrt.Mempolicy}).  Default [Forced Copy]. *)
   jit : bool;
-      (** closure-compile kernel ASTs at module load (see
-          {!Cinterp.Jit}); default on — [--no-jit] falls back to the
-          reference tree-walking interpreter *)
+      (** run the host program and the kernels on the closure JIT (see
+          {!Cinterp.Jit}): the host program is compiled when it starts,
+          each kernel module when it loads.  Default on; [--no-jit]
+          runs both on the reference tree-walking interpreter *)
   devices : int;
       (** number of simultaneously-live device instances; with more than
           one, default-device [distribute] launches shard across the

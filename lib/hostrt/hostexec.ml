@@ -1,8 +1,9 @@
-(* Executes a translated host program (mini-C) under the interpreter,
-   with the ORT runtime entry points installed as builtins.  This is the
-   execution half of `ompirun`: the translator turns target constructs
-   into ort_* calls, and those calls land here, driving the data
-   environment and the simulated device. *)
+(* Executes a translated host program (mini-C) on the closure JIT —
+   the executor the kernels use — or, after [Rt.set_jit rt false], on
+   the reference tree-walker, with the ORT runtime entry points
+   installed as builtins.  This is the execution half of `ompirun`: the
+   translator turns target constructs into ort_* calls, and those calls
+   land here, driving the data environment and the simulated device. *)
 
 open Machine
 open Minic
@@ -228,6 +229,14 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
   let cost = Rt.host_step_cost_ns rt in
   ctx.Cinterp.Interp.on_step <- (fun _ -> Simclock.advance_ns rt.Rt.clock cost);
   Cinterp.Interp.load_program ctx program;
+  (* The host program runs on the same closure JIT as the kernels,
+     compiled once here against this context's own builtin and function
+     tables; a function the JIT leaves out runs on the tree-walker.  No
+     closure_compile trace event: that counts module loads. *)
+  if Rt.jit rt then begin
+    let compiled = Cinterp.Jit.compile ~structs ~funcs in
+    Cinterp.Jit.attach (Cinterp.Jit.link compiled ~builtins:ctx.Cinterp.Interp.builtins ~funcs) ctx
+  end;
   (* allocate and initialise host globals *)
   Cinterp.Interp.push_frame ctx;
   List.iter

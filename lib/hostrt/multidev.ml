@@ -25,6 +25,10 @@
      last shard's value), and the union is pushed into the primary so
      the primary's image is complete when the region later unmaps.
 
+   Every device must reach an operand in the same mode (device copy or
+   zero-copy): a region whose operands the per-buffer auto policy put
+   in different modes on different devices runs unsharded.
+
    Because async driver ops perform their memory effects eagerly at
    enqueue (only time is modelled asynchronously), launching shards in
    ascending block order replays exactly the single-device ascending
@@ -517,6 +521,23 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
             List.iter (fun x -> Dataenv.unmap s.Rt.dev_dataenv x.Dataenv.x_host Dataenv.To) extents)
           secondaries
       in
+      (* Every device must reach an operand the same way.  The exchange
+         and merge move device images through host memory; they cannot
+         carry a zero-copy shard's in-place atomics into another
+         device's copy, nor a copy's results past a zero-copy shard.
+         The per-buffer auto policy can pick different modes for one
+         buffer on different devices; such a region runs unsharded. *)
+      let zero_copy (d : Rt.device) (x : Dataenv.extent) =
+        (Dataenv.lookup_exn d.Rt.dev_dataenv x.Dataenv.x_host).Addr.space <> Addr.Global
+      in
+      if List.exists (fun s -> List.exists (fun x -> zero_copy s x <> zero_copy primary x) extents)
+           secondaries
+      then begin
+        unmap_secondaries ();
+        tr_instant rt "shard_mixed_modes";
+        single ()
+      end
+      else
       let primary_artifact = Rt.find_kernel rt ~dev:primary.Rt.dev_id kernel_file in
       (* Build one launch context per participating device: load the
          module, coerce the arguments against the kernel's parameter

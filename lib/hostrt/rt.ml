@@ -151,8 +151,13 @@ let set_streams t (n : int) : unit = Array.iter (fun d -> Async.set_streams d.de
 let set_mem_mode t (sel : Mempolicy.sel) : unit =
   Array.iter (fun d -> Dataenv.set_mem_mode d.dev_dataenv sel) t.devices
 
-(* Closure-JIT knob (the --no-jit CLI escape hatch disables it). *)
+(* The one executor switch (the --no-jit CLI escape hatch turns it
+   off): every driver closure-compiles its kernels, and every host
+   context built afterwards closure-compiles its host program. *)
 let set_jit t (on : bool) : unit = Array.iter (fun d -> Driver.set_jit d.dev_driver on) t.devices
+
+(* The drivers hold the switch; [set_jit] keeps them in step. *)
+let jit t : bool = t.devices.(0).dev_driver.Driver.closure_jit
 
 let device t id =
   if id < 0 || id >= Array.length t.devices then ort_error "no such device %d" id;

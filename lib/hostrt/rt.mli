@@ -100,9 +100,19 @@ val set_streams : t -> int -> unit
     [Forced m] puts every buffer in mode [m]. *)
 val set_mem_mode : t -> Mempolicy.sel -> unit
 
-(** Enable/disable the closure JIT on every device (see
-    {!Gpusim.Driver.set_jit}; the [--no-jit] CLI escape hatch). *)
+(** The one executor switch (the [--no-jit] CLI escape hatch): enable
+    or disable the closure JIT for device and host code together.
+    Every device driver closure-compiles the kernels it loads from now
+    on (see {!Gpusim.Driver.set_jit}), and every host context
+    {!Hostexec.make_context} builds from now on closure-compiles its
+    host program.  With [false], both run on the reference tree-walker.
+    A host context built earlier keeps the executor it was built
+    with. *)
 val set_jit : t -> bool -> unit
+
+(** The executor {!set_jit} last selected ([true] = closure JIT; the
+    default). *)
+val jit : t -> bool
 
 val device : t -> int -> device
 

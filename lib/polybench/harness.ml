@@ -64,8 +64,9 @@ let dataenv ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
    policy (bench autopolicy runs every app under each). *)
 let set_mem_mode ctx (sel : Hostrt.Mempolicy.sel) : unit = Hostrt.Rt.set_mem_mode ctx.rt sel
 
-(* Closure-JIT knob: the differential tests and the jit bench run the
-   same app with it on and off and require identical results. *)
+(* The executor switch, for kernels and for host programs prepared
+   afterwards: the differential tests and the jit bench run the same app
+   with it on and off and require identical results. *)
 let set_jit ctx (on : bool) : unit = Hostrt.Rt.set_jit ctx.rt on
 
 let mem_stats ctx : Hostrt.Dataenv.stats = Hostrt.Dataenv.stats (dataenv ctx)

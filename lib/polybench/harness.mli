@@ -61,9 +61,12 @@ val dataenv : ctx -> Hostrt.Dataenv.t
     {!Hostrt.Rt.set_mem_mode}). *)
 val set_mem_mode : ctx -> Hostrt.Mempolicy.sel -> unit
 
-(** Enable/disable the closure JIT on this harness's devices (see
-    {!Gpusim.Driver.set_jit}); the differential tests and the jit bench
-    run the same app both ways and require identical results. *)
+(** The executor switch (see {!Hostrt.Rt.set_jit}): with [false], the
+    kernels this harness loads and the host programs {!prepare_omp}
+    prepares from now on run on the reference tree-walker instead of the
+    closure JIT.  A program prepared earlier keeps its executor.  The
+    differential tests and the jit bench run the same app both ways and
+    require identical results. *)
 val set_jit : ctx -> bool -> unit
 
 (** Elision/zero-copy counters for device 0's data environment. *)

@@ -38,6 +38,16 @@ val app_name : app_kind -> string
 (** Columns of an [Ingest] slab (rows come from [ss_n]). *)
 val ingest_cols : int
 
+(** The OpenMP C source of a service class: one function, {!entry_of}
+    the class, holding one [nowait] combined target region.  Its
+    parameters are [(int n, float A[], float x[], float y[])] for
+    [Matvec], [(int rows, int cols, float S[], float x[], float y[])]
+    for [Ingest] and [(int n, float y[])] for [Scale]. *)
+val source_of : app_kind -> string
+
+(** The entry function of {!source_of}: ["serve_" ^ app_name k]. *)
+val entry_of : app_kind -> string
+
 type session_spec = {
   ss_tag : int;
       (** client identity: seeds this session's deterministic array

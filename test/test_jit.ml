@@ -1,7 +1,9 @@
 (* The closure JIT (Cinterp.Jit) compiles each kernel AST once at module
-   load into slot-indexed OCaml closures; the tree-walking interpreter
-   stays available as the reference executor (--no-jit).  This suite
-   proves the two executors equivalent:
+   load, and each translated host program once when its context is
+   built, into slot-indexed OCaml closures; the tree-walking interpreter
+   stays available as the reference executor (--no-jit, for host and
+   device code together).  This suite proves the two executors
+   equivalent:
 
    - differentially: every Polybench app, in both the hand-written CUDA
      and the OMPi-translated variant, must produce bit-identical outputs,
@@ -15,6 +17,11 @@
      memory with barriers, branches divergent on the thread id) checks
      the same bit-identity on kernels nobody hand-wrote, with a shrinker
      that reduces failures to minimal statement lists;
+
+   - on host programs: the examples through the Ompi facade under the
+     configurations that change how the host drives the device, and
+     Serve's service sources stripped to host code, with every host
+     function compiled (no silent fallback);
 
    - and for the recovery path: a corrupt JIT-cache entry must force a
      recompile of *both* the PTX and the closure form. *)
@@ -79,14 +86,16 @@ let counters_summary (c : Counters.t) : string =
   totals ^ String.concat "" per_alloc ^ String.concat "" per_pin
 
 (* Per-launch record (oldest first): entry, counters, cycles, time. *)
-let launch_log ctx : string list =
+let driver_launch_log (d : Driver.t) : string list =
   List.rev_map
     (fun (s : Driver.launch_stats) ->
       Printf.sprintf "%s: %s | cycles=%h time_ns=%h" s.Driver.st_entry
         (counters_summary s.Driver.st_counters)
         s.Driver.st_breakdown.Costmodel.bd_total_cycles
         s.Driver.st_breakdown.Costmodel.bd_time_ns)
-    (Harness.driver ctx).Driver.launches
+    d.Driver.launches
+
+let launch_log ctx : string list = driver_launch_log (Harness.driver ctx)
 
 let bits (a : float array) : int32 list = Array.to_list (Array.map Int32.bits_of_float a)
 
@@ -676,6 +685,227 @@ let test_compile_once_per_module () =
     (Perf.Trace.count_events tr ~cat:"jit" ~name:"closure_compile" ())
 
 (* ---------------------------------------------------------------- *)
+(* Host programs: one executor for host and device code               *)
+(* ---------------------------------------------------------------- *)
+
+(* The host program runs on the executor the kernels run on, so the
+   switch must be invisible end to end: through the Ompi facade (as
+   ompirun runs a program) under the runtime configurations that change
+   how the host drives the device, and on the stripped host-only
+   programs that serve as references. *)
+
+(* [dune runtest] runs in _build/default/test; [dune exec] in the root. *)
+let read_example file =
+  let path = Filename.concat "../examples" file in
+  let path = if Sys.file_exists path then path else Filename.concat "examples" file in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* What an example prints when it computes the right answer: the anchor
+   that keeps both executors honest. *)
+let example_anchors =
+  [
+    ("dotprod.c", "dot = 8386560.000000");
+    ("quickstart.c", "y[1023] = 3046.000000");
+  ]
+
+let facade_configs =
+  let auto = { Ompi.default_config with Ompi.mem_policy = Hostrt.Mempolicy.Auto } in
+  [
+    ("ompirun defaults", auto);
+    ("--streams 4", { auto with Ompi.streams = 4 });
+    ("--devices 2", { auto with Ompi.devices = 2 });
+    ("Forced Copy", Ompi.default_config);
+  ]
+
+type run_obs = { ro_output : string; ro_exit : int; ro_time : float; ro_log : string list }
+
+let run_example ~(jit : bool) (config : Ompi.config) (file : string) : run_obs =
+  let config = { config with Ompi.jit } in
+  let compiled = Ompi.compile ~config ~name:(Filename.remove_extension file) (read_example file) in
+  let inst = Ompi.load ~config compiled in
+  let r = Ompi.run inst () in
+  {
+    ro_output = r.Ompi.run_output;
+    ro_exit = r.Ompi.run_exit;
+    ro_time = r.Ompi.run_time_s;
+    ro_log =
+      List.concat_map
+        (fun (d : Hostrt.Rt.device) -> driver_launch_log d.Hostrt.Rt.dev_driver)
+        (Array.to_list inst.Ompi.i_rt.Hostrt.Rt.devices);
+  }
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_examples_host_differential () =
+  List.iter
+    (fun (file, anchor) ->
+      List.iter
+        (fun (label, config) ->
+          let name = file ^ " " ^ label in
+          let jit = run_example ~jit:true config file in
+          let interp = run_example ~jit:false config file in
+          Alcotest.(check bool)
+            (name ^ ": correct answer") true
+            (contains ~sub:anchor jit.ro_output);
+          Alcotest.(check string) (name ^ ": identical output") interp.ro_output jit.ro_output;
+          Alcotest.(check int) (name ^ ": identical exit code") interp.ro_exit jit.ro_exit;
+          Alcotest.(check (float 0.0))
+            (name ^ ": identical simulated time")
+            interp.ro_time jit.ro_time;
+          Alcotest.(check (list string))
+            (name ^ ": identical launch counters and cycle costs")
+            interp.ro_log jit.ro_log)
+        facade_configs)
+    example_anchors
+
+(* Serve's service classes, stripped to host-only code as Serve's
+   reference mirrors run them: a few requests, each with a fresh
+   payload.  Every fill is a multiple of 1/16 in [-1, 1] and the sizes
+   are small, so every float32 operation is exact and the OCaml model
+   below computes the expected bits. *)
+let service_n = 8
+
+let service_steps = 3
+
+let q16 v = float_of_int v /. 16.0
+
+let payload step i = q16 ((((step * 13) + (i * 5)) mod 31) - 15)
+
+let matrix i = q16 (((i * 7) mod 33) - 16)
+
+let initial i = q16 ((i mod 29) - 14)
+
+(* One request's effect on the output vector, in exact arithmetic. *)
+let service_model (kind : Serve.app_kind) ~(step : int) (y : float array) : float array =
+  let n = service_n and cols = Serve.ingest_cols in
+  let sum len f = List.fold_left ( +. ) 0.0 (List.init len f) in
+  match kind with
+  | Serve.Matvec ->
+    Array.mapi
+      (fun i yi -> (yi *. 0.5) +. sum n (fun j -> matrix ((i * n) + j) *. payload step j))
+      y
+  | Serve.Ingest ->
+    Array.init n (fun i -> sum cols (fun j -> payload step ((i * cols) + j) *. initial j))
+  | Serve.Scale -> Array.map (fun yi -> (yi *. 1.5) +. 2.0) y
+
+(* Output bits after each request, plus the simulated time. *)
+let run_service ~(jit : bool) (kind : Serve.app_kind) : int32 list list * float =
+  let ctx = Harness.create () in
+  Harness.set_jit ctx jit;
+  let p =
+    Harness.prepare_omp ~host_interp:true ctx ~name:(Serve.entry_of kind) (Serve.source_of kind)
+  in
+  let n = service_n and cols = Serve.ingest_cols in
+  let y = Harness.alloc_f32 ctx n in
+  Harness.fill_f32 ctx y n initial;
+  let request step =
+    match kind with
+    | Serve.Matvec ->
+      let a = Harness.alloc_f32 ctx (n * n) and x = Harness.alloc_f32 ctx n in
+      Harness.fill_f32 ctx a (n * n) matrix;
+      Harness.fill_f32 ctx x n (payload step);
+      Harness.call_omp p (Serve.entry_of kind)
+        [ Harness.vint n; Harness.fptr a; Harness.fptr x; Harness.fptr y ]
+    | Serve.Ingest ->
+      let s = Harness.alloc_f32 ctx (n * cols) and x = Harness.alloc_f32 ctx cols in
+      Harness.fill_f32 ctx s (n * cols) (payload step);
+      Harness.fill_f32 ctx x cols initial;
+      Harness.call_omp p (Serve.entry_of kind)
+        [ Harness.vint n; Harness.vint cols; Harness.fptr s; Harness.fptr x; Harness.fptr y ]
+    | Serve.Scale -> Harness.call_omp p (Serve.entry_of kind) [ Harness.vint n; Harness.fptr y ]
+  in
+  let outs = ref [] in
+  let time =
+    Harness.measure ctx (fun () ->
+        for step = 0 to service_steps - 1 do
+          request step;
+          outs := bits (Harness.read_f32_array ctx y n) :: !outs
+        done)
+  in
+  (List.rev !outs, time)
+
+let service_kinds = [ Serve.Matvec; Serve.Ingest; Serve.Scale ]
+
+let test_service_mirrors_differential () =
+  List.iter
+    (fun kind ->
+      let name = Serve.app_name kind in
+      let jit_outs, jit_time = run_service ~jit:true kind in
+      let interp_outs, interp_time = run_service ~jit:false kind in
+      let _, want =
+        List.fold_left
+          (fun (y, acc) step ->
+            let y = service_model kind ~step y in
+            (y, bits y :: acc))
+          (Array.init service_n initial, [])
+          (List.init service_steps Fun.id)
+      in
+      Alcotest.(check (list (list int32))) (name ^ ": matches the model") (List.rev want) jit_outs;
+      Alcotest.(check (list (list int32))) (name ^ ": bit-identical outputs") interp_outs jit_outs;
+      Alcotest.(check (float 0.0)) (name ^ ": identical simulated time") interp_time jit_time)
+    service_kinds
+
+(* The context follows the switch as it stood when the context was
+   built: a later set_jit does not re-route an existing context. *)
+let test_host_context_follows_switch () =
+  let ctx = Harness.create () in
+  let src = Serve.source_of Serve.Scale and name = Serve.entry_of Serve.Scale in
+  let on = Harness.prepare_omp ~host_interp:true ctx ~name src in
+  Alcotest.(check bool) "jit on: host calls dispatch to closures" true
+    (Option.is_some on.Harness.op_ctx.Cinterp.Interp.dispatch);
+  Harness.set_jit ctx false;
+  let off = Harness.prepare_omp ~host_interp:true ctx ~name src in
+  Alcotest.(check bool) "jit off: host runs on the tree-walker" true
+    (Option.is_none off.Harness.op_ctx.Cinterp.Interp.dispatch);
+  Alcotest.(check bool) "earlier context keeps its executor" true
+    (Option.is_some on.Harness.op_ctx.Cinterp.Interp.dispatch)
+
+(* No silent fallback on the host side either: every function of every
+   host program — the six Fig. 4 OMPi apps translated and stripped, and
+   Serve's live and mirror programs — has a closure form.  The compile
+   is a function of the context's own tables, so repeating it here sees
+   what make_context built.  And host compiles are not module loads: they
+   emit no closure_compile event. *)
+let fig4_omp_sources =
+  [
+    ("3dconv", Conv3d.omp_source);
+    ("bicg", Bicg.omp_source);
+    ("atax", Atax.omp_source);
+    ("mvt", Mvt.omp_source);
+    ("gemm", Gemm.omp_source);
+    ("gramschmidt", Gramschmidt.omp_source);
+  ]
+
+let test_every_host_function_compiles () =
+  let ctx = Harness.create () in
+  let tr = Harness.enable_trace ctx in
+  let check_program label (p : Harness.omp_program) =
+    let ictx = p.Harness.op_ctx in
+    let funcs = ictx.Cinterp.Interp.funcs in
+    let c = Cinterp.Jit.compile ~structs:ictx.Cinterp.Interp.structs ~funcs in
+    Alcotest.(check (list (pair string string)))
+      (label ^ ": no function left out") [] (Cinterp.Jit.left_out c);
+    Alcotest.(check int)
+      (label ^ ": every function compiled")
+      (Hashtbl.length funcs) (Cinterp.Jit.function_count c);
+    Alcotest.(check bool) (label ^ ": context runs the closures") true
+      (Option.is_some ictx.Cinterp.Interp.dispatch)
+  in
+  let programs =
+    fig4_omp_sources @ List.map (fun k -> (Serve.entry_of k, Serve.source_of k)) service_kinds
+  in
+  List.iter
+    (fun (name, src) ->
+      check_program (name ^ " (translated)") (Harness.prepare_omp ctx ~name src);
+      check_program (name ^ " (stripped)") (Harness.prepare_omp ~host_interp:true ctx ~name src))
+    programs;
+  Alcotest.(check int) "host compiles emit no closure_compile event" 0
+    (Perf.Trace.count_events tr ~cat:"jit" ~name:"closure_compile" ())
+
+(* ---------------------------------------------------------------- *)
 
 let () =
   let app_cases =
@@ -699,6 +929,17 @@ let () =
       ( "relaunch",
         [
           Alcotest.test_case "second launch = first = fresh driver" `Quick test_relaunch_is_fresh;
+        ] );
+      ( "host",
+        [
+          Alcotest.test_case "examples: JIT == interpreter, per configuration" `Quick
+            test_examples_host_differential;
+          Alcotest.test_case "Serve mirrors: JIT == interpreter == model" `Quick
+            test_service_mirrors_differential;
+          Alcotest.test_case "host context follows the switch" `Quick
+            test_host_context_follows_switch;
+          Alcotest.test_case "every host function compiles" `Quick
+            test_every_host_function_compiles;
         ] );
       ( "cache",
         [

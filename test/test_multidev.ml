@@ -138,11 +138,12 @@ let run_gemm ?(host_interp = false) ?(jit = true)
     },
     ctx )
 
-let run_dot ?(host_interp = false) ?(jit = true) ?specs ~devices ~n ~teams ~nthr () :
+let run_dot ?(host_interp = false) ?(jit = true) ?mem ?specs ~devices ~n ~teams ~nthr () :
     obs * Harness.ctx =
   let ctx = Harness.create ~devices ?specs () in
   Harness.set_sampling ctx None;
   Harness.set_jit ctx jit;
+  Option.iter (Harness.set_mem_mode ctx) mem;
   let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx n in
   let out = Harness.alloc_f32 ctx 1 in
   Harness.fill_f32 ctx x n f_a;
@@ -227,6 +228,28 @@ let test_elision_on_farm () =
       ~teams:gemm_teams ~nthr:64 ()
   in
   Alcotest.(check bool) "elided farm bytes identical" true (elided.ob_bits = plain.ob_bits)
+
+(* Under the per-buffer auto policy the devices of a farm can pick
+   different modes for one buffer: here the primary reaches the
+   reduction scalar zero-copy while the secondaries copy it.  The
+   exchange cannot carry in-place atomics into a device copy, so such a
+   region runs unsharded on its target device, and the chain keeps the
+   1-device value. *)
+let test_mixed_modes_run_unsharded () =
+  let auto = Hostrt.Mempolicy.Auto in
+  let solo, _ = run_dot ~mem:auto ~devices:1 ~n:dot_n ~teams:dot_teams ~nthr:64 () in
+  List.iter
+    (fun devices ->
+      let farm, ctx = run_dot ~mem:auto ~devices ~n:dot_n ~teams:dot_teams ~nthr:64 () in
+      Alcotest.(check int32)
+        (Printf.sprintf "auto, %d devices: chained value = 1 device" devices)
+        solo.ob_bits.(0) farm.ob_bits.(0);
+      Alcotest.(check int)
+        (Printf.sprintf "auto, %d devices: the target device ran the whole grid" devices)
+        dot_teams (blocks_executed ctx);
+      Alcotest.(check int) (Printf.sprintf "auto, %d devices: device 1 idle" devices) 0
+        (launches_on ctx 1))
+    [ 2; 4 ]
 
 (* A fatal fault on the second shard launch (device 1, ascending order)
    host-falls-back that shard only: same bytes, device 0 alive. *)
@@ -446,6 +469,8 @@ let () =
             test_dot_farm_differential;
           Alcotest.test_case "executors agree on a farm" `Quick test_executors_agree_on_farm;
           Alcotest.test_case "elision moves no bytes" `Quick test_elision_on_farm;
+          Alcotest.test_case "mixed memory modes run unsharded" `Quick
+            test_mixed_modes_run_unsharded;
           Alcotest.test_case "secondary death host-falls-back its shard" `Quick
             test_secondary_death_fallback;
         ] );
