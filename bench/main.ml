@@ -149,7 +149,9 @@ let ablate_binmode () =
   say "%-28s %14s %14s\n" "configuration" "1st launch (s)" "2nd launch (s)";
   let shared_jit_cache = ref None in
   let run mode ~reuse_cache =
-    let ctx = Polybench.Harness.create ~binary_mode:mode () in
+    let ctx =
+      Polybench.Harness.create ~config:{ Hostrt.Rt.default_config with binary_mode = mode } ()
+    in
     (match (reuse_cache, !shared_jit_cache) with
     | true, Some cache ->
       (* simulate the CUDA disk cache persisting across process runs *)
@@ -485,12 +487,17 @@ type overlap_mode =
   | Ov_sync (* same program without nowait *)
   | Ov_host (* directives stripped, sequential host reference *)
 
-let run_pipeline ?(trace = false) ?faults mode ~n ~rows ~tiles =
-  let ctx = Polybench.Harness.create () in
+let run_pipeline ?(trace = false) ?(faults = []) mode ~n ~rows ~tiles =
+  let streams =
+    match mode with Ov_async s -> s | Ov_sync | Ov_host -> Hostrt.Rt.default_config.streams
+  in
+  let ctx =
+    Polybench.Harness.create
+      ~config:{ Hostrt.Rt.default_config with streams; faults; fault_seed = 7 }
+      ()
+  in
   Polybench.Harness.set_sampling ctx None;
-  (match mode with Ov_async s -> Polybench.Harness.set_streams ctx s | Ov_sync | Ov_host -> ());
   let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-  (match faults with Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules | None -> ());
   let total = tiles * rows in
   let a = Polybench.Harness.alloc_f32 ctx (total * n) in
   let x = Polybench.Harness.alloc_f32 ctx n in
@@ -641,10 +648,14 @@ let smoke_cells =
 
 let fault_cell app (spec, mode, expect) : bool =
   let n = List.hd app.Polybench.Suite.ap_validate_sizes in
-  let ctx = Polybench.Harness.create ~binary_mode:mode () in
+  let ctx =
+    Polybench.Harness.create
+      ~config:
+        { Hostrt.Rt.default_config with binary_mode = mode; faults = rules_of spec; fault_seed = 7 }
+      ()
+  in
   Polybench.Harness.set_sampling ctx None;
   let tr = Polybench.Harness.enable_trace ctx in
-  Polybench.Harness.set_faults ctx ~seed:7 (rules_of spec);
   let _, got = app.Polybench.Suite.ap_run ctx Polybench.Harness.Ompi_cudadev ~n in
   let err = Polybench.Harness.max_rel_error got (app.Polybench.Suite.ap_reference ~n) in
   let correct = err <= 1e-3 in
@@ -795,14 +806,20 @@ let ms_apps =
    [Ms_mode sel] offloads with every device in memory mode [sel]. *)
 type ms_variant = Ms_host | Ms_mode of Hostrt.Mempolicy.sel
 
-let run_mem_variant ?(trace = false) ?faults ?(source = None) (app : ms_app) ~n ~iters variant =
-  let ctx = Polybench.Harness.create () in
+let run_mem_variant ?(trace = false) ?(faults = []) ?(source = None) (app : ms_app) ~n ~iters
+    variant =
+  let mem_policy =
+    match variant with Ms_mode sel -> sel | Ms_host -> Hostrt.Rt.default_config.mem_policy
+  in
+  let ctx =
+    Polybench.Harness.create
+      ~config:{ Hostrt.Rt.default_config with mem_policy; faults; fault_seed = 7 }
+      ()
+  in
   (* block-sampled launches conservatively dirty the device write epoch,
      so elision is only meaningful (and only measured) unsampled *)
   Polybench.Harness.set_sampling ctx None;
-  (match variant with Ms_mode sel -> Polybench.Harness.set_mem_mode ctx sel | Ms_host -> ());
   let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-  (match faults with Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules | None -> ());
   let args, outs = app.ms_setup ctx ~n in
   let source = Option.value source ~default:app.ms_source in
   let p =
@@ -1023,9 +1040,8 @@ let jit_bench ~smoke () =
   let { check; verdict; _ } = checks ~prefix:"CHECK FAILED" "jit" in
   let reps = 3 in
   let run_leg (app : Polybench.Suite.app) ~jit ~n =
-    let ctx = Polybench.Harness.create () in
+    let ctx = Polybench.Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
     Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_jit ctx jit;
     let t0 = Unix.gettimeofday () in
     let sim, out = app.Polybench.Suite.ap_run ctx Polybench.Harness.Cuda ~n in
     (Unix.gettimeofday () -. t0, sim, out)
@@ -1074,7 +1090,6 @@ let jit_bench ~smoke () =
   (* relaunching from the same loaded module must not recompile *)
   let ctx = Polybench.Harness.create () in
   Polybench.Harness.set_sampling ctx None;
-  Polybench.Harness.set_jit ctx true;
   let tr = Polybench.Harness.enable_trace ctx in
   let atax = List.find (fun a -> a.Polybench.Suite.ap_name = "atax") Polybench.Suite.all in
   let n0 = List.hd atax.Polybench.Suite.ap_validate_sizes in
@@ -1118,10 +1133,9 @@ let serve_bench ~smoke () =
   let base = { Serve.default_config with Serve.cf_trace = true } in
   let fault_rules = rules_of "h2d:every=7,kind=transient;launch:every=11,kind=transient" in
   let multi, tr = Serve.run base sessions in
-  let serial, _ = Serve.run { base with Serve.cf_streams = 1; cf_trace = false } sessions in
-  let faulted, _ =
-    Serve.run { base with Serve.cf_faults = fault_rules; cf_trace = false } sessions
-  in
+  let with_rt f = { base with Serve.cf_rt = f base.Serve.cf_rt; cf_trace = false } in
+  let serial, _ = Serve.run (with_rt (fun rt -> { rt with streams = 1 })) sessions in
+  let faulted, _ = Serve.run (with_rt (fun rt -> { rt with faults = fault_rules })) sessions in
   let leg name (r : Serve.report) =
     say "  %-12s %3d/%3d req, %8.1f req/s, p50/p95/p99 %.3f/%.3f/%.3f ms, depth mean %.2f, %s\n"
       name r.Serve.rp_completed r.Serve.rp_requests r.Serve.rp_throughput_rps r.Serve.rp_p50_ms
@@ -1276,9 +1290,8 @@ let reduction_bench ~smoke () =
   let n = if smoke then 8192 else 65536 in
   let teams = 16 and nthr = 128 in
   let run_float ~jit ~teams ~nthr =
-    let ctx = Polybench.Harness.create () in
+    let ctx = Polybench.Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
     Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_jit ctx jit;
     let open Polybench.Harness in
     let x = alloc_f32 ctx n and y = alloc_f32 ctx n and out = alloc_f32 ctx 1 in
     fill_f32 ctx x n red_fx;
@@ -1291,10 +1304,11 @@ let reduction_bench ~smoke () =
     (t, Int32.bits_of_float (get_f32 ctx out 0), ctx)
   in
   let run_int ~faults ~teams ~nthr =
-    let ctx = Polybench.Harness.create () in
+    let ctx =
+      Polybench.Harness.create ~config:{ Hostrt.Rt.default_config with faults; fault_seed = 11 } ()
+    in
     Polybench.Harness.set_sampling ctx None;
     let tr = Polybench.Harness.enable_trace ctx in
-    (match faults with [] -> () | rules -> Polybench.Harness.set_faults ctx ~seed:11 rules);
     let open Polybench.Harness in
     let x = alloc_i32 ctx n and y = alloc_i32 ctx n and out = alloc_i32 ctx 1 in
     fill_i32 ctx x n red_ix;
@@ -1436,16 +1450,18 @@ let multidev_bench ~smoke () =
   let dead ctx d =
     Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.Polybench.Harness.rt d).Hostrt.Rt.dev_dataenv
   in
-  let run_gemm ?(host_interp = false) ?(trace = false) ?faults ~devices () =
-    let ctx = Polybench.Harness.create ~devices () in
+  (* steady-state shape: the warm call re-broadcasts nothing the host
+     has not dirtied, so the window is shards + the c traffic *)
+  let elide = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide in
+  let run_gemm ?(host_interp = false) ?(trace = false) ?(faults = []) ~devices () =
+    let ctx =
+      Polybench.Harness.create
+        ~config:
+          { Hostrt.Rt.default_config with devices; mem_policy = elide; faults; fault_seed = 7 }
+        ()
+    in
     Polybench.Harness.set_sampling ctx None;
-    (* steady-state shape: the warm call re-broadcasts nothing the host
-       has not dirtied, so the window is shards + the c traffic *)
-    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
     let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-    (match faults with
-    | None -> ()
-    | Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules);
     let open Polybench.Harness in
     let nn = gemm_n * gemm_n in
     let a = alloc_f32 ctx nn and b = alloc_f32 ctx nn and c = alloc_f32 ctx nn in
@@ -1460,7 +1476,7 @@ let multidev_bench ~smoke () =
     (* warm-up: pay every device's one-time module load outside the
        window, then restore c (tofrom) so the measured call sees the
        same bytes on every leg *)
-    if faults = None then begin
+    if faults = [] then begin
       call ();
       fill_f32 ctx c nn (md_c gemm_n)
     end;
@@ -1468,9 +1484,12 @@ let multidev_bench ~smoke () =
     (t, Array.map Int32.bits_of_float (read_f32_array ctx c nn), ctx, tr)
   in
   let run_dot ?(host_interp = false) ~devices () =
-    let ctx = Polybench.Harness.create ~devices () in
+    let ctx =
+      Polybench.Harness.create
+        ~config:{ Hostrt.Rt.default_config with devices; mem_policy = elide }
+        ()
+    in
     Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
     let open Polybench.Harness in
     let x = alloc_f32 ctx dot_n and y = alloc_f32 ctx dot_n and out = alloc_f32 ctx 1 in
     fill_f32 ctx x dot_n red_fx;

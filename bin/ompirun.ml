@@ -3,21 +3,13 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* Accept "examples/quickstart" as shorthand for "examples/quickstart.c". *)
 let resolve_input path =
   if Sys.file_exists path && not (Sys.is_directory path) then Some path
   else if Sys.file_exists (path ^ ".c") then Some (path ^ ".c")
   else None
 
-let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_seed streams devices
-    mem_policy no_jit verbose =
+let run_cmd input entry binary_mode trace_file no_jit verbose (config : Hostrt.Rt.config) =
   let input =
     match resolve_input input with
     | Some p -> p
@@ -25,124 +17,74 @@ let run_cmd input entry binary_mode trace_file faults_spec max_retries fault_see
       Printf.eprintf "ompirun: no such file: %s (also tried %s.c)\n" input input;
       exit 1
   in
-  let source = read_file input in
+  let source = Cli.read_file input in
   let stem = Filename.remove_extension (Filename.basename input) in
   let mode = if binary_mode = "ptx" then Gpusim.Nvcc.Ptx else Gpusim.Nvcc.Cubin in
-  let faults =
-    match faults_spec with
-    | None -> []
-    | Some spec -> (
-      match Hostrt.Faults.parse spec with
-      | Ok rules -> rules
-      | Error msg ->
-        Printf.eprintf "ompirun: bad --faults spec: %s\n%s\n" msg Hostrt.Faults.spec_syntax;
-        exit 1)
-  in
-  if streams <= 0 then begin
-    Printf.eprintf "ompirun: --streams must be positive (got %d)\n" streams;
-    exit 1
-  end;
-  if devices <= 0 then begin
-    Printf.eprintf "ompirun: --devices must be positive (got %d)\n" devices;
-    exit 1
-  end;
-  let mem_policy =
-    match Hostrt.Mempolicy.sel_of_string mem_policy with
-    | Some sel -> sel
-    | None ->
-      Printf.eprintf "ompirun: bad --mem-policy %s (want auto|copy|elide|zerocopy)\n" mem_policy;
-      exit 1
-  in
-  let config =
-    {
-      Ompi.default_config with
-      binary_mode = mode;
-      faults;
-      fault_seed;
-      max_retries;
-      streams;
-      mem_policy;
-      jit = not no_jit;
-      devices;
-    }
-  in
-  try
-    let compiled = Ompi.compile ~config ~name:stem source in
-    let instance = Ompi.load ~config ~trace:(trace_file <> None) compiled in
-    let result = Ompi.run instance ~entry () in
-    print_string result.Ompi.run_output;
-    Printf.eprintf "[%s on %s%s]\n" stem Gpusim.Spec.jetson_nano_2gb.Gpusim.Spec.name
-      (if devices > 1 then Printf.sprintf " x%d devices" devices else "");
-    (match instance.Ompi.i_rt.Hostrt.Rt.faults with
-    | Some f ->
-      let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
-      Printf.eprintf "[faults: %d injected out of %d fallible calls%s]\n"
-        (Hostrt.Faults.total_fired f) (Hostrt.Faults.total_calls f)
-        (match Hostrt.Dataenv.dead_reason dataenv with
-        | Some reason -> Printf.sprintf "; device dead (%s), host fallback used" reason
-        | None -> "")
-    | None -> ());
-    (if not (Hostrt.Mempolicy.equal_sel mem_policy (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy))
-     then begin
-       let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
-       let st = Hostrt.Dataenv.stats dataenv in
-       Printf.eprintf
-         "[mem: %d h2d + %d d2h elided, %d zero-copy accesses, %d resident buffer(s), %d byte(s) \
-          digested]\n"
-         st.Hostrt.Dataenv.elided_h2d st.Hostrt.Dataenv.elided_d2h
-         st.Hostrt.Dataenv.zerocopy_accesses
-         (Hostrt.Dataenv.resident_buffers dataenv)
-         st.Hostrt.Dataenv.digested_bytes;
-       if
-         st.Hostrt.Dataenv.elided_h2d_pages + st.Hostrt.Dataenv.elided_d2h_pages
-         + st.Hostrt.Dataenv.elided_update_to + st.Hostrt.Dataenv.elided_update_from
-         > 0
-       then
+  let config = { config with binary_mode = mode; jit = not no_jit } in
+  Cli.report_errors ~input (fun () ->
+      let compiled = Ompi.compile ~name:stem source in
+      let instance = Ompi.load ~config ~trace:(trace_file <> None) compiled in
+      let result = Ompi.run instance ~entry () in
+      print_string result.Ompi.run_output;
+      Printf.eprintf "[%s on %s%s]\n" stem Gpusim.Spec.jetson_nano_2gb.Gpusim.Spec.name
+        (if config.devices > 1 then Printf.sprintf " x%d devices" config.devices else "");
+      (match instance.Ompi.i_rt.Hostrt.Rt.faults with
+      | Some f ->
+        let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
+        Printf.eprintf "[faults: %d injected out of %d fallible calls%s]\n"
+          (Hostrt.Faults.total_fired f) (Hostrt.Faults.total_calls f)
+          (match Hostrt.Dataenv.dead_reason dataenv with
+          | Some reason -> Printf.sprintf "; device dead (%s), host fallback used" reason
+          | None -> "")
+      | None -> ());
+      (if not Hostrt.Mempolicy.(equal_sel config.mem_policy (Forced Copy)) then begin
+         let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
+         let st = Hostrt.Dataenv.stats dataenv in
          Printf.eprintf
-           "[mem: dirty tracking: %d h2d + %d d2h clean page(s) skipped, %d update-to + %d \
-            update-from elided]\n"
-           st.Hostrt.Dataenv.elided_h2d_pages st.Hostrt.Dataenv.elided_d2h_pages
-           st.Hostrt.Dataenv.elided_update_to st.Hostrt.Dataenv.elided_update_from;
-       List.iter
-         (fun ((off, bytes), row) ->
-           Printf.eprintf "[mem: buffer 0x%x+%d -> %s]\n" off bytes
-             (String.concat ", " (List.map (fun (m, n) -> Printf.sprintf "%s x%d" m n) row)))
-         (Hostrt.Dataenv.policy_decisions dataenv)
-     end);
-    Printf.eprintf "[simulated time: %.6f s, %d kernel launch(es), exit code %d]\n"
-      result.Ompi.run_time_s result.Ompi.run_kernel_launches result.Ompi.run_exit;
-    (match (trace_file, instance.Ompi.i_trace) with
-    | Some path, Some tr ->
-      (match Perf.Chrome_trace.write_file path tr with
-      | () ->
-        Printf.eprintf "[trace: %d events written to %s (Chrome trace format)]\n"
-          (Perf.Trace.length tr) path
-      | exception Sys_error msg -> Printf.eprintf "ompirun: cannot write trace: %s\n" msg);
-      if verbose then Perf.Report.print_trace_summary ~oc:stderr tr
-    | _ -> ());
-    if verbose then begin
-      let dev = Hostrt.Rt.device instance.Ompi.i_rt 0 in
-      List.iter
-        (fun (s : Gpusim.Driver.launch_stats) ->
-          Printf.eprintf "  launch %s grid=(%d,%d,%d) block=(%d,%d,%d): %s\n"
-            s.Gpusim.Driver.st_entry s.Gpusim.Driver.st_grid.Gpusim.Simt.x
-            s.Gpusim.Driver.st_grid.Gpusim.Simt.y s.Gpusim.Driver.st_grid.Gpusim.Simt.z
-            s.Gpusim.Driver.st_block.Gpusim.Simt.x s.Gpusim.Driver.st_block.Gpusim.Simt.y
-            s.Gpusim.Driver.st_block.Gpusim.Simt.z
-            (Format.asprintf "%a" Gpusim.Costmodel.pp_breakdown s.Gpusim.Driver.st_breakdown))
-        (List.rev dev.Hostrt.Rt.dev_driver.Gpusim.Driver.launches)
-    end;
-    exit result.Ompi.run_exit
-  with
-  | Minic.Parser.Parse_error (msg, loc) ->
-    Printf.eprintf "%s:%d:%d: syntax error: %s\n" input loc.Minic.Token.line loc.Minic.Token.col msg;
-    exit 1
-  | Translator.Pipeline.Translate_error msg | Translator.Region.Unsupported msg ->
-    Printf.eprintf "%s: translation error: %s\n" input msg;
-    exit 1
-  | Cinterp.Interp.Runtime_error msg ->
-    Printf.eprintf "%s: runtime error: %s\n" input msg;
-    exit 1
+           "[mem: %d h2d + %d d2h elided, %d zero-copy accesses, %d resident buffer(s), %d byte(s) \
+            digested]\n"
+           st.Hostrt.Dataenv.elided_h2d st.Hostrt.Dataenv.elided_d2h
+           st.Hostrt.Dataenv.zerocopy_accesses
+           (Hostrt.Dataenv.resident_buffers dataenv)
+           st.Hostrt.Dataenv.digested_bytes;
+         if
+           st.Hostrt.Dataenv.elided_h2d_pages + st.Hostrt.Dataenv.elided_d2h_pages
+           + st.Hostrt.Dataenv.elided_update_to + st.Hostrt.Dataenv.elided_update_from
+           > 0
+         then
+           Printf.eprintf
+             "[mem: dirty tracking: %d h2d + %d d2h clean page(s) skipped, %d update-to + %d \
+              update-from elided]\n"
+             st.Hostrt.Dataenv.elided_h2d_pages st.Hostrt.Dataenv.elided_d2h_pages
+             st.Hostrt.Dataenv.elided_update_to st.Hostrt.Dataenv.elided_update_from;
+         List.iter
+           (fun ((off, bytes), row) ->
+             Printf.eprintf "[mem: buffer 0x%x+%d -> %s]\n" off bytes
+               (String.concat ", " (List.map (fun (m, n) -> Printf.sprintf "%s x%d" m n) row)))
+           (Hostrt.Dataenv.policy_decisions dataenv)
+       end);
+      Printf.eprintf "[simulated time: %.6f s, %d kernel launch(es), exit code %d]\n"
+        result.Ompi.run_time_s result.Ompi.run_kernel_launches result.Ompi.run_exit;
+      (match (trace_file, instance.Ompi.i_trace) with
+      | Some path, Some tr ->
+        if Cli.write_trace ~tool:"ompirun" path tr then
+          Printf.eprintf "[trace: %d events written to %s (Chrome trace format)]\n"
+            (Perf.Trace.length tr) path;
+        if verbose then Perf.Report.print_trace_summary ~oc:stderr tr
+      | _ -> ());
+      if verbose then begin
+        let dev = Hostrt.Rt.device instance.Ompi.i_rt 0 in
+        List.iter
+          (fun (s : Gpusim.Driver.launch_stats) ->
+            Printf.eprintf "  launch %s grid=(%d,%d,%d) block=(%d,%d,%d): %s\n"
+              s.Gpusim.Driver.st_entry s.Gpusim.Driver.st_grid.Gpusim.Simt.x
+              s.Gpusim.Driver.st_grid.Gpusim.Simt.y s.Gpusim.Driver.st_grid.Gpusim.Simt.z
+              s.Gpusim.Driver.st_block.Gpusim.Simt.x s.Gpusim.Driver.st_block.Gpusim.Simt.y
+              s.Gpusim.Driver.st_block.Gpusim.Simt.z
+              (Format.asprintf "%a" Gpusim.Costmodel.pp_breakdown s.Gpusim.Driver.st_breakdown))
+          (List.rev dev.Hostrt.Rt.dev_driver.Gpusim.Driver.launches)
+      end;
+      exit result.Ompi.run_exit)
 
 let input_arg =
   Arg.(
@@ -164,61 +106,6 @@ let trace_arg =
           "Record device init, transfers, the three launch phases and JIT-cache activity, and \
            write a Chrome-trace JSON file (open in chrome://tracing or Perfetto)")
 
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          ("Inject deterministic device faults and exercise the recovery path (retry with \
-            backoff, JIT-cache invalidation, host fallback). " ^ Hostrt.Faults.spec_syntax))
-
-let max_retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:"Bound the per-operation retries of the fault recovery policy (default 3)")
-
-let fault_seed_arg =
-  Arg.(
-    value
-    & opt int 42
-    & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed for probabilistic fault rules")
-
-let streams_arg =
-  Arg.(
-    value
-    & opt int Hostrt.Async.default_streams
-    & info [ "streams" ] ~docv:"N"
-        ~doc:
-          "Size of the device stream pool used by target nowait regions (default 4); 1 \
-           serializes all async work on a single stream")
-
-let devices_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "devices" ] ~docv:"N"
-        ~doc:
-          "Number of simulated device instances (default 1).  With more than one, default-device \
-           distribute launches are sharded across the farm by compute weight; device(n) clauses \
-           pin a region to one device, and omp_get_num_devices() reports N")
-
-let mem_policy_arg =
-  Arg.(
-    value
-    & opt string "auto"
-    & info [ "mem-policy" ] ~docv:"MODE"
-        ~doc:
-          "Memory mode: $(b,auto) (default) classifies each mapped buffer as copy, elide or \
-           zerocopy from its observed history and the device cost model; $(b,copy), $(b,elide) \
-           or $(b,zerocopy) force that mode for every buffer.  $(b,elide) parks released device \
-           buffers and skips transfers whose source and destination provably hold the same \
-           bytes (map(always, ...) forces the transfer); $(b,zerocopy) maps through pinned host \
-           memory so kernels access the shared LPDDR4 in place, trading copy time for uncached \
-           device access")
-
 let no_jit_arg =
   Arg.(
     value
@@ -236,8 +123,8 @@ let cmd =
   Cmd.v
     (Cmd.info "ompirun" ~doc)
     Term.(
-      const run_cmd $ input_arg $ entry_arg $ mode_arg $ trace_arg $ faults_arg $ max_retries_arg
-      $ fault_seed_arg $ streams_arg $ devices_arg $ mem_policy_arg
-      $ no_jit_arg $ verbose_arg)
+      const run_cmd $ input_arg $ entry_arg $ mode_arg $ trace_arg $ no_jit_arg $ verbose_arg
+      $ Cli.runtime_config ~tool:"ompirun"
+          ~defaults:{ Hostrt.Rt.default_config with mem_policy = Hostrt.Mempolicy.Auto })
 
 let () = exit (Cmd.eval cmd)

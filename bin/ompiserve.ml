@@ -7,40 +7,18 @@
 
 open Cmdliner
 
-let run_cmd devices streams inflight generations seed smoke mem_policy resident_cap
-    faults_spec fault_seed max_retries trace_file =
-  let cf_mem_policy =
-    match Hostrt.Mempolicy.sel_of_string mem_policy with
-    | Some sel -> sel
-    | None ->
-      Printf.eprintf "ompiserve: bad --mem-policy %s (want auto|copy|elide|zerocopy)\n" mem_policy;
-      exit 1
-  in
-  let faults =
-    match faults_spec with
-    | None -> []
-    | Some spec -> (
-      match Hostrt.Faults.parse spec with
-      | Ok rules -> rules
-      | Error msg ->
-        Printf.eprintf "ompiserve: bad --faults spec: %s\n%s\n" msg Hostrt.Faults.spec_syntax;
-        exit 1)
-  in
+let run_cmd inflight generations seed smoke resident_cap trace_file (rt : Hostrt.Rt.config) =
   let cfg =
     {
-      Serve.cf_devices = devices;
-      cf_streams = streams;
+      Serve.cf_rt = rt;
       cf_max_inflight = inflight;
       cf_generations = generations;
       cf_seed = seed;
-      cf_mem_policy;
       cf_resident_cap_bytes = resident_cap;
-      cf_faults = faults;
-      cf_fault_seed = fault_seed;
-      cf_max_retries = max_retries;
       cf_trace = trace_file <> None;
     }
   in
+  let devices = rt.Hostrt.Rt.devices in
   let sessions = Serve.default_sessions ~smoke in
   (* spread the default workload round-robin across the farm *)
   let sessions =
@@ -54,7 +32,7 @@ let run_cmd devices streams inflight generations seed smoke mem_policy resident_
     exit 1
   | r, trace ->
     Printf.printf "ompiserve: %d clients, %d device(s), %d stream(s), max %d in flight, %d generation(s)\n"
-      (List.length sessions) devices streams inflight generations;
+      (List.length sessions) devices rt.Hostrt.Rt.streams inflight generations;
     Printf.printf "  %d/%d requests served in %.6f s busy time -> %.1f req/s\n"
       r.Serve.rp_completed r.Serve.rp_requests r.Serve.rp_busy_s r.Serve.rp_throughput_rps;
     Printf.printf "  latency p50/p95/p99: %.3f / %.3f / %.3f ms; queue depth mean %.2f max %d\n"
@@ -69,7 +47,7 @@ let run_cmd devices streams inflight generations seed smoke mem_policy resident_
     if r.Serve.rp_elided_pages > 0 then
       Printf.printf "  dirty tracking: %d clean page(s) skipped by partial transfers\n"
         r.Serve.rp_elided_pages;
-    Printf.printf "  mem policy: %s\n" (Hostrt.Mempolicy.sel_name cf_mem_policy);
+    Printf.printf "  mem policy: %s\n" (Hostrt.Mempolicy.sel_name rt.Hostrt.Rt.mem_policy);
     List.iter
       (fun (dev, rows) ->
         List.iter
@@ -90,26 +68,14 @@ let run_cmd devices streams inflight generations seed smoke mem_policy resident_
       r.Serve.rp_sessions;
     (match (trace_file, trace) with
     | Some path, Some tr ->
-      Perf.Chrome_trace.write_file path tr;
-      Printf.printf "  [trace: %d events written to %s]\n" (Perf.Trace.length tr) path
+      if Cli.write_trace ~tool:"ompiserve" path tr then
+        Printf.printf "  [trace: %d events written to %s]\n" (Perf.Trace.length tr) path
     | _ -> ());
     if r.Serve.rp_all_identical then print_endline "  all responses bit-identical to host reference"
     else begin
       print_endline "  RESPONSE MISMATCH against host reference";
       exit 1
     end
-
-let devices_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "devices" ] ~docv:"N"
-        ~doc:
-          "Number of simulated device instances; the default workload's sessions are pinned \
-           round-robin across the farm, each with its own data environment and resident cache")
-
-let streams_arg =
-  Arg.(value & opt int 4 & info [ "streams" ] ~docv:"N" ~doc:"Stream-pool size (1 = serialized)")
 
 let inflight_arg =
   Arg.(
@@ -126,42 +92,11 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Arri
 
 let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Small CI-sized workload")
 
-let mem_policy_arg =
-  Arg.(
-    value
-    & opt string "elide"
-    & info [ "mem-policy" ] ~docv:"MODE"
-        ~doc:
-          "Memory mode for every session's persistent data environment: $(b,elide) (default) \
-           parks closed sessions' buffers in the resident cache and skips provably redundant \
-           transfers; $(b,copy) always transfers; $(b,zerocopy) maps pinned host memory; \
-           $(b,auto) classifies each buffer copy/elide/zerocopy from its observed history")
-
 let resident_cap_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "resident-cap" ] ~docv:"BYTES" ~doc:"Resident-cache byte budget override")
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          ("Inject deterministic device faults under load; responses must stay bit-identical. "
-          ^ Hostrt.Faults.spec_syntax))
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 7 & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed for probabilistic fault rules")
-
-let max_retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:"Bound the per-operation retries of the recovery policy")
 
 let trace_arg =
   Arg.(
@@ -177,8 +112,8 @@ let cmd =
   Cmd.v
     (Cmd.info "ompiserve" ~doc)
     Term.(
-      const run_cmd $ devices_arg $ streams_arg $ inflight_arg $ generations_arg $ seed_arg
-      $ smoke_arg $ mem_policy_arg $ resident_cap_arg $ faults_arg $ fault_seed_arg
-      $ max_retries_arg $ trace_arg)
+      const run_cmd $ inflight_arg $ generations_arg $ seed_arg $ smoke_arg $ resident_cap_arg
+      $ trace_arg
+      $ Cli.runtime_config ~tool:"ompiserve" ~defaults:Serve.default_config.Serve.cf_rt)
 
 let () = exit (Cmd.eval cmd)

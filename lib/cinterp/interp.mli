@@ -12,7 +12,8 @@
     In both roles the closure JIT ({!Jit}) normally executes function
     bodies through the {!t.dispatch} hook; the tree-walker here is the
     reference executor, selected for host and device code together by
-    [Hostrt.Rt.set_jit false] ([--no-jit]), and the fallback for any
+    [jit = false] in the runtime's configuration ([--no-jit]), and the
+    fallback for any
     function the JIT left out.
 
     Per-operation hooks ({!t.on_step}, {!t.on_access}) feed the

@@ -16,32 +16,23 @@
 
 open Gpusim
 
-type config = {
-  binary_mode : Nvcc.binary_mode; (* CUBIN is OMPi's default (§3.3) *)
+(* The run configuration is the runtime's own (one record, declared in
+   Hostrt.Rt); re-exported so [{ Ompi.default_config with ... }] reads
+   naturally at this layer. *)
+type config = Hostrt.Rt.config = {
+  binary_mode : Nvcc.binary_mode;
   spec : Spec.t;
-  faults : Hostrt.Faults.rule list; (* fault-injection plan; [] = off *)
-  fault_seed : int; (* seed for probabilistic fault rules *)
-  max_retries : int option; (* retry-policy override; None = default *)
-  streams : int; (* stream-pool size for `target ... nowait` regions *)
-  mem_policy : Hostrt.Mempolicy.sel; (* copy / elide / zero-copy / per-buffer auto (--mem-policy) *)
-  jit : bool; (* run host program and kernels on the closure JIT (--no-jit: tree-walker) *)
-  devices : int; (* simultaneously-live device instances (--devices N) *)
-  specs : Spec.t list; (* per-device spec overrides for heterogeneous farms *)
+  specs : Spec.t list;
+  devices : int;
+  streams : int;
+  mem_policy : Hostrt.Mempolicy.sel;
+  jit : bool;
+  faults : Hostrt.Faults.rule list;
+  fault_seed : int;
+  max_retries : int option;
 }
 
-let default_config =
-  {
-    binary_mode = Nvcc.Cubin;
-    spec = Spec.jetson_nano_2gb;
-    faults = [];
-    fault_seed = 42;
-    max_retries = None;
-    streams = Hostrt.Async.default_streams;
-    mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy;
-    jit = true;
-    devices = 1;
-    specs = [];
-  }
+let default_config = Hostrt.Rt.default_config
 
 type compiled = Translator.Pipeline.compiled = {
   c_source_name : string;
@@ -52,8 +43,7 @@ type compiled = Translator.Pipeline.compiled = {
 }
 
 (* Source-to-source compilation only (what `ompicc` does). *)
-let compile ?(config = default_config) ~(name : string) (source : string) : compiled =
-  ignore config;
+let compile ~(name : string) (source : string) : compiled =
   Translator.Pipeline.compile_source ~name source
 
 (* A ready-to-run instance: translated program + runtime with all kernel
@@ -66,21 +56,9 @@ type instance = {
 }
 
 let load ?(config = default_config) ?(trace = false) (compiled : compiled) : instance =
-  let rt =
-    Hostrt.Rt.create ~binary_mode:config.binary_mode ~spec:config.spec ~streams:config.streams
-      ~devices:config.devices ~specs:config.specs ()
-  in
+  let rt = Hostrt.Rt.create ~config () in
   let tr = if trace then Some (Perf.Trace.create rt.Hostrt.Rt.clock) else None in
   Hostrt.Rt.set_trace rt tr;
-  if config.faults <> [] then
-    Hostrt.Rt.set_faults rt (Some (Hostrt.Faults.create ~seed:config.fault_seed config.faults));
-  Hostrt.Rt.set_mem_mode rt config.mem_policy;
-  if not config.jit then Hostrt.Rt.set_jit rt false;
-  (match config.max_retries with
-  | Some n ->
-    Hostrt.Rt.set_fault_policy rt
-      { Hostrt.Resilience.default_policy with Hostrt.Resilience.rp_max_retries = n }
-  | None -> ());
   let artifacts =
     List.map
       (fun (k : Translator.Kernelgen.kernel) ->
@@ -121,7 +99,7 @@ let run (instance : instance) ?(entry = "main") () : run_result =
 
 let compile_and_run ?(config = default_config) ?(entry = "main") ~(name : string) (source : string)
     : run_result =
-  let compiled = compile ~config ~name source in
+  let compiled = compile ~name source in
   let instance = load ~config compiled in
   run instance ~entry ()
 

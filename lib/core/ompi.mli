@@ -15,39 +15,22 @@
 
 open Gpusim
 
-type config = {
-  binary_mode : Nvcc.binary_mode;  (** CUBIN is OMPi's default (paper 3.3) *)
+(** The run configuration: the runtime's one record (see
+    {!Hostrt.Rt.config} for each field), re-exported here. *)
+type config = Hostrt.Rt.config = {
+  binary_mode : Nvcc.binary_mode;
   spec : Spec.t;
-  faults : Hostrt.Faults.rule list;
-      (** deterministic fault-injection plan armed at [load]; [[]] = off *)
-  fault_seed : int;  (** seed for probabilistic fault rules *)
-  max_retries : int option;
-      (** override the retry policy's bounded-retry count; [None] keeps
-          {!Hostrt.Resilience.default_policy} *)
-  streams : int;
-      (** stream-pool size used by [target ... nowait] regions (default
-          {!Hostrt.Async.default_streams}) *)
-  mem_policy : Hostrt.Mempolicy.sel;
-      (** memory mode (the [--mem-policy] CLI knob; see
-          {!Hostrt.Dataenv.set_mem_mode}): [Forced m] maps every buffer
-          by copy, elision or pinned zero-copy — the Nano's CPU and GPU
-          share DRAM; [Auto] classifies each buffer from its observed
-          history (see {!Hostrt.Mempolicy}).  Default [Forced Copy]. *)
-  jit : bool;
-      (** run the host program and the kernels on the closure JIT (see
-          {!Cinterp.Jit}): the host program is compiled when it starts,
-          each kernel module when it loads.  Default on; [--no-jit]
-          runs both on the reference tree-walking interpreter *)
-  devices : int;
-      (** number of simultaneously-live device instances; with more than
-          one, default-device [distribute] launches shard across the
-          farm (see {!Hostrt.Multidev}); default 1 *)
   specs : Spec.t list;
-      (** per-device spec overrides (position [i] configures device
-          [i]); positions beyond the list fall back to [spec] —
-          heterogeneous farms get weight-proportional shards *)
+  devices : int;
+  streams : int;
+  mem_policy : Hostrt.Mempolicy.sel;
+  jit : bool;
+  faults : Hostrt.Faults.rule list;
+  fault_seed : int;
+  max_retries : int option;
 }
 
+(** {!Hostrt.Rt.default_config}. *)
 val default_config : config
 
 (** Result of source-to-source compilation (what [ompicc] emits). *)
@@ -62,7 +45,7 @@ type compiled = Translator.Pipeline.compiled = {
 (** Parse, validate, typecheck and translate.  Raises
     {!Translator.Pipeline.Translate_error} (or the front end's errors)
     on invalid input. *)
-val compile : ?config:config -> name:string -> string -> compiled
+val compile : name:string -> string -> compiled
 
 (** A ready-to-run instance: translated program plus a runtime with all
     kernel files compiled and registered. *)
@@ -73,9 +56,10 @@ type instance = {
   i_trace : Perf.Trace.t option;  (** present when loaded with [~trace:true] *)
 }
 
-(** [load ?trace compiled] builds a runtime with all kernel files
-    compiled and registered; [~trace:true] attaches a {!Perf.Trace}
-    ring that records compilation, init, transfer and launch events. *)
+(** [load ?config ?trace compiled] builds a runtime from [config] (see
+    {!Hostrt.Rt.create}) with all kernel files compiled and registered
+    on every device; [~trace:true] attaches a {!Perf.Trace} ring that
+    records compilation, init, transfer and launch events. *)
 val load : ?config:config -> ?trace:bool -> compiled -> instance
 
 type run_result = {

@@ -142,6 +142,8 @@ let set_streams t (n : int) : unit =
   t.n_streams <- n;
   t.pool <- []
 
+let streams t = t.n_streams
+
 (* Stream choice: all dependencies on a single stream reuse it (the
    in-order queue serializes for free); otherwise the least-loaded
    stream, ties to the lowest id. *)

@@ -40,6 +40,9 @@ val create : ?streams:int -> Driver.t -> t
     @raise Invalid_argument if non-positive or tasks are in flight *)
 val set_streams : t -> int -> unit
 
+(** The stream-pool size. *)
+val streams : t -> int
+
 (** Total number of tasks ever submitted (monotone; the next task id).
     Callers such as the offload server diff this around a submission to
     learn whether work was actually enqueued or the host-fallback path

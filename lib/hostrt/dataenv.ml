@@ -180,6 +180,8 @@ let dead_reason t = t.de_dead
 
 let set_policy t policy = t.de_policy <- policy
 
+let policy t = t.de_policy
+
 let set_mem_mode t sel = t.de_mode <- sel
 
 let mem_mode t = t.de_mode

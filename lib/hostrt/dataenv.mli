@@ -190,6 +190,8 @@ val refresh_host : t -> Addr.t -> unit
 (** Set the retry policy used for this environment's driver calls. *)
 val set_policy : t -> Resilience.policy -> unit
 
+val policy : t -> Resilience.policy
+
 val is_dead : t -> bool
 
 val dead_reason : t -> string option

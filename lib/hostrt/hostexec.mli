@@ -1,7 +1,7 @@
 (** Executes a translated host program (mini-C) on the closure JIT
-    ({!Cinterp.Jit}, the executor the kernels use) or, after
-    [Rt.set_jit rt false], on the reference tree-walker, with the ORT
-    runtime entry points installed as builtins.  This is the execution
+    ({!Cinterp.Jit}, the executor the kernels use) or, in a runtime
+    configured with [jit = false], on the reference tree-walker, with
+    the ORT runtime entry points installed as builtins.  This is the execution
     half of [ompirun]: the translator turns target constructs into
     ort_* calls, and those calls land here, driving the data
     environment and the simulated device. *)

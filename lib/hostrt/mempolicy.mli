@@ -18,9 +18,10 @@ open Gpusim
 type mode = Copy | Elide | Zerocopy [@@deriving show, eq]
 
 (** A run-level selection: decide per buffer, or force one mode for
-    every buffer.  This one value is the memory mode at every layer
-    ({!Dataenv.set_mem_mode}, [Ompi.config], [Serve.config], the
-    [--mem-policy] CLI option). *)
+    every buffer.  This one value is the memory mode at every layer: the
+    [--mem-policy] CLI option sets [Rt.config.mem_policy] (which
+    [Ompi.config] re-exports and [Serve.config.cf_rt] carries), and
+    {!Rt.create} hands it to each device's {!Dataenv.set_mem_mode}. *)
 type sel = Auto | Forced of mode [@@deriving show, eq]
 
 val mode_name : mode -> string

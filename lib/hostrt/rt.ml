@@ -39,6 +39,36 @@ type device = {
   mutable dev_shard_stream : Driver.stream option;
 }
 
+(* The one run configuration: every setting a run fixes up front, from
+   the CLIs through Ompi/Serve/Harness to each device.  [create] applies
+   it once; nothing re-arms it afterwards. *)
+type config = {
+  binary_mode : Nvcc.binary_mode; (* CUBIN is OMPi's default (§3.3) *)
+  spec : Spec.t;
+  specs : Spec.t list; (* per-device spec overrides for heterogeneous farms *)
+  devices : int; (* simultaneously-live device instances (--devices N) *)
+  streams : int; (* stream-pool size for `target ... nowait` regions *)
+  mem_policy : Mempolicy.sel; (* copy / elide / zero-copy / per-buffer auto (--mem-policy) *)
+  jit : bool; (* run host program and kernels on the closure JIT (--no-jit: tree-walker) *)
+  faults : Faults.rule list; (* fault-injection plan; [] = off *)
+  fault_seed : int; (* seed for probabilistic fault rules *)
+  max_retries : int option; (* retry-policy override; None = default *)
+}
+
+let default_config =
+  {
+    binary_mode = Nvcc.Cubin;
+    spec = Spec.jetson_nano_2gb;
+    specs = [];
+    devices = 1;
+    streams = Async.default_streams;
+    mem_policy = Mempolicy.Forced Mempolicy.Copy;
+    jit = true;
+    faults = [];
+    fault_seed = 42;
+    max_retries = None;
+  }
+
 type t = {
   clock : Simclock.t;
   host_mem : Mem.t;
@@ -54,10 +84,10 @@ type t = {
   mutable sample_max_blocks : int option;
   (* launch-phase tracing; [set_trace] propagates it to the drivers *)
   mutable trace : Perf.Trace.t option;
-  (* fault injection; [set_faults] installs the hook into the drivers *)
-  mutable faults : Faults.t option;
-  (* retry/backoff policy; [set_fault_policy] propagates to data envs *)
-  mutable fault_policy : Resilience.policy;
+  (* fault injection, armed on every driver at [create] *)
+  faults : Faults.t option;
+  (* retry/backoff policy, shared by every data environment *)
+  fault_policy : Resilience.policy;
   (* shard `distribute` grids across all devices (on by default when the
      runtime is created with more than one device) *)
   mutable shard : bool;
@@ -77,18 +107,35 @@ let sampling_filter ~(total_blocks : int) (max_blocks : int option) : (int -> bo
 
 let default_penalty _total_blocks = 1.0
 
-let create ?(binary_mode = Nvcc.Cubin) ?(spec = Spec.jetson_nano_2gb) ?(streams = Async.default_streams)
-    ?(devices = 1) ?(specs = []) () : t =
-  if devices < 1 then ort_error "need at least one device (got %d)" devices;
+let create ?(config = default_config) () : t =
+  let c = config in
+  let positive what n =
+    if n < 1 then invalid_arg (Printf.sprintf "Rt.create: %s must be positive (got %d)" what n)
+  in
+  positive "devices" c.devices;
+  positive "streams" c.streams;
   let clock = Simclock.create () in
   let host_mem = Mem.create ~initial:(1 lsl 20) ~space:Addr.Host "host" in
+  let faults =
+    match c.faults with [] -> None | rules -> Some (Faults.create ~seed:c.fault_seed rules)
+  in
+  let inject = Option.map (fun f s -> Faults.hook f s) faults in
+  let fault_policy =
+    match c.max_retries with
+    | Some n -> { Resilience.default_policy with Resilience.rp_max_retries = n }
+    | None -> Resilience.default_policy
+  in
   (* Heterogeneous farms: an explicit spec list overrides the shared
      [spec] position by position; missing positions fall back to [spec]. *)
-  let spec_of id = match List.nth_opt specs id with Some s -> s | None -> spec in
+  let spec_of id = match List.nth_opt c.specs id with Some s -> s | None -> c.spec in
   let make_device id =
     let driver = Driver.create ~spec:(spec_of id) ~ordinal:id clock in
+    Driver.set_jit driver c.jit;
+    Driver.set_inject driver inject;
     let dataenv = Dataenv.create ~host:host_mem ~driver in
-    let async = Async.create ~streams driver in
+    Dataenv.set_mem_mode dataenv c.mem_policy;
+    Dataenv.set_policy dataenv fault_policy;
+    let async = Async.create ~streams:c.streams driver in
     (* The data environment must refuse to unmap ranges with queued stream
        work, sync ranges before a `target update`, and advertise zero-copy
        pinned ranges so overlapping stream tasks serialize; it talks to
@@ -115,15 +162,15 @@ let create ?(binary_mode = Nvcc.Cubin) ?(spec = Spec.jetson_nano_2gb) ?(streams 
     clock;
     host_mem;
     cpu = Spec.cortex_a57;
-    devices = Array.init devices make_device;
+    devices = Array.init c.devices make_device;
     default_device = 0;
-    binary_mode;
+    binary_mode = c.binary_mode;
     translated_kernel_penalty = default_penalty;
     sample_max_blocks = None;
     trace = None;
-    faults = None;
-    fault_policy = Resilience.default_policy;
-    shard = devices > 1;
+    faults;
+    fault_policy;
+    shard = c.devices > 1;
   }
 
 (* Attach (or detach) a trace ring; devices share the runtime's ring so
@@ -132,31 +179,7 @@ let set_trace t (trace : Perf.Trace.t option) : unit =
   t.trace <- trace;
   Array.iter (fun d -> Driver.set_trace d.dev_driver trace) t.devices
 
-(* Arm (or disarm) fault injection by installing the injector's hook
-   into every device driver. *)
-let set_faults t (faults : Faults.t option) : unit =
-  t.faults <- faults;
-  let hook = Option.map (fun f s -> Faults.hook f s) faults in
-  Array.iter (fun d -> Driver.set_inject d.dev_driver hook) t.devices
-
-let set_fault_policy t (policy : Resilience.policy) : unit =
-  t.fault_policy <- policy;
-  Array.iter (fun d -> Dataenv.set_policy d.dev_dataenv policy) t.devices
-
-(* Resize every device's stream pool (the --streams N CLI knob). *)
-let set_streams t (n : int) : unit = Array.iter (fun d -> Async.set_streams d.dev_async n) t.devices
-
-(* The --mem-policy knob: per-buffer auto policy or one forced mode, on
-   every device (each keeps its own buffer histories). *)
-let set_mem_mode t (sel : Mempolicy.sel) : unit =
-  Array.iter (fun d -> Dataenv.set_mem_mode d.dev_dataenv sel) t.devices
-
-(* The one executor switch (the --no-jit CLI escape hatch turns it
-   off): every driver closure-compiles its kernels, and every host
-   context built afterwards closure-compiles its host program. *)
-let set_jit t (on : bool) : unit = Array.iter (fun d -> Driver.set_jit d.dev_driver on) t.devices
-
-(* The drivers hold the switch; [set_jit] keeps them in step. *)
+(* The executor [create] selected: the drivers hold the switch. *)
 let jit t : bool = t.devices.(0).dev_driver.Driver.closure_jit
 
 let device t id =

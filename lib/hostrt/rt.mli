@@ -35,6 +35,47 @@ type device = {
       (** dedicated stream for sharded sub-launches (lazily created) *)
 }
 
+(** The one run configuration.  Every setting a run fixes up front is a
+    field here, declared once: the CLIs build one, [Ompi.config] and
+    [Serve.config] carry one, [Harness.create] and {!create} take one,
+    and {!create} applies it to every device. *)
+type config = {
+  binary_mode : Nvcc.binary_mode;  (** CUBIN is OMPi's default (paper 3.3) *)
+  spec : Spec.t;
+  specs : Spec.t list;
+      (** per-device spec overrides (position [i] configures device
+          [i]); positions beyond the list fall back to [spec] —
+          heterogeneous farms get weight-proportional shards *)
+  devices : int;
+      (** number of simultaneously-live device instances; with more than
+          one, default-device [distribute] launches shard across the
+          farm (see {!Multidev}); default 1 *)
+  streams : int;
+      (** stream-pool size used by [target ... nowait] regions (default
+          {!Async.default_streams}) *)
+  mem_policy : Mempolicy.sel;
+      (** memory mode (the [--mem-policy] CLI option; see
+          {!Dataenv.set_mem_mode}): [Forced m] maps every buffer by
+          copy, elision or pinned zero-copy — the Nano's CPU and GPU
+          share DRAM; [Auto] classifies each buffer from its observed
+          history (see {!Mempolicy}).  Default [Forced Copy]. *)
+  jit : bool;
+      (** run the host program and the kernels on the closure JIT (see
+          {!Cinterp.Jit}): the host program is compiled when its context
+          is built ({!Hostexec.make_context}), each kernel module when it
+          loads.  Default on; [--no-jit] runs both on the reference
+          tree-walking interpreter *)
+  faults : Faults.rule list;
+      (** deterministic fault-injection plan armed on every driver;
+          [[]] = off *)
+  fault_seed : int;  (** seed for probabilistic fault rules (default 42) *)
+  max_retries : int option;
+      (** override the retry policy's bounded-retry count; [None] keeps
+          {!Resilience.default_policy} *)
+}
+
+val default_config : config
+
 type t = {
   clock : Simclock.t;
   host_mem : Mem.t;
@@ -51,10 +92,12 @@ type t = {
           spaced) and scale the measured counts to the full grid *)
   mutable trace : Perf.Trace.t option;
       (** launch-phase tracing; set via {!set_trace} *)
-  mutable faults : Faults.t option;
-      (** fault injection; set via {!set_faults} *)
-  mutable fault_policy : Resilience.policy;
-      (** retry/backoff policy; set via {!set_fault_policy} *)
+  faults : Faults.t option;
+      (** the injector armed on every driver from [config.faults]
+          ([None] when the plan is empty) *)
+  fault_policy : Resilience.policy;
+      (** retry/backoff policy of every data environment, from
+          [config.max_retries] *)
   mutable shard : bool;
       (** shard [distribute] grids across all devices; defaults to true
           when the runtime was created with more than one device *)
@@ -62,56 +105,23 @@ type t = {
 
 val default_penalty : int -> float
 
-(** [create ~devices:n ~specs ()] builds a farm of [n] simultaneously
-    live devices sharing one simulated clock and host memory, each with
-    its own driver (spec, global memory, allocation table, engine
-    timelines), data environment (present table, resident cache) and
-    stream pool.  [specs] overrides the shared [spec] position by
-    position for heterogeneous farms. *)
-val create :
-  ?binary_mode:Nvcc.binary_mode ->
-  ?spec:Spec.t ->
-  ?streams:int ->
-  ?devices:int ->
-  ?specs:Spec.t list ->
-  unit ->
-  t
+(** [create ~config ()] builds a farm of [config.devices]
+    simultaneously live devices sharing one simulated clock and host
+    memory, each with its own driver (spec, global memory, allocation
+    table, engine timelines), data environment (present table, resident
+    cache) and stream pool, and applies [config] once: the executor
+    switch and the fault hook to every driver, the memory mode and the
+    retry policy to every data environment, the stream count to every
+    pool.
+    @raise Invalid_argument if [devices] or [streams] is below 1 *)
+val create : ?config:config -> unit -> t
 
 (** Attach (or detach, with [None]) a trace ring, propagating it to
     every device driver so host- and device-side events interleave on
     one timeline. *)
 val set_trace : t -> Perf.Trace.t option -> unit
 
-(** Arm (or disarm, with [None]) fault injection by installing the
-    injector's hook into every device driver. *)
-val set_faults : t -> Faults.t option -> unit
-
-(** Set the retry/backoff policy, propagating it to every device's data
-    environment. *)
-val set_fault_policy : t -> Resilience.policy -> unit
-
-(** Resize every device's stream pool (the [--streams N] CLI knob).
-    @raise Invalid_argument if non-positive or tasks are in flight *)
-val set_streams : t -> int -> unit
-
-(** Select the memory mode on every device (the [--mem-policy] CLI
-    knob; see {!Dataenv.set_mem_mode}): [Auto] decides per buffer via
-    {!Mempolicy}, with each device keeping its own buffer histories;
-    [Forced m] puts every buffer in mode [m]. *)
-val set_mem_mode : t -> Mempolicy.sel -> unit
-
-(** The one executor switch (the [--no-jit] CLI escape hatch): enable
-    or disable the closure JIT for device and host code together.
-    Every device driver closure-compiles the kernels it loads from now
-    on (see {!Gpusim.Driver.set_jit}), and every host context
-    {!Hostexec.make_context} builds from now on closure-compiles its
-    host program.  With [false], both run on the reference tree-walker.
-    A host context built earlier keeps the executor it was built
-    with. *)
-val set_jit : t -> bool -> unit
-
-(** The executor {!set_jit} last selected ([true] = closure JIT; the
-    default). *)
+(** The executor [config.jit] selected ([true] = closure JIT). *)
 val jit : t -> bool
 
 val device : t -> int -> device

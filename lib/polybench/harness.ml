@@ -26,8 +26,8 @@ let variant_label = function
   | Ompi_cudadev -> "OMPi CUDADEV"
   | Host_interp -> "Host (Cinterp)"
 
-let create ?(binary_mode = Nvcc.Cubin) ?(devices = 1) ?(specs = []) () : ctx =
-  let rt = Hostrt.Rt.create ~binary_mode ~devices ~specs () in
+let create ?config () : ctx =
+  let rt = Hostrt.Rt.create ?config () in
   (* Pay the lazy device-initialisation cost up front so that timing
      windows only contain transfers and kernel work, as in the paper. *)
   Array.iter
@@ -42,32 +42,11 @@ let enable_trace ctx : Perf.Trace.t =
   Hostrt.Rt.set_trace ctx.rt (Some tr);
   tr
 
-(* Arm (or disarm) deterministic fault injection on this harness's
-   runtime; [set_max_retries] bounds the recovery policy's retries. *)
-let set_faults ctx ?seed (rules : Hostrt.Faults.rule list) : unit =
-  Hostrt.Rt.set_faults ctx.rt
-    (match rules with [] -> None | _ -> Some (Hostrt.Faults.create ?seed rules))
-
-let set_max_retries ctx (n : int) : unit =
-  Hostrt.Rt.set_fault_policy ctx.rt
-    { Hostrt.Resilience.default_policy with Hostrt.Resilience.rp_max_retries = n }
-
 let device_dead ctx = Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
-
-let set_streams ctx (n : int) : unit = Hostrt.Rt.set_streams ctx.rt n
 
 let driver ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_driver
 
 let dataenv ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
-
-(* The memory mode: copy, elide, zero-copy or the per-buffer auto
-   policy (bench autopolicy runs every app under each). *)
-let set_mem_mode ctx (sel : Hostrt.Mempolicy.sel) : unit = Hostrt.Rt.set_mem_mode ctx.rt sel
-
-(* The executor switch, for kernels and for host programs prepared
-   afterwards: the differential tests and the jit bench run the same app
-   with it on and off and require identical results. *)
-let set_jit ctx (on : bool) : unit = Hostrt.Rt.set_jit ctx.rt on
 
 let mem_stats ctx : Hostrt.Dataenv.stats = Hostrt.Dataenv.stats (dataenv ctx)
 

@@ -28,46 +28,24 @@ val equal_variant : variant -> variant -> bool
 
 val variant_label : variant -> string
 
-(** Fresh runtime with the device initialisation cost already paid.
-    [~devices] builds an N-device farm (default-device [distribute]
-    launches then shard across it); [~specs] overrides device specs
-    position by position for heterogeneous farms. *)
-val create : ?binary_mode:Nvcc.binary_mode -> ?devices:int -> ?specs:Spec.t list -> unit -> ctx
+(** Fresh runtime built from [config] (default
+    {!Hostrt.Rt.default_config}; see {!Hostrt.Rt.create}) with the
+    device initialisation cost already paid.  [config.devices] > 1
+    builds a farm (default-device [distribute] launches then shard
+    across it). *)
+val create : ?config:Hostrt.Rt.config -> unit -> ctx
 
 (** Attach a fresh {!Perf.Trace} ring to this harness's runtime (and its
     device drivers) so every subsequent run records launch-phase
     events. *)
 val enable_trace : ctx -> Perf.Trace.t
 
-(** Arm (or disarm, with [[]]) deterministic fault injection on this
-    harness's runtime. *)
-val set_faults : ctx -> ?seed:int -> Hostrt.Faults.rule list -> unit
-
-(** Bound the recovery policy's retries per operation. *)
-val set_max_retries : ctx -> int -> unit
-
 (** Has device 0 been declared dead (host-fallback mode)? *)
 val device_dead : ctx -> bool
-
-(** Resize device 0's stream pool (used by [target ... nowait]
-    regions); must be called while no async work is in flight. *)
-val set_streams : ctx -> int -> unit
 
 val driver : ctx -> Driver.t
 
 val dataenv : ctx -> Hostrt.Dataenv.t
-
-(** Select the memory mode on every device (see
-    {!Hostrt.Rt.set_mem_mode}). *)
-val set_mem_mode : ctx -> Hostrt.Mempolicy.sel -> unit
-
-(** The executor switch (see {!Hostrt.Rt.set_jit}): with [false], the
-    kernels this harness loads and the host programs {!prepare_omp}
-    prepares from now on run on the reference tree-walker instead of the
-    closure JIT.  A program prepared earlier keeps its executor.  The
-    differential tests and the jit bench run the same app both ways and
-    require identical results. *)
-val set_jit : ctx -> bool -> unit
 
 (** Elision/zero-copy counters for device 0's data environment. *)
 val mem_stats : ctx -> Hostrt.Dataenv.stats

@@ -44,31 +44,27 @@ type session_spec = {
 }
 
 type config = {
-  cf_devices : int; (* device instances; sessions pin to one via ss_device *)
-  cf_streams : int;
+  cf_rt : Hostrt.Rt.config; (* the runtime's settings; sessions pin via ss_device *)
   cf_max_inflight : int;
   cf_generations : int;
   cf_seed : int;
-  cf_mem_policy : Hostrt.Mempolicy.sel;
   cf_resident_cap_bytes : int option;
-  cf_faults : Hostrt.Faults.rule list;
-  cf_fault_seed : int;
-  cf_max_retries : int option;
   cf_trace : bool;
 }
 
 let default_config =
   {
-    cf_devices = 1;
-    cf_streams = 4;
+    cf_rt =
+      {
+        Hostrt.Rt.default_config with
+        Hostrt.Rt.streams = 4;
+        mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
+        fault_seed = 7;
+      };
     cf_max_inflight = 8;
     cf_generations = 2;
     cf_seed = 42;
-    cf_mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
     cf_resident_cap_bytes = None;
-    cf_faults = [];
-    cf_fault_seed = 7;
-    cf_max_retries = None;
     cf_trace = false;
   }
 
@@ -253,34 +249,31 @@ let percentile (sorted : float array) (q : float) : float =
 
 let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
   if specs = [] then invalid_arg "Serve.run: empty workload";
-  if cfg.cf_devices <= 0 then invalid_arg "Serve.run: devices must be positive";
-  if cfg.cf_streams <= 0 then invalid_arg "Serve.run: streams must be positive";
   if cfg.cf_max_inflight <= 0 then invalid_arg "Serve.run: max_inflight must be positive";
   if cfg.cf_generations <= 0 then invalid_arg "Serve.run: generations must be positive";
+  (* builds every device from cf_rt, rejecting a non-positive device or
+     stream count *)
+  let ctx = H.create ~config:cfg.cf_rt () in
+  let devices = cfg.cf_rt.Hostrt.Rt.devices in
   List.iter
     (fun s ->
-      if s.ss_device < 0 || s.ss_device >= cfg.cf_devices then
+      if s.ss_device < 0 || s.ss_device >= devices then
         invalid_arg
           (Printf.sprintf "Serve.run: session tag %d pinned to device %d of a %d-device server"
-             s.ss_tag s.ss_device cfg.cf_devices))
+             s.ss_tag s.ss_device devices))
     specs;
-  let ctx = H.create ~devices:cfg.cf_devices () in
   let rt = ctx.H.rt in
   (* Pinned sessions own their whole region: the farm must not shard a
      session's grid across devices behind its back. *)
   Hostrt.Rt.set_shard rt false;
   let trace = if cfg.cf_trace then Some (H.enable_trace ctx) else None in
   H.set_sampling ctx None;
-  H.set_streams ctx cfg.cf_streams;
-  H.set_mem_mode ctx cfg.cf_mem_policy;
   (match cfg.cf_resident_cap_bytes with
   | Some cap ->
     Array.iter
       (fun (d : Hostrt.Rt.device) -> Hostrt.Dataenv.set_resident_cap_bytes d.Hostrt.Rt.dev_dataenv cap)
       rt.Hostrt.Rt.devices
   | None -> ());
-  (match cfg.cf_max_retries with Some r -> H.set_max_retries ctx r | None -> ());
-  if cfg.cf_faults <> [] then H.set_faults ctx ~seed:cfg.cf_fault_seed cfg.cf_faults;
   (* Per-device views: a session's persistent environment, present-table
      lookups and stream completions all live on its pinned device. *)
   let env_of dev = (Hostrt.Rt.device rt dev).Hostrt.Rt.dev_dataenv in

@@ -70,23 +70,20 @@ type session_spec = {
 }
 
 type config = {
-  cf_devices : int;
-      (** simultaneously-live device instances; sessions pin to one via
-          [ss_device] (and must name a device below this count) *)
-  cf_streams : int;  (** stream-pool size; 1 = fully serialized baseline *)
+  cf_rt : Hostrt.Rt.config;
+      (** the runtime's settings (devices, streams, memory mode, executor,
+          faults, retries; see {!Hostrt.Rt.config}), applied to every
+          device when the server's runtime is built.  Sessions pin to a
+          device via [ss_device] (and must name one below
+          [cf_rt.devices]).  Default: {!Hostrt.Rt.default_config} with
+          4 streams, [Forced Elide] (so closed sessions park their
+          buffers) and fault seed 7 *)
   cf_max_inflight : int;  (** admission bound on in-flight requests *)
   cf_generations : int;
       (** open-serve-close cycles: generation ≥ 2 re-opens sessions
           against the resident cache *)
   cf_seed : int;  (** arrival-process seed *)
-  cf_mem_policy : Hostrt.Mempolicy.sel;
-      (** memory mode applied to every device (see
-          {!Hostrt.Rt.set_mem_mode}); default [Forced Elide], so closed
-          sessions park their buffers *)
   cf_resident_cap_bytes : int option;  (** resident-cache byte budget override *)
-  cf_faults : Hostrt.Faults.rule list;
-  cf_fault_seed : int;
-  cf_max_retries : int option;
   cf_trace : bool;  (** attach a trace ring and emit cat:"serve" events *)
 }
 
@@ -142,6 +139,7 @@ type report = {
 
 (** Run the server over the workload; returns the report and, when
     [cf_trace] is set, the trace ring (for Chrome-trace export).
-    @raise Invalid_argument on an empty workload or non-positive
-    streams / inflight bound / generations *)
+    @raise Invalid_argument on an empty workload, a non-positive
+    inflight bound / generation count / device count / stream count, or
+    a session pinned outside the farm *)
 val run : config -> session_spec list -> report * Perf.Trace.t option

@@ -646,7 +646,7 @@ int main(void)
 |}
   in
   let config = { Ompi.default_config with binary_mode = Gpusim.Nvcc.Ptx } in
-  let compiled = Ompi.compile ~config ~name:"jitcache" src in
+  let compiled = Ompi.compile ~name:"jitcache" src in
   let count tr ~name = Perf.Trace.count_events tr ~cat:"jit" ~name () in
   (* cold start: the PTX is JIT-compiled exactly once, and the second
      launch of the same kernel finds the module already resident *)

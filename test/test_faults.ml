@@ -122,7 +122,7 @@ let saxpy_expected = "y[0]=10.000000 y[9]=28.000000\n"
 let load ?(mode = Gpusim.Nvcc.Cubin) ?(faults = "") src =
   let rules = if faults = "" then [] else parse_ok faults in
   let config = { Ompi.default_config with Ompi.binary_mode = mode; Ompi.faults = rules } in
-  Ompi.load ~config ~trace:true (Ompi.compile ~config ~name:"faults_e2e" src)
+  Ompi.load ~config ~trace:true (Ompi.compile ~name:"faults_e2e" src)
 
 let trace_of inst =
   match inst.Ompi.i_trace with Some tr -> tr | None -> Alcotest.fail "instance has no trace"
@@ -185,15 +185,17 @@ let test_corrupt_jit_cache_recompiles () =
   (* PTX mode.  First run JIT-compiles and populates the cache.  After a
      device reset (which keeps the on-disk JIT cache), the reload hits
      the cache — injected as corrupt — so recovery must invalidate the
-     entry and recompile, visible as a second jit_compile event. *)
-  let inst = load ~mode:Gpusim.Nvcc.Ptx saxpy_src in
+     entry and recompile, visible as a second jit_compile event.  The
+     plan is armed from the start: a cold compile is not a cache hit, so
+     the first run consults the "jit" site zero times. *)
+  let inst = load ~mode:Gpusim.Nvcc.Ptx ~faults:"jit:nth=1" saxpy_src in
   let r1 = Ompi.run inst () in
   Alcotest.(check string) "warm run correct" saxpy_expected r1.Ompi.run_output;
+  Alcotest.(check int) "cold compile injects nothing" 0 (count inst "fault_injected");
   let tr = trace_of inst in
   Alcotest.(check int) "one initial jit compile" 1
     (Perf.Trace.count_events tr ~cat:"jit" ~name:"jit_compile" ());
   Gpusim.Driver.reset (Rt.device inst.Ompi.i_rt 0).Rt.dev_driver;
-  Rt.set_faults inst.Ompi.i_rt (Some (Faults.create (parse_ok "jit:nth=1")));
   let r2 = Ompi.run inst () in
   Alcotest.(check string) "recovered run correct" saxpy_expected r2.Ompi.run_output;
   Alcotest.(check int) "corrupt cache entry injected" 1 (count inst "fault_injected");

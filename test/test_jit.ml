@@ -115,12 +115,13 @@ let check_identical name (jit : obs) (interp : obs) =
 
 let run_app ?(faults = []) ?streams ?(mem = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy)
     (app : Suite.app) (variant : Harness.variant) ~(jit : bool) ~(n : int) : obs =
-  let ctx = Harness.create () in
+  let streams = Option.value streams ~default:Hostrt.Rt.default_config.Hostrt.Rt.streams in
+  let ctx =
+    Harness.create
+      ~config:{ Hostrt.Rt.default_config with jit; streams; mem_policy = mem; faults }
+      ()
+  in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
-  (match streams with Some k -> Harness.set_streams ctx k | None -> ());
-  Harness.set_mem_mode ctx mem;
-  (match faults with [] -> () | rules -> Harness.set_faults ctx rules);
   let time, out = app.Suite.ap_run ctx variant ~n in
   { ob_time = time; ob_out = out; ob_log = launch_log ctx }
 
@@ -176,8 +177,7 @@ let test_module_carries_closures () =
   let m = Harness.cuda_module ctx ~name:"tiny" ~source:tiny_src in
   Alcotest.(check bool) "jit on: module carries the closure form" true
     (Option.is_some m.Driver.lm_compiled);
-  let ctx2 = Harness.create () in
-  Harness.set_jit ctx2 false;
+  let ctx2 = Harness.create ~config:{ Hostrt.Rt.default_config with jit = false } () in
   let m2 = Harness.cuda_module ctx2 ~name:"tiny" ~source:tiny_src in
   Alcotest.(check bool) "jit off: module loads without a closure form" false
     (Option.is_some m2.Driver.lm_compiled)
@@ -500,9 +500,8 @@ let print_kernel (k : rkernel) : string = render k
    a 64-element buffer, explicit h2d/launch/d2h as in the CUDA variant. *)
 let run_random ~(jit : bool) (k : rkernel) : obs =
   let n = 64 in
-  let ctx = Harness.create () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
   let m = Harness.cuda_module ctx ~name:"randk" ~source:(render k) in
   let h_in = Harness.alloc_f32 ctx n and h_out = Harness.alloc_f32 ctx n in
   Harness.fill_f32 ctx h_in n (fun i -> (0.5 *. float_of_int ((i mod 7) + 1)) -. 1.0);
@@ -573,9 +572,8 @@ void relaunch(float *in, float *out, int n)
    the driver's launch log. *)
 let relaunch_obs ~(jit : bool) ~(times : int) (src : string) : int32 list list * string list =
   let n = 64 in
-  let ctx = Harness.create () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
   let m = Harness.cuda_module ctx ~name:"relaunch" ~source:src in
   let h_in = Harness.alloc_f32 ctx n and h_out = Harness.alloc_f32 ctx n in
   Harness.fill_f32 ctx h_in n (fun i -> 0.25 *. float_of_int (i + 1));
@@ -643,10 +641,14 @@ let saxpy_expected = "y[0]=10.000000 y[9]=28.000000\n"
    the module.  After a device reset (module table cleared, disk cache
    kept) the reload's cache hit is injected as corrupt: recovery must
    invalidate the entry AND the resident module, so the retry recompiles
-   both forms — a second jit_compile and a second closure_compile. *)
+   both forms — a second jit_compile and a second closure_compile.  The
+   plan is armed at load: the cold compile is no cache hit, so only the
+   reload consults the "jit" site. *)
 let test_corrupt_cache_recompiles_both_forms () =
-  let config = { Ompi.default_config with Ompi.binary_mode = Nvcc.Ptx } in
-  let inst = Ompi.load ~config ~trace:true (Ompi.compile ~config ~name:"jit_corrupt" saxpy_src) in
+  let config =
+    { Ompi.default_config with Ompi.binary_mode = Nvcc.Ptx; faults = parse_ok "jit:nth=1" }
+  in
+  let inst = Ompi.load ~config ~trace:true (Ompi.compile ~name:"jit_corrupt" saxpy_src) in
   let tr =
     match inst.Ompi.i_trace with Some tr -> tr | None -> Alcotest.fail "instance has no trace"
   in
@@ -656,7 +658,6 @@ let test_corrupt_cache_recompiles_both_forms () =
   Alcotest.(check int) "one initial PTX compile" 1 (jit_events "jit_compile");
   Alcotest.(check int) "one initial closure compile" 1 (jit_events "closure_compile");
   Driver.reset (Hostrt.Rt.device inst.Ompi.i_rt 0).Hostrt.Rt.dev_driver;
-  Hostrt.Rt.set_faults inst.Ompi.i_rt (Some (Hostrt.Faults.create (parse_ok "jit:nth=1")));
   let r2 = Ompi.run inst () in
   Alcotest.(check string) "recovered run correct" saxpy_expected r2.Ompi.run_output;
   Alcotest.(check int) "corrupt cache entry injected" 1
@@ -721,7 +722,7 @@ type run_obs = { ro_output : string; ro_exit : int; ro_time : float; ro_log : st
 
 let run_example ~(jit : bool) (config : Ompi.config) (file : string) : run_obs =
   let config = { config with Ompi.jit } in
-  let compiled = Ompi.compile ~config ~name:(Filename.remove_extension file) (read_example file) in
+  let compiled = Ompi.compile ~name:(Filename.remove_extension file) (read_example file) in
   let inst = Ompi.load ~config compiled in
   let r = Ompi.run inst () in
   {
@@ -793,8 +794,7 @@ let service_model (kind : Serve.app_kind) ~(step : int) (y : float array) : floa
 
 (* Output bits after each request, plus the simulated time. *)
 let run_service ~(jit : bool) (kind : Serve.app_kind) : int32 list list * float =
-  let ctx = Harness.create () in
-  Harness.set_jit ctx jit;
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   let p =
     Harness.prepare_omp ~host_interp:true ctx ~name:(Serve.entry_of kind) (Serve.source_of kind)
   in
@@ -848,20 +848,18 @@ let test_service_mirrors_differential () =
       Alcotest.(check (float 0.0)) (name ^ ": identical simulated time") interp_time jit_time)
     service_kinds
 
-(* The context follows the switch as it stood when the context was
-   built: a later set_jit does not re-route an existing context. *)
+(* A host context runs on the executor its runtime was configured
+   with: closures with the JIT on, the tree-walker with it off. *)
 let test_host_context_follows_switch () =
-  let ctx = Harness.create () in
   let src = Serve.source_of Serve.Scale and name = Serve.entry_of Serve.Scale in
-  let on = Harness.prepare_omp ~host_interp:true ctx ~name src in
+  let prepare jit =
+    let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
+    Harness.prepare_omp ~host_interp:true ctx ~name src
+  in
   Alcotest.(check bool) "jit on: host calls dispatch to closures" true
-    (Option.is_some on.Harness.op_ctx.Cinterp.Interp.dispatch);
-  Harness.set_jit ctx false;
-  let off = Harness.prepare_omp ~host_interp:true ctx ~name src in
+    (Option.is_some (prepare true).Harness.op_ctx.Cinterp.Interp.dispatch);
   Alcotest.(check bool) "jit off: host runs on the tree-walker" true
-    (Option.is_none off.Harness.op_ctx.Cinterp.Interp.dispatch);
-  Alcotest.(check bool) "earlier context keeps its executor" true
-    (Option.is_some on.Harness.op_ctx.Cinterp.Interp.dispatch)
+    (Option.is_none (prepare false).Harness.op_ctx.Cinterp.Interp.dispatch)
 
 (* No silent fallback on the host side either: every function of every
    host program — the six Fig. 4 OMPi apps translated and stripped, and

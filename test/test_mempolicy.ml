@@ -282,8 +282,9 @@ let test_zerocopy_registers_pinned_range () =
 (* Through the full runtime: the pinned range lands in the real stream
    tracker's table, so nowait tasks can serialize against it. *)
 let test_rt_zerocopy_pins_in_stream_tracker () =
-  let rt = Hostrt.Rt.create ~streams:2 () in
-  Hostrt.Rt.set_mem_mode rt Mp.Auto;
+  let rt =
+    Hostrt.Rt.create ~config:{ Hostrt.Rt.default_config with streams = 2; mem_policy = Mp.Auto } ()
+  in
   let dev = Hostrt.Rt.default_dev rt in
   let h = Mem.alloc rt.Hostrt.Rt.host_mem 64 in
   ignore (De.map dev.Hostrt.Rt.dev_dataenv h ~bytes:64 De.Tofrom);
@@ -308,23 +309,76 @@ let test_mode_defaults () =
   let copy = Mp.Forced Mp.Copy in
   let env, _, _, _ = make () in
   Alcotest.check sel "fresh Dataenv" copy (De.mem_mode env);
-  let rt = Hostrt.Rt.create ~devices:3 () in
-  let each_device what want =
-    Alcotest.(check int) "3-device farm" 3 (Array.length rt.Hostrt.Rt.devices);
-    Array.iteri
-      (fun i (d : Hostrt.Rt.device) ->
-        Alcotest.check sel (Printf.sprintf "%s, device %d" what i) want
-          (De.mem_mode d.Hostrt.Rt.dev_dataenv))
-      rt.Hostrt.Rt.devices
-  in
-  each_device "fresh Rt device" copy;
+  let rt = Hostrt.Rt.create ~config:{ Hostrt.Rt.default_config with devices = 3 } () in
+  Array.iteri
+    (fun i (d : Hostrt.Rt.device) ->
+      Alcotest.check sel (Printf.sprintf "fresh Rt device %d" i) copy
+        (De.mem_mode d.Hostrt.Rt.dev_dataenv))
+    rt.Hostrt.Rt.devices;
   let ctx = Polybench.Harness.create () in
   Alcotest.check sel "fresh Harness ctx" copy (De.mem_mode (Polybench.Harness.dataenv ctx));
-  Alcotest.check sel "Ompi.default_config" copy Ompi.default_config.Ompi.mem_policy;
+  Alcotest.check sel "Rt.default_config" copy Hostrt.Rt.default_config.Hostrt.Rt.mem_policy;
   Alcotest.check sel "Serve.default_config" (Mp.Forced Mp.Elide)
-    Serve.default_config.Serve.cf_mem_policy;
-  Hostrt.Rt.set_mem_mode rt Mp.Auto;
-  each_device "Rt.set_mem_mode" Mp.Auto
+    Serve.default_config.Serve.cf_rt.Hostrt.Rt.mem_policy
+
+(* One configuration reaches every device: a 3-device runtime built
+   from a config with every field away from its default carries each
+   setting on every driver, data environment and stream pool. *)
+let test_config_reaches_every_device () =
+  let sel = Alcotest.testable Mp.pp_sel Mp.equal_sel in
+  let d = Hostrt.Rt.default_config in
+  let rules =
+    match Hostrt.Faults.parse "launch:nth=1" with Ok r -> r | Error m -> Alcotest.fail m
+  in
+  let small = { Spec.jetson_nano_2gb with Spec.name = "small nano"; global_mem_bytes = 1 lsl 28 } in
+  let config =
+    {
+      Hostrt.Rt.binary_mode = Nvcc.Ptx;
+      spec = small;
+      specs = [ Spec.jetson_nano_2gb ];
+      devices = 3;
+      streams = 2;
+      mem_policy = Mp.Auto;
+      jit = false;
+      faults = rules;
+      fault_seed = 9;
+      max_retries = Some 5;
+    }
+  in
+  Alcotest.(check bool) "every field away from its default" true
+    (config.binary_mode <> d.binary_mode && config.spec <> d.spec && config.specs <> d.specs
+    && config.devices <> d.devices && config.streams <> d.streams
+    && not (Mp.equal_sel config.mem_policy d.mem_policy)
+    && config.jit <> d.jit && config.faults <> d.faults && config.fault_seed <> d.fault_seed
+    && config.max_retries <> d.max_retries);
+  let rt = Hostrt.Rt.create ~config () in
+  Alcotest.(check int) "3-device farm" 3 (Hostrt.Rt.num_devices rt);
+  Alcotest.(check bool) "binary mode" true (rt.Hostrt.Rt.binary_mode = Nvcc.Ptx);
+  Alcotest.(check bool) "executor" false (Hostrt.Rt.jit rt);
+  let f = match rt.Hostrt.Rt.faults with Some f -> f | None -> Alcotest.fail "faults not armed" in
+  Array.iteri
+    (fun i (dev : Hostrt.Rt.device) ->
+      let what s = Printf.sprintf "device %d: %s" i s in
+      let drv = dev.Hostrt.Rt.dev_driver and env = dev.Hostrt.Rt.dev_dataenv in
+      let want_spec = if i = 0 then Spec.jetson_nano_2gb.Spec.name else "small nano" in
+      Alcotest.(check string) (what "spec") want_spec drv.Driver.spec.Spec.name;
+      Alcotest.(check bool) (what "jit off") false drv.Driver.closure_jit;
+      Alcotest.check sel (what "mem mode") Mp.Auto (De.mem_mode env);
+      Alcotest.(check int) (what "retries") 5 (De.policy env).Hostrt.Resilience.rp_max_retries;
+      Alcotest.(check int) (what "streams") 2 (Hostrt.Async.streams dev.Hostrt.Rt.dev_async);
+      (* the hook is the runtime's one injector: a launch on any device
+         counts against (and here fires) the shared plan *)
+      let before = Hostrt.Faults.total_calls f in
+      (match drv.Driver.inject with
+      | Some hook -> (
+        match hook "launch" with
+        | () -> ()
+        | exception Hostrt.Faults.Injected _ -> ())
+      | None -> Alcotest.fail (what "fault hook not installed"));
+      Alcotest.(check int) (what "hook counts on the shared plan") (before + 1)
+        (Hostrt.Faults.total_calls f))
+    rt.Hostrt.Rt.devices;
+  Alcotest.(check int) "the nth=1 launch fired once" 1 (Hostrt.Faults.total_fired f)
 
 (* ------------- differential property: auto ≡ forced copy ------------- *)
 
@@ -347,23 +401,30 @@ type role = { r_mt : De.map_type; r_writes : bool }
 
 let sizes = [| 64; 256; 4096 |]
 
-let transient_transfer_faults () =
-  Hostrt.Faults.create
-    [
-      {
-        Hostrt.Faults.r_sites = [ Hostrt.Faults.H2d; Hostrt.Faults.D2h ];
-        r_kind = Hostrt.Faults.Transient;
-        r_nths = [];
-        r_from = None;
-        r_every = Some 5;
-        r_prob = 0.0;
-      };
-    ]
+let transient_transfer_faults =
+  [
+    {
+      Hostrt.Faults.r_sites = [ Hostrt.Faults.H2d; Hostrt.Faults.D2h ];
+      r_kind = Hostrt.Faults.Transient;
+      r_nths = [];
+      r_from = None;
+      r_every = Some 5;
+      r_prob = 0.0;
+    };
+  ]
 
 let make_world sel =
-  let rt = Hostrt.Rt.create ~streams:2 () in
-  Hostrt.Rt.set_mem_mode rt sel;
-  Hostrt.Rt.set_faults rt (Some (transient_transfer_faults ()));
+  let rt =
+    Hostrt.Rt.create
+      ~config:
+        {
+          Hostrt.Rt.default_config with
+          streams = 2;
+          mem_policy = sel;
+          faults = transient_transfer_faults;
+        }
+      ()
+  in
   let dev = Hostrt.Rt.default_dev rt in
   let host = rt.Hostrt.Rt.host_mem in
   let bufs = Array.map (fun sz -> Mem.alloc host sz) sizes in
@@ -530,6 +591,8 @@ let () =
             test_auto_always_forces_transfers;
           Alcotest.test_case "selector parsing" `Quick test_sel_of_string;
           Alcotest.test_case "one selector, defaults kept at every layer" `Quick test_mode_defaults;
+          Alcotest.test_case "one config reaches every device" `Quick
+            test_config_reaches_every_device;
         ] );
       ( "streams",
         [

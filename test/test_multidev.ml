@@ -109,16 +109,17 @@ let blocks_executed ctx : int =
 
 let dead ctx d = Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.Harness.rt d).Hostrt.Rt.dev_dataenv
 
+(* A farm's run configuration: [devices] instances, fault seed 7. *)
+let config ~devices ?(specs = []) ~jit ?(mem = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy)
+    ?(faults = []) () =
+  { Hostrt.Rt.default_config with devices; specs; jit; mem_policy = mem; faults; fault_seed = 7 }
+
 type obs = { ob_bits : int32 array; ob_time : float; ob_log : string list }
 
-let run_gemm ?(host_interp = false) ?(jit = true)
-    ?(mem = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy) ?specs ?faults ~devices ~n ~teams ~nthr ()
+let run_gemm ?(host_interp = false) ?(jit = true) ?mem ?specs ?faults ~devices ~n ~teams ~nthr ()
     : obs * Harness.ctx =
-  let ctx = Harness.create ~devices ?specs () in
+  let ctx = Harness.create ~config:(config ~devices ?specs ~jit ?mem ?faults ()) () in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
-  Harness.set_mem_mode ctx mem;
-  (match faults with None -> () | Some rules -> Harness.set_faults ctx ~seed:7 rules);
   let nn = n * n in
   let a = Harness.alloc_f32 ctx nn and b = Harness.alloc_f32 ctx nn in
   let c = Harness.alloc_f32 ctx nn in
@@ -140,10 +141,8 @@ let run_gemm ?(host_interp = false) ?(jit = true)
 
 let run_dot ?(host_interp = false) ?(jit = true) ?mem ?specs ~devices ~n ~teams ~nthr () :
     obs * Harness.ctx =
-  let ctx = Harness.create ~devices ?specs () in
+  let ctx = Harness.create ~config:(config ~devices ?specs ~jit ?mem ()) () in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
-  Option.iter (Harness.set_mem_mode ctx) mem;
   let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx n in
   let out = Harness.alloc_f32 ctx 1 in
   Harness.fill_f32 ctx x n f_a;
@@ -274,7 +273,7 @@ let test_secondary_death_fallback () =
    shard 0 (device 0) wrote: the runtime must drain device 0's D2H
    before device 1's H2D, surfacing as an xdev_dep wait instant. *)
 let test_xdev_raw_arbitration () =
-  let ctx = Harness.create ~devices:2 () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with devices = 2 } () in
   Harness.set_sampling ctx None;
   let tr = Harness.enable_trace ctx in
   let x = Harness.alloc_f32 ctx dot_n and y = Harness.alloc_f32 ctx dot_n in
@@ -310,7 +309,7 @@ void vs1(int n, int teams, float x[], float y[])
 
 let test_device_clause_pins () =
   let n = 256 in
-  let ctx = Harness.create ~devices:3 () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with devices = 3 } () in
   Harness.set_sampling ctx None;
   let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx n in
   Harness.fill_f32 ctx x n f_a;
@@ -339,7 +338,7 @@ void qdev(int out[])
 |}
 
 let test_device_api () =
-  let ctx = Harness.create ~devices:3 () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with devices = 3 } () in
   let out = Harness.alloc_i32 ctx 4 in
   Harness.fill_i32 ctx out 4 (fun _ -> -1);
   let p = Harness.prepare_omp ctx ~name:"md_query" query_src in
@@ -360,7 +359,7 @@ void vs9(int n, float x[], float y[])
 
 let test_device_out_of_range () =
   let n = 64 in
-  let ctx = Harness.create ~devices:2 () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with devices = 2 } () in
   let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx n in
   Harness.fill_f32 ctx x n f_a;
   Harness.fill_f32 ctx y n f_b;

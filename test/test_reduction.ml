@@ -363,9 +363,8 @@ void red_i(int n, int teams, int nthr, int tl, int init, int a[], int out[])
     (dist_clause dist) op.i_tag op.i_upd
 
 let run_float ?(host_interp = false) ~jit op ~n ~g : obs =
-  let ctx = Harness.create () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
   let a = Harness.alloc_f32 ctx (n + 1) and out = Harness.alloc_f32 ctx 1 in
   Harness.fill_f32 ctx a n op.f_elem;
   let p = Harness.prepare_omp ~host_interp ctx ~name:"red_f" (float_src op g.g_dist) in
@@ -380,9 +379,8 @@ let run_float ?(host_interp = false) ~jit op ~n ~g : obs =
   { ob_time = time; ob_bits = Int32.bits_of_float (Harness.get_f32 ctx out 0); ob_log = launch_log ctx }
 
 let run_int ?(host_interp = false) ~jit op ~n ~g : obs =
-  let ctx = Harness.create () in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
-  Harness.set_jit ctx jit;
   let a = Harness.alloc_i32 ctx (n + 1) and out = Harness.alloc_i32 ctx 1 in
   Harness.fill_i32 ctx a n op.i_elem;
   let p = Harness.prepare_omp ~host_interp ctx ~name:"red_i" (int_src op g.g_dist) in

@@ -20,18 +20,25 @@ let mk_spec ?(shared = None) ?(device = 0) ~tag ~app ~n ~requests ~rate () =
 
 let base_cfg =
   {
-    Serve.cf_devices = 1;
-    cf_streams = 4;
+    Serve.cf_rt =
+      {
+        Hostrt.Rt.default_config with
+        devices = 1;
+        streams = 4;
+        mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
+        faults = [];
+        fault_seed = 7;
+        max_retries = None;
+      };
     cf_max_inflight = 8;
     cf_generations = 2;
     cf_seed = 42;
-    cf_mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
     cf_resident_cap_bytes = None;
-    cf_faults = [];
-    cf_fault_seed = 7;
-    cf_max_retries = None;
     cf_trace = false;
   }
+
+(* [base_cfg] with its runtime settings changed by [f]. *)
+let with_rt f = { base_cfg with Serve.cf_rt = f base_cfg.Serve.cf_rt }
 
 let small_mix =
   [
@@ -89,8 +96,8 @@ let test_outputs_invariant_under_scheduling () =
           Alcotest.(check bool) "outputs bit-identical across scheduling configs" true (a = b))
         reference (out cfg))
     [
-      { base_cfg with Serve.cf_streams = 1 };
-      { base_cfg with Serve.cf_streams = 2; cf_max_inflight = 1 };
+      with_rt (fun rt -> { rt with streams = 1 });
+      { (with_rt (fun rt -> { rt with streams = 2 })) with Serve.cf_max_inflight = 1 };
       { base_cfg with Serve.cf_max_inflight = 3 };
     ]
 
@@ -103,14 +110,15 @@ let test_fault_legs () =
   in
   let transient, _ =
     Serve.run
-      { base_cfg with Serve.cf_faults = rules "h2d:every=5,kind=transient;launch:every=7,kind=transient" }
+      (with_rt (fun rt ->
+           { rt with faults = rules "h2d:every=5,kind=transient;launch:every=7,kind=transient" }))
       small_mix
   in
   Alcotest.(check bool) "transient leg injected" true (transient.Serve.rp_faults_injected >= 1);
   Alcotest.(check bool) "transient leg bit-identical" true transient.Serve.rp_all_identical;
   Alcotest.(check bool) "transient leg device alive" false transient.Serve.rp_device_dead;
   let fatal, _ =
-    Serve.run { base_cfg with Serve.cf_faults = rules "launch:nth=5,kind=fatal" } small_mix
+    Serve.run (with_rt (fun rt -> { rt with faults = rules "launch:nth=5,kind=fatal" })) small_mix
   in
   Alcotest.(check bool) "fatal leg kills the device" true fatal.Serve.rp_device_dead;
   Alcotest.(check bool) "fatal leg still bit-identical" true fatal.Serve.rp_all_identical;
@@ -122,7 +130,7 @@ let test_fault_legs () =
    there), and each session's output is bit-identical to the same
    session running alone on the farm. *)
 let test_two_device_pinning () =
-  let cfg = { base_cfg with Serve.cf_devices = 2 } in
+  let cfg = with_rt (fun rt -> { rt with devices = 2 }) in
   let mix =
     [
       mk_spec ~tag:0 ~app:Serve.Matvec ~n:24 ~requests:3 ~rate:5000.0 ~device:0 ();
@@ -146,18 +154,25 @@ let test_two_device_pinning () =
 
 let test_device_out_of_range_rejected () =
   let bad = [ mk_spec ~tag:0 ~app:Serve.Scale ~n:16 ~requests:1 ~rate:5000.0 ~device:2 () ] in
-  match Serve.run { base_cfg with Serve.cf_devices = 2 } bad with
+  match Serve.run (with_rt (fun rt -> { rt with devices = 2 })) bad with
   | _ -> Alcotest.fail "session pinned past the farm must be rejected"
   | exception Invalid_argument _ -> ()
 
 (* The resident cache is per device: parking and byte-accounted
    eviction on one device never touch what another device has parked. *)
 let test_resident_cache_isolation () =
-  let rt = Hostrt.Rt.create ~devices:2 () in
+  let rt =
+    Hostrt.Rt.create
+      ~config:
+        {
+          Hostrt.Rt.default_config with
+          devices = 2;
+          mem_policy = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide;
+        }
+      ()
+  in
   let env d = (Hostrt.Rt.device rt d).Hostrt.Rt.dev_dataenv in
   let host = rt.Hostrt.Rt.host_mem in
-  Hostrt.Dataenv.set_mem_mode (env 0) (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
-  Hostrt.Dataenv.set_mem_mode (env 1) (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   Hostrt.Dataenv.set_resident_cap_bytes (env 0) 512;
   Hostrt.Dataenv.set_resident_cap_bytes (env 1) 4096;
   (* park one buffer on device 1 *)
@@ -200,7 +215,7 @@ let test_invalid_configs () =
   Alcotest.(check bool) "empty workload rejected" true
     (raises (fun () -> ignore (Serve.run base_cfg [])));
   Alcotest.(check bool) "zero streams rejected" true
-    (raises (fun () -> ignore (Serve.run { base_cfg with Serve.cf_streams = 0 } small_mix)));
+    (raises (fun () -> ignore (Serve.run (with_rt (fun rt -> { rt with streams = 0 })) small_mix)));
   Alcotest.(check bool) "zero inflight rejected" true
     (raises (fun () -> ignore (Serve.run { base_cfg with Serve.cf_max_inflight = 0 } small_mix)));
   Alcotest.(check bool) "zero generations rejected" true
