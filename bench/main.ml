@@ -13,7 +13,6 @@
      dune exec bench/main.exe -- overlap [--smoke]
                                         -- target-nowait pipeline: async vs
                                            sync vs host, overlap evidence
-     dune exec bench/main.exe -- fault-matrix [--smoke]
      dune exec bench/main.exe -- autopolicy [--smoke]
                                         -- per-buffer auto policy vs forced
                                            copy / elide / zerocopy, bit-
@@ -444,12 +443,10 @@ let trace_app name n file =
 (* Overlap: transfer/compute pipelines with target nowait on streams    *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared with the fault matrix below: what recovery evidence a fault
-   plan must leave in the trace. *)
+(* What recovery evidence a fault plan must leave in the trace. *)
 type fault_expectation =
   | Recover (* retries succeed: backoff events, no fallback, device alive *)
   | Fallback (* device declared dead: host fallback produced the result *)
-  | Any (* probabilistic plan: only correctness is asserted *)
 
 (* A tiled matrix-vector pipeline (atax-style): every tile maps its own
    slab of A in, runs a matvec over it, and maps its slice of y out.
@@ -557,11 +554,10 @@ let overlap_fault_cell ~n ~rows ~tiles (y_ref : float array) (spec, expect) : bo
       && not (Polybench.Harness.device_dead ctx)
     | Fallback ->
       injected >= 1 && count "host_fallback" >= 1 && Polybench.Harness.device_dead ctx
-    | Any -> true
   in
   let ok = correct && evidence_ok in
   say "  fault %-18s %-9s inj=%-3d %s\n" spec
-    (match expect with Recover -> "recover" | Fallback -> "fallback" | Any -> "any")
+    (match expect with Recover -> "recover" | Fallback -> "fallback")
     injected
     (if ok then "ok" else if correct then "FAIL(no evidence)" else "FAIL(wrong result)");
   ok
@@ -614,83 +610,6 @@ let overlap ~smoke () =
     (fun cell -> tally (overlap_fault_cell ~n ~rows ~tiles y_ref cell))
     [ ("launch:nth=2", Recover); ("transfer:from=3", Fallback) ];
   verdict ""
-
-(* ------------------------------------------------------------------ *)
-(* Fault matrix: differential correctness under injected faults         *)
-(* ------------------------------------------------------------------ *)
-
-(* Each cell runs one suite application offloaded with one fault plan
-   armed and compares the result against the sequential reference —
-   recovery (retry/backoff, JIT-cache invalidation, host fallback) must
-   never change the answer.  The expectation tag asserts that the
-   recovery evidence is actually visible in the trace (test_trace pins
-   that the Chrome export carries every ring event). *)
-
-let fault_cells =
-  [
-    ("transfer:nth=1", Gpusim.Nvcc.Cubin, Recover);
-    ("transfer:nth=2", Gpusim.Nvcc.Cubin, Recover);
-    ("launch:nth=1", Gpusim.Nvcc.Cubin, Recover);
-    ("load:nth=1", Gpusim.Nvcc.Cubin, Recover);
-    ("jit_compile:nth=1", Gpusim.Nvcc.Ptx, Recover);
-    ("alloc:nth=1", Gpusim.Nvcc.Cubin, Fallback);
-    ("launch:from=1", Gpusim.Nvcc.Cubin, Fallback);
-    ("transfer:from=1", Gpusim.Nvcc.Cubin, Fallback);
-    ("transfer:p=0.25", Gpusim.Nvcc.Cubin, Any);
-    ("launch:p=0.5;transfer:p=0.1", Gpusim.Nvcc.Cubin, Any);
-  ]
-
-let smoke_cells =
-  List.filter
-    (fun (spec, _, _) ->
-      List.mem spec [ "transfer:nth=2"; "jit_compile:nth=1"; "alloc:nth=1"; "launch:from=1" ])
-    fault_cells
-
-let fault_cell app (spec, mode, expect) : bool =
-  let n = List.hd app.Polybench.Suite.ap_validate_sizes in
-  let ctx =
-    Polybench.Harness.create
-      ~config:
-        { Hostrt.Rt.default_config with binary_mode = mode; faults = rules_of spec; fault_seed = 7 }
-      ()
-  in
-  Polybench.Harness.set_sampling ctx None;
-  let tr = Polybench.Harness.enable_trace ctx in
-  let _, got = app.Polybench.Suite.ap_run ctx Polybench.Harness.Ompi_cudadev ~n in
-  let err = Polybench.Harness.max_rel_error got (app.Polybench.Suite.ap_reference ~n) in
-  let correct = err <= 1e-3 in
-  let count = fault_count tr in
-  let injected = count "fault_injected" in
-  let evidence_ok =
-    match expect with
-    | Recover ->
-      injected >= 1 && count "retry_backoff" >= 1 && count "host_fallback" = 0
-      && count "device_dead" = 0
-      && not (Polybench.Harness.device_dead ctx)
-    | Fallback ->
-      injected >= 1 && count "host_fallback" >= 1 && count "device_dead" = 1
-      && Polybench.Harness.device_dead ctx
-    | Any -> true
-  in
-  let ok = correct && evidence_ok in
-  say "  %-14s %-28s n=%-5d %-9s err=%.1e inj=%-3d %s\n" app.Polybench.Suite.ap_name spec n
-    (match expect with Recover -> "recover" | Fallback -> "fallback" | Any -> "any")
-    err injected
-    (if ok then "ok" else if correct then "FAIL(no evidence)" else "FAIL(wrong result)");
-  ok
-
-let fault_matrix ~smoke () =
-  let apps =
-    if smoke then
-      List.filteri (fun i _ -> i < 2) Polybench.Suite.all
-    else Polybench.Suite.all @ Polybench.Suite.extras
-  in
-  let cells = if smoke then smoke_cells else fault_cells in
-  say "=== fault matrix: offloaded-with-faults vs host reference (%d apps x %d plans) ===\n"
-    (List.length apps) (List.length cells);
-  let { tally; verdict; _ } = checks "fault-matrix" in
-  List.iter (fun app -> List.iter (fun cell -> tally (fault_cell app cell)) cells) apps;
-  verdict (Printf.sprintf " (%d cells)" (List.length apps * List.length cells))
 
 (* ------------------------------------------------------------------ *)
 (* autopolicy: per-buffer policy vs each forced memory mode (unified   *)
@@ -1598,7 +1517,6 @@ let multidev_bench ~smoke () =
 let self_checking =
   [
     ("overlap", overlap);
-    ("fault-matrix", fault_matrix);
     ("autopolicy", autopolicy);
     ("jit", jit_bench);
     ("serve", serve_bench);

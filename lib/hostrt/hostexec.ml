@@ -114,7 +114,7 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
                   ~translated:true ())
                  .Multidev.r_output
              else
-               (Offload.launch_typed rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args
+               (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args
                   ~translated:true ())
                  .Offload.r_output
            in

@@ -109,32 +109,10 @@ type dctx = {
 
 exception Not_shardable
 
-let check_alive (device : Rt.device) : unit =
-  match Dataenv.dead_reason device.Rt.dev_dataenv with
-  | Some reason -> raise (Resilience.Device_dead reason)
-  | None -> ()
-
-let resilient (rt : Rt.t) (driver : Driver.t) ~(artifact : Nvcc.artifact) ~label f =
-  Resilience.run ~clock:rt.Rt.clock ?trace:rt.Rt.trace ~policy:rt.Rt.fault_policy
-    ~on_fault:(fun _site kind ->
-      match kind with
-      | Faults.Corrupt_cache ->
-        Nvcc.invalidate ~jit_cache:driver.Driver.jit_cache ~modules:driver.Driver.modules artifact
-      | Faults.Transient | Faults.Fatal -> ())
-    ~label f
-
 let tr_instant (rt : Rt.t) ?(args = []) name =
   match rt.Rt.trace with
   | Some tr -> Perf.Trace.instant tr ~cat:"shard" name ~args
   | None -> ()
-
-(* Sharded launches keep the paper's three-phase launch trace schema:
-   per-device load and parameter-preparation spans, one launch span per
-   shard. *)
-let phase (rt : Rt.t) ?(args = []) (name : string) (f : unit -> 'a) : 'a =
-  match rt.Rt.trace with
-  | Some tr -> Perf.Trace.with_span tr ~args ~cat:"launch" name f
-  | None -> f ()
 
 let shard_stream (d : Rt.device) : Driver.stream =
   match d.Rt.dev_shard_stream with
@@ -190,7 +168,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
         Driver.salvage_d2h driver ~host ~src ~dst ~len
       else begin
         try
-          resilient rt driver ~artifact:c.c_artifact ~label:"shard_d2h" (fun () ->
+          Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_d2h" (fun () ->
               Driver.memcpy_d2h_async driver ~stream:c.c_stream ~host ~src ~dst ~len);
           arb :=
             (x.Dataenv.x_host.Addr.off + lo, len, c.c_stream.Driver.str_done_ns, driver.Driver.ordinal)
@@ -229,7 +207,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
             ]
       end;
       try
-        resilient rt driver ~artifact:c.c_artifact ~label:"shard_h2d" (fun () ->
+        Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_h2d" (fun () ->
             Driver.memcpy_h2d_async driver ~stream:c.c_stream ~host
               ~src:(Addr.add x.Dataenv.x_host lo) ~dst:(Addr.add dbase lo) ~len);
         (* the copy changed the device image behind the launch counters'
@@ -263,19 +241,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
     in
     Counters.set_pinned_table counters pins;
     counters.Counters.blocks_total <- hi - lo;
-    let entry_fn = Driver.get_function c.c_modul entry in
-    let host_values =
-      List.map2
-        (fun (_, pty) a ->
-          match a with
-          | Offload.Scalar v -> Value.cast (Cty.decay pty) v
-          | Offload.Mapped haddr -> (
-            match Cty.decay pty with
-            | Cty.Ptr elt -> Value.ptr ~ty:elt haddr
-            | ty ->
-              Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
-        entry_fn.Minic.Ast.f_params args
-    in
+    let host_values = Offload.coerce_args c.c_modul ~entry ~address:Fun.id args in
     Simt.launch ~spec:driver.Driver.spec
       ~mem:(Driver.device_memories driver ~host:(Some host) ~block)
       ~source:c.c_modul.Driver.lm_source
@@ -336,7 +302,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
         if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0
       in
       let stats =
-        phase rt "launch"
+        Offload.phase rt "launch"
           ~args:
             [
               ("device", Perf.Trace.Int c.c_dev.Rt.dev_id);
@@ -344,7 +310,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
               ("shard_hi", Perf.Trace.Int hi);
             ]
           (fun () ->
-            resilient rt c.c_dev.Rt.dev_driver ~artifact:c.c_artifact ~label:"launch" (fun () ->
+            Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"launch" (fun () ->
                 Driver.launch_kernel_async c.c_dev.Rt.dev_driver ~stream:c.c_stream ~modul:c.c_modul
                   ~entry ~grid ~block ~args:c.c_values ~install_builtins:Devrt.Api.install
                   ~block_filter:(fun b -> b >= lo && b < hi)
@@ -465,10 +431,10 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
 let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
     ~(num_threads : int) ~(args : Offload.arg list) ?(translated = true) () : result =
   let primary = Rt.device rt dev in
-  check_alive primary;
+  Offload.check_alive primary;
   let single () =
     single_result dev
-      (Offload.launch_typed rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ~translated ())
+      (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ~translated ())
   in
   let grid, block = Rt.geometry ~num_teams ~num_threads in
   let total_blocks = Simt.dim3_total grid in
@@ -503,7 +469,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
     | Some extents ->
       (* ---- phase 1: broadcast ------------------------------------- *)
       List.iter (fun x -> Dataenv.refresh_host primary.Rt.dev_dataenv x.Dataenv.x_host) extents;
-      check_alive primary;
+      Offload.check_alive primary;
       let secondaries =
         List.filter
           (fun s ->
@@ -550,33 +516,17 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
           | None -> primary_artifact
         in
         let modul =
-          phase rt "load"
+          Offload.phase rt "load"
             ~args:[ ("device", Perf.Trace.Int d.Rt.dev_id); ("file", Perf.Trace.Str kernel_file) ]
             (fun () ->
-              resilient rt driver ~artifact ~label:"load" (fun () ->
+              Offload.resilient rt d ~artifact ~label:"load" (fun () ->
                   Driver.load_module driver artifact))
         in
-        let entry_fn = Driver.get_function modul entry in
-        let params = entry_fn.Minic.Ast.f_params in
-        if List.length params <> List.length args then
-          Rt.ort_error "kernel '%s' expects %d parameters, got %d" entry (List.length params)
-            (List.length args);
         let values =
-          phase rt "parameter_preparation"
+          Offload.phase rt "parameter_preparation"
             ~args:[ ("nargs", Perf.Trace.Int (List.length args)) ]
             (fun () ->
-              List.map2
-                (fun (_, pty) a ->
-                  match a with
-                  | Offload.Scalar v -> Value.cast (Cty.decay pty) v
-                  | Offload.Mapped haddr -> (
-                    let daddr = Dataenv.lookup_exn d.Rt.dev_dataenv haddr in
-                    match Cty.decay pty with
-                    | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
-                    | ty ->
-                      Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s"
-                        (Cty.show ty)))
-                params args)
+              Offload.coerce_args modul ~entry ~address:(Dataenv.lookup_exn d.Rt.dev_dataenv) args)
         in
         let allocs =
           Array.of_list

@@ -37,7 +37,7 @@ val device_weight : Spec.t -> float
 val plan : total_blocks:int -> weights:float array -> (int * int) array
 
 (** Sharded launch across every live device.  Falls back to
-    {!Offload.launch_typed} on [dev] alone when sharding does not apply
+    {!Offload.launch} on [dev] alone when sharding does not apply
     (single live device, sharding disabled, block sampling active, a
     single-block grid, or an operand not mapped on [dev]).
     Raises {!Resilience.Device_dead} only when the primary [dev] is

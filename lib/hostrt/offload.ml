@@ -110,41 +110,33 @@ let reuse_params (c : Rt.launch_cache) (values : Value.t list) : Value.t list =
   List.iteri (fun i v -> c.Rt.lc_params.(i) <- v) values;
   Array.to_list c.Rt.lc_params
 
-(* [translated] marks kernels produced by the OMPi translator (as
-   opposed to hand-written CUDA); they carry the extra runtime machinery
-   and the occupancy penalty hook. *)
-let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
-    ~(num_threads : int) ~(args : arg list) ?(translated = true) ?(block_filter : (int -> bool) option)
-    () : result =
-  let device = Rt.device rt dev in
-  check_alive device;
-  let fast = try_fast_path rt device ~kernel_file ~entry in
-  (* Phase 1: loading (skipped entirely on the fast path). *)
-  let artifact, modul =
-    match fast with
-    | Some c -> (c.Rt.lc_artifact, c.Rt.lc_modul)
-    | None -> load_phase rt device ~kernel_file
-  in
-  (* Phase 2: parameter preparation (on the fast path the translation
-     lands in the cache's preallocated buffer, without the phase span). *)
-  let mk_values () =
-    List.map
-      (function
-        | Scalar v -> v
-        | Mapped haddr ->
-          let daddr = Dataenv.lookup_exn device.Rt.dev_dataenv haddr in
-          Value.ptr ~ty:Cty.Void daddr)
-      args
-  in
-  let values =
-    match fast with
-    | Some c -> reuse_params c (mk_values ())
-    | None ->
-      phase rt "parameter_preparation" ~args:[ ("nargs", Perf.Trace.Int (List.length args)) ] mk_values
-  in
-  if Option.is_none fast then
-    cache_launch device ~kernel_file ~entry ~artifact ~modul ~nargs:(List.length args);
-  (* Phase 3: launch. *)
+(* Bind launch arguments to the entry's declared parameters, so pointer
+   arithmetic inside the kernel uses the right element sizes: a scalar
+   is cast to its parameter type, a mapped argument becomes a pointer to
+   the parameter's element type at [address haddr] (its device image,
+   or the host address itself when the host runs the kernel). *)
+let coerce_args (modul : Driver.loaded_module) ~(entry : string) ~(address : Addr.t -> Addr.t)
+    (args : arg list) : Value.t list =
+  let params = (Driver.get_function modul entry).Minic.Ast.f_params in
+  if List.length params <> List.length args then
+    Rt.ort_error "kernel '%s' expects %d parameters, got %d" entry (List.length params)
+      (List.length args);
+  List.map2
+    (fun (_, pty) a ->
+      match a with
+      | Scalar v -> Value.cast (Cty.decay pty) v
+      | Mapped haddr -> (
+        let addr = address haddr in
+        match Cty.decay pty with
+        | Cty.Ptr elt -> Value.ptr ~ty:elt addr
+        | ty ->
+          Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
+    params args
+
+(* Phase 3's setup: grid/block geometry, the occupancy penalty of
+   translated kernels, and the block filter (the caller's, else the
+   runtime's sampling filter). *)
+let launch_shape (rt : Rt.t) ~num_teams ~num_threads ~translated ?block_filter () =
   let grid, block = Rt.geometry ~num_teams ~num_threads in
   let total_blocks = Simt.dim3_total grid in
   let occupancy_penalty = if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0 in
@@ -153,15 +145,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
     | Some _ -> block_filter
     | None -> Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks
   in
-  let stats =
-    phase rt "launch"
-      ~args:[ ("entry", Perf.Trace.Str entry) ]
-      (fun () ->
-        resilient rt device ~artifact ~label:"launch" (fun () ->
-            Driver.launch_kernel device.Rt.dev_driver ~modul ~entry ~grid ~block ~args:values
-              ~install_builtins:Devrt.Api.install ?block_filter ~occupancy_penalty ()))
-  in
-  { r_stats = stats; r_output = Driver.take_output device.Rt.dev_driver }
+  (grid, block, occupancy_penalty, block_filter)
 
 (* A `target ... nowait` region's mapped operand: the region owns its
    whole map/launch/unmap sequence, so the maps travel with the launch
@@ -205,11 +189,6 @@ let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : str
   (* Phase 1 (loading) is a CPU-side driver call: synchronous, as in the
      sync path. *)
   let artifact, modul = load_phase rt device ~kernel_file in
-  let entry_fn = Driver.get_function modul entry in
-  let params = entry_fn.Minic.Ast.f_params in
-  if List.length params <> List.length maps then
-    Rt.ort_error "kernel '%s' expects %d parameters, got %d maps" entry (List.length params)
-      (List.length maps);
   let reads, writes = access_sets maps in
   Async.submit device.Rt.dev_async ~label:entry ~reads ~writes (fun stream ->
       (* Phase 2: map the operands on this stream and coerce the device
@@ -218,15 +197,11 @@ let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : str
         phase rt "parameter_preparation"
           ~args:[ ("nargs", Perf.Trace.Int (List.length maps)) ]
           (fun () ->
-            List.map2
-              (fun (_, pty) m ->
-                let daddr = Dataenv.map_async denv ~stream m.am_base ~bytes:m.am_bytes m.am_map in
-                match Cty.decay pty with
-                | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
-                | ty ->
-                  Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s"
-                    (Cty.show ty))
-              params maps)
+            coerce_args modul ~entry ~address:Fun.id
+              (List.map
+                 (fun m ->
+                   Mapped (Dataenv.map_async denv ~stream m.am_base ~bytes:m.am_bytes m.am_map))
+                 maps))
       in
       (* The maps may have exhausted their retries and killed the device;
          launching on host addresses would be meaningless. *)
@@ -234,12 +209,9 @@ let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : str
       | Some reason -> raise (Resilience.Device_dead reason)
       | None -> ());
       (* Phase 3: enqueue the launch behind the transfers. *)
-      let grid, block = Rt.geometry ~num_teams ~num_threads in
-      let total_blocks = Simt.dim3_total grid in
-      let occupancy_penalty =
-        if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0
+      let grid, block, occupancy_penalty, block_filter =
+        launch_shape rt ~num_teams ~num_threads ~translated ()
       in
-      let block_filter = Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks in
       let _stats =
         phase rt "launch"
           ~args:[ ("entry", Perf.Trace.Str entry) ]
@@ -261,37 +233,25 @@ let taskwait (rt : Rt.t) ~(dev : int) : unit = Async.wait_all (Rt.device rt dev)
    timeline before running the host fallback. *)
 let quiesce (rt : Rt.t) ~(dev : int) : unit = Async.quiesce (Rt.device rt dev).Rt.dev_async
 
-(* Typed-parameter variant used by OCaml-level callers: the kernel entry
-   declares pointer parameter types; coerce the raw device addresses so
-   that pointer arithmetic inside the kernel uses the right element
-   size. *)
-let launch_typed (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string)
-    ~(num_teams : int) ~(num_threads : int) ~(args : arg list) ?(translated = true)
+(* [translated] marks kernels produced by the OMPi translator (as
+   opposed to hand-written CUDA); they carry the extra runtime machinery
+   and the occupancy penalty hook. *)
+let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
+    ~(num_threads : int) ~(args : arg list) ?(translated = true)
     ?(block_filter : (int -> bool) option) () : result =
   let device = Rt.device rt dev in
   check_alive device;
   let fast = try_fast_path rt device ~kernel_file ~entry in
+  (* Phase 1: loading (skipped entirely on the fast path). *)
   let artifact, modul =
     match fast with
     | Some c -> (c.Rt.lc_artifact, c.Rt.lc_modul)
     | None -> load_phase rt device ~kernel_file
   in
-  let entry_fn = Driver.get_function modul entry in
-  let params = entry_fn.Minic.Ast.f_params in
-  if List.length params <> List.length args then
-    Rt.ort_error "kernel '%s' expects %d parameters, got %d" entry (List.length params)
-      (List.length args);
+  (* Phase 2: parameter preparation (on the fast path the translation
+     lands in the cache's preallocated buffer, without the phase span). *)
   let mk_values () =
-    List.map2
-      (fun (_, pty) a ->
-        match a with
-        | Scalar v -> Value.cast (Cty.decay pty) v
-        | Mapped haddr ->
-          let daddr = Dataenv.lookup_exn device.Rt.dev_dataenv haddr in
-          (match Cty.decay pty with
-          | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
-          | ty -> Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
-      params args
+    coerce_args modul ~entry ~address:(Dataenv.lookup_exn device.Rt.dev_dataenv) args
   in
   let values =
     match fast with
@@ -301,13 +261,9 @@ let launch_typed (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : stri
   in
   if Option.is_none fast then
     cache_launch device ~kernel_file ~entry ~artifact ~modul ~nargs:(List.length args);
-  let grid, block = Rt.geometry ~num_teams ~num_threads in
-  let total_blocks = Simt.dim3_total grid in
-  let occupancy_penalty = if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0 in
-  let block_filter =
-    match block_filter with
-    | Some _ -> block_filter
-    | None -> Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks
+  (* Phase 3: launch. *)
+  let grid, block, occupancy_penalty, block_filter =
+    launch_shape rt ~num_teams ~num_threads ~translated ?block_filter ()
   in
   let stats =
     phase rt "launch"

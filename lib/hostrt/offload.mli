@@ -23,20 +23,37 @@ type result = { r_stats : Driver.launch_stats; r_output : string }
     retry exhaustion kills it — the caller then degrades to the host
     path. *)
 
-(** [translated] marks kernels produced by the OMPi translator (they
-    carry the occupancy-penalty hook); hand-written CUDA passes
-    [~translated:false]. *)
+(** The path the generated ort_offload calls take.  Arguments are
+    coerced against the kernel entry's declared parameter types
+    ({!coerce_args}).  [translated] marks kernels produced by the OMPi
+    translator (they carry the occupancy-penalty hook); hand-written
+    CUDA passes [~translated:false]. *)
 val launch :
   Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
   args:arg list -> ?translated:bool -> ?block_filter:(int -> bool) -> unit -> result
 
-(** Like {!launch}, but coerces arguments against the kernel entry's
-    declared parameter types so pointer arithmetic inside the kernel
-    uses the right element sizes.  This is the path the generated
-    ort_offload calls take. *)
-val launch_typed :
-  Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
-  args:arg list -> ?translated:bool -> ?block_filter:(int -> bool) -> unit -> result
+(** {1 Launch building blocks (shared with {!Multidev})} *)
+
+(** Run [f] as a cat:"launch" span named [name] when the runtime
+    traces. *)
+val phase : Rt.t -> ?args:(string * Perf.Trace.value) list -> string -> (unit -> 'a) -> 'a
+
+(** @raise Resilience.Device_dead when the device was declared dead. *)
+val check_alive : Rt.device -> unit
+
+(** Retry-wrap a fallible phase on [device] under the runtime's
+    policy; a corrupt-cache fault drops [artifact]'s JIT cache entry
+    and resident module before the retry. *)
+val resilient :
+  Rt.t -> Rt.device -> artifact:Nvcc.artifact -> label:string -> (unit -> 'a) -> 'a
+
+(** Bind launch arguments to [entry]'s declared parameters: a scalar is
+    cast to its parameter type, a mapped argument becomes a pointer to
+    the parameter's element type at [address host_addr].
+    @raise Rt.Ort_error on an arity mismatch or a mapped argument bound
+    to a non-pointer parameter *)
+val coerce_args :
+  Driver.loaded_module -> entry:string -> address:(Addr.t -> Addr.t) -> arg list -> Value.t list
 
 (** {1 Asynchronous launch ([target ... nowait])} *)
 

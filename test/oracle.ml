@@ -1,0 +1,588 @@
+(* The configuration-matrix oracle: one differential for every runtime
+   configuration.
+
+   A program maps a run configuration ([Hostrt.Rt.config]) to an
+   observation: its output bits, printed output and exit code, its
+   simulated time, an exact per-device launch log, and the counts of its
+   cat:"fault" and cat:"shard" trace events.  A point of the product
+
+     mem {auto, copy, elide, zerocopy} x streams {1, 4}
+       x devices {1, 2, 4} x faults {none, transient, fatal}
+
+   is checked against the same program under [Rt.default_config], whose
+   outputs are anchored once against the program's stripped host
+   reference (bit for bit, or within a relative tolerance for float
+   reductions):
+
+   1. the outputs are bit-identical to the default run's;
+   2. unless a device died, the per-entry sums over all devices of
+      blocks_executed, thread_inst_sum and atomics equal the default
+      run's;
+   3. with [jit] flipped at the same point, the launch log and the
+      simulated time are identical;
+   4. every deliberate deviation has its trace evidence: a farm launch
+      that ran its grid on one device is announced by
+      shard_mixed_modes, each dead device by one device_dead, and a
+      fault plan leaves the recovery or the death and host fallback it
+      promises.
+
+   [pairwise] is the committed table of points covering every pair of
+   axis values; the tests run it under both executors. *)
+
+open Machine
+open Gpusim
+open Polybench
+module Rt = Hostrt.Rt
+
+(* ---------------------------------------------------------------- *)
+(* Observation                                                        *)
+(* ---------------------------------------------------------------- *)
+
+type obs = {
+  o_out : int32 array;  (** output bits: float32 values by their bits, ints as they are *)
+  o_text : string;  (** printed output *)
+  o_exit : int;
+  o_time : float;  (** simulated seconds *)
+  o_log : string list;  (** exact launch log, device by device, oldest first *)
+  o_sums : (string * (int * float * int)) list;
+      (** per entry over all devices: blocks executed, thread instructions, atomics *)
+  o_events : ((string * string) * int) list;  (** trace events by category and name *)
+  o_dead : int list;  (** ordinals of the devices declared dead *)
+  o_unsharded : int;  (** farm launches that ran a multi-block grid on one device *)
+}
+
+(* Every dynamic statistic of a launch, flattened to a string so launch
+   lists compare (and print on failure) wholesale: the totals, then each
+   allocation's and each pinned range's own record.  Floats print with
+   %h, so nothing below the last digit escapes a comparison. *)
+let counters_summary (c : Counters.t) : string =
+  let cl = c.Counters.classes in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun id s acc -> (id, s) :: acc) tbl []) in
+  let per_alloc =
+    List.map
+      (fun (id, (s : Counters.alloc_stats)) ->
+        let samples =
+          List.sort compare
+            (Hashtbl.fold
+               (fun key (set, count) acc -> (key, Counters.Int_set.elements !set, !count) :: acc)
+               s.Counters.samples [])
+        in
+        Printf.sprintf " a%d=%d/%d st[%d,%d) at[%d,%d) samples=%s" id s.Counters.a_loads
+          s.Counters.a_stores s.Counters.a_store_lo s.Counters.a_store_hi s.Counters.a_atomic_lo
+          s.Counters.a_atomic_hi
+          (String.concat ";"
+             (List.map
+                (fun (key, segs, n) ->
+                  Printf.sprintf "%d:%s*%d" key (String.concat "," (List.map string_of_int segs)) n)
+                samples)))
+      (sorted c.Counters.per_alloc)
+  in
+  let per_pin =
+    List.map
+      (fun (id, (s : Counters.pin_stats)) ->
+        Printf.sprintf " p%d=%d/%d" id s.Counters.p_loads s.Counters.p_stores)
+      (sorted c.Counters.per_pin)
+  in
+  let totals =
+    Printf.sprintf
+      "arith=%d mul=%d div=%d branch=%d call=%d special=%d thread_sum=%h warp_sum=%h \
+       warp_max=%h shared=%d local=%d barriers=%d atomics=%d chunks=%d blocks=%d/%d zc=%d/%d \
+       glb=%d tx=%h"
+      cl.Counters.arith cl.Counters.mul cl.Counters.div cl.Counters.branch cl.Counters.call
+      cl.Counters.special c.Counters.thread_inst_sum c.Counters.warp_inst_sum
+      c.Counters.warp_inst_max c.Counters.shared_accesses c.Counters.local_accesses
+      c.Counters.barrier_warp_arrivals c.Counters.atomics c.Counters.chunk_grabs
+      c.Counters.blocks_executed c.Counters.blocks_total c.Counters.zerocopy_loads
+      c.Counters.zerocopy_stores
+      (Counters.global_accesses c)
+      (Counters.global_transactions c)
+  in
+  totals ^ String.concat "" per_alloc ^ String.concat "" per_pin
+
+(* (device, launch) pairs, device by device, oldest launch first. *)
+let launches (rt : Rt.t) : (int * Driver.launch_stats) list =
+  List.concat_map
+    (fun (d : Rt.device) ->
+      List.rev_map (fun s -> (d.Rt.dev_id, s)) d.Rt.dev_driver.Driver.launches)
+    (Array.to_list rt.Rt.devices)
+
+(* Per-launch record: device, entry, counters, cycles, time. *)
+let launch_log (rt : Rt.t) : string list =
+  List.map
+    (fun (d, (s : Driver.launch_stats)) ->
+      Printf.sprintf "dev%d %s: %s | cycles=%h time_ns=%h" d s.Driver.st_entry
+        (counters_summary s.Driver.st_counters)
+        s.Driver.st_breakdown.Costmodel.bd_total_cycles s.Driver.st_breakdown.Costmodel.bd_time_ns)
+    (launches rt)
+
+let entry_sums (rt : Rt.t) : (string * (int * float * int)) list =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (_, (s : Driver.launch_stats)) ->
+      let c = s.Driver.st_counters in
+      let b, t, a = Option.value ~default:(0, 0.0, 0) (Hashtbl.find_opt tbl s.Driver.st_entry) in
+      Hashtbl.replace tbl s.Driver.st_entry
+        ( b + c.Counters.blocks_executed,
+          t +. c.Counters.thread_inst_sum,
+          a + c.Counters.atomics ))
+    (launches rt);
+  List.sort compare (Hashtbl.fold (fun e v acc -> (e, v) :: acc) tbl [])
+
+let trace_counts (tr : Perf.Trace.t) : ((string * string) * int) list =
+  if Perf.Trace.dropped tr > 0 then failwith "Oracle: trace ring overflowed";
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (e : Perf.Trace.event) ->
+      let k = (e.Perf.Trace.ev_cat, e.Perf.Trace.ev_name) in
+      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+    (Perf.Trace.events tr);
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* What a run left in [rt] (and, when traced, in [trace]). *)
+let observe ?trace ?(out = [||]) ?(text = "") ?(exit = 0) (rt : Rt.t) ~(time : float) : obs =
+  let farm = Rt.num_devices rt > 1 in
+  {
+    o_out = out;
+    o_text = text;
+    o_exit = exit;
+    o_time = time;
+    o_log = launch_log rt;
+    o_sums = entry_sums rt;
+    o_events = Option.fold ~none:[] ~some:trace_counts trace;
+    o_dead =
+      List.filter_map
+        (fun (d : Rt.device) ->
+          if Hostrt.Dataenv.is_dead d.Rt.dev_dataenv then Some d.Rt.dev_id else None)
+        (Array.to_list rt.Rt.devices);
+    o_unsharded =
+      List.length
+        (List.filter
+           (fun (_, (s : Driver.launch_stats)) ->
+             let grid = Simt.dim3_total s.Driver.st_grid in
+             farm && grid >= 2 && s.Driver.st_counters.Counters.blocks_executed = grid)
+           (launches rt));
+  }
+
+let count (o : obs) ~(cat : string) (name : string) : int =
+  Option.value ~default:0 (List.assoc_opt (cat, name) o.o_events)
+
+let bits (a : float array) : int32 array = Array.map Int32.bits_of_float a
+
+(* Check 3: the executor switch moves neither a launch record nor the
+   simulated time.  The first differing record is reported. *)
+let executor_violations (jit : obs) (interp : obs) : string list =
+  let rec first_diff a b =
+    match (a, b) with
+    | [], [] -> []
+    | x :: a, y :: b -> if x = y then first_diff a b else [ Printf.sprintf "launch %S <> %S" x y ]
+    | _ -> [ "the executors launched different numbers of kernels" ]
+  in
+  first_diff jit.o_log interp.o_log
+  @ if jit.o_time = interp.o_time then [] else [ "simulated time differs between the executors" ]
+
+(* The executor switch must be invisible: outputs, every launch record
+   and the simulated time. *)
+let check_executors (label : string) (jit : obs) (interp : obs) : unit =
+  Alcotest.(check (array int32)) (label ^ ": bit-identical outputs") interp.o_out jit.o_out;
+  Alcotest.(check string) (label ^ ": identical printed output") interp.o_text jit.o_text;
+  Alcotest.(check (list string))
+    (label ^ ": identical launch counters, cycle costs and simulated time")
+    [] (executor_violations jit interp)
+
+(* ---------------------------------------------------------------- *)
+(* Programs                                                           *)
+(* ---------------------------------------------------------------- *)
+
+type program = {
+  name : string;
+  run : Rt.config -> obs;
+  reference : unit -> obs;  (** the stripped host reference (outputs only) *)
+  tol : float;  (** 0: the default run matches the reference bit for bit *)
+  shards : bool;  (** false: its regions are [nowait], which run on their target device *)
+}
+
+let traced_harness (config : Rt.config) : Harness.ctx * Perf.Trace.t =
+  let ctx = Harness.create ~config () in
+  Harness.set_sampling ctx None;
+  (ctx, Harness.enable_trace ctx)
+
+(* A Harness OpenMP source: [setup] allocates and fills the operands in
+   the fresh context and returns the call's arguments and the reader of
+   its outputs. *)
+let omp ~name ?(tol = 0.0) ?(shards = true) ~(source : string) ~(entry : string)
+    (setup : Harness.ctx -> Value.t list * (unit -> float array)) : program =
+  let go ~host_interp config =
+    let ctx, tr = traced_harness config in
+    let args, read = setup ctx in
+    let p = Harness.prepare_omp ~host_interp ctx ~name source in
+    let time = Harness.measure ctx (fun () -> Harness.call_omp p entry args) in
+    observe ~trace:tr ctx.Harness.rt ~time ~out:(bits (read ()))
+  in
+  {
+    name;
+    run = go ~host_interp:false;
+    reference = (fun () -> go ~host_interp:true Rt.default_config);
+    tol;
+    shards;
+  }
+
+let smallest (app : Suite.app) : int =
+  match app.Suite.ap_validate_sizes with
+  | n :: _ -> n
+  | [] -> failwith (app.Suite.ap_name ^ " has no validation sizes")
+
+(* A Polybench app at its smallest validation size; its reference is
+   the OpenMP variant with the directives stripped, run on the host. *)
+let polybench ?(variant = Harness.Ompi_cudadev) (app : Suite.app) : program =
+  let n = smallest app in
+  let go variant config =
+    let ctx, tr = traced_harness config in
+    let time, out = app.Suite.ap_run ctx variant ~n in
+    observe ~trace:tr ctx.Harness.rt ~time ~out:(bits out)
+  in
+  {
+    name = app.Suite.ap_name ^ "/" ^ Harness.variant_label variant;
+    run = go variant;
+    reference = (fun () -> go Harness.Host_interp Rt.default_config);
+    tol = 0.0;
+    shards = true;
+  }
+
+(* [dune runtest] runs in _build/default/test; [dune exec] in the root. *)
+let read_example (file : string) : string =
+  let path = Filename.concat "../examples" file in
+  let path = if Sys.file_exists path then path else Filename.concat "examples" file in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* An [examples/*.c] program, run the way ompirun runs it; its reference
+   is the same source with the directives stripped, run on the host. *)
+let example (file : string) : program =
+  let source = lazy (read_example file) in
+  let compiled = lazy (Ompi.compile ~name:(Filename.remove_extension file) (Lazy.force source)) in
+  {
+    name = file;
+    run =
+      (fun config ->
+        let inst = Ompi.load ~config ~trace:true (Lazy.force compiled) in
+        let r = Ompi.run inst () in
+        observe ?trace:inst.Ompi.i_trace inst.Ompi.i_rt ~time:r.Ompi.run_time_s
+          ~text:r.Ompi.run_output ~exit:r.Ompi.run_exit);
+    reference =
+      (fun () ->
+        let program =
+          Translator.Strip.strip_program
+            (Omp.Rewrite.rewrite_program (Minic.Parser.parse_program (Lazy.force source)))
+        in
+        let rt = Rt.create () in
+        let r = Hostrt.Hostexec.run rt program () in
+        observe rt ~time:0.0 ~text:r.Hostrt.Hostexec.rr_output ~exit:r.Hostrt.Hostexec.rr_exit);
+    tol = 0.0;
+    shards = true;
+  }
+
+(* ---- the Harness sources ---------------------------------------- *)
+
+let f_a i = Refmath.r32 (float_of_int ((i * 7) mod 23) /. 23.0)
+
+let f_b i = Refmath.r32 (float_of_int ((i * 5) mod 17) /. 17.0)
+
+let f_c i = Refmath.r32 (float_of_int ((i mod 9) - 4) /. 8.0)
+
+(* Pure writes: every c element produced by exactly one thread. *)
+let gemm_src =
+  {|
+void gemm_md(int n, int teams, int nthr, float a[], float b[], float c[])
+{
+  #pragma omp target teams distribute parallel for num_teams(teams) num_threads(nthr) \
+      map(to: n, a[0:n*n], b[0:n*n]) map(tofrom: c[0:n*n])
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < n; j++) {
+      float acc = 0.0f;
+      for (int k = 0; k < n; k++)
+        acc += a[i * n + k] * b[k * n + j];
+      c[i * n + j] = acc + c[i * n + j];
+    }
+}
+|}
+
+(* Atomic chain: one publish atomic per team into s, so shard k+1's
+   result depends on the bytes shard k left behind. *)
+let dot_src =
+  {|
+void dot_md(int n, int teams, int nthr, float x[], float y[], float out[])
+{
+  float s = 0.0f;
+  #pragma omp target teams distribute parallel for num_teams(teams) num_threads(nthr) \
+      reduction(+: s) map(to: n, x[0:n], y[0:n]) map(tofrom: s)
+  for (int i = 0; i < n; i++)
+    s += x[i] * y[i];
+  out[0] = s;
+}
+|}
+
+let gemm ?(n = 16) ?(teams = 8) ?(nthr = 64) () : program =
+  omp ~name:"md_gemm" ~source:gemm_src ~entry:"gemm_md" (fun ctx ->
+      let nn = n * n in
+      let a = Harness.alloc_f32 ctx nn and b = Harness.alloc_f32 ctx nn in
+      let c = Harness.alloc_f32 ctx nn in
+      Harness.fill_f32 ctx a nn f_a;
+      Harness.fill_f32 ctx b nn f_b;
+      Harness.fill_f32 ctx c nn f_c;
+      ( Harness.[ vint n; vint teams; vint nthr; fptr a; fptr b; fptr c ],
+        fun () -> Harness.read_f32_array ctx c nn ))
+
+let dot ?(n = 1024) ?(teams = 8) ?(nthr = 64) () : program =
+  omp ~name:"md_dot" ~tol:1e-3 ~source:dot_src ~entry:"dot_md" (fun ctx ->
+      let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx n in
+      let out = Harness.alloc_f32 ctx 1 in
+      Harness.fill_f32 ctx x n f_a;
+      Harness.fill_f32 ctx y n f_b;
+      ( Harness.[ vint n; vint teams; vint nthr; fptr x; fptr y; fptr out ],
+        fun () -> Harness.read_f32_array ctx out 1 ))
+
+(* A tiled matvec over one reused kernel: [tiles] regions of [rows]
+   rows each.  Tile bases are pointer locals because array sections
+   must start at offset 0. *)
+let pipeline_source ~nowait ~taskwait =
+  Printf.sprintf
+    {|
+void pipeline(int n, int rows, int tiles, float A[], float x[], float y[])
+{
+  #pragma omp target data map(to: x[0:n], n, rows)
+  {
+    for (int t = 0; t < tiles; t++) {
+      float *At = A + t * rows * n;
+      float *yt = y + t * rows;
+      #pragma omp target teams distribute parallel for %s num_teams(1) num_threads(128) \
+          map(to: n, rows, At[0:rows*n], x[0:n]) map(from: yt[0:rows])
+      for (int i = 0; i < rows; i++) {
+        float s = 0.0f;
+        for (int j = 0; j < n; j++)
+          s += At[i * n + j] * x[j];
+        yt[i] = s;
+      }
+    }
+    %s
+  }
+}
+|}
+    (if nowait then "nowait" else "")
+    (if taskwait then "#pragma omp taskwait" else "")
+
+(* At 128 rows, one row per device thread: the tile matvec time stays
+   close to its HtoD time, so overlap has something to hide. *)
+let pipeline ?(nowait = true) ?(taskwait = nowait) ?(rows = 128) () : program =
+  let n = 64 and tiles = 3 in
+  omp ~name:"pipeline" ~shards:(not nowait) ~source:(pipeline_source ~nowait ~taskwait)
+    ~entry:"pipeline"
+    (fun ctx ->
+      let total = tiles * rows in
+      let a = Harness.alloc_f32 ctx (total * n) in
+      let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx total in
+      Harness.fill_f32 ctx a (total * n) (fun i -> float_of_int ((i mod 11) - 5) *. 0.5);
+      Harness.fill_f32 ctx x n (fun i -> float_of_int ((i mod 5) - 2) *. 0.25);
+      ( Harness.[ vint n; vint rows; vint tiles; fptr a; fptr x; fptr y ],
+        fun () -> Harness.read_f32_array ctx y total ))
+
+(* ---------------------------------------------------------------- *)
+(* Points                                                             *)
+(* ---------------------------------------------------------------- *)
+
+(* The evidence a fault plan must leave in the trace. *)
+type expect =
+  | Clean  (** no plan: no fault event, no death *)
+  | Recover  (** retries succeed: backoff events, no fallback, no death *)
+  | Fallback  (** a device dies and the host runs its work *)
+  | Fatal  (** [Fallback] once the plan fires, [Clean] until it does *)
+  | Any  (** probabilistic plan: only the outputs and the generic evidence *)
+
+type plan = { pl_spec : string; pl_mode : Nvcc.binary_mode; pl_expect : expect }
+
+type point = { mem : Hostrt.Mempolicy.sel; streams : int; devices : int; plan : plan }
+
+let plan ?(mode = Nvcc.Cubin) spec expect = { pl_spec = spec; pl_mode = mode; pl_expect = expect }
+
+let no_fault = plan "" Clean
+
+let transient = plan "transfer:nth=2;launch:nth=1" Recover
+
+let fatal = plan "launch:nth=2,kind=fatal" Fatal
+
+(* The four axes, each value with its table key. *)
+let mem_axis =
+  Hostrt.Mempolicy.
+    [
+      ("auto", Auto); ("copy", Forced Copy); ("elide", Forced Elide); ("zerocopy", Forced Zerocopy);
+    ]
+
+let streams_axis = [ ("1", 1); ("4", 4) ]
+
+let devices_axis = [ ("1", 1); ("2", 2); ("4", 4) ]
+
+let faults_axis = [ ("none", no_fault); ("transient", transient); ("fatal", fatal) ]
+
+let axis_keys : string list list =
+  List.[ map fst mem_axis; map fst streams_axis; map fst devices_axis; map fst faults_axis ]
+
+let point_of_keys = function
+  | [ m; s; d; f ] ->
+    {
+      mem = List.assoc m mem_axis;
+      streams = List.assoc s streams_axis;
+      devices = List.assoc d devices_axis;
+      plan = List.assoc f faults_axis;
+    }
+  | _ -> invalid_arg "Oracle.point_of_keys"
+
+(* The committed table: every pair of axis values in some row (see
+   [uncovered]). *)
+let pairwise_rows : string list list =
+  List.map (String.split_on_char ' ')
+    [
+      "auto 4 1 none";
+      "auto 4 2 transient";
+      "auto 1 4 fatal";
+      "copy 4 2 none";
+      "copy 1 1 transient";
+      "copy 4 4 fatal";
+      "elide 1 2 none";
+      "elide 4 4 transient";
+      "elide 4 1 fatal";
+      "zerocopy 1 4 none";
+      "zerocopy 4 1 transient";
+      "zerocopy 1 2 fatal";
+    ]
+
+let pairwise : point list = List.map point_of_keys pairwise_rows
+
+(* The value pairs of [axes] (one key list per axis) that no row of
+   [rows] (one key list per point) holds. *)
+let uncovered ~(axes : string list list) (rows : string list list) : string list =
+  List.concat
+    (List.mapi
+       (fun i xs ->
+         List.concat
+           (List.mapi
+              (fun j ys ->
+                if j <= i then []
+                else
+                  List.concat_map
+                    (fun x ->
+                      List.filter_map
+                        (fun y ->
+                          if List.exists (fun r -> List.nth r i = x && List.nth r j = y) rows then
+                            None
+                          else Some (Printf.sprintf "axis %d=%s with axis %d=%s" i x j y))
+                        ys)
+                    xs)
+              axes))
+       axes)
+
+(* The default configuration as a point: a fault plan armed on it is
+   a fault-matrix cell. *)
+let default_point =
+  {
+    mem = Rt.default_config.Rt.mem_policy;
+    streams = Rt.default_config.Rt.streams;
+    devices = Rt.default_config.Rt.devices;
+    plan = no_fault;
+  }
+
+let config ?(jit = true) (p : point) : Rt.config =
+  let faults =
+    match p.plan.pl_spec with
+    | "" -> []
+    | spec -> (
+      match Hostrt.Faults.parse spec with
+      | Ok rules -> rules
+      | Error msg -> failwith (Printf.sprintf "bad fault spec %S: %s" spec msg))
+  in
+  {
+    Rt.default_config with
+    binary_mode = p.plan.pl_mode;
+    mem_policy = p.mem;
+    streams = p.streams;
+    devices = p.devices;
+    faults;
+    fault_seed = 7;
+    jit;
+  }
+
+let show (p : point) : string =
+  Printf.sprintf "%s streams=%d devices=%d faults=%S%s" (Hostrt.Mempolicy.sel_name p.mem) p.streams
+    p.devices p.plan.pl_spec
+    (if p.plan.pl_mode = Nvcc.Ptx then " ptx" else "")
+
+(* ---------------------------------------------------------------- *)
+(* Checks                                                             *)
+(* ---------------------------------------------------------------- *)
+
+(* The default run against the stripped host reference. *)
+let anchor (p : program) (d : obs) : string list =
+  let r = p.reference () in
+  let outputs_ok =
+    if p.tol = 0.0 then r.o_out = d.o_out
+    else
+      let floats = Array.map Int32.float_of_bits in
+      Array.length r.o_out = Array.length d.o_out
+      && Harness.max_rel_error (floats d.o_out) (floats r.o_out) <= p.tol
+  in
+  List.concat
+    [
+      (if outputs_ok then [] else [ "outputs differ from the host reference" ]);
+      (if r.o_text = d.o_text then []
+       else [ Printf.sprintf "prints %S, the host reference %S" d.o_text r.o_text ]);
+      (if r.o_exit = d.o_exit then [] else [ "exit code differs from the host reference" ]);
+    ]
+
+(* Check 4: the evidence a run owes for its deviations from the default. *)
+let evidence (p : program) (pt : point) (o : obs) : string list =
+  let n = count o ~cat:"fault" and sh = count o ~cat:"shard" in
+  let fails = ref [] in
+  let need ok msg = if not ok then fails := msg :: !fails in
+  let dead = List.length o.o_dead in
+  need (n "device_dead" = dead)
+    (Printf.sprintf "%d dead device(s), %d device_dead event(s)" dead (n "device_dead"));
+  if pt.devices > 1 && dead = 0 && p.shards then
+    need
+      (o.o_unsharded = sh "shard_mixed_modes")
+      (Printf.sprintf "%d farm launch(es) ran unsharded, %d shard_mixed_modes event(s)"
+         o.o_unsharded (sh "shard_mixed_modes"));
+  let fallbacks = n "host_fallback" + sh "shard_host_fallback" in
+  let clean () = need (n "fault_injected" = 0 && dead = 0) "fault events without a plan" in
+  let fallback () =
+    need (n "fault_injected" >= 1) "no fault injected";
+    need (dead >= 1) "no device died";
+    need (fallbacks >= 1) "no host_fallback or shard_host_fallback"
+  in
+  (match pt.plan.pl_expect with
+  | Clean -> clean ()
+  | Recover ->
+    need (n "fault_injected" >= 1) "no fault injected";
+    need (n "retry_backoff" >= 1) "no retry_backoff";
+    need (fallbacks = 0 && dead = 0) "a recoverable plan killed a device"
+  | Fallback -> fallback ()
+  | Fatal -> if n "fault_injected" = 0 then clean () else fallback ()
+  | Any -> ());
+  List.rev !fails
+
+(* Checks 1, 2 and 4 of one run at [pt]. *)
+let violations (p : program) ~(default : obs) (pt : point) (o : obs) : string list =
+  List.concat
+    [
+      (if o.o_out = default.o_out then [] else [ "outputs differ from the default run" ]);
+      (if o.o_text = default.o_text && o.o_exit = default.o_exit then []
+       else
+         [ Printf.sprintf "prints %S (exit %d) under the default" default.o_text default.o_exit ]);
+      (if o.o_dead <> [] || o.o_sums = default.o_sums then []
+       else [ "per-entry blocks/instructions/atomics differ from the default run" ]);
+      evidence p pt o;
+    ]
+
+(* One point under both executors: checks 1-4. *)
+let check_point (p : program) ~(default : obs) (pt : point) : string list =
+  let jit = p.run (config ~jit:true pt) and interp = p.run (config ~jit:false pt) in
+  List.map
+    (fun v -> Printf.sprintf "%s @ %s: %s" p.name (show pt) v)
+    (violations p ~default pt jit @ violations p ~default pt interp
+    @ executor_violations jit interp)

@@ -1,7 +1,8 @@
 (* Asynchronous offloading tests: driver stream/engine timeline
    semantics, the Hostrt.Async dependency tracker (unit + QCheck
-   properties), and end-to-end `target ... nowait` differentials
-   (async vs sync vs stripped host reference must be bit-identical). *)
+   properties), and end-to-end `target ... nowait` timing and barriers.
+   The nowait pipeline's bits under every configuration are checked by
+   test_oracle. *)
 
 open Machine
 open Gpusim
@@ -348,85 +349,32 @@ let test_update_waits_for_pending () =
   Hostrt.Dataenv.unmap dev.Hostrt.Rt.dev_dataenv h Hostrt.Dataenv.Tofrom
 
 (* ---------------------------------------------------------------- *)
-(* End-to-end: target nowait differential and barriers                *)
+(* End-to-end: target nowait timing and barriers                      *)
 (* ---------------------------------------------------------------- *)
 
-(* Two-tile pipeline over one reused kernel; tile bases are pointer
-   locals because array sections must start at offset 0. *)
-let pipeline_source ~nowait ~taskwait =
-  Printf.sprintf
-    {|
-void pipeline(int n, int rows, int tiles, float A[], float x[], float y[])
-{
-  #pragma omp target data map(to: x[0:n], n, rows)
-  {
-    for (int t = 0; t < tiles; t++) {
-      float *At = A + t * rows * n;
-      float *yt = y + t * rows;
-      #pragma omp target teams distribute parallel for %s num_teams(1) num_threads(128) \
-          map(to: n, rows, At[0:rows*n], x[0:n]) map(from: yt[0:rows])
-      for (int i = 0; i < rows; i++) {
-        float s = 0.0f;
-        for (int j = 0; j < n; j++)
-          s += At[i * n + j] * x[j];
-        yt[i] = s;
-      }
-    }
-    %s
-  }
-}
-|}
-    (if nowait then "nowait" else "")
-    (if taskwait then "#pragma omp taskwait" else "")
-
-let run_pipeline ?(host_interp = false) ?(trace = false) ~source () =
-  (* one row per device thread; the tile matvec time stays close to its
-     HtoD time, so overlap has something to hide *)
-  let n = 64 and rows = 128 and tiles = 3 in
-  let ctx = Polybench.Harness.create () in
-  Polybench.Harness.set_sampling ctx None;
-  let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-  let total = tiles * rows in
-  let a = Polybench.Harness.alloc_f32 ctx (total * n) in
-  let x = Polybench.Harness.alloc_f32 ctx n in
-  let y = Polybench.Harness.alloc_f32 ctx total in
-  Polybench.Harness.fill_f32 ctx a (total * n) (fun i -> float_of_int ((i mod 11) - 5) *. 0.5);
-  Polybench.Harness.fill_f32 ctx x n (fun i -> float_of_int ((i mod 5) - 2) *. 0.25);
-  let p = Polybench.Harness.prepare_omp ~host_interp ctx ~name:"pipeline" source in
-  let t =
-    Polybench.Harness.measure ctx (fun () ->
-        Polybench.Harness.(
-          call_omp p "pipeline" [ vint n; vint rows; vint tiles; fptr a; fptr x; fptr y ]))
-  in
-  (t, Polybench.Harness.read_f32_array ctx y total, tr)
-
-let test_nowait_differential () =
-  let _, y_host, _ = run_pipeline ~host_interp:true ~source:(pipeline_source ~nowait:false ~taskwait:false) () in
-  let t_sync, y_sync, _ = run_pipeline ~source:(pipeline_source ~nowait:false ~taskwait:false) () in
-  let t_async, y_async, _ = run_pipeline ~source:(pipeline_source ~nowait:true ~taskwait:true) () in
-  Alcotest.(check bool) "async replays bit-identical to sync" true (y_async = y_sync);
-  Alcotest.(check bool) "both match the stripped host reference" true (y_sync = y_host);
-  Alcotest.(check bool) "async is never slower than sync" true (t_async <= t_sync)
+(* The tiled pipeline's bits under every configuration, anchored on the
+   stripped host reference, are test_oracle's; what is left is time:
+   overlapping the tiles on the stream pool never costs simulated time
+   over running them one by one. *)
+let test_async_never_slower () =
+  let run nowait = (Oracle.pipeline ~nowait ()).Oracle.run Hostrt.Rt.default_config in
+  let sync = run false and async = run true in
+  Alcotest.(check (array int32)) "async replays bit-identical to sync" sync.Oracle.o_out
+    async.Oracle.o_out;
+  Alcotest.(check bool) "async is never slower than sync" true
+    (async.Oracle.o_time <= sync.Oracle.o_time)
 
 (* No explicit taskwait: the end-of-data-environment barrier alone must
    drain the queue before the enclosing unmaps release x. *)
 let test_target_data_end_barrier () =
-  let _, y_host, _ = run_pipeline ~host_interp:true ~source:(pipeline_source ~nowait:false ~taskwait:false) () in
-  let _, y_async, tr = run_pipeline ~trace:true ~source:(pipeline_source ~nowait:true ~taskwait:false) () in
-  Alcotest.(check bool) "implicit barrier preserves the results" true (y_async = y_host);
-  let tr = Option.get tr in
+  let p = Oracle.pipeline ~taskwait:false () in
+  let async = p.Oracle.run Hostrt.Rt.default_config in
+  Alcotest.(check (array int32)) "implicit barrier preserves the results"
+    (p.Oracle.reference ()).Oracle.o_out async.Oracle.o_out;
   Alcotest.(check bool) "a taskwait event marks the barrier" true
-    (Perf.Trace.count_events tr ~cat:"async" ~name:"taskwait" () >= 1);
+    (Oracle.count async ~cat:"async" "taskwait" >= 1);
   Alcotest.(check bool) "enqueues visible in the trace" true
-    (Perf.Trace.count_events tr ~cat:"async" ~name:"enqueue" () >= 3)
-
-(* Differential across a real Polybench kernel: offloaded nowait tiles
-   vs the suite's sequential reference. *)
-let test_polybench_differential () =
-  let _, y_host, _ = run_pipeline ~host_interp:true ~source:(pipeline_source ~nowait:false ~taskwait:false) () in
-  let _, y_async, _ = run_pipeline ~source:(pipeline_source ~nowait:true ~taskwait:true) () in
-  Alcotest.(check (float 0.0)) "max relative error is exactly zero" 0.0
-    (Polybench.Harness.max_rel_error y_async y_host)
+    (Oracle.count async ~cat:"async" "enqueue" >= 3)
 
 let () =
   Alcotest.run "async"
@@ -464,9 +412,7 @@ let () =
         ] );
       ( "end to end",
         [
-          Alcotest.test_case "nowait differential (async = sync = host)" `Quick
-            test_nowait_differential;
+          Alcotest.test_case "async is never slower than sync" `Quick test_async_never_slower;
           Alcotest.test_case "target data end barrier" `Quick test_target_data_end_barrier;
-          Alcotest.test_case "polybench tile differential" `Quick test_polybench_differential;
         ] );
     ]

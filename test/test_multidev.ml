@@ -5,13 +5,14 @@
    team space across the farm under a three-phase memory protocol
    (broadcast, ascending launches with atomic-byte exchange, ascending
    merge) that must replay the single-device schedule byte for byte.
-   This suite checks:
+   test_oracle runs the pure-writes gemm and the atomic-chain dot over
+   its whole configuration table.  This suite checks:
 
-   - differential legs: a pure-writes gemm and an atomic-chain dot run
-     on 1/2/3/4-device farms, against the host interpreter, under the
-     closure JIT and the tree-walking interpreter, and with transfer
-     elision — every leg bit-identical, with one shard launch per
-     device and the shard block counts summing to the full grid;
+   - differential legs on the oracle's observations: both programs on
+     1/2/3/4-device farms against the 1-device run (itself anchored on
+     the host reference), one shard launch per device, the executors
+     agreeing on a farm, elision moving no bytes, and auto-policy
+     mixed modes running unsharded on the target device;
 
    - [Multidev.plan] unit tests: contiguous non-empty proportional
      intervals, skew following the compute weights, and the
@@ -26,228 +27,113 @@
      D2H-from-device-A-before-H2D-to-device-B exchange, visible as a
      cat:"shard" [xdev_dep] instant, without moving the bytes;
 
+   - which device dies: a fatal fault on a secondary's shard
+     host-falls-back that shard only, bit-identically, leaving the
+     primary alive;
+
    - device(n) pinning (no sharding, runs on that device alone),
-     omp_get_num_devices / default-device bookkeeping, the graceful
-     Map_error for device(n) past the farm, and the fault leg: a fatal
-     fault on a secondary's shard host-falls-back that shard only,
-     bit-identically, leaving the primary alive. *)
+     omp_get_num_devices / default-device bookkeeping and the graceful
+     Map_error for device(n) past the farm. *)
 
 open Polybench
 
-(* ---------------------------------------------------------------- *)
-(* Kernels                                                            *)
-(* ---------------------------------------------------------------- *)
+let f_a = Oracle.f_a
 
-(* Pure writes: every c element produced by exactly one thread. *)
-let gemm_src =
-  {|
-void gemm_md(int n, int teams, int nthr, float a[], float b[], float c[])
-{
-  #pragma omp target teams distribute parallel for num_teams(teams) num_threads(nthr) \
-      map(to: n, a[0:n*n], b[0:n*n]) map(tofrom: c[0:n*n])
-  for (int i = 0; i < n; i++)
-    for (int j = 0; j < n; j++) {
-      float acc = 0.0f;
-      for (int k = 0; k < n; k++)
-        acc += a[i * n + k] * b[k * n + j];
-      c[i * n + j] = acc + c[i * n + j];
-    }
-}
-|}
-
-(* Atomic chain: one publish atomic per team into s, so shard k+1's
-   result depends on the bytes shard k left behind. *)
-let dot_src =
-  {|
-void dot_md(int n, int teams, int nthr, float x[], float y[], float out[])
-{
-  float s = 0.0f;
-  #pragma omp target teams distribute parallel for num_teams(teams) num_threads(nthr) \
-      reduction(+: s) map(to: n, x[0:n], y[0:n]) map(tofrom: s)
-  for (int i = 0; i < n; i++)
-    s += x[i] * y[i];
-  out[0] = s;
-}
-|}
-
-let f_a i = Refmath.r32 (float_of_int ((i * 7) mod 23) /. 23.0)
-
-let f_b i = Refmath.r32 (float_of_int ((i * 5) mod 17) /. 17.0)
-
-let f_c i = Refmath.r32 (float_of_int ((i mod 9) - 4) /. 8.0)
-
-(* ---------------------------------------------------------------- *)
-(* Observation: bits + per-device launch counters + simulated time    *)
-(* ---------------------------------------------------------------- *)
-
-let launch_log ctx : string list =
-  let rt = ctx.Harness.rt in
-  List.concat
-    (List.init (Hostrt.Rt.num_devices rt) (fun d ->
-         List.rev_map
-           (fun (s : Gpusim.Driver.launch_stats) ->
-             let c = s.Gpusim.Driver.st_counters in
-             Printf.sprintf "dev%d %s: blocks=%d/%d atomics=%d thread_sum=%.3f time_ns=%.6f" d
-               s.Gpusim.Driver.st_entry c.Gpusim.Counters.blocks_executed
-               c.Gpusim.Counters.blocks_total c.Gpusim.Counters.atomics
-               c.Gpusim.Counters.thread_inst_sum
-               s.Gpusim.Driver.st_breakdown.Gpusim.Costmodel.bd_time_ns)
-           (Hostrt.Rt.device rt d).Hostrt.Rt.dev_driver.Gpusim.Driver.launches))
+let f_b = Oracle.f_b
 
 let launches_on ctx d =
   List.length (Hostrt.Rt.device ctx.Harness.rt d).Hostrt.Rt.dev_driver.Gpusim.Driver.launches
 
-let blocks_executed ctx : int =
-  let rt = ctx.Harness.rt in
-  List.fold_left ( + ) 0
-    (List.concat
-       (List.init (Hostrt.Rt.num_devices rt) (fun d ->
-            List.map
-              (fun (s : Gpusim.Driver.launch_stats) ->
-                s.Gpusim.Driver.st_counters.Gpusim.Counters.blocks_executed)
-              (Hostrt.Rt.device rt d).Hostrt.Rt.dev_driver.Gpusim.Driver.launches)))
-
-let dead ctx d = Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.Harness.rt d).Hostrt.Rt.dev_dataenv
-
-(* A farm's run configuration: [devices] instances, fault seed 7. *)
-let config ~devices ?(specs = []) ~jit ?(mem = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Copy)
-    ?(faults = []) () =
-  { Hostrt.Rt.default_config with devices; specs; jit; mem_policy = mem; faults; fault_seed = 7 }
-
-type obs = { ob_bits : int32 array; ob_time : float; ob_log : string list }
-
-let run_gemm ?(host_interp = false) ?(jit = true) ?mem ?specs ?faults ~devices ~n ~teams ~nthr ()
-    : obs * Harness.ctx =
-  let ctx = Harness.create ~config:(config ~devices ?specs ~jit ?mem ?faults ()) () in
-  Harness.set_sampling ctx None;
-  let nn = n * n in
-  let a = Harness.alloc_f32 ctx nn and b = Harness.alloc_f32 ctx nn in
-  let c = Harness.alloc_f32 ctx nn in
-  Harness.fill_f32 ctx a nn f_a;
-  Harness.fill_f32 ctx b nn f_b;
-  Harness.fill_f32 ctx c nn f_c;
-  let p = Harness.prepare_omp ~host_interp ctx ~name:"md_gemm" gemm_src in
-  let t =
-    Harness.measure ctx (fun () ->
-        Harness.call_omp p "gemm_md"
-          [ Harness.vint n; Harness.vint teams; Harness.vint nthr; Harness.fptr a; Harness.fptr b;
-            Harness.fptr c ])
-  in
-  ( { ob_bits = Array.map Int32.bits_of_float (Harness.read_f32_array ctx c nn);
-      ob_time = t;
-      ob_log = launch_log ctx
-    },
-    ctx )
-
-let run_dot ?(host_interp = false) ?(jit = true) ?mem ?specs ~devices ~n ~teams ~nthr () :
-    obs * Harness.ctx =
-  let ctx = Harness.create ~config:(config ~devices ?specs ~jit ?mem ()) () in
-  Harness.set_sampling ctx None;
-  let x = Harness.alloc_f32 ctx n and y = Harness.alloc_f32 ctx n in
-  let out = Harness.alloc_f32 ctx 1 in
-  Harness.fill_f32 ctx x n f_a;
-  Harness.fill_f32 ctx y n f_b;
-  let p = Harness.prepare_omp ~host_interp ctx ~name:"md_dot" dot_src in
-  let t =
-    Harness.measure ctx (fun () ->
-        Harness.call_omp p "dot_md"
-          [ Harness.vint n; Harness.vint teams; Harness.vint nthr; Harness.fptr x; Harness.fptr y;
-            Harness.fptr out ])
-  in
-  ( { ob_bits = [| Int32.bits_of_float (Harness.get_f32 ctx out 0) |];
-      ob_time = t;
-      ob_log = launch_log ctx
-    },
-    ctx )
+let farm ?(specs = []) ?(faults = []) devices =
+  { Hostrt.Rt.default_config with devices; specs; faults; fault_seed = 7 }
 
 (* ---------------------------------------------------------------- *)
 (* Differential legs                                                  *)
 (* ---------------------------------------------------------------- *)
 
-let gemm_n = 24
-
 let gemm_teams = 12
-
-let dot_n = 1024
 
 let dot_teams = 8
 
+let gemm_farm = Oracle.gemm ~n:24 ~teams:gemm_teams ()
+
+let dot_farm = Oracle.dot ~n:1024 ~teams:dot_teams ()
+
+let at ?(mem = Oracle.default_point.Oracle.mem) devices =
+  { Oracle.default_point with Oracle.mem; devices }
+
+let run ?jit (p : Oracle.program) pt = p.Oracle.run (Oracle.config ?jit pt)
+
+let blocks (o : Oracle.obs) = List.fold_left (fun acc (_, (b, _, _)) -> acc + b) 0 o.Oracle.o_sums
+
+let log_launches_on (o : Oracle.obs) d =
+  let prefix = Printf.sprintf "dev%d " d in
+  List.length (List.filter (String.starts_with ~prefix) o.Oracle.o_log)
+
+(* The 1-device run, anchored on the stripped host reference. *)
+let anchored (p : Oracle.program) =
+  let solo = run p (at 1) in
+  Alcotest.(check (list string)) (p.Oracle.name ^ ": 1 device = host reference") []
+    (Oracle.anchor p solo);
+  solo
+
+(* Oracle checks 1, 2 and 4 against the 1-device run: same bits, the
+   per-entry block, instruction and atomic sums of the 1-device run,
+   and every unsharded farm launch announced. *)
+let check_farm (p : Oracle.program) ~solo pt (o : Oracle.obs) =
+  Alcotest.(check (list string)) (Oracle.show pt) [] (Oracle.violations p ~default:solo pt o)
+
 let test_gemm_farm_differential () =
-  let solo, solo_ctx = run_gemm ~devices:1 ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  let host, _ = run_gemm ~host_interp:true ~devices:1 ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  Alcotest.(check bool) "1-device bytes = host interpreter" true (solo.ob_bits = host.ob_bits);
-  Alcotest.(check int) "1 device: full grid executed" gemm_teams (blocks_executed solo_ctx);
+  let solo = anchored gemm_farm in
+  Alcotest.(check int) "1 device: full grid executed" gemm_teams (blocks solo);
   List.iter
     (fun devices ->
-      let farm, ctx = run_gemm ~devices ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-device bytes = 1-device bytes" devices)
-        true (farm.ob_bits = solo.ob_bits);
+      let o = run gemm_farm (at devices) in
+      check_farm gemm_farm ~solo (at devices) o;
       for d = 0 to devices - 1 do
         Alcotest.(check int) (Printf.sprintf "%d devices: one shard on device %d" devices d) 1
-          (launches_on ctx d)
-      done;
-      Alcotest.(check int)
-        (Printf.sprintf "%d devices: shard blocks sum to the grid" devices)
-        gemm_teams (blocks_executed ctx))
+          (log_launches_on o d)
+      done)
     [ 2; 3; 4 ]
 
 let test_dot_farm_differential () =
-  let solo, _ = run_dot ~devices:1 ~n:dot_n ~teams:dot_teams ~nthr:64 () in
-  let host, _ = run_dot ~host_interp:true ~devices:1 ~n:dot_n ~teams:dot_teams ~nthr:64 () in
-  let dev = Int32.float_of_bits solo.ob_bits.(0) in
-  let ref_ = Int32.float_of_bits host.ob_bits.(0) in
-  Alcotest.(check bool) "1-device dot close to sequential host" true
-    (Float.abs (dev -. ref_) <= 1e-3 *. Float.max 1.0 (Float.abs ref_));
+  let solo = anchored dot_farm in
   List.iter
-    (fun devices ->
-      let farm, ctx = run_dot ~devices ~n:dot_n ~teams:dot_teams ~nthr:64 () in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-device atomic chain bit-identical to 1 device" devices)
-        true (farm.ob_bits = solo.ob_bits);
-      Alcotest.(check int)
-        (Printf.sprintf "%d devices: shard blocks sum to the grid" devices)
-        dot_teams (blocks_executed ctx))
+    (fun devices -> check_farm dot_farm ~solo (at devices) (run dot_farm (at devices)))
     [ 2; 3; 4 ]
 
 (* The closure JIT may only move wall clock: bits, per-shard counters
    and simulated time are identical on a sharded farm. *)
 let test_executors_agree_on_farm () =
-  let jit, _ = run_gemm ~devices:3 ~jit:true ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  let interp, _ = run_gemm ~devices:3 ~jit:false ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  Alcotest.(check bool) "bits identical (jit vs --no-jit)" true (jit.ob_bits = interp.ob_bits);
-  Alcotest.(check (list string)) "per-shard counters identical" interp.ob_log jit.ob_log;
-  Alcotest.(check (float 0.0)) "simulated time identical" interp.ob_time jit.ob_time
+  Oracle.check_executors "3 devices"
+    (run ~jit:true gemm_farm (at 3))
+    (run ~jit:false gemm_farm (at 3))
 
 (* Transfer elision may drop broadcasts, never bytes. *)
 let test_elision_on_farm () =
-  let plain, _ = run_gemm ~devices:2 ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  let elided, _ =
-    run_gemm ~devices:2 ~mem:(Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide) ~n:gemm_n
-      ~teams:gemm_teams ~nthr:64 ()
-  in
-  Alcotest.(check bool) "elided farm bytes identical" true (elided.ob_bits = plain.ob_bits)
+  let plain = run gemm_farm (at 2) in
+  let elided = run gemm_farm (at ~mem:Hostrt.Mempolicy.(Forced Elide) 2) in
+  Alcotest.(check (array int32)) "elided farm bytes identical" plain.Oracle.o_out
+    elided.Oracle.o_out
 
 (* Under the per-buffer auto policy the devices of a farm can pick
    different modes for one buffer: here the primary reaches the
    reduction scalar zero-copy while the secondaries copy it.  The
    exchange cannot carry in-place atomics into a device copy, so such a
-   region runs unsharded on its target device, and the chain keeps the
-   1-device value. *)
+   region runs unsharded on its target device (announced by
+   shard_mixed_modes), and the chain keeps the 1-device value. *)
 let test_mixed_modes_run_unsharded () =
-  let auto = Hostrt.Mempolicy.Auto in
-  let solo, _ = run_dot ~mem:auto ~devices:1 ~n:dot_n ~teams:dot_teams ~nthr:64 () in
+  let auto = at ~mem:Hostrt.Mempolicy.Auto in
+  let solo = run dot_farm (auto 1) in
   List.iter
     (fun devices ->
-      let farm, ctx = run_dot ~mem:auto ~devices ~n:dot_n ~teams:dot_teams ~nthr:64 () in
-      Alcotest.(check int32)
-        (Printf.sprintf "auto, %d devices: chained value = 1 device" devices)
-        solo.ob_bits.(0) farm.ob_bits.(0);
+      let o = run dot_farm (auto devices) in
+      check_farm dot_farm ~solo (auto devices) o;
       Alcotest.(check int)
         (Printf.sprintf "auto, %d devices: the target device ran the whole grid" devices)
-        dot_teams (blocks_executed ctx);
+        dot_teams (blocks o);
       Alcotest.(check int) (Printf.sprintf "auto, %d devices: device 1 idle" devices) 0
-        (launches_on ctx 1))
+        (log_launches_on o 1))
     [ 2; 4 ]
 
 (* A fatal fault on the second shard launch (device 1, ascending order)
@@ -258,12 +144,14 @@ let test_secondary_death_fallback () =
     | Ok r -> r
     | Error m -> Alcotest.fail m
   in
-  let solo, _ = run_gemm ~devices:1 ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  let faulted, ctx = run_gemm ~devices:2 ~faults:rules ~n:gemm_n ~teams:gemm_teams ~nthr:64 () in
-  Alcotest.(check bool) "bytes survive the secondary's death" true
-    (faulted.ob_bits = solo.ob_bits);
-  Alcotest.(check bool) "device 1 dead" true (dead ctx 1);
-  Alcotest.(check bool) "device 0 alive" false (dead ctx 0)
+  let gemm = Oracle.gemm () in
+  let solo = gemm.Oracle.run (farm 1) in
+  let faulted = gemm.Oracle.run (farm ~faults:rules 2) in
+  Alcotest.(check (array int32)) "bytes survive the secondary's death" solo.Oracle.o_out
+    faulted.Oracle.o_out;
+  Alcotest.(check (list int)) "device 1 dead, device 0 alive" [ 1 ] faulted.Oracle.o_dead;
+  Alcotest.(check bool) "its shard ran on the host" true
+    (Oracle.count faulted ~cat:"shard" "shard_host_fallback" >= 1)
 
 (* ---------------------------------------------------------------- *)
 (* Cross-device RAW arbitration                                       *)
@@ -273,24 +161,13 @@ let test_secondary_death_fallback () =
    shard 0 (device 0) wrote: the runtime must drain device 0's D2H
    before device 1's H2D, surfacing as an xdev_dep wait instant. *)
 let test_xdev_raw_arbitration () =
-  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with devices = 2 } () in
-  Harness.set_sampling ctx None;
-  let tr = Harness.enable_trace ctx in
-  let x = Harness.alloc_f32 ctx dot_n and y = Harness.alloc_f32 ctx dot_n in
-  let out = Harness.alloc_f32 ctx 1 in
-  Harness.fill_f32 ctx x dot_n f_a;
-  Harness.fill_f32 ctx y dot_n f_b;
-  let p = Harness.prepare_omp ctx ~name:"md_dot_tr" dot_src in
-  Harness.call_omp p "dot_md"
-    [ Harness.vint dot_n; Harness.vint dot_teams; Harness.vint 64; Harness.fptr x;
-      Harness.fptr y; Harness.fptr out ];
-  let solo, _ = run_dot ~devices:1 ~n:dot_n ~teams:dot_teams ~nthr:64 () in
-  Alcotest.(check int32) "chained value bit-identical" solo.ob_bits.(0)
-    (Int32.bits_of_float (Harness.get_f32 ctx out 0));
+  let dot = Oracle.dot () in
+  let solo = dot.Oracle.run (farm 1) and pair = dot.Oracle.run (farm 2) in
+  Alcotest.(check (array int32)) "chained value bit-identical" solo.Oracle.o_out pair.Oracle.o_out;
   Alcotest.(check bool) "cross-device dependency wait recorded" true
-    (Perf.Trace.count_events tr ~cat:"shard" ~name:"xdev_dep" () >= 1);
+    (Oracle.count pair ~cat:"shard" "xdev_dep" >= 1);
   Alcotest.(check bool) "shard plan recorded" true
-    (Perf.Trace.count_events tr ~cat:"shard" ~name:"shard_plan" () >= 1)
+    (Oracle.count pair ~cat:"shard" "shard_plan" >= 1)
 
 (* ---------------------------------------------------------------- *)
 (* device(n) pinning and the omp_* device API                         *)
@@ -443,14 +320,10 @@ let farm_gen =
 let prop_farm_bit_identity =
   QCheck.Test.make ~name:"any farm reproduces the 1-device bytes" ~count:10
     (QCheck.make farm_gen) (fun (devices, mults, teams, nthr, n, atomic) ->
-      let specs = List.map spec_of_mult mults in
-      let run ~devices ~specs =
-        if atomic then fst (run_dot ~devices ~specs ~n ~teams ~nthr ())
-        else fst (run_gemm ~devices ~specs ~n:24 ~teams ~nthr ())
-      in
-      let solo = run ~devices:1 ~specs:[ Gpusim.Spec.jetson_nano_2gb ] in
-      let farm = run ~devices ~specs in
-      if farm.ob_bits <> solo.ob_bits then
+      let p = if atomic then Oracle.dot ~n ~teams ~nthr () else Oracle.gemm ~n:24 ~teams ~nthr () in
+      let solo = p.Oracle.run (farm ~specs:[ Gpusim.Spec.jetson_nano_2gb ] 1) in
+      let many = p.Oracle.run (farm ~specs:(List.map spec_of_mult mults) devices) in
+      if many.Oracle.o_out <> solo.Oracle.o_out then
         QCheck.Test.fail_reportf
           "bytes differ: %d device(s), mults [%s], teams=%d nthr=%d n=%d %s" devices
           (String.concat "; " (List.map string_of_float mults))

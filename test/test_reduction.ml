@@ -32,43 +32,6 @@ open Polybench
 open Refmath
 
 (* ---------------------------------------------------------------- *)
-(* Observation (same shape as test_jit): bits + counters + time       *)
-(* ---------------------------------------------------------------- *)
-
-let counters_summary (c : Counters.t) : string =
-  let cl = c.Counters.classes in
-  Printf.sprintf
-    "arith=%d mul=%d div=%d branch=%d call=%d special=%d thread_sum=%.3f warp_sum=%.3f \
-     warp_max=%.3f shared=%d local=%d barriers=%d atomics=%d chunks=%d blocks=%d/%d glb=%d \
-     tx=%.3f"
-    cl.Counters.arith cl.Counters.mul cl.Counters.div cl.Counters.branch cl.Counters.call
-    cl.Counters.special c.Counters.thread_inst_sum c.Counters.warp_inst_sum
-    c.Counters.warp_inst_max c.Counters.shared_accesses c.Counters.local_accesses
-    c.Counters.barrier_warp_arrivals c.Counters.atomics c.Counters.chunk_grabs
-    c.Counters.blocks_executed c.Counters.blocks_total
-    (Counters.global_accesses c)
-    (Counters.global_transactions c)
-
-let launch_log ctx : string list =
-  List.rev_map
-    (fun (s : Driver.launch_stats) ->
-      Printf.sprintf "%s: %s | cycles=%.6f time_ns=%.6f" s.Driver.st_entry
-        (counters_summary s.Driver.st_counters)
-        s.Driver.st_breakdown.Costmodel.bd_total_cycles
-        s.Driver.st_breakdown.Costmodel.bd_time_ns)
-    (Harness.driver ctx).Driver.launches
-
-type obs = { ob_time : float; ob_bits : int32; ob_log : string list }
-
-let check_executors label (jit : obs) (interp : obs) =
-  Alcotest.(check int32) (label ^ ": bit-identical output (jit vs --no-jit)") interp.ob_bits
-    jit.ob_bits;
-  Alcotest.(check (list string))
-    (label ^ ": identical launch counters and cycle costs")
-    interp.ob_log jit.ob_log;
-  Alcotest.(check (float 0.0)) (label ^ ": identical simulated time") interp.ob_time jit.ob_time
-
-(* ---------------------------------------------------------------- *)
 (* The operator table                                                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -362,7 +325,7 @@ void red_i(int n, int teams, int nthr, int tl, int init, int a[], int out[])
 |}
     (dist_clause dist) op.i_tag op.i_upd
 
-let run_float ?(host_interp = false) ~jit op ~n ~g : obs =
+let run_float ?(host_interp = false) ~jit op ~n ~g : Oracle.obs =
   let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
   let a = Harness.alloc_f32 ctx (n + 1) and out = Harness.alloc_f32 ctx 1 in
@@ -376,9 +339,9 @@ let run_float ?(host_interp = false) ~jit op ~n ~g : obs =
             Harness.vf32 op.f_init; Harness.fptr a; Harness.fptr out;
           ])
   in
-  { ob_time = time; ob_bits = Int32.bits_of_float (Harness.get_f32 ctx out 0); ob_log = launch_log ctx }
+  Oracle.observe ctx.Harness.rt ~time ~out:[| Int32.bits_of_float (Harness.get_f32 ctx out 0) |]
 
-let run_int ?(host_interp = false) ~jit op ~n ~g : obs =
+let run_int ?(host_interp = false) ~jit op ~n ~g : Oracle.obs =
   let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
   let a = Harness.alloc_i32 ctx (n + 1) and out = Harness.alloc_i32 ctx 1 in
@@ -392,7 +355,7 @@ let run_int ?(host_interp = false) ~jit op ~n ~g : obs =
             Harness.vint op.i_init; Harness.fptr a; Harness.fptr out;
           ])
   in
-  { ob_time = time; ob_bits = Int32.of_int (Harness.get_i32 ctx out 0); ob_log = launch_log ctx }
+  Oracle.observe ctx.Harness.rt ~time ~out:[| Int32.of_int (Harness.get_i32 ctx out 0) |]
 
 let model_float op ~n ~g =
   model ~identity:op.f_id ~init:op.f_init ~thread:op.f_thread ~comb:op.f_comb ~pub:op.f_pub
@@ -425,11 +388,11 @@ let test_float_ops () =
           let label = Printf.sprintf "float %s %s" op.f_tag gname in
           let jit = run_float ~jit:true op ~n ~g in
           let interp = run_float ~jit:false op ~n ~g in
-          check_executors label jit interp;
+          Oracle.check_executors label jit interp;
           Alcotest.(check int32)
             (label ^ ": 0 ulps from the order-exact host model")
             (Int32.bits_of_float (model_float op ~n ~g))
-            jit.ob_bits)
+            jit.Oracle.o_out.(0))
         geometries)
     float_ops
 
@@ -441,11 +404,11 @@ let test_int_ops () =
           let label = Printf.sprintf "int %s %s" op.i_tag gname in
           let jit = run_int ~jit:true op ~n ~g in
           let interp = run_int ~jit:false op ~n ~g in
-          check_executors label jit interp;
+          Oracle.check_executors label jit interp;
           Alcotest.(check int32)
             (label ^ ": bit-identical to the order-exact host model")
             (Int32.of_int (model_int op ~n ~g))
-            jit.ob_bits)
+            jit.Oracle.o_out.(0))
         geometries)
     int_ops
 
@@ -461,13 +424,14 @@ let test_host_anchor () =
       let host = run_int ~host_interp:true ~jit:true op ~n ~g in
       Alcotest.(check int32)
         (Printf.sprintf "int %s: device == sequential host reference" op.i_tag)
-        host.ob_bits dev.ob_bits)
+        host.Oracle.o_out.(0) dev.Oracle.o_out.(0))
     int_ops;
   List.iter
     (fun op ->
       let dev = run_float ~jit:true op ~n ~g in
       let host = run_float ~host_interp:true ~jit:true op ~n ~g in
-      let d = Int32.float_of_bits dev.ob_bits and h = Int32.float_of_bits host.ob_bits in
+      let d = Int32.float_of_bits dev.Oracle.o_out.(0) in
+      let h = Int32.float_of_bits host.Oracle.o_out.(0) in
       Alcotest.(check bool)
         (Printf.sprintf "float %s: device within 1e-3 of sequential host reference" op.f_tag)
         true
@@ -529,10 +493,10 @@ let prop_matches_model =
       match which with
       | `F op ->
         let dev = run_float ~jit:true op ~n ~g in
-        dev.ob_bits = Int32.bits_of_float (model_float op ~n ~g)
+        dev.Oracle.o_out.(0) = Int32.bits_of_float (model_float op ~n ~g)
       | `I op ->
         let dev = run_int ~jit:true op ~n ~g in
-        dev.ob_bits = Int32.of_int (model_int op ~n ~g))
+        dev.Oracle.o_out.(0) = Int32.of_int (model_int op ~n ~g))
 
 (* Integer reductions are exact: moving the geometry may move simulated
    time but never the bytes. *)
@@ -543,7 +507,7 @@ let prop_geometry_invariance =
       let n = 223 in
       let a = run_int ~jit:true op ~n ~g:g1 in
       let b = run_int ~jit:true op ~n ~g:g2 in
-      a.ob_bits = b.ob_bits)
+      a.Oracle.o_out.(0) = b.Oracle.o_out.(0))
 
 let () =
   Alcotest.run "reduction"
