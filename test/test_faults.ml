@@ -98,27 +98,6 @@ let test_backoff_formula () =
 
 (* ---------------- end-to-end recovery ---------------- *)
 
-let saxpy_src =
-  {|
-int main(void)
-{
-  float x[10];
-  float y[10];
-  int i;
-  for (i = 0; i < 10; i++) { x[i] = i; y[i] = 10.0f; }
-  #pragma omp target map(to: x[0:10]) map(tofrom: y[0:10])
-  {
-    #pragma omp parallel for
-    for (i = 0; i < 10; i++)
-      y[i] = 2.0f * x[i] + y[i];
-  }
-  printf("y[0]=%f y[9]=%f\n", y[0], y[9]);
-  return 0;
-}
-|}
-
-let saxpy_expected = "y[0]=10.000000 y[9]=28.000000\n"
-
 let load ?(mode = Gpusim.Nvcc.Cubin) ?(faults = "") src =
   let rules = if faults = "" then [] else parse_ok faults in
   let config = { Ompi.default_config with Ompi.binary_mode = mode; Ompi.faults = rules } in
@@ -143,10 +122,10 @@ let test_transient_transfer_retries () =
   (* Fail the 2nd and 3rd transfer calls: the h2d of y fails twice in a
      row, then succeeds; the two backoffs must grow geometrically and be
      charged to the simulated clock. *)
-  let clean = Ompi.run (load saxpy_src) () in
-  let inst = load ~faults:"transfer:nth=2,nth=3" saxpy_src in
+  let clean = Ompi.run (load Oracle.saxpy_src) () in
+  let inst = load ~faults:"transfer:nth=2,nth=3" Oracle.saxpy_src in
   let r = Ompi.run inst () in
-  Alcotest.(check string) "result correct despite faults" saxpy_expected r.Ompi.run_output;
+  Alcotest.(check string) "result correct despite faults" Oracle.saxpy_expected r.Ompi.run_output;
   Alcotest.(check int) "two faults injected" 2 (count inst "fault_injected");
   Alcotest.(check (list (float 0.0))) "backoff grows per attempt" [ 50.0; 200.0 ]
     (backoff_delays inst);
@@ -158,9 +137,9 @@ let test_transient_transfer_retries () =
 let test_retry_exhaustion_falls_back () =
   (* Every launch fails: 1 try + 3 retries, then the device is declared
      dead and the target region re-executes on the host path. *)
-  let inst = load ~faults:"launch:from=1" saxpy_src in
+  let inst = load ~faults:"launch:from=1" Oracle.saxpy_src in
   let r = Ompi.run inst () in
-  Alcotest.(check string) "host fallback result correct" saxpy_expected r.Ompi.run_output;
+  Alcotest.(check string) "host fallback result correct" Oracle.saxpy_expected r.Ompi.run_output;
   Alcotest.(check int) "1 try + 3 retries" 4 (count inst "fault_injected");
   Alcotest.(check (list (float 0.0))) "full backoff ladder" [ 50.0; 200.0; 800.0 ]
     (backoff_delays inst);
@@ -173,9 +152,9 @@ let test_retry_exhaustion_falls_back () =
 let test_fatal_alloc_no_retry () =
   (* Alloc faults are fatal (OOM on a 2GB board): no retries, immediate
      degradation, still the right answer. *)
-  let inst = load ~faults:"alloc:nth=1" saxpy_src in
+  let inst = load ~faults:"alloc:nth=1" Oracle.saxpy_src in
   let r = Ompi.run inst () in
-  Alcotest.(check string) "host fallback result correct" saxpy_expected r.Ompi.run_output;
+  Alcotest.(check string) "host fallback result correct" Oracle.saxpy_expected r.Ompi.run_output;
   Alcotest.(check int) "fatal recorded" 1 (count inst "fault_fatal");
   Alcotest.(check int) "no retries for fatal faults" 0 (count inst "retry_backoff");
   Alcotest.(check int) "host fallback taken" 1 (count inst "host_fallback");
@@ -188,16 +167,16 @@ let test_corrupt_jit_cache_recompiles () =
      entry and recompile, visible as a second jit_compile event.  The
      plan is armed from the start: a cold compile is not a cache hit, so
      the first run consults the "jit" site zero times. *)
-  let inst = load ~mode:Gpusim.Nvcc.Ptx ~faults:"jit:nth=1" saxpy_src in
+  let inst = load ~mode:Gpusim.Nvcc.Ptx ~faults:"jit:nth=1" Oracle.saxpy_src in
   let r1 = Ompi.run inst () in
-  Alcotest.(check string) "warm run correct" saxpy_expected r1.Ompi.run_output;
+  Alcotest.(check string) "warm run correct" Oracle.saxpy_expected r1.Ompi.run_output;
   Alcotest.(check int) "cold compile injects nothing" 0 (count inst "fault_injected");
   let tr = trace_of inst in
   Alcotest.(check int) "one initial jit compile" 1
     (Perf.Trace.count_events tr ~cat:"jit" ~name:"jit_compile" ());
   Gpusim.Driver.reset (Rt.device inst.Ompi.i_rt 0).Rt.dev_driver;
   let r2 = Ompi.run inst () in
-  Alcotest.(check string) "recovered run correct" saxpy_expected r2.Ompi.run_output;
+  Alcotest.(check string) "recovered run correct" Oracle.saxpy_expected r2.Ompi.run_output;
   Alcotest.(check int) "corrupt cache entry injected" 1 (count inst "fault_injected");
   Alcotest.(check int) "retried after invalidation" 1 (count inst "retry_backoff");
   Alcotest.(check int) "recompiled from source" 2

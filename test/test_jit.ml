@@ -46,7 +46,7 @@ let test_app_differential (app : Suite.app) () =
       let p = Oracle.polybench ~variant app in
       let run jit = p.Oracle.run { Hostrt.Rt.default_config with jit } in
       let jit = run true in
-      Oracle.check_executors p.Oracle.name jit (run false);
+      Check.executors p.Oracle.name jit (run false);
       Alcotest.(check (list string))
         (p.Oracle.name ^ ": JIT output matches the host reference")
         [] (Oracle.anchor p jit))
@@ -62,7 +62,7 @@ let test_config_legs () =
   List.iter
     (fun (label, config) ->
       let run jit = p.Oracle.run { config with Hostrt.Rt.jit } in
-      Oracle.check_executors ("atax " ^ label) (run true) (run false))
+      Check.executors ("atax " ^ label) (run true) (run false))
     Hostrt.Rt.
       [
         ("faulted launch", { default_config with faults = parse_ok "launch:nth=1" });
@@ -517,27 +517,6 @@ let test_relaunch_is_fresh () =
 (* Corrupt JIT cache: both compiled forms must be rebuilt             *)
 (* ---------------------------------------------------------------- *)
 
-let saxpy_src =
-  {|
-int main(void)
-{
-  float x[10];
-  float y[10];
-  int i;
-  for (i = 0; i < 10; i++) { x[i] = i; y[i] = 10.0f; }
-  #pragma omp target map(to: x[0:10]) map(tofrom: y[0:10])
-  {
-    #pragma omp parallel for
-    for (i = 0; i < 10; i++)
-      y[i] = 2.0f * x[i] + y[i];
-  }
-  printf("y[0]=%f y[9]=%f\n", y[0], y[9]);
-  return 0;
-}
-|}
-
-let saxpy_expected = "y[0]=10.000000 y[9]=28.000000\n"
-
 (* PTX mode.  The first run JIT-compiles the PTX and closure-compiles
    the module.  After a device reset (module table cleared, disk cache
    kept) the reload's cache hit is injected as corrupt: recovery must
@@ -549,18 +528,18 @@ let test_corrupt_cache_recompiles_both_forms () =
   let config =
     { Ompi.default_config with Ompi.binary_mode = Nvcc.Ptx; faults = parse_ok "jit:nth=1" }
   in
-  let inst = Ompi.load ~config ~trace:true (Ompi.compile ~name:"jit_corrupt" saxpy_src) in
+  let inst = Ompi.load ~config ~trace:true (Ompi.compile ~name:"jit_corrupt" Oracle.saxpy_src) in
   let tr =
     match inst.Ompi.i_trace with Some tr -> tr | None -> Alcotest.fail "instance has no trace"
   in
   let jit_events name = Perf.Trace.count_events tr ~cat:"jit" ~name () in
   let r1 = Ompi.run inst () in
-  Alcotest.(check string) "clean run correct" saxpy_expected r1.Ompi.run_output;
+  Alcotest.(check string) "clean run correct" Oracle.saxpy_expected r1.Ompi.run_output;
   Alcotest.(check int) "one initial PTX compile" 1 (jit_events "jit_compile");
   Alcotest.(check int) "one initial closure compile" 1 (jit_events "closure_compile");
   Driver.reset (Hostrt.Rt.device inst.Ompi.i_rt 0).Hostrt.Rt.dev_driver;
   let r2 = Ompi.run inst () in
-  Alcotest.(check string) "recovered run correct" saxpy_expected r2.Ompi.run_output;
+  Alcotest.(check string) "recovered run correct" Oracle.saxpy_expected r2.Ompi.run_output;
   Alcotest.(check int) "corrupt cache entry injected" 1
     (Perf.Trace.count_events tr ~cat:"fault" ~name:"fault_injected" ());
   Alcotest.(check int) "PTX recompiled after invalidation" 2 (jit_events "jit_compile");

@@ -105,7 +105,7 @@ let test_dot_farm_differential () =
 (* The closure JIT may only move wall clock: bits, per-shard counters
    and simulated time are identical on a sharded farm. *)
 let test_executors_agree_on_farm () =
-  Oracle.check_executors "3 devices"
+  Check.executors "3 devices"
     (run ~jit:true gemm_farm (at 3))
     (run ~jit:false gemm_farm (at 3))
 

@@ -1,4 +1,4 @@
-(* The configuration-matrix oracle (test/oracle.ml) over its programs:
+(* The configuration-matrix oracle (test/oracle) over its programs:
 
    - the committed pairwise table covers every pair of axis values;
    - each tier-1 program's default run matches its stripped host
@@ -6,6 +6,9 @@
      checks 1-4 against that default run;
    - the fault matrix: every Polybench app under ten fault plans (the
      recovery classes: Recover, Fallback, Any), seed 7;
+   - the cells the benches time but do not check: faults in queued
+     stream work, on an int reduction and on an elided-path launch, and
+     map(always) forcing the transfers elision would drop;
    - a QCheck property sampling the full product, executor included
      (QCHECK_LONG scales it). *)
 
@@ -21,14 +24,14 @@ let tier1 : Oracle.program list =
       [ "3dconv"; "atax"; "gesummv" ]
 
 (* One default run per program, shared by every check against it. *)
-let defaults : (string, Oracle.obs) Hashtbl.t = Hashtbl.create 32
+let defaults : (Oracle.program * Oracle.obs) list ref = ref []
 
 let default_of (p : Oracle.program) : Oracle.obs =
-  match Hashtbl.find_opt defaults p.Oracle.name with
+  match List.assq_opt p !defaults with
   | Some d -> d
   | None ->
     let d = p.Oracle.run Hostrt.Rt.default_config in
-    Hashtbl.add defaults p.Oracle.name d;
+    defaults := (p, d) :: !defaults;
     d
 
 let no_violations label vs = Alcotest.(check (list string)) label [] vs
@@ -67,17 +70,64 @@ let fault_plans =
       plan "launch:p=0.5;transfer:p=0.1" Any;
     ]
 
-let test_fault_matrix (app : Suite.app) () =
-  let p = Oracle.polybench app in
+(* [p] at [base] under each of [plans], against its anchored default
+   run; [also] adds the evidence a cell owes beyond checks 1, 2 and 4. *)
+let test_cell ?(also = fun _ -> []) (p : Oracle.program) (base : Oracle.point) plans () =
   let default = default_of p in
   no_violations (p.Oracle.name ^ ": default run = host reference") (Oracle.anchor p default);
   List.iter
     (fun plan ->
-      let pt = { Oracle.default_point with Oracle.plan } in
+      let pt = { base with Oracle.plan } in
+      let o = p.Oracle.run (Oracle.config pt) in
       no_violations
         (Printf.sprintf "%s @ %s" p.Oracle.name (Oracle.show pt))
-        (Oracle.violations p ~default pt (p.Oracle.run (Oracle.config pt))))
-    fault_plans
+        (Oracle.violations p ~default pt o @ also o))
+    plans
+
+let test_fault_matrix (app : Suite.app) () =
+  test_cell (Oracle.polybench app) Oracle.default_point fault_plans ()
+
+let elide = { Oracle.default_point with Oracle.mem = Hostrt.Mempolicy.(Forced Elide) }
+
+let mem_events (o : Oracle.obs) name = Oracle.count o ~cat:"mem" name
+
+(* Faults landing in queued stream work: recovery neither changes the
+   answer nor leaves async state behind. *)
+let test_overlap_faults =
+  test_cell (Oracle.pipeline ())
+    { Oracle.default_point with Oracle.streams = 4 }
+    Oracle.[ plan "launch:nth=2" Recover; plan "transfer:from=3" Fallback ]
+
+(* An int reduction is order-insensitive, so a retried launch and the
+   sequential host fallback reproduce its bytes exactly. *)
+let test_int_reduction_faults =
+  test_cell (Oracle.dot_int ()) Oracle.default_point
+    Oracle.[ plan "launch:nth=1,kind=transient" Recover; plan "launch:nth=1,kind=fatal" Fallback ]
+
+(* A launch fault on the second, transfer-elided iteration retries on
+   the fast path. *)
+let test_elided_path_fault =
+  test_cell
+    ~also:(fun o -> if mem_events o "elide_h2d" >= 1 then [] else [ "no elided h2d" ])
+    (Oracle.atax_replay ~n:32 ~iters:3)
+    elide
+    Oracle.[ plan "launch:nth=2" Recover ]
+
+(* map(always, ...) forces every transfer under elision, and moves no
+   result byte. *)
+let test_map_always =
+  let plain = Oracle.readscale ~n:32 ~iters:3 () in
+  test_cell
+    ~also:(fun o ->
+      List.concat
+        [
+          (if mem_events o "elide_h2d" + mem_events o "elide_d2h" = 0 then []
+           else [ "map(always) transfers were elided" ]);
+          (if o.Oracle.o_out = (default_of plain).Oracle.o_out then []
+           else [ "bits differ from the plain readscale" ]);
+        ])
+    (Oracle.readscale ~always:true ~n:32 ~iters:3 ())
+    elide [ Oracle.no_fault ]
 
 (* Any program at any point of the full product, either executor. *)
 let point_gen : (int * string list * bool) QCheck.Gen.t =
@@ -112,5 +162,12 @@ let () =
           (fun (app : Suite.app) ->
             Alcotest.test_case app.Suite.ap_name `Quick (test_fault_matrix app))
           (Suite.all @ Suite.extras) );
+      ( "cells",
+        [
+          Alcotest.test_case "overlap faults in queued stream work" `Quick test_overlap_faults;
+          Alcotest.test_case "int reduction faults" `Quick test_int_reduction_faults;
+          Alcotest.test_case "elided-path launch fault" `Quick test_elided_path_fault;
+          Alcotest.test_case "map(always) forces transfers" `Quick test_map_always;
+        ] );
       ("product", [ QCheck_alcotest.to_alcotest prop_product ]);
     ]

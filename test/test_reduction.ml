@@ -380,21 +380,23 @@ let geometries =
     ("empty-space", 0, { g_teams = 2; g_nthr = 64; g_tl = 1000; g_dist = None });
   ]
 
+(* The reduction bench's tree: 16 teams of 128 threads over its smoke
+   size, float [+]. *)
+let bench_tree = ("bench-16x128", 8192, { g_teams = 16; g_nthr = 128; g_tl = 1000; g_dist = None })
+
 let test_float_ops () =
   List.iter
-    (fun op ->
-      List.iter
-        (fun (gname, n, g) ->
-          let label = Printf.sprintf "float %s %s" op.f_tag gname in
-          let jit = run_float ~jit:true op ~n ~g in
-          let interp = run_float ~jit:false op ~n ~g in
-          Oracle.check_executors label jit interp;
-          Alcotest.(check int32)
-            (label ^ ": 0 ulps from the order-exact host model")
-            (Int32.bits_of_float (model_float op ~n ~g))
-            jit.Oracle.o_out.(0))
-        geometries)
-    float_ops
+    (fun (op, (gname, n, g)) ->
+      let label = Printf.sprintf "float %s %s" op.f_tag gname in
+      let jit = run_float ~jit:true op ~n ~g in
+      let interp = run_float ~jit:false op ~n ~g in
+      Check.executors label jit interp;
+      Alcotest.(check int32)
+        (label ^ ": 0 ulps from the order-exact host model")
+        (Int32.bits_of_float (model_float op ~n ~g))
+        jit.Oracle.o_out.(0))
+    (List.concat_map (fun op -> List.map (fun geo -> (op, geo)) geometries) float_ops
+    @ [ (List.hd float_ops, bench_tree) ])
 
 let test_int_ops () =
   List.iter
@@ -404,7 +406,7 @@ let test_int_ops () =
           let label = Printf.sprintf "int %s %s" op.i_tag gname in
           let jit = run_int ~jit:true op ~n ~g in
           let interp = run_int ~jit:false op ~n ~g in
-          Oracle.check_executors label jit interp;
+          Check.executors label jit interp;
           Alcotest.(check int32)
             (label ^ ": bit-identical to the order-exact host model")
             (Int32.of_int (model_int op ~n ~g))
