@@ -35,24 +35,28 @@ type access = Load | Store
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 
 type t = {
-  structs : Cty.layout_env;
-  funcs : (string, Ast.fundef) Hashtbl.t;
+  (* The program a context runs and what it runs it with: fixed for a
+     host context; re-pointed at every launch for a device lane's
+     context, which lives as long as its lane. *)
+  mutable structs : Cty.layout_env;
+  mutable funcs : (string, Ast.fundef) Hashtbl.t;
   (* May be shared between contexts (all threads of a launch): builtins
      must find their per-thread state through the context, e.g. [lane]. *)
-  builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  mutable builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
   lane : int; (* device role: linear thread id within the block *)
   resolve : Addr.space -> Mem.t; (* address space -> backing memory *)
   local : Mem.t; (* this execution context's stack *)
-  globals : (string, Cty.t * Addr.t) Hashtbl.t;
+  mutable globals : (string, Cty.t * Addr.t) Hashtbl.t;
   (* string-literal intern cache and function-pointer ids: allocated on
      first use, since most device threads need neither *)
   mutable strings : (string, Addr.t) Hashtbl.t option;
+  strings_arena : Mem.t option ref; (* where [strings] lives, read by [resolve] *)
   mutable on_step : step -> unit;
   mutable on_access : access -> Addr.t -> int -> unit;
   (* Shared-variable registry: declarations marked __shared__ resolve
      here so that all threads of a block see a single instance. *)
   shared_decl : (string -> Cty.t -> Addr.t) option;
-  output : Buffer.t;
+  mutable output : Buffer.t;
   mutable fn_ptrs : (string, int) Hashtbl.t option;
   mutable frames : frame list;
   mutable depth : int;
@@ -93,6 +97,7 @@ let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?share
     local;
     globals = (match globals with Some g -> g | None -> Hashtbl.create 16);
     strings = None;
+    strings_arena;
     on_step = (fun _ -> ());
     on_access = (fun _ _ _ -> ());
     shared_decl;
@@ -103,6 +108,17 @@ let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?share
     max_depth = 256;
     dispatch = None;
   }
+
+(* What a run leaves in a context beyond its program and hooks, undone:
+   the frames become [frames], and no call is active, no string literal
+   interned, no function pointer taken and no engine attached. *)
+let reset ctx ~frames =
+  ctx.frames <- frames;
+  ctx.depth <- 0;
+  ctx.strings <- None;
+  ctx.strings_arena := None;
+  ctx.fn_ptrs <- None;
+  ctx.dispatch <- None
 
 let register_builtin ctx name fn = Hashtbl.replace ctx.builtins name fn
 
@@ -167,26 +183,6 @@ let store ctx (a : Addr.t) (ty : Cty.t) (v : Value.t) : unit =
   let m = ctx.resolve a.Addr.space in
   ctx.on_access Store a (sizeof ctx ty);
   Mem.store_scalar m ctx.structs a ty (Value.cast (Cty.decay ty) v)
-
-(* [load]/[store] for a scalar type whose byte size the caller resolved
-   once ahead of time (the closure JIT knows slot types at compile time,
-   so it need not re-derive the size on every access). *)
-let load_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) : Value.t =
-  let m = ctx.resolve a.Addr.space in
-  ctx.on_access Load a bytes;
-  Mem.load_scalar m ctx.structs a ty
-
-let store_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) (v : Value.t) : unit =
-  let m = ctx.resolve a.Addr.space in
-  ctx.on_access Store a bytes;
-  Mem.store_scalar m ctx.structs a ty (Value.cast ty v)
-
-(* Load of a pointer-typed word that needs only the address (indexing
-   through a pointer variable): no [VPtr] is built. *)
-let load_addr ctx (a : Addr.t) : Addr.t =
-  let m = ctx.resolve a.Addr.space in
-  ctx.on_access Load a 8;
-  Mem.load_addr m a
 
 let intern_string ctx (s : string) : Addr.t =
   let strings =

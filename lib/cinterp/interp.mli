@@ -36,22 +36,24 @@ type access = Load | Store
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 
 type t = {
-  structs : Cty.layout_env;
-  funcs : (string, Ast.fundef) Hashtbl.t;
-  builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  mutable structs : Cty.layout_env;
+  mutable funcs : (string, Ast.fundef) Hashtbl.t;
+  mutable builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
       (** may be shared between contexts: a builtin finds its
           per-thread state through the context it is called with *)
   lane : int;  (** device role: linear thread id within the block *)
   resolve : Addr.space -> Mem.t;  (** address space -> backing memory *)
   local : Mem.t;  (** this context's stack (all declared variables) *)
-  globals : (string, Cty.t * Addr.t) Hashtbl.t;
+  mutable globals : (string, Cty.t * Addr.t) Hashtbl.t;
   mutable strings : (string, Addr.t) Hashtbl.t option;
       (** string-literal intern cache, allocated on first use *)
+  strings_arena : Mem.t option ref;
+      (** the memory the interned literals live in, created on first use *)
   mutable on_step : step -> unit;
   mutable on_access : access -> Addr.t -> int -> unit;
   shared_decl : (string -> Cty.t -> Addr.t) option;
       (** resolver for [__shared__] declarations (device role only) *)
-  output : Buffer.t;  (** printf destination *)
+  mutable output : Buffer.t;  (** printf destination *)
   mutable fn_ptrs : (string, int) Hashtbl.t option;
       (** function-pointer ids, allocated on first use *)
   mutable frames : frame list;
@@ -84,6 +86,15 @@ val create :
   unit ->
   t
 
+(** Undo what a run leaves in a context beyond its program and hooks:
+    the frames become [frames], and no call is active, no string
+    literal interned, no function pointer taken and no engine attached
+    ({!t.dispatch}).  The program fields ([structs], [funcs],
+    [builtins], [globals], [output]) are mutable so that a device
+    lane's context can be re-pointed at each launch instead of rebuilt
+    for every thread. *)
+val reset : t -> frames:frame list -> unit
+
 val register_builtin : t -> string -> builtin -> unit
 
 val register_global : t -> string -> Cty.t -> Addr.t -> unit
@@ -95,16 +106,6 @@ val sizeof : t -> Cty.t -> int
 val load : t -> Addr.t -> Cty.t -> Value.t
 
 val store : t -> Addr.t -> Cty.t -> Value.t -> unit
-
-(** [load]/[store] for a scalar (non-array, non-struct) type whose byte
-    size the caller resolved once ahead of time; the closure JIT uses
-    these for slot accesses where the type is known at compile time. *)
-val load_sized : t -> Addr.t -> Cty.t -> bytes:int -> Value.t
-
-val store_sized : t -> Addr.t -> Cty.t -> bytes:int -> Value.t -> unit
-
-(** [load_sized] of a pointer-typed word, returning only the address. *)
-val load_addr : t -> Addr.t -> Addr.t
 
 val intern_string : t -> string -> Addr.t
 

@@ -11,7 +11,28 @@
 
 open Machine
 
-module Int_set = Set.Make (Int)
+(* One warp-instruction's coalescing sample: its distinct segments in
+   first-touch order, grown on demand (a warp touches at most one per
+   lane), so recording a lane allocates only for a new segment past the
+   array's capacity. *)
+type sample = { mutable sm_segs : int array; mutable sm_nsegs : int; mutable sm_lanes : int }
+
+let sample_segments sm = List.sort compare (Array.to_list (Array.sub sm.sm_segs 0 sm.sm_nsegs))
+
+let rec seen sm seg i =
+  i < sm.sm_nsegs && (Array.unsafe_get sm.sm_segs i = seg || seen sm seg (i + 1))
+
+let add_segment sm seg =
+  if not (seen sm seg 0) then begin
+    if sm.sm_nsegs = Array.length sm.sm_segs then begin
+      let grown = Array.make (2 * sm.sm_nsegs) 0 in
+      Array.blit sm.sm_segs 0 grown 0 sm.sm_nsegs;
+      sm.sm_segs <- grown
+    end;
+    sm.sm_segs.(sm.sm_nsegs) <- seg;
+    sm.sm_nsegs <- sm.sm_nsegs + 1
+  end;
+  sm.sm_lanes <- sm.sm_lanes + 1
 
 type class_counts = {
   mutable arith : int;
@@ -39,7 +60,7 @@ type alloc_stats = {
   mutable a_atomic_lo : int;
   mutable a_atomic_hi : int;
   (* warp-0 sampling: (block, access index) -> segment set + lane count *)
-  samples : (int, Int_set.t ref * int ref) Hashtbl.t;
+  samples : (int, sample) Hashtbl.t;
 }
 
 (* Zero-copy traffic per pinned range, so the memory policy can weigh a
@@ -199,16 +220,21 @@ let on_step t (lin : int) (k : Cinterp.Interp.step) =
   | Cinterp.Interp.St_call -> c.call <- c.call + 1
   | Cinterp.Interp.St_special -> c.special <- c.special + 1
 
-(* [seq ()] is the per-thread per-allocation access counter, provided by
-   the thread state so that lanes can be aligned; it is only asked for
-   in sampled blocks. *)
-let on_global_access t ~(lin : int) ~(seq : unit -> (int, int ref) Hashtbl.t)
-    (kind : Cinterp.Interp.access) (a : Addr.t) (bytes : int) =
+(* A thread's per-allocation access counters for the sampler, indexed
+   like [alloc_table]. *)
+let access_seq t : int array = Array.make (Array.length t.alloc_table) 0
+
+(* [seq ()] is the thread's [access_seq], provided by the thread state
+   so that lanes can be aligned; it is only asked for in sampled blocks.
+   The sampled path allocates only for a new segment or a new sample
+   key. *)
+let on_global_access t ~(lin : int) ~(seq : unit -> int array) (kind : Cinterp.Interp.access)
+    (a : Addr.t) (bytes : int) =
   let off = a.Addr.off in
   match find_range_idx t.alloc_table off with
   | -1 -> ()
   | i ->
-    let base, _, id = Array.unsafe_get t.alloc_table i in
+    let base, _, _ = Array.unsafe_get t.alloc_table i in
     let s = Array.unsafe_get t.alloc_table_stats i in
     (match kind with
     | Cinterp.Interp.Load -> s.a_loads <- s.a_loads + 1
@@ -220,24 +246,16 @@ let on_global_access t ~(lin : int) ~(seq : unit -> (int, int ref) Hashtbl.t)
     if t.sample_block_seq >= 0 then begin
       let warp = lin / t.spec.Spec.warp_size in
       let seq = seq () in
-      let k =
-        match Hashtbl.find_opt seq id with
-        | Some r ->
-          incr r;
-          !r - 1
-        | None ->
-          Hashtbl.replace seq id (ref 1);
-          0
-      in
+      let k = seq.(i) in
+      seq.(i) <- k + 1;
       if k < t.sample_cap then begin
         t.block_contributed <- true;
         let seg = off / t.spec.Spec.transaction_bytes in
         let key = (((t.sample_block_seq * 32) + warp) * t.sample_cap) + k in
-        match Hashtbl.find_opt s.samples key with
-        | Some (set, count) ->
-          set := Int_set.add seg !set;
-          incr count
-        | None -> Hashtbl.replace s.samples key (ref (Int_set.singleton seg), ref 1)
+        match Hashtbl.find s.samples key with
+        | sm -> add_segment sm seg
+        | exception Not_found ->
+          Hashtbl.replace s.samples key { sm_segs = Array.make 4 seg; sm_nsegs = 1; sm_lanes = 1 }
       end
     end
 
@@ -303,7 +321,7 @@ let alloc_transactions t (s : alloc_stats) : float =
   else begin
     let total_tx, total_sampled =
       Hashtbl.fold
-        (fun _ (set, count) (tx, n) -> (tx + Int_set.cardinal !set, n + !count))
+        (fun _ sm (tx, n) -> (tx + sm.sm_nsegs, n + sm.sm_lanes))
         s.samples (0, 0)
     in
     if total_sampled = 0 then

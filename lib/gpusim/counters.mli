@@ -9,7 +9,13 @@
     covered by the lanes at position k estimate the transactions issued
     for that warp-instruction. *)
 
-module Int_set : Set.S with type elt = int
+(** One warp-instruction's coalescing sample: the distinct transaction
+    segments its lanes touched (the first [sm_nsegs] entries of
+    [sm_segs], in first-touch order) and the number of lanes sampled. *)
+type sample = { mutable sm_segs : int array; mutable sm_nsegs : int; mutable sm_lanes : int }
+
+(** A sample's segments, in increasing order. *)
+val sample_segments : sample -> int list
 
 type class_counts = {
   mutable arith : int;
@@ -31,8 +37,7 @@ type alloc_stats = {
   mutable a_store_hi : int;  (** exclusive; [lo >= hi] means no store *)
   mutable a_atomic_lo : int;  (** bytes touched by atomic RMWs *)
   mutable a_atomic_hi : int;
-  samples : (int, Int_set.t ref * int ref) Hashtbl.t;
-      (** (block, access index) -> segment set + sampled lane count *)
+  samples : (int, sample) Hashtbl.t;  (** keyed by (block, warp, access index) *)
 }
 
 (** Zero-copy traffic of one pinned range, keyed by pin id. *)
@@ -88,14 +93,17 @@ val retire_block : t -> int -> unit
 
 val on_step : t -> int -> Cinterp.Interp.step -> unit
 
+(** A fresh set of one thread's per-allocation access counters, one
+    per entry of the allocation table ({!set_alloc_table}). *)
+val access_seq : t -> int array
+
 (** [on_global_access t ~lin ~seq kind addr bytes] accounts one access
     of [bytes] bytes at [addr].  [seq ()] yields the accessing thread's
-    per-allocation access counters; it is called only while a sampled
-    block runs. *)
+    {!access_seq}; it is called only while a sampled block runs. *)
 val on_global_access :
   t ->
   lin:int ->
-  seq:(unit -> (int, int ref) Hashtbl.t) ->
+  seq:(unit -> int array) ->
   Cinterp.Interp.access ->
   Machine.Addr.t ->
   int ->

@@ -54,9 +54,10 @@ type t = {
   ordinal : int;
   tid_base : int;
   global : Mem.t;
-  (* per-lane local memory, a device resource as in a CUDA context:
-     grown on demand to the widest block launched, reset by each launch *)
-  mutable local_pool : Mem.t array;
+  (* the lanes (local memory and thread contexts), a device resource
+     as in a CUDA context: grown to the widest block launched, reset by
+     each launch *)
+  lanes : Simt.pool;
   jit_cache : (string, unit) Hashtbl.t; (* survives across contexts: disk cache *)
   mutable initialized : bool;
   mutable context_alive : bool;
@@ -157,7 +158,7 @@ let create ?(spec = Spec.jetson_nano_2gb) ?(ordinal = 0) (clock : Simclock.t) : 
     ordinal;
     tid_base = ordinal * 1000;
     global = Mem.create ~initial:(1 lsl 20) ~limit:spec.Spec.global_mem_bytes ~space:Addr.Global "device-global";
-    local_pool = [||];
+    lanes = Simt.create_pool ();
     jit_cache = Hashtbl.create 16;
     initialized = false;
     context_alive = false;
@@ -347,7 +348,10 @@ let load_module t (artifact : Nvcc.artifact) : loaded_module =
     let compiled =
       if t.closure_jit then begin
         Simt.ensure_dim3 source.Simt.ks_structs;
-        let c = Cinterp.Jit.compile ~structs:source.Simt.ks_structs ~funcs:source.Simt.ks_funcs in
+        let c =
+          Cinterp.Jit.compile ~structs:source.Simt.ks_structs
+            ~globals:(Simt.kernel_globals source) ~funcs:source.Simt.ks_funcs
+        in
         tr_instant t ~cat:"jit" "closure_compile"
           ~args:
             [
@@ -375,18 +379,12 @@ let get_function (m : loaded_module) (name : string) : Ast.fundef =
 (* Kernel launch (paper §4.2.1, launch phase)                         *)
 (* ---------------------------------------------------------------- *)
 
-(* The memories a launch of [block] runs against.  The local pool grows
-   to the block size (never past the device limit, which [Simt.launch]
-   reports) and is kept for later launches. *)
-let device_memories t ~(host : Mem.t option) ~(block : Simt.dim3) : Simt.device_memories =
-  let have = Array.length t.local_pool in
-  let want = min (Simt.dim3_total block) t.spec.Spec.max_threads_per_block in
-  if want > have then
-    t.local_pool <-
-      Array.append t.local_pool
-        (Array.init (want - have) (fun i ->
-             Mem.create ~initial:Simt.local_bytes ~space:(Addr.Local (have + i)) "local"));
-  { Simt.dm_global = t.global; dm_host = host; dm_local = t.local_pool }
+(* The memories a launch runs against: the device's own and its lane
+   pool, which [Simt.launch] grows to the block size (never past the
+   device limit, which it reports) and which is kept for later
+   launches. *)
+let device_memories t ~(host : Mem.t option) : Simt.device_memories =
+  { Simt.dm_global = t.global; dm_host = host; dm_lanes = t.lanes }
 
 (* The SIMT run and cost conversion shared by sync and async launches.
    Memory effects happen here, at call time; no clock advance. *)
@@ -399,7 +397,7 @@ let simulate_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.d
   let config =
     { Simt.lc_grid = grid; lc_block = block; lc_entry = entry; lc_args = args; lc_block_filter = block_filter }
   in
-  Simt.launch ~spec:t.spec ~mem:(device_memories t ~host:t.pinned_host ~block)
+  Simt.launch ~spec:t.spec ~mem:(device_memories t ~host:t.pinned_host)
     ~source:modul.lm_source
     ?compiled:(if t.closure_jit then modul.lm_compiled else None)
     ~counters ~install_builtins ~output:t.output config;

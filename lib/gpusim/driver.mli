@@ -50,9 +50,10 @@ type t = {
       (** trace-timeline offset ([ordinal * 1000]) so no two devices share
           a tid: device d's stream s completes on tid [d*1000 + s] *)
   global : Mem.t;  (** device global memory *)
-  mutable local_pool : Mem.t array;
-      (** per-lane local memory ({!Simt.device_memories.dm_local}), grown
-          on demand to the widest block launched and reset per launch *)
+  lanes : Simt.pool;
+      (** the device's lanes: local memory and thread contexts
+          ({!Simt.pool}), grown to the widest block launched and reset
+          per launch *)
   jit_cache : (string, unit) Hashtbl.t;  (** the on-disk JIT cache (survives contexts) *)
   mutable initialized : bool;
   mutable context_alive : bool;
@@ -170,11 +171,10 @@ val pin_id_of : t -> Addr.t -> int option
 
 (** {1 Modules and launch} *)
 
-(** The memories a launch of [block] runs against: global memory,
-    [host] as the device-visible host image, and the device's local
-    pool, first grown to [block]'s thread count (capped at the device
-    limit). *)
-val device_memories : t -> host:Mem.t option -> block:Simt.dim3 -> Simt.device_memories
+(** The memories a launch runs against: global memory, [host] as the
+    device-visible host image, and the device's lane pool (which the
+    launch grows to its block size). *)
+val device_memories : t -> host:Mem.t option -> Simt.device_memories
 
 (** Loading phase: charge the artifact's load cost (JIT on a PTX cache
     miss) and build the executable kernel source; cached per context. *)

@@ -1,16 +1,17 @@
 (* SIMT execution engine.
 
    Each GPU thread is a coroutine (OCaml effect handler fiber) running
-   one mini-C interpreter context over the kernel AST.  The device
-   builtin table (common builtins plus the device runtime) is built once
-   per launch and shared by every thread: a builtin finds its block
-   through the launch's current-block accessor and its thread as
-   [bs_threads.(ctx.lane)], so per-thread setup is only the context, its
-   stack frame and the four dim3 bindings.  Per-lane local memory is a
-   device resource the driver owns ([device_memories.dm_local]): each
-   launch resets the lanes it uses once, so it sees nothing of an
-   earlier launch, and its blocks then share them stale, each block
-   only unwinding a lane's stack to its base.  Blocks execute
+   its lane's mini-C interpreter context over the kernel AST.  The
+   device builtin table (common builtins plus the device runtime) is
+   built once per launch and shared by every thread: a builtin finds its
+   block through the launch's current-block accessor and its thread as
+   [bs_threads.(ctx.lane)].  Lanes are a device resource the driver
+   owns ([pool]): lane i's local memory and the context its threads run
+   in, built once and kept, so per-thread setup is only a reset of the
+   context and the block's dim3 values.  Each launch resets the lanes
+   it uses once, so it sees nothing of an earlier launch, and its blocks
+   then share them stale, each block only unwinding a lane's stack to
+   its base.  Blocks execute
    sequentially; threads within a block are interleaved cooperatively.
    Named barriers (PTX bar.sync) suspend threads until the expected
    number of participants arrive — the mechanism behind the paper's B1/B2
@@ -54,17 +55,14 @@ type thread_state = {
      them for the duration of a parallel region. *)
   mutable ts_omp_id : int;
   mutable ts_omp_num : int;
-  (* per-allocation access counter, only needed in sampled blocks *)
-  mutable ts_alloc_seq : (int, int ref) Hashtbl.t option;
+  (* per-allocation access counters ([Counters.access_seq]), only
+     needed in sampled blocks: empty until the first sampled access *)
+  mutable ts_alloc_seq : int array;
 }
 
-let alloc_seq ts =
-  match ts.ts_alloc_seq with
-  | Some t -> t
-  | None ->
-    let t = Hashtbl.create 4 in
-    ts.ts_alloc_seq <- Some t;
-    t
+let alloc_seq counters ts =
+  if Array.length ts.ts_alloc_seq = 0 then ts.ts_alloc_seq <- Counters.access_seq counters;
+  ts.ts_alloc_seq
 
 (* Master/worker region descriptor registered by the master thread
    (cudadev_register_parallel) and consumed by the workers. *)
@@ -125,6 +123,15 @@ let kernel_source_of_program ?(alloc_global : (int -> Addr.t) option) (p : Ast.p
     p;
   ks
 
+(* The free names a kernel's contexts bind, with their types, for the
+   closure JIT: the dim3 builtins of each thread's base frame (which a
+   lookup finds first), then the module's globals. *)
+let dim3_names = Typecheck.cuda_globals
+
+let kernel_globals (ks : kernel_source) : (string * Cty.t) list =
+  List.map (fun name -> (name, Cty.Struct "dim3")) dim3_names
+  @ Hashtbl.fold (fun name (ty, _) acc -> (name, ty) :: acc) ks.ks_globals []
+
 (* The dim3 struct used for threadIdx/blockIdx/blockDim/gridDim. *)
 let ensure_dim3 structs =
   if not (Cty.has_layout structs "dim3") then
@@ -140,37 +147,137 @@ type launch_config = {
   lc_block_filter : (int -> bool) option;
 }
 
+(* One lane of the device: its local memory (space [Local i]) and the
+   interpreter context its threads run in.  The context is built by the
+   first launch that uses the lane and kept, with its base frame binding
+   the four dim3 builtins at the bottom of the lane's stack; a launch
+   re-points it at its module, builtins and hooks, and each block
+   resets it and rewrites the dim3 values. *)
+type lane = {
+  ln_local : Mem.t;
+  mutable ln_ctx : Cinterp.Interp.t option;
+  mutable ln_base : Cinterp.Interp.frame list; (* the base frame *)
+  mutable ln_top : int; (* the stack mark just above it *)
+  mutable ln_dim3 : Addr.t array; (* threadIdx..gridDim: x, y, z, padding *)
+}
+
+(* The device's lanes, and what their contexts resolve against while a
+   launch runs: its memories, block size, current block and structs. *)
+and pool = {
+  mutable lanes : lane array;
+  mutable run_mem : device_memories option;
+  mutable run_threads : int;
+  mutable run_block : block_state option;
+  mutable run_structs : Cty.layout_env;
+}
+
 (* [dm_host] is the host memory image as seen from the device: present
    only when the driver has pinned (zero-copy) host ranges registered, so
-   plain host addresses still fault with a helpful message.  [dm_local]
-   is the device's per-lane local memory (entry i in space [Local i]);
-   a launch of n threads per block resets and uses the first n. *)
-type device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_local : Mem.t array }
+   plain host addresses still fault with a helpful message.  [dm_lanes]
+   is the device's lane pool (entry i in space [Local i]); a launch of n
+   threads per block resets and uses the first n. *)
+and device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_lanes : pool }
 
 let local_bytes = 8192
+
+let create_pool () =
+  {
+    lanes = [||];
+    run_mem = None;
+    run_threads = 0;
+    run_block = None;
+    run_structs = Cty.create_layout_env ();
+  }
+
+let ensure_lanes (pool : pool) (n : int) =
+  let have = Array.length pool.lanes in
+  if n > have then
+    pool.lanes <-
+      Array.append pool.lanes
+        (Array.init (n - have) (fun i ->
+             {
+               ln_local = Mem.create ~initial:local_bytes ~space:(Addr.Local (have + i)) "local";
+               ln_ctx = None;
+               ln_base = [];
+               ln_top = 0;
+               ln_dim3 = [||];
+             }))
 
 (* Fills a launch's shared builtin table; builtins reach the running
    block through the accessor. *)
 type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
 
-(* Write a dim3 value into thread-local memory, bound in the thread's
-   base frame. *)
-let bind_dim3 (ctx : Cinterp.Interp.t) name (d : dim3) =
-  let addr = Cinterp.Interp.declare_var ctx name (Cty.Struct "dim3") in
-  let store off v =
-    Mem.store_scalar ctx.Cinterp.Interp.local ctx.Cinterp.Interp.structs (Addr.add addr off) Cty.Int
-      (Value.of_int v)
-  in
-  store 0 d.x;
-  store 4 d.y;
-  store 8 d.z
+(* The memory behind an address, for the pool's running block. *)
+let resolve (pool : pool) (sp : Addr.space) : Mem.t =
+  match sp with
+  | Addr.Global -> (
+    match pool.run_mem with
+    | Some m -> m.dm_global
+    | None -> simt_error "device memory accessed outside a launch")
+  | Addr.Shared b -> (
+    match pool.run_block with
+    | Some bs when bs.bs_block_lin = b -> bs.bs_shared
+    | _ -> simt_error "access to shared memory of another block (%d)" b)
+  | Addr.Local i when i < pool.run_threads -> pool.lanes.(i).ln_local
+  | Addr.Local i -> simt_error "access to foreign local memory %d" i
+  | Addr.Host -> (
+    match pool.run_mem with
+    | Some { dm_host = Some m; _ } -> m
+    | _ -> simt_error "device code accessed host memory (missing map clause?)")
+  | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
 
-(* Execute one block to completion, making it the launch's current
-   block for the shared builtins. *)
-let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
-    ~(builtins : Cinterp.Interp.builtins) ~(linked : Cinterp.Jit.linked option)
-    ~(current : block_state option ref) ~(counters : Counters.t) ~(output : Buffer.t)
-    ~(config : launch_config) ~(block_idx : dim3) ~(block_lin : int) : unit =
+let shared_decl (pool : pool) name ty =
+  match pool.run_block with
+  | None -> simt_error "__shared__ declaration outside a block"
+  | Some bs -> (
+    match Hashtbl.find_opt bs.bs_shared_vars name with
+    | Some a -> a
+    | None ->
+      let a = Mem.push bs.bs_shared (Cty.sizeof pool.run_structs ty) in
+      Hashtbl.replace bs.bs_shared_vars name a;
+      a)
+
+(* Lane [i]'s context, built on its first use: right after the launch's
+   reset of the lane, so its base frame binds the dim3 builtins at the
+   bottom of the stack (16 bytes each, from offset 16), where every
+   block finds them. *)
+let lane_context (pool : pool) (i : int) ~structs ~funcs ~builtins ~globals ~output :
+    Cinterp.Interp.t =
+  let lane = pool.lanes.(i) in
+  match lane.ln_ctx with
+  | Some ctx -> ctx
+  | None ->
+    let ctx =
+      Cinterp.Interp.create ~structs ~funcs ~resolve:(resolve pool) ~local:lane.ln_local ~builtins
+        ~globals ~lane:i ~shared_decl:(shared_decl pool) ~output ()
+    in
+    Cinterp.Interp.push_frame ctx;
+    lane.ln_dim3 <-
+      Array.concat
+        (List.map
+           (fun name ->
+             let a = Cinterp.Interp.declare_var ctx name (Cty.Struct "dim3") in
+             Array.init 4 (fun k -> Addr.add a (4 * k)))
+           dim3_names);
+    lane.ln_base <- ctx.Cinterp.Interp.frames;
+    lane.ln_top <- Mem.mark lane.ln_local;
+    lane.ln_ctx <- Some ctx;
+    ctx
+
+(* The [k]-th dim3 builtin of the lane's base frame (in [dim3_names]
+   order) holds [d], its padding word zero. *)
+let write_dim3 (lane : lane) (k : int) (d : dim3) =
+  let m = lane.ln_local and a = lane.ln_dim3 in
+  Mem.store_narrow m a.(4 * k) Cty.Int d.x;
+  Mem.store_narrow m a.((4 * k) + 1) Cty.Int d.y;
+  Mem.store_narrow m a.((4 * k) + 2) Cty.Int d.z;
+  Mem.store_narrow m a.((4 * k) + 3) Cty.Int 0
+
+(* Execute one block to completion, making it the pool's running block
+   for the lanes' contexts and the shared builtins. *)
+let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
+    ~(linked : Cinterp.Jit.linked option) ~(counters : Counters.t) ~(config : launch_config)
+    ~(block_idx : dim3) ~(block_lin : int) : unit =
   let n_threads = dim3_total config.lc_block in
   let thread lin =
     {
@@ -183,7 +290,7 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
         };
       ts_omp_id = lin;
       ts_omp_num = n_threads;
-      ts_alloc_seq = None;
+      ts_alloc_seq = [||];
     }
   in
   let bs =
@@ -211,66 +318,25 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
       bs_spec = spec;
     }
   in
-  current := Some bs;
+  pool.run_block <- Some bs;
   Counters.begin_block counters n_threads;
   let entry_fn =
     match Hashtbl.find_opt source.ks_funcs config.lc_entry with
     | Some f -> f
     | None -> simt_error "kernel entry '%s' not found in kernel source" config.lc_entry
   in
-  let resolve = function
-    | Addr.Global -> mem.dm_global
-    | Addr.Shared b when b = block_lin -> bs.bs_shared
-    | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
-    | Addr.Local i when i < n_threads -> mem.dm_local.(i)
-    | Addr.Local i -> simt_error "access to foreign local memory %d" i
-    | Addr.Host -> (
-      match mem.dm_host with
-      | Some m -> m
-      | None -> simt_error "device code accessed host memory (missing map clause?)")
-    | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
-  in
-  let shared_decl name ty =
-    match Hashtbl.find_opt bs.bs_shared_vars name with
-    | Some a -> a
-    | None ->
-      let a = Mem.push bs.bs_shared (Cty.sizeof source.ks_structs ty) in
-      Hashtbl.replace bs.bs_shared_vars name a;
-      a
-  in
-  (* Per-thread setup: a context over the launch's shared builtin table
-     and the module's globals, plus this thread's stack and hooks. *)
+  (* Per-thread setup: the lane's context back to its base frame, the
+     lane's stack unwound to just above it and the dim3 values written
+     there, as binding them afresh would leave them. *)
   let make_thread_body lin =
-    let ts = bs.bs_threads.(lin) in
-    let local = mem.dm_local.(lin) in
-    Mem.release local 16;
-    let ctx =
-      Cinterp.Interp.create ~structs:source.ks_structs ~funcs:source.ks_funcs ~resolve ~local
-        ~builtins ~globals:source.ks_globals ~lane:lin ~shared_decl ~output ()
-    in
-    ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
-    let seq () = alloc_seq ts in
-    ctx.Cinterp.Interp.on_access <-
-      (fun kind a bytes ->
-        match a.Addr.space with
-        | Addr.Global -> Counters.on_global_access counters ~lin ~seq kind a bytes
-        | Addr.Shared _ -> counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
-        | Addr.Host -> (
-          (* only pinned (zero-copy) ranges are reachable: dm_host is None
-             otherwise and [resolve] has already faulted *)
-          match Counters.find_pinned counters a.Addr.off with
-          | Some pin -> Counters.on_zerocopy_access counters ~pin kind
-          | None ->
-            simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
-              a.Addr.off)
-        | Addr.Local _ | Addr.Strings ->
-          counters.Counters.local_accesses <- counters.Counters.local_accesses + 1);
-    (* base frame for the implicit thread context (threadIdx etc.) *)
-    Cinterp.Interp.push_frame ctx;
-    bind_dim3 ctx "threadIdx" ts.ts_tid;
-    bind_dim3 ctx "blockIdx" block_idx;
-    bind_dim3 ctx "blockDim" config.lc_block;
-    bind_dim3 ctx "gridDim" config.lc_grid;
+    let lane = pool.lanes.(lin) in
+    let ctx = Option.get lane.ln_ctx in
+    Cinterp.Interp.reset ctx ~frames:lane.ln_base;
+    Mem.release lane.ln_local lane.ln_top;
+    write_dim3 lane 0 bs.bs_threads.(lin).ts_tid;
+    write_dim3 lane 1 block_idx;
+    write_dim3 lane 2 config.lc_block;
+    write_dim3 lane 3 config.lc_grid;
     (* Route this thread's calls through the module's closure-compiled
        form (if any); builtins and the effects-based yield points are
        untouched, so scheduling semantics do not change. *)
@@ -296,10 +362,8 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
       (fun b -> if b.live_count && b.waiting <> [] && b.arrived >= bs.bs_live then trip_barrier b)
       bs.bs_barriers
   in
-  let spawn body =
-    Queue.add
-      (fun () ->
-        match_with body ()
+  (* one handler for every fiber of the block *)
+  let handler =
           {
             retc =
               (fun () ->
@@ -335,9 +399,9 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
                 | Yield ->
                   Some (fun (k : (a, _) continuation) -> Queue.add (fun () -> continue k ()) bs.bs_runq)
                 | _ -> None);
-          })
-      bs.bs_runq
+          }
   in
+  let spawn body = Queue.add (fun () -> match_with body () handler) bs.bs_runq in
   for lin = 0 to n_threads - 1 do
     spawn (make_thread_body lin)
   done;
@@ -368,19 +432,59 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
   if n_threads > spec.Spec.max_threads_per_block then
     simt_error "block of %d threads exceeds device limit %d" n_threads spec.Spec.max_threads_per_block;
   if n_threads = 0 then simt_error "empty thread block";
+  let pool = mem.dm_lanes in
+  ensure_lanes pool n_threads;
   for i = 0 to n_threads - 1 do
-    Mem.reset mem.dm_local.(i) ~initial:local_bytes
+    Mem.reset pool.lanes.(i).ln_local ~initial:local_bytes
   done;
   (* one builtin table (and one JIT call-target memo) for every thread
      of every block *)
-  let current = ref None in
   let builtins = Hashtbl.create 64 in
   Cinterp.Interp.install_common_builtins builtins;
   install_builtins
     (fun () ->
-      match !current with Some bs -> bs | None -> simt_error "device builtin called outside a block")
+      match pool.run_block with
+      | Some bs -> bs
+      | None -> simt_error "device builtin called outside a block")
     builtins;
   let linked = Option.map (fun c -> Cinterp.Jit.link c ~builtins ~funcs:source.ks_funcs) compiled in
+  pool.run_mem <- Some mem;
+  pool.run_threads <- n_threads;
+  pool.run_structs <- source.ks_structs;
+  (* the lanes' contexts: this launch's module, builtins and hooks *)
+  for lin = 0 to n_threads - 1 do
+    let ctx =
+      lane_context pool lin ~structs:source.ks_structs ~funcs:source.ks_funcs ~builtins
+        ~globals:source.ks_globals ~output
+    in
+    ctx.Cinterp.Interp.structs <- source.ks_structs;
+    ctx.Cinterp.Interp.funcs <- source.ks_funcs;
+    ctx.Cinterp.Interp.builtins <- builtins;
+    ctx.Cinterp.Interp.globals <- source.ks_globals;
+    ctx.Cinterp.Interp.output <- output;
+    ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
+    let seq () =
+      match pool.run_block with
+      | Some bs -> alloc_seq counters bs.bs_threads.(lin)
+      | None -> simt_error "global access outside a block"
+    in
+    ctx.Cinterp.Interp.on_access <-
+      (fun kind a bytes ->
+        match a.Addr.space with
+        | Addr.Global -> Counters.on_global_access counters ~lin ~seq kind a bytes
+        | Addr.Shared _ ->
+          counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
+        | Addr.Host -> (
+          (* only pinned (zero-copy) ranges are reachable: dm_host is None
+             otherwise and [resolve] has already faulted *)
+          match Counters.find_pinned counters a.Addr.off with
+          | Some pin -> Counters.on_zerocopy_access counters ~pin kind
+          | None ->
+            simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
+              a.Addr.off)
+        | Addr.Local _ | Addr.Strings ->
+          counters.Counters.local_accesses <- counters.Counters.local_accesses + 1)
+  done;
   let total_blocks = dim3_total config.lc_grid in
   counters.Counters.blocks_total <- counters.Counters.blocks_total + total_blocks;
   let sampled_blocks = ref 0 in
@@ -399,13 +503,14 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
             counters.Counters.block_contributed <- false
           end
           else counters.Counters.sample_block_seq <- -1;
-          run_block ~spec ~mem ~source ~builtins ~linked ~current ~counters ~output
-            ~config ~block_idx:{ x = bx; y = by; z = bz } ~block_lin;
+          run_block ~spec ~pool ~source ~linked ~counters ~config
+            ~block_idx:{ x = bx; y = by; z = bz } ~block_lin;
           if counters.Counters.sample_block_seq >= 0 && counters.Counters.block_contributed then
             incr sampled_blocks
         end
       done
     done
   done;
-  current := None;
+  pool.run_block <- None;
+  pool.run_mem <- None;
   counters.Counters.sample_block_seq <- -1

@@ -57,8 +57,9 @@ type thread_state = {
       (** [omp_get_thread_num]: [ts_lin] by default; the master/worker
           engine overrides it for the duration of a parallel region *)
   mutable ts_omp_num : int;  (** [omp_get_num_threads]: the block size by default *)
-  mutable ts_alloc_seq : (int, int ref) Hashtbl.t option;
-      (** per-allocation access counters, created on demand *)
+  mutable ts_alloc_seq : int array;
+      (** per-allocation access counters ([Counters.access_seq]), empty
+          until the first sampled access *)
 }
 
 (** Master/worker region descriptor registered by the master thread
@@ -97,6 +98,12 @@ type kernel_source = {
     places device globals (lock words etc.) in global memory. *)
 val kernel_source_of_program : ?alloc_global:(int -> Addr.t) -> Ast.program -> kernel_source
 
+(** The free names a kernel's thread contexts bind, with their types,
+    as the closure JIT's [compile ~globals] takes them: the dim3
+    builtins ([threadIdx], [blockIdx], [blockDim], [gridDim]), then the
+    module's globals. *)
+val kernel_globals : kernel_source -> (string * Cty.t) list
+
 val ensure_dim3 : Cty.layout_env -> unit
 
 type launch_config = {
@@ -107,22 +114,31 @@ type launch_config = {
   lc_block_filter : (int -> bool) option;
 }
 
+(** The device's lanes: a device resource, not a launch's (the driver
+    owns one pool, as a CUDA context owns its local memory).  Lane [i]
+    holds its local memory, in space [Addr.Local i] with {!local_bytes}
+    of storage, and the interpreter context its threads run in, which
+    is built by the first launch that uses the lane and then kept.
+
+    A launch of [n] threads per block uses the first [n] lanes (the
+    pool grows to the widest block launched).  It resets each lane's
+    memory once with {!Machine.Mem.reset}, so a launch never sees a
+    byte, a growth or a frame of an earlier one, and an access to
+    [Local i] with [i >= n] is a foreign-lane error; it re-points each
+    context at its module, builtins and counters.  Each block resets
+    the context ({!Cinterp.Interp.reset}) and writes its dim3 values
+    into the base frame at the bottom of the lane's stack.  Between the
+    blocks of one launch the memories are only unwound to that base, as
+    on the hardware: a block's frames are zeroed when pushed, but bytes
+    above the stack top stay as the previous block left them. *)
+type pool
+
+val create_pool : unit -> pool
+
 (** The memories a launch runs against.  [dm_host] is the host memory
     image as seen from the device — present only when pinned (zero-copy)
-    host ranges are registered.
-
-    [dm_local] is per-lane local memory, and it is a device resource,
-    not a launch's: the driver owns it (entry [i] in space
-    [Addr.Local i], created with {!local_bytes} of storage) and every
-    launch passes the same array.  A launch of [n] threads per block
-    uses the first [n] entries; it resets each once with
-    {!Machine.Mem.reset}, so a launch never sees a byte, a growth or a
-    frame of an earlier one, and an access to [Local i] with [i >= n]
-    is a foreign-lane error.  Between the blocks of one launch the
-    memories are only unwound to their base, as on the hardware: a
-    block's frames are zeroed when pushed, but bytes above the stack top
-    stay as the previous block left them. *)
-type device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_local : Mem.t array }
+    host ranges are registered. *)
+type device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_lanes : pool }
 
 (** Storage of one lane's local memory at the start of a launch. *)
 val local_bytes : int

@@ -234,7 +234,12 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
      tables; a function the JIT leaves out runs on the tree-walker.  No
      closure_compile trace event: that counts module loads. *)
   if Rt.jit rt then begin
-    let compiled = Cinterp.Jit.compile ~structs ~funcs in
+    let globals =
+      List.filter_map
+        (function Ast.Gvar (d, _) -> Some (d.Ast.d_name, d.Ast.d_ty) | _ -> None)
+        program
+    in
+    let compiled = Cinterp.Jit.compile ~structs ~globals ~funcs in
     Cinterp.Jit.attach (Cinterp.Jit.link compiled ~builtins:ctx.Cinterp.Interp.builtins ~funcs) ctx
   end;
   (* allocate and initialise host globals *)

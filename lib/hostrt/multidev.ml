@@ -243,7 +243,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
     counters.Counters.blocks_total <- hi - lo;
     let host_values = Offload.coerce_args c.c_modul ~entry ~address:Fun.id args in
     Simt.launch ~spec:driver.Driver.spec
-      ~mem:(Driver.device_memories driver ~host:(Some host) ~block)
+      ~mem:(Driver.device_memories driver ~host:(Some host))
       ~source:c.c_modul.Driver.lm_source
       ?compiled:(if driver.Driver.closure_jit then c.c_modul.Driver.lm_compiled else None)
       ~counters ~install_builtins:Devrt.Api.install ~output:out

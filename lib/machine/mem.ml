@@ -122,89 +122,122 @@ let check t off len =
 
 (* Raw accessors -------------------------------------------------------- *)
 
+(* Unchecked byte-order-native word access (the callers [check] first),
+   so no accessor boxes an int32 or int64 on its way through. *)
 external bytes_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external bytes_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+external bytes_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
-let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get32le d off =
+  let w = bytes_get32u d off in
+  if Sys.big_endian then bswap32 w else w
+
+let[@inline] get64le d off =
+  let w = bytes_get64u d off in
+  if Sys.big_endian then bswap64 w else w
+
+let[@inline] set32le d off w = bytes_set32u d off (if Sys.big_endian then bswap32 w else w)
+
+let[@inline] set64le d off w = bytes_set64u d off (if Sys.big_endian then bswap64 w else w)
+
+(* Typed scalar accessors: the payloads [load_scalar] and [store_scalar]
+   wrap in and unwrap from a [Value.t].  [load_narrow] and
+   [store_narrow] take an integer type of at most 32 bits and a payload
+   normalised to it ([Value.normalise_narrow]).  A float travels as its
+   bits (binary32 in an [Uint] word, binary64 in an int64): a float
+   returned across a module boundary is boxed, an int is not. *)
+
+let load_narrow t (a : Addr.t) (ty : Cty.t) : int =
   let off = a.off in
+  let d = t.data in
   match ty with
-  | Cty.Char ->
+  | Cty.Char | Cty.Uchar ->
     check t off 1;
-    Value.int ~ty (Int64.of_int (Char.code (Bytes.get t.data off) - if Char.code (Bytes.get t.data off) > 127 then 256 else 0))
-  | Cty.Uchar ->
-    check t off 1;
-    Value.int ~ty (Int64.of_int (Char.code (Bytes.get t.data off)))
+    Value.normalise_narrow ty (Char.code (Bytes.unsafe_get d off))
   | Cty.Short | Cty.Ushort ->
     check t off 2;
-    Value.int ~ty (Int64.of_int (Bytes.get_uint16_le t.data off))
-  | Cty.Int | Cty.Uint ->
+    Value.normalise_narrow ty
+      (Char.code (Bytes.unsafe_get d off) lor (Char.code (Bytes.unsafe_get d (off + 1)) lsl 8))
+  | _ ->
     check t off 4;
     (* native assembly: no Int32/Int64 boxing on the executor's hottest
-       load (and [Value.of_int] shares cached small ints) *)
-    let d = t.data in
-    let u =
-      Char.code (Bytes.unsafe_get d off)
+       load *)
+    Value.normalise_narrow ty
+      (Char.code (Bytes.unsafe_get d off)
       lor (Char.code (Bytes.unsafe_get d (off + 1)) lsl 8)
       lor (Char.code (Bytes.unsafe_get d (off + 2)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get d (off + 3)) lsl 24)
-    in
-    Value.of_int ~ty u
-  | Cty.Long | Cty.Ulong ->
-    check t off 8;
-    Value.int ~ty (Bytes.get_int64_le t.data off)
-  | Cty.Float ->
-    check t off 4;
-    (* the word goes straight into the float conversion (no boxed
-       int32), and a binary32 read back needs no [round32] *)
-    let w = bytes_get32u t.data off in
-    Value.VFlt (Int32.float_of_bits (if Sys.big_endian then bswap32 w else w), Cty.Float)
-  | Cty.Double ->
-    check t off 8;
-    Value.flt ~ty (Int64.float_of_bits (Bytes.get_int64_le t.data off))
-  | Cty.Ptr p ->
-    check t off 8;
-    Value.ptr ~ty:p (Addr.of_int64 (Bytes.get_int64_le t.data off))
-  | Cty.Array (elt, _) -> Value.ptr ~ty:elt a (* array lvalue decays to pointer *)
-  | (Cty.Void | Cty.Struct _ | Cty.Func _) as ty ->
-    ignore env;
-    raise (Bad_access ("load of non-scalar type " ^ Cty.show ty))
+      lor (Char.code (Bytes.unsafe_get d (off + 3)) lsl 24))
+
+let load_int64 t (a : Addr.t) : int64 =
+  check t a.off 8;
+  get64le t.data a.off
 
 (* The address held by a pointer-typed word, without the [VPtr] that
    [load_scalar] would build around it. *)
 let load_addr t (a : Addr.t) : Addr.t =
   check t a.off 8;
-  Addr.of_int64 (Bytes.get_int64_le t.data a.off)
+  Addr.of_int64 (get64le t.data a.off)
 
-let store_scalar t (_env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) (v : Value.t) =
+let store_narrow t (a : Addr.t) (ty : Cty.t) (i : int) : unit =
   let off = a.off in
+  let d = t.data in
   match ty with
   | Cty.Char | Cty.Uchar ->
     check t off 1;
-    Bytes.set_uint8 t.data off (Int64.to_int (Value.as_int v) land 0xFF)
+    Bytes.unsafe_set d off (Char.unsafe_chr (i land 0xFF))
   | Cty.Short | Cty.Ushort ->
     check t off 2;
-    Bytes.set_uint16_le t.data off (Int64.to_int (Value.as_int v) land 0xFFFF)
-  | Cty.Int | Cty.Uint ->
+    Bytes.unsafe_set d off (Char.unsafe_chr (i land 0xFF));
+    Bytes.unsafe_set d (off + 1) (Char.unsafe_chr ((i lsr 8) land 0xFF))
+  | _ ->
     check t off 4;
-    let i = Int64.to_int (Value.as_int v) in
-    let d = t.data in
     Bytes.unsafe_set d off (Char.unsafe_chr (i land 0xFF));
     Bytes.unsafe_set d (off + 1) (Char.unsafe_chr ((i lsr 8) land 0xFF));
     Bytes.unsafe_set d (off + 2) (Char.unsafe_chr ((i lsr 16) land 0xFF));
     Bytes.unsafe_set d (off + 3) (Char.unsafe_chr ((i lsr 24) land 0xFF))
-  | Cty.Long | Cty.Ulong ->
-    check t off 8;
-    Bytes.set_int64_le t.data off (Value.as_int v)
+
+let store_int64 t (a : Addr.t) (i : int64) : unit =
+  check t a.off 8;
+  set64le t.data a.off i
+
+let store_addr t (a : Addr.t) (p : Addr.t) : unit =
+  check t a.off 8;
+  set64le t.data a.off (Addr.to_int64 p)
+
+let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
+  match ty with
+  | Cty.Char | Cty.Uchar | Cty.Short | Cty.Ushort | Cty.Int | Cty.Uint ->
+    Value.of_narrow ty (load_narrow t a ty)
+  | Cty.Long | Cty.Ulong -> Value.VInt (load_int64 t a, ty)
   | Cty.Float ->
-    check t off 4;
-    Bytes.set_int32_le t.data off (Int32.bits_of_float (Value.as_float v))
-  | Cty.Double ->
-    check t off 8;
-    Bytes.set_int64_le t.data off (Int64.bits_of_float (Value.as_float v))
-  | Cty.Ptr _ ->
-    check t off 8;
-    Bytes.set_int64_le t.data off (Addr.to_int64 (Value.as_addr v))
+    (* a binary32 read back needs no rounding *)
+    check t a.off 4;
+    Value.VFlt (Int32.float_of_bits (get32le t.data a.off), ty)
+  | Cty.Double -> Value.VFlt (Int64.float_of_bits (load_int64 t a), ty)
+  | Cty.Ptr p -> Value.ptr ~ty:p (load_addr t a)
+  | Cty.Array (elt, _) -> Value.ptr ~ty:elt a (* array lvalue decays to pointer *)
+  | (Cty.Void | Cty.Struct _ | Cty.Func _) as ty ->
+    ignore env;
+    raise (Bad_access ("load of non-scalar type " ^ Cty.show ty))
+
+let store_scalar t (_env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) (v : Value.t) =
+  match ty with
+  | Cty.Char | Cty.Uchar | Cty.Short | Cty.Ushort | Cty.Int | Cty.Uint ->
+    store_narrow t a ty (Int64.to_int (Value.as_int v))
+  | Cty.Long | Cty.Ulong -> store_int64 t a (Value.as_int v)
+  | Cty.Float ->
+    check t a.off 4;
+    set32le t.data a.off (Int32.bits_of_float (Value.as_float v))
+  | Cty.Double -> store_int64 t a (Int64.bits_of_float (Value.as_float v))
+  | Cty.Ptr _ -> store_addr t a (Value.as_addr v)
   | (Cty.Void | Cty.Array _ | Cty.Struct _ | Cty.Func _) as ty ->
     raise (Bad_access ("store of non-scalar type " ^ Cty.show ty))
 

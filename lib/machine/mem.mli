@@ -61,9 +61,30 @@ val load_scalar : t -> Cty.layout_env -> Addr.t -> Cty.t -> Value.t
 
 val store_scalar : t -> Cty.layout_env -> Addr.t -> Cty.t -> Value.t -> unit
 
+(** {2 Typed payloads}
+
+    [load_scalar]/[store_scalar] without the [Value.t]: the same bytes,
+    bounds checks and errors, for the closure JIT's typed code.
+    [load_narrow]/[store_narrow] take an integer type of at most 32
+    bits, with the payload normalised to it ({!Value.normalise_narrow});
+    the [int64] pair serves [long] and [unsigned long].  A float travels
+    as its bits, a [float] in an [Uint] word and a [double] in an
+    [int64] (a float returned across a module boundary is boxed, an
+    [int] is not). *)
+
+val load_narrow : t -> Addr.t -> Cty.t -> int
+
+val load_int64 : t -> Addr.t -> int64
+
 (** The address stored in a pointer-typed word: [load_scalar]'s [Ptr]
     case without building the pointer value. *)
 val load_addr : t -> Addr.t -> Addr.t
+
+val store_narrow : t -> Addr.t -> Cty.t -> int -> unit
+
+val store_int64 : t -> Addr.t -> int64 -> unit
+
+val store_addr : t -> Addr.t -> Addr.t -> unit
 
 (** {1 Bulk transfer} *)
 

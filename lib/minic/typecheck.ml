@@ -134,6 +134,29 @@ let of_program (p : Ast.program) : env =
     p;
   env
 
+(* The result rules of the operators, shared by [type_of_expr] and the
+   closure JIT, which types its compiled expressions with them.  They
+   state what both executors compute at run time: the usual arithmetic
+   conversions of both operands (shifts included), comparisons and
+   logical operators of type [int], pointer arithmetic keeping the
+   pointer's type; [-], [~] and [++]/[--] keep their operand's type. *)
+let binop_type (op : Ast.binop) (ta : Cty.t) (tb : Cty.t) : Cty.t =
+  match (op, ta, tb) with
+  | (Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne | Ast.LogAnd | Ast.LogOr), _, _ -> Cty.Int
+  | Ast.Sub, Cty.Ptr _, Cty.Ptr _ -> Cty.Long
+  | (Ast.Add | Ast.Sub), Cty.Ptr _, _ -> ta
+  | (Ast.Add | Ast.Sub), _, Cty.Ptr _ -> tb
+  | _ -> Cty.common_arith ta tb
+
+let unop_type (op : Ast.unop) (ta : Cty.t) : Cty.t =
+  match op with
+  | Ast.Not -> Cty.Int
+  | Ast.Neg | Ast.BitNot | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec -> ta
+
+(* [c ? t : f] yields the taken arm's value unconverted, so it has a
+   type of its own only when the arms' types agree. *)
+let cond_type (tt : Cty.t) (tf : Cty.t) : Cty.t option = if Cty.equal tt tf then Some tt else None
+
 let rec type_of_expr env (e : Ast.expr) : Cty.t =
   match e with
   | Ast.IntLit (_, ty) | Ast.FloatLit (_, ty) -> ty
@@ -146,25 +169,12 @@ let rec type_of_expr env (e : Ast.expr) : Cty.t =
       match Hashtbl.find_opt env.funcs x with
       | Some (ret, params) -> Cty.Func (ret, List.map snd params, false)
       | None -> error "unbound identifier '%s'" x))
-  | Ast.Unop ((Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec), a) -> type_of_expr env a
-  | Ast.Unop (Ast.Not, _) -> Cty.Int
-  | Ast.Unop ((Ast.Neg | Ast.BitNot), a) ->
-    let ty = Cty.decay (type_of_expr env a) in
-    if Cty.is_integer ty then Cty.common_arith ty Cty.Int else ty
-  | Ast.Binop ((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne | Ast.LogAnd | Ast.LogOr), _, _) ->
-    Cty.Int
-  | Ast.Binop ((Ast.Add | Ast.Sub) as op, a, b) -> (
-    let ta = Cty.decay (type_of_expr env a) and tb = Cty.decay (type_of_expr env b) in
-    match (ta, tb) with
-    | Cty.Ptr _, Cty.Ptr _ when op = Ast.Sub -> Cty.Long
-    | Cty.Ptr _, _ -> ta
-    | _, Cty.Ptr _ -> tb
-    | _ -> Cty.common_arith ta tb)
-  | Ast.Binop ((Ast.Shl | Ast.Shr), a, _) ->
-    let ta = Cty.decay (type_of_expr env a) in
-    if Cty.is_integer ta then Cty.common_arith ta Cty.Int else error "shift of non-integer"
-  | Ast.Binop (_, a, b) ->
-    Cty.common_arith (Cty.decay (type_of_expr env a)) (Cty.decay (type_of_expr env b))
+  | Ast.Unop (op, a) -> unop_type op (Cty.decay (type_of_expr env a))
+  | Ast.Binop ((Ast.Shl | Ast.Shr), a, _)
+    when not (Cty.is_integer (Cty.decay (type_of_expr env a))) ->
+    error "shift of non-integer"
+  | Ast.Binop (op, a, b) ->
+    binop_type op (Cty.decay (type_of_expr env a)) (Cty.decay (type_of_expr env b))
   | Ast.Assign (_, lhs, _) -> Cty.decay (type_of_expr env lhs)
   | Ast.Call (f, _) -> (
     match Hashtbl.find_opt env.funcs f with
@@ -186,9 +196,13 @@ let rec type_of_expr env (e : Ast.expr) : Cty.t =
   | Ast.AddrOf a -> Cty.Ptr (type_of_expr env a)
   | Ast.Cast (ty, _) -> ty
   | Ast.SizeofT _ | Ast.SizeofE _ -> Cty.Ulong
-  | Ast.Cond (_, t, f) ->
+  | Ast.Cond (_, t, f) -> (
     let tt = Cty.decay (type_of_expr env t) and tf = Cty.decay (type_of_expr env f) in
-    if Cty.is_arith tt && Cty.is_arith tf then Cty.common_arith tt tf else tt
+    match cond_type tt tf with
+    | Some ty -> ty
+    | None ->
+      (* mixed arms: the static approximation C gives *)
+      if Cty.is_arith tt && Cty.is_arith tf then Cty.common_arith tt tf else tt)
   | Ast.Comma (_, b) -> type_of_expr env b
 
 (* Walk a statement, maintaining scopes, and run [f env stmt] at each

@@ -37,6 +37,25 @@ val in_scope : (unit -> 'a) -> env -> 'a
     without entering function bodies. *)
 val of_program : Ast.program -> env
 
+(** {1 Operator result rules}
+
+    Shared by {!type_of_expr} and the closure JIT, which types its
+    compiled expressions with them.  They state what both executors
+    compute at run time, over the operands' decayed types: the usual
+    arithmetic conversions of both operands (shifts included),
+    comparisons and [&&]/[||] of type [int], pointer arithmetic keeping
+    the pointer's type; [-], [~] and [++]/[--] keep their operand's
+    type, [!] yields [int]. *)
+
+val binop_type : Ast.binop -> Cty.t -> Cty.t -> Cty.t
+
+val unop_type : Ast.unop -> Cty.t -> Cty.t
+
+(** [c ? t : f] yields the taken arm's value unconverted: it has a type
+    of its own only when the arms' types agree ([None] otherwise;
+    {!type_of_expr} then gives C's static approximation). *)
+val cond_type : Cty.t -> Cty.t -> Cty.t option
+
 val type_of_expr : env -> Ast.expr -> Cty.t
 
 (** Scoped top-down statement walk; the workhorse for analyses that need

@@ -68,7 +68,7 @@ let counters_summary (c : Counters.t) : string =
         let samples =
           List.sort compare
             (Hashtbl.fold
-               (fun key (set, count) acc -> (key, Counters.Int_set.elements !set, !count) :: acc)
+               (fun key sm acc -> (key, Counters.sample_segments sm, sm.Counters.sm_lanes) :: acc)
                s.Counters.samples [])
         in
         Printf.sprintf " a%d=%d/%d st[%d,%d) at[%d,%d) samples=%s" id s.Counters.a_loads
