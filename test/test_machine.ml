@@ -96,6 +96,10 @@ let test_casts () =
   Alcotest.(check int64) "negative float->int" (-3L)
     (Value.as_int (Value.cast Cty.Int (Value.flt (-3.9))));
   check_bool "int->float" true (Value.as_float (Value.cast Cty.Double (Value.of_int 42)) = 42.0);
+  check_bool "unsigned long->double reads the bits as non-negative" true
+    (Value.as_float (Value.cast Cty.Double (Value.int ~ty:Cty.Ulong (-1L))) = 18446744073709551616.0);
+  check_bool "long->double keeps the sign" true
+    (Value.as_float (Value.cast Cty.Double (Value.int ~ty:Cty.Long (-1L))) = -1.0);
   Alcotest.(check int64) "int->char" 1L (Value.as_int (Value.cast Cty.Char (Value.int 257L)))
 
 let test_truthiness () =
