@@ -28,41 +28,9 @@ let run_cmd input entry binary_mode trace_file no_jit verbose (config : Hostrt.R
       print_string result.Ompi.run_output;
       Printf.eprintf "[%s on %s%s]\n" stem Gpusim.Spec.jetson_nano_2gb.Gpusim.Spec.name
         (if config.devices > 1 then Printf.sprintf " x%d devices" config.devices else "");
-      (match instance.Ompi.i_rt.Hostrt.Rt.faults with
-      | Some f ->
-        let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
-        Printf.eprintf "[faults: %d injected out of %d fallible calls%s]\n"
-          (Hostrt.Faults.total_fired f) (Hostrt.Faults.total_calls f)
-          (match Hostrt.Dataenv.dead_reason dataenv with
-          | Some reason -> Printf.sprintf "; device dead (%s), host fallback used" reason
-          | None -> "")
-      | None -> ());
-      (if not Hostrt.Mempolicy.(equal_sel config.mem_policy (Forced Copy)) then begin
-         let dataenv = (Hostrt.Rt.device instance.Ompi.i_rt 0).Hostrt.Rt.dev_dataenv in
-         let st = Hostrt.Dataenv.stats dataenv in
-         Printf.eprintf
-           "[mem: %d h2d + %d d2h elided, %d zero-copy accesses, %d resident buffer(s), %d byte(s) \
-            digested]\n"
-           st.Hostrt.Dataenv.elided_h2d st.Hostrt.Dataenv.elided_d2h
-           st.Hostrt.Dataenv.zerocopy_accesses
-           (Hostrt.Dataenv.resident_buffers dataenv)
-           st.Hostrt.Dataenv.digested_bytes;
-         if
-           st.Hostrt.Dataenv.elided_h2d_pages + st.Hostrt.Dataenv.elided_d2h_pages
-           + st.Hostrt.Dataenv.elided_update_to + st.Hostrt.Dataenv.elided_update_from
-           > 0
-         then
-           Printf.eprintf
-             "[mem: dirty tracking: %d h2d + %d d2h clean page(s) skipped, %d update-to + %d \
-              update-from elided]\n"
-             st.Hostrt.Dataenv.elided_h2d_pages st.Hostrt.Dataenv.elided_d2h_pages
-             st.Hostrt.Dataenv.elided_update_to st.Hostrt.Dataenv.elided_update_from;
-         List.iter
-           (fun ((off, bytes), row) ->
-             Printf.eprintf "[mem: buffer 0x%x+%d -> %s]\n" off bytes
-               (String.concat ", " (List.map (fun (m, n) -> Printf.sprintf "%s x%d" m n) row)))
-           (Hostrt.Dataenv.policy_decisions dataenv)
-       end);
+      let report = Hostrt.Run_report.of_rt instance.Ompi.i_rt in
+      Hostrt.Run_report.print stderr report
+        ~mem:(not Hostrt.Mempolicy.(equal_sel config.mem_policy (Forced Copy)));
       Printf.eprintf "[simulated time: %.6f s, %d kernel launch(es), exit code %d]\n"
         result.Ompi.run_time_s result.Ompi.run_kernel_launches result.Ompi.run_exit;
       (match (trace_file, instance.Ompi.i_trace) with
@@ -72,18 +40,7 @@ let run_cmd input entry binary_mode trace_file no_jit verbose (config : Hostrt.R
             (Perf.Trace.length tr) path;
         if verbose then Perf.Report.print_trace_summary ~oc:stderr tr
       | _ -> ());
-      if verbose then begin
-        let dev = Hostrt.Rt.device instance.Ompi.i_rt 0 in
-        List.iter
-          (fun (s : Gpusim.Driver.launch_stats) ->
-            Printf.eprintf "  launch %s grid=(%d,%d,%d) block=(%d,%d,%d): %s\n"
-              s.Gpusim.Driver.st_entry s.Gpusim.Driver.st_grid.Gpusim.Simt.x
-              s.Gpusim.Driver.st_grid.Gpusim.Simt.y s.Gpusim.Driver.st_grid.Gpusim.Simt.z
-              s.Gpusim.Driver.st_block.Gpusim.Simt.x s.Gpusim.Driver.st_block.Gpusim.Simt.y
-              s.Gpusim.Driver.st_block.Gpusim.Simt.z
-              (Format.asprintf "%a" Gpusim.Costmodel.pp_breakdown s.Gpusim.Driver.st_breakdown))
-          (List.rev dev.Hostrt.Rt.dev_driver.Gpusim.Driver.launches)
-      end;
+      if verbose then Hostrt.Run_report.print_launches stderr report;
       exit result.Ompi.run_exit)
 
 let input_arg =

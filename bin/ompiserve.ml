@@ -51,9 +51,7 @@ let run_cmd inflight generations seed smoke resident_cap trace_file (rt : Hostrt
     List.iter
       (fun (dev, rows) ->
         List.iter
-          (fun ((off, bytes), row) ->
-            Printf.printf "    dev %d buffer 0x%x+%d -> %s\n" dev off bytes
-              (String.concat ", " (List.map (fun (m, n) -> Printf.sprintf "%s x%d" m n) row)))
+          (fun row -> Printf.printf "    dev %d %s\n" dev (Hostrt.Run_report.policy_row row))
           rows)
       r.Serve.rp_policy;
     if r.Serve.rp_faults_injected > 0 || r.Serve.rp_device_dead then

@@ -85,16 +85,11 @@ type run_result = {
 
 let run (instance : instance) ?(entry = "main") () : run_result =
   let r = Hostrt.Hostexec.run instance.i_rt instance.i_compiled.c_host ~entry () in
-  let launches =
-    Array.fold_left
-      (fun acc (d : Hostrt.Rt.device) -> acc + d.Hostrt.Rt.dev_driver.Driver.kernels_launched)
-      0 instance.i_rt.Hostrt.Rt.devices
-  in
   {
     run_output = r.Hostrt.Hostexec.rr_output;
     run_exit = r.Hostrt.Hostexec.rr_exit;
     run_time_s = r.Hostrt.Hostexec.rr_time_s;
-    run_kernel_launches = launches;
+    run_kernel_launches = (Hostrt.Run_report.of_rt instance.i_rt).Hostrt.Run_report.r_launches;
   }
 
 let compile_and_run ?(config = default_config) ?(entry = "main") ~(name : string) (source : string)

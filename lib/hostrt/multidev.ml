@@ -442,9 +442,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
   (* Sharding needs >1 live device, >1 block, no block sampling (sampled
      counters under-report written intervals), and every mapped operand
      present on the primary. *)
-  if (not rt.Rt.shard) || secondaries = [] || total_blocks < 2
-     || Option.is_some rt.Rt.sample_max_blocks
-  then single ()
+  if secondaries = [] || total_blocks < 2 || Option.is_some rt.Rt.sample_max_blocks then single ()
   else begin
     match
       (try

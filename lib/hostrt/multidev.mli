@@ -38,8 +38,8 @@ val plan : total_blocks:int -> weights:float array -> (int * int) array
 
 (** Sharded launch across every live device.  Falls back to
     {!Offload.launch} on [dev] alone when sharding does not apply
-    (single live device, sharding disabled, block sampling active, a
-    single-block grid, or an operand not mapped on [dev]).
+    (single live device, block sampling active, a single-block grid,
+    or an operand not mapped on [dev]).
     Raises {!Resilience.Device_dead} only when the primary [dev] is
     dead — secondary deaths are absorbed by host-fallback shards. *)
 val launch :

@@ -88,28 +88,6 @@ let try_fast_path (rt : Rt.t) (device : Rt.device) ~(kernel_file : string) ~(ent
     Some c
   | _ -> None
 
-(* (Re)fill the cache slot after a full-path launch, sizing the
-   parameter buffer for this entry. *)
-let cache_launch (device : Rt.device) ~kernel_file ~entry ~artifact ~modul ~(nargs : int) : unit =
-  device.Rt.dev_launch_cache <-
-    Some
-      {
-        Rt.lc_file = kernel_file;
-        lc_entry = entry;
-        lc_artifact = artifact;
-        lc_modul = modul;
-        lc_params = Array.make (max 1 nargs) (Value.of_int 0);
-        lc_hits = 0;
-      }
-
-(* Write the translated arguments into the cache's preallocated buffer
-   (resizing only if the arity changed) and hand back the launch list. *)
-let reuse_params (c : Rt.launch_cache) (values : Value.t list) : Value.t list =
-  let n = List.length values in
-  if Array.length c.Rt.lc_params <> n then c.Rt.lc_params <- Array.make (max 1 n) (Value.of_int 0);
-  List.iteri (fun i v -> c.Rt.lc_params.(i) <- v) values;
-  Array.to_list c.Rt.lc_params
-
 (* Bind launch arguments to the entry's declared parameters, so pointer
    arithmetic inside the kernel uses the right element sizes: a scalar
    is cast to its parameter type, a mapped argument becomes a pointer to
@@ -248,19 +226,23 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
     | Some c -> (c.Rt.lc_artifact, c.Rt.lc_modul)
     | None -> load_phase rt device ~kernel_file
   in
-  (* Phase 2: parameter preparation (on the fast path the translation
-     lands in the cache's preallocated buffer, without the phase span). *)
+  (* Phase 2: parameter preparation (on the fast path without the phase
+     span; a full-path launch then (re)fills the cache slot). *)
   let mk_values () =
     coerce_args modul ~entry ~address:(Dataenv.lookup_exn device.Rt.dev_dataenv) args
   in
   let values =
     match fast with
-    | Some c -> reuse_params c (mk_values ())
+    | Some _ -> mk_values ()
     | None ->
-      phase rt "parameter_preparation" ~args:[ ("nargs", Perf.Trace.Int (List.length args)) ] mk_values
+      let nargs = Perf.Trace.Int (List.length args) in
+      let values = phase rt "parameter_preparation" ~args:[ ("nargs", nargs) ] mk_values in
+      device.Rt.dev_launch_cache <-
+        Some
+          { Rt.lc_file = kernel_file; lc_entry = entry; lc_artifact = artifact; lc_modul = modul;
+            lc_hits = 0 };
+      values
   in
-  if Option.is_none fast then
-    cache_launch device ~kernel_file ~entry ~artifact ~modul ~nargs:(List.length args);
   (* Phase 3: launch. *)
   let grid, block, occupancy_penalty, block_filter =
     launch_shape rt ~num_teams ~num_threads ~translated ?block_filter ()

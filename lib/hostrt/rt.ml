@@ -11,9 +11,9 @@ exception Ort_error of string
 let ort_error fmt = Format.kasprintf (fun s -> raise (Ort_error s)) fmt
 
 (* Steady-state launch cache (one slot per device): the last
-   (kernel file, entry) launched keeps its artifact/module handles and a
-   preallocated parameter buffer so repeated launches of the same kernel
-   skip the loading and parameter-preparation phases.  Offload validates
+   (kernel file, entry) launched keeps its artifact/module handles so
+   repeated launches of the same kernel skip the loading phase and the
+   parameter-preparation span.  Offload validates
    residency against the driver's module table before every reuse, so
    context resets and corrupt-cache invalidation fall back to the full
    three-phase path. *)
@@ -22,7 +22,6 @@ type launch_cache = {
   lc_entry : string;
   lc_artifact : Nvcc.artifact;
   lc_modul : Driver.loaded_module;
-  mutable lc_params : Value.t array; (* reused across launches *)
   mutable lc_hits : int;
 }
 
@@ -88,9 +87,6 @@ type t = {
   faults : Faults.t option;
   (* retry/backoff policy, shared by every data environment *)
   fault_policy : Resilience.policy;
-  (* shard `distribute` grids across all devices (on by default when the
-     runtime is created with more than one device) *)
-  mutable shard : bool;
 }
 
 (* Evenly-spaced block sampling filter.  The sample is offset by half a
@@ -170,7 +166,6 @@ let create ?(config = default_config) () : t =
     trace = None;
     faults;
     fault_policy;
-    shard = c.devices > 1;
   }
 
 (* Attach (or detach) a trace ring; devices share the runtime's ring so
@@ -196,8 +191,6 @@ let set_default_device t (id : int) : unit =
   t.default_device <- id
 
 let get_default_device t = t.default_device
-
-let set_shard t (on : bool) : unit = t.shard <- on
 
 (* Device ids every shard planner considers live (context not torn down). *)
 let live_devices t : device list =

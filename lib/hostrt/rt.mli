@@ -11,16 +11,15 @@ exception Ort_error of string
 val ort_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Steady-state launch cache (one slot per device): the last
-    (kernel file, entry) launched keeps its artifact/module handles and
-    a preallocated parameter buffer, so repeated launches of the same
-    kernel skip the loading and parameter-preparation phases.  Residency
-    is validated against the driver's module table before every reuse. *)
+    (kernel file, entry) launched keeps its artifact/module handles, so
+    repeated launches of the same kernel skip the loading phase and the
+    parameter-preparation span.  Residency is validated against the
+    driver's module table before every reuse. *)
 type launch_cache = {
   lc_file : string;
   lc_entry : string;
   lc_artifact : Nvcc.artifact;
   lc_modul : Driver.loaded_module;
-  mutable lc_params : Value.t array;
   mutable lc_hits : int;
 }
 
@@ -98,9 +97,6 @@ type t = {
   fault_policy : Resilience.policy;
       (** retry/backoff policy of every data environment, from
           [config.max_retries] *)
-  mutable shard : bool;
-      (** shard [distribute] grids across all devices; defaults to true
-          when the runtime was created with more than one device *)
 }
 
 val default_penalty : int -> float
@@ -135,9 +131,6 @@ val set_default_device : t -> int -> unit
 
 (** omp_get_default_device *)
 val get_default_device : t -> int
-
-(** Enable/disable sharding of [distribute] grids across devices. *)
-val set_shard : t -> bool -> unit
 
 (** Devices whose context has not been declared dead. *)
 val live_devices : t -> device list

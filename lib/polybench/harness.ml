@@ -42,17 +42,11 @@ let enable_trace ctx : Perf.Trace.t =
   Hostrt.Rt.set_trace ctx.rt (Some tr);
   tr
 
-let device_dead ctx = Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
-
 let driver ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_driver
 
 let dataenv ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
 
 let mem_stats ctx : Hostrt.Dataenv.stats = Hostrt.Dataenv.stats (dataenv ctx)
-
-let policy_decisions ctx = Hostrt.Dataenv.policy_decisions (dataenv ctx)
-
-let policy_modes_used ctx = Hostrt.Dataenv.policy_modes_used (dataenv ctx)
 
 let set_sampling ctx max_blocks = ctx.rt.Hostrt.Rt.sample_max_blocks <- max_blocks
 

@@ -40,21 +40,12 @@ val create : ?config:Hostrt.Rt.config -> unit -> ctx
     events. *)
 val enable_trace : ctx -> Perf.Trace.t
 
-(** Has device 0 been declared dead (host-fallback mode)? *)
-val device_dead : ctx -> bool
-
 val driver : ctx -> Driver.t
 
 val dataenv : ctx -> Hostrt.Dataenv.t
 
 (** Elision/zero-copy counters for device 0's data environment. *)
 val mem_stats : ctx -> Hostrt.Dataenv.stats
-
-(** Per-buffer tally of cold-map mode decisions on device 0 (see
-    {!Hostrt.Dataenv.policy_decisions}). *)
-val policy_decisions : ctx -> ((int * int) * (string * int) list) list
-
-val policy_modes_used : ctx -> Hostrt.Mempolicy.mode list
 
 val set_sampling : ctx -> int option -> unit
 

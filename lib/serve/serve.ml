@@ -25,6 +25,7 @@
 
 open Machine
 module H = Polybench.Harness
+module Report = Hostrt.Run_report
 module Trace = Perf.Trace
 
 type app_kind = Matvec | Ingest | Scale
@@ -263,9 +264,6 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
              s.ss_tag s.ss_device devices))
     specs;
   let rt = ctx.H.rt in
-  (* Pinned sessions own their whole region: the farm must not shard a
-     session's grid across devices behind its back. *)
-  Hostrt.Rt.set_shard rt false;
   let trace = if cfg.cf_trace then Some (H.enable_trace ctx) else None in
   H.set_sampling ctx None;
   (match cfg.cf_resident_cap_bytes with
@@ -505,12 +503,7 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
     Float.max done_ns (now_ns ())
   in
 
-  let total_elided_h2d () =
-    Array.fold_left
-      (fun acc (d : Hostrt.Rt.device) ->
-        acc + (Hostrt.Dataenv.stats d.Hostrt.Rt.dev_dataenv).Hostrt.Dataenv.elided_h2d)
-      0 rt.Hostrt.Rt.devices
-  in
+  let total_elided_h2d () = (Report.of_rt rt).Report.r_mem.Hostrt.Dataenv.elided_h2d in
   for gen = 1 to cfg.cf_generations do
       fill_generation ();
       let st0 = total_elided_h2d () in
@@ -576,22 +569,9 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
   let total_requests =
     cfg.cf_generations * List.fold_left (fun acc s -> acc + s.ss_requests) 0 specs
   in
-  (* Whole-farm data-environment totals: per-device stats summed. *)
-  let stats =
-    Array.fold_left
-      (fun acc (d : Hostrt.Rt.device) ->
-        let s = Hostrt.Dataenv.stats d.Hostrt.Rt.dev_dataenv in
-        {
-          s with
-          Hostrt.Dataenv.elided_h2d = acc.Hostrt.Dataenv.elided_h2d + s.Hostrt.Dataenv.elided_h2d;
-          elided_d2h = acc.Hostrt.Dataenv.elided_d2h + s.Hostrt.Dataenv.elided_d2h;
-          elided_h2d_pages = acc.Hostrt.Dataenv.elided_h2d_pages + s.Hostrt.Dataenv.elided_h2d_pages;
-          elided_d2h_pages = acc.Hostrt.Dataenv.elided_d2h_pages + s.Hostrt.Dataenv.elided_d2h_pages;
-          digested_bytes = acc.Hostrt.Dataenv.digested_bytes + s.Hostrt.Dataenv.digested_bytes;
-        })
-      (Hostrt.Dataenv.stats (env_of 0))
-      (Array.sub rt.Hostrt.Rt.devices 1 (Array.length rt.Hostrt.Rt.devices - 1))
-  in
+  (* Whole-farm totals: per-device counts summed. *)
+  let farm = Report.of_rt rt in
+  let stats = farm.Report.r_mem in
   let env_lookups = List.fold_left (fun acc se -> acc + se.se_env_lookups) 0 sessions in
   let env_hits = List.fold_left (fun acc se -> acc + se.se_env_hits) 0 sessions in
   let report =
@@ -615,21 +595,13 @@ let run (cfg : config) (specs : session_spec list) : report * Trace.t option =
       rp_elided_d2h = stats.Hostrt.Dataenv.elided_d2h;
       rp_elided_pages = stats.Hostrt.Dataenv.elided_h2d_pages + stats.Hostrt.Dataenv.elided_d2h_pages;
       rp_policy =
-        Array.to_list rt.Hostrt.Rt.devices
-        |> List.map (fun (d : Hostrt.Rt.device) ->
-               (d.Hostrt.Rt.dev_id, Hostrt.Dataenv.policy_decisions d.Hostrt.Rt.dev_dataenv))
-        |> List.filter (fun (_, rows) -> rows <> []);
-      rp_resident_buffers_end =
-        Array.fold_left
-          (fun acc (d : Hostrt.Rt.device) ->
-            acc + Hostrt.Dataenv.resident_buffers d.Hostrt.Rt.dev_dataenv)
-          0 rt.Hostrt.Rt.devices;
-      rp_faults_injected =
-        (match rt.Hostrt.Rt.faults with Some f -> Hostrt.Faults.total_fired f | None -> 0);
-      rp_device_dead =
-        Array.exists
-          (fun (d : Hostrt.Rt.device) -> Hostrt.Dataenv.is_dead d.Hostrt.Rt.dev_dataenv)
-          rt.Hostrt.Rt.devices;
+        List.filter_map
+          (fun (d : Report.device) ->
+            if d.dv_policy = [] then None else Some (d.dv_id, d.dv_policy))
+          farm.Report.r_devices;
+      rp_resident_buffers_end = farm.Report.r_resident;
+      rp_faults_injected = Option.fold ~none:0 ~some:fst farm.Report.r_faults;
+      rp_device_dead = farm.Report.r_dead <> [];
       rp_all_identical = List.for_all (fun se -> se.se_ok) sessions;
       rp_sessions =
         List.map

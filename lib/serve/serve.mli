@@ -108,6 +108,9 @@ type session_report = {
           isolation property compares these across interleavings *)
 }
 
+(** The serving statistics, and the farm totals (elisions, policy rows,
+    resident buffers, faults, dead devices) read from the run report
+    ({!Hostrt.Run_report}) at the end of the run. *)
 type report = {
   rp_requests : int;
   rp_completed : int;

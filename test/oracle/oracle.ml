@@ -36,6 +36,7 @@ open Machine
 open Gpusim
 open Polybench
 module Rt = Hostrt.Rt
+module Report = Hostrt.Run_report
 
 (* ---------------------------------------------------------------- *)
 (* Observation                                                        *)
@@ -103,23 +104,16 @@ let counters_summary (c : Counters.t) : string =
   in
   totals ^ String.concat "" per_alloc ^ String.concat "" per_pin
 
-(* (device, launch) pairs, device by device, oldest launch first. *)
-let launches (rt : Rt.t) : (int * Driver.launch_stats) list =
-  List.concat_map
-    (fun (d : Rt.device) ->
-      List.rev_map (fun s -> (d.Rt.dev_id, s)) d.Rt.dev_driver.Driver.launches)
-    (Array.to_list rt.Rt.devices)
-
 (* Per-launch record: device, entry, counters, cycles, time. *)
-let launch_log (rt : Rt.t) : string list =
+let launch_log (report : Report.t) : string list =
   List.map
     (fun (d, (s : Driver.launch_stats)) ->
       Printf.sprintf "dev%d %s: %s | cycles=%h time_ns=%h" d s.Driver.st_entry
         (counters_summary s.Driver.st_counters)
         s.Driver.st_breakdown.Costmodel.bd_total_cycles s.Driver.st_breakdown.Costmodel.bd_time_ns)
-    (launches rt)
+    (Report.launches report)
 
-let entry_sums (rt : Rt.t) : (string * (int * float * int)) list =
+let entry_sums (report : Report.t) : (string * (int * float * int)) list =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (_, (s : Driver.launch_stats)) ->
@@ -129,7 +123,7 @@ let entry_sums (rt : Rt.t) : (string * (int * float * int)) list =
         ( b + c.Counters.blocks_executed,
           t +. c.Counters.thread_inst_sum,
           a + c.Counters.atomics ))
-    (launches rt);
+    (Report.launches report);
   List.sort compare (Hashtbl.fold (fun e v acc -> (e, v) :: acc) tbl [])
 
 let trace_counts (tr : Perf.Trace.t) : ((string * string) * int) list =
@@ -145,26 +139,23 @@ let trace_counts (tr : Perf.Trace.t) : ((string * string) * int) list =
 (* What a run left in [rt] (and, when traced, in [trace]). *)
 let observe ?trace ?(out = [||]) ?(text = "") ?(exit = 0) (rt : Rt.t) ~(time : float) : obs =
   let farm = Rt.num_devices rt > 1 in
+  let report = Report.of_rt rt in
   {
     o_out = out;
     o_text = text;
     o_exit = exit;
     o_time = time;
-    o_log = launch_log rt;
-    o_sums = entry_sums rt;
+    o_log = launch_log report;
+    o_sums = entry_sums report;
     o_events = Option.fold ~none:[] ~some:trace_counts trace;
-    o_dead =
-      List.filter_map
-        (fun (d : Rt.device) ->
-          if Hostrt.Dataenv.is_dead d.Rt.dev_dataenv then Some d.Rt.dev_id else None)
-        (Array.to_list rt.Rt.devices);
+    o_dead = List.map fst report.Report.r_dead;
     o_unsharded =
       List.length
         (List.filter
            (fun (_, (s : Driver.launch_stats)) ->
              let grid = Simt.dim3_total s.Driver.st_grid in
              farm && grid >= 2 && s.Driver.st_counters.Counters.blocks_executed = grid)
-           (launches rt));
+           (Report.launches report));
     o_trace = trace;
   }
 

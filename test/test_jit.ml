@@ -623,7 +623,7 @@ let relaunch_obs ~(jit : bool) ~(times : int) (src : string) : int32 array list 
   in
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (once () :: acc) in
   let outs = go times [] in
-  (outs, Oracle.launch_log ctx.Harness.rt)
+  (outs, Oracle.launch_log (Hostrt.Run_report.of_rt ctx.Harness.rt))
 
 let test_relaunch_is_fresh () =
   List.iter

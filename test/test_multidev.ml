@@ -31,6 +31,9 @@
      host-falls-back that shard only, bit-identically, leaving the
      primary alive;
 
+   - the run report ([Hostrt.Run_report]) on a farm: every device's
+     launches and counts, summed totals, and the dead secondary;
+
    - device(n) pinning (no sharding, runs on that device alone),
      omp_get_num_devices / default-device bookkeeping and the graceful
      Map_error for device(n) past the farm. *)
@@ -152,6 +155,58 @@ let test_secondary_death_fallback () =
   Alcotest.(check (list int)) "device 1 dead, device 0 alive" [ 1 ] faulted.Oracle.o_dead;
   Alcotest.(check bool) "its shard ran on the host" true
     (Oracle.count faulted ~cat:"shard" "shard_host_fallback" >= 1)
+
+(* ---------------------------------------------------------------- *)
+(* Run report                                                         *)
+(* ---------------------------------------------------------------- *)
+
+let scale_src =
+  {|
+int main(void) {
+  float a[256];
+  for (int i = 0; i < 256; i++) a[i] = i;
+  #pragma omp target teams distribute parallel for num_teams(4) map(tofrom: a[0:256])
+  for (int i = 0; i < 256; i++) a[i] = a[i] * 2.0f;
+  return 0;
+}
+|}
+
+(* The run report reads every device of a farm: one shard launch per
+   device, each device's own counts, totals that sum them, and a
+   secondary killed on its shard named as the one dead device. *)
+let test_run_report_farm () =
+  let module R = Hostrt.Run_report in
+  let report ?faults () =
+    let config = { (farm ?faults 2) with mem_policy = Hostrt.Mempolicy.(Forced Elide) } in
+    let inst = Ompi.load ~config (Ompi.compile ~name:"scale" scale_src) in
+    let r = Ompi.run inst () in
+    let rep = R.of_rt inst.Ompi.i_rt in
+    Alcotest.(check int) "Ompi.run's count is the report's" rep.R.r_launches
+      r.Ompi.run_kernel_launches;
+    Alcotest.(check int) "the launch count is the launches listed" (List.length (R.launches rep))
+      rep.R.r_launches;
+    rep
+  in
+  let clean = report () in
+  Alcotest.(check (list int)) "one launch per device" [ 0; 1 ] (List.map fst (R.launches clean));
+  Alcotest.(check (list int)) "one resident buffer per device" [ 1; 1 ]
+    (List.map (fun d -> d.R.dv_resident) clean.R.r_devices);
+  Alcotest.(check int) "resident buffers summed" 2 clean.R.r_resident;
+  let digested = List.map (fun d -> d.R.dv_mem.Hostrt.Dataenv.digested_bytes) clean.R.r_devices in
+  Alcotest.(check bool) "both devices digest" true (List.for_all (fun b -> b > 0) digested);
+  Alcotest.(check int) "digested bytes summed" (List.fold_left ( + ) 0 digested)
+    clean.R.r_mem.Hostrt.Dataenv.digested_bytes;
+  Alcotest.(check (option (pair int int))) "no plan, no fault counts" None clean.R.r_faults;
+  let rules =
+    match Hostrt.Faults.parse "launch:nth=2,kind=fatal" with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let faulted = report ~faults:rules () in
+  Alcotest.(check (list int)) "device 1 is the dead one" [ 1 ] (List.map fst faulted.R.r_dead);
+  Alcotest.(check (option (pair int int))) "1 fault fired in 2 calls" (Some (1, 2))
+    faulted.R.r_faults;
+  Alcotest.(check (list int)) "only device 0 launched" [ 0 ] (List.map fst (R.launches faulted))
 
 (* ---------------------------------------------------------------- *)
 (* Cross-device RAW arbitration                                       *)
@@ -354,6 +409,7 @@ let () =
           Alcotest.test_case "device(n) past the farm fails gracefully" `Quick
             test_device_out_of_range;
         ] );
+      ("report", [ Alcotest.test_case "run report covers the farm" `Quick test_run_report_farm ]);
       ("plan", [ Alcotest.test_case "plan units" `Quick test_plan_units ]);
       ("property", [ QCheck_alcotest.to_alcotest prop_farm_bit_identity ]);
     ]
