@@ -44,7 +44,7 @@ type t = {
      must find their per-thread state through the context, e.g. [lane]. *)
   mutable builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
   lane : int; (* device role: linear thread id within the block *)
-  resolve : Addr.space -> Mem.t; (* address space -> backing memory *)
+  resolve : Addr.t -> Mem.t; (* the memory an address lives in *)
   local : Mem.t; (* this execution context's stack *)
   mutable globals : (string, Cty.t * Addr.t) Hashtbl.t;
   (* string-literal intern cache and function-pointer ids: allocated on
@@ -72,21 +72,23 @@ type builtin = t -> Value.t list -> Value.t
 
 type builtins = (string, builtin) Hashtbl.t
 
+let strings_code = Addr.code_of_space Addr.Strings
+
 let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?shared_decl
     ?(output = Buffer.create 256) () =
   (* Interned string literals live in a private arena outside any frame
      so that stack rollback cannot invalidate the intern cache; it is
      created by the first access to it. *)
   let strings_arena = ref None in
-  let resolve = function
-    | Addr.Strings -> (
+  let resolve (a : Addr.t) =
+    if (a :> int) land Addr.code_mask <> strings_code then resolve a
+    else
       match !strings_arena with
       | Some m -> m
       | None ->
         let m = Mem.create ~initial:1024 ~space:Addr.Strings "strings" in
         strings_arena := Some m;
-        m)
-    | sp -> resolve sp
+        m
   in
   {
     structs;
@@ -170,7 +172,7 @@ let function_of_pointer ctx (v : Value.t) : Ast.fundef =
 let sizeof ctx ty = Cty.sizeof ctx.structs ty
 
 let load ctx (a : Addr.t) (ty : Cty.t) : Value.t =
-  let m = ctx.resolve a.Addr.space in
+  let m = ctx.resolve a in
   (match ty with
   | Cty.Array _ | Cty.Struct _ | Cty.Func _ -> ()
   | _ -> ctx.on_access Load a (sizeof ctx ty));
@@ -180,7 +182,7 @@ let load ctx (a : Addr.t) (ty : Cty.t) : Value.t =
   | _ -> Mem.load_scalar m ctx.structs a ty
 
 let store ctx (a : Addr.t) (ty : Cty.t) (v : Value.t) : unit =
-  let m = ctx.resolve a.Addr.space in
+  let m = ctx.resolve a in
   ctx.on_access Store a (sizeof ctx ty);
   Mem.store_scalar m ctx.structs a ty (Value.cast (Cty.decay ty) v)
 
@@ -196,14 +198,14 @@ let intern_string ctx (s : string) : Addr.t =
   match Hashtbl.find_opt strings s with
   | Some a -> a
   | None ->
-    let m = ctx.resolve Addr.Strings in
+    let m = ctx.resolve (Addr.make Addr.Strings 0) in
     let a = Mem.alloc m (String.length s + 1) in
     String.iteri (fun i c -> Mem.store_scalar m ctx.structs (Addr.add a i) Cty.Uchar (Value.of_int ~ty:Cty.Uchar (Char.code c))) s;
     Hashtbl.replace strings s a;
     a
 
 let read_c_string ctx (a : Addr.t) : string =
-  let m = ctx.resolve a.Addr.space in
+  let m = ctx.resolve a in
   let buf = Buffer.create 16 in
   let rec go i =
     let c = Value.to_int (Mem.load_scalar m ctx.structs (Addr.add a i) Cty.Uchar) in
@@ -356,7 +358,7 @@ and eval_unop ctx op a : Value.t =
   | Ast.Neg ->
     step ctx St_arith;
     (match eval ctx a with
-    | Value.VInt (i, ty) -> Value.int ~ty (Int64.neg i)
+    | Value.VInt (i, ty) -> Value.int ~ty:(Cty.promote ty) (Int64.neg i)
     | Value.VFlt (f, ty) -> Value.flt ~ty (-.f)
     | v -> runtime_error "negation of %s" (Value.show v))
   | Ast.Not ->
@@ -365,7 +367,7 @@ and eval_unop ctx op a : Value.t =
   | Ast.BitNot ->
     step ctx St_arith;
     (match eval ctx a with
-    | Value.VInt (i, ty) -> Value.int ~ty (Int64.lognot i)
+    | Value.VInt (i, ty) -> Value.int ~ty:(Cty.promote ty) (Int64.lognot i)
     | v -> runtime_error "bitwise not of %s" (Value.show v))
   | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec ->
     step ctx St_arith;
@@ -416,7 +418,8 @@ and apply_binop_unstepped ctx op (va : Value.t) (vb : Value.t) : Value.t =
   | (Ast.Eq | Ast.Ne), Value.VInt (i, _), Value.VPtr (p, _) ->
     Value.bool (if op = Ast.Eq then Addr.is_null p && i = 0L else not (Addr.is_null p && i = 0L))
   | _ -> (
-    let common = Cty.common_arith (Cty.decay (Value.ty_of va)) (Cty.decay (Value.ty_of vb)) in
+    let ta = Cty.decay (Value.ty_of va) in
+    let common = Cty.common_arith ta (Cty.decay (Value.ty_of vb)) in
     match common with
     | Cty.Float | Cty.Double ->
       let a = Value.as_float va and b = Value.as_float vb in
@@ -435,7 +438,9 @@ and apply_binop_unstepped ctx op (va : Value.t) (vb : Value.t) : Value.t =
       | Ast.LogAnd -> Value.bool (a <> 0.0 && b <> 0.0)
       | Ast.LogOr -> Value.bool (a <> 0.0 || b <> 0.0)
       | _ -> runtime_error "invalid float operation")
-    | ity ->
+    | common ->
+      (* a shift has its left operand's promoted type *)
+      let ity = match op with Ast.Shl | Ast.Shr -> Cty.promote ta | _ -> common in
       let a = Value.as_int va and b = Value.as_int vb in
       let wrap i = Value.int ~ty:ity i in
       let unsigned = Cty.is_unsigned ity in

@@ -42,7 +42,7 @@ type t = {
       (** may be shared between contexts: a builtin finds its
           per-thread state through the context it is called with *)
   lane : int;  (** device role: linear thread id within the block *)
-  resolve : Addr.space -> Mem.t;  (** address space -> backing memory *)
+  resolve : Addr.t -> Mem.t;  (** the memory an address lives in *)
   local : Mem.t;  (** this context's stack (all declared variables) *)
   mutable globals : (string, Cty.t * Addr.t) Hashtbl.t;
   mutable strings : (string, Addr.t) Hashtbl.t option;
@@ -76,7 +76,7 @@ type builtins = (string, builtin) Hashtbl.t
 val create :
   structs:Cty.layout_env ->
   funcs:(string, Ast.fundef) Hashtbl.t ->
-  resolve:(Addr.space -> Mem.t) ->
+  resolve:(Addr.t -> Mem.t) ->
   local:Mem.t ->
   ?builtins:builtins ->
   ?globals:(string, Cty.t * Addr.t) Hashtbl.t ->

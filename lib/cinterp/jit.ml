@@ -405,7 +405,7 @@ let[@inline] mem_store_float m (a : Addr.t) (ty : Cty.t) (f : float) : unit =
    [bytes] bytes: resolve, access hook, then the memory operation. *)
 let load : type a. a kind -> Cty.t -> int -> env -> Addr.t -> a =
  fun kind ty bytes env a ->
-  let m = env.e_inst.i_ctx.Interp.resolve a.Addr.space in
+  let m = env.e_inst.i_ctx.Interp.resolve a in
   access env Interp.Load a bytes;
   match kind with
   | Kint -> Mem.load_narrow m a ty
@@ -415,7 +415,7 @@ let load : type a. a kind -> Cty.t -> int -> env -> Addr.t -> a =
 
 let store : type a. a kind -> Cty.t -> int -> env -> Addr.t -> a -> unit =
  fun kind ty bytes env a v ->
-  let m = env.e_inst.i_ctx.Interp.resolve a.Addr.space in
+  let m = env.e_inst.i_ctx.Interp.resolve a in
   access env Interp.Store a bytes;
   match kind with
   | Kint -> Mem.store_narrow m a ty v
@@ -741,8 +741,10 @@ let arith k (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
   in
   match (ca, cb) with
   | T (_, ta, _), T (_, tb, _) when is_arith ca && is_arith cb -> (
-    let ct = Cty.common_arith ta tb in
     let rt = Typecheck.binop_type op ta tb in
+    (* a shift computes in its result type, the left operand's promoted
+       type; every other operator in the operands' common type *)
+    let ct = match op with Ast.Shl | Ast.Shr -> rt | _ -> Cty.common_arith ta tb in
     let unsigned = Cty.is_unsigned ct in
     match ct with
     | Cty.Float | Cty.Double ->
@@ -767,7 +769,9 @@ let arith k (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
               step env sk;
               float_binop op single a b )
     | Cty.Int | Cty.Uint ->
-      (* both operands are [Kint]: a wider or float one widens [ct] *)
+      (* both operands are [Kint] (a wider or float one widens [ct]), or
+         this is a shift by a [long] count, of which only the low 6 bits
+         count *)
       let fa = int_of ca and fb = int_of cb in
       if test then
         T
@@ -955,13 +959,13 @@ let compound k (pl : place) (op : Ast.binop) (rhs : cexpr) ~(used : bool) : cexp
         ty,
         fun env ->
           let a = addr env in
-          let m = env.e_inst.i_ctx.Interp.resolve a.Addr.space in
+          let m = env.e_inst.i_ctx.Interp.resolve a in
           access env Interp.Load a bytes;
           let cur = mem_load_float m a ty in
           let b = fb env in
           step env sk;
           let x = apply single cur b in
-          let m = env.e_inst.i_ctx.Interp.resolve a.Addr.space in
+          let m = env.e_inst.i_ctx.Interp.resolve a in
           access env Interp.Store a bytes;
           mem_store_float m a ty x;
           if used then x else 0.0 )
@@ -1452,10 +1456,10 @@ and compile_unop k (op : Ast.unop) (a : Ast.expr) : cexpr =
         (fun env ->
           step env Interp.St_arith;
           match (fa env, op) with
-          | Value.VInt (i, ty), Ast.Neg -> Value.int ~ty (Int64.neg i)
+          | Value.VInt (i, ty), Ast.Neg -> Value.int ~ty:(Cty.promote ty) (Int64.neg i)
           | Value.VFlt (f, ty), Ast.Neg -> Value.flt ~ty (-.f)
           | v, Ast.Neg -> Interp.runtime_error "negation of %s" (Value.show v)
-          | Value.VInt (i, ty), _ -> Value.int ~ty (Int64.lognot i)
+          | Value.VInt (i, ty), _ -> Value.int ~ty:(Cty.promote ty) (Int64.lognot i)
           | v, _ -> Interp.runtime_error "bitwise not of %s" (Value.show v)))
   | Ast.Not ->
     let ca = truth (compile_expr k a) in

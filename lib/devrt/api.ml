@@ -113,8 +113,8 @@ let atomic_rmw ctx (bs : Simt.block_state) (ptr : Value.t) (f : Value.t -> Value
   bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
   match ptr with
   | Value.VPtr (addr, ty) ->
-    (if addr.Addr.space = Addr.Global then
-       Counters.note_atomic bs.bs_counters ~off:addr.Addr.off ~len:(Cinterp.Interp.sizeof ctx ty));
+    (if Addr.space addr = Addr.Global then
+       Counters.note_atomic bs.bs_counters ~off:(Addr.off addr) ~len:(Cinterp.Interp.sizeof ctx ty));
     let old = Cinterp.Interp.load ctx addr ty in
     Cinterp.Interp.store ctx addr ty (f old);
     old
@@ -213,8 +213,8 @@ let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) :
         let size = int_arg size in
         let mark = Mem.mark bs.bs_shared in
         let sh = Mem.push bs.bs_shared size in
-        Mem.copy ~src:(ctx.Cinterp.Interp.resolve origin.Addr.space) ~src_off:origin.Addr.off
-          ~dst:bs.bs_shared ~dst_off:sh.Addr.off ~len:size;
+        Mem.copy ~src:(ctx.Cinterp.Interp.resolve origin) ~src_off:(Addr.off origin)
+          ~dst:bs.bs_shared ~dst_off:(Addr.off sh) ~len:size;
         Stack.push (sh, origin, size, mark) bs.bs_shmem_stack;
         Value.ptr ~ty sh
       | _ -> bad_args "cudadev_push_shmem");
@@ -227,8 +227,8 @@ let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) :
         | Some (sh, origin', size', mark) ->
           if not (Addr.equal origin origin') || size <> size' then
             devrt_error "cudadev_pop_shmem: mismatched push/pop pair";
-          Mem.copy ~src:bs.bs_shared ~src_off:sh.Addr.off
-            ~dst:(ctx.Cinterp.Interp.resolve origin.Addr.space) ~dst_off:origin.Addr.off ~len:size;
+          Mem.copy ~src:bs.bs_shared ~src_off:(Addr.off sh)
+            ~dst:(ctx.Cinterp.Interp.resolve origin) ~dst_off:(Addr.off origin) ~len:size;
           Mem.release bs.bs_shared mark
         | None -> devrt_error "cudadev_pop_shmem: empty shared-memory stack");
         ret_void

@@ -230,7 +230,7 @@ let access_seq t : int array = Array.make (Array.length t.alloc_table) 0
    key. *)
 let on_global_access t ~(lin : int) ~(seq : unit -> int array) (kind : Cinterp.Interp.access)
     (a : Addr.t) (bytes : int) =
-  let off = a.Addr.off in
+  let off = (a :> int) asr Addr.code_bits in
   match find_range_idx t.alloc_table off with
   | -1 -> ()
   | i ->

@@ -220,7 +220,7 @@ let mem_alloc t (bytes : int) : Addr.t =
   let a = Mem.alloc t.global bytes in
   let id = t.next_alloc_id in
   t.next_alloc_id <- id + 1;
-  t.allocs <- (a.Addr.off, bytes, id) :: t.allocs;
+  t.allocs <- (Addr.off a, bytes, id) :: t.allocs;
   tr_instant t ~cat:"mem" "mem_alloc"
     ~args:[ ("bytes", Perf.Trace.Int bytes); ("alloc_id", Perf.Trace.Int id) ];
   a
@@ -229,19 +229,19 @@ let mem_free t (a : Addr.t) : unit =
   ensure_initialized t;
   Simclock.advance_us t.clock 4.0;
   let bytes =
-    List.fold_left (fun acc (off, len, _) -> if off = a.Addr.off then len else acc) 0 t.allocs
+    List.fold_left (fun acc (off, len, _) -> if off = Addr.off a then len else acc) 0 t.allocs
   in
   Mem.free t.global a;
   (* allocation ids are never reused, so dropping its logs is safe *)
   List.iter
     (fun (off, _, id) ->
-      if off = a.Addr.off then begin
+      if off = Addr.off a then begin
         Hashtbl.remove t.store_intervals id;
         Hashtbl.remove t.dev_stores id;
         Hashtbl.remove t.dev_loads id
       end)
     t.allocs;
-  t.allocs <- List.filter (fun (off, _, _) -> off <> a.Addr.off) t.allocs;
+  t.allocs <- List.filter (fun (off, _, _) -> off <> Addr.off a) t.allocs;
   tr_instant t ~cat:"mem" "mem_free" ~args:[ ("bytes", Perf.Trace.Int bytes) ]
 
 let transfer_cost t len = (float_of_int len /. t.spec.Spec.memcpy_bandwidth *. 1e9)
@@ -249,20 +249,20 @@ let transfer_cost t len = (float_of_int len /. t.spec.Spec.memcpy_bandwidth *. 1
 
 let memcpy_h2d t ~(host : Mem.t) ~(src : Addr.t) ~(dst : Addr.t) ~(len : int) : unit =
   ensure_initialized t;
-  if dst.Addr.space <> Addr.Global then cuda_error "cuMemcpyHtoD: destination is not device memory";
+  if Addr.space dst <> Addr.Global then cuda_error "cuMemcpyHtoD: destination is not device memory";
   inj t "h2d";
   tr_begin t ~cat:"transfer" "HtoD" ~args:[ ("bytes", Perf.Trace.Int len) ];
   Simclock.advance_ns t.clock (transfer_cost t len);
-  Mem.copy ~src:host ~src_off:src.Addr.off ~dst:t.global ~dst_off:dst.Addr.off ~len;
+  Mem.copy ~src:host ~src_off:(Addr.off src) ~dst:t.global ~dst_off:(Addr.off dst) ~len;
   tr_end t ~cat:"transfer" "HtoD"
 
 let memcpy_d2h t ~(host : Mem.t) ~(src : Addr.t) ~(dst : Addr.t) ~(len : int) : unit =
   ensure_initialized t;
-  if src.Addr.space <> Addr.Global then cuda_error "cuMemcpyDtoH: source is not device memory";
+  if Addr.space src <> Addr.Global then cuda_error "cuMemcpyDtoH: source is not device memory";
   inj t "d2h";
   tr_begin t ~cat:"transfer" "DtoH" ~args:[ ("bytes", Perf.Trace.Int len) ];
   Simclock.advance_ns t.clock (transfer_cost t len);
-  Mem.copy ~src:t.global ~src_off:src.Addr.off ~dst:host ~dst_off:dst.Addr.off ~len;
+  Mem.copy ~src:t.global ~src_off:(Addr.off src) ~dst:host ~dst_off:(Addr.off dst) ~len;
   tr_end t ~cat:"transfer" "DtoH"
 
 (* cuMemHostRegister: pin a host range so kernels can address it in
@@ -271,20 +271,20 @@ let memcpy_d2h t ~(host : Mem.t) ~(src : Addr.t) ~(dst : Addr.t) ~(len : int) : 
 let host_register t ~(host : Mem.t) ~(addr : Addr.t) ~(bytes : int) : unit =
   ensure_initialized t;
   if bytes <= 0 then cuda_error "cuMemHostRegister of %d bytes" bytes;
-  if addr.Addr.space <> Addr.Host then cuda_error "cuMemHostRegister: not a host address";
+  if Addr.space addr <> Addr.Host then cuda_error "cuMemHostRegister: not a host address";
   t.pinned_host <- Some host;
   let id = t.next_pin_id in
   t.next_pin_id <- id + 1;
-  t.pinned <- (addr.Addr.off, bytes, id) :: t.pinned;
+  t.pinned <- (Addr.off addr, bytes, id) :: t.pinned;
   Simclock.advance_us t.clock (5.0 +. (float_of_int bytes /. 4096.0 *. 0.4));
   tr_instant t ~cat:"mem" "host_register" ~args:[ ("bytes", Perf.Trace.Int bytes) ]
 
 let host_unregister t (addr : Addr.t) : unit =
   ensure_initialized t;
   let bytes =
-    List.fold_left (fun acc (off, len, _) -> if off = addr.Addr.off then len else acc) 0 t.pinned
+    List.fold_left (fun acc (off, len, _) -> if off = Addr.off addr then len else acc) 0 t.pinned
   in
-  t.pinned <- List.filter (fun (off, _, _) -> off <> addr.Addr.off) t.pinned;
+  t.pinned <- List.filter (fun (off, _, _) -> off <> Addr.off addr) t.pinned;
   if t.pinned = [] then t.pinned_host <- None;
   Simclock.advance_us t.clock 2.0;
   tr_instant t ~cat:"mem" "host_unregister" ~args:[ ("bytes", Perf.Trace.Int bytes) ]
@@ -293,7 +293,7 @@ let memset_d t ~(dst : Addr.t) ~(len : int) : unit =
   ensure_initialized t;
   tr_instant t ~cat:"mem" "memset" ~args:[ ("bytes", Perf.Trace.Int len) ];
   Simclock.advance_ns t.clock (transfer_cost t len /. 4.0);
-  Bytes.fill t.global.Mem.data dst.Addr.off len '\000'
+  Bytes.fill t.global.Mem.data (Addr.off dst) len '\000'
 
 (* ---------------------------------------------------------------- *)
 (* Module loading (paper §4.2.1, loading phase)                       *)
@@ -436,7 +436,7 @@ let emit_launch_counters t (counters : Counters.t) =
 let alloc_id_of t (a : Addr.t) : int option =
   List.fold_left
     (fun acc (off, len, id) ->
-      if a.Addr.off >= off && a.Addr.off < off + len then Some id else acc)
+      if Addr.off a >= off && Addr.off a < off + len then Some id else acc)
     None t.allocs
 
 let alloc_stores t id = Option.value ~default:0 (Hashtbl.find_opt t.dev_stores id)
@@ -493,7 +493,7 @@ let pin_traffic t id =
 let pin_id_of t (a : Addr.t) : int option =
   List.fold_left
     (fun acc (off, len, id) ->
-      if a.Addr.off >= off && a.Addr.off < off + len then Some id else acc)
+      if Addr.off a >= off && Addr.off a < off + len then Some id else acc)
     None t.pinned
 
 let record_launch t ~entry ~grid ~block (counters : Counters.t) (breakdown : Costmodel.breakdown) :
@@ -633,18 +633,18 @@ let enqueue_copy t ~(stream : stream) ~(len : int) (name : string) : unit =
 let memcpy_h2d_async t ~(stream : stream) ~(host : Mem.t) ~(src : Addr.t) ~(dst : Addr.t)
     ~(len : int) : unit =
   ensure_initialized t;
-  if dst.Addr.space <> Addr.Global then
+  if Addr.space dst <> Addr.Global then
     cuda_error "cuMemcpyHtoDAsync: destination is not device memory";
   inj t "h2d";
-  Mem.copy ~src:host ~src_off:src.Addr.off ~dst:t.global ~dst_off:dst.Addr.off ~len;
+  Mem.copy ~src:host ~src_off:(Addr.off src) ~dst:t.global ~dst_off:(Addr.off dst) ~len;
   enqueue_copy t ~stream ~len "HtoD"
 
 let memcpy_d2h_async t ~(stream : stream) ~(host : Mem.t) ~(src : Addr.t) ~(dst : Addr.t)
     ~(len : int) : unit =
   ensure_initialized t;
-  if src.Addr.space <> Addr.Global then cuda_error "cuMemcpyDtoHAsync: source is not device memory";
+  if Addr.space src <> Addr.Global then cuda_error "cuMemcpyDtoHAsync: source is not device memory";
   inj t "d2h";
-  Mem.copy ~src:t.global ~src_off:src.Addr.off ~dst:host ~dst_off:dst.Addr.off ~len;
+  Mem.copy ~src:t.global ~src_off:(Addr.off src) ~dst:host ~dst_off:(Addr.off dst) ~len;
   enqueue_copy t ~stream ~len "DtoH"
 
 (* Async launch: the SIMT run (and its memory effects) happens eagerly
@@ -688,9 +688,9 @@ let launch_kernel_async t ~(stream : stream) ~(modul : loaded_module) ~(entry : 
    falling back to the host. *)
 let salvage_d2h t ~(host : Mem.t) ~(src : Addr.t) ~(dst : Addr.t) ~(len : int) : unit =
   ensure_initialized t;
-  if src.Addr.space <> Addr.Global then cuda_error "salvage: source is not device memory";
+  if Addr.space src <> Addr.Global then cuda_error "salvage: source is not device memory";
   Simclock.advance_ns t.clock (transfer_cost t len);
-  Mem.copy ~src:t.global ~src_off:src.Addr.off ~dst:host ~dst_off:dst.Addr.off ~len;
+  Mem.copy ~src:t.global ~src_off:(Addr.off src) ~dst:host ~dst_off:(Addr.off dst) ~len;
   tr_instant t ~cat:"fault" "salvage" ~args:[ ("bytes", Perf.Trace.Int len) ]
 
 let take_output t =

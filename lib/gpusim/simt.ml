@@ -207,24 +207,35 @@ let ensure_lanes (pool : pool) (n : int) =
    block through the accessor. *)
 type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
 
-(* The memory behind an address, for the pool's running block. *)
-let resolve (pool : pool) (sp : Addr.space) : Mem.t =
-  match sp with
-  | Addr.Global -> (
+let global_code = Addr.code_of_space Addr.Global
+
+let shared_code0 = Addr.code_of_space (Addr.Shared 0)
+
+let local_code0 = Addr.code_of_space (Addr.Local 0)
+
+(* The memory behind an address, for the pool's running block, found by
+   the address's space code (decoded inline: see [Addr.t]). *)
+let resolve (pool : pool) (a : Addr.t) : Mem.t =
+  let c = (a :> int) land Addr.code_mask in
+  if c = global_code then
     match pool.run_mem with
     | Some m -> m.dm_global
-    | None -> simt_error "device memory accessed outside a launch")
-  | Addr.Shared b -> (
+    | None -> simt_error "device memory accessed outside a launch"
+  else if c >= local_code0 && c - local_code0 < pool.run_threads then
+    pool.lanes.(c - local_code0).ln_local
+  else
     match pool.run_block with
-    | Some bs when bs.bs_block_lin = b -> bs.bs_shared
-    | _ -> simt_error "access to shared memory of another block (%d)" b)
-  | Addr.Local i when i < pool.run_threads -> pool.lanes.(i).ln_local
-  | Addr.Local i -> simt_error "access to foreign local memory %d" i
-  | Addr.Host -> (
-    match pool.run_mem with
-    | Some { dm_host = Some m; _ } -> m
-    | _ -> simt_error "device code accessed host memory (missing map clause?)")
-  | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
+    | Some bs when c = (bs.bs_shared.Mem.base :> int) -> bs.bs_shared
+    | _ -> (
+      match Addr.space a with
+      | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
+      | Addr.Local i -> simt_error "access to foreign local memory %d" i
+      | Addr.Host -> (
+        match pool.run_mem with
+        | Some { dm_host = Some m; _ } -> m
+        | _ -> simt_error "device code accessed host memory (missing map clause?)")
+      | Addr.Global | Addr.Strings ->
+        simt_error "unreachable: global is resolved above, strings inside the interpreter")
 
 let shared_decl (pool : pool) name ty =
   match pool.run_block with
@@ -470,20 +481,21 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     in
     ctx.Cinterp.Interp.on_access <-
       (fun kind a bytes ->
-        match a.Addr.space with
-        | Addr.Global -> Counters.on_global_access counters ~lin ~seq kind a bytes
-        | Addr.Shared _ ->
+        let c = (a :> int) land Addr.code_mask in
+        if c = global_code then Counters.on_global_access counters ~lin ~seq kind a bytes
+        else if c >= local_code0 then
+          (* [Local _] or [Strings]: the codes above the locals' *)
+          counters.Counters.local_accesses <- counters.Counters.local_accesses + 1
+        else if c >= shared_code0 then
           counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
-        | Addr.Host -> (
-          (* only pinned (zero-copy) ranges are reachable: dm_host is None
-             otherwise and [resolve] has already faulted *)
-          match Counters.find_pinned counters a.Addr.off with
+        else
+          (* [Host]: only pinned (zero-copy) ranges are reachable, dm_host
+             is None otherwise and [resolve] has already faulted *)
+          match Counters.find_pinned counters (Addr.off a) with
           | Some pin -> Counters.on_zerocopy_access counters ~pin kind
           | None ->
             simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
-              a.Addr.off)
-        | Addr.Local _ | Addr.Strings ->
-          counters.Counters.local_accesses <- counters.Counters.local_accesses + 1)
+              (Addr.off a))
   done;
   let total_blocks = dim3_total config.lc_grid in
   counters.Counters.blocks_total <- counters.Counters.blocks_total + total_blocks;

@@ -24,7 +24,7 @@ open Gpusim
 (* A host byte range; [rg_off] is the offset in host memory. *)
 type range = { rg_off : int; rg_len : int }
 
-let range_of_addr (a : Addr.t) ~(bytes : int) : range = { rg_off = a.Addr.off; rg_len = bytes }
+let range_of_addr (a : Addr.t) ~(bytes : int) : range = { rg_off = Addr.off a; rg_len = bytes }
 
 let ranges_overlap (a : range) (b : range) : bool =
   a.rg_len > 0 && b.rg_len > 0

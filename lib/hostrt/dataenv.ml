@@ -252,7 +252,7 @@ let digest_host t ~off ~len =
   t.digested_bytes <- t.digested_bytes + len;
   Digest.subbytes t.host.Mem.data off len
 
-let host_digest t e = digest_host t ~off:e.e_host.Addr.off ~len:e.e_bytes
+let host_digest t e = digest_host t ~off:(Addr.off e.e_host) ~len:e.e_bytes
 
 let digest_matches t e =
   match e.e_digest with Some d -> Digest.equal d (host_digest t e) | None -> false
@@ -262,7 +262,7 @@ let npages t bytes = (bytes + t.de_page_bytes - 1) / t.de_page_bytes
 let page_digest t e p =
   let off = p * t.de_page_bytes in
   let len = min t.de_page_bytes (e.e_bytes - off) in
-  digest_host t ~off:(e.e_host.Addr.off + off) ~len
+  digest_host t ~off:(Addr.off e.e_host + off) ~len
 
 (* Can anything read this entry's whole-buffer sync digest?  Elision
    checks compare it, and they run on elide-mode entries and, under the
@@ -392,7 +392,7 @@ let partial_transfer t e ~label (dir : [ `H2d | `D2h ]) : int option =
 
 (* ------------------------- policy bookkeeping ------------------------- *)
 
-let buffer_key (haddr : Addr.t) ~bytes = (haddr.Addr.off, bytes)
+let buffer_key (haddr : Addr.t) ~bytes = (Addr.off haddr, bytes)
 
 (* Snapshot the cumulative access counters at (re-)map time; the final
    release diffs them to feed the policy's history. *)
@@ -456,7 +456,7 @@ let emit_policy_decide t ~(haddr : Addr.t) ~(bytes : int) (d : Mempolicy.decisio
     ~args:
       [
         ("device", Perf.Trace.Int t.driver.Driver.ordinal);
-        ("off", Perf.Trace.Int haddr.Addr.off);
+        ("off", Perf.Trace.Int (Addr.off haddr));
         ("bytes", Perf.Trace.Int bytes);
         ("mode", Perf.Trace.Str (Mempolicy.mode_name d.Mempolicy.d_mode));
         ("reason", Perf.Trace.Str d.Mempolicy.d_reason);
@@ -498,9 +498,9 @@ let take_resident t (haddr : Addr.t) ~bytes : entry option =
     | [] -> None
     | e :: rest ->
       if
-        Addr.equal_space e.e_host.Addr.space haddr.Addr.space
-        && haddr.Addr.off >= e.e_host.Addr.off
-        && haddr.Addr.off + bytes <= e.e_host.Addr.off + e.e_bytes
+        Addr.same_space e.e_host haddr
+        && Addr.off haddr >= Addr.off e.e_host
+        && Addr.off haddr + bytes <= Addr.off e.e_host + e.e_bytes
       then begin
         t.resident <- List.rev_append acc rest;
         t.resident_bytes <- t.resident_bytes - e.e_bytes;
@@ -513,18 +513,18 @@ let take_resident t (haddr : Addr.t) ~bytes : entry option =
 let peek_resident t (haddr : Addr.t) ~bytes : bool =
   List.exists
     (fun e ->
-      Addr.equal_space e.e_host.Addr.space haddr.Addr.space
-      && haddr.Addr.off >= e.e_host.Addr.off
-      && haddr.Addr.off + bytes <= e.e_host.Addr.off + e.e_bytes)
+      Addr.same_space e.e_host haddr
+      && Addr.off haddr >= Addr.off e.e_host
+      && Addr.off haddr + bytes <= Addr.off e.e_host + e.e_bytes)
     t.resident
 
 (* A fresh device buffer is about to cover this host range: any parked
    buffer overlapping it would go stale, so drop those now. *)
 let drop_resident_overlapping t (haddr : Addr.t) ~bytes =
   let overlaps e =
-    Addr.equal_space e.e_host.Addr.space haddr.Addr.space
-    && haddr.Addr.off < e.e_host.Addr.off + e.e_bytes
-    && e.e_host.Addr.off < haddr.Addr.off + bytes
+    Addr.same_space e.e_host haddr
+    && Addr.off haddr < Addr.off e.e_host + e.e_bytes
+    && Addr.off e.e_host < Addr.off haddr + bytes
   in
   let dead, keep = List.partition overlaps t.resident in
   List.iter
@@ -605,9 +605,9 @@ let declare_dead ?(salvage = true) t ~(reason : string) : unit =
 let find_containing t (haddr : Addr.t) ~bytes =
   List.find_opt
     (fun e ->
-      Addr.equal_space e.e_host.Addr.space haddr.Addr.space
-      && haddr.Addr.off >= e.e_host.Addr.off
-      && haddr.Addr.off + bytes <= e.e_host.Addr.off + e.e_bytes)
+      Addr.same_space e.e_host haddr
+      && Addr.off haddr >= Addr.off e.e_host
+      && Addr.off haddr + bytes <= Addr.off e.e_host + e.e_bytes)
     t.entries
 
 (* The entry an unmap of [haddr] releases: the one mapped at exactly that
@@ -627,7 +627,7 @@ let lookup t (haddr : Addr.t) : Addr.t option =
   if is_dead t then Some haddr
   else
     match find_containing t haddr ~bytes:1 with
-    | Some e -> Some (Addr.add e.e_dev (haddr.Addr.off - e.e_host.Addr.off))
+    | Some e -> Some (Addr.add e.e_dev (Addr.off haddr - Addr.off e.e_host))
     | None -> None
 
 let lookup_exn t haddr =
@@ -637,7 +637,7 @@ let lookup_exn t haddr =
 
 let is_present t haddr ~bytes = (not (is_dead t)) && find_containing t haddr ~bytes <> None
 
-let dev_of e (haddr : Addr.t) = Addr.add e.e_dev (haddr.Addr.off - e.e_host.Addr.off)
+let dev_of e (haddr : Addr.t) = Addr.add e.e_dev (Addr.off haddr - Addr.off e.e_host)
 
 (* Decide the transfer mode for a cold map: the forced run-level mode,
    or under [Auto] the per-buffer policy. *)
@@ -658,7 +658,7 @@ let resolve_mode ?(async = false) t (haddr : Addr.t) ~(bytes : int) ~(mt : map_t
         i_zerocopy_safe = (match mt with Tofrom | From -> true | To | Alloc -> false);
         i_can_zerocopy_if_readonly = equal_map_type mt To;
         i_revivable = peek_resident t haddr ~bytes;
-        i_host_digest = lazy (digest_host t ~off:haddr.Addr.off ~len:bytes);
+        i_host_digest = lazy (digest_host t ~off:(Addr.off haddr) ~len:bytes);
       }
 
 (* Pin a host range for zero-copy: no device buffer, no copies; the
@@ -670,7 +670,7 @@ let map_zerocopy t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
      final release — so presenting that zero image in place keeps the
      pinned path bit-identical even for kernels that read before they
      write, or write only part of the buffer. *)
-  if equal_map_type mt From then Bytes.fill t.host.Mem.data haddr.Addr.off bytes '\000';
+  if equal_map_type mt From then Bytes.fill t.host.Mem.data (Addr.off haddr) bytes '\000';
   Driver.host_register t.driver ~host:t.host ~addr:haddr ~bytes;
   let e = fresh_entry t ~haddr ~bytes ~dev:haddr ~mt ~mode:Mempolicy.Zerocopy in
   e.e_pin_id <- Option.value ~default:(-1) (Driver.pin_id_of t.driver haddr);
@@ -893,7 +893,7 @@ let map_async ?(always = false) t ~(stream : Driver.stream) (haddr : Addr.t) ~(b
     match find_containing t haddr ~bytes with
     | Some e ->
       e.e_refcount <- e.e_refcount + 1;
-      Addr.add e.e_dev (haddr.Addr.off - e.e_host.Addr.off)
+      Addr.add e.e_dev (Addr.off haddr - Addr.off e.e_host)
     | None -> (
       let d = resolve_mode ~async:true t haddr ~bytes ~mt ~always in
       emit_policy_decide t ~haddr ~bytes d;
@@ -1002,7 +1002,7 @@ let update_to t (haddr : Addr.t) ~(bytes : int) : unit =
       async_sync_range t haddr ~bytes;
       if not e.e_zerocopy then
         try
-          match update_partial t e `H2d ~rel_off:(haddr.Addr.off - e.e_host.Addr.off) ~len:bytes with
+          match update_partial t e `H2d ~rel_off:(Addr.off haddr - Addr.off e.e_host) ~len:bytes with
           | Some pages ->
             t.elided_h2d_pages <- t.elided_h2d_pages + pages;
             if pages * t.de_page_bytes >= bytes then begin
@@ -1025,7 +1025,7 @@ let update_from t (haddr : Addr.t) ~(bytes : int) : unit =
       async_sync_range t haddr ~bytes;
       if not e.e_zerocopy then
         try
-          match update_partial t e `D2h ~rel_off:(haddr.Addr.off - e.e_host.Addr.off) ~len:bytes with
+          match update_partial t e `D2h ~rel_off:(Addr.off haddr - Addr.off e.e_host) ~len:bytes with
           | Some pages ->
             t.elided_d2h_pages <- t.elided_d2h_pages + pages;
             if pages * t.de_page_bytes >= bytes then begin

@@ -209,17 +209,22 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
         Value.VVoid
       | _ -> host_error "free: bad arguments")
 
+let host_code = Addr.code_of_space Addr.Host
+
 let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
   let structs = Cty.create_layout_env () in
   let funcs = Hashtbl.create 32 in
-  let resolve = function
-    | Addr.Host -> rt.Rt.host_mem
-    | Addr.Global ->
-      (* Direct dereferences of device pointers from host code are a bug
-         in the translated program; unified memory is not modelled. *)
-      host_error "host code dereferenced a device pointer"
-    | Addr.Shared _ | Addr.Local _ -> host_error "host code accessed device-internal memory"
-    | Addr.Strings -> host_error "unreachable: string arena is resolved inside the interpreter"
+  let resolve (a : Addr.t) =
+    if (a :> int) land Addr.code_mask = host_code then rt.Rt.host_mem
+    else
+      match Addr.space a with
+      | Addr.Global ->
+        (* Direct dereferences of device pointers from host code are a bug
+           in the translated program; unified memory is not modelled. *)
+        host_error "host code dereferenced a device pointer"
+      | Addr.Shared _ | Addr.Local _ -> host_error "host code accessed device-internal memory"
+      | Addr.Host | Addr.Strings ->
+        host_error "unreachable: host is resolved above, strings inside the interpreter"
   in
   (* host locals also live in host memory *)
   let ctx = Cinterp.Interp.create ~structs ~funcs ~resolve ~local:rt.Rt.host_mem () in

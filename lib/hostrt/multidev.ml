@@ -171,7 +171,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
           Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_d2h" (fun () ->
               Driver.memcpy_d2h_async driver ~stream:c.c_stream ~host ~src ~dst ~len);
           arb :=
-            (x.Dataenv.x_host.Addr.off + lo, len, c.c_stream.Driver.str_done_ns, driver.Driver.ordinal)
+            (Addr.off x.Dataenv.x_host + lo, len, c.c_stream.Driver.str_done_ns, driver.Driver.ordinal)
             :: !arb
         with Resilience.Device_dead reason ->
           Dataenv.declare_dead ~salvage:false c.c_dev.Rt.dev_dataenv ~reason;
@@ -188,7 +188,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
     let len = hi - lo in
     if len > 0 && not (Dataenv.is_dead c.c_dev.Rt.dev_dataenv) then begin
       let driver = c.c_dev.Rt.dev_driver in
-      let off = x.Dataenv.x_host.Addr.off + lo in
+      let off = Addr.off x.Dataenv.x_host + lo in
       let deadline =
         List.fold_left
           (fun acc (o, l, t, src) ->
@@ -236,7 +236,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
         ];
     let counters = Counters.create driver.Driver.spec in
     let pins =
-      List.mapi (fun i x -> (x.Dataenv.x_host.Addr.off, x.Dataenv.x_bytes, i)) extents
+      List.mapi (fun i x -> (Addr.off x.Dataenv.x_host, x.Dataenv.x_bytes, i)) extents
       |> List.sort compare |> Array.of_list
     in
     Counters.set_pinned_table counters pins;
@@ -455,9 +455,9 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
                   match Dataenv.find_extent primary.Rt.dev_dataenv haddr with
                   | None -> raise Not_shardable
                   | Some x ->
-                    if Hashtbl.mem seen x.Dataenv.x_host.Addr.off then None
+                    if Hashtbl.mem seen (Addr.off x.Dataenv.x_host) then None
                     else begin
-                      Hashtbl.add seen x.Dataenv.x_host.Addr.off ();
+                      Hashtbl.add seen (Addr.off x.Dataenv.x_host) ();
                       Some x
                     end))
               args)
@@ -492,7 +492,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
          The per-buffer auto policy can pick different modes for one
          buffer on different devices; such a region runs unsharded. *)
       let zero_copy (d : Rt.device) (x : Dataenv.extent) =
-        (Dataenv.lookup_exn d.Rt.dev_dataenv x.Dataenv.x_host).Addr.space <> Addr.Global
+        Addr.space (Dataenv.lookup_exn d.Rt.dev_dataenv x.Dataenv.x_host) <> Addr.Global
       in
       if List.exists (fun s -> List.exists (fun x -> zero_copy s x <> zero_copy primary x) extents)
            secondaries
@@ -531,7 +531,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
             (List.map
                (fun x ->
                  let daddr = Dataenv.lookup_exn d.Rt.dev_dataenv x.Dataenv.x_host in
-                 if daddr.Addr.space <> Addr.Global then None
+                 if Addr.space daddr <> Addr.Global then None
                  else Some (daddr, Option.value ~default:(-1) (Driver.alloc_id_of driver daddr)))
                extents)
         in

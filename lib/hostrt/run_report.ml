@@ -13,6 +13,7 @@ type device = {
   dv_resident : int;
   dv_policy : ((int * int) * (string * int) list) list;
   dv_dead : string option;
+  dv_left_out : (string * string * string) list; (* module, function, reason *)
 }
 
 type t = {
@@ -36,6 +37,18 @@ let add_stats (a : Dataenv.stats) (b : Dataenv.stats) : Dataenv.stats =
     digested_bytes = a.Dataenv.digested_bytes + b.Dataenv.digested_bytes;
   }
 
+(* What the closure JIT left out of the driver's loaded modules, by
+   module name. *)
+let left_out (driver : Driver.t) : (string * string * string) list =
+  Hashtbl.fold
+    (fun _ (m : Driver.loaded_module) acc ->
+      match m.Driver.lm_compiled with
+      | Some c -> (m.Driver.lm_artifact.Nvcc.art_name, Cinterp.Jit.left_out c) :: acc
+      | None -> acc)
+    driver.Driver.modules []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.concat_map (fun (name, fns) -> List.map (fun (fn, why) -> (name, fn, why)) fns)
+
 let of_device (d : Rt.device) : device =
   let env = d.Rt.dev_dataenv in
   {
@@ -45,6 +58,7 @@ let of_device (d : Rt.device) : device =
     dv_resident = Dataenv.resident_buffers env;
     dv_policy = Dataenv.policy_decisions env;
     dv_dead = Dataenv.dead_reason env;
+    dv_left_out = left_out d.Rt.dev_driver;
   }
 
 let of_rt (rt : Rt.t) : t =

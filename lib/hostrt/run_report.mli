@@ -14,6 +14,10 @@ type device = {
   dv_policy : ((int * int) * (string * int) list) list;
       (** per-buffer cold-map decisions (see {!Dataenv.policy_decisions}) *)
   dv_dead : string option;  (** why the device was declared dead *)
+  dv_left_out : (string * string * string) list;
+      (** (module, function, reason) for every function the closure JIT
+          left out of the driver's loaded modules (it runs on the
+          tree-walker), by module name *)
 }
 
 type t = {

@@ -110,6 +110,10 @@ let pointee = function
   | Ptr t | Array (t, _) -> t
   | ty -> type_error "dereferencing non-pointer type %s" (show ty)
 
+(* The integer promotions: a [char] or [short] operand becomes an [int];
+   every other type is its own promotion. *)
+let promote = function Char | Uchar | Short | Ushort -> Int | ty -> ty
+
 (* Usual arithmetic conversions, restricted to the types we support. *)
 let rank = function
   | Char | Uchar -> 1

@@ -81,6 +81,10 @@ val decay : t -> t
 (** Element type behind a pointer or array; raises {!Type_error} otherwise. *)
 val pointee : t -> t
 
+(** The integer promotions: [char] and [short] (either signedness)
+    become [int]; any other type is unchanged. *)
+val promote : t -> t
+
 (** The usual arithmetic conversions (integer promotion included). *)
 val common_arith : t -> t -> t
 

@@ -5,7 +5,7 @@
 
 type t = {
   name : string;
-  space : Addr.space;
+  base : Addr.t; (* offset 0 of the region's space *)
   mutable data : Bytes.t;
   mutable brk : int; (* high-water mark of the bump/stack region *)
   mutable free_list : (int * int) list; (* (offset, length), sorted by offset *)
@@ -18,7 +18,7 @@ exception Bad_access of string
 
 let create ?(initial = 4096) ?(limit = 1 lsl 31) ~space name =
   (* Offset 0 is reserved so that a zero offset can act as NULL. *)
-  { name; space; data = Bytes.make initial '\000'; brk = 16; free_list = []; sizes = Hashtbl.create 64; limit }
+  { name; base = Addr.make space 0; data = Bytes.make initial '\000'; brk = 16; free_list = []; sizes = Hashtbl.create 64; limit }
 
 let capacity t = Bytes.length t.data
 
@@ -80,20 +80,21 @@ let alloc t size =
   in
   Hashtbl.replace t.sizes off size;
   if not fresh then Bytes.fill t.data off size '\000';
-  { Addr.space = t.space; off }
+  Addr.add t.base off
 
 let free t (a : Addr.t) =
-  if a.space <> t.space then raise (Bad_access (t.name ^ ": free of foreign address"));
-  match Hashtbl.find_opt t.sizes a.off with
-  | None -> raise (Bad_access (Printf.sprintf "%s: free of unallocated offset %d" t.name a.off))
+  if not (Addr.same_space a t.base) then raise (Bad_access (t.name ^ ": free of foreign address"));
+  let a_off = Addr.off a in
+  match Hashtbl.find_opt t.sizes a_off with
+  | None -> raise (Bad_access (Printf.sprintf "%s: free of unallocated offset %d" t.name a_off))
   | Some size ->
-    Hashtbl.remove t.sizes a.off;
+    Hashtbl.remove t.sizes a_off;
     (* Insert sorted and coalesce with neighbours. *)
     let rec insert = function
-      | [] -> [ (a.off, size) ]
-      | (o, l) :: rest when a.off + size = o -> (a.off, size + l) :: rest
-      | (o, l) :: rest when o + l = a.off -> insert_merge o l rest
-      | (o, l) :: rest when o > a.off -> (a.off, size) :: (o, l) :: rest
+      | [] -> [ (a_off, size) ]
+      | (o, l) :: rest when a_off + size = o -> (a_off, size + l) :: rest
+      | (o, l) :: rest when o + l = a_off -> insert_merge o l rest
+      | (o, l) :: rest when o > a_off -> (a_off, size) :: (o, l) :: rest
       | hole :: rest -> hole :: insert rest
     and insert_merge o l = function
       | (o2, l2) :: rest when o + l + size = o2 -> (o, l + size + l2) :: rest
@@ -110,7 +111,7 @@ let push t size =
   ignore (ensure t (off + size));
   t.brk <- off + size;
   Bytes.fill t.data off size '\000';
-  { Addr.space = t.space; off }
+  Addr.add t.base off
 
 let mark t = t.brk
 
@@ -121,6 +122,9 @@ let check t off len =
     raise (Bad_access (Printf.sprintf "%s: access [%d,%d) outside capacity %d" t.name off len (Bytes.length t.data)))
 
 (* Raw accessors -------------------------------------------------------- *)
+
+(* [Addr.off], inline: an access decodes its address here, once. *)
+let[@inline] off_of (a : Addr.t) = (a :> int) asr Addr.code_bits
 
 (* Unchecked byte-order-native word access (the callers [check] first),
    so no accessor boxes an int32 or int64 on its way through. *)
@@ -156,7 +160,7 @@ let[@inline] set64le d off w = bytes_set64u d off (if Sys.big_endian then bswap6
    returned across a module boundary is boxed, an int is not. *)
 
 let load_narrow t (a : Addr.t) (ty : Cty.t) : int =
-  let off = a.off in
+  let off = off_of a in
   let d = t.data in
   match ty with
   | Cty.Char | Cty.Uchar ->
@@ -177,17 +181,19 @@ let load_narrow t (a : Addr.t) (ty : Cty.t) : int =
       lor (Char.code (Bytes.unsafe_get d (off + 3)) lsl 24))
 
 let load_int64 t (a : Addr.t) : int64 =
-  check t a.off 8;
-  get64le t.data a.off
+  let off = off_of a in
+  check t off 8;
+  get64le t.data off
 
 (* The address held by a pointer-typed word, without the [VPtr] that
    [load_scalar] would build around it. *)
 let load_addr t (a : Addr.t) : Addr.t =
-  check t a.off 8;
-  Addr.of_int64 (get64le t.data a.off)
+  let off = off_of a in
+  check t off 8;
+  Addr.of_int64 (get64le t.data off)
 
 let store_narrow t (a : Addr.t) (ty : Cty.t) (i : int) : unit =
-  let off = a.off in
+  let off = off_of a in
   let d = t.data in
   match ty with
   | Cty.Char | Cty.Uchar ->
@@ -205,12 +211,14 @@ let store_narrow t (a : Addr.t) (ty : Cty.t) (i : int) : unit =
     Bytes.unsafe_set d (off + 3) (Char.unsafe_chr ((i lsr 24) land 0xFF))
 
 let store_int64 t (a : Addr.t) (i : int64) : unit =
-  check t a.off 8;
-  set64le t.data a.off i
+  let off = off_of a in
+  check t off 8;
+  set64le t.data off i
 
 let store_addr t (a : Addr.t) (p : Addr.t) : unit =
-  check t a.off 8;
-  set64le t.data a.off (Addr.to_int64 p)
+  let off = off_of a in
+  check t off 8;
+  set64le t.data off (Addr.to_int64 p)
 
 let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
   match ty with
@@ -219,8 +227,9 @@ let load_scalar t (env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) : Value.t =
   | Cty.Long | Cty.Ulong -> Value.VInt (load_int64 t a, ty)
   | Cty.Float ->
     (* a binary32 read back needs no rounding *)
-    check t a.off 4;
-    Value.VFlt (Int32.float_of_bits (get32le t.data a.off), ty)
+    let off = off_of a in
+    check t off 4;
+    Value.VFlt (Int32.float_of_bits (get32le t.data off), ty)
   | Cty.Double -> Value.VFlt (Int64.float_of_bits (load_int64 t a), ty)
   | Cty.Ptr p -> Value.ptr ~ty:p (load_addr t a)
   | Cty.Array (elt, _) -> Value.ptr ~ty:elt a (* array lvalue decays to pointer *)
@@ -234,8 +243,9 @@ let store_scalar t (_env : Cty.layout_env) (a : Addr.t) (ty : Cty.t) (v : Value.
     store_narrow t a ty (Int64.to_int (Value.as_int v))
   | Cty.Long | Cty.Ulong -> store_int64 t a (Value.as_int v)
   | Cty.Float ->
-    check t a.off 4;
-    set32le t.data a.off (Int32.bits_of_float (Value.as_float v))
+    let off = off_of a in
+    check t off 4;
+    set32le t.data off (Int32.bits_of_float (Value.as_float v))
   | Cty.Double -> store_int64 t a (Int64.bits_of_float (Value.as_float v))
   | Cty.Ptr _ -> store_addr t a (Value.as_addr v)
   | (Cty.Void | Cty.Array _ | Cty.Struct _ | Cty.Func _) as ty ->

@@ -7,7 +7,7 @@
 
 type t = {
   name : string;
-  space : Addr.space;
+  base : Addr.t;  (** offset 0 of the region's space *)
   mutable data : Bytes.t;  (** raw storage; grows lazily up to [limit] *)
   mutable brk : int;
   mutable free_list : (int * int) list;

@@ -137,12 +137,15 @@ let of_program (p : Ast.program) : env =
 (* The result rules of the operators, shared by [type_of_expr] and the
    closure JIT, which types its compiled expressions with them.  They
    state what both executors compute at run time: the usual arithmetic
-   conversions of both operands (shifts included), comparisons and
-   logical operators of type [int], pointer arithmetic keeping the
-   pointer's type; [-], [~] and [++]/[--] keep their operand's type. *)
+   conversions of both operands, comparisons and logical operators of
+   type [int], pointer arithmetic keeping the pointer's type; a shift
+   has its left operand's promoted type (C11 6.5.7), [-] and [~] their
+   operand's promoted type (6.5.3.3), and [++]/[--] keep their
+   operand's type. *)
 let binop_type (op : Ast.binop) (ta : Cty.t) (tb : Cty.t) : Cty.t =
   match (op, ta, tb) with
   | (Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne | Ast.LogAnd | Ast.LogOr), _, _ -> Cty.Int
+  | (Ast.Shl | Ast.Shr), _, _ when Cty.is_integer ta && Cty.is_integer tb -> Cty.promote ta
   | Ast.Sub, Cty.Ptr _, Cty.Ptr _ -> Cty.Long
   | (Ast.Add | Ast.Sub), Cty.Ptr _, _ -> ta
   | (Ast.Add | Ast.Sub), _, Cty.Ptr _ -> tb
@@ -151,7 +154,8 @@ let binop_type (op : Ast.binop) (ta : Cty.t) (tb : Cty.t) : Cty.t =
 let unop_type (op : Ast.unop) (ta : Cty.t) : Cty.t =
   match op with
   | Ast.Not -> Cty.Int
-  | Ast.Neg | Ast.BitNot | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec -> ta
+  | Ast.Neg | Ast.BitNot -> Cty.promote ta
+  | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec -> ta
 
 (* [c ? t : f] yields the taken arm's value unconverted, so it has a
    type of its own only when the arms' types agree. *)

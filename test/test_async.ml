@@ -25,7 +25,7 @@ let test_async_copy_advances_stream_only () =
   let driver, host, clock = make_driver () in
   let len = 1 lsl 20 in
   let src = Mem.alloc host len and dst = Driver.mem_alloc driver len in
-  Bytes.set host.Mem.data src.Addr.off 'A';
+  Bytes.set host.Mem.data (Addr.off src) 'A';
   let s = Driver.stream_create driver in
   let t0 = Simclock.now_ns clock in
   Driver.memcpy_h2d_async driver ~stream:s ~host ~src ~dst ~len;
@@ -34,8 +34,8 @@ let test_async_copy_advances_stream_only () =
     (host_cost <= (Driver.async_api_overhead_us *. 1e3) +. 1.0);
   Alcotest.(check bool) "stream is busy" true (Driver.stream_busy driver s);
   Alcotest.(check bool) "memory effect is eager" true
-    (Bytes.get driver.Driver.global.Mem.data dst.Addr.off
-    = Bytes.get host.Mem.data src.Addr.off);
+    (Bytes.get driver.Driver.global.Mem.data (Addr.off dst)
+    = Bytes.get host.Mem.data (Addr.off src));
   let before_sync = Simclock.now_ns clock in
   Driver.stream_sync driver s;
   Alcotest.(check bool) "sync advances to the stream's completion" true

@@ -16,10 +16,10 @@ let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 128) (d : Driver.t) src ent
   Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ~install_builtins:Devrt.Api.install ()
 
 let read_i32 (d : Driver.t) (a : Addr.t) i =
-  Int32.to_int (Bytes.get_int32_le d.Driver.global.Mem.data (a.Addr.off + (4 * i)))
+  Int32.to_int (Bytes.get_int32_le d.Driver.global.Mem.data (Addr.off a + (4 * i)))
 
 let read_f32 (d : Driver.t) (a : Addr.t) i =
-  Int32.float_of_bits (Bytes.get_int32_le d.Driver.global.Mem.data (a.Addr.off + (4 * i)))
+  Int32.float_of_bits (Bytes.get_int32_le d.Driver.global.Mem.data (Addr.off a + (4 * i)))
 
 let fi = Value.ptr ~ty:Cty.Int
 

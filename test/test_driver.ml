@@ -22,7 +22,7 @@ let test_lazy_init () =
 let test_alloc_free () =
   let d = Driver.create (Simclock.create ()) in
   let a = Driver.mem_alloc d 1024 in
-  Alcotest.(check bool) "global space" true (a.Addr.space = Addr.Global);
+  Alcotest.(check bool) "global space" true (Addr.space a = Addr.Global);
   Driver.mem_free d a;
   Alcotest.(check bool) "zero-size alloc rejected" true
     (match Driver.mem_alloc d 0 with exception Driver.Cuda_error _ -> true | _ -> false)
@@ -32,14 +32,14 @@ let test_memcpy_roundtrip () =
   let host = Mem.create ~space:Addr.Host "host" in
   let src = Mem.alloc host 64 and dst = Mem.alloc host 64 in
   for i = 0 to 15 do
-    Bytes.set_int32_le host.Mem.data (src.Addr.off + (4 * i)) (Int32.of_int (i * i))
+    Bytes.set_int32_le host.Mem.data (Addr.off src + (4 * i)) (Int32.of_int (i * i))
   done;
   let dev = Driver.mem_alloc d 64 in
   Driver.memcpy_h2d d ~host ~src ~dst:dev ~len:64;
   Driver.memcpy_d2h d ~host ~src:dev ~dst ~len:64;
   for i = 0 to 15 do
     Alcotest.(check int32) "roundtrip" (Int32.of_int (i * i))
-      (Bytes.get_int32_le host.Mem.data (dst.Addr.off + (4 * i)))
+      (Bytes.get_int32_le host.Mem.data (Addr.off dst + (4 * i)))
   done
 
 let test_memcpy_direction_checks () =

@@ -14,7 +14,8 @@ let run ?(check = true) (src : string) (fn : string) (args : Value.t list) : Val
   let host = Mem.create ~space:Addr.Host "host" in
   let structs = Cty.create_layout_env () in
   let funcs = Hashtbl.create 8 in
-  let resolve = function
+  let resolve a =
+    match Addr.space a with
     | Addr.Host -> host
     | _ -> Alcotest.fail "non-host access in interp test"
   in

@@ -116,7 +116,14 @@ let test_every_function_compiles () =
                   (label ^ ": every function compiled")
                   (Hashtbl.length m.Driver.lm_source.Simt.ks_funcs)
                   (Cinterp.Jit.function_count c))
-            modules)
+            modules;
+          List.iter
+            (fun (d : Hostrt.Run_report.device) ->
+              Alcotest.(check (list (triple string string string)))
+                (Printf.sprintf "%s/%s: run report leaves nothing out on device %d"
+                   app.Suite.ap_name (Harness.variant_label variant) d.Hostrt.Run_report.dv_id)
+                [] d.Hostrt.Run_report.dv_left_out)
+            (Hostrt.Run_report.of_rt ctx.Harness.rt).Hostrt.Run_report.r_devices)
         [ Harness.Cuda; Harness.Ompi_cudadev ])
     Suite.all
 
@@ -646,6 +653,156 @@ let test_relaunch_is_fresh () =
     relaunch_kernels
 
 (* ---------------------------------------------------------------- *)
+(* Pointers: every operation on an address, both executors            *)
+(* ---------------------------------------------------------------- *)
+
+(* Pointer arithmetic in both operand orders, [++]/[--], differences,
+   comparisons, a pointer cast to [long] and back, pointers stored to
+   and loaded from local memory, and pointers into shared and local
+   memory.  [iout] gets the comparison flags and the [long] encoding of
+   a global pointer, so the integer image of an address is checked
+   bit for bit too. *)
+let pointer_src =
+  {|
+void ptrk(float *in, float *out, long *iout, int n)
+{
+  __shared__ float sh[32];
+  float tmp[4];
+  float *slots[2];
+  int t = threadIdx.x;
+  int i = blockIdx.x * blockDim.x + t;
+  float *p = in + i;
+  float *q = 1 + in;
+  float *sp = sh + t;
+  float *lp = tmp;
+  long v;
+  float *back;
+  int k;
+  sh[t] = in[i] * 2.0f;
+  __syncthreads();
+  for (k = 0; k < 4; k++) {
+    *lp = in[(i + k) % n];
+    lp++;
+  }
+  lp--;
+  slots[0] = p;
+  slots[1] = sp;
+  v = (long)slots[0];
+  back = (float *)v;
+  out[i] = *back + *slots[1] + *lp + tmp[0] + q[t] + (float)(lp - tmp) + (float)(p - in)
+    + (float)(sh + 31 - sp);
+  iout[i] = (p < q) + 2 * (sp >= sh) + 4 * (lp == tmp + 3) + 8 * (back != p) + 16 * (q > in);
+  iout[n + i] = v;
+}
+|}
+
+(* The kernel on 2 blocks of 32 threads: [out]'s bits, [iout] as 32-bit
+   words, and the launch log. *)
+let pointer_obs ~(jit : bool) : int32 array * int array * string list =
+  let n = 64 in
+  let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
+  Harness.set_sampling ctx None;
+  let m = Harness.cuda_module ctx ~name:"ptrk" ~source:pointer_src in
+  let h_in = Harness.alloc_f32 ctx n and h_out = Harness.alloc_f32 ctx n in
+  Harness.fill_f32 ctx h_in n (fun i -> float_of_int (i mod 7));
+  let words = 4 * n in
+  let h_iout = Harness.alloc_i32 ctx words in
+  let d_in = Harness.dev_alloc ctx (4 * n) and d_out = Harness.dev_alloc ctx (4 * n) in
+  let d_iout = Harness.dev_alloc ctx (4 * words) in
+  Harness.h2d ctx ~src:h_in ~dst:d_in ~bytes:(4 * n);
+  ignore
+    (Harness.launch_cuda ctx m ~entry:"ptrk" ~grid:(Simt.dim3 2) ~block:(Simt.dim3 32)
+       [
+         Harness.fptr d_in; Harness.fptr d_out; Machine.Value.ptr ~ty:Machine.Cty.Long d_iout;
+         Harness.vint n;
+       ]);
+  Harness.d2h ctx ~src:d_out ~dst:h_out ~bytes:(4 * n);
+  Harness.d2h ctx ~src:d_iout ~dst:h_iout ~bytes:(4 * words);
+  ( Oracle.bits (Harness.read_f32_array ctx h_out n),
+    Harness.read_i32_array ctx h_iout words,
+    Oracle.launch_log (Hostrt.Run_report.of_rt ctx.Harness.rt) )
+
+let test_pointer_ops () =
+  let out, iout, log = pointer_obs ~jit:true in
+  let out', iout', log' = pointer_obs ~jit:false in
+  Alcotest.(check (array int32)) "out bits: JIT = interpreter" out' out;
+  Alcotest.(check (array int)) "iout words: JIT = interpreter" iout' iout;
+  Alcotest.(check (list string)) "launch log: JIT = interpreter" log' log;
+  let n = 64 in
+  let input i = float_of_int (i mod 7) in
+  for i = 0 to n - 1 do
+    let t = i mod 32 in
+    let want =
+      input i +. (2.0 *. input i) +. input ((i + 3) mod n) +. input i +. input (1 + t) +. 3.0
+      +. float_of_int i
+      +. float_of_int (31 - t)
+    in
+    Alcotest.(check int32) (Printf.sprintf "out[%d]" i) (Int32.bits_of_float want) out.(i);
+    (* little-endian [long]s: iout[i] is words 2i (low) and 2i+1 (high) *)
+    Alcotest.(check int) (Printf.sprintf "flags[%d]" i) (if i = 0 then 23 else 22) iout.(2 * i);
+    Alcotest.(check int) (Printf.sprintf "(long)p[%d] is a Global address" i) (1 lsl 24)
+      iout.((2 * (n + i)) + 1)
+  done
+
+(* ---------------------------------------------------------------- *)
+(* C's promotions for shifts and unary [-]/[~], both executors        *)
+(* ---------------------------------------------------------------- *)
+
+(* A shift has its left operand's promoted type and [-]/[~] their
+   operand's promoted type, on the host and on the device: an unsigned
+   shifted by a [long] stays 32 bits wide, and [~] of an [unsigned char]
+   0 is the [int] -1.  ([x << 40] is undefined in C, so only its type is
+   pinned, through [sizeof].) *)
+let promotions_src =
+  {|int main(void)
+{
+  unsigned x = 4026531841;
+  long l = 4;
+  unsigned char uc = 0;
+  unsigned short us = 1;
+  char c = 100;
+  long h[8];
+  long d[8];
+  h[0] = (x << l) >> 4;
+  h[1] = sizeof(x << 40L);
+  h[2] = sizeof(c << l);
+  h[3] = ~uc;
+  h[4] = -us;
+  h[5] = ~uc < 0;
+  h[6] = sizeof(-c);
+  h[7] = c << l;
+#pragma omp target map(from: d[0:8])
+  {
+    unsigned y = 4026531841;
+    long m = 4;
+    unsigned char vc = 0;
+    unsigned short vs = 1;
+    char e = 100;
+    d[0] = (y << m) >> 4;
+    d[1] = sizeof(y << 40L);
+    d[2] = sizeof(e << m);
+    d[3] = ~vc;
+    d[4] = -vs;
+    d[5] = ~vc < 0;
+    d[6] = sizeof(-e);
+    d[7] = e << m;
+  }
+  printf("host %ld %ld %ld %ld %ld %ld %ld %ld\n", h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]);
+  printf("device %ld %ld %ld %ld %ld %ld %ld %ld\n", d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]);
+  return 0;
+}
+|}
+
+let test_promotions () =
+  let want = "host 1 4 4 -1 -1 1 4 1600\ndevice 1 4 4 -1 -1 1 4 1600\n" in
+  List.iter
+    (fun jit ->
+      let config = { Ompi.default_config with jit } in
+      let r = Ompi.compile_and_run ~config ~name:"promotions" promotions_src in
+      Alcotest.(check string) (if jit then "JIT" else "interpreter") want r.Ompi.run_output)
+    [ true; false ]
+
+(* ---------------------------------------------------------------- *)
 (* Corrupt JIT cache: both compiled forms must be rebuilt             *)
 (* ---------------------------------------------------------------- *)
 
@@ -869,6 +1026,11 @@ let () =
       ( "relaunch",
         [
           Alcotest.test_case "second launch = first = fresh driver" `Quick test_relaunch_is_fresh;
+        ] );
+      ( "c rules",
+        [
+          Alcotest.test_case "pointer operations: JIT == interpreter" `Quick test_pointer_ops;
+          Alcotest.test_case "shift and unary promotions" `Quick test_promotions;
         ] );
       ( "host",
         [

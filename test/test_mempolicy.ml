@@ -20,10 +20,10 @@ let make () =
   (env, host, driver, clock)
 
 let set_f32 (m : Mem.t) (a : Addr.t) i v =
-  Bytes.set_int32_le m.Mem.data (a.Addr.off + (4 * i)) (Int32.bits_of_float v)
+  Bytes.set_int32_le m.Mem.data (Addr.off a + (4 * i)) (Int32.bits_of_float v)
 
 let get_f32 (m : Mem.t) (a : Addr.t) i =
-  Int32.float_of_bits (Bytes.get_int32_le m.Mem.data (a.Addr.off + (4 * i)))
+  Int32.float_of_bits (Bytes.get_int32_le m.Mem.data (Addr.off a + (4 * i)))
 
 let fill_words host (a : Addr.t) words f =
   for i = 0 to words - 1 do
@@ -43,12 +43,12 @@ let test_partial_h2d_single_dirty_page () =
   ignore (De.map env h ~bytes:256 De.To);
   De.unmap env h De.To;
   Alcotest.(check int) "parked" 1 (De.resident_buffers env);
-  Bytes.set host.Mem.data (h.Addr.off + 130) 'X';
+  Bytes.set host.Mem.data (Addr.off h + 130) 'X';
   let before = (De.stats env).De.elided_h2d_pages in
   let d = De.map env h ~bytes:256 De.To in
   Alcotest.(check int) "three clean pages elided" (before + 3) (De.stats env).De.elided_h2d_pages;
   Alcotest.(check char) "dirty byte reached the device" 'X'
-    (Bytes.get driver.Driver.global.Mem.data (d.Addr.off + 130));
+    (Bytes.get driver.Driver.global.Mem.data (Addr.off d + 130));
   Alcotest.(check bool) "clean page content intact" true (get_f32 driver.Driver.global d 0 = 0.0)
 
 (* Writes hugging a page boundary dirty exactly the two adjacent pages;
@@ -61,15 +61,15 @@ let test_page_boundary_writes () =
   fill_words host h 64 float_of_int;
   ignore (De.map env h ~bytes:256 De.To);
   De.unmap env h De.To;
-  Bytes.set host.Mem.data (h.Addr.off + 63) 'a';
-  Bytes.set host.Mem.data (h.Addr.off + 64) 'b';
+  Bytes.set host.Mem.data (Addr.off h + 63) 'a';
+  Bytes.set host.Mem.data (Addr.off h + 64) 'b';
   let before = (De.stats env).De.elided_h2d_pages in
   let d = De.map env h ~bytes:256 De.To in
   Alcotest.(check int) "two of four pages elided" (before + 2) (De.stats env).De.elided_h2d_pages;
   Alcotest.(check char) "last byte of page 0" 'a'
-    (Bytes.get driver.Driver.global.Mem.data (d.Addr.off + 63));
+    (Bytes.get driver.Driver.global.Mem.data (Addr.off d + 63));
   Alcotest.(check char) "first byte of page 1" 'b'
-    (Bytes.get driver.Driver.global.Mem.data (d.Addr.off + 64))
+    (Bytes.get driver.Driver.global.Mem.data (Addr.off d + 64))
 
 (* Two separate single-page runs cost two transfer latencies — more than
    one full copy of this small buffer — so the latency-dominance
@@ -81,8 +81,8 @@ let test_partial_falls_back_when_latency_dominates () =
   let h = Mem.alloc host 256 in
   ignore (De.map env h ~bytes:256 De.To);
   De.unmap env h De.To;
-  Bytes.set host.Mem.data (h.Addr.off + 10) 'x';
-  Bytes.set host.Mem.data (h.Addr.off + 140) 'y';
+  Bytes.set host.Mem.data (Addr.off h + 10) 'x';
+  Bytes.set host.Mem.data (Addr.off h + 140) 'y';
   let before = (De.stats env).De.elided_h2d_pages in
   ignore (De.map env h ~bytes:256 De.To);
   Alcotest.(check int) "no page elision: full copy was cheaper" before
@@ -154,7 +154,7 @@ let test_update_from_clean_elides () =
 (* --------------------- automatic per-buffer policy --------------------- *)
 
 let decisions_for env (h : Addr.t) ~bytes =
-  match List.assoc_opt (h.Addr.off, bytes) (De.policy_decisions env) with
+  match List.assoc_opt (Addr.off h, bytes) (De.policy_decisions env) with
   | Some row -> row
   | None -> []
 
@@ -239,7 +239,7 @@ let test_auto_async_pending_forces_copy () =
   let d = De.map env h ~bytes:64 De.Tofrom in
   Alcotest.(check bool) "not pinned" true (Driver.pin_id_of driver h = None);
   Alcotest.(check bool) "a real device buffer exists" true
-    (Addr.equal_space d.Addr.space Addr.Global);
+    (Addr.equal_space (Addr.space d) Addr.Global);
   Alcotest.(check (list (pair string int))) "decision tally" [ ("copy", 1) ]
     (decisions_for env h ~bytes:64);
   in_flight := false;
@@ -448,12 +448,12 @@ let kernel_exec w b (r : role) =
   let h = w.w_bufs.(b) in
   let words = sizes.(b) / 4 in
   let d = De.lookup_exn w.w_env h in
-  let m = if Addr.equal_space d.Addr.space Addr.Host then w.w_host else w.w_driver.Driver.global in
+  let m = if Addr.equal_space (Addr.space d) Addr.Host then w.w_host else w.w_driver.Driver.global in
   if r.r_writes then begin
     for j = 0 to words - 1 do
       set_f32 m d j ((get_f32 m d j *. 0.5) +. float_of_int (j land 7))
     done;
-    if not (Addr.equal_space d.Addr.space Addr.Host) then
+    if not (Addr.equal_space (Addr.space d) Addr.Host) then
       match Driver.alloc_id_of w.w_driver d with
       | Some id -> Driver.note_stores w.w_driver id words
       | None -> ()
@@ -530,7 +530,7 @@ let run_world sel roles ops =
   let w = make_world sel in
   List.iteri (step w roles) ops;
   drain w roles;
-  Array.mapi (fun b h -> Bytes.sub w.w_host.Mem.data h.Addr.off sizes.(b)) w.w_bufs
+  Array.mapi (fun b h -> Bytes.sub w.w_host.Mem.data (Addr.off h) sizes.(b)) w.w_bufs
 
 let role_of_int v =
   { r_mt = [| De.To; De.From; De.Tofrom; De.Alloc |].(v mod 4); r_writes = v land 4 <> 0 }

@@ -109,7 +109,7 @@ let test_bulk_bounds () =
   let ctx = H.create () in
   let host = ctx.H.rt.Hostrt.Rt.host_mem in
   (* four elements starting two before the end of the storage *)
-  let a = { Machine.Addr.space = Machine.Addr.Host; off = Machine.Mem.capacity host - 8 } in
+  let a = Machine.Addr.make Machine.Addr.Host (Machine.Mem.capacity host - 8) in
   let ok = H.alloc_f32 ctx 4 in
   let raises name f =
     Alcotest.(check bool) (name ^ " raises Invalid_argument") true
@@ -124,7 +124,7 @@ let test_bulk_bounds () =
   raises "checksum" (fun () -> ignore (H.checksum ctx a 4));
   raises "copy_f32 from past the end" (fun () -> H.copy_f32 ctx ~src:a ~dst:ok 4);
   raises "copy_f32 to past the end" (fun () -> H.copy_f32 ctx ~src:ok ~dst:a 4);
-  Alcotest.(check int) "no growth from a failed bulk write" (a.Machine.Addr.off + 8)
+  Alcotest.(check int) "no growth from a failed bulk write" (Machine.Addr.off a + 8)
     (Machine.Mem.capacity host)
 
 let validation_tests =

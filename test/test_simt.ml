@@ -23,7 +23,7 @@ let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 32) ?(jit = true)
 let both_executors f = List.iter (fun (jit, label) -> f ~jit label) [ (true, "jit"); (false, "no-jit") ]
 
 let read_i32 (d : Driver.t) (a : Addr.t) i =
-  Int32.to_int (Bytes.get_int32_le d.Driver.global.Mem.data (a.Addr.off + (4 * i)))
+  Int32.to_int (Bytes.get_int32_le d.Driver.global.Mem.data (Addr.off a + (4 * i)))
 
 let fi = Value.ptr ~ty:Cty.Int
 
@@ -459,7 +459,7 @@ let test_host_memory_guard () =
   let src = "void k(int *p) { p[0] = 1; }" in
   (* passing a host address into a kernel must be caught at access time *)
   Alcotest.(check bool) "host access from device raises" true
-    (match launch d src "k" [ Value.ptr ~ty:Cty.Int { Addr.space = Addr.Host; off = 64 } ] with
+    (match launch d src "k" [ Value.ptr ~ty:Cty.Int (Addr.make Addr.Host 64) ] with
     | exception Simt.Simt_error _ -> true
     | _ -> false)
 
@@ -536,7 +536,7 @@ let test_local_pool_capacity_restored () =
    launch may only address its own 32. *)
 let test_local_pool_foreign_lane () =
   both_executors (fun ~jit label ->
-      let lane100 = Value.ptr ~ty:Cty.Int { Addr.space = Addr.Local 100; off = 64 } in
+      let lane100 = Value.ptr ~ty:Cty.Int (Addr.make (Addr.Local 100) 64) in
       let after =
         check_like_fresh (label ^ ": foreign lane as on a fresh device")
           ~first:(fun d ->
