@@ -37,8 +37,7 @@ let issue_parallelism (spec : Spec.t) ~block_threads ~total_blocks =
   let resident_blocks = max 1 (min total_blocks (max_resident_threads / max 1 block_threads)) in
   float_of_int (min spec.Spec.warp_schedulers (warps_per_block * resident_blocks))
 
-let kernel_time (spec : Spec.t) (t : Counters.t) ~block_threads ~total_blocks
-    ?(occupancy_penalty = 1.0) () : breakdown =
+let kernel_time (spec : Spec.t) (t : Counters.t) ~block_threads ~total_blocks : breakdown =
   let scale = Counters.block_scale t in
   let warp_insts = t.Counters.warp_inst_sum *. scale in
   let thread_insts = t.Counters.thread_inst_sum *. scale in
@@ -89,7 +88,7 @@ let kernel_time (spec : Spec.t) (t : Counters.t) ~block_threads ~total_blocks
   let zc_cycles = zc_bytes /. (spec.Spec.zerocopy_bandwidth /. spec.Spec.gpu_clock_hz) in
   let mem_cycles = Float.max bandwidth_cycles latency_cycles +. zc_cycles in
   let barrier_cycles = float_of_int t.Counters.barrier_warp_arrivals *. scale *. 24.0 in
-  let total = (Float.max issue_cycles mem_cycles +. barrier_cycles) *. occupancy_penalty in
+  let total = Float.max issue_cycles mem_cycles +. barrier_cycles in
   {
     bd_issue_cycles = issue_cycles;
     bd_mem_cycles = mem_cycles;

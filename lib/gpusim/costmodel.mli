@@ -28,8 +28,6 @@ val cpi : Spec.t -> Counters.class_counts -> float
 
 val issue_parallelism : Spec.t -> block_threads:int -> total_blocks:int -> float
 
-val kernel_time :
-  Spec.t -> Counters.t -> block_threads:int -> total_blocks:int -> ?occupancy_penalty:float ->
-  unit -> breakdown
+val kernel_time : Spec.t -> Counters.t -> block_threads:int -> total_blocks:int -> breakdown
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -389,8 +389,8 @@ let device_memories t ~(host : Mem.t option) : Simt.device_memories =
 (* The SIMT run and cost conversion shared by sync and async launches.
    Memory effects happen here, at call time; no clock advance. *)
 let simulate_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.dim3)
-    ~(block : Simt.dim3) ~(args : Value.t list) ~install_builtins ~block_filter ~logical_blocks
-    ~occupancy_penalty : Counters.t * Costmodel.breakdown =
+    ~(block : Simt.dim3) ~(args : Value.t list) ~install_builtins ~block_filter ~logical_blocks :
+    Counters.t * Costmodel.breakdown =
   let counters = Counters.create t.spec in
   Counters.set_alloc_table counters (Array.of_list t.allocs);
   Counters.set_pinned_table counters (Array.of_list t.pinned);
@@ -414,8 +414,7 @@ let simulate_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.d
     | None -> Simt.dim3_total grid
   in
   let breakdown =
-    Costmodel.kernel_time t.spec counters ~block_threads:(Simt.dim3_total block)
-      ~total_blocks ~occupancy_penalty ()
+    Costmodel.kernel_time t.spec counters ~block_threads:(Simt.dim3_total block) ~total_blocks
   in
   (counters, breakdown)
 
@@ -539,9 +538,8 @@ let record_launch t ~entry ~grid ~block (counters : Counters.t) (breakdown : Cos
 
 let launch_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.dim3)
     ~(block : Simt.dim3) ~(args : Value.t list)
-    ~(install_builtins : Simt.installer)
-    ?(block_filter : (int -> bool) option) ?(logical_blocks : int option)
-    ?(occupancy_penalty = 1.0) () : launch_stats =
+    ~(install_builtins : Simt.installer) ?(block_filter : (int -> bool) option) () :
+    launch_stats =
   ensure_initialized t;
   ignore (get_function modul entry);
   (* before the SIMT run: a failed launch has written nothing, so device
@@ -556,7 +554,7 @@ let launch_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.dim
       ];
   let counters, breakdown =
     simulate_kernel t ~modul ~entry ~grid ~block ~args ~install_builtins ~block_filter
-      ~logical_blocks ~occupancy_penalty
+      ~logical_blocks:None
   in
   Simclock.advance_us t.clock t.spec.Spec.kernel_launch_overhead_us;
   Simclock.advance_ns t.clock breakdown.Costmodel.bd_time_ns;
@@ -654,14 +652,13 @@ let memcpy_d2h_async t ~(stream : stream) ~(host : Mem.t) ~(src : Addr.t) ~(dst 
 let launch_kernel_async t ~(stream : stream) ~(modul : loaded_module) ~(entry : string)
     ~(grid : Simt.dim3) ~(block : Simt.dim3) ~(args : Value.t list)
     ~(install_builtins : Simt.installer)
-    ?(block_filter : (int -> bool) option) ?(logical_blocks : int option)
-    ?(occupancy_penalty = 1.0) () : launch_stats =
+    ?(block_filter : (int -> bool) option) ?(logical_blocks : int option) () : launch_stats =
   ensure_initialized t;
   ignore (get_function modul entry);
   inj t "launch";
   let counters, breakdown =
     simulate_kernel t ~modul ~entry ~grid ~block ~args ~install_builtins ~block_filter
-      ~logical_blocks ~occupancy_penalty
+      ~logical_blocks
   in
   Simclock.advance_us t.clock t.spec.Spec.kernel_launch_overhead_us;
   let now = Simclock.now_ns t.clock in

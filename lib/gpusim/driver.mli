@@ -193,8 +193,6 @@ val launch_kernel :
   args:Value.t list ->
   install_builtins:Simt.installer ->
   ?block_filter:(int -> bool) ->
-  ?logical_blocks:int ->
-  ?occupancy_penalty:float ->
   unit ->
   launch_stats
 
@@ -248,7 +246,6 @@ val launch_kernel_async :
   install_builtins:Simt.installer ->
   ?block_filter:(int -> bool) ->
   ?logical_blocks:int ->
-  ?occupancy_penalty:float ->
   unit ->
   launch_stats
 

@@ -680,6 +680,27 @@ let map_zerocopy t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
   tr_mem t "zerocopy_map" ~args:[ ("bytes", Perf.Trace.Int bytes) ];
   haddr
 
+(* A cold map with a device buffer: drop the parked buffers the range
+   overlaps (when buffers park at all), allocate, record the entry in
+   [mode] and copy a to/tofrom image in. *)
+let map_cold t (haddr : Addr.t) ~(bytes : int) (mt : map_type) ~(mode : Mempolicy.mode) : Addr.t =
+  try
+    if parking_possible t then drop_resident_overlapping t haddr ~bytes;
+    let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
+    let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode in
+    snapshot_map_counters t e;
+    (match mt with
+    | To | Tofrom ->
+      guard t ~label:"map_h2d" (fun () ->
+          Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
+      mark_synced t e
+    | Alloc | From -> ());
+    t.entries <- e :: t.entries;
+    dev
+  with Resilience.Device_dead reason ->
+    declare_dead t ~reason;
+    haddr
+
 (* Map a host range; returns the corresponding device address. *)
 let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
   if bytes <= 0 then map_error "mapping of %d bytes" bytes;
@@ -762,40 +783,8 @@ let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Ad
             with Resilience.Device_dead reason ->
               declare_dead t ~reason;
               haddr))
-        | None -> (
-          try
-            drop_resident_overlapping t haddr ~bytes;
-            let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
-            let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode:Mempolicy.Elide in
-            snapshot_map_counters t e;
-            (match mt with
-            | To | Tofrom ->
-              guard t ~label:"map_h2d" (fun () ->
-                  Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
-              mark_synced t e
-            | Alloc | From -> ());
-            t.entries <- e :: t.entries;
-            dev
-          with Resilience.Device_dead reason ->
-            declare_dead t ~reason;
-            haddr))
-      | Mempolicy.Copy -> (
-        try
-          if parking_possible t then drop_resident_overlapping t haddr ~bytes;
-          let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
-          let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode:Mempolicy.Copy in
-          snapshot_map_counters t e;
-          (match mt with
-          | To | Tofrom ->
-            guard t ~label:"map_h2d" (fun () ->
-                Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
-            mark_synced t e
-          | Alloc | From -> ());
-          t.entries <- e :: t.entries;
-          dev
-        with Resilience.Device_dead reason ->
-          declare_dead t ~reason;
-          haddr))
+        | None -> map_cold t haddr ~bytes mt ~mode:Mempolicy.Elide)
+      | Mempolicy.Copy -> map_cold t haddr ~bytes mt ~mode:Mempolicy.Copy)
 
 (* Unmap (end of construct / target exit data).  The map type decides
    whether data flows back on the final release. *)
@@ -885,7 +874,7 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
    never be proven clean), but zero-copy does: the pin is a synchronous
    CPU-side call, the pinned range is registered with the dependency
    tracker, and the kernel then addresses host memory in place. *)
-let map_async ?(always = false) t ~(stream : Driver.stream) (haddr : Addr.t) ~(bytes : int)
+let map_async t ~(stream : Driver.stream) (haddr : Addr.t) ~(bytes : int)
     (mt : map_type) : Addr.t =
   if bytes <= 0 then map_error "mapping of %d bytes" bytes;
   if is_dead t then haddr
@@ -895,7 +884,7 @@ let map_async ?(always = false) t ~(stream : Driver.stream) (haddr : Addr.t) ~(b
       e.e_refcount <- e.e_refcount + 1;
       Addr.add e.e_dev (Addr.off haddr - Addr.off e.e_host)
     | None -> (
-      let d = resolve_mode ~async:true t haddr ~bytes ~mt ~always in
+      let d = resolve_mode ~async:true t haddr ~bytes ~mt ~always:false in
       emit_policy_decide t ~haddr ~bytes d;
       match d.Mempolicy.d_mode with
       | Mempolicy.Zerocopy -> map_zerocopy t haddr ~bytes mt
@@ -917,8 +906,7 @@ let map_async ?(always = false) t ~(stream : Driver.stream) (haddr : Addr.t) ~(b
           declare_dead t ~reason;
           haddr))
 
-let unmap_async ?always:(_ = false) t ~(stream : Driver.stream) (haddr : Addr.t) (mt : map_type) :
-    unit =
+let unmap_async t ~(stream : Driver.stream) (haddr : Addr.t) (mt : map_type) : unit =
   match find_release t haddr with
   | None -> if not (is_dead t) then map_error "unmap of address %s that is not mapped" (Addr.show haddr)
   | Some e when e.e_zerocopy ->

@@ -141,9 +141,9 @@ val default_resident_cap_bytes : int
     alloc/free stay synchronous.  No pending-range checks — the caller
     is the in-flight work. *)
 
-val map_async : ?always:bool -> t -> stream:Driver.stream -> Addr.t -> bytes:int -> map_type -> Addr.t
+val map_async : t -> stream:Driver.stream -> Addr.t -> bytes:int -> map_type -> Addr.t
 
-val unmap_async : ?always:bool -> t -> stream:Driver.stream -> Addr.t -> map_type -> unit
+val unmap_async : t -> stream:Driver.stream -> Addr.t -> map_type -> unit
 
 (** Install the async-awareness hooks (normally done by [Rt] against its
     stream tracker): [pending] answers whether queued stream work

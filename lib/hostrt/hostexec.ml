@@ -44,6 +44,18 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
     | d :: rest -> (int_arg d, rest)
     | [] -> host_error "missing device argument"
   in
+  (* A region whose device is (or has just been declared) dead: declare
+     it dead, record the fallback, and return 0 so the generated code
+     runs the region's sequential body inline. *)
+  let host_fallback (device : Rt.device) ~kernel_file reason =
+    Dataenv.declare_dead device.Rt.dev_dataenv ~reason;
+    (match rt.Rt.trace with
+    | Some tr ->
+      Perf.Trace.instant tr ~cat:"fault" "host_fallback"
+        ~args:[ ("kernel_file", Perf.Trace.Str kernel_file); ("reason", Perf.Trace.Str reason) ]
+    | None -> ());
+    Value.of_int 0
+  in
   reg "ort_map" (fun _ args ->
       let dev, args = dev_of args in
       match args with
@@ -89,20 +101,6 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
       | file :: entry :: teams :: threads :: kargs ->
         let kernel_file = Cinterp.Interp.read_c_string ctx (Value.as_addr file) in
         let entry = Cinterp.Interp.read_c_string ctx (Value.as_addr entry) in
-        let device = Rt.device rt dev in
-        let fallback reason =
-          Dataenv.declare_dead device.Rt.dev_dataenv ~reason;
-          (match rt.Rt.trace with
-          | Some tr ->
-            Perf.Trace.instant tr ~cat:"fault" "host_fallback"
-              ~args:
-                [
-                  ("kernel_file", Perf.Trace.Str kernel_file);
-                  ("reason", Perf.Trace.Str reason);
-                ]
-          | None -> ());
-          Value.of_int 0
-        in
         (try
            let args = List.map (fun v -> Offload.Mapped (Value.as_addr v)) kargs in
            let num_teams = int_arg teams and num_threads = int_arg threads in
@@ -110,17 +108,15 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
              (* default-device launches shard across the farm; an
                 explicit device(n) pins the region to that device *)
              if raw < 0 then
-               (Multidev.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args
-                  ~translated:true ())
+               (Multidev.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
                  .Multidev.r_output
              else
-               (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args
-                  ~translated:true ())
+               (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
                  .Offload.r_output
            in
            Buffer.add_string ctx.Cinterp.Interp.output output;
            Value.of_int 1
-         with Resilience.Device_dead reason -> fallback reason)
+         with Resilience.Device_dead reason -> host_fallback (Rt.device rt dev) ~kernel_file reason)
       | _ -> host_error "ort_offload: bad arguments");
   (* Asynchronous variant for `target ... nowait`: the region's maps
      travel with the call as (base, bytes, map_type) triples —
@@ -136,7 +132,6 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
       | file :: entry :: teams :: threads :: mapargs ->
         let kernel_file = Cinterp.Interp.read_c_string ctx (Value.as_addr file) in
         let entry = Cinterp.Interp.read_c_string ctx (Value.as_addr entry) in
-        let device = Rt.device rt dev in
         let rec triples = function
           | [] -> []
           | base :: bytes :: mt :: rest ->
@@ -150,28 +145,16 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
           | _ -> host_error "ort_offload_nowait: map arguments not in (base, bytes, type) triples"
         in
         let maps = triples mapargs in
-        let fallback reason =
-          Offload.quiesce rt ~dev;
-          Dataenv.declare_dead device.Rt.dev_dataenv ~reason;
-          (match rt.Rt.trace with
-          | Some tr ->
-            Perf.Trace.instant tr ~cat:"fault" "host_fallback"
-              ~args:
-                [
-                  ("kernel_file", Perf.Trace.Str kernel_file);
-                  ("reason", Perf.Trace.Str reason);
-                ]
-          | None -> ());
-          Value.of_int 0
-        in
         (try
            let output =
              Offload.launch_nowait rt ~dev ~kernel_file ~entry ~num_teams:(int_arg teams)
-               ~num_threads:(int_arg threads) ~maps ~translated:true ()
+               ~num_threads:(int_arg threads) ~maps
            in
            Buffer.add_string ctx.Cinterp.Interp.output output;
            Value.of_int 1
-         with Resilience.Device_dead reason -> fallback reason)
+         with Resilience.Device_dead reason ->
+           Offload.quiesce rt ~dev;
+           host_fallback (Rt.device rt dev) ~kernel_file reason)
       | _ -> host_error "ort_offload_nowait: bad arguments");
   reg "ort_taskwait" (fun _ args ->
       match args with

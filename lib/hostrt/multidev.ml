@@ -143,8 +143,8 @@ let single_result (dev : int) (r : Offload.result) : result =
    [lo, hi) block range. *)
 let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dctx array)
     ~(bounds : (int * int) array) ~(extents : Dataenv.extent list) ~(grid : Simt.dim3)
-    ~(block : Simt.dim3) ~(entry : string) ~(args : Offload.arg list) ~(total_blocks : int)
-    ~(translated : bool) ~(unmap_secondaries : unit -> unit) : result =
+    ~(block : Simt.dim3) ~(entry : string) ~(args : Offload.arg list)
+    ~(unmap_secondaries : unit -> unit) : result =
   let host = rt.Rt.host_mem in
   let n = Array.length ctx_arr in
   let out = Buffer.create 256 in
@@ -256,6 +256,29 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
       };
     Simclock.advance_ns rt.Rt.clock (counters.Counters.thread_inst_sum *. Rt.host_step_cost_ns rt)
   in
+  (* Write a device shard's results back through [copy]: per extent, its
+     store interval clamped to the extent, minus its atomic interval when
+     the host image already holds the chained atomic value
+     ([~skip_atomics]). *)
+  let write_back (pc : dctx) (pstats : Driver.launch_stats) ~(skip_atomics : bool) copy : unit =
+    List.iteri
+      (fun xi x ->
+        match pc.c_allocs.(xi) with
+        | None -> ()
+        | Some (pdbase, pid) -> (
+          let counters = pstats.Driver.st_counters in
+          match Counters.store_interval counters pid with
+          | None -> ()
+          | Some ival ->
+            let ival = clamp ~bytes:x.Dataenv.x_bytes ival in
+            let pieces =
+              match Counters.atomic_interval counters pid with
+              | Some aiv when skip_atomics -> ival_minus ival (clamp ~bytes:x.Dataenv.x_bytes aiv)
+              | _ -> [ ival ]
+            in
+            List.iter (fun (l, h) -> if h > l then copy x pdbase (l, h)) pieces))
+      extents
+  in
   (* ---- phase 2: launches, ascending shard order ------------------- *)
   for i = 0 to n - 1 do
     let lo, hi = bounds.(i) in
@@ -298,9 +321,6 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
                 Option.iter (fun ival -> h2d_from_host c x dbase ival) atomic_unions.(xi))
           extents
       end;
-      let occupancy_penalty =
-        if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0
-      in
       let stats =
         Offload.phase rt "launch"
           ~args:
@@ -314,7 +334,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
                 Driver.launch_kernel_async c.c_dev.Rt.dev_driver ~stream:c.c_stream ~modul:c.c_modul
                   ~entry ~grid ~block ~args:c.c_values ~install_builtins:Devrt.Api.install
                   ~block_filter:(fun b -> b >= lo && b < hi)
-                  ~logical_blocks:(hi - lo) ~occupancy_penalty ()))
+                  ~logical_blocks:(hi - lo) ()))
       in
       Buffer.add_string out (Driver.take_output c.c_dev.Rt.dev_driver);
       ran := (i, c, stats) :: !ran;
@@ -342,28 +362,10 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
          shard ran (then the final full-extent refresh would overwrite
          them with host bytes, so they must reach the host first) *)
       if p_idx > 0 || !last_host >= 0 then
-        List.iteri
-          (fun xi x ->
-            match pc.c_allocs.(xi) with
-            | None -> ()
-            | Some (pdbase, pid) -> (
-              match Counters.store_interval pstats.Driver.st_counters pid with
-              | None -> ()
-              | Some ival ->
-                let ival = clamp ~bytes:x.Dataenv.x_bytes ival in
-                let pieces =
-                  if p_idx > !last_host then [ ival ]
-                  else
-                    (* shards that ran before a host-fallback shard
-                       already chained their atomic bytes into the host
-                       image; copying them back would clobber the newer
-                       value *)
-                    match Counters.atomic_interval pstats.Driver.st_counters pid with
-                    | None -> [ ival ]
-                    | Some aiv -> ival_minus ival (clamp ~bytes:x.Dataenv.x_bytes aiv)
-                in
-                List.iter (fun (l, h) -> if h > l then d2h_to_host pc x pdbase (l, h)) pieces))
-          extents)
+        (* shards that ran before a host-fallback shard already chained
+           their atomic bytes into the host image; copying them back
+           would clobber the newer value *)
+        write_back pc pstats ~skip_atomics:(p_idx <= !last_host) (d2h_to_host pc))
     device_shards;
   (* ---- primary refresh: make the primary's image complete --------- *)
   (if not (Dataenv.is_dead primary.Rt.dev_dataenv) then
@@ -396,27 +398,9 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
           then let the region's unmaps degrade to no-ops. *)
        (match device_shards with
        | (0, pc, (pstats : Driver.launch_stats)) :: _ when !last_host < 0 ->
-         List.iteri
-           (fun xi x ->
-             match pc.c_allocs.(xi) with
-             | None -> ()
-             | Some (pdbase, pid) -> (
-               match Counters.store_interval pstats.Driver.st_counters pid with
-               | None -> ()
-               | Some ival ->
-                 let ival = clamp ~bytes:x.Dataenv.x_bytes ival in
-                 let pieces =
-                   match Counters.atomic_interval pstats.Driver.st_counters pid with
-                   | None -> [ ival ]
-                   | Some aiv -> ival_minus ival (clamp ~bytes:x.Dataenv.x_bytes aiv)
-                 in
-                 List.iter
-                   (fun (l, h) ->
-                     if h > l then
-                       Driver.salvage_d2h pc.c_dev.Rt.dev_driver ~host ~src:(Addr.add pdbase l)
-                         ~dst:(Addr.add x.Dataenv.x_host l) ~len:(h - l))
-                   pieces))
-           extents
+         write_back pc pstats ~skip_atomics:true (fun x pdbase (l, h) ->
+             Driver.salvage_d2h pc.c_dev.Rt.dev_driver ~host ~src:(Addr.add pdbase l)
+               ~dst:(Addr.add x.Dataenv.x_host l) ~len:(h - l))
        | _ -> ()));
   (* ---- synchronize and release the broadcast maps ----------------- *)
   Array.iter (fun c -> Driver.device_sync c.c_dev.Rt.dev_driver) ctx_arr;
@@ -429,12 +413,12 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
   { r_shards = List.rev !shards; r_stats; r_output = Buffer.contents out }
 
 let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
-    ~(num_threads : int) ~(args : Offload.arg list) ?(translated = true) () : result =
+    ~(num_threads : int) ~(args : Offload.arg list) : result =
   let primary = Rt.device rt dev in
   Offload.check_alive primary;
   let single () =
     single_result dev
-      (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ~translated ())
+      (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
   in
   let grid, block = Rt.geometry ~num_teams ~num_threads in
   let total_blocks = Simt.dim3_total grid in
@@ -580,6 +564,6 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
               ("entry", Perf.Trace.Str entry);
             ];
         run_shards rt ~primary ~pctx ~ctx_arr ~bounds ~extents ~grid ~block ~entry ~args
-          ~total_blocks ~translated ~unmap_secondaries
+          ~unmap_secondaries
       end
   end

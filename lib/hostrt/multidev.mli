@@ -50,6 +50,4 @@ val launch :
   num_teams:int ->
   num_threads:int ->
   args:Offload.arg list ->
-  ?translated:bool ->
-  unit ->
   result

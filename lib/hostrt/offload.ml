@@ -111,19 +111,11 @@ let coerce_args (modul : Driver.loaded_module) ~(entry : string) ~(address : Add
           Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
     params args
 
-(* Phase 3's setup: grid/block geometry, the occupancy penalty of
-   translated kernels, and the block filter (the caller's, else the
-   runtime's sampling filter). *)
-let launch_shape (rt : Rt.t) ~num_teams ~num_threads ~translated ?block_filter () =
+(* Phase 3's setup: grid/block geometry and the runtime's block
+   sampling filter. *)
+let launch_shape (rt : Rt.t) ~num_teams ~num_threads =
   let grid, block = Rt.geometry ~num_teams ~num_threads in
-  let total_blocks = Simt.dim3_total grid in
-  let occupancy_penalty = if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0 in
-  let block_filter =
-    match block_filter with
-    | Some _ -> block_filter
-    | None -> Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks
-  in
-  (grid, block, occupancy_penalty, block_filter)
+  (grid, block, Rt.sampling_filter ~total_blocks:(Simt.dim3_total grid) rt.Rt.sample_max_blocks)
 
 (* A `target ... nowait` region's mapped operand: the region owns its
    whole map/launch/unmap sequence, so the maps travel with the launch
@@ -159,8 +151,7 @@ let access_sets (maps : async_map list) : Async.range list * Async.range list =
    effects are eager).  Raises [Resilience.Device_dead] like the sync
    path; the caller takes the host-fallback route. *)
 let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string)
-    ~(num_teams : int) ~(num_threads : int) ~(maps : async_map list) ?(translated = true) () :
-    string =
+    ~(num_teams : int) ~(num_threads : int) ~(maps : async_map list) : string =
   let device = Rt.device rt dev in
   check_alive device;
   let denv = device.Rt.dev_dataenv in
@@ -187,17 +178,14 @@ let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : str
       | Some reason -> raise (Resilience.Device_dead reason)
       | None -> ());
       (* Phase 3: enqueue the launch behind the transfers. *)
-      let grid, block, occupancy_penalty, block_filter =
-        launch_shape rt ~num_teams ~num_threads ~translated ()
-      in
+      let grid, block, block_filter = launch_shape rt ~num_teams ~num_threads in
       let _stats =
         phase rt "launch"
           ~args:[ ("entry", Perf.Trace.Str entry) ]
           (fun () ->
             resilient rt device ~artifact ~label:"launch" (fun () ->
                 Driver.launch_kernel_async device.Rt.dev_driver ~stream ~modul ~entry ~grid ~block
-                  ~args:values ~install_builtins:Devrt.Api.install ?block_filter ~occupancy_penalty
-                  ()))
+                  ~args:values ~install_builtins:Devrt.Api.install ?block_filter ()))
       in
       (* Copy-backs, reverse map order (mirrors the sync lowering). *)
       List.iter (fun m -> Dataenv.unmap_async denv ~stream m.am_base m.am_map) (List.rev maps);
@@ -211,12 +199,8 @@ let taskwait (rt : Rt.t) ~(dev : int) : unit = Async.wait_all (Rt.device rt dev)
    timeline before running the host fallback. *)
 let quiesce (rt : Rt.t) ~(dev : int) : unit = Async.quiesce (Rt.device rt dev).Rt.dev_async
 
-(* [translated] marks kernels produced by the OMPi translator (as
-   opposed to hand-written CUDA); they carry the extra runtime machinery
-   and the occupancy penalty hook. *)
 let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
-    ~(num_threads : int) ~(args : arg list) ?(translated = true)
-    ?(block_filter : (int -> bool) option) () : result =
+    ~(num_threads : int) ~(args : arg list) : result =
   let device = Rt.device rt dev in
   check_alive device;
   let fast = try_fast_path rt device ~kernel_file ~entry in
@@ -244,15 +228,13 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
       values
   in
   (* Phase 3: launch. *)
-  let grid, block, occupancy_penalty, block_filter =
-    launch_shape rt ~num_teams ~num_threads ~translated ?block_filter ()
-  in
+  let grid, block, block_filter = launch_shape rt ~num_teams ~num_threads in
   let stats =
     phase rt "launch"
       ~args:[ ("entry", Perf.Trace.Str entry) ]
       (fun () ->
         resilient rt device ~artifact ~label:"launch" (fun () ->
             Driver.launch_kernel device.Rt.dev_driver ~modul ~entry ~grid ~block ~args:values
-              ~install_builtins:Devrt.Api.install ?block_filter ~occupancy_penalty ()))
+              ~install_builtins:Devrt.Api.install ?block_filter ()))
   in
   { r_stats = stats; r_output = Driver.take_output device.Rt.dev_driver }

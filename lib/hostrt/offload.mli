@@ -25,12 +25,10 @@ type result = { r_stats : Driver.launch_stats; r_output : string }
 
 (** The path the generated ort_offload calls take.  Arguments are
     coerced against the kernel entry's declared parameter types
-    ({!coerce_args}).  [translated] marks kernels produced by the OMPi
-    translator (they carry the occupancy-penalty hook); hand-written
-    CUDA passes [~translated:false]. *)
+    ({!coerce_args}). *)
 val launch :
   Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
-  args:arg list -> ?translated:bool -> ?block_filter:(int -> bool) -> unit -> result
+  args:arg list -> result
 
 (** {1 Launch building blocks (shared with {!Multidev})} *)
 
@@ -69,7 +67,7 @@ type async_map = { am_base : Addr.t; am_bytes : int; am_map : Dataenv.map_type }
     eager).  Raises {!Resilience.Device_dead} like the sync path. *)
 val launch_nowait :
   Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
-  maps:async_map list -> ?translated:bool -> unit -> string
+  maps:async_map list -> string
 
 (** Barrier over every queued nowait region of [dev] (ort_taskwait and
     the end-of-data-environment barrier). *)

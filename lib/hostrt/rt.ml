@@ -75,9 +75,6 @@ type t = {
   devices : device array;
   mutable default_device : int;
   binary_mode : Nvcc.binary_mode;
-  (* occupancy penalty applied to translated (OMPi) kernels at large
-     grids; the stand-in for the unexplained gemm@2048 gap, cf. DESIGN.md *)
-  mutable translated_kernel_penalty : int -> float; (* total_blocks -> factor *)
   (* when set, launches simulate at most this many blocks (evenly
      spaced) and scale the measured counts to the full grid *)
   mutable sample_max_blocks : int option;
@@ -100,8 +97,6 @@ let sampling_filter ~(total_blocks : int) (max_blocks : int option) : (int -> bo
     let stride = (total_blocks + k - 1) / k in
     let offset = stride / 2 in
     Some (fun b -> b mod stride = offset)
-
-let default_penalty _total_blocks = 1.0
 
 let create ?(config = default_config) () : t =
   let c = config in
@@ -161,7 +156,6 @@ let create ?(config = default_config) () : t =
     devices = Array.init c.devices make_device;
     default_device = 0;
     binary_mode = c.binary_mode;
-    translated_kernel_penalty = default_penalty;
     sample_max_blocks = None;
     trace = None;
     faults;

@@ -82,10 +82,6 @@ type t = {
   devices : device array;
   mutable default_device : int;
   binary_mode : Nvcc.binary_mode;
-  mutable translated_kernel_penalty : int -> float;
-      (** occupancy penalty for translated kernels as a function of the
-          total block count; the stand-in for the unexplained gemm@2048
-          gap (EXPERIMENTS.md, deviation D2) *)
   mutable sample_max_blocks : int option;
       (** when set, launches simulate at most this many blocks (evenly
           spaced) and scale the measured counts to the full grid *)
@@ -98,8 +94,6 @@ type t = {
       (** retry/backoff policy of every data environment, from
           [config.max_retries] *)
 }
-
-val default_penalty : int -> float
 
 (** [create ~config ()] builds a farm of [config.devices]
     simultaneously live devices sharing one simulated clock and host

@@ -13,7 +13,15 @@
 open Machine
 open Gpusim
 
-type ctx = { rt : Hostrt.Rt.t; mutable cuda_modules : (string * Driver.loaded_module) list }
+type ctx = private {
+  rt : Hostrt.Rt.t;
+  mutable cuda_modules : (string * Driver.loaded_module) list;
+  mutable translated_penalty : int -> float;  (** see {!set_translated_penalty} *)
+  charged : Driver.launch_stats list array;
+      (** per device, its launch log as of {!measure}'s last penalty charge *)
+  mutable cuda_launches : Driver.launch_stats list;
+      (** the {!launch_cuda} launches since the last penalty charge *)
+}
 
 type variant =
   | Cuda  (** hand-written mini-C kernels through the driver API *)
@@ -49,6 +57,10 @@ val mem_stats : ctx -> Hostrt.Dataenv.stats
 
 val set_sampling : ctx -> int option -> unit
 
+(** Occupancy penalty of translated kernels, as a factor of a launch's
+    block count: {!measure} charges it.  The stand-in for the
+    unexplained gemm@2048 gap (EXPERIMENTS.md, deviation D2); default
+    none. *)
 val set_translated_penalty : ctx -> (int -> float) -> unit
 
 (** {1 Host float32 arrays} *)
@@ -125,7 +137,12 @@ val vint : int -> Value.t
 
 val vf32 : float -> Value.t
 
-(** Simulated seconds spent inside [f]. *)
+(** Simulated seconds spent inside [f].  Every translated launch (one
+    that did not come through {!launch_cuda}) recorded in the window
+    adds [(p blocks - 1) * bd_time_ns] for the penalty [p] set by
+    {!set_translated_penalty}; when that sum is positive the clock
+    advances by it and, under tracing, a cat:"launch"
+    "occupancy_penalty" instant records it. *)
 val measure : ctx -> (unit -> unit) -> float
 
 type result = {

@@ -122,22 +122,6 @@ let test_launch_accounting () =
   Alcotest.(check bool) "breakdown has issue cycles" true
     (stats.Driver.st_breakdown.Costmodel.bd_issue_cycles > 0.0)
 
-let test_occupancy_penalty () =
-  let run penalty =
-    let d = Driver.create (Simclock.create ()) in
-    let buf = Driver.mem_alloc d (4 * 256) in
-    let m = Driver.load_module d (artifact saxpy_kernel) in
-    let stats =
-      Driver.launch_kernel d ~modul:m ~entry:"k" ~grid:(Simt.dim3 8) ~block:(Simt.dim3 32)
-        ~args:[ Value.of_int 256; Value.ptr ~ty:Cty.Float buf ]
-        ~install_builtins:Devrt.Api.install ~occupancy_penalty:penalty ()
-    in
-    stats.Driver.st_breakdown.Costmodel.bd_time_ns
-  in
-  let base = run 1.0 and penalised = run 1.18 in
-  Alcotest.(check bool) "18% penalty applied" true
-    (Float.abs ((penalised /. base) -. 1.18) < 0.01)
-
 let () =
   Alcotest.run "driver"
     [
@@ -158,6 +142,5 @@ let () =
       ( "launch",
         [
           Alcotest.test_case "launch accounting" `Quick test_launch_accounting;
-          Alcotest.test_case "occupancy penalty hook" `Quick test_occupancy_penalty;
         ] );
     ]

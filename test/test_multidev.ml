@@ -29,7 +29,8 @@
 
    - which device dies: a fatal fault on a secondary's shard
      host-falls-back that shard only, bit-identically, leaving the
-     primary alive;
+     primary alive; a fatal fault on the primary while it receives the
+     merge rescues the primary's shard to the host, bit-identically;
 
    - the run report ([Hostrt.Run_report]) on a farm: every device's
      launches and counts, summed totals, and the dead secondary;
@@ -155,6 +156,35 @@ let test_secondary_death_fallback () =
   Alcotest.(check (list int)) "device 1 dead, device 0 alive" [ 1 ] faulted.Oracle.o_dead;
   Alcotest.(check bool) "its shard ran on the host" true
     (Oracle.count faulted ~cat:"shard" "shard_host_fallback" >= 1)
+
+(* A fatal h2d during the primary refresh (the merge's push of the
+   secondary's results into the primary) kills the primary after every
+   shard ran.  The rescue copies the primary's own shard to the host,
+   minus its atomic bytes, whose chained value the host already holds:
+   gemm's shard comes back by salvage, dot's atomic-only shard must not
+   (its partial sum would clobber the chain).  The h2d calls before the
+   refresh are the primary's maps and the broadcast to device 1, one
+   per kernel operand: 6 + 6 for gemm, 4 + 4 for dot (plus dot's
+   exchange of the atomic bytes into device 1). *)
+let test_primary_death_in_refresh () =
+  List.iter
+    (fun ((p : Oracle.program), nth, salvaged) ->
+      let rules =
+        match Hostrt.Faults.parse (Printf.sprintf "h2d:nth=%d,kind=fatal" nth) with
+        | Ok r -> r
+        | Error m -> Alcotest.fail m
+      in
+      let solo = p.Oracle.run (farm 1) in
+      let faulted = p.Oracle.run (farm ~faults:rules 2) in
+      let name = p.Oracle.name in
+      Alcotest.(check (array int32)) (name ^ ": bytes survive the primary's death")
+        solo.Oracle.o_out faulted.Oracle.o_out;
+      Alcotest.(check (list int)) (name ^ ": device 0 dead") [ 0 ] faulted.Oracle.o_dead;
+      Alcotest.(check int) (name ^ ": no shard ran on the host") 0
+        (Oracle.count faulted ~cat:"shard" "shard_host_fallback");
+      Alcotest.(check int) (name ^ ": primary shard salvaged") salvaged
+        (Oracle.count faulted ~cat:"fault" "salvage"))
+    [ (Oracle.gemm (), 13, 1); (Oracle.dot (), 10, 0) ]
 
 (* ---------------------------------------------------------------- *)
 (* Run report                                                         *)
@@ -400,6 +430,8 @@ let () =
             test_mixed_modes_run_unsharded;
           Alcotest.test_case "secondary death host-falls-back its shard" `Quick
             test_secondary_death_fallback;
+          Alcotest.test_case "primary death in the refresh rescues its shard" `Quick
+            test_primary_death_in_refresh;
         ] );
       ( "protocol",
         [

@@ -10,7 +10,7 @@ let base_counters () =
   c.Counters.blocks_executed <- 1;
   c
 
-let time c = (Costmodel.kernel_time spec c ~block_threads:256 ~total_blocks:64 ()).Costmodel.bd_time_ns
+let time c = (Costmodel.kernel_time spec c ~block_threads:256 ~total_blocks:64).Costmodel.bd_time_ns
 
 let test_monotone_in_instructions () =
   let c1 = base_counters () in
@@ -33,21 +33,9 @@ let test_divergence_ratio () =
   let c = base_counters () in
   c.Counters.warp_inst_sum <- 1000.0;
   c.Counters.thread_inst_sum <- 8000.0 (* avg 250 per warp of 32 lanes -> divergence 4 *);
-  let b = Costmodel.kernel_time spec c ~block_threads:256 ~total_blocks:64 () in
+  let b = Costmodel.kernel_time spec c ~block_threads:256 ~total_blocks:64 in
   Alcotest.(check bool) "divergence = warp-max vs average" true
     (Float.abs (b.Costmodel.bd_divergence -. 4.0) < 0.01)
-
-let test_occupancy_penalty_scales () =
-  let c = base_counters () in
-  c.Counters.warp_inst_sum <- 10000.0;
-  c.Counters.thread_inst_sum <- 320000.0;
-  c.Counters.classes.Counters.arith <- 320000;
-  let t1 = (Costmodel.kernel_time spec c ~block_threads:256 ~total_blocks:64 ()).Costmodel.bd_time_ns in
-  let t2 =
-    (Costmodel.kernel_time spec c ~block_threads:256 ~total_blocks:64 ~occupancy_penalty:1.18 ())
-      .Costmodel.bd_time_ns
-  in
-  Alcotest.(check bool) "penalty multiplies" true (Float.abs ((t2 /. t1) -. 1.18) < 1e-6)
 
 let test_latency_floor_low_occupancy () =
   (* same access volume: 1 resident warp pays latency, 64 blocks hide it *)
@@ -67,8 +55,8 @@ let test_latency_floor_low_occupancy () =
     Hashtbl.replace c.Counters.per_alloc 0 s;
     c
   in
-  let busy = Costmodel.kernel_time spec (mk ()) ~block_threads:256 ~total_blocks:64 () in
-  let lonely = Costmodel.kernel_time spec (mk ()) ~block_threads:32 ~total_blocks:1 () in
+  let busy = Costmodel.kernel_time spec (mk ()) ~block_threads:256 ~total_blocks:64 in
+  let lonely = Costmodel.kernel_time spec (mk ()) ~block_threads:32 ~total_blocks:1 in
   Alcotest.(check bool) "low occupancy pays memory latency" true
     (lonely.Costmodel.bd_mem_cycles > busy.Costmodel.bd_mem_cycles *. 2.0)
 
@@ -119,7 +107,6 @@ let () =
           Alcotest.test_case "monotone in instructions" `Quick test_monotone_in_instructions;
           Alcotest.test_case "barrier cost" `Quick test_barrier_cost;
           Alcotest.test_case "divergence ratio" `Quick test_divergence_ratio;
-          Alcotest.test_case "occupancy penalty" `Quick test_occupancy_penalty_scales;
           Alcotest.test_case "latency floor at low occupancy" `Quick test_latency_floor_low_occupancy;
         ] );
       ( "report",

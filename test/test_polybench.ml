@@ -127,6 +127,73 @@ let test_bulk_bounds () =
   Alcotest.(check int) "no growth from a failed bulk write" (Machine.Addr.off a + 8)
     (Machine.Mem.capacity host)
 
+(* Deviation D2: under [gemm_penalty], [measure] charges 18% of the
+   kernel time to a translated launch of 16384 blocks, on top of the
+   model's own time, and nothing to a [launch_cuda] launch of the same
+   grid. *)
+let scale_omp =
+  {|
+void scale(int n, int teams, float a[])
+{
+  #pragma omp target teams distribute parallel for num_teams(teams) num_threads(32) \
+      map(tofrom: a[0:n])
+  for (int i = 0; i < n; i++)
+    a[i] = a[i] * 2.0f;
+}
+|}
+
+let scale_cuda =
+  {|
+void scale_kernel(int n, float *a)
+{
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) a[i] = a[i] * 2.0f;
+}
+|}
+
+let test_translated_penalty () =
+  let blocks = 16384 in
+  let n = 32 * blocks in
+  (* simulated seconds of the window, the launch's kernel time (ns) and
+     the number of penalty instants traced *)
+  let run ~penalised ~cuda =
+    let ctx = H.create () in
+    H.set_sampling ctx (Some 2);
+    if penalised then H.set_translated_penalty ctx Polybench.Suite.gemm_penalty;
+    let tr = H.enable_trace ctx in
+    let a = H.alloc_f32 ctx n in
+    let time =
+      if cuda then begin
+        let m = H.cuda_module ctx ~name:"scale_cuda" ~source:scale_cuda in
+        let d = H.dev_alloc ctx (4 * n) in
+        H.measure ctx (fun () ->
+            ignore
+              (H.launch_cuda ctx m ~entry:"scale_kernel" ~grid:(Gpusim.Simt.dim3 blocks)
+                 ~block:(Gpusim.Simt.dim3 32) [ H.vint n; H.fptr d ]))
+      end
+      else begin
+        let p = H.prepare_omp ctx ~name:"scale" scale_omp in
+        H.measure ctx (fun () -> H.call_omp p "scale" [ H.vint n; H.vint blocks; H.fptr a ])
+      end
+    in
+    let st = List.hd (H.driver ctx).Gpusim.Driver.launches in
+    Alcotest.(check int) "grid" blocks (Gpusim.Simt.dim3_total st.Gpusim.Driver.st_grid);
+    Alcotest.(check int) "sampled" 2 st.Gpusim.Driver.st_blocks_simulated;
+    ( time,
+      st.Gpusim.Driver.st_breakdown.Gpusim.Costmodel.bd_time_ns,
+      Perf.Trace.count_events tr ~cat:"launch" ~name:"occupancy_penalty" () )
+  in
+  let base, kernel_ns, none = run ~penalised:false ~cuda:false in
+  let pen, kernel_ns', one = run ~penalised:true ~cuda:false in
+  Alcotest.(check (float 0.0)) "kernel time is the model's own" kernel_ns kernel_ns';
+  Alcotest.(check (float 1e-9)) "translated launch pays 18% of its kernel time" 0.18
+    ((pen -. base) *. 1e9 /. kernel_ns);
+  Alcotest.(check (list int)) "one penalty instant, only when charged" [ 0; 1 ] [ none; one ];
+  let cbase, _, _ = run ~penalised:false ~cuda:true in
+  let cpen, _, cev = run ~penalised:true ~cuda:true in
+  Alcotest.(check (float 0.0)) "CUDA launch unpenalised" cbase cpen;
+  Alcotest.(check int) "no CUDA penalty instant" 0 cev
+
 let validation_tests =
   List.concat_map
     (fun (app : Polybench.Suite.app) ->
@@ -163,6 +230,8 @@ let () =
           Alcotest.test_case "bulk f32 helpers match per-element access" `Quick test_bulk_f32;
           Alcotest.test_case "bulk i32 helpers match per-element access" `Quick test_bulk_i32;
           Alcotest.test_case "bulk helpers bounds-checked" `Quick test_bulk_bounds;
+          Alcotest.test_case "gemm penalty charges translated launches only" `Quick
+            test_translated_penalty;
         ] );
       ("validation", validation_tests);
       ("differential", differential_tests);
