@@ -209,7 +209,8 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
       | Addr.Host | Addr.Strings ->
         host_error "unreachable: host is resolved above, strings inside the interpreter"
   in
-  (* host locals also live in host memory *)
+  (* host locals live in host memory, in the stack segments [Rt.create]
+     carved there: a frame never moves the heap's [brk] *)
   let ctx = Cinterp.Interp.create ~structs ~funcs ~resolve ~local:rt.Rt.host_mem () in
   Cinterp.Interp.install_common_builtins ctx.Cinterp.Interp.builtins;
   install_ort_builtins rt ctx;

@@ -107,6 +107,9 @@ let create ?(config = default_config) () : t =
   positive "streams" c.streams;
   let clock = Simclock.create () in
   let host_mem = Mem.create ~initial:(1 lsl 20) ~space:Addr.Host "host" in
+  (* the host stack's first segment, from the initial storage: carved
+     after the program's arrays it would sit at [brk] *)
+  Mem.carve_stack host_mem;
   let faults =
     match c.faults with [] -> None | rules -> Some (Faults.create ~seed:c.fault_seed rules)
   in

@@ -194,6 +194,28 @@ let test_translated_penalty () =
   Alcotest.(check (float 0.0)) "CUDA launch unpenalised" cbase cpen;
   Alcotest.(check int) "no CUDA penalty instant" 0 cev
 
+(* Host locals live in the stack segments carved at [Rt.create]: with
+   the heap's [brk] at the end of the storage, a translated call that
+   maps its scalar [n] by address neither grows host memory nor leaves
+   an allocation behind, on either executor. *)
+let test_host_call_no_growth () =
+  List.iter
+    (fun jit ->
+      let ctx = H.create ~config:{ Hostrt.Rt.default_config with Hostrt.Rt.jit } () in
+      let host = ctx.H.rt.Hostrt.Rt.host_mem in
+      let p = H.prepare_omp ctx ~name:"scale" scale_omp in
+      let cap = Machine.Mem.capacity host in
+      let len = (cap - host.Machine.Mem.brk) / 4 in
+      let a = H.alloc_f32 ctx len in
+      Alcotest.(check int) "brk at capacity" cap host.Machine.Mem.brk;
+      H.fill_f32 ctx a len float_of_int;
+      let before = Machine.Mem.allocated_bytes host in
+      H.call_omp p "scale" [ H.vint 64; H.vint 2; H.fptr a ];
+      Alcotest.(check int) "capacity unchanged" cap (Machine.Mem.capacity host);
+      Alcotest.(check int) "allocated bytes unchanged" before (Machine.Mem.allocated_bytes host);
+      Alcotest.(check (float 0.0)) "the region ran" 126.0 (H.get_f32 ctx a 63))
+    [ true; false ]
+
 let validation_tests =
   List.concat_map
     (fun (app : Polybench.Suite.app) ->
@@ -232,6 +254,7 @@ let () =
           Alcotest.test_case "bulk helpers bounds-checked" `Quick test_bulk_bounds;
           Alcotest.test_case "gemm penalty charges translated launches only" `Quick
             test_translated_penalty;
+          Alcotest.test_case "a host call never grows host memory" `Quick test_host_call_no_growth;
         ] );
       ("validation", validation_tests);
       ("differential", differential_tests);
