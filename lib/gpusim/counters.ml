@@ -3,13 +3,20 @@
    Instruction counts are kept per thread within the running block and
    folded into per-warp maxima at block retirement, which approximates
    SIMT lockstep cost under divergence.  Global-memory coalescing is
-   sampled on warp 0 of the first executed block: the k-th access of
-   each lane to a given allocation is assumed to correspond to the same
-   static memory instruction, so the number of distinct transaction
-   segments covered by the 32 lanes at position k estimates the
-   transactions issued for that warp-instruction. *)
+   sampled on every warp of the first [max_sample_blocks] simulated
+   blocks that touch global memory: the k-th access of each lane to a
+   given allocation is assumed to correspond to the same static memory
+   instruction, so the number of distinct transaction segments covered
+   by a warp's lanes at position k estimates the transactions issued
+   for that warp-instruction. *)
 
 open Machine
+
+(* Sampled blocks per launch, and access positions sampled per lane and
+   allocation. *)
+let max_sample_blocks = 8
+
+let sample_cap = 2048
 
 (* One warp-instruction's coalescing sample: its distinct segments in
    first-touch order, grown on demand (a warp touches at most one per
@@ -19,18 +26,26 @@ type sample = { mutable sm_segs : int array; mutable sm_nsegs : int; mutable sm_
 
 let sample_segments sm = List.sort compare (Array.to_list (Array.sub sm.sm_segs 0 sm.sm_nsegs))
 
-let rec seen sm seg i =
-  i < sm.sm_nsegs && (Array.unsafe_get sm.sm_segs i = seg || seen sm seg (i + 1))
+(* The empty slot of a sample row, told apart by physical equality. *)
+let no_sample = { sm_segs = [||]; sm_nsegs = 0; sm_lanes = 0 }
 
-let add_segment sm seg =
-  if not (seen sm seg 0) then begin
-    if sm.sm_nsegs = Array.length sm.sm_segs then begin
-      let grown = Array.make (2 * sm.sm_nsegs) 0 in
-      Array.blit sm.sm_segs 0 grown 0 sm.sm_nsegs;
+(* Is [seg] among [segs.(0..i)]?  Scanned backwards: a warp's lanes
+   mostly revisit the segments they touched last. *)
+let rec seen (segs : int array) (seg : int) i =
+  i >= 0 && (Array.unsafe_get segs i = seg || seen segs seg (i - 1))
+
+(* Count a lane of [sm] at segment [seg].  Most lanes fall in the
+   segment added last, so that one is compared before the scan. *)
+let add_segment sm (seg : int) =
+  let n = sm.sm_nsegs in
+  if Array.unsafe_get sm.sm_segs (n - 1) <> seg && not (seen sm.sm_segs seg (n - 2)) then begin
+    if n = Array.length sm.sm_segs then begin
+      let grown = Array.make (2 * n) 0 in
+      Array.blit sm.sm_segs 0 grown 0 n;
       sm.sm_segs <- grown
     end;
-    sm.sm_segs.(sm.sm_nsegs) <- seg;
-    sm.sm_nsegs <- sm.sm_nsegs + 1
+    sm.sm_segs.(n) <- seg;
+    sm.sm_nsegs <- n + 1
   end;
   sm.sm_lanes <- sm.sm_lanes + 1
 
@@ -59,8 +74,11 @@ type alloc_stats = {
      later shard may legally read after another shard wrote them *)
   mutable a_atomic_lo : int;
   mutable a_atomic_hi : int;
-  (* warp-0 sampling: (block, access index) -> segment set + lane count *)
-  samples : (int, sample) Hashtbl.t;
+  (* Coalescing samples, one row per (sampled block, warp) at index
+     [block * sample_warps + warp], each row direct-indexed by the
+     access position k and grown by doubling up to [sample_cap]; empty
+     slots hold [no_sample].  [[||]] until the first sampled access. *)
+  mutable samples : sample array array;
 }
 
 (* Zero-copy traffic per pinned range, so the memory policy can weigh a
@@ -95,14 +113,24 @@ type t = {
   mutable alloc_table_stats : alloc_stats array;
   (* pinned host ranges visible to the device (zero-copy): sorted (off, len, id) *)
   mutable pinned_table : (int * int * int) array;
-  (* Coalescing is sampled on warp 0 of the first [max_sample_blocks]
-     simulated blocks; [sample_block_seq] is the index of the block
-     currently contributing samples, or -1 when sampling is off. *)
+  (* stats record for each [pinned_table] entry, [no_pin] until the
+     range's first access *)
+  mutable pinned_table_stats : pin_stats array;
+  (* Coalescing is sampled on every warp of the first [max_sample_blocks]
+     simulated blocks that touch global memory; [sample_block_seq] is
+     the index of the block currently contributing samples, or -1 when
+     sampling is off. *)
   mutable sample_block_seq : int;
   mutable block_contributed : bool; (* did the current sampled block produce any sample? *)
-  max_sample_blocks : int;
-  sample_cap : int;
+  (* sample rows per block: the spec's largest block, in warps *)
+  sample_warps : int;
+  (* the sampled block's access positions, one per (thread, allocation)
+     at index [lin * Array.length alloc_table + entry] *)
+  mutable access_seqs : int array;
 }
+
+(* The empty slot of [pinned_table_stats]. *)
+let no_pin = { p_loads = 0; p_stores = 0 }
 
 let create spec =
   {
@@ -126,10 +154,11 @@ let create spec =
     alloc_table = [||];
     alloc_table_stats = [||];
     pinned_table = [||];
+    pinned_table_stats = [||];
     sample_block_seq = -1;
     block_contributed = false;
-    max_sample_blocks = 8;
-    sample_cap = 2048;
+    sample_warps = Spec.warps_per_block spec spec.Spec.max_threads_per_block;
+    access_seqs = [||];
   }
 
 let sorted_ranges (allocs : (int * int * int) array) =
@@ -149,7 +178,7 @@ let alloc_stats t id =
         a_store_hi = 0;
         a_atomic_lo = max_int;
         a_atomic_hi = 0;
-        samples = Hashtbl.create 64;
+        samples = [||];
       }
     in
     Hashtbl.replace t.per_alloc id s;
@@ -160,7 +189,9 @@ let set_alloc_table t (allocs : (int * int * int) array) =
   t.alloc_table <- sorted;
   t.alloc_table_stats <- Array.map (fun (_, _, id) -> alloc_stats t id) sorted
 
-let set_pinned_table t (ranges : (int * int * int) array) = t.pinned_table <- sorted_ranges ranges
+let set_pinned_table t (ranges : (int * int * int) array) =
+  t.pinned_table <- sorted_ranges ranges;
+  t.pinned_table_stats <- Array.make (Array.length ranges) no_pin
 
 (* Index of the entry of the sorted [(off, len, id)] ranges
    [arr.(lo..hi-1)] that covers [off], or -1.  A top-level function, not
@@ -180,20 +211,21 @@ let rec bsearch_idx (arr : (int * int * int) array) off lo hi : int =
 let find_range_idx (arr : (int * int * int) array) off : int =
   bsearch_idx arr off 0 (Array.length arr)
 
-let find_range (arr : (int * int * int) array) off : int option =
-  match find_range_idx arr off with
-  | -1 -> None
-  | i ->
-    let _, _, id = arr.(i) in
-    Some id
+let find_pinned_idx t off : int = find_range_idx t.pinned_table off
 
-let find_alloc t off : int option = find_range t.alloc_table off
-
-let find_pinned t off : int option = find_range t.pinned_table off
+(* [arr] with its first [n] entries zeroed, or a fresh array of [n]
+   zeros when it is shorter. *)
+let zero_prefix (arr : int array) n =
+  if Array.length arr < n then Array.make n 0
+  else begin
+    Array.fill arr 0 n 0;
+    arr
+  end
 
 let begin_block t n_threads =
-  if Array.length t.thread_insts < n_threads then t.thread_insts <- Array.make n_threads 0
-  else Array.fill t.thread_insts 0 n_threads 0
+  t.thread_insts <- zero_prefix t.thread_insts n_threads;
+  if t.sample_block_seq >= 0 then
+    t.access_seqs <- zero_prefix t.access_seqs (n_threads * Array.length t.alloc_table)
 
 let retire_block t n_threads =
   t.blocks_executed <- t.blocks_executed + 1;
@@ -220,16 +252,26 @@ let on_step t (lin : int) (k : Cinterp.Interp.step) =
   | Cinterp.Interp.St_call -> c.call <- c.call + 1
   | Cinterp.Interp.St_special -> c.special <- c.special + 1
 
-(* A thread's per-allocation access counters for the sampler, indexed
-   like [alloc_table]. *)
-let access_seq t : int array = Array.make (Array.length t.alloc_table) 0
+(* The row of sample slots for [row], grown to hold position [k].  A
+   lane records its positions in order, so [k] is at most the row's
+   length and one doubling is enough. *)
+let sample_row t s row k =
+  if Array.length s.samples = 0 then
+    s.samples <- Array.make (max_sample_blocks * t.sample_warps) [||];
+  let r = s.samples.(row) in
+  if k < Array.length r then r
+  else begin
+    let grown = Array.make (min sample_cap (max 16 (2 * Array.length r))) no_sample in
+    Array.blit r 0 grown 0 (Array.length r);
+    s.samples.(row) <- grown;
+    grown
+  end
 
-(* [seq ()] is the thread's [access_seq], provided by the thread state
-   so that lanes can be aligned; it is only asked for in sampled blocks.
-   The sampled path allocates only for a new segment or a new sample
-   key. *)
-let on_global_access t ~(lin : int) ~(seq : unit -> int array) (kind : Cinterp.Interp.access)
-    (a : Addr.t) (bytes : int) =
+(* In a sampled block, the access is the [k]-th of thread [lin] to the
+   allocation and joins sample k of the thread's warp.  Once that sample
+   exists, recording it allocates only for a new segment past its
+   array's capacity. *)
+let on_global_access t ~(lin : int) (kind : Cinterp.Interp.access) (a : Addr.t) (bytes : int) =
   let off = (a :> int) asr Addr.code_bits in
   match find_range_idx t.alloc_table off with
   | -1 -> ()
@@ -244,20 +286,29 @@ let on_global_access t ~(lin : int) ~(seq : unit -> int array) (kind : Cinterp.I
       if rel < s.a_store_lo then s.a_store_lo <- rel;
       if rel + bytes > s.a_store_hi then s.a_store_hi <- rel + bytes);
     if t.sample_block_seq >= 0 then begin
-      let warp = lin / t.spec.Spec.warp_size in
-      let seq = seq () in
-      let k = seq.(i) in
-      seq.(i) <- k + 1;
-      if k < t.sample_cap then begin
+      let j = (lin * Array.length t.alloc_table) + i in
+      let k = t.access_seqs.(j) in
+      t.access_seqs.(j) <- k + 1;
+      if k < sample_cap then begin
         t.block_contributed <- true;
         let seg = off / t.spec.Spec.transaction_bytes in
-        let key = (((t.sample_block_seq * 32) + warp) * t.sample_cap) + k in
-        match Hashtbl.find s.samples key with
-        | sm -> add_segment sm seg
-        | exception Not_found ->
-          Hashtbl.replace s.samples key { sm_segs = Array.make 4 seg; sm_nsegs = 1; sm_lanes = 1 }
+        let row = (t.sample_block_seq * t.sample_warps) + (lin / t.spec.Spec.warp_size) in
+        let r = sample_row t s row k in
+        let sm = Array.unsafe_get r k in
+        if sm == no_sample then r.(k) <- { sm_segs = Array.make 4 seg; sm_nsegs = 1; sm_lanes = 1 }
+        else add_segment sm seg
       end
     end
+
+(* Fold [f key sample] over an allocation's samples, keyed
+   [((block * sample_warps) + warp) * sample_cap + k]. *)
+let fold_samples f (s : alloc_stats) acc =
+  let acc = ref acc in
+  Array.iteri
+    (fun row r ->
+      Array.iteri (fun k sm -> if sm != no_sample then acc := f ((row * sample_cap) + k) sm !acc) r)
+    s.samples;
+  !acc
 
 (* Record an atomic read-modify-write's target bytes.  Called from the
    device-runtime atomics (which know the address), not from the access
@@ -292,16 +343,25 @@ let atomic_interval t (id : int) : (int * int) option =
    keep — the cost model charges them at the uncached bandwidth.  Traffic
    is also attributed to the pinned range it hit, so the memory policy
    can weigh a specific buffer's access volume against its pin cost. *)
-let pin_stats t id =
-  match Hashtbl.find_opt t.per_pin id with
-  | Some s -> s
-  | None ->
-    let s = { p_loads = 0; p_stores = 0 } in
-    Hashtbl.replace t.per_pin id s;
+let pin_stats t i =
+  match Array.unsafe_get t.pinned_table_stats i with
+  | s when s != no_pin -> s
+  | _ ->
+    let _, _, id = t.pinned_table.(i) in
+    let s =
+      match Hashtbl.find_opt t.per_pin id with
+      | Some s -> s
+      | None ->
+        let s = { p_loads = 0; p_stores = 0 } in
+        Hashtbl.replace t.per_pin id s;
+        s
+    in
+    t.pinned_table_stats.(i) <- s;
     s
 
-let on_zerocopy_access t ~(pin : int) (kind : Cinterp.Interp.access) =
-  let s = pin_stats t pin in
+(* [entry] indexes [pinned_table] ({!find_pinned_idx}). *)
+let on_zerocopy_access t ~(entry : int) (kind : Cinterp.Interp.access) =
+  let s = pin_stats t entry in
   match kind with
   | Cinterp.Interp.Load ->
     t.zerocopy_loads <- t.zerocopy_loads + 1;
@@ -319,11 +379,15 @@ let alloc_transactions t (s : alloc_stats) : float =
   let accesses = s.a_loads + s.a_stores in
   if accesses = 0 then 0.0
   else begin
-    let total_tx, total_sampled =
-      Hashtbl.fold
-        (fun _ sm (tx, n) -> (tx + sm.sm_nsegs, n + sm.sm_lanes))
-        s.samples (0, 0)
-    in
+    (* summed over every slot, [no_sample] adding 0 to both: a fold
+       over the samples would allocate its accumulator per sample *)
+    let total_tx = ref 0 and total_sampled = ref 0 in
+    Array.iter
+      (Array.iter (fun sm ->
+           total_tx := !total_tx + sm.sm_nsegs;
+           total_sampled := !total_sampled + sm.sm_lanes))
+      s.samples;
+    let total_tx = !total_tx and total_sampled = !total_sampled in
     if total_sampled = 0 then
       (* no sample: assume perfectly coalesced *)
       float_of_int accesses /. float_of_int t.spec.Spec.warp_size

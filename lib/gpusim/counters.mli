@@ -3,11 +3,18 @@
     Instruction counts are kept per thread within the running block and
     folded into per-warp maxima at block retirement, approximating SIMT
     lockstep cost under divergence.  Global-memory coalescing is sampled
-    on the first blocks that touch memory: the k-th access of each lane
-    of a warp to a given allocation is assumed to correspond to the same
-    static memory instruction, so the distinct transaction segments
-    covered by the lanes at position k estimate the transactions issued
-    for that warp-instruction. *)
+    on every warp of the first {!max_sample_blocks} blocks that touch
+    global memory: the k-th access of each lane of a warp to a given
+    allocation is assumed to correspond to the same static memory
+    instruction, so the distinct transaction segments covered by the
+    lanes at position k estimate the transactions issued for that
+    warp-instruction. *)
+
+(** Blocks sampled per launch (8). *)
+val max_sample_blocks : int
+
+(** Access positions sampled per lane and allocation (2048). *)
+val sample_cap : int
 
 (** One warp-instruction's coalescing sample: the distinct transaction
     segments its lanes touched (the first [sm_nsegs] entries of
@@ -37,7 +44,10 @@ type alloc_stats = {
   mutable a_store_hi : int;  (** exclusive; [lo >= hi] means no store *)
   mutable a_atomic_lo : int;  (** bytes touched by atomic RMWs *)
   mutable a_atomic_hi : int;
-  samples : (int, sample) Hashtbl.t;  (** keyed by (block, warp, access index) *)
+  mutable samples : sample array array;
+      (** one row per (sampled block, warp), direct-indexed by access
+          position; read it through {!fold_samples}.  [[||]] builds an
+          allocation with no sample. *)
 }
 
 (** Zero-copy traffic of one pinned range, keyed by pin id. *)
@@ -68,10 +78,14 @@ type t = {
   mutable alloc_table_stats : alloc_stats array;
       (** stats of each [alloc_table] entry, resolved by binary search *)
   mutable pinned_table : (int * int * int) array;
+  mutable pinned_table_stats : pin_stats array;
+      (** stats of each [pinned_table] entry, filled on its first access *)
   mutable sample_block_seq : int;
+      (** index of the block contributing samples, -1 when sampling is off *)
   mutable block_contributed : bool;
-  max_sample_blocks : int;
-  sample_cap : int;
+  sample_warps : int;  (** sample rows per block: the spec's largest block in warps *)
+  mutable access_seqs : int array;
+      (** the sampled block's next access position per (thread, allocation) *)
 }
 
 val create : Spec.t -> t
@@ -79,35 +93,31 @@ val create : Spec.t -> t
 (** Sorted (offset, length, id) table used to attribute accesses. *)
 val set_alloc_table : t -> (int * int * int) array -> unit
 
-val find_alloc : t -> int -> int option
-
 (** Sorted (offset, length, id) table of pinned host ranges the device
     may access zero-copy. *)
 val set_pinned_table : t -> (int * int * int) array -> unit
 
-val find_pinned : t -> int -> int option
+(** Index of the pinned-table entry covering a host offset, or -1. *)
+val find_pinned_idx : t -> int -> int
 
+(** [begin_block t n_threads] starts a block; when it is sampled
+    ([sample_block_seq >= 0]), every thread's access positions restart
+    at 0. *)
 val begin_block : t -> int -> unit
 
 val retire_block : t -> int -> unit
 
 val on_step : t -> int -> Cinterp.Interp.step -> unit
 
-(** A fresh set of one thread's per-allocation access counters, one
-    per entry of the allocation table ({!set_alloc_table}). *)
-val access_seq : t -> int array
+(** [on_global_access t ~lin kind addr bytes] accounts one access of
+    [bytes] bytes at [addr] by thread [lin] of the running block.  In a
+    sampled block, an access to an existing sample allocates nothing
+    unless it adds a segment past the sample's capacity. *)
+val on_global_access : t -> lin:int -> Cinterp.Interp.access -> Machine.Addr.t -> int -> unit
 
-(** [on_global_access t ~lin ~seq kind addr bytes] accounts one access
-    of [bytes] bytes at [addr].  [seq ()] yields the accessing thread's
-    {!access_seq}; it is called only while a sampled block runs. *)
-val on_global_access :
-  t ->
-  lin:int ->
-  seq:(unit -> int array) ->
-  Cinterp.Interp.access ->
-  Machine.Addr.t ->
-  int ->
-  unit
+(** [fold_samples f s acc] folds [f key sample] over the samples of [s],
+    keyed [((block * sample_warps) + warp) * sample_cap + k]. *)
+val fold_samples : (int -> sample -> 'a -> 'a) -> alloc_stats -> 'a -> 'a
 
 (** Record the target bytes of an atomic read-modify-write (absolute
     device offset + length); used by multi-device sharding to exchange
@@ -122,9 +132,10 @@ val store_interval : t -> int -> (int * int) option
 val atomic_interval : t -> int -> (int * int) option
 
 (** Count a kernel access that resolved to pinned host memory (zero-copy;
-    uncached, so no coalescing sample is kept).  [pin] is the pinned
-    range the access hit, so traffic is attributable per buffer. *)
-val on_zerocopy_access : t -> pin:int -> Cinterp.Interp.access -> unit
+    uncached, so no coalescing sample is kept).  [entry] is the
+    pinned-table entry the access hit ({!find_pinned_idx}), so traffic
+    is attributable per buffer. *)
+val on_zerocopy_access : t -> entry:int -> Cinterp.Interp.access -> unit
 
 val zerocopy_accesses : t -> int
 

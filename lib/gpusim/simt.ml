@@ -55,14 +55,7 @@ type thread_state = {
      them for the duration of a parallel region. *)
   mutable ts_omp_id : int;
   mutable ts_omp_num : int;
-  (* per-allocation access counters ([Counters.access_seq]), only
-     needed in sampled blocks: empty until the first sampled access *)
-  mutable ts_alloc_seq : int array;
 }
-
-let alloc_seq counters ts =
-  if Array.length ts.ts_alloc_seq = 0 then ts.ts_alloc_seq <- Counters.access_seq counters;
-  ts.ts_alloc_seq
 
 (* Master/worker region descriptor registered by the master thread
    (cudadev_register_parallel) and consumed by the workers. *)
@@ -301,7 +294,6 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
         };
       ts_omp_id = lin;
       ts_omp_num = n_threads;
-      ts_alloc_seq = [||];
     }
   in
   let bs =
@@ -474,15 +466,10 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ctx.Cinterp.Interp.globals <- source.ks_globals;
     ctx.Cinterp.Interp.output <- output;
     ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
-    let seq () =
-      match pool.run_block with
-      | Some bs -> alloc_seq counters bs.bs_threads.(lin)
-      | None -> simt_error "global access outside a block"
-    in
     ctx.Cinterp.Interp.on_access <-
       (fun kind a bytes ->
         let c = (a :> int) land Addr.code_mask in
-        if c = global_code then Counters.on_global_access counters ~lin ~seq kind a bytes
+        if c = global_code then Counters.on_global_access counters ~lin kind a bytes
         else if c >= local_code0 then
           (* [Local _] or [Strings]: the codes above the locals' *)
           counters.Counters.local_accesses <- counters.Counters.local_accesses + 1
@@ -491,11 +478,11 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
         else
           (* [Host]: only pinned (zero-copy) ranges are reachable, dm_host
              is None otherwise and [resolve] has already faulted *)
-          match Counters.find_pinned counters (Addr.off a) with
-          | Some pin -> Counters.on_zerocopy_access counters ~pin kind
-          | None ->
+          match Counters.find_pinned_idx counters (Addr.off a) with
+          | -1 ->
             simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
-              (Addr.off a))
+              (Addr.off a)
+          | entry -> Counters.on_zerocopy_access counters ~entry kind)
   done;
   let total_blocks = dim3_total config.lc_grid in
   counters.Counters.blocks_total <- counters.Counters.blocks_total + total_blocks;
@@ -508,9 +495,9 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
           match config.lc_block_filter with None -> true | Some f -> f block_lin
         in
         if simulate then begin
-          (* sample warp 0 of the first blocks that actually touch
-             global memory (fully guarded-out warps teach us nothing) *)
-          if !sampled_blocks < counters.Counters.max_sample_blocks then begin
+          (* sample every warp of the first blocks that actually touch
+             global memory (fully guarded-out blocks teach us nothing) *)
+          if !sampled_blocks < Counters.max_sample_blocks then begin
             counters.Counters.sample_block_seq <- !sampled_blocks;
             counters.Counters.block_contributed <- false
           end

@@ -57,9 +57,6 @@ type thread_state = {
       (** [omp_get_thread_num]: [ts_lin] by default; the master/worker
           engine overrides it for the duration of a parallel region *)
   mutable ts_omp_num : int;  (** [omp_get_num_threads]: the block size by default *)
-  mutable ts_alloc_seq : int array;
-      (** per-allocation access counters ([Counters.access_seq]), empty
-          until the first sampled access *)
 }
 
 (** Master/worker region descriptor registered by the master thread

@@ -68,9 +68,9 @@ let counters_summary (c : Counters.t) : string =
       (fun (id, (s : Counters.alloc_stats)) ->
         let samples =
           List.sort compare
-            (Hashtbl.fold
+            (Counters.fold_samples
                (fun key sm acc -> (key, Counters.sample_segments sm, sm.Counters.sm_lanes) :: acc)
-               s.Counters.samples [])
+               s [])
         in
         Printf.sprintf " a%d=%d/%d st[%d,%d) at[%d,%d) samples=%s" id s.Counters.a_loads
           s.Counters.a_stores s.Counters.a_store_lo s.Counters.a_store_hi s.Counters.a_atomic_lo

@@ -49,7 +49,7 @@ let test_latency_floor_low_occupancy () =
         a_store_hi = 0;
         a_atomic_lo = max_int;
         a_atomic_hi = 0;
-        samples = Hashtbl.create 1;
+        samples = [||];
       }
     in
     Hashtbl.replace c.Counters.per_alloc 0 s;

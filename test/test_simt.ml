@@ -555,6 +555,211 @@ let test_local_pool_foreign_lane () =
           (contains msg "foreign local memory")
       | Ok _ -> Alcotest.failf "%s: access to Local 100 from a 32-thread launch succeeded" label)
 
+(* ---------------------------------------------------------------- *)
+(* Coalescing sampler                                                 *)
+(* ---------------------------------------------------------------- *)
+
+(* Distinct transaction segments touched by one warp's lanes [lo..hi)
+   loading the 4-byte elements at [base + 4 * index lane]. *)
+let warp_segments spec ~base ~index lo hi =
+  let tx = spec.Spec.transaction_bytes in
+  let seg l = (base + (4 * index l)) / tx in
+  List.length (List.sort_uniq compare (List.init (hi - lo) (fun l -> seg (lo + l))))
+
+(* Two blocks of 64 threads load one int each, so every warp-instruction
+   is sampled with all 32 lanes and the estimate is the exact segment
+   count summed over the 4 warps: 1 per warp for a broadcast, 32 for a
+   32-byte stride, and 4 or 5 for a coalesced load depending on the
+   buffer's alignment. *)
+let test_coalescing_estimate () =
+  both_executors (fun ~jit label ->
+      List.iter
+        (fun (what, expr, index) ->
+          let d = make_driver () in
+          let spec = d.Driver.spec in
+          let blocks = 2 and threads = 64 in
+          let n = blocks * threads in
+          let buf = Driver.mem_alloc d (4 * 8 * n) in
+          let src =
+            Printf.sprintf
+              "void k(int *a) { int tid = blockIdx.x * blockDim.x + threadIdx.x; int x = %s; }" expr
+          in
+          let stats =
+            launch ~jit ~grid:(Simt.dim3 blocks) ~block:(Simt.dim3 threads) d src "k" [ fi buf ]
+          in
+          let w = spec.Spec.warp_size in
+          let expected =
+            List.fold_left ( + ) 0
+              (List.init (n / w) (fun wi ->
+                   warp_segments spec ~base:(Addr.off buf) ~index (wi * w) ((wi + 1) * w)))
+          in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s: %s transactions" label what)
+            (float_of_int expected)
+            (Counters.global_transactions stats.Driver.st_counters))
+        [
+          ("coalesced", "a[tid]", Fun.id);
+          ("broadcast", "a[0]", Fun.const 0);
+          ("stride-8", "a[tid * 8]", fun i -> 8 * i);
+        ])
+
+(* A random stream of sampled accesses, fed to [on_global_access] block
+   by block: its spec's warp size and largest block, its allocations'
+   (offset, length), its block size and, per block, (thread, allocation,
+   element) triples. *)
+type stream = {
+  st_warp : int;
+  st_max_threads : int;
+  st_allocs : (int * int) list;
+  st_threads : int;
+  st_blocks : (int * int * int) list list;
+}
+
+let gen_stream =
+  let open QCheck.Gen in
+  let* st_warp = oneofl [ 8; 16; 32 ] in
+  let* st_max_threads = int_range 1 (4 * st_warp) in
+  let* st_threads = int_range 1 st_max_threads in
+  let* lens = list_size (int_range 1 3) (int_range 1 96) in
+  let* gaps = list_repeat (List.length lens) (int_range 0 9) in
+  let st_allocs =
+    List.rev
+      (snd
+         (List.fold_left2
+            (fun (next, acc) len gap ->
+              let off = next + (4 * gap) in
+              (off + (4 * len), (off, 4 * len) :: acc))
+            (64, []) lens gaps))
+  in
+  let nallocs = List.length lens in
+  let access =
+    let* lin = int_bound (st_threads - 1) and* i = int_bound (nallocs - 1) in
+    let+ e = int_bound ((snd (List.nth st_allocs i) / 4) - 1) in
+    (lin, i, e)
+  in
+  let+ st_blocks =
+    list_size (int_range 1 Counters.max_sample_blocks) (list_size (int_range 0 60) access)
+  in
+  { st_warp; st_max_threads; st_allocs; st_threads; st_blocks }
+
+let print_stream st =
+  Printf.sprintf "warp %d, max %d, %d threads, allocs [%s], blocks [%s]" st.st_warp
+    st.st_max_threads st.st_threads
+    (String.concat "; " (List.map (fun (o, l) -> Printf.sprintf "%d+%d" o l) st.st_allocs))
+    (String.concat " | "
+       (List.map
+          (fun b ->
+            String.concat " " (List.map (fun (l, i, e) -> Printf.sprintf "%d:%d:%d" l i e) b))
+          st.st_blocks))
+
+(* An allocation's samples summed: (segments, lanes). *)
+let sample_sums s =
+  Counters.fold_samples
+    (fun _ sm (n, m) -> (n + sm.Counters.sm_nsegs, m + sm.Counters.sm_lanes))
+    s (0, 0)
+
+(* The sampler against a naive model: per allocation, a table from
+   sample key to the set of segments and the lanes counted. *)
+let prop_sampler_matches_model =
+  QCheck.Test.make ~name:"sampler matches a naive model" ~count:200
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun st ->
+      let spec =
+        {
+          Spec.jetson_nano_2gb with
+          Spec.warp_size = st.st_warp;
+          max_threads_per_block = st.st_max_threads;
+        }
+      in
+      let c = Counters.create spec in
+      let id i = 100 + i in
+      Counters.set_alloc_table c
+        (Array.of_list (List.mapi (fun i (o, l) -> (o, l, id i)) st.st_allocs));
+      let rows = Spec.warps_per_block spec spec.Spec.max_threads_per_block in
+      let model = Hashtbl.create 16 in
+      List.iteri
+        (fun b accesses ->
+          c.Counters.sample_block_seq <- b;
+          Counters.begin_block c st.st_threads;
+          let seq = Hashtbl.create 16 in
+          List.iter
+            (fun (lin, i, e) ->
+              let off = fst (List.nth st.st_allocs i) + (4 * e) in
+              Counters.on_global_access c ~lin Cinterp.Interp.Load (Addr.make Addr.Global off) 4;
+              let k = Option.value ~default:0 (Hashtbl.find_opt seq (lin, i)) in
+              Hashtbl.replace seq (lin, i) (k + 1);
+              let key = ((((b * rows) + (lin / st.st_warp)) * Counters.sample_cap) + k, id i) in
+              let segs, lanes =
+                Option.value ~default:([], 0) (Hashtbl.find_opt model key)
+              in
+              let seg = off / spec.Spec.transaction_bytes in
+              Hashtbl.replace model key
+                ((if List.mem seg segs then segs else seg :: segs), lanes + 1))
+            accesses)
+        st.st_blocks;
+      List.for_all
+        (fun i ->
+          let expected =
+            List.sort compare
+              (Hashtbl.fold
+                 (fun (key, a) (segs, lanes) acc ->
+                   if a = id i then (key, List.sort compare segs, lanes) :: acc else acc)
+                 model [])
+          in
+          let s = Hashtbl.find c.Counters.per_alloc (id i) in
+          let got =
+            List.sort compare
+              (Counters.fold_samples
+                 (fun key sm acc -> (key, Counters.sample_segments sm, sm.Counters.sm_lanes) :: acc)
+                 s [])
+          in
+          let sums =
+            List.fold_left
+              (fun (n, m) (_, segs, lanes) -> (n + List.length segs, m + lanes))
+              (0, 0) expected
+          in
+          got = expected && sample_sums s = sums)
+        (List.init (List.length st.st_allocs) Fun.id))
+
+(* [n] accesses by each of lanes 1..[lanes] of warp 0, the k-th in
+   segment (k + lane) mod 3 of the allocation at [base]. *)
+let sampled_loop c ~base ~lanes n =
+  for lin = 1 to lanes do
+    for k = 0 to n - 1 do
+      Counters.on_global_access c ~lin Cinterp.Interp.Load
+        (Addr.make Addr.Global (base + (32 * ((k + lin) mod 3)) + (4 * (lin mod 8))))
+        4
+    done
+  done
+
+(* Once lane 0 has created samples 0..999 (segment k mod 3 each), 10 000
+   accesses by ten more lanes to those samples add no minor-heap word
+   (measured against an empty probe): each sample ends with 3 segments,
+   within the capacity it was created with. *)
+let test_sampled_access_no_alloc () =
+  let c = Counters.create Spec.jetson_nano_2gb in
+  let base = 256 in
+  Counters.set_alloc_table c [| (base, 4096, 7) |];
+  c.Counters.sample_block_seq <- 0;
+  Counters.begin_block c 64;
+  for k = 0 to 999 do
+    Counters.on_global_access c ~lin:0 Cinterp.Interp.Load
+      (Addr.make Addr.Global (base + (32 * (k mod 3))))
+      4
+  done;
+  let minor_words_of f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let sink = ref 0 in
+  let empty = minor_words_of (fun () -> sink := 0) in
+  let words = minor_words_of (fun () -> sampled_loop c ~base ~lanes:10 1000) -. empty in
+  Alcotest.(check (float 0.0)) "words allocated by 10 000 sampled accesses" 0.0 words;
+  let s = Hashtbl.find c.Counters.per_alloc 7 in
+  Alcotest.(check (pair int int)) "every access was sampled: (segments, lanes)" (3000, 11000)
+    (sample_sums s)
+
 let () =
   Alcotest.run "simt"
     [
@@ -600,5 +805,11 @@ let () =
           Alcotest.test_case "capacity back to 8 KiB" `Quick test_local_pool_capacity_restored;
           Alcotest.test_case "foreign lane after a wider launch" `Quick
             test_local_pool_foreign_lane;
+        ] );
+      ( "coalescing",
+        [
+          Alcotest.test_case "coalescing estimate" `Quick test_coalescing_estimate;
+          QCheck_alcotest.to_alcotest prop_sampler_matches_model;
+          Alcotest.test_case "sampled access allocates nothing" `Quick test_sampled_access_no_alloc;
         ] );
     ]
