@@ -266,8 +266,7 @@ exception Continue_exc
 
 let step ctx k = ctx.on_step k
 
-(* Type of an expression as seen at runtime; cheaper than full typing
-   because values carry their types. *)
+(* The value of an elaborated expression ([Typecheck.elaborate]). *)
 let rec eval ctx (e : Ast.expr) : Value.t =
   match e with
   | Ast.IntLit (i, ty) -> Value.int ~ty i
@@ -304,22 +303,13 @@ let rec eval ctx (e : Ast.expr) : Value.t =
     step ctx St_arith;
     Value.cast (Cty.decay ty) (eval ctx a)
   | Ast.SizeofT ty -> Value.of_int ~ty:Cty.Ulong (sizeof ctx ty)
-  | Ast.SizeofE a ->
-    let ty = type_of_lvalue_or_value ctx a in
-    Value.of_int ~ty:Cty.Ulong (sizeof ctx ty)
+  | Ast.SizeofE _ -> runtime_error "sizeof(expression) reached the interpreter unelaborated"
   | Ast.Cond (c, t, f) ->
     step ctx St_branch;
     if Value.is_true (eval ctx c) then eval ctx t else eval ctx f
   | Ast.Comma (a, b) ->
     ignore (eval ctx a);
     eval ctx b
-
-and type_of_lvalue_or_value ctx (e : Ast.expr) : Cty.t =
-  (* sizeof(expr) needs the unconverted type of the operand. *)
-  match e with
-  | Ast.Ident _ | Ast.Index _ | Ast.Member _ | Ast.Arrow _ | Ast.Deref _ ->
-    snd (eval_lvalue ctx e)
-  | _ -> Value.ty_of (eval ctx e)
 
 and eval_lvalue ctx (e : Ast.expr) : Addr.t * Cty.t =
   match e with
@@ -389,12 +379,6 @@ and apply_binop ctx op (va : Value.t) (vb : Value.t) : Value.t =
   | Ast.Mul -> step ctx St_mul
   | Ast.Div | Ast.Mod -> step ctx St_div
   | _ -> step ctx St_arith);
-  apply_binop_unstepped ctx op va vb
-
-(* The operator dispatch of [apply_binop] without the cost-model step,
-   for callers (the closure JIT's specialized arithmetic) that have
-   already charged the step and handled the common value shapes. *)
-and apply_binop_unstepped ctx op (va : Value.t) (vb : Value.t) : Value.t =
   match (op, va, vb) with
   (* pointer arithmetic *)
   | Ast.Add, Value.VPtr (p, elt), v -> Value.ptr ~ty:elt (Addr.add p (Value.to_int v * sizeof ctx elt))
@@ -717,11 +701,17 @@ let install_common_builtins (tbl : builtins) =
       | [ a ] -> Value.int ~ty:Cty.Int (Int64.abs (Value.as_int a))
       | _ -> runtime_error "abs expects 1 argument")
 
-(* Load a program's function definitions into the context's table. *)
-let load_program ctx (p : Ast.program) =
-  List.iter
-    (function
-      | Ast.Gfun f -> Hashtbl.replace ctx.funcs f.f_name f
-      | Ast.Gstruct (name, fields) -> ignore (Cty.define_struct ctx.structs name fields)
-      | Ast.Gvar _ | Ast.Gfundecl _ | Ast.Gpragma _ -> ())
-    p
+(* Elaborate a program and load its function definitions and struct
+   layouts into the context's tables; an ill-typed program is an
+   execution error. *)
+let load_program ctx (p : Ast.program) : Typecheck.env * Ast.program =
+  match Typecheck.elaborate p with
+  | Error errs -> runtime_error "type errors: %s" (String.concat "; " errs)
+  | Ok (env, p) ->
+    List.iter
+      (function
+        | Ast.Gfun f -> Hashtbl.replace ctx.funcs f.f_name f
+        | Ast.Gstruct (name, fields) -> ignore (Cty.define_struct ctx.structs name fields)
+        | Ast.Gvar _ | Ast.Gfundecl _ | Ast.Gpragma _ -> ())
+      p;
+    (env, p)

@@ -148,19 +148,15 @@ val call_fundef : t -> Ast.fundef -> Value.t list -> Value.t
 (** The reference tree-walking executor, bypassing {!t.dispatch}. *)
 val tree_call_fundef : t -> Ast.fundef -> Value.t list -> Value.t
 
-(** Binary-operator semantics shared with the closure JIT (performs its
-    own {!t.on_step} accounting). *)
-val apply_binop : t -> Ast.binop -> Value.t -> Value.t -> Value.t
-
-(** [apply_binop] without the cost-model step, for callers that have
-    already charged it (the JIT's specialized arithmetic closures). *)
-val apply_binop_unstepped : t -> Ast.binop -> Value.t -> Value.t -> Value.t
-
 (** Add the printf/math builtins shared by the host and device roles to
     a builtin table. *)
 val install_common_builtins : builtins -> unit
 
-(** Load a program's function definitions and struct layouts. *)
-val load_program : t -> Ast.program -> unit
+(** Elaborate a program ({!Minic.Typecheck.elaborate}) and load its
+    function definitions and struct layouts; returns the program's
+    static environment and the elaborated program, whose global
+    initializers the caller runs.  Raises {!Runtime_error} ("type
+    errors: ...") on an ill-typed program. *)
+val load_program : t -> Ast.program -> Typecheck.env * Ast.program
 
 val format_printf : t -> string -> Value.t list -> string

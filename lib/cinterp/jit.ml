@@ -19,30 +19,34 @@
      once per launch ([link]): every thread of a launch shares one
      builtin table and one function table, so a call site resolves the
      same way for all of them;
-   - free names (threadIdx, device globals, ...) are resolved lazily and
-     memoized per thread, since their addresses differ between threads.
+   - free names (threadIdx, device globals, ...) have their types from
+     the program's static environment; their addresses are resolved
+     lazily and memoized per thread, since they differ between threads.
 
    Per-thread state (the interpreter context, the slot frame) is
    threaded through every closure as an explicit [env] argument, so one
    compiled form is shared by all threads of all launches of a module.
 
-   Typed closures.  An expression whose C type is certain compiles to a
-   [T (kind, ty, f)]: [f : env -> int] for [char]/[short]/[int] and
-   their unsigned forms, holding the payload normalised to the C width;
-   [env -> int64] for [long]/[unsigned long], since OCaml's [int] has 63
-   bits; [env -> float] for [float]/[double], rounded to binary32 on
-   every [float]-typed result; [env -> Addr.t] for pointers.  Types come
-   from declarations (locals, parameters, the module's globals and the
-   dim3 builtins [compile] is given) and are inferred bottom-up with
+   Typed closures.  The JIT compiles elaborated programs only
+   ([Typecheck.elaborate]: every expression typed, every conversion C
+   implies and the executors would not make made explicit), so it reads
+   every type at compile time and discovers none at run time.  A scalar
+   expression compiles to a [T (kind, ty, f)]: [f : env -> int] for
+   [char]/[short]/[int] and their unsigned forms, holding the payload
+   normalised to the C width; [env -> int64] for [long]/[unsigned long],
+   since OCaml's [int] has 63 bits; [env -> float] for [float]/[double],
+   rounded to binary32 on every [float]-typed result; [env -> Addr.t]
+   for pointers.  Types come from declarations (locals, parameters), the
+   program's static environment [compile] is given (its globals, the
+   dim3 builtins of device code, function signatures), the return type
+   of the callee both executors pick ([Typecheck.call_type]; a call
+   whose callee returns a value of another type is a runtime error) and
    [Typecheck]'s operator rules, which state what the interpreter
-   computes on values at run time.  Where the type is only known at run
-   time the expression stays a [V (env -> Value.t)]: builtin results,
-   calls (a builtin may shadow any function), function pointers, struct
-   rvalues, a conditional whose arms differ in type, and any operator
-   with such an operand, which runs the interpreter's own
-   [apply_binop_unstepped].  The payload of a typed closure is by
-   construction the payload of the [Value.t] the interpreter computes,
-   and its static type that value's runtime type.
+   computes on values at run time.  Only void, struct values and
+   function values stay a [V (ty, env -> Value.t)].  The payload of a
+   typed closure is by construction the payload of the [Value.t] the
+   interpreter computes, and its static type that value's runtime
+   type.
 
    Semantics are mirrored from interp.ml exactly — same [on_step] /
    [on_access] hook sequences, same evaluation order (including the
@@ -70,13 +74,13 @@
    is taken, arrays, structs and [__shared__] variables stay in memory
    and the frame holds their addresses.
 
-   Compilation is total: constructs that the interpreter would reject
-   at runtime (unlowered OpenMP pragmas, brace-initialized scalars...)
+   Constructs that the interpreter rejects at runtime in a well-typed
+   program (unlowered OpenMP pragmas, brace-initialized scalars...)
    compile to closures that raise the interpreter's exact error at
-   execution time.  A function whose compilation fails anyway is left
-   out of the compiled table and runs on the tree-walker; [left_out]
-   names it, so a gap shows up as a failed test rather than as lost
-   speed. *)
+   execution time.  A function whose compilation fails (only an
+   ill-typed one can) is left out of the compiled table and runs on the
+   tree-walker; [left_out] names it, so a gap shows up as a failed test
+   rather than as lost speed. *)
 
 open Machine
 open Minic
@@ -157,10 +161,11 @@ and env = {
 
 and cstmt = env -> unit
 
-(* A compiled expression: typed by its static C type when that is
-   certain ([ty] is the scalar type; a pointer's is [Ptr elt]), a
-   [Value.t] closure otherwise. *)
-type cexpr = T : 'a kind * Cty.t * (env -> 'a) -> cexpr | V of (env -> Value.t)
+(* A compiled expression and its static C type ([ty], decayed): a
+   closure on the payload of its kind for a scalar type (a pointer's
+   type is [Ptr elt]), a [Value.t] closure for the rest (void, struct
+   values, function values). *)
+type cexpr = T : 'a kind * Cty.t * (env -> 'a) -> cexpr | V of Cty.t * (env -> Value.t)
 
 type compiled = {
   c_funcs : (string, cfun) Hashtbl.t;
@@ -191,8 +196,7 @@ let left_out c = c.c_left_out
 type local = { lc_slot : int; lc_ty : Cty.t; lc_reg : reg }
 
 type comp = {
-  k_structs : Cty.layout_env;
-  k_globals : (string, Cty.t) Hashtbl.t; (* declared types of free names *)
+  k_env : Typecheck.env; (* the program's structs, globals and signatures *)
   k_compiled : (string, cfun) Hashtbl.t;
   k_cells : (string, int) Hashtbl.t; (* free name -> cell index *)
   mutable k_ncells : int;
@@ -239,15 +243,12 @@ let new_reg : type a. comp -> a kind -> int =
     k.k_ptrs <- k.k_ptrs + 1;
     k.k_ptrs - 1
 
-(* Byte size of [ty] when it is a plain scalar whose layout is known at
-   compile time, so accesses can skip the per-access sizeof. *)
-let scalar_bytes k (ty : Cty.t) : int option =
-  match ty with
-  | Cty.Struct _ | Cty.Void | Cty.Array _ | Cty.Func _ -> None
-  | _ -> ( match Cty.sizeof k.k_structs ty with n -> Some n | exception _ -> None)
+(* Every layout is known at compile time: the program is elaborated. *)
+let sizeof k (ty : Cty.t) : int = Cty.sizeof k.k_env.Typecheck.structs ty
 
-let static_sizeof k (ty : Cty.t) : int option =
-  match Cty.sizeof k.k_structs ty with n -> Some n | exception _ -> None
+(* Byte size of [ty] when it is a scalar. *)
+let scalar_bytes k (ty : Cty.t) : int option =
+  match kind_of ty with Some _ -> Some (sizeof k ty) | None -> None
 
 let declare_slot k ?(shared = false) name ty : local =
   let slot = k.k_next_slot in
@@ -489,12 +490,15 @@ let invoke (inst : inst) (cf : cfun) (args : Value.t list) : Value.t =
 (* Conversions between compiled forms                                 *)
 (* ---------------------------------------------------------------- *)
 
-let static_type = function T (_, ty, _) -> Some ty | V _ -> None
+let static_type = function T (_, ty, _) | V (ty, _) -> ty
+
+(* A construct the elaboration rejects: the function is left out. *)
+let ill_typed fmt = Format.kasprintf invalid_arg ("Jit: " ^^ fmt)
 
 (* The [Value.t] the interpreter would hold. *)
 let value_of (c : cexpr) : env -> Value.t =
   match c with
-  | V f -> f
+  | V (_, f) -> f
   | T (Kint, ty, f) -> fun env -> Value.of_narrow ty (f env)
   | T (Klong, ty, f) -> fun env -> Value.VInt (f env, ty)
   | T (Kflt, ty, f) -> fun env -> Value.VFlt (f env, ty)
@@ -505,7 +509,7 @@ let value_of (c : cexpr) : env -> Value.t =
 (* Evaluate for effect only. *)
 let effect_of (c : cexpr) : env -> unit =
   match c with
-  | V f -> fun env -> ignore (f env)
+  | V (_, f) -> fun env -> ignore (f env)
   | T (_, _, f) -> fun env -> ignore (f env)
 
 (* [Value.is_true]. *)
@@ -515,27 +519,26 @@ let truth (c : cexpr) : env -> bool =
   | T (Klong, _, f) -> fun env -> f env <> 0L
   | T (Kflt, _, f) -> fun env -> f env <> 0.0
   | T (Kptr, _, f) -> fun env -> not (Addr.is_null (f env))
-  | V f -> fun env -> Value.is_true (f env)
+  | V (ty, _) -> ill_typed "condition of type %s" (Cty.show ty)
 
-(* [Value.to_int]: array indices and pointer offsets. *)
+(* [Value.to_int] of an integer: array indices and pointer offsets. *)
 let int_of (c : cexpr) : env -> int =
   match c with
   | T (Kint, _, f) -> f
   | T (Klong, _, f) -> fun env -> Int64.to_int (f env)
-  | T (Kflt, _, f) -> fun env -> Int64.to_int (Value.int64_of_float (f env))
-  | T (Kptr, _, f) -> fun env -> Int64.to_int (Addr.to_int64 (f env))
-  | V f -> fun env -> Value.to_int (f env)
+  | c -> ill_typed "%s used as an integer" (Cty.show (static_type c))
 
 (* The payload of [Value.cast ty v] for the value [c] computes, [ty] of
    kind [kind].  Used at [long]/[double] also for the interpreter's
    [Value.as_int]/[Value.as_float] operand conversions.  The rules are
    [Value]'s payload conversions; only the identities and the
    conversions of a narrow payload (which is its value) are spelled out
-   here. *)
+   here.  None raises: the elaboration rejects a conversion between a
+   pointer and a floating type. *)
 let coerce : type a. a kind -> Cty.t -> cexpr -> env -> a =
  fun kind ty c ->
   match c with
-  | V f -> fun env -> extract kind ty (f env)
+  | V (vty, _) -> ill_typed "%s converted to %s" (Cty.show vty) (Cty.show ty)
   | T (src, sty, f) -> (
     match (kind, src) with
     | Kint, Kint -> if Cty.equal sty ty then f else fun env -> Value.normalise_narrow ty (f env)
@@ -552,34 +555,20 @@ let coerce : type a. a kind -> Cty.t -> cexpr -> env -> a =
     | Kptr, Kptr -> f
     | Kptr, Kint -> fun env -> Addr.of_int64 (Int64.of_int (f env))
     | Kptr, Klong -> fun env -> Addr.of_int64 (f env)
-    | (Kflt | Kptr), _ ->
-      (* pointer to float, float to pointer: the cast's error *)
-      let g = value_of c in
-      fun env -> extract kind ty (g env))
+    | (Kflt | Kptr), _ -> ill_typed "%s converted to %s" (Cty.show sty) (Cty.show ty))
 
-(* Can [coerce kind _ c] raise?  Only through [Value]'s conversion
-   errors; then the caller keeps the interpreter's order of the cast
-   relative to the access hook. *)
-let coerce_may_raise : type a. a kind -> cexpr -> bool =
- fun kind c ->
-  match (kind, c) with
-  | _, V _ -> true
-  | Kflt, T (Kptr, _, _) | Kptr, T (Kflt, _, _) -> true
-  | _ -> false
-
-(* [Value.cast ty] as a compiled form ([ty] decayed). *)
+(* [Value.cast ty] as a compiled form ([ty] decayed): a scalar or void. *)
 let convert (ty : Cty.t) (c : cexpr) : cexpr =
   match kind_of ty with
   | Some (K kind) -> T (kind, ty, coerce kind ty c)
   | None when ty = Cty.Void ->
     let e = effect_of c in
     V
-      (fun env ->
-        e env;
-        Value.VVoid)
-  | None ->
-    let g = value_of c in
-    V (fun env -> Value.cast ty (g env))
+      ( ty,
+        fun env ->
+          e env;
+          Value.VVoid )
+  | None -> ill_typed "cast to %s" (Cty.show ty)
 
 let step_class (op : Ast.binop) : Interp.step =
   match op with
@@ -706,29 +695,13 @@ let is_test (op : Ast.binop) =
    argument order runs b's effects before a's, and access ordering is
    observable (the coalescing sampler keys on each thread's access
    sequence), so every form evaluates [cb] first, then [ca], then
-   charges the step.  Typed forms cover the operand shapes whose result
-   type [Typecheck.binop_type] fixes; the rest (a [Value.t] operand,
-   operators the interpreter rejects) run its generic dispatch. *)
+   charges the step.  The forms cover every operand shape
+   [Typecheck.binop_type] accepts, with its result type. *)
 let arith k (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
   let sk = step_class op in
-  let generic () =
-    let fa = value_of ca and fb = value_of cb in
-    V
-      (fun env ->
-        let vb = fb env in
-        let va = fa env in
-        step env sk;
-        Interp.apply_binop_unstepped env.e_inst.i_ctx op va vb)
-  in
   let is_arith = function T ((Kint | Klong | Kflt), _, _) -> true | _ -> false in
   let is_int = function T ((Kint | Klong), _, _) -> true | _ -> false in
   let bool b = if b then 1 else 0 in
-  (* [Interp.sizeof] of a pointee, resolved now when its layout is *)
-  let sizeof elt =
-    match static_sizeof k elt with
-    | Some n -> fun _ -> n
-    | None -> fun env -> Interp.sizeof env.e_inst.i_ctx elt
-  in
   let test = is_test op in
   (* [f env a b] on the payloads, in the interpreter's order (for the
      shapes where a closure call per operator costs nothing that
@@ -799,14 +772,14 @@ let arith k (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
      counts elements; [p + x], [p - n] and [n + p] move by whole
      elements *)
   | T (Kptr, pty, fp), T (Kptr, _, fq) when op = Ast.Sub ->
-    let size = sizeof (Cty.pointee pty) in
-    T (Klong, Cty.Long, op2 fp fq (fun env p q -> Int64.of_int (Addr.diff p q / size env)))
-  | T (Kptr, pty, fp), T _ when op = Ast.Add || (op = Ast.Sub && is_arith cb) ->
-    let size = sizeof (Cty.pointee pty) and sign = if op = Ast.Sub then -1 else 1 in
-    T (Kptr, pty, op2 fp (int_of cb) (fun env p i -> Addr.add p (sign * i * size env)))
-  | T _, T (Kptr, pty, fp) when op = Ast.Add && is_arith ca ->
-    let size = sizeof (Cty.pointee pty) in
-    T (Kptr, pty, op2 (int_of ca) fp (fun env i p -> Addr.add p (i * size env)))
+    let size = sizeof k (Cty.pointee pty) in
+    T (Klong, Cty.Long, op2 fp fq (fun _ p q -> Int64.of_int (Addr.diff p q / size)))
+  | T (Kptr, pty, fp), T _ when (op = Ast.Add || op = Ast.Sub) && is_int cb ->
+    let size = sizeof k (Cty.pointee pty) and sign = if op = Ast.Sub then -1 else 1 in
+    T (Kptr, pty, op2 fp (int_of cb) (fun _ p i -> Addr.add p (sign * i * size)))
+  | T _, T (Kptr, pty, fp) when op = Ast.Add && is_int ca ->
+    let size = sizeof k (Cty.pointee pty) in
+    T (Kptr, pty, op2 (int_of ca) fp (fun _ i p -> Addr.add p (i * size)))
   | T (Kptr, _, fp), T (Kptr, _, fq) when test && op <> Ast.LogAnd && op <> Ast.LogOr ->
     let holds c =
       match op with
@@ -834,7 +807,8 @@ let arith k (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
         op2 (coerce Klong Cty.Long ca) fp (fun _ i p ->
             let null = Addr.is_null p && i = 0L in
             bool (if eq then null else not null)) )
-  | _ -> generic ()
+  | _ -> ill_typed "operands of %s: %s and %s" (Ast.show_binop op) (Cty.show (static_type ca))
+           (Cty.show (static_type cb))
 
 (* ---------------------------------------------------------------- *)
 (* Places: statically typed scalar lvalues                            *)
@@ -847,8 +821,8 @@ type place =
   | Pl_reg : 'a kind * Cty.t * int * int * int -> place (* kind, type, slot, bytes, register *)
   | Pl_mem : 'a kind * Cty.t * int * (env -> Addr.t) -> place (* kind, type, bytes, address *)
 
-(* An lvalue: typed when its C type is static. *)
-type lv = Lv of Cty.t * (env -> Addr.t) | Lv_dyn of (env -> Addr.t * Cty.t)
+(* An lvalue: its type and a closure computing its address. *)
+type lv = Lv of Cty.t * (env -> Addr.t)
 
 type (_, _) eq = Refl : ('a, 'a) eq
 
@@ -861,16 +835,10 @@ let same_kind : type a b. a kind -> b kind -> (a, b) eq option =
   | Kptr, Kptr -> Some Refl
   | _ -> None
 
-let place_of_lv k (lv : lv) : place option =
-  match lv with
-  | Lv (ty, fa) -> (
-    match (kind_of ty, scalar_bytes k ty) with
-    | Some (K kind), Some bytes -> Some (Pl_mem (kind, ty, bytes, fa))
-    | _ -> None)
-  | Lv_dyn _ -> None
-
-let dyn_of_lv (lv : lv) : env -> Addr.t * Cty.t =
-  match lv with Lv (ty, fa) -> fun env -> (fa env, ty) | Lv_dyn cl -> cl
+let place_of_lv k (Lv (ty, fa) : lv) : place option =
+  match (kind_of ty, scalar_bytes k ty) with
+  | Some (K kind), Some bytes -> Some (Pl_mem (kind, ty, bytes, fa))
+  | _ -> None
 
 (* The value of a place: its access, then the payload. *)
 let read_place (pl : place) : cexpr =
@@ -930,9 +898,8 @@ let compound k (pl : place) (op : Ast.binop) (rhs : cexpr) ~(used : bool) : cexp
   let float_place ty =
     (match op with Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> true | _ -> false)
     &&
-    match static_type rhs with
-    | Some tr -> Cty.is_arith tr && Cty.common_arith ty tr = ty
-    | None -> false
+    let tr = static_type rhs in
+    Cty.is_arith tr && Cty.common_arith ty tr = ty
   in
   let sk = step_class op in
   let[@inline] apply single cur b = float_apply op single cur b in
@@ -1008,11 +975,9 @@ let incdec k (pl : place) ~(post : bool) ~(delta : int) : cexpr =
       fun _ x ->
         let r = x +. float_of_int delta in
         if single then round32 r else r
-    | Kptr -> (
-      let elt = Cty.pointee ty in
-      match static_sizeof k elt with
-      | Some n -> fun _ p -> Addr.add p (delta * n)
-      | None -> fun env p -> Addr.add p (delta * Interp.sizeof env.e_inst.i_ctx elt))
+    | Kptr ->
+      let n = sizeof k (Cty.pointee ty) in
+      fun _ p -> Addr.add p (delta * n)
   in
   match pl with
   | Pl_reg (Kint, ty, slot, bytes, r) when ty = Cty.Int ->
@@ -1069,7 +1034,7 @@ let const (v : Value.t) : cexpr =
     T (Kint, ty, fun _ -> n)
   | Value.VFlt (f, ty) -> T (Kflt, ty, fun _ -> f)
   | Value.VPtr (a, elt) -> T (Kptr, Cty.Ptr elt, fun _ -> a)
-  | Value.VVoid -> V (fun _ -> v)
+  | Value.VVoid -> V (Cty.Void, fun _ -> v)
 
 (* [c] with the cast's step charged before it is evaluated. *)
 let stepped (c : cexpr) : cexpr =
@@ -1081,13 +1046,12 @@ let stepped (c : cexpr) : cexpr =
         fun env ->
           step env Interp.St_arith;
           f env )
-  | V f ->
+  | V (ty, f) ->
     V
-      (fun env ->
-        step env Interp.St_arith;
-        f env)
-
-let sizeof_value (n : int) : cexpr = const (Value.of_int ~ty:Cty.Ulong n)
+      ( ty,
+        fun env ->
+          step env Interp.St_arith;
+          f env )
 
 let rec compile_expr k (e : Ast.expr) : cexpr =
   match e with
@@ -1102,22 +1066,22 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
       let slot = lc.lc_slot in
       match (lc.lc_ty, lc.lc_reg) with
       | Cty.Array (elt, _), _ -> T (Kptr, Cty.Ptr elt, fun env -> env.e_frame.(slot))
-      | Cty.Func _, _ -> V (fun _ -> Interp.runtime_error "function used as value")
       | ty, R (kind, r) -> read_place (Pl_reg (kind, ty, slot, Option.get (scalar_bytes k ty), r))
       | _ -> rvalue k (compile_lvalue k e))
-    | None when Hashtbl.mem k.k_globals x -> rvalue k (compile_lvalue k e)
-    | None ->
-      (* a free name of unknown type: a variable, or a function used as
-         a pointer value *)
-      let idx = cell_index k x in
-      V
-        (fun env ->
-          match resolve_cell env.e_inst idx x with
-          | Cell_var (Cty.Array (elt, _), addr) -> Value.ptr ~ty:elt addr
-          | Cell_var (Cty.Func _, _) -> Interp.runtime_error "function used as value"
-          | Cell_var (ty, addr) -> Interp.load env.e_inst.i_ctx addr ty
-          | Cell_fn v -> v
-          | Cell_unresolved -> assert false))
+    | None when Hashtbl.mem k.k_env.Typecheck.globals x -> rvalue k (compile_lvalue k e)
+    | None -> (
+      (* a function used as a pointer value *)
+      match Hashtbl.find_opt k.k_env.Typecheck.funcs x with
+      | Some (ret, params) ->
+        let idx = cell_index k x in
+        V
+          ( Cty.Func (ret, List.map snd params, false),
+            fun env ->
+              match resolve_cell env.e_inst idx x with
+              | Cell_fn v -> v
+              | Cell_var _ | Cell_unresolved ->
+                Interp.runtime_error "'%s' is bound as a variable but was compiled as a function" x )
+      | None -> ill_typed "unbound identifier '%s'" x))
   | Ast.Index _ | Ast.Member _ | Ast.Arrow _ | Ast.Deref _ -> rvalue k (compile_lvalue k e)
   | Ast.Unop (op, a) -> compile_unop k op a
   | Ast.Binop (Ast.LogAnd, a, b) ->
@@ -1141,95 +1105,37 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
     let cb = compile_expr k b in
     arith k op ca cb
   | Ast.Assign (op, lhs, rhs) -> (
-    let target = compile_target k lhs in
+    let pl = compile_target k lhs in
     let cr = compile_expr k rhs in
-    match (target, op) with
-    | Ok pl, None -> assign_place pl cr
-    | Ok pl, Some bop -> compound k pl bop cr ~used:true
-    | Error lv, None ->
-      let cl = dyn_of_lv lv and fr = value_of cr in
-      V
-        (fun env ->
-          let addr, ty = cl env in
-          let v = Value.cast (Cty.decay ty) (fr env) in
-          Interp.store env.e_inst.i_ctx addr ty v;
-          v)
-    | Error lv, Some bop ->
-      let cl = dyn_of_lv lv and fr = value_of cr in
-      V
-        (fun env ->
-          let ctx = env.e_inst.i_ctx in
-          let addr, ty = cl env in
-          let cur = Interp.load ctx addr ty in
-          let rhs = fr env in
-          let v = Value.cast (Cty.decay ty) (Interp.apply_binop ctx bop cur rhs) in
-          Interp.store ctx addr ty v;
-          v))
+    match op with None -> assign_place pl cr | Some bop -> compound k pl bop cr ~used:true)
   | Ast.Call (f, args) -> compile_call k f args
-  | Ast.AddrOf a -> (
-    match compile_lvalue k a with
-    | Lv (ty, fa) -> T (Kptr, Cty.Ptr ty, fa)
-    | Lv_dyn cl ->
-      V
-        (fun env ->
-          let addr, ty = cl env in
-          Value.ptr ~ty addr))
+  | Ast.AddrOf a ->
+    let (Lv (ty, fa)) = compile_lvalue k a in
+    T (Kptr, Cty.Ptr ty, fa)
   | Ast.Cast (ty, a) -> convert (Cty.decay ty) (stepped (compile_expr k a))
-  | Ast.SizeofT ty -> (
-    match static_sizeof k ty with
-    | Some n -> sizeof_value n
-    | None ->
-      (* layout not known at compile time; defer like the interpreter *)
-      T (Klong, Cty.Ulong, fun env -> Int64.of_int (Interp.sizeof env.e_inst.i_ctx ty)))
-  | Ast.SizeofE (Ast.Ident x) when List.mem_assoc x k.k_scope ->
-    (* a bound local's type is static *)
-    compile_expr k (Ast.SizeofT (List.assoc x k.k_scope).lc_ty)
-  | Ast.SizeofE a -> (
-    (* sizeof(expr) needs the unconverted operand type, and evaluates
-       the operand as the interpreter does *)
-    match a with
-    | Ast.Ident _ | Ast.Index _ | Ast.Member _ | Ast.Arrow _ | Ast.Deref _ ->
-      let cl = dyn_of_lv (compile_lvalue k a) in
-      T
-        ( Klong,
-          Cty.Ulong,
-          fun env ->
-            let _, ty = cl env in
-            Int64.of_int (Interp.sizeof env.e_inst.i_ctx ty) )
-    | _ ->
-      let ca = value_of (compile_expr k a) in
-      T
-        ( Klong,
-          Cty.Ulong,
-          fun env -> Int64.of_int (Interp.sizeof env.e_inst.i_ctx (Value.ty_of (ca env))) ))
+  | Ast.SizeofT ty -> const (Value.of_int ~ty:Cty.Ulong (sizeof k ty))
+  | Ast.SizeofE _ -> ill_typed "sizeof(expression) not elaborated"
   | Ast.Cond (c, t, f) -> (
+    (* the elaboration gives both arms the conditional's type *)
     let cc = truth (compile_expr k c) in
-    let ct = compile_expr k t in
-    let cf = compile_expr k f in
-    let typed =
-      match (ct, cf) with
-      | T (kt, tt, ft), T (kf, tf, ff) -> (
-        match (Typecheck.cond_type tt tf, same_kind kt kf) with
-        | Some ty, Some Refl ->
-          Some
-            (T
-               ( kt,
-                 ty,
-                 fun env ->
-                   step env Interp.St_branch;
-                   if cc env then ft env else ff env ))
-        | _ -> None)
-      | _ -> None
-    in
-    match typed with
-    | Some c -> c
-    | None ->
-      (* arms of different types: the taken arm's value, unconverted *)
+    match (compile_expr k t, compile_expr k f) with
+    | T (kt, tt, ft), T (kf, tf, ff) -> (
+      match same_kind kt kf with
+      | Some Refl when Cty.equal tt tf ->
+        T
+          ( kt,
+            tt,
+            fun env ->
+              step env Interp.St_branch;
+              if cc env then ft env else ff env )
+      | _ -> ill_typed "conditional arms of types %s and %s" (Cty.show tt) (Cty.show tf))
+    | ct, cf ->
       let vt = value_of ct and vf = value_of cf in
       V
-        (fun env ->
-          step env Interp.St_branch;
-          if cc env then vt env else vf env))
+        ( static_type ct,
+          fun env ->
+            step env Interp.St_branch;
+            if cc env then vt env else vf env ))
   | Ast.Comma (a, b) -> (
     let ea = effect_of (compile_expr k a) in
     match compile_expr k b with
@@ -1240,21 +1146,21 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
           fun env ->
             ea env;
             fb env )
-    | V fb ->
+    | V (ty, fb) ->
       V
-        (fun env ->
-          ea env;
-          fb env))
+        ( ty,
+          fun env ->
+            ea env;
+            fb env ))
 
 (* An expression evaluated for its effects only (a statement, a [for]
    update): a compound assignment then need not box the value it
    stores. *)
 and compile_effect k (e : Ast.expr) : cstmt =
   match e with
-  | Ast.Assign (Some op, lhs, rhs) -> (
-    match compile_target k lhs with
-    | Ok pl -> effect_of (compound k pl op (compile_expr k rhs) ~used:false)
-    | Error _ -> effect_of (compile_expr k e))
+  | Ast.Assign (Some op, lhs, rhs) ->
+    let pl = compile_target k lhs in
+    effect_of (compound k pl op (compile_expr k rhs) ~used:false)
   | Ast.Comma (a, b) ->
     let ea = compile_effect k a in
     let eb = compile_effect k b in
@@ -1268,147 +1174,66 @@ and compile_effect k (e : Ast.expr) : cstmt =
 and rvalue k (lv : lv) : cexpr =
   match lv with
   | Lv (Cty.Array (elt, _), fa) -> T (Kptr, Cty.Ptr elt, fa)
-  | Lv (Cty.Func _, fa) ->
-    V
-      (fun env ->
-        ignore (fa env);
-        Interp.runtime_error "function used as value")
   | Lv (ty, fa) -> (
     match place_of_lv k lv with
     | Some pl -> read_place pl
-    | None -> V (fun env -> Interp.load env.e_inst.i_ctx (fa env) ty))
-  | Lv_dyn cl ->
-    V
-      (fun env ->
-        let addr, ty = cl env in
-        match ty with
-        | Cty.Array (elt, _) -> Value.ptr ~ty:elt addr (* decay *)
-        | Cty.Func _ -> Interp.runtime_error "function used as value"
-        | _ -> Interp.load env.e_inst.i_ctx addr ty)
+    | None -> V (ty, fun env -> Interp.load env.e_inst.i_ctx (fa env) ty))
 
-(* The target of an assignment or [++]/[--]: a place when it is a
-   typed scalar, the lvalue otherwise. *)
-and compile_target k (e : Ast.expr) : (place, lv) result =
-  match e with
-  | Ast.Ident x
-    when match List.assoc_opt x k.k_scope with Some { lc_reg = R _; _ } -> true | _ -> false -> (
-    match List.assoc x k.k_scope with
-    | { lc_slot; lc_ty; lc_reg = R (kind, r) } ->
-      Ok (Pl_reg (kind, lc_ty, lc_slot, Option.get (scalar_bytes k lc_ty), r))
-    | _ -> assert false)
+(* The target of an assignment or [++]/[--]: a scalar place. *)
+and compile_target k (e : Ast.expr) : place =
+  let local = match e with Ast.Ident x -> List.assoc_opt x k.k_scope | _ -> None in
+  match local with
+  | Some { lc_slot; lc_ty; lc_reg = R (kind, r) } ->
+    Pl_reg (kind, lc_ty, lc_slot, Option.get (scalar_bytes k lc_ty), r)
   | _ -> (
-    let lv = compile_lvalue k e in
-    match place_of_lv k lv with Some pl -> Ok pl | None -> Error lv)
+    match place_of_lv k (compile_lvalue k e) with
+    | Some pl -> pl
+    | None -> ill_typed "assignment to %s" (Ast.show_expr e))
 
 and compile_lvalue k (e : Ast.expr) : lv =
   match e with
   | Ast.Ident x -> (
     match List.assoc_opt x k.k_scope with
     | Some lc ->
-      (* The stack address.  A promoted local only gets here as the
-         base of [x.f], which fails on its scalar type exactly as in the
-         interpreter: its reads, writes, [++]/[--] and [sizeof] are
-         compiled as a place, and [&x] keeps [x] in memory. *)
+      (* The stack address.  A promoted local never gets here: its
+         reads, writes and [++]/[--] are compiled as a place, [&x] keeps
+         [x] in memory, and the elaboration rejects [x.f] on a scalar. *)
       let slot = lc.lc_slot in
       Lv (lc.lc_ty, fun env -> env.e_frame.(slot))
     | None -> (
-      let idx = cell_index k x in
-      match Hashtbl.find_opt k.k_globals x with
-      | Some ty -> Lv (ty, fun env -> global_addr env.e_inst idx x ty)
-      | None ->
-        Lv_dyn
-          (fun env ->
-            match resolve_cell env.e_inst idx x with
-            | Cell_var (ty, addr) -> (addr, ty)
-            | Cell_fn _ | Cell_unresolved -> Interp.runtime_error "unbound variable '%s'" x)))
+      match Hashtbl.find_opt k.k_env.Typecheck.globals x with
+      | Some ty ->
+        let idx = cell_index k x in
+        Lv (ty, fun env -> global_addr env.e_inst idx x ty)
+      | None -> ill_typed "'%s' is not a variable" x))
   | Ast.Index (a, i) -> (
     let ca = compile_expr k a in
     let ci = int_of (compile_expr k i) in
     match ca with
     | T (Kptr, pty, fa) ->
       let elt = Cty.pointee pty in
-      let size =
-        match static_sizeof k elt with
-        | Some n -> fun _ -> n
-        | None -> fun env -> Interp.sizeof env.e_inst.i_ctx elt
-      in
+      let size = sizeof k elt in
       Lv
         ( elt,
           fun env ->
             let base = fa env in
             let idx = ci env in
             step env Interp.St_arith;
-            Addr.add base (idx * size env) )
-    | _ ->
-      let fa = value_of ca in
-      Lv_dyn
-        (fun env ->
-          let base = fa env in
-          let idx = ci env in
-          step env Interp.St_arith;
-          match base with
-          | Value.VPtr (addr, elt) ->
-            (Addr.add addr (idx * Interp.sizeof env.e_inst.i_ctx elt), elt)
-          | v -> Interp.runtime_error "indexing non-pointer %s" (Value.show v)))
+            Addr.add base (idx * size) )
+    | ca -> ill_typed "indexing %s" (Cty.show (static_type ca)))
   | Ast.Deref a -> (
     match compile_expr k a with
     | T (Kptr, pty, fa) -> Lv (Cty.pointee pty, fa)
-    | ca ->
-      let fa = value_of ca in
-      Lv_dyn
-        (fun env ->
-          match fa env with
-          | Value.VPtr (addr, elt) -> (addr, elt)
-          | v -> Interp.runtime_error "dereferencing non-pointer %s" (Value.show v)))
+    | ca -> ill_typed "dereferencing %s" (Cty.show (static_type ca)))
   | Ast.Member (a, fld) -> (
     match compile_lvalue k a with
-    | Lv (Cty.Struct s, fa) when Option.is_some (find_field k s fld) ->
-      field (Option.get (find_field k s fld)) fa
-    | la ->
-      let cl = dyn_of_lv la in
-      let memo = ref None in
-      Lv_dyn
-        (fun env ->
-          let addr, ty = cl env in
-          match ty with
-          | Cty.Struct s ->
-            let f =
-              match !memo with
-              | Some (s', f) when String.equal s' s -> f
-              | _ ->
-                let f = Cty.find_field env.e_inst.i_ctx.Interp.structs s fld in
-                memo := Some (s, f);
-                f
-            in
-            (Addr.add addr f.Cty.fld_off, f.Cty.fld_ty)
-          | ty -> Interp.runtime_error "member access on %s" (Cty.show ty)))
+    | Lv (Cty.Struct s, fa) -> field (Cty.find_field k.k_env.Typecheck.structs s fld) fa
+    | Lv (ty, _) -> ill_typed "member access on %s" (Cty.show ty))
   | Ast.Arrow (a, fld) -> (
     match compile_expr k a with
-    | T (Kptr, Cty.Ptr (Cty.Struct s), fa) when Option.is_some (find_field k s fld) ->
-      field (Option.get (find_field k s fld)) fa
-    | ca ->
-      let fa = value_of ca in
-      let memo = ref None in
-      Lv_dyn
-        (fun env ->
-          match fa env with
-          | Value.VPtr (addr, Cty.Struct s) ->
-            let f =
-              match !memo with
-              | Some (s', f) when String.equal s' s -> f
-              | _ ->
-                let f = Cty.find_field env.e_inst.i_ctx.Interp.structs s fld in
-                memo := Some (s, f);
-                f
-            in
-            (Addr.add addr f.Cty.fld_off, f.Cty.fld_ty)
-          | v -> Interp.runtime_error "arrow access on %s" (Value.show v)))
-  | e ->
-    let shown = Ast.show_expr e in
-    Lv_dyn (fun _ -> Interp.runtime_error "expression is not an lvalue: %s" shown)
-
-and find_field k s fld : Cty.field option =
-  match Cty.find_field k.k_structs s fld with f -> Some f | exception _ -> None
+    | T (Kptr, Cty.Ptr (Cty.Struct s), fa) -> field (Cty.find_field k.k_env.Typecheck.structs s fld) fa
+    | ca -> ill_typed "arrow access on %s" (Cty.show (static_type ca)))
+  | e -> ill_typed "expression is not an lvalue: %s" (Ast.show_expr e)
 
 (* A field of a struct whose base address [fa] computes. *)
 and field (f : Cty.field) (fa : env -> Addr.t) : lv =
@@ -1450,17 +1275,7 @@ and compile_unop k (op : Ast.unop) (a : Ast.expr) : cexpr =
             step env Interp.St_arith;
             let x = -.f env in
             if single then round32 x else x )
-    | ca, _ ->
-      let fa = value_of ca in
-      V
-        (fun env ->
-          step env Interp.St_arith;
-          match (fa env, op) with
-          | Value.VInt (i, ty), Ast.Neg -> Value.int ~ty:(Cty.promote ty) (Int64.neg i)
-          | Value.VFlt (f, ty), Ast.Neg -> Value.flt ~ty (-.f)
-          | v, Ast.Neg -> Interp.runtime_error "negation of %s" (Value.show v)
-          | Value.VInt (i, ty), _ -> Value.int ~ty:(Cty.promote ty) (Int64.lognot i)
-          | v, _ -> Interp.runtime_error "bitwise not of %s" (Value.show v)))
+    | ca, _ -> ill_typed "%s of %s" (Ast.show_unop op) (Cty.show (static_type ca)))
   | Ast.Not ->
     let ca = truth (compile_expr k a) in
     T
@@ -1469,72 +1284,92 @@ and compile_unop k (op : Ast.unop) (a : Ast.expr) : cexpr =
         fun env ->
           step env Interp.St_arith;
           if ca env then 0 else 1 )
-  | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec -> (
+  | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec ->
     let post = op = Ast.PostInc || op = Ast.PostDec in
     let delta = if op = Ast.PreInc || op = Ast.PostInc then 1 else -1 in
-    match compile_target k a with
-    | Ok pl -> incdec k pl ~post ~delta
-    | Error lv ->
-      let cl = dyn_of_lv lv in
-      V
-        (fun env ->
-          let ctx = env.e_inst.i_ctx in
-          step env Interp.St_arith;
-          let addr, ty = cl env in
-          let old = Interp.load ctx addr ty in
-          let updated =
-            match old with
-            | Value.VInt (i, ity) -> Value.int ~ty:ity (Int64.add i (Int64.of_int delta))
-            | Value.VFlt (f, fty) -> Value.flt ~ty:fty (f +. float_of_int delta)
-            | Value.VPtr (p, elt) -> Value.ptr ~ty:elt (Addr.add p (delta * Interp.sizeof ctx elt))
-            | Value.VVoid -> Interp.runtime_error "increment of void"
-          in
-          Interp.store ctx addr ty updated;
-          if post then old else updated))
+    incdec k (compile_target k a) ~post ~delta
 
+(* A call, typed by the return type of the callee both executors pick
+   ([Typecheck.call_type]).  The result a builtin or a function returns
+   must have that type: the compiled code reads its payload as one. *)
 and compile_call k (f : string) (args : Ast.expr list) : cexpr =
-  let cargs = Array.of_list (List.map (fun a -> value_of (compile_expr k a)) args) in
+  let cargs = List.map (compile_expr k) args in
+  let rty = Cty.decay (Typecheck.call_type k.k_env f (List.map static_type cargs)) in
+  let cargs = Array.of_list (List.map value_of cargs) in
   let nargs = Array.length cargs in
   let site = call_site k in
   let compiled_tbl = k.k_compiled in
-  V
-    (fun env ->
-      let inst = env.e_inst in
-      let ctx = inst.i_ctx in
-      (* argument list built left-to-right, like interp's List.map *)
-      let rec build i =
-        if i >= nargs then []
-        else
-          let v = cargs.(i) env in
-          v :: build (i + 1)
-      in
-      let vals = build 0 in
-      ctx.Interp.on_step Interp.St_call;
-      let target =
-        match inst.i_calls.(site) with
-        | Tgt_unresolved ->
-          (* same resolution order as interp's [call]: builtins shadow
-             defined functions *)
-          let t =
-            match Hashtbl.find_opt ctx.Interp.builtins f with
-            | Some fn -> Tgt_builtin fn
+  let call env =
+    let inst = env.e_inst in
+    let ctx = inst.i_ctx in
+    (* argument list built left-to-right, like interp's List.map *)
+    let rec build i =
+      if i >= nargs then []
+      else
+        let v = cargs.(i) env in
+        v :: build (i + 1)
+    in
+    let vals = build 0 in
+    ctx.Interp.on_step Interp.St_call;
+    let target =
+      match inst.i_calls.(site) with
+      | Tgt_unresolved ->
+        (* same resolution order as interp's [call]: builtins shadow
+           defined functions *)
+        let t =
+          match Hashtbl.find_opt ctx.Interp.builtins f with
+          | Some fn -> Tgt_builtin fn
+          | None -> (
+            match Hashtbl.find_opt compiled_tbl f with
+            | Some cf -> Tgt_compiled cf
             | None -> (
-              match Hashtbl.find_opt compiled_tbl f with
-              | Some cf -> Tgt_compiled cf
-              | None -> (
-                match Hashtbl.find_opt ctx.Interp.funcs f with
-                | Some fd -> Tgt_tree fd
-                | None -> Interp.runtime_error "call to undefined function '%s'" f))
-          in
-          inst.i_calls.(site) <- t;
-          t
-        | t -> t
-      in
-      match target with
-      | Tgt_builtin fn -> fn ctx vals
-      | Tgt_compiled cf -> invoke inst cf vals
-      | Tgt_tree fd -> Interp.tree_call_fundef ctx fd vals
-      | Tgt_unresolved -> assert false)
+              match Hashtbl.find_opt ctx.Interp.funcs f with
+              | Some fd -> Tgt_tree fd
+              | None -> Interp.runtime_error "call to undefined function '%s'" f))
+        in
+        inst.i_calls.(site) <- t;
+        t
+      | t -> t
+    in
+    match target with
+    | Tgt_builtin fn -> fn ctx vals
+    | Tgt_compiled cf -> invoke inst cf vals
+    | Tgt_tree fd -> Interp.tree_call_fundef ctx fd vals
+    | Tgt_unresolved -> assert false
+  in
+  let mismatch v =
+    Interp.runtime_error "'%s' returned %s where %s was declared" f (Value.show v)
+      (Cty.to_c_string rty)
+  in
+  match kind_of rty with
+  | Some (K Kint) ->
+    T
+      ( Kint,
+        rty,
+        fun env ->
+          match call env with
+          | Value.VInt (i, ty) when Cty.equal ty rty -> Int64.to_int i
+          | v -> mismatch v )
+  | Some (K Klong) ->
+    T
+      ( Klong,
+        rty,
+        fun env ->
+          match call env with Value.VInt (i, ty) when Cty.equal ty rty -> i | v -> mismatch v )
+  | Some (K Kflt) ->
+    T
+      ( Kflt,
+        rty,
+        fun env ->
+          match call env with Value.VFlt (x, ty) when Cty.equal ty rty -> x | v -> mismatch v )
+  | Some (K Kptr) ->
+    let elt = Cty.pointee rty in
+    T
+      ( Kptr,
+        rty,
+        fun env ->
+          match call env with Value.VPtr (a, ty) when Cty.equal ty elt -> a | v -> mismatch v )
+  | None -> V (rty, call)
 
 (* ---------------------------------------------------------------- *)
 (* Statement compilation                                              *)
@@ -1698,18 +1533,12 @@ and compile_decl k (d : Ast.decl) : cstmt =
         match init with Some ci -> ci env addr | None -> ())
   | R_mem -> (
     let init = Option.map (compile_init k ty) d.Ast.d_init in
-    let size = static_sizeof k ty in
+    let size = sizeof k ty in
     match init with
-    | None ->
-      fun env ->
-        let ctx = env.e_inst.i_ctx in
-        let sz = match size with Some s -> s | None -> Interp.sizeof ctx ty in
-        env.e_frame.(slot) <- Mem.push ctx.Interp.local sz
+    | None -> fun env -> env.e_frame.(slot) <- Mem.push env.e_inst.i_ctx.Interp.local size
     | Some ci ->
       fun env ->
-        let ctx = env.e_inst.i_ctx in
-        let sz = match size with Some s -> s | None -> Interp.sizeof ctx ty in
-        let addr = Mem.push ctx.Interp.local sz in
+        let addr = Mem.push env.e_inst.i_ctx.Interp.local size in
         env.e_frame.(slot) <- addr;
         ci env addr)
 
@@ -1731,21 +1560,12 @@ and compile_promoted_decl : type a. comp -> local -> a kind -> int -> Ast.init o
   match init with
   | None -> fun env -> ignore (declare env)
   | Some (Ast.Iexpr e) ->
-    let ce = compile_expr k e in
-    if coerce_may_raise kind ce then
-      let g = value_of ce in
-      fun env ->
-        let addr = declare env in
-        let v = g env in
-        access env Interp.Store addr bytes;
-        reg_set kind env r (extract kind ty v)
-    else
-      let v = coerce kind ty ce in
-      fun env ->
-        let addr = declare env in
-        let x = v env in
-        access env Interp.Store addr bytes;
-        reg_set kind env r x
+    let v = coerce kind ty (compile_expr k e) in
+    fun env ->
+      let addr = declare env in
+      let x = v env in
+      access env Interp.Store addr bytes;
+      reg_set kind env r x
   | Some (Ast.Ilist _ as init) ->
     (* rejected at run time, before any access *)
     let ci = compile_init k ty init in
@@ -1754,37 +1574,28 @@ and compile_promoted_decl : type a. comp -> local -> a kind -> int -> Ast.init o
 and compile_init k (ty : Cty.t) (init : Ast.init) : env -> Addr.t -> unit =
   match (init, ty) with
   | Ast.Iexpr e, _ -> (
-    let ce = compile_expr k e in
     match (kind_of ty, scalar_bytes k ty) with
-    | Some (K kind), Some bytes when not (coerce_may_raise kind ce) ->
-      let v = coerce kind ty ce in
+    | Some (K kind), Some bytes ->
+      let v = coerce kind ty (compile_expr k e) in
       fun env addr -> store kind ty bytes env addr (v env)
-    | _ ->
-      let g = value_of ce in
-      fun env addr -> Interp.store env.e_inst.i_ctx addr ty (g env))
-  | Ast.Ilist items, Cty.Array (elt, _) -> (
-    match Cty.sizeof k.k_structs elt with
-    | esz ->
-      let subs = List.mapi (fun i item -> (i * esz, compile_init k elt item)) items in
-      fun env addr -> List.iter (fun (off, ci) -> ci env (Addr.add addr off)) subs
-    | exception _ -> fun env addr -> Interp.exec_init env.e_inst.i_ctx addr ty init)
-  | Ast.Ilist items, Cty.Struct s -> (
-    match Cty.lookup_layout k.k_structs s with
-    | lay ->
-      let subs =
-        List.mapi
-          (fun i item ->
-            match List.nth_opt lay.Cty.lay_fields i with
-            | Some f ->
-              let ci = compile_init k f.Cty.fld_ty item in
-              fun env addr -> ci env (Addr.add addr f.Cty.fld_off)
-            | None -> fun _ _ -> Interp.runtime_error "too many initializers for struct %s" s)
-          items
-      in
-      fun env addr -> List.iter (fun ci -> ci env addr) subs
-    | exception _ ->
-      (* layout not defined yet at compile time; defer to the interp *)
-      fun env addr -> Interp.exec_init env.e_inst.i_ctx addr ty init)
+    | _ -> ill_typed "%s initialized from an expression" (Cty.show ty))
+  | Ast.Ilist items, Cty.Array (elt, _) ->
+    let esz = sizeof k elt in
+    let subs = List.mapi (fun i item -> (i * esz, compile_init k elt item)) items in
+    fun env addr -> List.iter (fun (off, ci) -> ci env (Addr.add addr off)) subs
+  | Ast.Ilist items, Cty.Struct s ->
+    let lay = Cty.lookup_layout k.k_env.Typecheck.structs s in
+    let subs =
+      List.mapi
+        (fun i item ->
+          match List.nth_opt lay.Cty.lay_fields i with
+          | Some f ->
+            let ci = compile_init k f.Cty.fld_ty item in
+            fun env addr -> ci env (Addr.add addr f.Cty.fld_off)
+          | None -> fun _ _ -> Interp.runtime_error "too many initializers for struct %s" s)
+        items
+    in
+    fun env addr -> List.iter (fun ci -> ci env addr) subs
   | Ast.Ilist _, ty ->
     let shown = Cty.show ty in
     fun _ _ -> Interp.runtime_error "brace initializer for scalar %s" shown
@@ -1807,7 +1618,7 @@ let compile_fun k (fd : Ast.fundef) : cfun =
       (List.map
          (fun (name, ty) ->
            let ty = Cty.decay ty in
-           let size = Cty.sizeof k.k_structs ty in
+           let size = sizeof k ty in
            let lc = declare_slot k name ty in
            (ty, size, lc.lc_reg))
          fd.Ast.f_params)
@@ -1833,17 +1644,10 @@ let compile_fun k (fd : Ast.fundef) : cfun =
   cf.cf_body <- body;
   cf
 
-let compile ~(structs : Cty.layout_env) ~(globals : (string * Cty.t) list)
-    ~(funcs : (string, Ast.fundef) Hashtbl.t) : compiled =
-  let k_globals = Hashtbl.create 16 in
-  (* the first binding of a name is the one a lookup finds *)
-  List.iter
-    (fun (name, ty) -> if not (Hashtbl.mem k_globals name) then Hashtbl.replace k_globals name ty)
-    globals;
+let compile ~(env : Typecheck.env) ~(funcs : (string, Ast.fundef) Hashtbl.t) : compiled =
   let k =
     {
-      k_structs = structs;
-      k_globals;
+      k_env = env;
       k_compiled = Hashtbl.create (max 8 (Hashtbl.length funcs));
       k_cells = Hashtbl.create 16;
       k_ncells = 0;

@@ -9,14 +9,15 @@
     context) and free names once per attached context (a GPU thread,
     the host program).
 
-    Every expression whose C type is certain compiles to a closure of
-    that type: [int] payloads for [char]/[short]/[int] and their
-    unsigned forms, [int64] for [long]/[unsigned long], [float] for
-    [float] (rounded to binary32 on every result) and [double],
-    addresses for pointers.  Types come from declarations and
-    {!Minic.Typecheck}'s operator rules; builtin results, calls,
-    function pointers, struct rvalues and conditionals with arms of
-    different types stay [Value.t].  Conversions between the typed
+    It compiles elaborated programs only ({!Minic.Typecheck.elaborate}),
+    so every expression's C type is known at compile time, and every
+    scalar expression compiles to a closure of that type: [int] payloads
+    for [char]/[short]/[int] and their unsigned forms, [int64] for
+    [long]/[unsigned long], [float] for [float] (rounded to binary32 on
+    every result) and [double], addresses for pointers.  Types come from
+    declarations, the program's static environment (free names, call
+    signatures) and {!Minic.Typecheck}'s operator rules; only void, struct
+    values and function values stay [Value.t].  Conversions between the typed
     forms are {!Machine.Value}'s payload conversions, the ones
     [Value.cast] is built from.  Scalar locals whose address is
     never taken are promoted: their payloads live in typed register
@@ -28,23 +29,19 @@
     are mirrored from {!Interp} exactly; the tree-walker remains the
     reference executor. *)
 
-open Machine
 open Minic
 
 type compiled
 
-(** Compile every function of a module.  [globals] declares the types
-    of the free names its contexts bind (module globals, and the dim3
-    builtins in device code; the first binding of a name counts), so
-    that they are typed too.  Constructs the interpreter rejects at
-    runtime compile to closures raising the same errors; a function
-    whose compilation fails anyway is left out (it runs on the
-    tree-walker) and listed by {!left_out}. *)
-val compile :
-  structs:Cty.layout_env ->
-  globals:(string * Cty.t) list ->
-  funcs:(string, Ast.fundef) Hashtbl.t ->
-  compiled
+(** Compile every function of an elaborated module
+    ({!Minic.Typecheck.elaborate}) against its static environment
+    [env], which types its free names (module globals, the dim3
+    builtins in device code, functions) and its calls.  Constructs the
+    interpreter rejects at runtime compile to closures raising the same
+    errors; a function whose compilation fails anyway (an ill-typed one)
+    is left out (it runs on the tree-walker) and listed by
+    {!left_out}. *)
+val compile : env:Typecheck.env -> funcs:(string, Ast.fundef) Hashtbl.t -> compiled
 
 (** Number of functions that were compiled to closure form. *)
 val function_count : compiled -> int

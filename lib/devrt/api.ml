@@ -208,7 +208,7 @@ let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) :
   (* -------- shared-memory stack (§3.2) -------- *)
   reg "cudadev_push_shmem" (fun ctx args ->
       match args with
-      | [ Value.VPtr (origin, ty); size ] ->
+      | [ Value.VPtr (origin, _); size ] ->
         let bs = block () in
         let size = int_arg size in
         let mark = Mem.mark bs.bs_shared in
@@ -216,7 +216,7 @@ let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) :
         Mem.copy ~src:(ctx.Cinterp.Interp.resolve origin) ~src_off:(Addr.off origin)
           ~dst:bs.bs_shared ~dst_off:(Addr.off sh) ~len:size;
         Stack.push (sh, origin, size, mark) bs.bs_shmem_stack;
-        Value.ptr ~ty sh
+        Value.ptr sh
       | _ -> bad_args "cudadev_push_shmem");
   reg "cudadev_pop_shmem" (fun ctx args ->
       match args with
@@ -235,9 +235,10 @@ let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) :
       | _ -> bad_args "cudadev_pop_shmem");
   reg "cudadev_getaddr" (fun _ args ->
       (* Kernel parameters already carry device addresses; the lookup the
-         real runtime performs is an identity here. *)
+         real runtime performs is an identity here (a [void *], as
+         declared). *)
       match args with
-      | [ v ] -> v
+      | [ v ] -> Value.ptr (Value.as_addr v)
       | _ -> bad_args "cudadev_getaddr");
 
   (* -------- worksharing (§3.1, §4.2.2) -------- *)

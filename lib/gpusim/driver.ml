@@ -347,11 +347,7 @@ let load_module t (artifact : Nvcc.artifact) : loaded_module =
        identical (only real wall-clock changes). *)
     let compiled =
       if t.closure_jit then begin
-        Simt.ensure_dim3 source.Simt.ks_structs;
-        let c =
-          Cinterp.Jit.compile ~structs:source.Simt.ks_structs
-            ~globals:(Simt.kernel_globals source) ~funcs:source.Simt.ks_funcs
-        in
+        let c = Cinterp.Jit.compile ~env:source.Simt.ks_env ~funcs:source.Simt.ks_funcs in
         tr_instant t ~cat:"jit" "closure_compile"
           ~args:
             [

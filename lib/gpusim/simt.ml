@@ -85,7 +85,7 @@ type block_state = {
 }
 
 type kernel_source = {
-  ks_structs : Cty.layout_env;
+  ks_env : Typecheck.env; (* the elaborated module's static environment *)
   ks_funcs : (string, Ast.fundef) Hashtbl.t;
   (* device globals, filled at module load; every thread's context uses
      this table as its (read-only) globals *)
@@ -94,41 +94,22 @@ type kernel_source = {
 
 let kernel_source_of_program ?(alloc_global : (int -> Addr.t) option) (p : Ast.program) :
     kernel_source =
-  let ks =
-    { ks_structs = Cty.create_layout_env (); ks_funcs = Hashtbl.create 16; ks_globals = Hashtbl.create 8 }
-  in
-  (* structs first so that global variables of struct type can be sized *)
-  List.iter
-    (function
-      | Ast.Gstruct (name, fields) -> ignore (Cty.define_struct ks.ks_structs name fields)
-      | Ast.Gfun _ | Ast.Gvar _ | Ast.Gfundecl _ | Ast.Gpragma _ -> ())
-    p;
-  List.iter
-    (function
-      | Ast.Gfun f -> Hashtbl.replace ks.ks_funcs f.f_name f
-      | Ast.Gvar (d, _) -> (
-        match alloc_global with
-        | Some alloc ->
-          Hashtbl.replace ks.ks_globals d.Ast.d_name
-            (d.Ast.d_ty, alloc (Cty.sizeof ks.ks_structs d.Ast.d_ty))
-        | None -> ())
-      | Ast.Gstruct _ | Ast.Gfundecl _ | Ast.Gpragma _ -> ())
-    p;
-  ks
-
-(* The free names a kernel's contexts bind, with their types, for the
-   closure JIT: the dim3 builtins of each thread's base frame (which a
-   lookup finds first), then the module's globals. *)
-let dim3_names = Typecheck.cuda_globals
-
-let kernel_globals (ks : kernel_source) : (string * Cty.t) list =
-  List.map (fun name -> (name, Cty.Struct "dim3")) dim3_names
-  @ Hashtbl.fold (fun name (ty, _) acc -> (name, ty) :: acc) ks.ks_globals []
-
-(* The dim3 struct used for threadIdx/blockIdx/blockDim/gridDim. *)
-let ensure_dim3 structs =
-  if not (Cty.has_layout structs "dim3") then
-    ignore (Cty.define_struct structs "dim3" [ ("x", Cty.Int); ("y", Cty.Int); ("z", Cty.Int) ])
+  match Typecheck.elaborate ~cuda:true p with
+  | Error errs -> Cinterp.Interp.runtime_error "type errors: %s" (String.concat "; " errs)
+  | Ok (env, p) ->
+    let ks = { ks_env = env; ks_funcs = Hashtbl.create 16; ks_globals = Hashtbl.create 8 } in
+    List.iter
+      (function
+        | Ast.Gfun f -> Hashtbl.replace ks.ks_funcs f.f_name f
+        | Ast.Gvar (d, _) -> (
+          match alloc_global with
+          | Some alloc ->
+            Hashtbl.replace ks.ks_globals d.Ast.d_name
+              (d.Ast.d_ty, alloc (Cty.sizeof env.Typecheck.structs d.Ast.d_ty))
+          | None -> ())
+        | Ast.Gstruct _ | Ast.Gfundecl _ | Ast.Gpragma _ -> ())
+      p;
+    ks
 
 type launch_config = {
   lc_grid : dim3;
@@ -262,14 +243,14 @@ let lane_context (pool : pool) (i : int) ~structs ~funcs ~builtins ~globals ~out
            (fun name ->
              let a = Cinterp.Interp.declare_var ctx name (Cty.Struct "dim3") in
              Array.init 4 (fun k -> Addr.add a (4 * k)))
-           dim3_names);
+           Typecheck.cuda_globals);
     lane.ln_base <- ctx.Cinterp.Interp.frames;
     lane.ln_top <- Mem.mark lane.ln_local;
     lane.ln_ctx <- Some ctx;
     ctx
 
-(* The [k]-th dim3 builtin of the lane's base frame (in [dim3_names]
-   order) holds [d], its padding word zero. *)
+(* The [k]-th dim3 builtin of the lane's base frame (in
+   [Typecheck.cuda_globals] order) holds [d], its padding word zero. *)
 let write_dim3 (lane : lane) (k : int) (d : dim3) =
   let m = lane.ln_local and a = lane.ln_dim3 in
   Mem.store_narrow m a.(4 * k) Cty.Int d.x;
@@ -430,7 +411,6 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
 let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ?(compiled : Cinterp.Jit.compiled option) ~(counters : Counters.t)
     ~(install_builtins : installer) ~(output : Buffer.t) (config : launch_config) : unit =
-  ensure_dim3 source.ks_structs;
   let n_threads = dim3_total config.lc_block in
   if n_threads > spec.Spec.max_threads_per_block then
     simt_error "block of %d threads exceeds device limit %d" n_threads spec.Spec.max_threads_per_block;
@@ -453,14 +433,14 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
   let linked = Option.map (fun c -> Cinterp.Jit.link c ~builtins ~funcs:source.ks_funcs) compiled in
   pool.run_mem <- Some mem;
   pool.run_threads <- n_threads;
-  pool.run_structs <- source.ks_structs;
+  pool.run_structs <- source.ks_env.Typecheck.structs;
   (* the lanes' contexts: this launch's module, builtins and hooks *)
   for lin = 0 to n_threads - 1 do
     let ctx =
-      lane_context pool lin ~structs:source.ks_structs ~funcs:source.ks_funcs ~builtins
+      lane_context pool lin ~structs:source.ks_env.Typecheck.structs ~funcs:source.ks_funcs ~builtins
         ~globals:source.ks_globals ~output
     in
-    ctx.Cinterp.Interp.structs <- source.ks_structs;
+    ctx.Cinterp.Interp.structs <- source.ks_env.Typecheck.structs;
     ctx.Cinterp.Interp.funcs <- source.ks_funcs;
     ctx.Cinterp.Interp.builtins <- builtins;
     ctx.Cinterp.Interp.globals <- source.ks_globals;

@@ -86,22 +86,18 @@ type block_state = {
 }
 
 type kernel_source = {
-  ks_structs : Cty.layout_env;
+  ks_env : Typecheck.env;
   ks_funcs : (string, Ast.fundef) Hashtbl.t;
   ks_globals : (string, Cty.t * Addr.t) Hashtbl.t;
 }
 
-(** Build the executable kernel source of a module; [alloc_global]
-    places device globals (lock words etc.) in global memory. *)
+(** Build the executable kernel source of a module: the module
+    elaborated as CUDA code ({!Minic.Typecheck.elaborate} [~cuda:true]),
+    its static environment and its functions; [alloc_global] places
+    device globals (lock words etc.) in global memory.  Raises
+    [Cinterp.Interp.Runtime_error] ("type errors: ...") on an ill-typed
+    module. *)
 val kernel_source_of_program : ?alloc_global:(int -> Addr.t) -> Ast.program -> kernel_source
-
-(** The free names a kernel's thread contexts bind, with their types,
-    as the closure JIT's [compile ~globals] takes them: the dim3
-    builtins ([threadIdx], [blockIdx], [blockDim], [gridDim]), then the
-    module's globals. *)
-val kernel_globals : kernel_source -> (string * Cty.t) list
-
-val ensure_dim3 : Cty.layout_env -> unit
 
 type launch_config = {
   lc_grid : dim3;

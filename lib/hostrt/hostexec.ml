@@ -217,18 +217,13 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
   (* charge host execution to the simulated clock *)
   let cost = Rt.host_step_cost_ns rt in
   ctx.Cinterp.Interp.on_step <- (fun _ -> Simclock.advance_ns rt.Rt.clock cost);
-  Cinterp.Interp.load_program ctx program;
+  let env, program = Cinterp.Interp.load_program ctx program in
   (* The host program runs on the same closure JIT as the kernels,
      compiled once here against this context's own builtin and function
      tables; a function the JIT leaves out runs on the tree-walker.  No
      closure_compile trace event: that counts module loads. *)
   if Rt.jit rt then begin
-    let globals =
-      List.filter_map
-        (function Ast.Gvar (d, _) -> Some (d.Ast.d_name, d.Ast.d_ty) | _ -> None)
-        program
-    in
-    let compiled = Cinterp.Jit.compile ~structs ~globals ~funcs in
+    let compiled = Cinterp.Jit.compile ~env ~funcs in
     Cinterp.Jit.attach (Cinterp.Jit.link compiled ~builtins:ctx.Cinterp.Interp.builtins ~funcs) ctx
   end;
   (* allocate and initialise host globals *)

@@ -99,7 +99,8 @@ let parse_specifiers st : Cty.t * bool (* static *) =
     | Some Cty.Int, Some false -> Cty.Uint
     | Some Cty.Long, Some false -> Cty.Ulong
     | Some b, _ -> b
-    | None, Some _ -> Cty.Int (* bare signed/unsigned *)
+    | None, Some false -> Cty.Uint (* bare unsigned *)
+    | None, Some true -> Cty.Int (* bare signed *)
     | None, None -> parse_error (cur_loc st) "expected type specifier"
   in
   (base, !is_static)

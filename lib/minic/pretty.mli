@@ -4,6 +4,9 @@
 
 
 
+(** The C spelling of a binary operator. *)
+val binop_str : Ast.binop -> string
+
 val pp_expr : Format.formatter -> Ast.expr -> unit
 
 val pp_decl : Format.formatter -> Ast.decl -> unit

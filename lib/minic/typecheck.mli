@@ -1,7 +1,8 @@
-(** Scoped symbol table and expression typing for the mini-C AST.  The
-    translator uses it to find the types of variables referenced in a
-    target region (for map sizes and kernel parameters); the whole-
-    program check backs both ompicc diagnostics and the test suites. *)
+(** Static typing of mini-C programs, the one place a program is typed.
+    The translator uses the scoped symbol table to find the types of
+    variables referenced in a target region (for map sizes and kernel
+    parameters); {!elaborate} types every expression of a program, and
+    both executors run only its output. *)
 
 open Machine
 
@@ -16,9 +17,9 @@ type env = {
   mutable scopes : (string, Cty.t) Hashtbl.t list;
 }
 
-(** Return types of the builtin functions available inside kernels and
-    host code (OpenMP API, libc subset, cudadev entry points, CUDA
-    intrinsics). *)
+(** Return types of the builtin functions: every name the host builtin
+    table (common builtins and the ORT entry points) or the device table
+    (the cudadev library and CUDA intrinsics) registers. *)
 val builtin_return_types : (string * Cty.t) list
 
 val create : unit -> env
@@ -33,38 +34,57 @@ val lookup_var : env -> string -> Cty.t option
 
 val in_scope : (unit -> 'a) -> env -> 'a
 
-(** Collect top-level declarations (struct layouts, signatures, globals)
-    without entering function bodies. *)
-val of_program : Ast.program -> env
+(** CUDA's implicit device variables ([threadIdx], ...), of type
+    [struct dim3]. *)
+val cuda_globals : string list
 
-(** {1 Operator result rules}
+(** The static environment of a program: struct layouts, function
+    signatures and globals, without entering function bodies.  [cuda]
+    adds the [dim3] layout and the implicit device variables. *)
+val of_program : ?cuda:bool -> Ast.program -> env
 
-    Shared by {!type_of_expr} and the closure JIT, which types its
-    compiled expressions with them.  They state what both executors
-    compute at run time, over the operands' decayed types: the usual
-    arithmetic conversions of both operands (shifts included),
-    comparisons and [&&]/[||] of type [int], pointer arithmetic keeping
-    the pointer's type; [-], [~] and [++]/[--] keep their operand's
-    type, [!] yields [int]. *)
+(** {1 Operator rules}
+
+    Shared by the elaboration and the closure JIT, which types its
+    compiled expressions with them.  Over the operands' decayed types:
+    the usual arithmetic conversions of both operands, comparisons and
+    [&&]/[||] of type [int], a shift of its left operand's promoted type,
+    pointer arithmetic keeping the pointer's type; [-] and [~] of their
+    operand's promoted type, [++]/[--] of their operand's type, [!] of
+    type [int].  They raise {!Error} on what C forbids: a shift, [%],
+    [&], [|], [^] or [~] with a floating operand, [*] or [/] on a
+    pointer, pointer + pointer. *)
 
 val binop_type : Ast.binop -> Cty.t -> Cty.t -> Cty.t
 
 val unop_type : Ast.unop -> Cty.t -> Cty.t
 
-(** [c ? t : f] yields the taken arm's value unconverted: it has a type
-    of its own only when the arms' types agree ([None] otherwise;
-    {!type_of_expr} then gives C's static approximation). *)
-val cond_type : Cty.t -> Cty.t -> Cty.t option
+(** The type of [c ? t : f] over the arms' decayed types (C11 6.5.15):
+    the usual arithmetic conversions of two arithmetic arms, the pointer
+    type against an integer (null pointer constant) arm, [void *] for two
+    different pointer types, or the arms' own type when they agree.
+    Raises {!Error} for arms C cannot combine. *)
+val cond_type : Cty.t -> Cty.t -> Cty.t
 
+(** The return type of a call to the named function with arguments of
+    the given decayed types, from the callee both executors pick: a
+    builtin shadows a defined function.  CUDA's [atomicAdd],
+    [atomicCAS] and [atomicExch] return their pointer's pointee type. *)
+val call_type : env -> string -> Cty.t list -> Cty.t
+
+(** The type of an expression in the environment's current scope, with
+    every subexpression checked; raises {!Error}. *)
 val type_of_expr : env -> Ast.expr -> Cty.t
 
-(** Scoped top-down statement walk; the workhorse for analyses that need
-    typing context at arbitrary program points. *)
-val walk_stmt : env -> on_stmt:(env -> Ast.stmt -> unit) -> Ast.stmt -> unit
+(** Type every expression of a program.  The result is the program with
+    C's implicit conversions made explicit where the executors would
+    not make them: a conditional's arm whose type differs from the
+    conditional's is cast to it, and [sizeof expr] becomes
+    [sizeof(type)] of its operand, which is not evaluated.  Returns the
+    program's static environment with it, or one error per ill-typed
+    expression or declaration, in source order.  [cuda] is as for
+    {!of_program}. *)
+val elaborate : ?cuda:bool -> Ast.program -> (env * Ast.program, string list) result
 
-(** CUDA's implicit device variables ([threadIdx], ...). *)
-val cuda_globals : string list
-
-(** Whole-program check; returns the error list (empty = well typed).
-    [cuda] additionally provides the implicit device variables. *)
+(** {!elaborate}'s errors (empty = well typed). *)
 val check_program : ?cuda:bool -> Ast.program -> string list

@@ -21,7 +21,7 @@ let run ?(check = true) (src : string) (fn : string) (args : Value.t list) : Val
   in
   let ctx = Cinterp.Interp.create ~structs ~funcs ~resolve ~local:host () in
   Cinterp.Interp.install_common_builtins ctx.Cinterp.Interp.builtins;
-  Cinterp.Interp.load_program ctx prog;
+  ignore (Cinterp.Interp.load_program ctx prog);
   (* allocate program globals, as the host runtime does *)
   List.iter
     (function

@@ -183,6 +183,51 @@ and rexpr =
 let int_types =
   [ "char"; "unsigned char"; "short"; "unsigned short"; "int"; "unsigned"; "long"; "unsigned long" ]
 
+(* The C types of the expressions, for C's conversion of a conditional's
+   arms: the usual arithmetic conversions ([Cty.common_arith]). *)
+let cty_of_name = function
+  | "char" -> Machine.Cty.Char
+  | "unsigned char" -> Machine.Cty.Uchar
+  | "short" -> Machine.Cty.Short
+  | "unsigned short" -> Machine.Cty.Ushort
+  | "int" -> Machine.Cty.Int
+  | "unsigned" -> Machine.Cty.Uint
+  | "long" -> Machine.Cty.Long
+  | "unsigned long" -> Machine.Cty.Ulong
+  | "float" -> Machine.Cty.Float
+  | "double" -> Machine.Cty.Double
+  | ty -> invalid_arg ty
+
+let rec ity (e : iexpr) : Machine.Cty.t =
+  let open Machine.Cty in
+  match e with
+  | Ivar "c" -> Char
+  | Ivar "s" -> Short
+  | Ivar "u" -> Uint
+  | Ivar "l" -> Long
+  | Ivar _ | Iconst _ | Iacc | Icmp _ -> Int
+  | Ibin (_, x, y) | Icond (_, x, y) -> common_arith (ity x) (ity y)
+  | Icast (ty, _) | Itrunc (ty, _) -> cty_of_name ty
+  | Idiv (_, x, y) -> common_arith (ity x) (common_arith (ity y) Int)
+  | Ishift (_, x, _) -> promote (ity x)
+  | Ibig x -> common_arith (ity x) Long
+  | Iun ("!", _) -> Int
+  | Iun (_, x) -> promote (ity x)
+
+and rty (e : rexpr) : Machine.Cty.t =
+  let open Machine.Cty in
+  match e with
+  | Rin _ | Rsh _ | Racc | Rconst _ | Rint _ -> Float
+  | Rbin (_, x, y) -> common_arith (rty x) (rty y)
+  | Rcast (ty, _) -> cty_of_name ty
+  | Rcond (_, x, y) -> common_arith (rty x) (ity y)
+  | Rbig _ -> Double
+
+(* Render conditionals with their arms converted explicitly, as C
+   converts them implicitly: [((T)(arm))] where an arm's type [T']
+   differs from the conditional's type [T]. *)
+let explicit_conversions = ref false
+
 type rstmt =
   | Racc_upd of char * rexpr (* acc = acc OP (e); *)
   | Rsh_write of int * rexpr (* sh[(t + k) % sh_size] = e; *)
@@ -203,7 +248,8 @@ let int_vars = int_locals @ [ "*p" ]
 (* locals that can be made address-taken, with their C types *)
 let escapable = [ ("c", "char"); ("s", "short"); ("u", "unsigned"); ("l", "long"); ("d", "double"); ("acc", "float") ]
 
-let rec render_iexpr (b : Buffer.t) = function
+let rec render_iexpr (b : Buffer.t) e =
+  match e with
   | Ivar v -> Buffer.add_string b (if v = "*p" then "(*p)" else v)
   | Iconst k -> Buffer.add_string b (string_of_int k)
   | Iacc -> Buffer.add_string b "((int)acc)"
@@ -228,7 +274,9 @@ let rec render_iexpr (b : Buffer.t) = function
     Buffer.add_string b (" " ^ op ^ " ((");
     render_iexpr b y;
     Buffer.add_string b ") & 63))"
-  | Icond (c, x, y) -> cond b render_iexpr c render_iexpr x render_iexpr y
+  | Icond (c, x, y) ->
+    let t = ity e in
+    cond b render_iexpr c (arm render_iexpr ity t) x (arm render_iexpr ity t) y
   | Ibig x ->
     Buffer.add_char b '(';
     render_iexpr b x;
@@ -237,6 +285,16 @@ let rec render_iexpr (b : Buffer.t) = function
     Buffer.add_string b ("(" ^ op ^ "(");
     render_iexpr b x;
     Buffer.add_string b "))"
+
+(* An arm of a conditional of type [t]. *)
+and arm : 'a. (Buffer.t -> 'a -> unit) -> ('a -> Machine.Cty.t) -> Machine.Cty.t -> Buffer.t -> 'a -> unit =
+ fun render ty t b x ->
+  if !explicit_conversions && not (Machine.Cty.equal (ty x) t) then begin
+    Buffer.add_string b ("((" ^ Machine.Cty.to_c_string t ^ ")(");
+    render b x;
+    Buffer.add_string b "))"
+  end
+  else render b x
 
 and binary :
       'a 'b. Buffer.t -> (Buffer.t -> 'a -> unit) -> string -> 'a -> (Buffer.t -> 'b -> unit) -> 'b -> unit =
@@ -266,7 +324,8 @@ and cond :
   rb b y;
   Buffer.add_char b ')'
 
-and render_expr (b : Buffer.t) = function
+and render_expr (b : Buffer.t) e =
+  match e with
   | Rin k -> Buffer.add_string b (Printf.sprintf "in[(i + %d) %% n]" k)
   | Rsh k -> Buffer.add_string b (Printf.sprintf "sh[(t + %d) %% %d]" k sh_size)
   | Racc -> Buffer.add_string b "acc"
@@ -280,7 +339,9 @@ and render_expr (b : Buffer.t) = function
     Buffer.add_string b ("((" ^ ty ^ ")(");
     render_expr b x;
     Buffer.add_string b "))"
-  | Rcond (c, x, y) -> cond b render_iexpr c render_expr x render_iexpr y
+  | Rcond (c, x, y) ->
+    let t = rty e in
+    cond b render_iexpr c (arm render_expr rty t) x (arm render_iexpr ity t) y
   | Rbig x ->
     Buffer.add_char b '(';
     render_expr b x;
@@ -520,6 +581,11 @@ let shrink_kernel (k : rkernel) : rkernel QCheck.Iter.t =
 
 let print_kernel (k : rkernel) : string = render k
 
+(* [k] with every conditional's arms converted explicitly. *)
+let render_explicit (k : rkernel) : string =
+  explicit_conversions := true;
+  Fun.protect ~finally:(fun () -> explicit_conversions := false) (fun () -> render k)
+
 (* Run one random kernel through the driver: 2 blocks of 32 threads over
    a 64-element buffer, explicit h2d/launch/d2h as in the CUDA variant.
    The outcome's bits are [out]'s floats, then [iout]'s longs as pairs
@@ -527,11 +593,11 @@ let print_kernel (k : rkernel) : string = render k
    A kernel can fail at run time (an integer division by zero reached
    through a conditional whose arms are integers); the error is then
    the outcome both executors must agree on. *)
-let run_random ~(jit : bool) (k : rkernel) : (Oracle.obs, string) result =
+let run_source ~(jit : bool) (source : string) : (Oracle.obs, string) result =
   let n = 64 in
   let ctx = Harness.create ~config:{ Hostrt.Rt.default_config with jit } () in
   Harness.set_sampling ctx None;
-  let m = Harness.cuda_module ctx ~name:"randk" ~source:(render k) in
+  let m = Harness.cuda_module ctx ~name:"randk" ~source in
   let h_in = Harness.alloc_f32 ctx n and h_out = Harness.alloc_f32 ctx n in
   Harness.fill_f32 ctx h_in n (fun i -> (0.5 *. float_of_int ((i mod 7) + 1)) -. 1.0);
   Harness.fill_f32 ctx h_out n (fun _ -> 0.0);
@@ -558,13 +624,25 @@ let run_random ~(jit : bool) (k : rkernel) : (Oracle.obs, string) result =
     Ok (Oracle.observe ctx.Harness.rt ~time ~out)
   | exception e -> Error (Printexc.to_string e)
 
+let run_random ~jit k = run_source ~jit (render k)
+
+(* Both executors agree, and a kernel whose conditionals have arms of
+   different types computes C's result: the one of the same kernel with
+   the arms' conversions written out. *)
 let prop_random_kernel_equivalence =
   QCheck.Test.make ~name:"random kernel: JIT == tree-walking interpreter" ~count:300
     (QCheck.make gen_kernel ~shrink:shrink_kernel ~print:print_kernel) (fun k ->
+      let out = Result.map (fun (o : Oracle.obs) -> o.Oracle.o_out) in
+      let c_result jit =
+        let explicit = render_explicit k in
+        String.equal explicit (render k) || out (run_source ~jit:true explicit) = out jit
+      in
       match (run_random ~jit:true k, run_random ~jit:false k) with
-      | Ok jit, Ok interp ->
-        jit.Oracle.o_out = interp.Oracle.o_out && Oracle.executor_violations jit interp = []
-      | Error jit, Error interp -> String.equal jit interp
+      | (Ok jit as r), Ok interp ->
+        jit.Oracle.o_out = interp.Oracle.o_out
+        && Oracle.executor_violations jit interp = []
+        && c_result r
+      | (Error jit as r), Error interp -> String.equal jit interp && c_result r
       | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* ---------------------------------------------------------------- *)
@@ -803,6 +881,39 @@ let test_promotions () =
     [ true; false ]
 
 (* ---------------------------------------------------------------- *)
+(* C's conversions of a conditional's arms, both executors            *)
+(* ---------------------------------------------------------------- *)
+
+(* [c ? a : b] has its arms' common type whichever arm is taken: an
+   [int] arm compares as [unsigned] against an [unsigned] one, and a
+   [float] arm divides as a [double] against a [double] one ([sizeof] of
+   the conditional is the [double]'s, its operand unevaluated).  The
+   expected lines are gcc's on the same program. *)
+let conditional_src =
+  {|int main(void)
+{
+  unsigned u = 1;
+  int x = -1;
+  float f = 0.1f;
+  double d = 0.1;
+  float g = 3.0f;
+  int t;
+  for (t = 0; t < 2; t++)
+    printf("t=%d lt=%d size=%d q=%.17g\n", t, (t ? u : x) < 3, (int)sizeof(t ? f : d), (t ? f : d) / g);
+  return 0;
+}
+|}
+
+let test_conditional_conversions () =
+  let want = "t=0 lt=0 size=8 q=0.033333333333333333\nt=1 lt=1 size=8 q=0.033333333830038704\n" in
+  List.iter
+    (fun jit ->
+      let config = { Ompi.default_config with jit } in
+      let r = Ompi.compile_and_run ~config ~name:"conditional" conditional_src in
+      Alcotest.(check string) (if jit then "JIT" else "interpreter") want r.Ompi.run_output)
+    [ true; false ]
+
+(* ---------------------------------------------------------------- *)
 (* Corrupt JIT cache: both compiled forms must be rebuilt             *)
 (* ---------------------------------------------------------------- *)
 
@@ -979,10 +1090,17 @@ let test_every_host_function_compiles () =
   let check_program label (p : Harness.omp_program) =
     let ictx = p.Harness.op_ctx in
     let funcs = ictx.Cinterp.Interp.funcs in
-    let globals =
-      Hashtbl.fold (fun name (ty, _) acc -> (name, ty) :: acc) ictx.Cinterp.Interp.globals []
+    (* the static environment of the context's program, from its tables *)
+    let signatures = Hashtbl.create 16 and globals = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun name (fd : Minic.Ast.fundef) ->
+        Hashtbl.replace signatures name (fd.Minic.Ast.f_ret, fd.Minic.Ast.f_params))
+      funcs;
+    Hashtbl.iter (fun name (ty, _) -> Hashtbl.replace globals name ty) ictx.Cinterp.Interp.globals;
+    let env =
+      { Minic.Typecheck.structs = ictx.Cinterp.Interp.structs; funcs = signatures; globals; scopes = [] }
     in
-    let c = Cinterp.Jit.compile ~structs:ictx.Cinterp.Interp.structs ~globals ~funcs in
+    let c = Cinterp.Jit.compile ~env ~funcs in
     Alcotest.(check (list (pair string string)))
       (label ^ ": no function left out") [] (Cinterp.Jit.left_out c);
     Alcotest.(check int)
@@ -1031,6 +1149,8 @@ let () =
         [
           Alcotest.test_case "pointer operations: JIT == interpreter" `Quick test_pointer_ops;
           Alcotest.test_case "shift and unary promotions" `Quick test_promotions;
+          Alcotest.test_case "conditional arms convert to their common type" `Quick
+            test_conditional_conversions;
         ] );
       ( "host",
         [

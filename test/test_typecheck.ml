@@ -95,6 +95,95 @@ let test_check_program () =
     "int main(void) { int s = 0; for (int i = 0; i < 10; i++) s += i; return s; }") in
   Alcotest.(check (list string)) "for-scope" [] errs2
 
+(* Every subexpression is typed: an error anywhere in an expression
+   (an assignment's right side, a subscript, a cast's operand, a call
+   argument, a condition, either arm of [?:], either side of [,], a
+   [sizeof] operand) is reported, and what C forbids of the operators
+   is rejected. *)
+let test_every_subexpression () =
+  let wrap body = "int g(int v) { return v; }\nint main(void) { int x = 1; float f = 2.0f; int a[4]; int *p = a; " ^ body ^ " return 0; }" in
+  let errors body = Typecheck.check_program (Parser.parse_program (wrap body)) in
+  Alcotest.(check (list string)) "the frame is well typed" [] (errors "x = a[x] + (int)f;");
+  List.iter
+    (fun body ->
+      Alcotest.(check bool) (body ^ " is rejected") true (errors body <> []))
+    [
+      "x = phantom;"; "a[phantom] = 1;"; "x = (int)phantom;"; "x = g(phantom);";
+      "if (phantom) x = 2;"; "while (phantom) x = 2;"; "x = x ? phantom : 1;";
+      "x = x ? 1 : phantom;"; "x = (phantom, 1);"; "x = (1, phantom);"; "x = sizeof(phantom);";
+      "x = x << 1.5;"; "x = f % 2;"; "x = ~f;"; "x = x & f;"; "x = (int)(p * 2);";
+      "x = (int)(p / 2);"; "p = p + p;"; "x = a[f];"; "f = p;"; "f = (float)p;";
+      "return (int)(p * 2);"; "3 = x;";
+    ];
+  (* one error per ill-typed statement, in source order *)
+  Alcotest.(check (list string)) "errors in order"
+    [ "unbound identifier 'q1'"; "unbound identifier 'q2'" ]
+    (errors "x = q1; x = 1; x = q2;")
+
+(* The elaborated program makes the conversions C implies explicit: a
+   conditional's arm of another type is cast to the conditional's type,
+   and [sizeof expr] becomes [sizeof(type)]. *)
+let test_elaboration () =
+  let src = "int main(void) { unsigned u = 1; int x = -1; float f = 0.0f; double d = 0.0; int t = 0; long s = sizeof(t ? f : d); return (t ? u : x) < 3; }" in
+  match Typecheck.elaborate (Parser.parse_program src) with
+  | Error errs -> Alcotest.failf "type errors: %s" (String.concat "; " errs)
+  | Ok (_, [ Ast.Gfun f ]) -> (
+    match f.Ast.f_body with
+    | Ast.Sblock stmts -> (
+      match List.rev stmts with
+      | Ast.Sreturn (Some (Ast.Binop (Ast.Lt, cond, _)))
+        :: Ast.Sdecl [ { Ast.d_init = Some (Ast.Iexpr size); _ } ]
+        :: _ ->
+        Alcotest.(check bool) "the int arm is converted to unsigned" true
+          (cond = Ast.Cond (Ast.Ident "t", Ast.Ident "u", Ast.Cast (Cty.Uint, Ast.Ident "x")));
+        Alcotest.(check bool) "sizeof of the conditional's type" true (size = Ast.SizeofT Cty.Double)
+      | _ -> Alcotest.fail "unexpected body shape")
+    | _ -> Alcotest.fail "unexpected body")
+  | Ok _ -> Alcotest.fail "unexpected program shape"
+
+(* C's common type of a conditional's arms. *)
+let test_cond_type () =
+  Alcotest.check cty "int and unsigned" Cty.Uint (Typecheck.cond_type Cty.Int Cty.Uint);
+  Alcotest.check cty "float and double" Cty.Double (Typecheck.cond_type Cty.Float Cty.Double);
+  Alcotest.check cty "char and char" Cty.Int (Typecheck.cond_type Cty.Char Cty.Char);
+  Alcotest.check cty "pointer and null" (Cty.Ptr Cty.Float)
+    (Typecheck.cond_type (Cty.Ptr Cty.Float) Cty.Int);
+  Alcotest.check cty "two pointer types" (Cty.Ptr Cty.Void)
+    (Typecheck.cond_type (Cty.Ptr Cty.Float) (Cty.Ptr Cty.Int));
+  Alcotest.check cty "conditional expression" Cty.Uint (type_in base "i ? u : n")
+
+(* Calls resolve as the executors resolve them: a builtin shadows a
+   defined function of the same name. *)
+let test_builtin_shadows () =
+  let env =
+    Typecheck.of_program
+      (Parser.parse_program "float abs(float v) { return v < 0.0f ? -v : v; }\nfloat h(float v) { return v; }")
+  in
+  Alcotest.check cty "builtin's type" Cty.Int
+    (Typecheck.type_of_expr env (Parser.parse_expr_string "abs(1.5f)"));
+  Alcotest.check cty "defined function's type" Cty.Float
+    (Typecheck.type_of_expr env (Parser.parse_expr_string "h(1.5f)"))
+
+(* Every builtin either executor registers has a signature: the host
+   table (the common builtins and the ORT entry points) and the device
+   table (the common builtins and the device runtime). *)
+let test_builtin_signatures () =
+  let host = (Hostrt.Hostexec.make_context (Hostrt.Rt.create ()) []).Cinterp.Interp.builtins in
+  let device = Hashtbl.create 64 in
+  Cinterp.Interp.install_common_builtins device;
+  Devrt.Api.install (fun () -> Alcotest.fail "no block") device;
+  List.iter
+    (fun (role, tbl) ->
+      let missing =
+        Hashtbl.fold
+          (fun name _ acc ->
+            if List.mem_assoc name Typecheck.builtin_return_types then acc else name :: acc)
+          tbl []
+      in
+      Alcotest.(check (list string)) (role ^ " builtins without a signature") []
+        (List.sort compare missing))
+    [ ("host", host); ("device", device) ]
+
 let test_cuda_globals () =
   let src = "void k(float *x) { int i = blockIdx.x * blockDim.x + threadIdx.x; x[i] = i; }" in
   Alcotest.(check bool) "cuda mode accepts builtins" true
@@ -119,5 +208,10 @@ let () =
           Alcotest.test_case "scoping" `Quick test_scoping;
           Alcotest.test_case "whole-program check" `Quick test_check_program;
           Alcotest.test_case "CUDA implicit globals" `Quick test_cuda_globals;
+          Alcotest.test_case "every subexpression typed" `Quick test_every_subexpression;
+          Alcotest.test_case "elaboration" `Quick test_elaboration;
+          Alcotest.test_case "conditional type" `Quick test_cond_type;
+          Alcotest.test_case "builtins shadow functions" `Quick test_builtin_shadows;
+          Alcotest.test_case "every builtin has a signature" `Quick test_builtin_signatures;
         ] );
     ]
