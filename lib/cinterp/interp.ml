@@ -8,8 +8,10 @@
      once per launch and shared by every thread; each context carries
      only its [lane] and per-thread state.
 
-   Per-operation hooks ([on_step], [on_access]) feed the performance
-   model without contaminating the semantics. *)
+   The performance model observes the run without touching its
+   semantics: a step counts its instruction class in place in [tally]
+   (a device lane's own; a host context's is its clock's), and a scalar
+   load or store finds its memory through [access], which accounts it. *)
 
 open Machine
 open Minic
@@ -27,9 +29,8 @@ type step =
   | St_call
   | St_special (* sqrt and friends *)
 
-(* Kind of a memory access reported to [on_access]; the hook also gets
-   the address and the byte count as plain arguments, so reporting an
-   access allocates nothing. *)
+(* Kind of a memory access given to [access] with the address and the
+   byte count, so accounting an access allocates nothing. *)
 type access = Load | Store
 
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
@@ -45,14 +46,16 @@ type t = {
   mutable builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
   lane : int; (* device role: linear thread id within the block *)
   resolve : Addr.t -> Mem.t; (* the memory an address lives in *)
+  (* [resolve] for a scalar load or store of the given bytes, accounted;
+     given the context, so one closure can serve many contexts *)
+  access : t -> access -> Addr.t -> int -> Mem.t;
+  tally : Simclock.tally; (* this context's steps, by class *)
   local : Mem.t; (* this execution context's stack *)
   mutable globals : (string, Cty.t * Addr.t) Hashtbl.t;
   (* string-literal intern cache and function-pointer ids: allocated on
      first use, since most device threads need neither *)
   mutable strings : (string, Addr.t) Hashtbl.t option;
   strings_arena : Mem.t option ref; (* where [strings] lives, read by [resolve] *)
-  mutable on_step : step -> unit;
-  mutable on_access : access -> Addr.t -> int -> unit;
   (* Shared-variable registry: declarations marked __shared__ resolve
      here so that all threads of a block see a single instance. *)
   shared_decl : (string -> Cty.t -> Addr.t) option;
@@ -74,7 +77,8 @@ type builtins = (string, builtin) Hashtbl.t
 
 let strings_code = Addr.code_of_space Addr.Strings
 
-let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?shared_decl
+let create ~structs ~funcs ~resolve ~local ?(access = fun ctx _ a _ -> ctx.resolve a)
+    ?(tally = Simclock.tally ()) ?builtins ?globals ?(lane = 0) ?shared_decl
     ?(output = Buffer.create 256) () =
   (* Interned string literals live in a private arena outside any frame
      so that stack rollback cannot invalidate the intern cache; it is
@@ -96,12 +100,12 @@ let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?share
     builtins = (match builtins with Some b -> b | None -> Hashtbl.create 64);
     lane;
     resolve;
+    access;
+    tally;
     local;
     globals = (match globals with Some g -> g | None -> Hashtbl.create 16);
     strings = None;
     strings_arena;
-    on_step = (fun _ -> ());
-    on_access = (fun _ _ _ -> ());
     shared_decl;
     output;
     fn_ptrs = None;
@@ -111,7 +115,7 @@ let create ~structs ~funcs ~resolve ~local ?builtins ?globals ?(lane = 0) ?share
     dispatch = None;
   }
 
-(* What a run leaves in a context beyond its program and hooks, undone:
+(* What a run leaves in a context beyond its program, undone:
    the frames become [frames], and no call is active, no string literal
    interned, no function pointer taken and no engine attached. *)
 let reset ctx ~frames =
@@ -172,18 +176,18 @@ let function_of_pointer ctx (v : Value.t) : Ast.fundef =
 let sizeof ctx ty = Cty.sizeof ctx.structs ty
 
 let load ctx (a : Addr.t) (ty : Cty.t) : Value.t =
-  let m = ctx.resolve a in
-  (match ty with
-  | Cty.Array _ | Cty.Struct _ | Cty.Func _ -> ()
-  | _ -> ctx.on_access Load a (sizeof ctx ty));
+  let m =
+    match ty with
+    | Cty.Array _ | Cty.Struct _ | Cty.Func _ -> ctx.resolve a
+    | _ -> ctx.access ctx Load a (sizeof ctx ty)
+  in
   match ty with
   | Cty.Struct _ -> Value.ptr a (* struct rvalues are handled by address *)
   | Cty.Func _ -> runtime_error "load of function type"
   | _ -> Mem.load_scalar m ctx.structs a ty
 
 let store ctx (a : Addr.t) (ty : Cty.t) (v : Value.t) : unit =
-  let m = ctx.resolve a in
-  ctx.on_access Store a (sizeof ctx ty);
+  let m = ctx.access ctx Store a (sizeof ctx ty) in
   Mem.store_scalar m ctx.structs a ty (Value.cast (Cty.decay ty) v)
 
 let intern_string ctx (s : string) : Addr.t =
@@ -264,7 +268,15 @@ exception Return_exc of Value.t
 exception Break_exc
 exception Continue_exc
 
-let step ctx k = ctx.on_step k
+let step ctx k =
+  let t = ctx.tally in
+  match k with
+  | St_arith -> t.arith <- t.arith + 1
+  | St_mul -> t.mul <- t.mul + 1
+  | St_div -> t.div <- t.div + 1
+  | St_branch -> t.branch <- t.branch + 1
+  | St_call -> t.call <- t.call + 1
+  | St_special -> t.special <- t.special + 1
 
 (* The value of an elaborated expression ([Typecheck.elaborate]). *)
 let rec eval ctx (e : Ast.expr) : Value.t =

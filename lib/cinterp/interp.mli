@@ -16,8 +16,10 @@
     fallback for any
     function the JIT left out.
 
-    Per-operation hooks ({!t.on_step}, {!t.on_access}) feed the
-    performance model without contaminating the semantics. *)
+    The performance model observes the run without touching its
+    semantics: every step counts its instruction class in place in
+    {!t.tally}, and every scalar load and store finds its memory
+    through {!t.access}, which accounts it. *)
 
 open Machine
 open Minic
@@ -29,8 +31,8 @@ val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Instruction classes for the cost model. *)
 type step = St_arith | St_mul | St_div | St_branch | St_call | St_special
 
-(** Kind of a memory access; {!t.on_access} receives it with the
-    address and the byte count. *)
+(** Kind of a memory access; {!t.access} receives it with the address
+    and the byte count. *)
 type access = Load | Store
 
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
@@ -43,14 +45,16 @@ type t = {
           per-thread state through the context it is called with *)
   lane : int;  (** device role: linear thread id within the block *)
   resolve : Addr.t -> Mem.t;  (** the memory an address lives in *)
+  access : t -> access -> Addr.t -> int -> Mem.t;
+      (** [ctx.access ctx]: {!t.resolve} for a scalar load or store of
+          the given bytes, accounting for it *)
+  tally : Simclock.tally;  (** the steps run in this context, by class *)
   local : Mem.t;  (** this context's stack (all declared variables) *)
   mutable globals : (string, Cty.t * Addr.t) Hashtbl.t;
   mutable strings : (string, Addr.t) Hashtbl.t option;
       (** string-literal intern cache, allocated on first use *)
   strings_arena : Mem.t option ref;
       (** the memory the interned literals live in, created on first use *)
-  mutable on_step : step -> unit;
-  mutable on_access : access -> Addr.t -> int -> unit;
   shared_decl : (string -> Cty.t -> Addr.t) option;
       (** resolver for [__shared__] declarations (device role only) *)
   mutable output : Buffer.t;  (** printf destination *)
@@ -72,12 +76,16 @@ type builtins = (string, builtin) Hashtbl.t
 (** [?builtins] and [?globals] may be tables shared with other contexts
     (default: fresh ones); the context never writes to them except
     through {!register_builtin}/{!register_global}.  [?lane] defaults
-    to 0.  The string-literal arena is created on first access. *)
+    to 0.  The string-literal arena is created on first access.
+    [?access] defaults to {!t.resolve}, accounting nothing, and
+    [?tally] to a fresh one. *)
 val create :
   structs:Cty.layout_env ->
   funcs:(string, Ast.fundef) Hashtbl.t ->
   resolve:(Addr.t -> Mem.t) ->
   local:Mem.t ->
+  ?access:(t -> access -> Addr.t -> int -> Mem.t) ->
+  ?tally:Simclock.tally ->
   ?builtins:builtins ->
   ?globals:(string, Cty.t * Addr.t) Hashtbl.t ->
   ?lane:int ->
@@ -86,7 +94,7 @@ val create :
   unit ->
   t
 
-(** Undo what a run leaves in a context beyond its program and hooks:
+(** Undo what a run leaves in a context beyond its program:
     the frames become [frames], and no call is active, no string
     literal interned, no function pointer taken and no engine attached
     ({!t.dispatch}).  The program fields ([structs], [funcs],
@@ -99,7 +107,7 @@ val register_builtin : t -> string -> builtin -> unit
 
 val register_global : t -> string -> Cty.t -> Addr.t -> unit
 
-(** {1 Memory access} (bounds-checked, accounted through [on_access]) *)
+(** {1 Memory access} (bounds-checked, accounted through {!t.access}) *)
 
 val sizeof : t -> Cty.t -> int
 

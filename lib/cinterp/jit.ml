@@ -48,9 +48,10 @@
    interpreter computes, and its static type that value's runtime
    type.
 
-   Semantics are mirrored from interp.ml exactly — same [on_step] /
-   [on_access] hook sequences, same evaluation order (including the
-   right-to-left operand order OCaml gives interp's [apply_binop]
+   Semantics are mirrored from interp.ml exactly — the same steps
+   counted in the context's tally, the same accounted memory accesses
+   through the context's [access], the same evaluation order (including
+   the right-to-left operand order OCaml gives interp's [apply_binop]
    call), same [Mem] mark/push/release sequence, same runtime errors,
    and builtins still run through the interpreter context — so
    barriers/yield points, divergence, counters, cost model, zero-copy
@@ -62,12 +63,11 @@
    function holds its payload in a typed register array of the call's
    [env] ([e_ints], the unboxed [e_flts], [e_longs], [e_ptrs]) instead
    of in simulated memory.  Nothing but the function's own code can
-   reach such a variable, so memory never needs its bytes.  Everything
-   the model observes is kept: the declaration still pushes its bytes on
-   the thread's stack (so every other local keeps its address), starts
-   at the zero [Mem.push] would give it, and every read and write still
-   fires [on_access] at that stack address with the variable's size, so
-   [local_accesses] and every other counter are unchanged.  Holding the
+   reach such a variable, so memory never needs its bytes, and its
+   reads and writes are register operations: local memory is not
+   accounted, so they count nothing.  The declaration still pushes its
+   bytes on the thread's stack, so every other local keeps its address,
+   and starts at the zero [Mem.push] would give it.  Holding the
    payload of [Value.cast ty v] instead of the stored bytes is exact
    because a store followed by a load of any scalar type yields that
    same value (test_machine checks the identity).  Locals whose address
@@ -246,10 +246,6 @@ let new_reg : type a. comp -> a kind -> int =
 (* Every layout is known at compile time: the program is elaborated. *)
 let sizeof k (ty : Cty.t) : int = Cty.sizeof k.k_env.Typecheck.structs ty
 
-(* Byte size of [ty] when it is a scalar. *)
-let scalar_bytes k (ty : Cty.t) : int option =
-  match kind_of ty with Some _ -> Some (sizeof k ty) | None -> None
-
 let declare_slot k ?(shared = false) name ty : local =
   let slot = k.k_next_slot in
   k.k_next_slot <- slot + 1;
@@ -257,7 +253,7 @@ let declare_slot k ?(shared = false) name ty : local =
   let reg =
     match kind_of ty with
     | Some (K kind)
-      when (not shared) && scalar_bytes k ty <> None && not (List.mem name k.k_escaped) ->
+      when (not shared) && not (List.mem name k.k_escaped) ->
       R (kind, new_reg k kind)
     | _ -> R_mem
   in
@@ -334,9 +330,21 @@ let address_taken (fd : Ast.fundef) : string list =
    [Value]'s payload rules instead ([coerce]). *)
 let[@inline] round32 f = Int32.float_of_bits (Int32.bits_of_float f)
 
-let[@inline] step env k = env.e_inst.i_ctx.Interp.on_step k
+(* Count a step of class [k] in the thread's tally ([Interp]'s step). *)
+let[@inline] step env (k : Interp.step) =
+  let t = env.e_inst.i_ctx.Interp.tally in
+  match k with
+  | Interp.St_arith -> t.Simclock.arith <- t.Simclock.arith + 1
+  | Interp.St_mul -> t.Simclock.mul <- t.Simclock.mul + 1
+  | Interp.St_div -> t.Simclock.div <- t.Simclock.div + 1
+  | Interp.St_branch -> t.Simclock.branch <- t.Simclock.branch + 1
+  | Interp.St_call -> t.Simclock.call <- t.Simclock.call + 1
+  | Interp.St_special -> t.Simclock.special <- t.Simclock.special + 1
 
-let[@inline] access env kind (a : Addr.t) bytes = env.e_inst.i_ctx.Interp.on_access kind a bytes
+(* The memory of a scalar access, accounted ([Interp.t.access]). *)
+let[@inline] access env kind (a : Addr.t) bytes =
+  let ctx = env.e_inst.i_ctx in
+  ctx.Interp.access ctx kind a bytes
 
 (* Resolve a free name against the thread's interpreter context,
    memoized: in device code these are threadIdx/blockIdx/... in the
@@ -403,11 +411,10 @@ let[@inline] mem_store_float m (a : Addr.t) (ty : Cty.t) (f : float) : unit =
   | _ -> Mem.store_int64 m a (Int64.bits_of_float f)
 
 (* Typed [Interp.load]/[Interp.store] of a scalar of type [ty] and
-   [bytes] bytes: resolve, access hook, then the memory operation. *)
+   [bytes] bytes: the accounted access, then the memory operation. *)
 let load : type a. a kind -> Cty.t -> int -> env -> Addr.t -> a =
  fun kind ty bytes env a ->
-  let m = env.e_inst.i_ctx.Interp.resolve a in
-  access env Interp.Load a bytes;
+  let m = access env Interp.Load a bytes in
   match kind with
   | Kint -> Mem.load_narrow m a ty
   | Klong -> Mem.load_int64 m a
@@ -416,8 +423,7 @@ let load : type a. a kind -> Cty.t -> int -> env -> Addr.t -> a =
 
 let store : type a. a kind -> Cty.t -> int -> env -> Addr.t -> a -> unit =
  fun kind ty bytes env a v ->
-  let m = env.e_inst.i_ctx.Interp.resolve a in
-  access env Interp.Store a bytes;
+  let m = access env Interp.Store a bytes in
   match kind with
   | Kint -> Mem.store_narrow m a ty v
   | Klong -> Mem.store_int64 m a v
@@ -469,9 +475,7 @@ let invoke (inst : inst) (cf : cfun) (args : Value.t list) : Value.t =
         let addr = Mem.push ctx.Interp.local size in
         env.e_frame.(i) <- addr;
         match reg with
-        | R (kind, r) ->
-          ctx.Interp.on_access Interp.Store addr size;
-          reg_set kind env r (extract kind ty v)
+        | R (kind, r) -> reg_set kind env r (extract kind ty v)
         | R_mem -> Interp.store ctx addr ty v)
       args;
     cf.cf_body env
@@ -814,11 +818,11 @@ let arith k (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
 (* Places: statically typed scalar lvalues                            *)
 (* ---------------------------------------------------------------- *)
 
-(* A scalar lvalue of static type [ty] and [bytes] bytes: a promoted
-   local (its stack slot and register), or a memory location whose
-   address a closure computes, with the steps of that computation. *)
+(* A scalar lvalue of static type [ty]: a promoted local (its
+   register), or a memory location of [bytes] bytes whose address a
+   closure computes, with the steps of that computation. *)
 type place =
-  | Pl_reg : 'a kind * Cty.t * int * int * int -> place (* kind, type, slot, bytes, register *)
+  | Pl_reg : 'a kind * Cty.t * int -> place (* kind, type, register *)
   | Pl_mem : 'a kind * Cty.t * int * (env -> Addr.t) -> place (* kind, type, bytes, address *)
 
 (* An lvalue: its type and a closure computing its address. *)
@@ -836,40 +840,25 @@ let same_kind : type a b. a kind -> b kind -> (a, b) eq option =
   | _ -> None
 
 let place_of_lv k (Lv (ty, fa) : lv) : place option =
-  match (kind_of ty, scalar_bytes k ty) with
-  | Some (K kind), Some bytes -> Some (Pl_mem (kind, ty, bytes, fa))
-  | _ -> None
+  match kind_of ty with Some (K kind) -> Some (Pl_mem (kind, ty, sizeof k ty, fa)) | None -> None
 
-(* The value of a place: its access, then the payload. *)
+(* The value of a place: its register, or its access and the payload. *)
 let read_place (pl : place) : cexpr =
   match pl with
-  | Pl_reg (Kint, ty, slot, bytes, r) ->
-    T
-      ( Kint,
-        ty,
-        fun env ->
-          access env Interp.Load env.e_frame.(slot) bytes;
-          Array.unsafe_get env.e_ints r )
-  | Pl_reg (kind, ty, slot, bytes, r) ->
-    T
-      ( kind,
-        ty,
-        fun env ->
-          access env Interp.Load env.e_frame.(slot) bytes;
-          reg_get kind env r )
+  | Pl_reg (Kint, ty, r) -> T (Kint, ty, fun env -> Array.unsafe_get env.e_ints r)
+  | Pl_reg (kind, ty, r) -> T (kind, ty, fun env -> reg_get kind env r)
   | Pl_mem (kind, ty, bytes, addr) -> T (kind, ty, fun env -> load kind ty bytes env (addr env))
 
 (* [lhs = rhs]: address, value, then its cast, access and store. *)
 let assign_place (pl : place) (rhs : cexpr) : cexpr =
   match pl with
-  | Pl_reg (kind, ty, slot, bytes, r) ->
+  | Pl_reg (kind, ty, r) ->
     let v = coerce kind ty rhs in
     T
       ( kind,
         ty,
         fun env ->
           let x = v env in
-          access env Interp.Store env.e_frame.(slot) bytes;
           reg_set kind env r x;
           x )
   | Pl_mem (kind, ty, bytes, addr) ->
@@ -904,19 +893,16 @@ let compound k (pl : place) (op : Ast.binop) (rhs : cexpr) ~(used : bool) : cexp
   let sk = step_class op in
   let[@inline] apply single cur b = float_apply op single cur b in
   match pl with
-  | Pl_reg (Kflt, ty, slot, bytes, r) when float_place ty ->
+  | Pl_reg (Kflt, ty, r) when float_place ty ->
     let fb = coerce Kflt Cty.Double rhs and single = ty = Cty.Float in
     T
       ( Kflt,
         ty,
         fun env ->
-          let fr = env.e_frame.(slot) in
-          access env Interp.Load fr bytes;
           let cur = Array.unsafe_get env.e_flts r in
           let b = fb env in
           step env sk;
           let x = apply single cur b in
-          access env Interp.Store fr bytes;
           Array.unsafe_set env.e_flts r x;
           if used then x else 0.0 )
   | Pl_mem (Kflt, ty, bytes, addr) when float_place ty ->
@@ -926,27 +912,21 @@ let compound k (pl : place) (op : Ast.binop) (rhs : cexpr) ~(used : bool) : cexp
         ty,
         fun env ->
           let a = addr env in
-          let m = env.e_inst.i_ctx.Interp.resolve a in
-          access env Interp.Load a bytes;
-          let cur = mem_load_float m a ty in
+          let cur = mem_load_float (access env Interp.Load a bytes) a ty in
           let b = fb env in
           step env sk;
           let x = apply single cur b in
-          let m = env.e_inst.i_ctx.Interp.resolve a in
-          access env Interp.Store a bytes;
-          mem_store_float m a ty x;
+          mem_store_float (access env Interp.Store a bytes) a ty x;
           if used then x else 0.0 )
-  | Pl_reg (kind, ty, slot, bytes, r) ->
+  | Pl_reg (kind, ty, r) ->
     let tmp = new_reg k kind in
     let v = coerce kind ty (arith k op (T (kind, ty, fun env -> reg_get kind env tmp)) rhs) in
     T
       ( kind,
         ty,
         fun env ->
-          access env Interp.Load env.e_frame.(slot) bytes;
           reg_set kind env tmp (reg_get kind env r);
           let x = v env in
-          access env Interp.Store env.e_frame.(slot) bytes;
           reg_set kind env r x;
           x )
   | Pl_mem (kind, ty, bytes, addr) ->
@@ -980,33 +960,27 @@ let incdec k (pl : place) ~(post : bool) ~(delta : int) : cexpr =
       fun _ p -> Addr.add p (delta * n)
   in
   match pl with
-  | Pl_reg (Kint, ty, slot, bytes, r) when ty = Cty.Int ->
+  | Pl_reg (Kint, ty, r) when ty = Cty.Int ->
     (* the loop-counter idiom *)
     T
       ( Kint,
         ty,
         fun env ->
           step env Interp.St_arith;
-          let fr = env.e_frame.(slot) in
-          access env Interp.Load fr bytes;
           let old = Array.unsafe_get env.e_ints r in
           let v = (old + delta) land 0xFFFFFFFF in
           let upd = if v > 0x7FFFFFFF then v - 0x100000000 else v in
-          access env Interp.Store fr bytes;
           Array.unsafe_set env.e_ints r upd;
           if post then old else upd )
-  | Pl_reg (kind, ty, slot, bytes, r) ->
+  | Pl_reg (kind, ty, r) ->
     let bump = bump kind ty in
     T
       ( kind,
         ty,
         fun env ->
           step env Interp.St_arith;
-          let fr = env.e_frame.(slot) in
-          access env Interp.Load fr bytes;
           let old = reg_get kind env r in
           let upd = bump env old in
-          access env Interp.Store fr bytes;
           reg_set kind env r upd;
           if post then old else upd )
   | Pl_mem (kind, ty, bytes, addr) ->
@@ -1063,10 +1037,11 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
   | Ast.Ident x -> (
     match List.assoc_opt x k.k_scope with
     | Some lc -> (
-      let slot = lc.lc_slot in
       match (lc.lc_ty, lc.lc_reg) with
-      | Cty.Array (elt, _), _ -> T (Kptr, Cty.Ptr elt, fun env -> env.e_frame.(slot))
-      | ty, R (kind, r) -> read_place (Pl_reg (kind, ty, slot, Option.get (scalar_bytes k ty), r))
+      | Cty.Array (elt, _), _ ->
+        let slot = lc.lc_slot in
+        T (Kptr, Cty.Ptr elt, fun env -> env.e_frame.(slot))
+      | ty, R (kind, r) -> read_place (Pl_reg (kind, ty, r))
       | _ -> rvalue k (compile_lvalue k e))
     | None when Hashtbl.mem k.k_env.Typecheck.globals x -> rvalue k (compile_lvalue k e)
     | None -> (
@@ -1183,8 +1158,7 @@ and rvalue k (lv : lv) : cexpr =
 and compile_target k (e : Ast.expr) : place =
   let local = match e with Ast.Ident x -> List.assoc_opt x k.k_scope | _ -> None in
   match local with
-  | Some { lc_slot; lc_ty; lc_reg = R (kind, r) } ->
-    Pl_reg (kind, lc_ty, lc_slot, Option.get (scalar_bytes k lc_ty), r)
+  | Some { lc_ty; lc_reg = R (kind, r); _ } -> Pl_reg (kind, lc_ty, r)
   | _ -> (
     match place_of_lv k (compile_lvalue k e) with
     | Some pl -> pl
@@ -1310,7 +1284,7 @@ and compile_call k (f : string) (args : Ast.expr list) : cexpr =
         v :: build (i + 1)
     in
     let vals = build 0 in
-    ctx.Interp.on_step Interp.St_call;
+    step env Interp.St_call;
     let target =
       match inst.i_calls.(site) with
       | Tgt_unresolved ->
@@ -1542,18 +1516,17 @@ and compile_decl k (d : Ast.decl) : cstmt =
         env.e_frame.(slot) <- addr;
         ci env addr)
 
-(* A promoted declaration pushes its stack bytes like any other (the
-   address is what its accesses report) and starts at the zero that
-   [Mem.push] leaves in them; an initializer is stored as interp's
-   [exec_init] stores it: value first, then the access, then the cast. *)
+(* A promoted declaration pushes its stack bytes like any other, so
+   every other local keeps its address, and starts at the zero that
+   [Mem.push] leaves in them; an initializer is evaluated, then cast
+   and stored, as interp's [exec_init] does. *)
 and compile_promoted_decl : type a. comp -> local -> a kind -> int -> Ast.init option -> cstmt =
  fun k lc kind r init ->
-  let slot = lc.lc_slot and ty = lc.lc_ty in
-  let bytes = Option.get (scalar_bytes k ty) in
+  let ty = lc.lc_ty in
+  let bytes = sizeof k ty in
   let z = zero kind in
   let declare env =
     let addr = Mem.push env.e_inst.i_ctx.Interp.local bytes in
-    env.e_frame.(slot) <- addr;
     reg_set kind env r z;
     addr
   in
@@ -1562,10 +1535,8 @@ and compile_promoted_decl : type a. comp -> local -> a kind -> int -> Ast.init o
   | Some (Ast.Iexpr e) ->
     let v = coerce kind ty (compile_expr k e) in
     fun env ->
-      let addr = declare env in
-      let x = v env in
-      access env Interp.Store addr bytes;
-      reg_set kind env r x
+      ignore (declare env);
+      reg_set kind env r (v env)
   | Some (Ast.Ilist _ as init) ->
     (* rejected at run time, before any access *)
     let ci = compile_init k ty init in
@@ -1574,11 +1545,11 @@ and compile_promoted_decl : type a. comp -> local -> a kind -> int -> Ast.init o
 and compile_init k (ty : Cty.t) (init : Ast.init) : env -> Addr.t -> unit =
   match (init, ty) with
   | Ast.Iexpr e, _ -> (
-    match (kind_of ty, scalar_bytes k ty) with
-    | Some (K kind), Some bytes ->
-      let v = coerce kind ty (compile_expr k e) in
+    match kind_of ty with
+    | Some (K kind) ->
+      let v = coerce kind ty (compile_expr k e) and bytes = sizeof k ty in
       fun env addr -> store kind ty bytes env addr (v env)
-    | _ -> ill_typed "%s initialized from an expression" (Cty.show ty))
+    | None -> ill_typed "%s initialized from an expression" (Cty.show ty))
   | Ast.Ilist items, Cty.Array (elt, _) ->
     let esz = sizeof k elt in
     let subs = List.mapi (fun i item -> (i * esz, compile_init k elt item)) items in

@@ -22,8 +22,8 @@
     [Value.cast] is built from.  Scalar locals whose address is
     never taken are promoted: their payloads live in typed register
     arrays of the call instead of in simulated memory, while their
-    stack bytes and every access hook are kept.  Semantics (hook
-    sequences, evaluation order, stack mark/push/release behavior,
+    stack bytes are kept.  Semantics (steps counted, memory accesses
+    accounted, evaluation order, stack mark/push/release behavior,
     runtime errors, builtin routing, and therefore barriers,
     divergence, counters, cost model, zero-copy and fault injection)
     are mirrored from {!Interp} exactly; the tree-walker remains the

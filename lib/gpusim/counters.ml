@@ -1,9 +1,8 @@
 (* Dynamic statistics of a kernel launch, feeding the cost model.
 
-   Instruction counts are kept per thread within the running block and
-   folded into per-warp maxima at block retirement, which approximates
-   SIMT lockstep cost under divergence.  Global-memory coalescing is
-   sampled on every warp of the first [max_sample_blocks] simulated
+   A thread's instruction tally is added here when its block retires
+   and folded into per-warp maxima, which approximates SIMT lockstep
+   cost under divergence.  Global-memory coalescing is sampled on every warp of the first [max_sample_blocks] simulated
    blocks that touch global memory: the k-th access of each lane to a
    given allocation is assumed to correspond to the same static memory
    instruction, so the number of distinct transaction segments covered
@@ -49,7 +48,7 @@ let add_segment sm (seg : int) =
   end;
   sm.sm_lanes <- sm.sm_lanes + 1
 
-type class_counts = {
+type class_counts = Simclock.tally = {
   mutable arith : int;
   mutable mul : int;
   mutable div : int;
@@ -58,9 +57,7 @@ type class_counts = {
   mutable special : int;
 }
 
-let zero_classes () = { arith = 0; mul = 0; div = 0; branch = 0; call = 0; special = 0 }
-
-let class_total c = c.arith + c.mul + c.div + c.branch + c.call + c.special
+let class_total = Simclock.tally_total
 
 type alloc_stats = {
   mutable a_loads : int;
@@ -96,7 +93,6 @@ type t = {
   mutable warp_inst_max : float; (* heaviest single warp (makespan floor) *)
   mutable thread_inst_sum : float;
   mutable shared_accesses : int;
-  mutable local_accesses : int;
   mutable barrier_warp_arrivals : int; (* rounded, for cost *)
   mutable atomics : int;
   mutable chunk_grabs : int; (* dynamic/guided scheduler chunk grants *)
@@ -106,16 +102,15 @@ type t = {
   mutable zerocopy_stores : int;
   per_alloc : (int, alloc_stats) Hashtbl.t;
   per_pin : (int, pin_stats) Hashtbl.t; (* zero-copy accesses keyed by pin id *)
-  (* allocation table for addr -> allocation id: sorted (off, len, id) *)
-  mutable alloc_table : (int * int * int) array;
-  (* stats record for each [alloc_table] entry, so the per-access hot
-     path resolves stats by binary search alone (no hashtable probe) *)
-  mutable alloc_table_stats : alloc_stats array;
-  (* pinned host ranges visible to the device (zero-copy): sorted (off, len, id) *)
-  mutable pinned_table : (int * int * int) array;
-  (* stats record for each [pinned_table] entry, [no_pin] until the
-     range's first access *)
-  mutable pinned_table_stats : pin_stats array;
+  (* the allocations as sorted flat bounds [|off0; end0; off1; ...|],
+     and each entry's stats record, found by binary search alone *)
+  mutable alloc_bounds : int array;
+  mutable alloc_entries : alloc_stats array;
+  (* pinned host ranges (zero-copy), likewise, with each entry's pin id
+     and stats record ([no_pin] until the range's first access) *)
+  mutable pinned_bounds : int array;
+  mutable pinned_ids : int array;
+  mutable pinned_entries : pin_stats array;
   (* Coalescing is sampled on every warp of the first [max_sample_blocks]
      simulated blocks that touch global memory; [sample_block_seq] is
      the index of the block currently contributing samples, or -1 when
@@ -125,7 +120,7 @@ type t = {
   (* sample rows per block: the spec's largest block, in warps *)
   sample_warps : int;
   (* the sampled block's access positions, one per (thread, allocation)
-     at index [lin * Array.length alloc_table + entry] *)
+     at index [lin * Array.length alloc_entries + entry] *)
   mutable access_seqs : int array;
 }
 
@@ -135,13 +130,12 @@ let no_pin = { p_loads = 0; p_stores = 0 }
 let create spec =
   {
     spec;
-    classes = zero_classes ();
+    classes = Simclock.tally ();
     thread_insts = [||];
     warp_inst_sum = 0.0;
     warp_inst_max = 0.0;
     thread_inst_sum = 0.0;
     shared_accesses = 0;
-    local_accesses = 0;
     barrier_warp_arrivals = 0;
     atomics = 0;
     chunk_grabs = 0;
@@ -151,20 +145,29 @@ let create spec =
     zerocopy_stores = 0;
     per_alloc = Hashtbl.create 16;
     per_pin = Hashtbl.create 4;
-    alloc_table = [||];
-    alloc_table_stats = [||];
-    pinned_table = [||];
-    pinned_table_stats = [||];
+    alloc_bounds = [||];
+    alloc_entries = [||];
+    pinned_bounds = [||];
+    pinned_ids = [||];
+    pinned_entries = [||];
     sample_block_seq = -1;
     block_contributed = false;
     sample_warps = Spec.warps_per_block spec spec.Spec.max_threads_per_block;
     access_seqs = [||];
   }
 
-let sorted_ranges (allocs : (int * int * int) array) =
-  let allocs = Array.copy allocs in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) allocs;
-  allocs
+(* The [(off, len, id)] ranges sorted by offset, as flat bounds and
+   their ids. *)
+let flat_ranges (ranges : (int * int * int) array) : int array * int array =
+  let sorted = Array.copy ranges in
+  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) sorted;
+  let bounds = Array.make (2 * Array.length sorted) 0 in
+  Array.iteri
+    (fun i (off, len, _) ->
+      bounds.(2 * i) <- off;
+      bounds.((2 * i) + 1) <- off + len)
+    sorted;
+  (bounds, Array.map (fun (_, _, id) -> id) sorted)
 
 let alloc_stats t id =
   match Hashtbl.find_opt t.per_alloc id with
@@ -185,33 +188,28 @@ let alloc_stats t id =
     s
 
 let set_alloc_table t (allocs : (int * int * int) array) =
-  let sorted = sorted_ranges allocs in
-  t.alloc_table <- sorted;
-  t.alloc_table_stats <- Array.map (fun (_, _, id) -> alloc_stats t id) sorted
+  let bounds, ids = flat_ranges allocs in
+  t.alloc_bounds <- bounds;
+  t.alloc_entries <- Array.map (alloc_stats t) ids
 
 let set_pinned_table t (ranges : (int * int * int) array) =
-  t.pinned_table <- sorted_ranges ranges;
-  t.pinned_table_stats <- Array.make (Array.length ranges) no_pin
+  let bounds, ids = flat_ranges ranges in
+  t.pinned_bounds <- bounds;
+  t.pinned_ids <- ids;
+  t.pinned_entries <- Array.make (Array.length ids) no_pin
 
-(* Index of the entry of the sorted [(off, len, id)] ranges
-   [arr.(lo..hi-1)] that covers [off], or -1.  A top-level function, not
-   a local closure over [arr] and [off], so the per-access lookup
-   allocates nothing. *)
-let rec bsearch_idx (arr : (int * int * int) array) off lo hi : int =
+(* Index of the entry of the flat bounds [b] that covers [off], among
+   entries [lo..hi-1], or -1.  A top-level function, not a local
+   closure, so the per-access lookup allocates nothing. *)
+let rec search (b : int array) off lo hi : int =
   if lo >= hi then -1
   else
-    let mid = (lo + hi) / 2 in
-    let o, len, _ = Array.unsafe_get arr mid in
-    if off < o then bsearch_idx arr off lo mid
-    else if off >= o + len then bsearch_idx arr off (mid + 1) hi
+    let mid = (lo + hi) lsr 1 in
+    if off < Array.unsafe_get b (2 * mid) then search b off lo mid
+    else if off >= Array.unsafe_get b ((2 * mid) + 1) then search b off (mid + 1) hi
     else mid
 
-(* The entry index, so the caller can reach the parallel stats array
-   without a probe. *)
-let find_range_idx (arr : (int * int * int) array) off : int =
-  bsearch_idx arr off 0 (Array.length arr)
-
-let find_pinned_idx t off : int = find_range_idx t.pinned_table off
+let find_range (b : int array) off : int = search b off 0 (Array.length b lsr 1)
 
 (* [arr] with its first [n] entries zeroed, or a fresh array of [n]
    zeros when it is shorter. *)
@@ -225,7 +223,27 @@ let zero_prefix (arr : int array) n =
 let begin_block t n_threads =
   t.thread_insts <- zero_prefix t.thread_insts n_threads;
   if t.sample_block_seq >= 0 then
-    t.access_seqs <- zero_prefix t.access_seqs (n_threads * Array.length t.alloc_table)
+    t.access_seqs <- zero_prefix t.access_seqs (n_threads * Array.length t.alloc_entries)
+
+(* Zero a thread's tally as it starts. *)
+let clear_classes (c : class_counts) =
+  c.arith <- 0;
+  c.mul <- 0;
+  c.div <- 0;
+  c.branch <- 0;
+  c.call <- 0;
+  c.special <- 0
+
+(* Thread [lin] of the running block ran the steps of [c]. *)
+let add_thread t (lin : int) (c : class_counts) =
+  t.thread_insts.(lin) <- class_total c;
+  let s = t.classes in
+  s.arith <- s.arith + c.arith;
+  s.mul <- s.mul + c.mul;
+  s.div <- s.div + c.div;
+  s.branch <- s.branch + c.branch;
+  s.call <- s.call + c.call;
+  s.special <- s.special + c.special
 
 let retire_block t n_threads =
   t.blocks_executed <- t.blocks_executed + 1;
@@ -240,17 +258,6 @@ let retire_block t n_threads =
     t.warp_inst_sum <- t.warp_inst_sum +. float_of_int !m;
     if float_of_int !m > t.warp_inst_max then t.warp_inst_max <- float_of_int !m
   done
-
-let on_step t (lin : int) (k : Cinterp.Interp.step) =
-  t.thread_insts.(lin) <- t.thread_insts.(lin) + 1;
-  let c = t.classes in
-  match k with
-  | Cinterp.Interp.St_arith -> c.arith <- c.arith + 1
-  | Cinterp.Interp.St_mul -> c.mul <- c.mul + 1
-  | Cinterp.Interp.St_div -> c.div <- c.div + 1
-  | Cinterp.Interp.St_branch -> c.branch <- c.branch + 1
-  | Cinterp.Interp.St_call -> c.call <- c.call + 1
-  | Cinterp.Interp.St_special -> c.special <- c.special + 1
 
 (* The row of sample slots for [row], grown to hold position [k].  A
    lane records its positions in order, so [k] is at most the row's
@@ -273,20 +280,19 @@ let sample_row t s row k =
    array's capacity. *)
 let on_global_access t ~(lin : int) (kind : Cinterp.Interp.access) (a : Addr.t) (bytes : int) =
   let off = (a :> int) asr Addr.code_bits in
-  match find_range_idx t.alloc_table off with
+  match find_range t.alloc_bounds off with
   | -1 -> ()
   | i ->
-    let base, _, _ = Array.unsafe_get t.alloc_table i in
-    let s = Array.unsafe_get t.alloc_table_stats i in
+    let s = Array.unsafe_get t.alloc_entries i in
     (match kind with
     | Cinterp.Interp.Load -> s.a_loads <- s.a_loads + 1
     | Cinterp.Interp.Store ->
       s.a_stores <- s.a_stores + 1;
-      let rel = off - base in
+      let rel = off - Array.unsafe_get t.alloc_bounds (2 * i) in
       if rel < s.a_store_lo then s.a_store_lo <- rel;
       if rel + bytes > s.a_store_hi then s.a_store_hi <- rel + bytes);
     if t.sample_block_seq >= 0 then begin
-      let j = (lin * Array.length t.alloc_table) + i in
+      let j = (lin * Array.length t.alloc_entries) + i in
       let k = t.access_seqs.(j) in
       t.access_seqs.(j) <- k + 1;
       if k < sample_cap then begin
@@ -311,16 +317,15 @@ let fold_samples f (s : alloc_stats) acc =
   !acc
 
 (* Record an atomic read-modify-write's target bytes.  Called from the
-   device-runtime atomics (which know the address), not from the access
-   hook: only RMWs matter for cross-shard exchange, and only they may
+   device-runtime atomics (which know the address), not from the
+   accounted resolver: only RMWs matter for cross-shard exchange, and only they may
    legally carry values between teams of one distribute. *)
 let note_atomic t ~(off : int) ~(len : int) =
-  match find_range_idx t.alloc_table off with
+  match find_range t.alloc_bounds off with
   | -1 -> ()
   | i ->
-    let base, _, _ = Array.unsafe_get t.alloc_table i in
-    let s = Array.unsafe_get t.alloc_table_stats i in
-    let rel = off - base in
+    let s = Array.unsafe_get t.alloc_entries i in
+    let rel = off - Array.unsafe_get t.alloc_bounds (2 * i) in
     if rel < s.a_atomic_lo then s.a_atomic_lo <- rel;
     if rel + len > s.a_atomic_hi then s.a_atomic_hi <- rel + len
 
@@ -344,10 +349,10 @@ let atomic_interval t (id : int) : (int * int) option =
    is also attributed to the pinned range it hit, so the memory policy
    can weigh a specific buffer's access volume against its pin cost. *)
 let pin_stats t i =
-  match Array.unsafe_get t.pinned_table_stats i with
+  match Array.unsafe_get t.pinned_entries i with
   | s when s != no_pin -> s
   | _ ->
-    let _, _, id = t.pinned_table.(i) in
+    let id = t.pinned_ids.(i) in
     let s =
       match Hashtbl.find_opt t.per_pin id with
       | Some s -> s
@@ -356,19 +361,23 @@ let pin_stats t i =
         Hashtbl.replace t.per_pin id s;
         s
     in
-    t.pinned_table_stats.(i) <- s;
+    t.pinned_entries.(i) <- s;
     s
 
-(* [entry] indexes [pinned_table] ({!find_pinned_idx}). *)
-let on_zerocopy_access t ~(entry : int) (kind : Cinterp.Interp.access) =
-  let s = pin_stats t entry in
-  match kind with
-  | Cinterp.Interp.Load ->
-    t.zerocopy_loads <- t.zerocopy_loads + 1;
-    s.p_loads <- s.p_loads + 1
-  | Cinterp.Interp.Store ->
-    t.zerocopy_stores <- t.zerocopy_stores + 1;
-    s.p_stores <- s.p_stores + 1
+(* False, counting nothing, when no pinned range covers [off]. *)
+let on_zerocopy_access t (kind : Cinterp.Interp.access) (off : int) : bool =
+  match find_range t.pinned_bounds off with
+  | -1 -> false
+  | i ->
+    let s = pin_stats t i in
+    (match kind with
+    | Cinterp.Interp.Load ->
+      t.zerocopy_loads <- t.zerocopy_loads + 1;
+      s.p_loads <- s.p_loads + 1
+    | Cinterp.Interp.Store ->
+      t.zerocopy_stores <- t.zerocopy_stores + 1;
+      s.p_stores <- s.p_stores + 1);
+    true
 
 let zerocopy_accesses t = t.zerocopy_loads + t.zerocopy_stores
 

@@ -1,8 +1,8 @@
 (** Dynamic statistics of one kernel launch, feeding the cost model.
 
-    Instruction counts are kept per thread within the running block and
-    folded into per-warp maxima at block retirement, approximating SIMT
-    lockstep cost under divergence.  Global-memory coalescing is sampled
+    A thread's instruction tally ({!Cinterp.Interp.t.tally}) is added
+    here when its block retires ({!add_thread}) and folded into per-warp
+    maxima, approximating SIMT lockstep cost under divergence.  Global-memory coalescing is sampled
     on every warp of the first {!max_sample_blocks} blocks that touch
     global memory: the k-th access of each lane of a warp to a given
     allocation is assumed to correspond to the same static memory
@@ -24,7 +24,8 @@ type sample = { mutable sm_segs : int array; mutable sm_nsegs : int; mutable sm_
 (** A sample's segments, in increasing order. *)
 val sample_segments : sample -> int list
 
-type class_counts = {
+(** The executors' step tally. *)
+type class_counts = Machine.Simclock.tally = {
   mutable arith : int;
   mutable mul : int;
   mutable div : int;
@@ -32,8 +33,6 @@ type class_counts = {
   mutable call : int;
   mutable special : int;
 }
-
-val zero_classes : unit -> class_counts
 
 val class_total : class_counts -> int
 
@@ -64,7 +63,6 @@ type t = {
   mutable warp_inst_max : float;  (** heaviest single warp (makespan floor) *)
   mutable thread_inst_sum : float;
   mutable shared_accesses : int;
-  mutable local_accesses : int;
   mutable barrier_warp_arrivals : int;  (** rounded per the paper's X = W ceil(N/W) *)
   mutable atomics : int;
   mutable chunk_grabs : int;  (** dynamic/guided scheduler chunk grants *)
@@ -74,12 +72,11 @@ type t = {
   mutable zerocopy_stores : int;
   per_alloc : (int, alloc_stats) Hashtbl.t;
   per_pin : (int, pin_stats) Hashtbl.t;  (** zero-copy accesses keyed by pin id *)
-  mutable alloc_table : (int * int * int) array;
-  mutable alloc_table_stats : alloc_stats array;
-      (** stats of each [alloc_table] entry, resolved by binary search *)
-  mutable pinned_table : (int * int * int) array;
-  mutable pinned_table_stats : pin_stats array;
-      (** stats of each [pinned_table] entry, filled on its first access *)
+  mutable alloc_bounds : int array;  (** sorted: [[|off0; end0; off1; ...|]] *)
+  mutable alloc_entries : alloc_stats array;  (** each [alloc_bounds] entry's *)
+  mutable pinned_bounds : int array;  (** the pinned host ranges, likewise *)
+  mutable pinned_ids : int array;
+  mutable pinned_entries : pin_stats array;  (** filled on first access *)
   mutable sample_block_seq : int;
       (** index of the block contributing samples, -1 when sampling is off *)
   mutable block_contributed : bool;
@@ -90,24 +87,27 @@ type t = {
 
 val create : Spec.t -> t
 
-(** Sorted (offset, length, id) table used to attribute accesses. *)
+(** The (offset, length, id) ranges of the allocations accesses are
+    attributed to, in any order. *)
 val set_alloc_table : t -> (int * int * int) array -> unit
 
-(** Sorted (offset, length, id) table of pinned host ranges the device
-    may access zero-copy. *)
+(** The (offset, length, id) ranges of pinned host memory the device
+    may access zero-copy, in any order. *)
 val set_pinned_table : t -> (int * int * int) array -> unit
-
-(** Index of the pinned-table entry covering a host offset, or -1. *)
-val find_pinned_idx : t -> int -> int
 
 (** [begin_block t n_threads] starts a block; when it is sampled
     ([sample_block_seq >= 0]), every thread's access positions restart
     at 0. *)
 val begin_block : t -> int -> unit
 
-val retire_block : t -> int -> unit
+(** Zero a tally, as a thread starts. *)
+val clear_classes : class_counts -> unit
 
-val on_step : t -> int -> Cinterp.Interp.step -> unit
+(** [add_thread t lin c]: thread [lin] of the running block ran the
+    steps of [c]; called for each thread before {!retire_block}. *)
+val add_thread : t -> int -> class_counts -> unit
+
+val retire_block : t -> int -> unit
 
 (** [on_global_access t ~lin kind addr bytes] accounts one access of
     [bytes] bytes at [addr] by thread [lin] of the running block.  In a
@@ -131,11 +131,11 @@ val store_interval : t -> int -> (int * int) option
 (** Byte interval touched by atomic RMWs in the given allocation. *)
 val atomic_interval : t -> int -> (int * int) option
 
-(** Count a kernel access that resolved to pinned host memory (zero-copy;
-    uncached, so no coalescing sample is kept).  [entry] is the
-    pinned-table entry the access hit ({!find_pinned_idx}), so traffic
-    is attributable per buffer. *)
-val on_zerocopy_access : t -> entry:int -> Cinterp.Interp.access -> unit
+(** [on_zerocopy_access t kind off] counts a kernel access to pinned
+    host memory at host offset [off] (zero-copy; uncached, so no
+    coalescing sample is kept), attributed to the pinned range it hit;
+    false, counting nothing, when no pinned range covers [off]. *)
+val on_zerocopy_access : t -> Cinterp.Interp.access -> int -> bool
 
 val zerocopy_accesses : t -> int
 

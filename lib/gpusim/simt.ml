@@ -17,7 +17,8 @@
    number of participants arrive — the mechanism behind the paper's B1/B2
    master/worker protocol.  Divergence, locks and atomics are modelled at
    scheduling points (Yield) rather than in instruction lockstep; cost is
-   reconstructed per warp from per-thread instruction counts. *)
+   reconstructed per warp from per-thread instruction counts, which a
+   thread's lane context tallies in place. *)
 
 open Machine
 open Minic
@@ -125,7 +126,7 @@ type launch_config = {
    interpreter context its threads run in.  The context is built by the
    first launch that uses the lane and kept, with its base frame binding
    the four dim3 builtins at the bottom of the lane's stack; a launch
-   re-points it at its module, builtins and hooks, and each block
+   re-points it at its module and builtins, and each block
    resets it and rewrites the dim3 values. *)
 type lane = {
   ln_local : Mem.t;
@@ -135,11 +136,14 @@ type lane = {
   mutable ln_dim3 : Addr.t array; (* threadIdx..gridDim: x, y, z, padding *)
 }
 
-(* The device's lanes, and what their contexts resolve against while a
-   launch runs: its memories, block size, current block and structs. *)
+(* The device's lanes, their contexts' accounted resolver, and what
+   those resolve against while a launch runs: its memories and
+   counters, block size, current block and structs. *)
 and pool = {
   mutable lanes : lane array;
+  access : Cinterp.Interp.t -> Cinterp.Interp.access -> Addr.t -> int -> Mem.t;
   mutable run_mem : device_memories option;
+  mutable run_counters : Counters.t option;
   mutable run_threads : int;
   mutable run_block : block_state option;
   mutable run_structs : Cty.layout_env;
@@ -153,15 +157,6 @@ and pool = {
 and device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_lanes : pool }
 
 let local_bytes = 8192
-
-let create_pool () =
-  {
-    lanes = [||];
-    run_mem = None;
-    run_threads = 0;
-    run_block = None;
-    run_structs = Cty.create_layout_env ();
-  }
 
 let ensure_lanes (pool : pool) (n : int) =
   let have = Array.length pool.lanes in
@@ -211,6 +206,52 @@ let resolve (pool : pool) (a : Addr.t) : Mem.t =
       | Addr.Global | Addr.Strings ->
         simt_error "unreachable: global is resolved above, strings inside the interpreter")
 
+(* The accounted resolver of lane context [ctx]: the space code decoded
+   once, a global, shared or zero-copy access counted in the running
+   launch's counters. *)
+let device_access (pool : pool) (ctx : Cinterp.Interp.t) kind (a : Addr.t) bytes : Mem.t =
+  let c = (a :> int) land Addr.code_mask in
+  let lin = ctx.Cinterp.Interp.lane in
+  if c = global_code then
+    match (pool.run_mem, pool.run_counters) with
+    | Some m, Some counters ->
+      Counters.on_global_access counters ~lin kind a bytes;
+      m.dm_global
+    | _ -> simt_error "device memory accessed outside a launch"
+  else if c = local_code0 + lin then ctx.Cinterp.Interp.local
+  else if c >= local_code0 then
+    (* another lane's stack or the string literals: not counted *)
+    ctx.Cinterp.Interp.resolve a
+  else
+    let m = ctx.Cinterp.Interp.resolve a in
+    match pool.run_counters with
+    | None -> simt_error "device memory accessed outside a launch"
+    | Some counters when c >= shared_code0 ->
+      counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1;
+      m
+    | Some counters ->
+      (* [Host]: only pinned (zero-copy) ranges are reachable, dm_host
+         is None otherwise and [resolve] has already faulted *)
+      if not (Counters.on_zerocopy_access counters kind (Addr.off a)) then
+        simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
+          (Addr.off a);
+      m
+
+(* One accounted resolver for every lane context of the pool. *)
+let create_pool () =
+  let rec pool =
+    {
+      lanes = [||];
+      access = (fun ctx kind a bytes -> device_access pool ctx kind a bytes);
+      run_mem = None;
+      run_counters = None;
+      run_threads = 0;
+      run_block = None;
+      run_structs = Cty.create_layout_env ();
+    }
+  in
+  pool
+
 let shared_decl (pool : pool) name ty =
   match pool.run_block with
   | None -> simt_error "__shared__ declaration outside a block"
@@ -225,7 +266,7 @@ let shared_decl (pool : pool) name ty =
 (* Lane [i]'s context, built on its first use: right after the launch's
    reset of the lane, so its base frame binds the dim3 builtins at the
    bottom of the stack (16 bytes each, from offset 16), where every
-   block finds them. *)
+   block finds them.  It keeps its own tally. *)
 let lane_context (pool : pool) (i : int) ~structs ~funcs ~builtins ~globals ~output :
     Cinterp.Interp.t =
   let lane = pool.lanes.(i) in
@@ -233,8 +274,9 @@ let lane_context (pool : pool) (i : int) ~structs ~funcs ~builtins ~globals ~out
   | Some ctx -> ctx
   | None ->
     let ctx =
-      Cinterp.Interp.create ~structs ~funcs ~resolve:(resolve pool) ~local:lane.ln_local ~builtins
-        ~globals ~lane:i ~shared_decl:(shared_decl pool) ~output ()
+      Cinterp.Interp.create ~structs ~funcs ~resolve:(resolve pool) ~local:lane.ln_local
+        ~access:pool.access ~builtins ~globals ~lane:i ~shared_decl:(shared_decl pool)
+        ~output ()
     in
     Cinterp.Interp.push_frame ctx;
     lane.ln_dim3 <-
@@ -309,13 +351,14 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
     | Some f -> f
     | None -> simt_error "kernel entry '%s' not found in kernel source" config.lc_entry
   in
-  (* Per-thread setup: the lane's context back to its base frame, the
-     lane's stack unwound to just above it and the dim3 values written
-     there, as binding them afresh would leave them. *)
+  (* Per-thread setup: the lane's context back to its base frame with a
+     zero tally, the lane's stack unwound to just above it and the dim3
+     values written there, as binding them afresh would leave them. *)
   let make_thread_body lin =
     let lane = pool.lanes.(lin) in
     let ctx = Option.get lane.ln_ctx in
     Cinterp.Interp.reset ctx ~frames:lane.ln_base;
+    Counters.clear_classes ctx.Cinterp.Interp.tally;
     Mem.release lane.ln_local lane.ln_top;
     write_dim3 lane 0 bs.bs_threads.(lin).ts_tid;
     write_dim3 lane 1 block_idx;
@@ -405,6 +448,9 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
       block_idx.y block_idx.z bs.bs_live
       (if stuck = [] then "no barrier waiters; thread starved?" else String.concat "; " stuck)
   end;
+  for lin = 0 to n_threads - 1 do
+    Counters.add_thread counters lin (Option.get pool.lanes.(lin).ln_ctx).Cinterp.Interp.tally
+  done;
   Counters.retire_block counters n_threads
 
 (* Launch a kernel over the whole grid (subject to the block filter). *)
@@ -432,9 +478,10 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     builtins;
   let linked = Option.map (fun c -> Cinterp.Jit.link c ~builtins ~funcs:source.ks_funcs) compiled in
   pool.run_mem <- Some mem;
+  pool.run_counters <- Some counters;
   pool.run_threads <- n_threads;
   pool.run_structs <- source.ks_env.Typecheck.structs;
-  (* the lanes' contexts: this launch's module, builtins and hooks *)
+  (* the lanes' contexts: this launch's module and builtins *)
   for lin = 0 to n_threads - 1 do
     let ctx =
       lane_context pool lin ~structs:source.ks_env.Typecheck.structs ~funcs:source.ks_funcs ~builtins
@@ -444,25 +491,7 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ctx.Cinterp.Interp.funcs <- source.ks_funcs;
     ctx.Cinterp.Interp.builtins <- builtins;
     ctx.Cinterp.Interp.globals <- source.ks_globals;
-    ctx.Cinterp.Interp.output <- output;
-    ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
-    ctx.Cinterp.Interp.on_access <-
-      (fun kind a bytes ->
-        let c = (a :> int) land Addr.code_mask in
-        if c = global_code then Counters.on_global_access counters ~lin kind a bytes
-        else if c >= local_code0 then
-          (* [Local _] or [Strings]: the codes above the locals' *)
-          counters.Counters.local_accesses <- counters.Counters.local_accesses + 1
-        else if c >= shared_code0 then
-          counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
-        else
-          (* [Host]: only pinned (zero-copy) ranges are reachable, dm_host
-             is None otherwise and [resolve] has already faulted *)
-          match Counters.find_pinned_idx counters (Addr.off a) with
-          | -1 ->
-            simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
-              (Addr.off a)
-          | entry -> Counters.on_zerocopy_access counters ~entry kind)
+    ctx.Cinterp.Interp.output <- output
   done;
   let total_blocks = dim3_total config.lc_grid in
   counters.Counters.blocks_total <- counters.Counters.blocks_total + total_blocks;
@@ -492,4 +521,5 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
   done;
   pool.run_block <- None;
   pool.run_mem <- None;
+  pool.run_counters <- None;
   counters.Counters.sample_block_seq <- -1

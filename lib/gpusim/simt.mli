@@ -147,7 +147,7 @@ type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
     [install_builtins] runs once per launch, after the common builtins
     are installed.  With [?compiled], each thread executes the module's
     closure-compiled form instead of tree-walking the AST (identical
-    semantics, hooks and yield points; see {!Cinterp.Jit}). *)
+    semantics, accounting and yield points; see {!Cinterp.Jit}). *)
 val launch :
   spec:Spec.t ->
   mem:device_memories ->

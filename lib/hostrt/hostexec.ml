@@ -210,13 +210,15 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
         host_error "unreachable: host is resolved above, strings inside the interpreter"
   in
   (* host locals live in host memory, in the stack segments [Rt.create]
-     carved there: a frame never moves the heap's [brk] *)
-  let ctx = Cinterp.Interp.create ~structs ~funcs ~resolve ~local:rt.Rt.host_mem () in
+     carved there: a frame never moves the heap's [brk]; host steps are
+     counted into the clock's tally, which charges them to simulated
+     time ([Rt.host_step_cost_ns] each) before the clock is next read *)
+  let ctx =
+    Cinterp.Interp.create ~structs ~funcs ~resolve ~local:rt.Rt.host_mem
+      ~tally:(Simclock.host_steps rt.Rt.clock) ()
+  in
   Cinterp.Interp.install_common_builtins ctx.Cinterp.Interp.builtins;
   install_ort_builtins rt ctx;
-  (* charge host execution to the simulated clock *)
-  let cost = Rt.host_step_cost_ns rt in
-  ctx.Cinterp.Interp.on_step <- (fun _ -> Simclock.advance_ns rt.Rt.clock cost);
   let env, program = Cinterp.Interp.load_program ctx program in
   (* The host program runs on the same closure JIT as the kernels,
      compiled once here against this context's own builtin and function

@@ -98,6 +98,9 @@ let sampling_filter ~(total_blocks : int) (max_blocks : int option) : (int -> bo
     let offset = stride / 2 in
     Some (fun b -> b mod stride = offset)
 
+(* The simulated cost of one interpreted host step on [cpu]. *)
+let step_cost_ns (cpu : Spec.cpu) = cpu.Spec.cycles_per_interp_step /. cpu.Spec.cpu_clock_hz *. 1e9
+
 let create ?(config = default_config) () : t =
   let c = config in
   let positive what n =
@@ -105,7 +108,8 @@ let create ?(config = default_config) () : t =
   in
   positive "devices" c.devices;
   positive "streams" c.streams;
-  let clock = Simclock.create () in
+  let cpu = Spec.cortex_a57 in
+  let clock = Simclock.create ~step_ns:(step_cost_ns cpu) () in
   let host_mem = Mem.create ~initial:(1 lsl 20) ~space:Addr.Host "host" in
   (* the host stack's first segment, from the initial storage: carved
      after the program's arrays it would sit at [brk] *)
@@ -155,7 +159,7 @@ let create ?(config = default_config) () : t =
   {
     clock;
     host_mem;
-    cpu = Spec.cortex_a57;
+    cpu;
     devices = Array.init c.devices make_device;
     default_device = 0;
     binary_mode = c.binary_mode;
@@ -220,7 +224,8 @@ let geometry ~(num_teams : int) ~(num_threads : int) : Simt.dim3 * Simt.dim3 =
   let block = if num_threads mod 32 = 0 then Simt.dim3 32 ~y:(num_threads / 32) else Simt.dim3 num_threads in
   (grid, block)
 
-(* Host-side time accounting for interpreted host code. *)
-let host_step_cost_ns t = t.cpu.Spec.cycles_per_interp_step /. t.cpu.Spec.cpu_clock_hz *. 1e9
+(* Host-side time accounting for interpreted host code: what the clock
+   charges per counted host step. *)
+let host_step_cost_ns t = step_cost_ns t.cpu
 
 let now_s t = Simclock.now_s t.clock

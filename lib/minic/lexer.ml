@@ -70,6 +70,30 @@ let rec skip_ws_and_comments ?(stop_at_newline = false) st =
     skip_ws_and_comments ~stop_at_newline st
   | _ -> ()
 
+(* An integer literal's suffix, as (has a [u], has an [l]). *)
+let int_suffix st l =
+  let s0 = st.pos in
+  while (match peek st with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
+    advance st
+  done;
+  if st.pos = s0 then (false, false)
+  else
+    match String.lowercase_ascii (String.sub st.src s0 (st.pos - s0)) with
+    | "u" -> (true, false)
+    | "l" | "ll" -> (false, true)
+    | "ul" | "lu" | "ull" | "llu" -> (true, true)
+    | _ -> lex_error l "bad integer suffix"
+
+(* The value of an integer literal's digits, up to 2^64 - 1 (a decimal
+   one past 2^63 - 1 read as unsigned, [0u]). *)
+let int_value l text =
+  match Int64.of_string_opt text with
+  | Some v -> v
+  | None -> (
+    match Int64.of_string_opt ("0u" ^ text) with
+    | Some v -> v
+    | None -> lex_error l "integer literal too large")
+
 let lex_number st =
   let start = st.pos in
   let l = loc st in
@@ -82,11 +106,8 @@ let lex_number st =
     done;
     if st.pos = h0 then lex_error l "bad hex literal";
     let text = String.sub st.src start (st.pos - start) in
-    (* swallow integer suffixes *)
-    while (match peek st with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
-      advance st
-    done;
-    Token.TINT (Int64.of_string text)
+    let unsigned, long = int_suffix st l in
+    Token.TINT (int_value l text, { Token.hex = true; unsigned; long })
   end
   else begin
     while (match peek st with Some c -> is_digit c | None -> false) do
@@ -121,14 +142,12 @@ let lex_number st =
       Token.TFLOAT (float_of_string text, is_double)
     end
     else begin
-      while (match peek st with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
-        advance st
-      done;
+      let unsigned, long = int_suffix st l in
       match peek st with
       | Some ('f' | 'F') ->
         advance st;
         Token.TFLOAT (float_of_string text, false)
-      | _ -> Token.TINT (Int64.of_string text)
+      | _ -> Token.TINT (int_value l text, { Token.hex = false; unsigned; long })
     end
   end
 

@@ -44,6 +44,16 @@ let expect_ident st =
     x
   | t -> parse_error (cur_loc st) "expected identifier, found '%s'" (Token.to_source t)
 
+(* The type of an integer literal (C 6.4.4.1): the first of its
+   candidate types that holds its value.  A decimal literal without a
+   [u] suffix takes a signed type, a hex one may also take the unsigned
+   types; a value no candidate holds is [unsigned long]. *)
+let int_literal_type (i : int64) { Token.hex; unsigned; long } : Cty.t =
+  if (not (unsigned || long)) && Int64.unsigned_compare i 0x7FFFFFFFL <= 0 then Cty.Int
+  else if (unsigned || hex) && (not long) && Int64.unsigned_compare i 0xFFFFFFFFL <= 0 then Cty.Uint
+  else if (not unsigned) && Int64.compare i 0L >= 0 then Cty.Long
+  else Cty.Ulong
+
 (* ---------------------------------------------------------------- *)
 (* Type specifiers and declarators                                    *)
 (* ---------------------------------------------------------------- *)
@@ -212,10 +222,9 @@ and parse_type_name st : Cty.t =
 
 and parse_primary st : Ast.expr =
   match peek st with
-  | Token.TINT i ->
+  | Token.TINT (i, form) ->
     advance st;
-    let ty = if Int64.compare i 0x7FFFFFFFL > 0 then Cty.Long else Cty.Int in
-    Ast.IntLit (i, ty)
+    Ast.IntLit (i, int_literal_type i form)
   | Token.TFLOAT (f, is_double) ->
     advance st;
     Ast.FloatLit (f, if is_double then Cty.Double else Cty.Float)

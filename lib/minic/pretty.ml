@@ -61,6 +61,8 @@ let rec pp_expr_prec fmt min_prec (e : Ast.expr) =
 and pp_expr fmt (e : Ast.expr) =
   match e with
   | Ast.IntLit (i, Cty.Long) -> fprintf fmt "%LdL" i
+  | Ast.IntLit (i, Cty.Uint) -> fprintf fmt "%LuU" i
+  | Ast.IntLit (i, Cty.Ulong) -> fprintf fmt "%LuUL" i
   | Ast.IntLit (i, _) -> fprintf fmt "%Ld" i
   | Ast.FloatLit (f, Cty.Float) ->
     let s = sprintf "%.9g" f in

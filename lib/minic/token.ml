@@ -2,8 +2,13 @@
    into a [TPRAGMA] carrying its own token list; the OpenMP pragma parser
    (lib/omp) consumes those nested lists. *)
 
+(* How an integer literal is written: in hex, and with a [u]/[U] and
+   an [l]/[L] (or [ll]) suffix; the parser types it from these. *)
+type int_form = { hex : bool; unsigned : bool; long : bool }
+[@@deriving show { with_path = false }, eq]
+
 type t =
-  | TINT of int64
+  | TINT of int64 * int_form
   | TFLOAT of float * bool (* value, is_double (no 'f' suffix) *)
   | TCHAR of char
   | TSTRING of string
@@ -43,7 +48,10 @@ let keyword_table =
   ]
 
 let to_source = function
-  | TINT i -> Int64.to_string i
+  | TINT (i, f) ->
+    (if f.hex then Printf.sprintf "0x%Lx" i else Printf.sprintf "%Lu" i)
+    ^ (if f.unsigned then "u" else "")
+    ^ if f.long then "l" else ""
   | TFLOAT (f, true) -> string_of_float f
   | TFLOAT (f, false) -> string_of_float f ^ "f"
   | TCHAR c -> Printf.sprintf "%C" c

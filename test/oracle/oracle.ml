@@ -91,11 +91,11 @@ let counters_summary (c : Counters.t) : string =
   let totals =
     Printf.sprintf
       "arith=%d mul=%d div=%d branch=%d call=%d special=%d thread_sum=%h warp_sum=%h \
-       warp_max=%h shared=%d local=%d barriers=%d atomics=%d chunks=%d blocks=%d/%d zc=%d/%d \
+       warp_max=%h shared=%d barriers=%d atomics=%d chunks=%d blocks=%d/%d zc=%d/%d \
        glb=%d tx=%h"
       cl.Counters.arith cl.Counters.mul cl.Counters.div cl.Counters.branch cl.Counters.call
       cl.Counters.special c.Counters.thread_inst_sum c.Counters.warp_inst_sum
-      c.Counters.warp_inst_max c.Counters.shared_accesses c.Counters.local_accesses
+      c.Counters.warp_inst_max c.Counters.shared_accesses
       c.Counters.barrier_warp_arrivals c.Counters.atomics c.Counters.chunk_grabs
       c.Counters.blocks_executed c.Counters.blocks_total c.Counters.zerocopy_loads
       c.Counters.zerocopy_stores

@@ -914,6 +914,65 @@ let test_conditional_conversions () =
     [ true; false ]
 
 (* ---------------------------------------------------------------- *)
+(* The host clock charges each host step on its own                   *)
+(* ---------------------------------------------------------------- *)
+
+(* Each host step costs [Rt.host_step_cost_ns], added to the clock one
+   step at a time, whenever it is paid.  Between the two readings of
+   each pair the loop runs 3002 steps (1001 tests of a branch and a
+   [<], 1000 [i++]) and the second [omp_get_wtime] call one more; the
+   call itself, [printf]'s and [timed]'s are the 1 and 3 steps before a
+   pair's first reading. *)
+let wtime_src =
+  {|void timed(int n)
+{
+  int i;
+  double a = omp_get_wtime();
+  for (i = 0; i < n; i++)
+    ;
+  double b = omp_get_wtime();
+  printf("%.17g %.17g\n", a, b);
+}
+
+int main(void)
+{
+  int i;
+  double a = omp_get_wtime();
+  for (i = 0; i < 1000; i++)
+    ;
+  double b = omp_get_wtime();
+  printf("%.17g %.17g\n", a, b);
+  timed(1000);
+  return 0;
+}
+|}
+
+let test_host_step_rounding () =
+  let outputs =
+    List.map
+      (fun jit ->
+        let rt = Hostrt.Rt.create ~config:{ Hostrt.Rt.default_config with jit } () in
+        let ctx = Hostrt.Hostexec.make_context rt (Minic.Parser.parse_program wtime_src) in
+        let start = Machine.Simclock.now_ns rt.Hostrt.Rt.clock in
+        let main = Hashtbl.find ctx.Cinterp.Interp.funcs "main" in
+        ignore (Cinterp.Interp.call_fundef ctx main []);
+        let cost = Hostrt.Rt.host_step_cost_ns rt in
+        let rec add ns n = if n = 0 then ns else add (ns +. cost) (n - 1) in
+        let a = add start 1 in
+        let b = add a 3003 in
+        let a' = add b 3 in
+        let b' = add a' 3003 in
+        let line x y = Printf.sprintf "%.17g %.17g\n" (x *. 1e-9) (y *. 1e-9) in
+        Alcotest.(check bool) "3003 *. cost rounds differently" true
+          (line a b <> line a (a +. (3003.0 *. cost)));
+        let out = Buffer.contents ctx.Cinterp.Interp.output in
+        Alcotest.(check string) (if jit then "JIT" else "interpreter") (line a b ^ line a' b') out;
+        out)
+      [ true; false ]
+  in
+  Alcotest.(check bool) "same bits on both executors" true (List.nth outputs 0 = List.nth outputs 1)
+
+(* ---------------------------------------------------------------- *)
 (* Corrupt JIT cache: both compiled forms must be rebuilt             *)
 (* ---------------------------------------------------------------- *)
 
@@ -1160,6 +1219,8 @@ let () =
             test_host_context_follows_switch;
           Alcotest.test_case "every host function compiles" `Quick
             test_every_host_function_compiles;
+          Alcotest.test_case "host clock charges each step on its own" `Quick
+            test_host_step_rounding;
         ] );
       ( "cache",
         [

@@ -14,11 +14,19 @@ let test_idents_keywords () =
   check [ Token.KW_UNSIGNED; Token.KW_LONG; Token.TIDENT "u"; Token.SEMI ] "unsigned long u;";
   check [ Token.TIDENT "intx" ] "intx" (* not the keyword *)
 
+(* A decimal literal without a suffix. *)
+let decimal = { Token.hex = false; unsigned = false; long = false }
+
 let test_numbers () =
-  check [ Token.TINT 42L ] "42";
-  check [ Token.TINT 255L ] "0xFF";
-  check [ Token.TINT 10L ] "10L";
-  check [ Token.TINT 7L ] "7u";
+  let hex = { decimal with Token.hex = true } in
+  check [ Token.TINT (42L, decimal) ] "42";
+  check [ Token.TINT (255L, hex) ] "0xFF";
+  check [ Token.TINT (10L, { decimal with Token.long = true }) ] "10L";
+  check [ Token.TINT (7L, { decimal with Token.unsigned = true }) ] "7u";
+  check [ Token.TINT (7L, { hex with Token.unsigned = true; long = true }) ] "0x7uLL";
+  check [ Token.TINT (-1L, { decimal with Token.unsigned = true }) ] "18446744073709551615u";
+  Alcotest.(check bool) "bad suffix raises" true
+    (match toks "1uu" with exception Lexer.Lex_error _ -> true | _ -> false);
   check [ Token.TFLOAT (1.5, true) ] "1.5";
   check [ Token.TFLOAT (1.5, false) ] "1.5f";
   check [ Token.TFLOAT (0.25, false) ] "0.25F";
@@ -35,16 +43,17 @@ let test_strings_chars () =
   check [ Token.TCHAR '\000' ] {|'\0'|}
 
 let test_operators () =
-  check [ Token.TIDENT "a"; Token.SHLEQ; Token.TINT 2L; Token.SEMI ] "a <<= 2;";
+  check [ Token.TIDENT "a"; Token.SHLEQ; Token.TINT (2L, decimal); Token.SEMI ] "a <<= 2;";
   check [ Token.TIDENT "a"; Token.ARROW; Token.TIDENT "b" ] "a->b";
   check [ Token.TIDENT "a"; Token.PLUSPLUS; Token.PLUS; Token.TIDENT "b" ] "a++ + b";
   check [ Token.AMP; Token.AMPEQ; Token.ANDAND ] "& &= &&";
   check [ Token.LT; Token.SHL; Token.LE; Token.SHLEQ ] "< << <= <<="
 
 let test_comments () =
-  check [ Token.TINT 1L; Token.TINT 2L ] "1 /* comment */ 2";
-  check [ Token.TINT 1L; Token.TINT 2L ] "1 // line\n2";
-  check [ Token.TINT 1L; Token.TINT 2L ] "1 /* multi\nline\n*/ 2";
+  let int i = Token.TINT (i, decimal) in
+  check [ int 1L; int 2L ] "1 /* comment */ 2";
+  check [ int 1L; int 2L ] "1 // line\n2";
+  check [ int 1L; int 2L ] "1 /* multi\nline\n*/ 2";
   Alcotest.(check bool) "unterminated comment raises" true
     (match toks "1 /* oops" with exception Lexer.Lex_error _ -> true | _ -> false)
 
@@ -79,7 +88,7 @@ let test_locations () =
 let prop_roundtrip_ints =
   QCheck.Test.make ~name:"integer literals roundtrip" ~count:200
     QCheck.(int_bound 1_000_000)
-    (fun i -> toks (string_of_int i) = [ Token.TINT (Int64.of_int i); Token.EOF ])
+    (fun i -> toks (string_of_int i) = [ Token.TINT (Int64.of_int i, decimal); Token.EOF ])
 
 let () =
   Alcotest.run "lexer"

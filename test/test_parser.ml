@@ -105,6 +105,34 @@ let test_conditional_comma () =
     (Ast.Comma (Ast.Assign (None, Ast.ident "a", Ast.int_lit 1), Ast.ident "b"))
     (parse_expr "a = 1, b")
 
+(* Integer literals are typed by C 6.4.4.1: the first candidate type
+   that holds the value, the candidates set by the suffix and (for the
+   unsigned types) by hex; Pretty prints each type back. *)
+let test_int_literal_types () =
+  let open Machine.Cty in
+  List.iter
+    (fun (src, v, ty, printed) ->
+      let e = parse_expr src in
+      Alcotest.check expr src (Ast.IntLit (v, ty)) e;
+      Alcotest.(check string) ("pretty " ^ src) printed (Format.asprintf "%a" Pretty.pp_expr e);
+      Alcotest.check expr ("reparse " ^ src) e (parse_expr printed))
+    [
+      ("1", 1L, Int, "1");
+      ("2147483647", 0x7FFFFFFFL, Int, "2147483647");
+      ("2147483648", 0x80000000L, Long, "2147483648L");
+      ("0x7FFFFFFF", 0x7FFFFFFFL, Int, "2147483647");
+      ("0x80000000", 0x80000000L, Uint, "2147483648U");
+      ("0x100000000", 0x100000000L, Long, "4294967296L");
+      ("0xFFFFFFFFFFFFFFFF", -1L, Ulong, "18446744073709551615UL");
+      ("1u", 1L, Uint, "1U");
+      ("4294967296u", 0x100000000L, Ulong, "4294967296UL");
+      ("1L", 1L, Long, "1L");
+      ("1ll", 1L, Long, "1L");
+      ("1UL", 1L, Ulong, "1UL");
+      ("1lu", 1L, Ulong, "1UL");
+      ("9223372036854775808", Int64.min_int, Ulong, "9223372036854775808UL");
+    ]
+
 (* ------------------------- statements ------------------------- *)
 
 let body_of src = (fundef_of ("void t(void) { " ^ src ^ " }")).Ast.f_body
@@ -269,6 +297,7 @@ let () =
           Alcotest.test_case "postfix" `Quick test_postfix;
           Alcotest.test_case "casts and sizeof" `Quick test_casts_sizeof;
           Alcotest.test_case "conditional and comma" `Quick test_conditional_comma;
+          Alcotest.test_case "integer literal types" `Quick test_int_literal_types;
         ] );
       ( "statements",
         [

@@ -196,6 +196,55 @@ void k(int *out)
     (stats.Driver.st_breakdown.Costmodel.bd_divergence > 10.0);
   Alcotest.(check int) "result" 499500 (read_i32 d buf 0)
 
+(* The folded instruction counts of one hot lane per block, counted by
+   hand.  A cold thread runs the [if] (a branch) and its [==] (an
+   arith): 2 steps.  The hot thread adds 1001 loop tests (a branch and
+   a [<] each), 1000 [s += i] and 1000 [i++] (an arith each) and the
+   index of [out[blockIdx.x]] (an arith): 1002 branches and 3003
+   ariths, 4005 steps.  A tally leaking across threads, blocks or
+   launches would move these; both executors would share such a leak,
+   so their differential cannot see it. *)
+let test_folded_counts () =
+  let src =
+    {|
+void k(int *out)
+{
+  if (threadIdx.x == 0) {
+    int i;
+    int s = 0;
+    for (i = 0; i < 1000; i++)
+      s += i;
+    out[blockIdx.x] = s;
+  }
+}
+|}
+  in
+  both_executors (fun ~jit label ->
+      let d = make_driver () in
+      let buf = Driver.mem_alloc d 8 in
+      let check what (st : Driver.launch_stats) ~thread_sum ~warp_sum ~warp_max ~branch ~arith =
+        let c = st.Driver.st_counters in
+        let cl = c.Counters.classes in
+        let name s = Printf.sprintf "%s, %s: %s" label what s in
+        Alcotest.(check (float 0.0)) (name "thread_inst_sum") thread_sum c.Counters.thread_inst_sum;
+        Alcotest.(check (float 0.0)) (name "warp_inst_sum") warp_sum c.Counters.warp_inst_sum;
+        Alcotest.(check (float 0.0)) (name "warp_inst_max") warp_max c.Counters.warp_inst_max;
+        Alcotest.(check (list int))
+          (name "arith mul div branch call special")
+          [ arith; 0; 0; branch; 0; 0 ]
+          [ cl.Counters.arith; cl.Counters.mul; cl.Counters.div; cl.Counters.branch; cl.Counters.call;
+            cl.Counters.special ]
+      in
+      (* two blocks of one warp: each a hot lane 0 and 31 cold lanes *)
+      let st = launch ~grid:(Simt.dim3 2) ~block:(Simt.dim3 32) ~jit d src "k" [ fi buf ] in
+      check "two blocks" st ~thread_sum:(2.0 *. (4005.0 +. 62.0)) ~warp_sum:(2.0 *. 4005.0)
+        ~warp_max:4005.0 ~branch:(2 * (1002 + 31)) ~arith:(2 * (3003 + 31));
+      (* then one block of two warps: the second warp is all cold *)
+      let st = launch ~block:(Simt.dim3 64) ~jit d src "k" [ fi buf ] in
+      check "second launch" st ~thread_sum:(4005.0 +. 126.0) ~warp_sum:(4005.0 +. 2.0) ~warp_max:4005.0
+        ~branch:(1002 + 63) ~arith:(3003 + 63);
+      Alcotest.(check int) (label ^ ": result") 499500 (read_i32 d buf 0))
+
 let test_early_return_threads () =
   let d = make_driver () in
   let buf = Driver.mem_alloc d (4 * 64) in
@@ -798,6 +847,7 @@ let () =
         [
           Alcotest.test_case "device printf" `Quick test_device_printf;
           Alcotest.test_case "divergence metric" `Quick test_divergence_metric;
+          Alcotest.test_case "folded counts by hand" `Quick test_folded_counts;
         ] );
       ( "local pool",
         [
