@@ -4,7 +4,9 @@
 # its Chrome-trace schema (three launch-phase spans, transfer byte
 # counts, JIT-cache hit/miss events) with bench/trace_check.  A third
 # leg re-runs with fault injection and checks the recovery events
-# survive the same schema validation.
+# survive the same schema validation, and a last leg traces a program
+# that mixes a nowait region with a synchronous one and checks that
+# their copies never overlap on the device's one copy engine.
 #
 #   bash bench/trace_smoke.sh
 set -euo pipefail
@@ -40,5 +42,28 @@ grep -q '"retry_backoff"' "$tmpdir/quickstart-faults.json" || {
   echo "trace_smoke: FAIL: no retry_backoff event in faulted trace" >&2
   exit 1
 }
+
+echo "== ompirun --trace, nowait and synchronous copies (one copy engine) =="
+cat > "$tmpdir/mixed.c" <<'EOF'
+int main(void)
+{
+  int n = 65536;
+  float *a = malloc(n * 4);
+  float *b = malloc(n * 4);
+  for (int i = 0; i < n; i++) { a[i] = i; b[i] = 2 * i; }
+  #pragma omp target teams distribute parallel for map(to: n) map(tofrom: a[0:n]) nowait
+  for (int i = 0; i < n; i++)
+    a[i] = a[i] + 1.0f;
+  #pragma omp target teams distribute parallel for map(to: n) map(tofrom: b[0:n])
+  for (int i = 0; i < n; i++)
+    b[i] = b[i] + 1.0f;
+  #pragma omp taskwait
+  printf("%.1f %.1f\n", a[n - 1], b[n - 1]);
+  return 0;
+}
+EOF
+dune exec bin/ompirun.exe -- --mem-policy=copy --trace "$tmpdir/mixed.json" "$tmpdir/mixed.c" \
+  >/dev/null
+dune exec bench/trace_check.exe -- "$tmpdir/mixed.json"
 
 echo "trace_smoke: all checks passed"

@@ -227,8 +227,7 @@ let sync_range t (range : range) : unit =
           ("bytes", Perf.Trace.Int range.rg_len);
           ("pending", Perf.Trace.Int (List.length victims));
         ];
-    let now = now_ns t in
-    if target > now then Simclock.advance_ns t.driver.Driver.clock (target -. now)
+    Simclock.advance_to t.driver.Driver.clock target
 
 (* Device died with work queued: advance the clock past whatever was
    enqueued and forget the records, so the host fallback resumes on a

@@ -640,11 +640,15 @@ let is_present t haddr ~bytes = (not (is_dead t)) && find_containing t haddr ~by
 let dev_of e (haddr : Addr.t) = Addr.add e.e_dev (Addr.off haddr - Addr.off e.e_host)
 
 (* Decide the transfer mode for a cold map: the forced run-level mode,
-   or under [Auto] the per-buffer policy. *)
+   or under [Auto] the per-buffer policy.  A map from a stream task
+   ([async]) never elides, since an in-flight range can never be proven
+   clean: forced elision copies there, as the policy's [i_async] rule
+   does under [Auto]. *)
 let resolve_mode ?(async = false) t (haddr : Addr.t) ~(bytes : int) ~(mt : map_type)
     ~(always : bool) : Mempolicy.decision =
   let key = buffer_key haddr ~bytes in
   match t.de_mode with
+  | Mempolicy.Forced Mempolicy.Elide when async -> Mempolicy.forced t.policy ~key Mempolicy.Copy
   | Mempolicy.Forced m -> Mempolicy.forced t.policy ~key m
   | Mempolicy.Auto ->
     Mempolicy.decide t.policy ~key
@@ -683,7 +687,8 @@ let map_zerocopy t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
 (* A cold map with a device buffer: drop the parked buffers the range
    overlaps (when buffers park at all), allocate, record the entry in
    [mode] and copy a to/tofrom image in. *)
-let map_cold t (haddr : Addr.t) ~(bytes : int) (mt : map_type) ~(mode : Mempolicy.mode) : Addr.t =
+let map_cold ?stream t (haddr : Addr.t) ~(bytes : int) (mt : map_type) ~(mode : Mempolicy.mode) :
+    Addr.t =
   try
     if parking_possible t then drop_resident_overlapping t haddr ~bytes;
     let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
@@ -692,7 +697,7 @@ let map_cold t (haddr : Addr.t) ~(bytes : int) (mt : map_type) ~(mode : Mempolic
     (match mt with
     | To | Tofrom ->
       guard t ~label:"map_h2d" (fun () ->
-          Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
+          Driver.memcpy_h2d ?stream t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
       mark_synced t e
     | Alloc | From -> ());
     t.entries <- e :: t.entries;
@@ -701,8 +706,12 @@ let map_cold t (haddr : Addr.t) ~(bytes : int) (mt : map_type) ~(mode : Mempolic
     declare_dead t ~reason;
     haddr
 
-(* Map a host range; returns the corresponding device address. *)
-let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
+(* Map a host range; returns the corresponding device address.  With
+   [stream] the map is made from inside that stream's task: its copies
+   are enqueued there (memory effects eager, costs on the stream's
+   timeline), while alloc and pinning stay synchronous CPU-side calls,
+   and the mode is never elide ([resolve_mode]). *)
+let map ?(always = false) ?stream t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
   if bytes <= 0 then map_error "mapping of %d bytes" bytes;
   if is_dead t then haddr
   else
@@ -714,13 +723,14 @@ let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Ad
       | (To | Tofrom) when always && not e.e_zerocopy -> (
         try
           guard t ~label:"map_h2d" (fun () ->
-              Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:(dev_of e haddr) ~len:bytes);
+              Driver.memcpy_h2d ?stream t.driver ~host:t.host ~src:haddr ~dst:(dev_of e haddr)
+                ~len:bytes);
           if Addr.equal haddr e.e_host && bytes = e.e_bytes then mark_synced t e
         with Resilience.Device_dead reason -> declare_dead t ~reason)
       | _ -> ());
       if is_dead t then haddr else dev_of e haddr)
     | None -> (
-      let d = resolve_mode t haddr ~bytes ~mt ~always in
+      let d = resolve_mode ~async:(stream <> None) t haddr ~bytes ~mt ~always in
       emit_policy_decide t ~haddr ~bytes d;
       match d.Mempolicy.d_mode with
       | Mempolicy.Zerocopy ->
@@ -784,17 +794,25 @@ let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Ad
               declare_dead t ~reason;
               haddr))
         | None -> map_cold t haddr ~bytes mt ~mode:Mempolicy.Elide)
-      | Mempolicy.Copy -> map_cold t haddr ~bytes mt ~mode:Mempolicy.Copy)
+      | Mempolicy.Copy -> map_cold ?stream t haddr ~bytes mt ~mode:Mempolicy.Copy)
 
 (* Unmap (end of construct / target exit data).  The map type decides
-   whether data flows back on the final release. *)
-let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
+   whether data flows back on the final release.  With [stream] the
+   release is made from inside that stream's task, which is the work in
+   flight on the range: its copies are enqueued on the stream.
+   Releasing a range while other queued stream work still touches it
+   would free storage in flight: a program bug (missing taskwait),
+   reported as such. *)
+let unmap ?(always = false) ?stream t (haddr : Addr.t) (mt : map_type) : unit =
+  let check_quiet e =
+    if stream = None && e.e_refcount <= 1 && async_pending t e.e_host ~bytes:e.e_bytes then
+      map_error "unmap of range %s with async work in flight (missing taskwait?)"
+        (Addr.show e.e_host)
+  in
   match find_release t haddr with
   | None -> if not (is_dead t) then map_error "unmap of address %s that is not mapped" (Addr.show haddr)
   | Some e when e.e_zerocopy ->
-    if e.e_refcount <= 1 && async_pending t e.e_host ~bytes:e.e_bytes then
-      map_error "unmap of range %s with async work in flight (missing taskwait?)"
-        (Addr.show e.e_host);
+    check_quiet e;
     e.e_refcount <- e.e_refcount - 1;
     if e.e_refcount <= 0 then begin
       observe_release t e;
@@ -803,19 +821,15 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
       t.entries <- List.filter (fun e' -> e' != e) t.entries
     end
   | Some e -> (
-    (* Releasing the device buffer while queued stream work still
-       touches the range would free storage in flight: a program bug
-       (missing taskwait), reported as such. *)
-    if e.e_refcount <= 1 && async_pending t e.e_host ~bytes:e.e_bytes then
-      map_error "unmap of range %s with async work in flight (missing taskwait?)"
-        (Addr.show e.e_host);
+    check_quiet e;
     (* map(always, from:) copies back on every decrement, not only the
        final release *)
     (match mt with
     | (From | Tofrom) when always && e.e_refcount > 1 -> (
       try
         guard t ~label:"unmap_d2h" (fun () ->
-            Driver.memcpy_d2h t.driver ~host:t.host ~src:e.e_dev ~dst:e.e_host ~len:e.e_bytes);
+            Driver.memcpy_d2h ?stream t.driver ~host:t.host ~src:e.e_dev ~dst:e.e_host
+              ~len:e.e_bytes);
         mark_synced t e
       with Resilience.Device_dead reason -> declare_dead t ~reason)
     | _ -> ());
@@ -843,8 +857,8 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
                      ~args:[ ("bytes", Perf.Trace.Int e.e_bytes); ("pages", Perf.Trace.Int pages) ]
                  | None ->
                    guard t ~label:"unmap_d2h" (fun () ->
-                       Driver.memcpy_d2h t.driver ~host:t.host ~src:e.e_dev ~dst:e.e_host
-                         ~len:e.e_bytes);
+                       Driver.memcpy_d2h ?stream t.driver ~host:t.host ~src:e.e_dev
+                         ~dst:e.e_host ~len:e.e_bytes);
                    mark_synced t e);
               true
             | Alloc | To -> false
@@ -865,72 +879,6 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
              completing the copy-back the retries could not *)
           declare_dead t ~reason
     end)
-
-(* Async variants, called from inside a stream task: transfers are
-   enqueued on [stream] (memory effects eager, costs on the stream's
-   timeline).  Alloc/free stay synchronous — they are CPU-side driver
-   calls.  No pending-range checks here: the caller IS the in-flight
-   work.  Elision never applies on this path (an in-flight range can
-   never be proven clean), but zero-copy does: the pin is a synchronous
-   CPU-side call, the pinned range is registered with the dependency
-   tracker, and the kernel then addresses host memory in place. *)
-let map_async t ~(stream : Driver.stream) (haddr : Addr.t) ~(bytes : int)
-    (mt : map_type) : Addr.t =
-  if bytes <= 0 then map_error "mapping of %d bytes" bytes;
-  if is_dead t then haddr
-  else
-    match find_containing t haddr ~bytes with
-    | Some e ->
-      e.e_refcount <- e.e_refcount + 1;
-      Addr.add e.e_dev (Addr.off haddr - Addr.off e.e_host)
-    | None -> (
-      let d = resolve_mode ~async:true t haddr ~bytes ~mt ~always:false in
-      emit_policy_decide t ~haddr ~bytes d;
-      match d.Mempolicy.d_mode with
-      | Mempolicy.Zerocopy -> map_zerocopy t haddr ~bytes mt
-      | Mempolicy.Elide | Mempolicy.Copy -> (
-        try
-          if parking_possible t then drop_resident_overlapping t haddr ~bytes;
-          let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
-          let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode:Mempolicy.Copy in
-          snapshot_map_counters t e;
-          (match mt with
-          | To | Tofrom ->
-            guard t ~label:"map_h2d" (fun () ->
-                Driver.memcpy_h2d_async t.driver ~stream ~host:t.host ~src:haddr ~dst:dev
-                  ~len:bytes)
-          | Alloc | From -> ());
-          t.entries <- e :: t.entries;
-          dev
-        with Resilience.Device_dead reason ->
-          declare_dead t ~reason;
-          haddr))
-
-let unmap_async t ~(stream : Driver.stream) (haddr : Addr.t) (mt : map_type) : unit =
-  match find_release t haddr with
-  | None -> if not (is_dead t) then map_error "unmap of address %s that is not mapped" (Addr.show haddr)
-  | Some e when e.e_zerocopy ->
-    e.e_refcount <- e.e_refcount - 1;
-    if e.e_refcount <= 0 then begin
-      observe_release t e;
-      unregister_pinned t e.e_host ~bytes:e.e_bytes;
-      Driver.host_unregister t.driver e.e_host;
-      t.entries <- List.filter (fun e' -> e' != e) t.entries
-    end
-  | Some e -> (
-    e.e_refcount <- e.e_refcount - 1;
-    if e.e_refcount <= 0 then
-      try
-        (match mt with
-        | From | Tofrom ->
-          guard t ~label:"unmap_d2h" (fun () ->
-              Driver.memcpy_d2h_async t.driver ~stream ~host:t.host ~src:e.e_dev ~dst:e.e_host
-                ~len:e.e_bytes)
-        | Alloc | To -> ());
-        observe_release t e;
-        Driver.mem_free t.driver e.e_dev;
-        t.entries <- List.filter (fun e' -> e' != e) t.entries
-      with Resilience.Device_dead reason -> declare_dead t ~reason)
 
 (* Page-wise [target update] elision over a sub-range of an elide-mode
    entry: skip the provably-clean pages, transfer the dirty ones (only

@@ -57,17 +57,25 @@ val create : host:Mem.t -> driver:Driver.t -> t
 (** Map a host range; returns the corresponding device address.
     Present ranges are reference-counted and reused.  [always] forces
     the to/tofrom transfer even when the range is present or provably
-    clean in the resident cache. *)
-val map : ?always:bool -> t -> Addr.t -> bytes:int -> map_type -> Addr.t
+    clean in the resident cache.  With [stream] the map is made from
+    inside that stream's task: its transfers are enqueued on the stream
+    (memory effects eager, costs on the stream's timeline), alloc and
+    pinning stay synchronous, and a cold map is decided into copy mode
+    where it would elide (an in-flight range can never be proven
+    clean). *)
+val map : ?always:bool -> ?stream:Driver.stream -> t -> Addr.t -> bytes:int -> map_type -> Addr.t
 
 (** Decrement; on the final release perform the map type's copy-back and
     free (or, under elision, park) the device buffer.  [always] forces
     the from/tofrom copy-back on every decrement.  The entry released is
     the one mapped at exactly [haddr], else the first containing it, so
-    partially overlapping maps each release their own entry.
+    partially overlapping maps each release their own entry.  With
+    [stream] the release is made from inside that stream's task: its
+    transfers are enqueued on the stream, and the in-flight check below
+    does not apply, since the caller is that work.
     @raise Map_error if the final release hits a range with async work
     still in flight (missing taskwait) *)
-val unmap : ?always:bool -> t -> Addr.t -> map_type -> unit
+val unmap : ?always:bool -> ?stream:Driver.stream -> t -> Addr.t -> map_type -> unit
 
 (** {1 Unified-memory optimisations} *)
 
@@ -134,16 +142,7 @@ val set_resident_cap_bytes : t -> int -> unit
 
 val default_resident_cap_bytes : int
 
-(** {1 Async variants}
-
-    Called from inside a stream task: transfers are enqueued on the
-    stream (memory effects eager, costs on the stream's timeline);
-    alloc/free stay synchronous.  No pending-range checks — the caller
-    is the in-flight work. *)
-
-val map_async : t -> stream:Driver.stream -> Addr.t -> bytes:int -> map_type -> Addr.t
-
-val unmap_async : t -> stream:Driver.stream -> Addr.t -> map_type -> unit
+(** {1 Stream awareness} *)
 
 (** Install the async-awareness hooks (normally done by [Rt] against its
     stream tracker): [pending] answers whether queued stream work

@@ -135,12 +135,8 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
         let rec triples = function
           | [] -> []
           | base :: bytes :: mt :: rest ->
-            {
-              Offload.am_base = Value.as_addr base;
-              am_bytes = int_arg bytes;
-              (* async path ignores the always bit (no elision there anyway) *)
-              am_map = fst (Dataenv.decode_map_code (int_arg mt));
-            }
+            let am_map, am_always = Dataenv.decode_map_code (int_arg mt) in
+            { Offload.am_base = Value.as_addr base; am_bytes = int_arg bytes; am_map; am_always }
             :: triples rest
           | _ -> host_error "ort_offload_nowait: map arguments not in (base, bytes, type) triples"
         in

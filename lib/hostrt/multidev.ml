@@ -169,7 +169,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
       else begin
         try
           Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_d2h" (fun () ->
-              Driver.memcpy_d2h_async driver ~stream:c.c_stream ~host ~src ~dst ~len);
+              Driver.memcpy_d2h driver ~stream:c.c_stream ~host ~src ~dst ~len);
           arb :=
             (Addr.off x.Dataenv.x_host + lo, len, c.c_stream.Driver.str_done_ns, driver.Driver.ordinal)
             :: !arb
@@ -208,7 +208,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
       end;
       try
         Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_h2d" (fun () ->
-            Driver.memcpy_h2d_async driver ~stream:c.c_stream ~host
+            Driver.memcpy_h2d driver ~stream:c.c_stream ~host
               ~src:(Addr.add x.Dataenv.x_host lo) ~dst:(Addr.add dbase lo) ~len);
         (* the copy changed the device image behind the launch counters'
            back: make sure no later elision trusts the store counts *)
@@ -331,7 +331,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
             ]
           (fun () ->
             Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"launch" (fun () ->
-                Driver.launch_kernel_async c.c_dev.Rt.dev_driver ~stream:c.c_stream ~modul:c.c_modul
+                Driver.launch_kernel c.c_dev.Rt.dev_driver ~stream:c.c_stream ~modul:c.c_modul
                   ~entry ~grid ~block ~args:c.c_values ~install_builtins:Devrt.Api.install
                   ~block_filter:(fun b -> b >= lo && b < hi)
                   ~logical_blocks:(hi - lo) ()))

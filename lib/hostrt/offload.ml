@@ -111,16 +111,31 @@ let coerce_args (modul : Driver.loaded_module) ~(entry : string) ~(address : Add
           Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
     params args
 
-(* Phase 3's setup: grid/block geometry and the runtime's block
-   sampling filter. *)
-let launch_shape (rt : Rt.t) ~num_teams ~num_threads =
+(* Phase 3 (launch), shared by both launch flavours: grid/block
+   geometry, the runtime's block sampling filter and the retry-wrapped
+   launch, on [stream] or (without one) on the device's null stream. *)
+let launch_phase (rt : Rt.t) (device : Rt.device) ?stream ~artifact ~modul ~entry ~num_teams
+    ~num_threads (values : Value.t list) : Driver.launch_stats =
   let grid, block = Rt.geometry ~num_teams ~num_threads in
-  (grid, block, Rt.sampling_filter ~total_blocks:(Simt.dim3_total grid) rt.Rt.sample_max_blocks)
+  let block_filter =
+    Rt.sampling_filter ~total_blocks:(Simt.dim3_total grid) rt.Rt.sample_max_blocks
+  in
+  phase rt "launch"
+    ~args:[ ("entry", Perf.Trace.Str entry) ]
+    (fun () ->
+      resilient rt device ~artifact ~label:"launch" (fun () ->
+          Driver.launch_kernel device.Rt.dev_driver ?stream ~modul ~entry ~grid ~block
+            ~args:values ~install_builtins:Devrt.Api.install ?block_filter ()))
 
 (* A `target ... nowait` region's mapped operand: the region owns its
    whole map/launch/unmap sequence, so the maps travel with the launch
    instead of arriving as separate ort_map calls. *)
-type async_map = { am_base : Addr.t; am_bytes : int; am_map : Dataenv.map_type }
+type async_map = {
+  am_base : Addr.t;
+  am_bytes : int;
+  am_map : Dataenv.map_type;
+  am_always : bool;
+}
 
 (* Host byte ranges a region reads and writes, per its map clauses: the
    dependency tracker serializes regions whose ranges intersect.  Alloc
@@ -169,7 +184,9 @@ let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : str
             coerce_args modul ~entry ~address:Fun.id
               (List.map
                  (fun m ->
-                   Mapped (Dataenv.map_async denv ~stream m.am_base ~bytes:m.am_bytes m.am_map))
+                   Mapped
+                     (Dataenv.map ~always:m.am_always ~stream denv m.am_base ~bytes:m.am_bytes
+                        m.am_map))
                  maps))
       in
       (* The maps may have exhausted their retries and killed the device;
@@ -178,17 +195,12 @@ let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : str
       | Some reason -> raise (Resilience.Device_dead reason)
       | None -> ());
       (* Phase 3: enqueue the launch behind the transfers. *)
-      let grid, block, block_filter = launch_shape rt ~num_teams ~num_threads in
-      let _stats =
-        phase rt "launch"
-          ~args:[ ("entry", Perf.Trace.Str entry) ]
-          (fun () ->
-            resilient rt device ~artifact ~label:"launch" (fun () ->
-                Driver.launch_kernel_async device.Rt.dev_driver ~stream ~modul ~entry ~grid ~block
-                  ~args:values ~install_builtins:Devrt.Api.install ?block_filter ()))
-      in
+      ignore
+        (launch_phase rt device ~stream ~artifact ~modul ~entry ~num_teams ~num_threads values);
       (* Copy-backs, reverse map order (mirrors the sync lowering). *)
-      List.iter (fun m -> Dataenv.unmap_async denv ~stream m.am_base m.am_map) (List.rev maps);
+      List.iter
+        (fun m -> Dataenv.unmap ~always:m.am_always ~stream denv m.am_base m.am_map)
+        (List.rev maps);
       Driver.take_output device.Rt.dev_driver)
 
 (* Barrier over every queued nowait region of [dev] (ort_taskwait and
@@ -228,13 +240,5 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
       values
   in
   (* Phase 3: launch. *)
-  let grid, block, block_filter = launch_shape rt ~num_teams ~num_threads in
-  let stats =
-    phase rt "launch"
-      ~args:[ ("entry", Perf.Trace.Str entry) ]
-      (fun () ->
-        resilient rt device ~artifact ~label:"launch" (fun () ->
-            Driver.launch_kernel device.Rt.dev_driver ~modul ~entry ~grid ~block ~args:values
-              ~install_builtins:Devrt.Api.install ?block_filter ()))
-  in
+  let stats = launch_phase rt device ~artifact ~modul ~entry ~num_teams ~num_threads values in
   { r_stats = stats; r_output = Driver.take_output device.Rt.dev_driver }

@@ -57,7 +57,12 @@ val coerce_args :
 
 (** A nowait region's mapped operand: the region owns its whole
     map/launch/unmap sequence, so the maps travel with the launch. *)
-type async_map = { am_base : Addr.t; am_bytes : int; am_map : Dataenv.map_type }
+type async_map = {
+  am_base : Addr.t;
+  am_bytes : int;
+  am_map : Dataenv.map_type;
+  am_always : bool;  (** the [always] modifier, for the map and the unmap alike *)
+}
 
 (** Submit the region to the device's stream tracker: serialized behind
     conflicting in-flight regions (read/write intersection on host

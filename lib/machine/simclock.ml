@@ -59,6 +59,10 @@ let advance_us t d = advance_ns t (d *. 1e3)
 
 let advance_ms t d = advance_ns t (d *. 1e6)
 
+let advance_to t ns =
+  settle t;
+  if ns > t.now.ns then t.now.ns <- ns
+
 let reset t =
   t.paid <- tally_total t.host;
   t.now.ns <- 0.0

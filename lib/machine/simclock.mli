@@ -38,6 +38,10 @@ val advance_us : t -> float -> unit
 
 val advance_ms : t -> float -> unit
 
+(** Wait until [ns]: the clock lands on exactly [ns] when that lies
+    ahead, and stays put otherwise. *)
+val advance_to : t -> float -> unit
+
 (** Back to 0; steps counted before are never charged. *)
 val reset : t -> unit
 

@@ -147,7 +147,12 @@ let lex_number st =
       | Some ('f' | 'F') ->
         advance st;
         Token.TFLOAT (float_of_string text, false)
-      | _ -> Token.TINT (int_value l text, { Token.hex = false; unsigned; long })
+      | _ ->
+        (* a leading 0 makes the literal octal, typed (and printed) as a hex one *)
+        let octal = String.length text > 1 && text.[0] = '0' in
+        if octal && String.exists (fun c -> c > '7') text then lex_error l "bad octal literal";
+        Token.TINT
+          (int_value l (if octal then "0o" ^ text else text), { Token.hex = octal; unsigned; long })
     end
   end
 

@@ -2,8 +2,9 @@
    into a [TPRAGMA] carrying its own token list; the OpenMP pragma parser
    (lib/omp) consumes those nested lists. *)
 
-(* How an integer literal is written: in hex, and with a [u]/[U] and
-   an [l]/[L] (or [ll]) suffix; the parser types it from these. *)
+(* How an integer literal is written: in hex (or in octal, which C
+   types alike), and with a [u]/[U] and an [l]/[L] (or [ll]) suffix;
+   the parser types it from these. *)
 type int_form = { hex : bool; unsigned : bool; long : bool }
 [@@deriving show { with_path = false }, eq]
 

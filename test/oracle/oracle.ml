@@ -448,6 +448,40 @@ let pipeline ?(nowait = true) ?(taskwait = nowait) ?(rows = 128) ?(tiles = 3) ()
         read = read_f32s ctx [ (y, total) ];
       })
 
+(* A nowait region's map(always, to:) on a range a data region already
+   mapped: the host stores 7 into the present range, and the region must
+   copy it again, as a synchronous region does (the stripped host run
+   reads 7; a skipped copy reads the 1 mapped at the data region). *)
+let always_nowait_src =
+  {|
+void always_nowait(int a[], int r[])
+{
+  #pragma omp target data map(to: a[0:4])
+  {
+    for (int i = 0; i < 4; i++)
+      a[i] = 7;
+    #pragma omp target map(always, to: a[0:4]) map(tofrom: r[0:4]) nowait
+    {
+      r[0] = a[0];
+    }
+    #pragma omp taskwait
+  }
+}
+|}
+
+let always_nowait () : program =
+  omp ~name:"always_nowait" ~shards:false ~source:always_nowait_src ~entry:"always_nowait"
+    (fun ctx ->
+      let a = Harness.alloc_i32 ctx 4 and r = Harness.alloc_i32 ctx 4 in
+      {
+        args = Harness.[ fptr a; fptr r ];
+        fill =
+          (fun () ->
+            Harness.fill_i32 ctx a 4 (fun _ -> 1);
+            Harness.fill_i32 ctx r 4 (fun _ -> 0));
+        read = (fun () -> [| Int32.of_int (Harness.get_i32 ctx r 0) |]);
+      })
+
 (* A whole program whose target region runs the master/worker path, and
    what it prints. *)
 let saxpy_src =

@@ -162,21 +162,22 @@ let test_update_syncs_in_flight_range () =
   in_flight := false;
   Hostrt.Dataenv.unmap env h Hostrt.Dataenv.Tofrom
 
-(* map_async/unmap_async: eager memory effects over async copies; the
-   caller IS the in-flight work, so no pending checks apply. *)
-let test_map_async_eager_effects () =
+(* A map and an unmap from a stream task: eager memory effects over
+   async copies; the caller IS the in-flight work, so no pending checks
+   apply. *)
+let test_stream_map_eager_effects () =
   let env, host, driver, clock = make () in
   let in_flight, _ = install_fake_hooks env in
   let s = Driver.stream_create driver in
   let h = Mem.alloc host 64 in
   set_f32 host h 2 4.5;
-  let d = Hostrt.Dataenv.map_async env ~stream:s h ~bytes:64 Hostrt.Dataenv.Tofrom in
+  let d = Hostrt.Dataenv.map ~stream:s env h ~bytes:64 Hostrt.Dataenv.Tofrom in
   Alcotest.(check bool) "async map(to:) copies in eagerly" true
     (get_f32 driver.Driver.global d 2 = 4.5);
   set_f32 driver.Driver.global d 2 6.25;
   in_flight := true;
   (* no Map_error even though the hook reports pending work *)
-  Hostrt.Dataenv.unmap_async env ~stream:s h Hostrt.Dataenv.Tofrom;
+  Hostrt.Dataenv.unmap ~stream:s env h Hostrt.Dataenv.Tofrom;
   Alcotest.(check bool) "async unmap copies back eagerly" true (get_f32 host h 2 = 6.25);
   Alcotest.(check int) "entry removed" 0 (Hostrt.Dataenv.active_mappings env);
   Alcotest.(check bool) "work landed on the stream, not the clock" true
@@ -465,7 +466,7 @@ let () =
           Alcotest.test_case "unmap-while-pending vs refcount" `Quick test_unmap_pending_refcount;
           Alcotest.test_case "target update syncs in-flight range" `Quick
             test_update_syncs_in_flight_range;
-          Alcotest.test_case "map_async eager effects" `Quick test_map_async_eager_effects;
+          Alcotest.test_case "stream map eager effects" `Quick test_stream_map_eager_effects;
         ] );
       ( "unified memory",
         [

@@ -18,7 +18,7 @@ open Polybench
    and the cheapest Polybench apps. *)
 let tier1 : Oracle.program list =
   [ Oracle.example "dotprod.c"; Oracle.example "quickstart.c"; Oracle.gemm (); Oracle.dot ();
-    Oracle.pipeline ~rows:64 () ]
+    Oracle.pipeline ~rows:64 (); Oracle.always_nowait () ]
   @ List.filter_map
       (fun name -> Option.map (fun a -> Oracle.polybench a) (Suite.find name))
       [ "3dconv"; "atax"; "gesummv" ]
