@@ -24,12 +24,10 @@
    events are present at all: every admitted request (args.req) must
    have exactly one matching complete, and must have been enqueued.
 
-   Always, the one-copy-engine rule: no copy of a device overlaps a
-   synchronous copy of that device in simulated time.  A synchronous
-   copy is a cat:"transfer" B/E span (args.device, 0 when absent); an
-   asynchronous one is an HtoD/DtoH Complete event.  Two asynchronous
-   copies are not checked against each other: the engine model still
-   lets copies queued behind a late stream overlap (ROADMAP item 2).
+   Always, the one-copy-engine rule: no two copies of a device overlap
+   in simulated time.  A synchronous copy is a cat:"transfer" B/E span
+   (args.device, 0 when absent); an asynchronous one is an HtoD/DtoH
+   Complete event.
 
    With --expect-devices N, requires the multi-device tid discipline:
    every launch/copy Complete ("X") event must carry a device ordinal
@@ -141,9 +139,9 @@ let () =
   | bytes ->
     if not (List.for_all (fun b -> b > 0.0) bytes) then
       fail "transfer event with non-positive byte count");
-  (* One copy engine per device: no copy overlaps a synchronous one.
-     Intervals are (start, end) in microseconds; back-to-back copies may
-     differ by the rounding of the microsecond conversion. *)
+  (* One copy engine per device: no two copies overlap.  Intervals are
+     (start, end) in microseconds; back-to-back copies may differ by the
+     rounding of the microsecond conversion. *)
   let num_field key ev = Option.bind (Perf.Json.member key ev) Perf.Json.to_number_opt in
   let device ev =
     Option.fold ~none:0 ~some:int_of_float
@@ -155,7 +153,7 @@ let () =
       (fun ev ->
         if str_field "ph" ev = Some "X" && str_field "cat" ev = Some "async" && is_copy ev then
           match (num_field "ts" ev, num_field "dur" ev) with
-          | Some ts, Some dur -> Some (device ev, ts, ts +. dur, false)
+          | Some ts, Some dur -> Some (device ev, ts, ts +. dur)
           | _ -> None
         else None)
       events
@@ -167,23 +165,21 @@ let () =
            match (str_field "cat" ev, str_field "ph" ev, num_field "ts" ev) with
            | Some "transfer", Some "B", Some b -> (Some (device ev, b), acc)
            | Some "transfer", Some "E", Some e -> (
-             match opened with Some (d, b) -> (None, (d, b, e, true) :: acc) | None -> (None, acc))
+             match opened with Some (d, b) -> (None, (d, b, e) :: acc) | None -> (None, acc))
            | _ -> (opened, acc))
          (None, []) events)
   in
-  (* Sweep each device's copies by start, keeping the latest end of any
-     copy and of any synchronous copy seen so far. *)
+  (* Sweep each device's copies by start, keeping the latest end seen
+     so far. *)
   let copies = List.sort compare (async_copies @ sync_copies) in
   ignore
     (List.fold_left
-       (fun prev (d, b, e, sync) ->
-         let any_end, sync_end =
-           match prev with Some (pd, a, s) when pd = d -> (a, s) | _ -> (neg_infinity, neg_infinity)
-         in
-         if b < sync_end -. 1e-6 || (sync && b < any_end -. 1e-6) then
-           fail "device %d: the copy at [%f, %f] us and a synchronous copy overlap on its one copy engine"
+       (fun prev (d, b, e) ->
+         let last_end = match prev with Some (pd, l) when pd = d -> l | _ -> neg_infinity in
+         if b < last_end -. 1e-6 then
+           fail "device %d: the copy at [%f, %f] us overlaps an earlier one on its one copy engine"
              d b e;
-         Some (d, Float.max any_end e, if sync then Float.max sync_end e else sync_end))
+         Some (d, Float.max last_end e))
        None copies);
   (* JIT-cache information: a cat="jit" event whose args carry the
      cache_hit verdict (jit_compile / jit_cache_hit / cubin_load). *)

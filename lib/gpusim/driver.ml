@@ -78,11 +78,11 @@ type t = {
      serialize with transfers and kernels with kernels across every
      stream, the null stream included; only transfer/compute overlap is
      possible.  Each engine is a list of busy intervals (start_ns,
-     end_ns, hidden) sorted by start: the hardware channels feed an
-     engine with whichever queued op is READY, so placement is
-     work-conserving first-fit rather than strict enqueue order. *)
-  mutable copy_busy : (float * float * bool) list;
-  mutable compute_busy : (float * float * bool) list;
+     end_ns) sorted by start: the hardware channels feed an engine with
+     whichever queued op is READY, so placement is work-conserving
+     first-fit rather than strict enqueue order. *)
+  mutable copy_busy : (float * float) list;
+  mutable compute_busy : (float * float) list;
   (* Unified-memory zero-copy: host ranges pinned via cuMemHostRegister,
      directly addressable from kernels (off, len, id in host space). *)
   mutable pinned : (int * int * int) list;
@@ -115,31 +115,20 @@ type t = {
 
 (* Earliest start >= ready where the engine is idle for [dur]; returns
    the start and the busy list with the new interval inserted.
-   Intervals that have drained (ending at or before [now]) are dropped.
-   An op hides the intervals ending at or before its [ready] time from
-   later created-stream ops, which skip hidden intervals.  This keeps
-   the created streams' schedules as they were, known flaw included: a
-   later op with an earlier ready time can overlap a hidden interval,
-   so copies queued behind a late stream can overlap on the one copy
-   engine.  A null-stream op ([all]) sees every interval still busy, so
-   a synchronous call never overlaps queued work on its engine. *)
-let engine_place busy ~(now : float) ~(ready : float) ~(all : bool) ~(dur : float) :
-    float * (float * float * bool) list =
-  let busy =
-    List.filter_map
-      (fun ((s, e, hidden) as iv) ->
-        if e <= now then None else if e <= ready && not hidden then Some (s, e, true) else Some iv)
-      busy
-  in
+   Intervals that have drained (ending at or before [now]) are dropped;
+   every other one constrains every op, so no two ops ever overlap on
+   one engine, whatever stream they run on. *)
+let engine_place busy ~(now : float) ~(ready : float) ~(dur : float) :
+    float * (float * float) list =
+  let busy = List.filter (fun (_, e) -> e > now) busy in
   let rec fit at = function
     | [] -> at
-    | (_, _, true) :: rest when not all -> fit at rest
-    | (s, e, _) :: rest -> if at +. dur <= s then at else fit (Float.max at e) rest
+    | (s, e) :: rest -> if at +. dur <= s then at else fit (Float.max at e) rest
   in
   let start = fit ready busy in
   let rec insert = function
-    | ((s, _, _) as iv) :: rest when s < start -> iv :: insert rest
-    | l -> (start, start +. dur, false) :: l
+    | ((s, _) as iv) :: rest when s < start -> iv :: insert rest
+    | l -> (start, start +. dur) :: l
   in
   (start, insert busy)
 
@@ -277,8 +266,7 @@ let place t ~(copy : bool) (s : stream) (dur : float) : float * float =
   let now = Simclock.now_ns t.clock in
   let ready = Float.max now s.str_done_ns in
   let start, busy =
-    engine_place (if copy then t.copy_busy else t.compute_busy) ~now ~ready
-      ~all:(s == t.null_stream) ~dur
+    engine_place (if copy then t.copy_busy else t.compute_busy) ~now ~ready ~dur
   in
   if copy then t.copy_busy <- busy else t.compute_busy <- busy;
   let finish = start +. dur in

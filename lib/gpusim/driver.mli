@@ -68,14 +68,12 @@ type t = {
   null_stream : stream;  (** what calls without a stream run on; survives {!reset} *)
   mutable streams : stream list;  (** created streams, in creation order *)
   mutable next_stream_id : int;
-  mutable copy_busy : (float * float * bool) list;
+  mutable copy_busy : (float * float) list;
       (** single copy engine, shared by every stream (the null stream
-          included): busy intervals (start_ns, end_ns, hidden), sorted
-          by start.  Placement is work-conserving first-fit: the
-          hardware channels feed the engine with whichever queued op is
-          ready.  A hidden interval constrains null-stream ops only
-          (see Streams). *)
-  mutable compute_busy : (float * float * bool) list;  (** single compute engine, same scheme *)
+          included): busy intervals (start_ns, end_ns), sorted by
+          start.  Placement is work-conserving first-fit: the hardware
+          channels feed the engine with whichever queued op is ready. *)
+  mutable compute_busy : (float * float) list;  (** single compute engine, same scheme *)
   mutable pinned : (int * int * int) list;
       (** zero-copy: pinned host ranges (off, len, id) kernels may address in place *)
   mutable pinned_host : Mem.t option;  (** the host image, [Some] iff [pinned <> []] *)
@@ -229,12 +227,9 @@ val launch_kernel :
     legacy default stream's device-wide barrier is not, so a null-stream
     call does not wait for other streams' work on the other engine.
 
-    An op hides the engine intervals that end before its ready time
-    from later created-stream ops (hidden intervals constrain
-    null-stream ops only).  This keeps the created streams' placement
-    as it has been, known flaw included: an op queued behind a late
-    stream lets a later created-stream copy overlap an earlier one on
-    the copy engine. *)
+    Every engine interval that has not drained constrains every op, so
+    no two copies (and no two kernels) overlap, whichever streams they
+    run on. *)
 
 (** CPU-side cost (µs) of issuing one copy on a created stream, charged
     to the global clock at enqueue. *)

@@ -134,9 +134,9 @@ let test_sync_copy_waits_for_copy_engine () =
   Alcotest.(check int) "no stream_sync" 0
     (Perf.Trace.count_events tr ~cat:"async" ~name:"stream_sync" ())
 
-(* A copy queued behind a late stream hides the earlier copies from
-   later created-stream copies; a copy without a stream still waits for
-   them. *)
+(* A copy queued behind a late stream does not free the engine for
+   earlier work: a copy without a stream still waits for the copies
+   queued before it. *)
 let test_sync_copy_sees_hidden_intervals () =
   let driver, host, clock = make_driver () in
   let tr = Perf.Trace.create clock in
@@ -154,6 +154,37 @@ let test_sync_copy_sees_hidden_intervals () =
     Alcotest.(check bool) "starts after the first queued copy" true
       (b.Perf.Trace.ev_ts_ns >= queued_end)
   | [] -> Alcotest.fail "no HtoD transfer span"
+
+(* The same between created streams: a copy queued behind a late
+   stream leaves the earlier copy busy for a third stream's copy, which
+   starts once it ends instead of overlapping it. *)
+let test_created_stream_copies_never_overlap () =
+  let driver, host, clock = make_driver () in
+  let tr = Perf.Trace.create clock in
+  Driver.set_trace driver (Some tr);
+  let len = 1 lsl 20 in
+  let src = Mem.alloc host (3 * len) and dst = Driver.mem_alloc driver (3 * len) in
+  let s1 = Driver.stream_create driver
+  and s2 = Driver.stream_create driver
+  and s3 = Driver.stream_create driver in
+  let copy s k =
+    Driver.memcpy_h2d driver ~stream:s ~host ~src:(Addr.add src (k * len))
+      ~dst:(Addr.add dst (k * len)) ~len
+  in
+  copy s1 0;
+  let first_end = s1.Driver.str_done_ns in
+  Driver.stream_wait_until s2 (first_end +. 1e7);
+  copy s2 1;
+  copy s3 2;
+  match
+    List.filter
+      (fun e -> e.Perf.Trace.ev_tid = s3.Driver.str_id)
+      (Perf.Trace.find_events tr ~cat:"async" ~name:"HtoD" ())
+  with
+  | [ e ] ->
+    Alcotest.(check bool) "the third copy starts after the first ends" true
+      (e.Perf.Trace.ev_ts_ns >= first_end)
+  | evs -> Alcotest.failf "expected 1 async HtoD event on the third stream, got %d" (List.length evs)
 
 (* The same on the compute engine: a launch without a stream waits for a
    kernel queued on another stream. *)
@@ -469,6 +500,8 @@ let () =
             test_sync_copy_waits_for_copy_engine;
           Alcotest.test_case "a sync copy sees hidden intervals" `Quick
             test_sync_copy_sees_hidden_intervals;
+          Alcotest.test_case "created-stream copies never overlap" `Quick
+            test_created_stream_copies_never_overlap;
           Alcotest.test_case "a sync launch waits for the compute engine" `Quick
             test_sync_launch_waits_for_compute_engine;
         ] );
