@@ -43,7 +43,7 @@ type t = {
   mutable funcs : (string, Ast.fundef) Hashtbl.t;
   (* May be shared between contexts (all threads of a launch): builtins
      must find their per-thread state through the context, e.g. [lane]. *)
-  mutable builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  mutable builtins : (string, impl) Hashtbl.t;
   lane : int; (* device role: linear thread id within the block *)
   resolve : Addr.t -> Mem.t; (* the memory an address lives in *)
   (* [resolve] for a scalar load or store of the given bytes, accounted;
@@ -71,9 +71,21 @@ type t = {
   mutable dispatch : (t -> Ast.fundef -> Value.t list -> Value.t) option;
 }
 
-type builtin = t -> Value.t list -> Value.t
+(* A builtin's implementation, by its signature's arity: it receives
+   exactly the arguments its signature declares, each fixed one
+   converted to its parameter type, and a variadic tail as it was
+   passed. *)
+and impl =
+  | F0 of (t -> Value.t)
+  | F1 of (t -> Value.t -> Value.t)
+  | F2 of (t -> Value.t -> Value.t -> Value.t)
+  | F3 of (t -> Value.t -> Value.t -> Value.t -> Value.t)
+  | F4 of (t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t)
+  | F6 of (t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t)
+  | V1 of (t -> Value.t -> Value.t list -> Value.t)
+  | V5 of (t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t list -> Value.t)
 
-type builtins = (string, builtin) Hashtbl.t
+type builtins = (string, impl) Hashtbl.t
 
 let strings_code = Addr.code_of_space Addr.Strings
 
@@ -126,7 +138,52 @@ let reset ctx ~frames =
   ctx.fn_ptrs <- None;
   ctx.dispatch <- None
 
-let register_builtin ctx name fn = Hashtbl.replace ctx.builtins name fn
+(* The fixed arguments converted to their parameters' types as
+   assignment converts them ([Value.cast], no step), where the type is
+   arithmetic: a pointer keeps its pointee type.  Allocates nothing
+   when every argument already has its type. *)
+let rec convert params args =
+  match (params, args) with
+  | p :: ps, a :: rest ->
+    let a' = if Cty.is_arith p then Value.cast p a else a and rest' = convert ps rest in
+    if a' == a && rest' == rest then args else a' :: rest'
+  | _ -> args
+
+(* The parameter types a call of builtin [name] converts its fixed
+   arguments to: none for the overloaded atomics, which convert their
+   operands to their pointee type themselves. *)
+let builtin_params name =
+  match Typecheck.builtin_signature name with
+  | Some s when not (Typecheck.overloaded name) -> s.params
+  | _ -> []
+
+(* A call of builtin [name]: its fixed arguments converted to [params]
+   and passed to [impl], its variadic tail as it is. *)
+let apply_builtin ctx name impl params args =
+  match (impl, convert params args) with
+  | F0 f, [] -> f ctx
+  | F1 f, [ a ] -> f ctx a
+  | F2 f, [ a; b ] -> f ctx a b
+  | F3 f, [ a; b; c ] -> f ctx a b c
+  | F4 f, [ a; b; c; d ] -> f ctx a b c d
+  | F6 f, [ a; b; c; d; e; g ] -> f ctx a b c d e g
+  | V1 f, a :: rest -> f ctx a rest
+  | V5 f, a :: b :: c :: d :: e :: rest -> f ctx a b c d e rest
+  | _ -> runtime_error "'%s' applied to the wrong number of arguments" name
+
+(* Enter [impl] into a builtin table under [name], checked against
+   [name]'s signature. *)
+let register_builtin (tbl : builtins) name impl =
+  let s =
+    match Typecheck.builtin_signature name with
+    | Some s -> s
+    | None -> invalid_arg (Printf.sprintf "builtin '%s' has no signature" name)
+  in
+  (match (impl, List.length s.params, s.variadic) with
+  | F0 _, 0, false | F1 _, 1, false | F2 _, 2, false | F3 _, 3, false | F4 _, 4, false
+  | F6 _, 6, false | V1 _, 1, true | V5 _, 5, true -> ()
+  | _ -> invalid_arg (Printf.sprintf "builtin '%s': arity differs from its signature's" name));
+  Hashtbl.replace tbl name impl
 
 let register_global ctx name ty addr = Hashtbl.replace ctx.globals name (ty, addr)
 
@@ -486,7 +543,7 @@ and eval_binop ctx op a b : Value.t =
 and call ctx (f : string) (args : Value.t list) : Value.t =
   step ctx St_call;
   match Hashtbl.find_opt ctx.builtins f with
-  | Some fn -> fn ctx args
+  | Some impl -> apply_builtin ctx f impl (builtin_params f) args
   | None -> (
     match Hashtbl.find_opt ctx.funcs f with
     | Some fd -> call_fundef ctx fd args
@@ -673,45 +730,29 @@ let format_printf ctx (fmt_string : string) (args : Value.t list) : string =
 
 (* Default builtins shared by host and device roles. *)
 let install_common_builtins (tbl : builtins) =
-  let reg name fn = Hashtbl.replace tbl name fn in
-  reg "printf" (fun ctx args ->
-      match args with
-      | fmt :: rest ->
-        let s = format_printf ctx (read_c_string ctx (Value.as_addr fmt)) rest in
-        Buffer.add_string ctx.output s;
-        Value.of_int (String.length s)
-      | [] -> runtime_error "printf: missing format");
-  let float1 name fn cost =
-    reg name (fun ctx args ->
+  let reg = register_builtin tbl in
+  reg "printf" (V1 (fun ctx fmt rest ->
+      let s = format_printf ctx (read_c_string ctx (Value.as_addr fmt)) rest in
+      Buffer.add_string ctx.output s;
+      Value.of_int (String.length s)));
+  let float1 ?(ty = Cty.Double) ?(cost = St_special) name fn =
+    reg name (F1 (fun ctx a ->
         step ctx cost;
-        match args with
-        | [ a ] -> Value.flt ~ty:Cty.Double (fn (Value.as_float a))
-        | _ -> runtime_error "%s expects 1 argument" name)
+        Value.flt ~ty (fn (Value.as_float a))))
   in
-  let float1f name fn =
-    reg name (fun ctx args ->
-        step ctx St_special;
-        match args with
-        | [ a ] -> Value.flt ~ty:Cty.Float (fn (Value.as_float a))
-        | _ -> runtime_error "%s expects 1 argument" name)
-  in
-  float1 "sqrt" sqrt St_special;
-  float1 "fabs" abs_float St_arith;
-  float1 "exp" exp St_special;
-  float1 "log" log St_special;
-  float1f "sqrtf" sqrt;
-  float1f "fabsf" abs_float;
-  float1f "expf" exp;
-  reg "pow" (fun ctx args ->
+  float1 "sqrt" sqrt;
+  float1 "fabs" abs_float ~cost:St_arith;
+  float1 "exp" exp;
+  float1 "log" log;
+  float1 "sqrtf" sqrt ~ty:Cty.Float;
+  float1 "fabsf" abs_float ~ty:Cty.Float;
+  float1 "expf" exp ~ty:Cty.Float;
+  reg "pow" (F2 (fun ctx a b ->
       step ctx St_special;
-      match args with
-      | [ a; b ] -> Value.flt ~ty:Cty.Double (Float.pow (Value.as_float a) (Value.as_float b))
-      | _ -> runtime_error "pow expects 2 arguments");
-  reg "abs" (fun ctx args ->
+      Value.flt ~ty:Cty.Double (Float.pow (Value.as_float a) (Value.as_float b))));
+  reg "abs" (F1 (fun ctx a ->
       step ctx St_arith;
-      match args with
-      | [ a ] -> Value.int ~ty:Cty.Int (Int64.abs (Value.as_int a))
-      | _ -> runtime_error "abs expects 1 argument")
+      Value.int ~ty:Cty.Int (Int64.abs (Value.as_int a))))
 
 (* Elaborate a program and load its function definitions and struct
    layouts into the context's tables; an ill-typed program is an

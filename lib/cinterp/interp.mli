@@ -40,7 +40,7 @@ type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 type t = {
   mutable structs : Cty.layout_env;
   mutable funcs : (string, Ast.fundef) Hashtbl.t;
-  mutable builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  mutable builtins : (string, impl) Hashtbl.t;
       (** may be shared between contexts: a builtin finds its
           per-thread state through the context it is called with *)
   lane : int;  (** device role: linear thread id within the block *)
@@ -69,9 +69,21 @@ type t = {
           tree-walker *)
 }
 
-type builtin = t -> Value.t list -> Value.t
+(** A builtin's implementation, by the arity of its signature
+    ({!Minic.Typecheck.builtin_signature}): [Fn] takes its n fixed
+    arguments, [Vn] its n fixed arguments and the variadic tail. *)
+and impl =
+  | F0 of (t -> Value.t)
+  | F1 of (t -> Value.t -> Value.t)
+  | F2 of (t -> Value.t -> Value.t -> Value.t)
+  | F3 of (t -> Value.t -> Value.t -> Value.t -> Value.t)
+  | F4 of (t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t)
+  | F6 of (t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t)
+  | V1 of (t -> Value.t -> Value.t list -> Value.t)
+  | V5 of (t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t -> Value.t list -> Value.t)
 
-type builtins = (string, builtin) Hashtbl.t
+(** Filled by {!register_builtin} only. *)
+type builtins = (string, impl) Hashtbl.t
 
 (** [?builtins] and [?globals] may be tables shared with other contexts
     (default: fresh ones); the context never writes to them except
@@ -103,7 +115,23 @@ val create :
     for every thread. *)
 val reset : t -> frames:frame list -> unit
 
-val register_builtin : t -> string -> builtin -> unit
+(** Enter a builtin's implementation into a table, checked against its
+    C signature: the one way a builtin is registered, host or device.
+    Raises [Invalid_argument] for a name without a signature or an
+    implementation of another arity. *)
+val register_builtin : builtins -> string -> impl -> unit
+
+(** The parameter types a call of the named builtin converts its fixed
+    arguments to: its signature's, none for the
+    {!Minic.Typecheck.overloaded} atomics, which convert their operands
+    to their pointee type themselves. *)
+val builtin_params : string -> Cty.t list
+
+(** [apply_builtin ctx name impl params args] calls a builtin: each
+    fixed argument converted to an arithmetic parameter's type as
+    assignment does ([Value.cast], no step, nothing allocated when the
+    types match); pointers and a variadic tail pass as they are. *)
+val apply_builtin : t -> string -> impl -> Cty.t list -> Value.t list -> Value.t
 
 val register_global : t -> string -> Cty.t -> Addr.t -> unit
 
@@ -156,8 +184,8 @@ val call_fundef : t -> Ast.fundef -> Value.t list -> Value.t
 (** The reference tree-walking executor, bypassing {!t.dispatch}. *)
 val tree_call_fundef : t -> Ast.fundef -> Value.t list -> Value.t
 
-(** Add the printf/math builtins shared by the host and device roles to
-    a builtin table. *)
+(** Register the printf/math builtins shared by the host and device
+    roles in a builtin table. *)
 val install_common_builtins : builtins -> unit
 
 (** Elaborate a program ({!Minic.Typecheck.elaborate}) and load its

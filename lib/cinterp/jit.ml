@@ -123,7 +123,7 @@ type reg = R_mem | R : 'a kind * int -> reg
 (* Memoized resolution of one call site, shared by the threads of a launch. *)
 type target =
   | Tgt_unresolved
-  | Tgt_builtin of (Interp.t -> Value.t list -> Value.t)
+  | Tgt_builtin of Interp.impl * Cty.t list (* and its parameter types *)
   | Tgt_compiled of cfun
   | Tgt_tree of Ast.fundef
 
@@ -1263,9 +1263,13 @@ and compile_unop k (op : Ast.unop) (a : Ast.expr) : cexpr =
     let delta = if op = Ast.PreInc || op = Ast.PostInc then 1 else -1 in
     incdec k (compile_target k a) ~post ~delta
 
-(* A call, typed by the return type of the callee both executors pick
-   ([Typecheck.call_type]).  The result a builtin or a function returns
-   must have that type: the compiled code reads its payload as one. *)
+(* A call, typed by the return type of the signature of the callee both
+   executors pick ([Typecheck.call_type], which the elaboration has
+   checked the call against).  The arguments pass as values, converted
+   to their parameter types where the tree-walker converts them: by
+   [Interp.apply_builtin] or a function's parameter stores.  The result
+   a builtin or a function returns must have the return type: the
+   compiled code reads its payload as one. *)
 and compile_call k (f : string) (args : Ast.expr list) : cexpr =
   let cargs = List.map (compile_expr k) args in
   let rty = Cty.decay (Typecheck.call_type k.k_env f (List.map static_type cargs)) in
@@ -1292,7 +1296,7 @@ and compile_call k (f : string) (args : Ast.expr list) : cexpr =
            defined functions *)
         let t =
           match Hashtbl.find_opt ctx.Interp.builtins f with
-          | Some fn -> Tgt_builtin fn
+          | Some impl -> Tgt_builtin (impl, Interp.builtin_params f)
           | None -> (
             match Hashtbl.find_opt compiled_tbl f with
             | Some cf -> Tgt_compiled cf
@@ -1306,7 +1310,7 @@ and compile_call k (f : string) (args : Ast.expr list) : cexpr =
       | t -> t
     in
     match target with
-    | Tgt_builtin fn -> fn ctx vals
+    | Tgt_builtin (impl, params) -> Interp.apply_builtin ctx f impl params vals
     | Tgt_compiled cf -> invoke inst cf vals
     | Tgt_tree fd -> Interp.tree_call_fundef ctx fd vals
     | Tgt_unresolved -> assert false

@@ -1,9 +1,10 @@
 (* The cudadev device runtime library (paper §4.2.2), exposed to kernel
-   code as interpreter builtins.  One [install] call per launch fills the
-   launch's shared builtin table.  As in the real runtime, state lives
-   per team (the block) and a thread carries only its ids: a builtin
-   finds the running block through the launch's accessor and its thread
-   as [bs_threads.(ctx.lane)], and closes over neither. *)
+   code as interpreter builtins, each registered against its C
+   signature.  One [install] call per launch fills the launch's shared
+   builtin table.  As in the real runtime, state lives per team (the
+   block) and a thread carries only its ids: a builtin finds the running
+   block through the launch's accessor and its thread as
+   [bs_threads.(ctx.lane)], and closes over neither. *)
 
 open Machine
 open Gpusim
@@ -21,8 +22,6 @@ let ret_void = Value.VVoid
 let store_int ctx addr_v (i : int) =
   let addr = Value.as_addr addr_v in
   Cinterp.Interp.store ctx addr Cty.Int (Value.of_int i)
-
-let bad_args name = devrt_error "%s: bad argument list" name
 
 (* Participants of the B1 barrier: the master thread plus all worker
    threads (block size minus the masked-out master warp). *)
@@ -125,314 +124,264 @@ let atomic_rmw ctx (bs : Simt.block_state) (ptr : Value.t) (f : Value.t -> Value
 (* ---------------------------------------------------------------- *)
 
 let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) : unit =
-  let reg name fn = Hashtbl.replace tbl name fn in
-  let thread (bs : Simt.block_state) (ctx : Cinterp.Interp.t) = bs.bs_threads.(ctx.Cinterp.Interp.lane) in
+  let open Cinterp.Interp in
+  let reg = register_builtin tbl in
+  let thread (bs : Simt.block_state) (ctx : Cinterp.Interp.t) = bs.bs_threads.(ctx.lane) in
   let block_threads (bs : Simt.block_state) = Simt.dim3_total bs.bs_block_dim in
 
   (* -------- identity -------- *)
-  reg "cudadev_thread_id" (fun ctx _ -> ret_int ctx.Cinterp.Interp.lane);
-  reg "cudadev_team_id" (fun _ _ -> ret_int (team_linear (block ())));
-  reg "cudadev_num_teams" (fun _ _ -> ret_int (num_teams (block ())));
-  reg "cudadev_num_threads" (fun _ _ -> ret_int (block_threads (block ())));
-  reg "omp_get_thread_num" (fun ctx _ -> ret_int (thread (block ()) ctx).ts_omp_id);
-  reg "omp_get_num_threads" (fun ctx _ -> ret_int (thread (block ()) ctx).ts_omp_num);
-  reg "omp_get_team_num" (fun _ _ -> ret_int (team_linear (block ())));
-  reg "omp_get_num_teams" (fun _ _ -> ret_int (num_teams (block ())));
-  reg "omp_is_initial_device" (fun _ _ -> ret_int 0);
+  reg "cudadev_thread_id" (F0 (fun ctx -> ret_int ctx.lane));
+  reg "cudadev_team_id" (F0 (fun _ -> ret_int (team_linear (block ()))));
+  reg "cudadev_num_teams" (F0 (fun _ -> ret_int (num_teams (block ()))));
+  reg "cudadev_num_threads" (F0 (fun _ -> ret_int (block_threads (block ()))));
+  reg "omp_get_thread_num" (F0 (fun ctx -> ret_int (thread (block ()) ctx).ts_omp_id));
+  reg "omp_get_num_threads" (F0 (fun ctx -> ret_int (thread (block ()) ctx).ts_omp_num));
+  reg "omp_get_team_num" (F0 (fun _ -> ret_int (team_linear (block ()))));
+  reg "omp_get_num_teams" (F0 (fun _ -> ret_int (num_teams (block ()))));
+  reg "omp_is_initial_device" (F0 (fun _ -> ret_int 0));
 
   (* -------- master/worker scheme (§3.2) -------- *)
-  reg "cudadev_in_masterwarp" (fun _ args ->
-      match args with
-      | [ thrid ] -> ret_int (if int_arg thrid < (block ()).bs_spec.Spec.warp_size then 1 else 0)
-      | _ -> bad_args "cudadev_in_masterwarp");
-  reg "cudadev_is_masterthr" (fun _ args ->
-      match args with
-      | [ thrid ] -> ret_int (if int_arg thrid = 0 then 1 else 0)
-      | _ -> bad_args "cudadev_is_masterthr");
-  reg "cudadev_register_parallel" (fun ctx args ->
-      match args with
-      | [ fnptr; vars; nthreads ] ->
-        let bs = block () in
-        let fd = Cinterp.Interp.function_of_pointer ctx fnptr in
-        let workers = block_threads bs - bs.bs_spec.Spec.warp_size in
-        let requested = int_arg nthreads in
-        let n = if requested <= 0 then workers else min requested workers in
-        bs.bs_region <- Some { Simt.pr_fn = fd.Minic.Ast.f_name; pr_args = [ vars ]; pr_nthreads = n };
-        Simt.bar_sync barrier_id_b1 (b1_participants bs); (* release workers *)
-        Simt.bar_sync barrier_id_b1 (b1_participants bs); (* wait for completion *)
-        bs.bs_region <- None;
-        ret_void
-      | _ -> bad_args "cudadev_register_parallel");
-  reg "cudadev_workerfunc" (fun ctx args ->
-      match args with
-      | [ thrid ] ->
-        let bs = block () in
-        let ts = thread bs ctx in
-        let thrid = int_arg thrid in
-        let wid = thrid - bs.bs_spec.Spec.warp_size in
-        if wid < 0 then devrt_error "cudadev_workerfunc called from the master warp";
-        let rec serve () =
-          Simt.bar_sync barrier_id_b1 (b1_participants bs);
-          if not bs.bs_target_done then begin
-            (match bs.bs_region with
-            | Some r when wid < r.Simt.pr_nthreads ->
-              let saved_id = ts.ts_omp_id and saved_num = ts.ts_omp_num in
-              ts.ts_omp_id <- wid;
-              ts.ts_omp_num <- r.Simt.pr_nthreads;
-              let fd =
-                match Hashtbl.find_opt ctx.Cinterp.Interp.funcs r.Simt.pr_fn with
-                | Some fd -> fd
-                | None -> devrt_error "worker: unknown thread function '%s'" r.Simt.pr_fn
-              in
-              ignore (Cinterp.Interp.call_fundef ctx fd r.Simt.pr_args);
-              ts.ts_omp_id <- saved_id;
-              ts.ts_omp_num <- saved_num;
-              Simt.bar_sync barrier_id_b2 r.Simt.pr_nthreads
-            | Some _ | None -> ());
-            Simt.bar_sync barrier_id_b1 (b1_participants bs);
-            serve ()
-          end
-        in
-        serve ();
-        ret_void
-      | _ -> bad_args "cudadev_workerfunc");
-  reg "cudadev_exit_target" (fun _ args ->
-      match args with
-      | [] ->
-        let bs = block () in
-        bs.bs_target_done <- true;
+  reg "cudadev_in_masterwarp" (F1 (fun _ thrid ->
+      ret_int (if int_arg thrid < (block ()).bs_spec.Spec.warp_size then 1 else 0)));
+  reg "cudadev_is_masterthr" (F1 (fun _ thrid -> ret_int (if int_arg thrid = 0 then 1 else 0)));
+  reg "cudadev_register_parallel" (F3 (fun ctx fnptr vars nthreads ->
+      let bs = block () in
+      let fd = function_of_pointer ctx fnptr in
+      let workers = block_threads bs - bs.bs_spec.Spec.warp_size in
+      let requested = int_arg nthreads in
+      let n = if requested <= 0 then workers else min requested workers in
+      bs.bs_region <- Some { Simt.pr_fn = fd.Minic.Ast.f_name; pr_args = [ vars ]; pr_nthreads = n };
+      Simt.bar_sync barrier_id_b1 (b1_participants bs); (* release workers *)
+      Simt.bar_sync barrier_id_b1 (b1_participants bs); (* wait for completion *)
+      bs.bs_region <- None;
+      ret_void));
+  reg "cudadev_workerfunc" (F1 (fun ctx thrid ->
+      let bs = block () in
+      let ts = thread bs ctx in
+      let thrid = int_arg thrid in
+      let wid = thrid - bs.bs_spec.Spec.warp_size in
+      if wid < 0 then devrt_error "cudadev_workerfunc called from the master warp";
+      let rec serve () =
         Simt.bar_sync barrier_id_b1 (b1_participants bs);
-        ret_void
-      | _ -> bad_args "cudadev_exit_target");
+        if not bs.bs_target_done then begin
+          (match bs.bs_region with
+          | Some r when wid < r.Simt.pr_nthreads ->
+            let saved_id = ts.ts_omp_id and saved_num = ts.ts_omp_num in
+            ts.ts_omp_id <- wid;
+            ts.ts_omp_num <- r.Simt.pr_nthreads;
+            let fd =
+              match Hashtbl.find_opt ctx.funcs r.Simt.pr_fn with
+              | Some fd -> fd
+              | None -> devrt_error "worker: unknown thread function '%s'" r.Simt.pr_fn
+            in
+            ignore (call_fundef ctx fd r.Simt.pr_args);
+            ts.ts_omp_id <- saved_id;
+            ts.ts_omp_num <- saved_num;
+            Simt.bar_sync barrier_id_b2 r.Simt.pr_nthreads
+          | Some _ | None -> ());
+          Simt.bar_sync barrier_id_b1 (b1_participants bs);
+          serve ()
+        end
+      in
+      serve ();
+      ret_void));
+  reg "cudadev_exit_target" (F0 (fun _ ->
+      let bs = block () in
+      bs.bs_target_done <- true;
+      Simt.bar_sync barrier_id_b1 (b1_participants bs);
+      ret_void));
 
   (* -------- shared-memory stack (§3.2) -------- *)
-  reg "cudadev_push_shmem" (fun ctx args ->
-      match args with
-      | [ Value.VPtr (origin, _); size ] ->
-        let bs = block () in
-        let size = int_arg size in
-        let mark = Mem.mark bs.bs_shared in
-        let sh = Mem.push bs.bs_shared size in
-        Mem.copy ~src:(ctx.Cinterp.Interp.resolve origin) ~src_off:(Addr.off origin)
-          ~dst:bs.bs_shared ~dst_off:(Addr.off sh) ~len:size;
-        Stack.push (sh, origin, size, mark) bs.bs_shmem_stack;
-        Value.ptr sh
-      | _ -> bad_args "cudadev_push_shmem");
-  reg "cudadev_pop_shmem" (fun ctx args ->
-      match args with
-      | [ Value.VPtr (origin, _); size ] ->
-        let bs = block () in
-        let size = int_arg size in
-        (match Stack.pop_opt bs.bs_shmem_stack with
-        | Some (sh, origin', size', mark) ->
-          if not (Addr.equal origin origin') || size <> size' then
-            devrt_error "cudadev_pop_shmem: mismatched push/pop pair";
-          Mem.copy ~src:bs.bs_shared ~src_off:(Addr.off sh)
-            ~dst:(ctx.Cinterp.Interp.resolve origin) ~dst_off:(Addr.off origin) ~len:size;
-          Mem.release bs.bs_shared mark
-        | None -> devrt_error "cudadev_pop_shmem: empty shared-memory stack");
-        ret_void
-      | _ -> bad_args "cudadev_pop_shmem");
-  reg "cudadev_getaddr" (fun _ args ->
-      (* Kernel parameters already carry device addresses; the lookup the
-         real runtime performs is an identity here (a [void *], as
-         declared). *)
-      match args with
-      | [ v ] -> Value.ptr (Value.as_addr v)
-      | _ -> bad_args "cudadev_getaddr");
+  reg "cudadev_push_shmem" (F2 (fun ctx origin size ->
+      let bs = block () in
+      let origin = Value.as_addr origin and size = int_arg size in
+      let mark = Mem.mark bs.bs_shared in
+      let sh = Mem.push bs.bs_shared size in
+      Mem.copy ~src:(ctx.resolve origin) ~src_off:(Addr.off origin) ~dst:bs.bs_shared
+        ~dst_off:(Addr.off sh) ~len:size;
+      Stack.push (sh, origin, size, mark) bs.bs_shmem_stack;
+      Value.ptr sh));
+  reg "cudadev_pop_shmem" (F2 (fun ctx origin size ->
+      let bs = block () in
+      let origin = Value.as_addr origin and size = int_arg size in
+      (match Stack.pop_opt bs.bs_shmem_stack with
+      | Some (sh, origin', size', mark) ->
+        if not (Addr.equal origin origin') || size <> size' then
+          devrt_error "cudadev_pop_shmem: mismatched push/pop pair";
+        Mem.copy ~src:bs.bs_shared ~src_off:(Addr.off sh) ~dst:(ctx.resolve origin)
+          ~dst_off:(Addr.off origin) ~len:size;
+        Mem.release bs.bs_shared mark
+      | None -> devrt_error "cudadev_pop_shmem: empty shared-memory stack");
+      ret_void));
+  (* Kernel parameters already carry device addresses; the lookup the
+     real runtime performs is an identity here (a [void *], as
+     declared). *)
+  reg "cudadev_getaddr" (F1 (fun _ v -> Value.ptr (Value.as_addr v)));
 
   (* -------- worksharing (§3.1, §4.2.2) -------- *)
-  reg "cudadev_get_distribute_chunk" (fun ctx args ->
-      match args with
-      | [ lb_out; ub_out; lo; hi ] ->
-        let bs = block () in
-        let r =
-          Sched.distribute_chunk ~team:(team_linear bs) ~num_teams:(num_teams bs)
-            { Sched.lo = int_arg lo; hi = int_arg hi }
-        in
+  reg "cudadev_get_distribute_chunk" (F4 (fun ctx lb_out ub_out lo hi ->
+      let bs = block () in
+      let r =
+        Sched.distribute_chunk ~team:(team_linear bs) ~num_teams:(num_teams bs)
+          { Sched.lo = int_arg lo; hi = int_arg hi }
+      in
+      store_int ctx lb_out r.Sched.lo;
+      store_int ctx ub_out r.Sched.hi;
+      ret_void));
+  (* dist_schedule(static, c): the team's k-th block-cyclic chunk *)
+  reg "cudadev_get_distribute_cyclic" (F6 (fun ctx k chunk lo hi lb_out ub_out ->
+      let bs = block () in
+      let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
+      match
+        Sched.static_cyclic_chunk ~thread:(team_linear bs) ~num_threads:(num_teams bs)
+          ~chunk:(max 1 (int_arg chunk)) ~k:(int_arg k) range
+      with
+      | Some r ->
         store_int ctx lb_out r.Sched.lo;
         store_int ctx ub_out r.Sched.hi;
-        ret_void
-      | _ -> bad_args "cudadev_get_distribute_chunk");
-  reg "cudadev_get_distribute_cyclic" (fun ctx args ->
-      (* dist_schedule(static, c): the team's k-th block-cyclic chunk *)
-      match args with
-      | [ k; chunk; lo; hi; lb_out; ub_out ] ->
-        let bs = block () in
-        let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
-        (match
-           Sched.static_cyclic_chunk ~thread:(team_linear bs) ~num_threads:(num_teams bs)
-             ~chunk:(max 1 (int_arg chunk)) ~k:(int_arg k) range
-         with
-        | Some r ->
-          store_int ctx lb_out r.Sched.lo;
-          store_int ctx ub_out r.Sched.hi;
-          ret_int 1
-        | None -> ret_int 0)
-      | _ -> bad_args "cudadev_get_distribute_cyclic");
-  reg "cudadev_get_static_chunk" (fun ctx args ->
-      match args with
-      | [ lb_out; ub_out; lo; hi ] ->
-        let ts = thread (block ()) ctx in
-        let r =
-          Sched.static_chunk ~thread:ts.ts_omp_id ~num_threads:ts.ts_omp_num
-            { Sched.lo = int_arg lo; hi = int_arg hi }
-        in
+        ret_int 1
+      | None -> ret_int 0));
+  reg "cudadev_get_static_chunk" (F4 (fun ctx lb_out ub_out lo hi ->
+      let ts = thread (block ()) ctx in
+      let r =
+        Sched.static_chunk ~thread:ts.ts_omp_id ~num_threads:ts.ts_omp_num
+          { Sched.lo = int_arg lo; hi = int_arg hi }
+      in
+      store_int ctx lb_out r.Sched.lo;
+      store_int ctx ub_out r.Sched.hi;
+      ret_int (if Sched.range_len r > 0 then 1 else 0)));
+  reg "cudadev_get_dynamic_chunk" (F6 (fun ctx rid chunk lo hi lb_out ub_out ->
+      let bs = block () in
+      let rid = int_arg rid and chunk = max 1 (int_arg chunk) in
+      if rid < 0 then devrt_error "cudadev_get_dynamic_chunk: invalid region id %d" rid;
+      let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
+      let counter = dyn_counter bs rid ~init:range.Sched.lo in
+      bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
+      match Sched.dynamic_chunk ~counter:!counter ~chunk range with
+      | Some r ->
+        counter := r.Sched.hi;
+        bs.bs_counters.Counters.chunk_grabs <- bs.bs_counters.Counters.chunk_grabs + 1;
         store_int ctx lb_out r.Sched.lo;
         store_int ctx ub_out r.Sched.hi;
-        ret_int (if Sched.range_len r > 0 then 1 else 0)
-      | _ -> bad_args "cudadev_get_static_chunk");
-  reg "cudadev_get_dynamic_chunk" (fun ctx args ->
-      match args with
-      | [ rid; chunk; lo; hi; lb_out; ub_out ] ->
-        let bs = block () in
-        let rid = int_arg rid and chunk = max 1 (int_arg chunk) in
-        if rid < 0 then devrt_error "cudadev_get_dynamic_chunk: invalid region id %d" rid;
-        let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
-        let counter = dyn_counter bs rid ~init:range.Sched.lo in
-        bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
-        (match Sched.dynamic_chunk ~counter:!counter ~chunk range with
-        | Some r ->
-          counter := r.Sched.hi;
-          bs.bs_counters.Counters.chunk_grabs <- bs.bs_counters.Counters.chunk_grabs + 1;
-          store_int ctx lb_out r.Sched.lo;
-          store_int ctx ub_out r.Sched.hi;
-          (* yield so that other threads interleave their grabs, as the
-             hardware scheduler would *)
-          Simt.yield ();
-          ret_int 1
-        | None ->
-          dyn_drained bs rid (max 1 (thread bs ctx).ts_omp_num);
-          ret_int 0)
-      | _ -> bad_args "cudadev_get_dynamic_chunk");
-  reg "cudadev_get_guided_chunk" (fun ctx args ->
-      match args with
-      | [ rid; minchunk; lo; hi; lb_out; ub_out ] ->
-        let bs = block () in
-        let ts = thread bs ctx in
-        let rid = int_arg rid and minchunk = max 1 (int_arg minchunk) in
-        if rid < 0 then devrt_error "cudadev_get_guided_chunk: invalid region id %d" rid;
-        let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
-        let counter = dyn_counter bs rid ~init:range.Sched.lo in
-        bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
-        (match Sched.guided_chunk ~counter:!counter ~num_threads:(max 1 ts.ts_omp_num) ~min_chunk:minchunk range with
-        | Some r ->
-          counter := r.Sched.hi;
-          bs.bs_counters.Counters.chunk_grabs <- bs.bs_counters.Counters.chunk_grabs + 1;
-          store_int ctx lb_out r.Sched.lo;
-          store_int ctx ub_out r.Sched.hi;
-          Simt.yield ();
-          ret_int 1
-        | None ->
-          dyn_drained bs rid (max 1 ts.ts_omp_num);
-          ret_int 0)
-      | _ -> bad_args "cudadev_get_guided_chunk");
-  reg "cudadev_ws_barrier" (fun ctx args ->
-      match args with
-      | [ rid; nthr ] ->
-        let bs = block () in
-        let nthr = int_arg nthr in
-        let nthr = if nthr <= 0 then (thread bs ctx).ts_omp_num else nthr in
-        ws_finish bs (int_arg rid) nthr;
-        Simt.bar_sync barrier_id_user nthr;
-        ret_void
-      | _ -> bad_args "cudadev_ws_barrier");
-  reg "cudadev_barrier" (fun ctx args ->
-      match args with
-      | [ nthr ] ->
-        let n = int_arg nthr in
-        let n = if n <= 0 then (thread (block ()) ctx).ts_omp_num else n in
-        (* The paper's rounding rule X = W * ceil(N/W) is applied for the
-           cost side inside the scheduler; participation is exact. *)
-        Simt.bar_sync barrier_id_user n;
-        ret_void
-      | _ -> bad_args "cudadev_barrier");
+        (* yield so that other threads interleave their grabs, as the
+           hardware scheduler would *)
+        Simt.yield ();
+        ret_int 1
+      | None ->
+        dyn_drained bs rid (max 1 (thread bs ctx).ts_omp_num);
+        ret_int 0));
+  reg "cudadev_get_guided_chunk" (F6 (fun ctx rid minchunk lo hi lb_out ub_out ->
+      let bs = block () in
+      let ts = thread bs ctx in
+      let rid = int_arg rid and minchunk = max 1 (int_arg minchunk) in
+      if rid < 0 then devrt_error "cudadev_get_guided_chunk: invalid region id %d" rid;
+      let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
+      let counter = dyn_counter bs rid ~init:range.Sched.lo in
+      bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
+      match
+        Sched.guided_chunk ~counter:!counter ~num_threads:(max 1 ts.ts_omp_num) ~min_chunk:minchunk
+          range
+      with
+      | Some r ->
+        counter := r.Sched.hi;
+        bs.bs_counters.Counters.chunk_grabs <- bs.bs_counters.Counters.chunk_grabs + 1;
+        store_int ctx lb_out r.Sched.lo;
+        store_int ctx ub_out r.Sched.hi;
+        Simt.yield ();
+        ret_int 1
+      | None ->
+        dyn_drained bs rid (max 1 ts.ts_omp_num);
+        ret_int 0));
+  reg "cudadev_ws_barrier" (F2 (fun ctx rid nthr ->
+      let bs = block () in
+      let nthr = int_arg nthr in
+      let nthr = if nthr <= 0 then (thread bs ctx).ts_omp_num else nthr in
+      ws_finish bs (int_arg rid) nthr;
+      Simt.bar_sync barrier_id_user nthr;
+      ret_void));
+  reg "cudadev_barrier" (F1 (fun ctx nthr ->
+      let n = int_arg nthr in
+      let n = if n <= 0 then (thread (block ()) ctx).ts_omp_num else n in
+      (* The paper's rounding rule X = W * ceil(N/W) is applied for the
+         cost side inside the scheduler; participation is exact. *)
+      Simt.bar_sync barrier_id_user n;
+      ret_void));
 
   (* -------- sections -------- *)
   (* "To avoid warp divergence, each section is assigned to threads from
      different warps" (§4.2.2): the first sections are reserved for one
      leader lane per warp; only once every warp leader is busy does the
      shared counter hand sections to arbitrary threads. *)
-  reg "cudadev_sections_next" (fun ctx args ->
-      match args with
-      | [ rid; nsections ] ->
-        let bs = block () in
-        let ts = thread bs ctx in
-        let rid = int_arg rid and nsections = int_arg nsections in
-        let c = section_counter bs rid in
-        bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
-        let warp = bs.bs_spec.Spec.warp_size in
-        let my_warp = ts.ts_lin / warp in
-        let grant mine =
-          incr c;
-          (* ablation bookkeeping: did this warp already own a section? *)
-          incr Config.sections_total_grants;
-          (match Hashtbl.find_opt Config.sections_warp_owners (bs.bs_block_lin, rid) with
-          | Some warps ->
-            if List.mem my_warp !warps then incr Config.sections_same_warp_grants
-            else warps := my_warp :: !warps
-          | None -> Hashtbl.replace Config.sections_warp_owners (bs.bs_block_lin, rid) (ref [ my_warp ]));
-          Simt.yield ();
-          ret_int mine
-        in
-        let reserved =
-          if !Config.sections_anti_divergence then min nsections ((ts.ts_omp_num + warp - 1) / warp)
-          else 0
-        in
-        let is_leader = ts.ts_omp_id mod warp = 0 && ts.ts_omp_id / warp < reserved in
-        if is_leader && !c <= ts.ts_omp_id / warp then begin
-          (* leaders take their reserved section exactly once *)
-          let mine = ts.ts_omp_id / warp in
-          if !c = mine then grant mine
-          else begin
-            (* another leader has not arrived yet; wait for our slot *)
-            while !c < mine do
-              Simt.yield ()
-            done;
-            if !c = mine then grant mine else ret_int (-1)
-          end
-        end
-        else if !c >= nsections then ret_int (-1)
-        else if !c < reserved then begin
-          (* reserved slots pending: non-leaders wait their turn *)
-          while !c < reserved && !c < nsections do
+  reg "cudadev_sections_next" (F2 (fun ctx rid nsections ->
+      let bs = block () in
+      let ts = thread bs ctx in
+      let rid = int_arg rid and nsections = int_arg nsections in
+      let c = section_counter bs rid in
+      bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
+      let warp = bs.bs_spec.Spec.warp_size in
+      let my_warp = ts.ts_lin / warp in
+      let grant mine =
+        incr c;
+        (* ablation bookkeeping: did this warp already own a section? *)
+        incr Config.sections_total_grants;
+        (match Hashtbl.find_opt Config.sections_warp_owners (bs.bs_block_lin, rid) with
+        | Some warps ->
+          if List.mem my_warp !warps then incr Config.sections_same_warp_grants
+          else warps := my_warp :: !warps
+        | None -> Hashtbl.replace Config.sections_warp_owners (bs.bs_block_lin, rid) (ref [ my_warp ]));
+        Simt.yield ();
+        ret_int mine
+      in
+      let reserved =
+        if !Config.sections_anti_divergence then min nsections ((ts.ts_omp_num + warp - 1) / warp)
+        else 0
+      in
+      let is_leader = ts.ts_omp_id mod warp = 0 && ts.ts_omp_id / warp < reserved in
+      if is_leader && !c <= ts.ts_omp_id / warp then begin
+        (* leaders take their reserved section exactly once *)
+        let mine = ts.ts_omp_id / warp in
+        if !c = mine then grant mine
+        else begin
+          (* another leader has not arrived yet; wait for our slot *)
+          while !c < mine do
             Simt.yield ()
           done;
-          if !c >= nsections then ret_int (-1) else grant !c
+          if !c = mine then grant mine else ret_int (-1)
         end
-        else grant !c
-      | _ -> bad_args "cudadev_sections_next");
+      end
+      else if !c >= nsections then ret_int (-1)
+      else if !c < reserved then begin
+        (* reserved slots pending: non-leaders wait their turn *)
+        while !c < reserved && !c < nsections do
+          Simt.yield ()
+        done;
+        if !c >= nsections then ret_int (-1) else grant !c
+      end
+      else grant !c));
 
   (* -------- locks / critical (§4.2.2) -------- *)
-  reg "cudadev_lock" (fun ctx args ->
-      match args with
-      | [ Value.VPtr (addr, _) ] ->
-        let bs = block () in
-        let rec spin () =
-          bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
-          let cur = Value.to_int (Cinterp.Interp.load ctx addr Cty.Int) in
-          if cur = 0 then Cinterp.Interp.store ctx addr Cty.Int (Value.of_int 1)
-          else begin
-            Simt.yield ();
-            spin ()
-          end
-        in
-        spin ();
-        ret_void
-      | _ -> bad_args "cudadev_lock");
-  reg "cudadev_unlock" (fun ctx args ->
-      match args with
-      | [ Value.VPtr (addr, _) ] ->
-        Cinterp.Interp.store ctx addr Cty.Int (Value.of_int 0);
-        ret_void
-      | _ -> bad_args "cudadev_unlock");
+  reg "cudadev_lock" (F1 (fun ctx lock ->
+      let bs = block () and addr = Value.as_addr lock in
+      let rec spin () =
+        bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
+        let cur = Value.to_int (load ctx addr Cty.Int) in
+        if cur = 0 then store ctx addr Cty.Int (Value.of_int 1)
+        else begin
+          Simt.yield ();
+          spin ()
+        end
+      in
+      spin ();
+      ret_void));
+  reg "cudadev_unlock" (F1 (fun ctx lock ->
+      store ctx (Value.as_addr lock) Cty.Int (Value.of_int 0);
+      ret_void));
 
   (* -------- reductions -------- *)
   let reduce name f =
-    reg name (fun ctx args ->
-        match args with
-        | [ ptr; v ] -> ignore (atomic_rmw ctx (block ()) ptr (fun old -> f old v)); ret_void
-        | _ -> bad_args name)
+    reg name (F2 (fun ctx ptr v ->
+        ignore (atomic_rmw ctx (block ()) ptr (fun old -> f old v));
+        ret_void))
   in
   reduce "cudadev_reduce_fadd" (fun old v ->
       Value.flt ~ty:(Value.ty_of old) (Value.as_float old +. Value.as_float v));
@@ -467,27 +416,16 @@ let install (block : unit -> Simt.block_state) (tbl : Cinterp.Interp.builtins) :
         (if Value.as_float old <> 0.0 || Value.as_float v <> 0.0 then 1.0 else 0.0));
 
   (* -------- CUDA intrinsics for hand-written kernels -------- *)
-  reg "__syncthreads" (fun _ args ->
-      match args with
-      | [] ->
-        Simt.bar_sync 0 0 (* all live threads *);
-        ret_void
-      | _ -> bad_args "__syncthreads");
-  reg "atomicAdd" (fun ctx args ->
-      match args with
-      | [ ptr; v ] ->
-        atomic_rmw ctx (block ()) ptr (fun old ->
-            match old with
-            | Value.VFlt (f, ty) -> Value.flt ~ty (f +. Value.as_float v)
-            | Value.VInt (i, ty) -> Value.int ~ty (Int64.add i (Value.as_int v))
-            | o -> devrt_error "atomicAdd on %s" (Value.show o))
-      | _ -> bad_args "atomicAdd");
-  reg "atomicCAS" (fun ctx args ->
-      match args with
-      | [ ptr; cmp; v ] ->
-        atomic_rmw ctx (block ()) ptr (fun old -> if Value.as_int old = Value.as_int cmp then v else old)
-      | _ -> bad_args "atomicCAS");
-  reg "atomicExch" (fun ctx args ->
-      match args with
-      | [ ptr; v ] -> atomic_rmw ctx (block ()) ptr (fun _ -> v)
-      | _ -> bad_args "atomicExch")
+  reg "__syncthreads" (F0 (fun _ ->
+      Simt.bar_sync 0 0 (* all live threads *);
+      ret_void));
+  reg "atomicAdd" (F2 (fun ctx ptr v ->
+      atomic_rmw ctx (block ()) ptr (fun old ->
+          match old with
+          | Value.VFlt (f, ty) -> Value.flt ~ty (f +. Value.as_float v)
+          | Value.VInt (i, ty) -> Value.int ~ty (Int64.add i (Value.as_int v))
+          | o -> devrt_error "atomicAdd on %s" (Value.show o))));
+  reg "atomicCAS" (F3 (fun ctx ptr cmp v ->
+      atomic_rmw ctx (block ()) ptr (fun old ->
+          if Value.as_int old = Value.as_int cmp then v else old)));
+  reg "atomicExch" (F2 (fun ctx ptr v -> atomic_rmw ctx (block ()) ptr (fun _ -> v)))

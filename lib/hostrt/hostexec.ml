@@ -16,14 +16,16 @@ type run_result = { rr_output : string; rr_exit : int; rr_time_s : float }
 
 let int_arg = Value.to_int
 
-let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
-  let reg name fn = Cinterp.Interp.register_builtin ctx name fn in
+let install_ort_builtins (rt : Rt.t) (tbl : Cinterp.Interp.builtins) : unit =
+  let open Cinterp.Interp in
+  let reg = register_builtin tbl in
   (* Generated ort_* calls carry a device id: -1 = "the current default
      device" (resolved here, so omp_set_default_device takes effect at
      call time), n >= 0 = an explicit device(n) clause.  A device number
      beyond omp_get_num_devices() raises a graceful Map_error — the
      directive is well-formed, the runtime just has no such device. *)
   let resolve_dev raw =
+    let raw = int_arg raw in
     if raw < 0 then Rt.get_default_device rt
     else if raw >= Rt.num_devices rt then
       raise
@@ -31,18 +33,6 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
            (Printf.sprintf "device(%d): no such device (omp_get_num_devices() = %d)" raw
               (Rt.num_devices rt)))
     else raw
-  in
-  let dev_of args =
-    match args with
-    | d :: rest -> (resolve_dev (int_arg d), rest)
-    | [] -> host_error "missing device argument"
-  in
-  (* ort_offload keeps the raw id too: only default-device launches are
-     eligible for multi-device sharding — device(n) pins the region. *)
-  let raw_dev_of args =
-    match args with
-    | d :: rest -> (int_arg d, rest)
-    | [] -> host_error "missing device argument"
   in
   (* A region whose device is (or has just been declared) dead: declare
      it dead, record the fallback, and return 0 so the generated code
@@ -56,68 +46,48 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
     | None -> ());
     Value.of_int 0
   in
-  reg "ort_map" (fun _ args ->
-      let dev, args = dev_of args in
-      match args with
-      | [ h; bytes; mt ] ->
-        let device = Rt.device rt dev in
-        let mt, always = Dataenv.decode_map_code (int_arg mt) in
-        let daddr =
-          Dataenv.map ~always device.Rt.dev_dataenv (Value.as_addr h) ~bytes:(int_arg bytes) mt
-        in
-        Value.ptr daddr
-      | _ -> host_error "ort_map: bad arguments");
-  reg "ort_unmap" (fun _ args ->
-      let dev, args = dev_of args in
-      match args with
-      | [ h; mt ] ->
-        let device = Rt.device rt dev in
-        let mt, always = Dataenv.decode_map_code (int_arg mt) in
-        Dataenv.unmap ~always device.Rt.dev_dataenv (Value.as_addr h) mt;
-        Value.VVoid
-      | _ -> host_error "ort_unmap: bad arguments");
-  reg "ort_update_to" (fun _ args ->
-      let dev, args = dev_of args in
-      match args with
-      | [ h; bytes ] ->
-        Dataenv.update_to (Rt.device rt dev).Rt.dev_dataenv (Value.as_addr h) ~bytes:(int_arg bytes);
-        Value.VVoid
-      | _ -> host_error "ort_update_to: bad arguments");
-  reg "ort_update_from" (fun _ args ->
-      let dev, args = dev_of args in
-      match args with
-      | [ h; bytes ] ->
-        Dataenv.update_from (Rt.device rt dev).Rt.dev_dataenv (Value.as_addr h) ~bytes:(int_arg bytes);
-        Value.VVoid
-      | _ -> host_error "ort_update_from: bad arguments");
+  reg "ort_map" (F4 (fun _ dev h bytes mt ->
+      let device = Rt.device rt (resolve_dev dev) in
+      let mt, always = Dataenv.decode_map_code (int_arg mt) in
+      Value.ptr
+        (Dataenv.map ~always device.Rt.dev_dataenv (Value.as_addr h) ~bytes:(int_arg bytes) mt)));
+  reg "ort_unmap" (F3 (fun _ dev h mt ->
+      let device = Rt.device rt (resolve_dev dev) in
+      let mt, always = Dataenv.decode_map_code (int_arg mt) in
+      Dataenv.unmap ~always device.Rt.dev_dataenv (Value.as_addr h) mt;
+      Value.VVoid));
+  reg "ort_update_to" (F3 (fun _ dev h bytes ->
+      Dataenv.update_to (Rt.device rt (resolve_dev dev)).Rt.dev_dataenv (Value.as_addr h)
+        ~bytes:(int_arg bytes);
+      Value.VVoid));
+  reg "ort_update_from" (F3 (fun _ dev h bytes ->
+      Dataenv.update_from (Rt.device rt (resolve_dev dev)).Rt.dev_dataenv (Value.as_addr h)
+        ~bytes:(int_arg bytes);
+      Value.VVoid));
   (* Returns 1 when the kernel ran on the device, 0 when the device is
      (or has just been declared) dead — generated host code then runs
      the target region's sequential body inline:
        if (!ort_offload(...)) { <stripped region body> } *)
-  reg "ort_offload" (fun ctx args ->
-      let raw, args = raw_dev_of args in
+  reg "ort_offload" (V5 (fun ctx raw file entry teams threads kargs ->
       let dev = resolve_dev raw in
-      match args with
-      | file :: entry :: teams :: threads :: kargs ->
-        let kernel_file = Cinterp.Interp.read_c_string ctx (Value.as_addr file) in
-        let entry = Cinterp.Interp.read_c_string ctx (Value.as_addr entry) in
-        (try
-           let args = List.map (fun v -> Offload.Mapped (Value.as_addr v)) kargs in
-           let num_teams = int_arg teams and num_threads = int_arg threads in
-           let output =
-             (* default-device launches shard across the farm; an
-                explicit device(n) pins the region to that device *)
-             if raw < 0 then
-               (Multidev.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
-                 .Multidev.r_output
-             else
-               (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
-                 .Offload.r_output
-           in
-           Buffer.add_string ctx.Cinterp.Interp.output output;
-           Value.of_int 1
-         with Resilience.Device_dead reason -> host_fallback (Rt.device rt dev) ~kernel_file reason)
-      | _ -> host_error "ort_offload: bad arguments");
+      let kernel_file = read_c_string ctx (Value.as_addr file) in
+      let entry = read_c_string ctx (Value.as_addr entry) in
+      try
+        let args = List.map (fun v -> Offload.Mapped (Value.as_addr v)) kargs in
+        let num_teams = int_arg teams and num_threads = int_arg threads in
+        let output =
+          (* default-device launches shard across the farm; an
+             explicit device(n) pins the region to that device *)
+          if int_arg raw < 0 then
+            (Multidev.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
+              .Multidev.r_output
+          else
+            (Offload.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args)
+              .Offload.r_output
+        in
+        Buffer.add_string ctx.output output;
+        Value.of_int 1
+      with Resilience.Device_dead reason -> host_fallback (Rt.device rt dev) ~kernel_file reason));
   (* Asynchronous variant for `target ... nowait`: the region's maps
      travel with the call as (base, bytes, map_type) triples —
        ort_offload_nowait(dev, file, entry, teams, threads,
@@ -126,67 +96,51 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
      stream task.  Same 1/0 protocol as ort_offload: on device death the
      queue is quiesced and 0 routes the generated code to the inline
      sequential body. *)
-  reg "ort_offload_nowait" (fun ctx args ->
-      let dev, args = dev_of args in
-      match args with
-      | file :: entry :: teams :: threads :: mapargs ->
-        let kernel_file = Cinterp.Interp.read_c_string ctx (Value.as_addr file) in
-        let entry = Cinterp.Interp.read_c_string ctx (Value.as_addr entry) in
-        let rec triples = function
-          | [] -> []
-          | base :: bytes :: mt :: rest ->
-            let am_map, am_always = Dataenv.decode_map_code (int_arg mt) in
-            { Offload.am_base = Value.as_addr base; am_bytes = int_arg bytes; am_map; am_always }
-            :: triples rest
-          | _ -> host_error "ort_offload_nowait: map arguments not in (base, bytes, type) triples"
+  reg "ort_offload_nowait" (V5 (fun ctx dev file entry teams threads mapargs ->
+      let dev = resolve_dev dev in
+      let kernel_file = read_c_string ctx (Value.as_addr file) in
+      let entry = read_c_string ctx (Value.as_addr entry) in
+      let rec triples = function
+        | [] -> []
+        | base :: bytes :: mt :: rest ->
+          let am_map, am_always = Dataenv.decode_map_code (int_arg mt) in
+          { Offload.am_base = Value.as_addr base; am_bytes = int_arg bytes; am_map; am_always }
+          :: triples rest
+        | _ -> host_error "ort_offload_nowait: map arguments not in (base, bytes, type) triples"
+      in
+      let maps = triples mapargs in
+      try
+        let output =
+          Offload.launch_nowait rt ~dev ~kernel_file ~entry ~num_teams:(int_arg teams)
+            ~num_threads:(int_arg threads) ~maps
         in
-        let maps = triples mapargs in
-        (try
-           let output =
-             Offload.launch_nowait rt ~dev ~kernel_file ~entry ~num_teams:(int_arg teams)
-               ~num_threads:(int_arg threads) ~maps
-           in
-           Buffer.add_string ctx.Cinterp.Interp.output output;
-           Value.of_int 1
-         with Resilience.Device_dead reason ->
-           Offload.quiesce rt ~dev;
-           host_fallback (Rt.device rt dev) ~kernel_file reason)
-      | _ -> host_error "ort_offload_nowait: bad arguments");
-  reg "ort_taskwait" (fun _ args ->
-      match args with
-      | [] | [ _ ] ->
-        (* generated code passes the device id; the -1 sentinel (and a
-           bare call) drains every device's queue *)
-        let dev = match args with [ d ] -> int_arg d | _ -> -1 in
-        if dev < 0 then
-          Array.iter (fun (d : Rt.device) -> Offload.taskwait rt ~dev:d.Rt.dev_id) rt.Rt.devices
-        else Offload.taskwait rt ~dev:(resolve_dev dev);
-        Value.VVoid
-      | _ -> host_error "ort_taskwait: bad arguments");
-  reg "omp_get_wtime" (fun _ _ -> Value.flt ~ty:Cty.Double (Rt.now_s rt));
-  reg "omp_get_num_devices" (fun _ _ -> Value.of_int (Rt.num_devices rt));
-  reg "omp_set_default_device" (fun _ args ->
-      match args with
-      | [ d ] ->
-        Rt.set_default_device rt (int_arg d);
-        Value.VVoid
-      | _ -> host_error "omp_set_default_device: bad arguments");
-  reg "omp_get_default_device" (fun _ _ -> Value.of_int (Rt.get_default_device rt));
-  reg "omp_is_initial_device" (fun _ _ -> Value.of_int 1);
+        Buffer.add_string ctx.output output;
+        Value.of_int 1
+      with Resilience.Device_dead reason ->
+        Offload.quiesce rt ~dev;
+        host_fallback (Rt.device rt dev) ~kernel_file reason));
+  (* generated code passes the device id; the -1 sentinel drains every
+     device's queue *)
+  reg "ort_taskwait" (F1 (fun _ dev ->
+      if int_arg dev < 0 then
+        Array.iter (fun (d : Rt.device) -> Offload.taskwait rt ~dev:d.Rt.dev_id) rt.Rt.devices
+      else Offload.taskwait rt ~dev:(resolve_dev dev);
+      Value.VVoid));
+  reg "omp_get_wtime" (F0 (fun _ -> Value.flt ~ty:Cty.Double (Rt.now_s rt)));
+  reg "omp_get_num_devices" (F0 (fun _ -> Value.of_int (Rt.num_devices rt)));
+  reg "omp_set_default_device" (F1 (fun _ d ->
+      Rt.set_default_device rt (int_arg d);
+      Value.VVoid));
+  reg "omp_get_default_device" (F0 (fun _ -> Value.of_int (Rt.get_default_device rt)));
+  reg "omp_is_initial_device" (F0 (fun _ -> Value.of_int 1));
   (* The host side runs the program single-threaded (host parallelism is
      outside the paper's scope); the API remains available. *)
-  reg "omp_get_thread_num" (fun _ _ -> Value.of_int 0);
-  reg "omp_get_num_threads" (fun _ _ -> Value.of_int 1);
-  reg "malloc" (fun _ args ->
-      match args with
-      | [ n ] -> Value.ptr ~ty:Cty.Void (Mem.alloc rt.Rt.host_mem (int_arg n))
-      | _ -> host_error "malloc: bad arguments");
-  reg "free" (fun _ args ->
-      match args with
-      | [ p ] ->
-        Mem.free rt.Rt.host_mem (Value.as_addr p);
-        Value.VVoid
-      | _ -> host_error "free: bad arguments")
+  reg "omp_get_thread_num" (F0 (fun _ -> Value.of_int 0));
+  reg "omp_get_num_threads" (F0 (fun _ -> Value.of_int 1));
+  reg "malloc" (F1 (fun _ n -> Value.ptr ~ty:Cty.Void (Mem.alloc rt.Rt.host_mem (int_arg n))));
+  reg "free" (F1 (fun _ p ->
+      Mem.free rt.Rt.host_mem (Value.as_addr p);
+      Value.VVoid))
 
 let host_code = Addr.code_of_space Addr.Host
 
@@ -214,7 +168,7 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
       ~tally:(Simclock.host_steps rt.Rt.clock) ()
   in
   Cinterp.Interp.install_common_builtins ctx.Cinterp.Interp.builtins;
-  install_ort_builtins rt ctx;
+  install_ort_builtins rt ctx.Cinterp.Interp.builtins;
   let env, program = Cinterp.Interp.load_program ctx program in
   (* The host program runs on the same closure JIT as the kernels,
      compiled once here against this context's own builtin and function

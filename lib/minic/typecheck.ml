@@ -18,86 +18,83 @@ type env = {
   mutable scopes : (string, Cty.t) Hashtbl.t list;
 }
 
-(* Return types of the builtin functions available inside kernels and
-   host code: every name the host table ([Interp.install_common_builtins]
-   and [Hostexec]'s ORT entry points) or the device table
-   ([Devrt.Api.install]) registers.  A builtin shadows a defined function
-   of the same name, as in both executors. *)
-let builtin_return_types : (string * Cty.t) list =
-  [
-    ("omp_get_thread_num", Cty.Int);
-    ("omp_get_num_threads", Cty.Int);
-    ("omp_get_team_num", Cty.Int);
-    ("omp_get_num_teams", Cty.Int);
-    ("omp_get_num_devices", Cty.Int);
-    ("omp_set_default_device", Cty.Void);
-    ("omp_get_default_device", Cty.Int);
-    ("omp_get_wtime", Cty.Double);
-    ("omp_is_initial_device", Cty.Int);
-    ("printf", Cty.Int);
-    ("malloc", Cty.Ptr Cty.Void);
-    ("free", Cty.Void);
-    ("sqrt", Cty.Double);
-    ("sqrtf", Cty.Float);
-    ("fabs", Cty.Double);
-    ("fabsf", Cty.Float);
-    ("exp", Cty.Double);
-    ("expf", Cty.Float);
-    ("log", Cty.Double);
-    ("pow", Cty.Double);
-    ("abs", Cty.Int);
-    (* ORT host entry points (translated host programs only) *)
-    ("ort_map", Cty.Ptr Cty.Void);
-    ("ort_unmap", Cty.Void);
-    ("ort_update_to", Cty.Void);
-    ("ort_update_from", Cty.Void);
-    ("ort_offload", Cty.Int);
-    ("ort_offload_nowait", Cty.Int);
-    ("ort_taskwait", Cty.Void);
-    (* cudadev device-library entry points (generated code only) *)
-    ("cudadev_in_masterwarp", Cty.Int);
-    ("cudadev_is_masterthr", Cty.Int);
-    ("cudadev_register_parallel", Cty.Void);
-    ("cudadev_workerfunc", Cty.Void);
-    ("cudadev_exit_target", Cty.Void);
-    ("cudadev_push_shmem", Cty.Ptr Cty.Void);
-    ("cudadev_pop_shmem", Cty.Void);
-    ("cudadev_getaddr", Cty.Ptr Cty.Void);
-    ("cudadev_barrier", Cty.Void);
-    ("cudadev_lock", Cty.Void);
-    ("cudadev_unlock", Cty.Void);
-    ("cudadev_get_distribute_chunk", Cty.Void);
-    ("cudadev_get_distribute_cyclic", Cty.Int);
-    ("cudadev_get_static_chunk", Cty.Int);
-    ("cudadev_get_dynamic_chunk", Cty.Int);
-    ("cudadev_get_guided_chunk", Cty.Int);
-    ("cudadev_sections_next", Cty.Int);
-    ("cudadev_ws_barrier", Cty.Void);
-    ("cudadev_reduce_fadd", Cty.Void);
-    ("cudadev_reduce_iadd", Cty.Void);
-    ("cudadev_reduce_fmul", Cty.Void);
-    ("cudadev_reduce_imul", Cty.Void);
-    ("cudadev_reduce_fmax", Cty.Void);
-    ("cudadev_reduce_fmin", Cty.Void);
-    ("cudadev_reduce_imax", Cty.Void);
-    ("cudadev_reduce_imin", Cty.Void);
-    ("cudadev_reduce_iand", Cty.Void);
-    ("cudadev_reduce_ior", Cty.Void);
-    ("cudadev_reduce_ixor", Cty.Void);
-    ("cudadev_reduce_iland", Cty.Void);
-    ("cudadev_reduce_fland", Cty.Void);
-    ("cudadev_reduce_flor", Cty.Void);
-    ("cudadev_thread_id", Cty.Int);
-    (* CUDA intrinsics available to hand-written kernels; the atomics
-       are overloaded on their pointer (see [call_type]) *)
-    ("__syncthreads", Cty.Void);
-    ("atomicAdd", Cty.Int);
-    ("atomicCAS", Cty.Int);
-    ("atomicExch", Cty.Int);
-    ("cudadev_team_id", Cty.Int);
-    ("cudadev_num_teams", Cty.Int);
-    ("cudadev_num_threads", Cty.Int);
-  ]
+(* A callee's C signature: its parameter types, whether a variadic
+   tail follows them, and its return type. *)
+type signature = { params : Cty.t list; variadic : bool; ret : Cty.t }
+
+(* The builtins, one C prototype each: every name the host table
+   ([Interp.install_common_builtins] and [Hostexec]'s ORT entry points)
+   or the device table ([Devrt.Api.install]) registers, and nothing
+   else; registering a name fails without one.  A builtin shadows a
+   defined function of the same name, as in both executors. *)
+let builtin_signatures : (string, signature) Hashtbl.t =
+  let open Cty in
+  let tbl = Hashtbl.create 128 in
+  let proto ?(variadic = false) ret name params =
+    Hashtbl.replace tbl name { params; variadic; ret }
+  in
+  let vp = Ptr Void and ip = Ptr Int and str = Ptr Char in
+  List.iter (fun n -> proto Int n [])
+    [ "omp_get_thread_num"; "omp_get_num_threads"; "omp_get_team_num"; "omp_get_num_teams";
+      "omp_get_num_devices"; "omp_get_default_device"; "omp_is_initial_device";
+      "cudadev_thread_id"; "cudadev_team_id"; "cudadev_num_teams"; "cudadev_num_threads" ];
+  proto Void "omp_set_default_device" [ Int ];
+  proto Double "omp_get_wtime" [];
+  proto ~variadic:true Int "printf" [ str ];
+  proto vp "malloc" [ Ulong ];
+  proto Void "free" [ vp ];
+  List.iter (fun n -> proto Double n [ Double ]) [ "sqrt"; "fabs"; "exp"; "log" ];
+  List.iter (fun n -> proto Float n [ Float ]) [ "sqrtf"; "fabsf"; "expf" ];
+  proto Double "pow" [ Double; Double ];
+  proto Int "abs" [ Int ];
+  (* ORT host entry points (translated host programs); the first
+     argument is the device, -1 for the default one *)
+  proto vp "ort_map" [ Int; vp; Ulong; Int ];
+  proto Void "ort_unmap" [ Int; vp; Int ];
+  proto Void "ort_update_to" [ Int; vp; Ulong ];
+  proto Void "ort_update_from" [ Int; vp; Ulong ];
+  (* device, kernel file, entry, teams, threads; then the kernel's
+     arguments, or its maps as (base, bytes, map type) triples *)
+  proto ~variadic:true Int "ort_offload" [ Int; str; str; Int; Int ];
+  proto ~variadic:true Int "ort_offload_nowait" [ Int; str; str; Int; Int ];
+  proto Void "ort_taskwait" [ Int ];
+  (* cudadev device-library entry points (generated code) *)
+  proto Int "cudadev_in_masterwarp" [ Int ];
+  proto Int "cudadev_is_masterthr" [ Int ];
+  proto Void "cudadev_register_parallel" [ Ptr (Func (Void, [ vp ], false)); vp; Int ];
+  proto Void "cudadev_workerfunc" [ Int ];
+  proto Void "cudadev_exit_target" [];
+  proto vp "cudadev_push_shmem" [ vp; Ulong ];
+  proto Void "cudadev_pop_shmem" [ vp; Ulong ];
+  proto vp "cudadev_getaddr" [ vp ];
+  proto Void "cudadev_barrier" [ Int ];
+  proto Void "cudadev_lock" [ ip ];
+  proto Void "cudadev_unlock" [ ip ];
+  proto Void "cudadev_get_distribute_chunk" [ ip; ip; Int; Int ];
+  proto Int "cudadev_get_distribute_cyclic" [ Int; Int; Int; Int; ip; ip ];
+  proto Int "cudadev_get_static_chunk" [ ip; ip; Int; Int ];
+  proto Int "cudadev_get_dynamic_chunk" [ Int; Int; Int; Int; ip; ip ];
+  proto Int "cudadev_get_guided_chunk" [ Int; Int; Int; Int; ip; ip ];
+  proto Int "cudadev_sections_next" [ Int; Int ];
+  proto Void "cudadev_ws_barrier" [ Int; Int ];
+  (* reductions into the object a pointer addresses, of its type *)
+  List.iter (fun op -> proto Void ("cudadev_reduce_f" ^ op) [ vp; Double ])
+    [ "add"; "mul"; "max"; "min"; "land"; "lor" ];
+  List.iter (fun op -> proto Void ("cudadev_reduce_i" ^ op) [ vp; Long ])
+    [ "add"; "mul"; "max"; "min"; "and"; "or"; "xor"; "land" ];
+  (* CUDA intrinsics for hand-written kernels; the atomics are declared
+     by their int overload and typed by their pointer (see [call_type]) *)
+  proto Void "__syncthreads" [];
+  proto Int "atomicAdd" [ ip; Int ];
+  proto Int "atomicCAS" [ ip; Int; Int ];
+  proto Int "atomicExch" [ ip; Int ];
+  tbl
+
+let builtin_signature name = Hashtbl.find_opt builtin_signatures name
+
+(* CUDA's atomics are overloaded on their pointer: their other
+   arguments and their result take its pointee type. *)
+let overloaded name = name = "atomicAdd" || name = "atomicCAS" || name = "atomicExch"
 
 let create () =
   {
@@ -236,24 +233,41 @@ let cond_type (tt : Cty.t) (tf : Cty.t) : Cty.t =
   | Cty.Ptr _, Cty.Ptr _ -> Cty.Ptr Cty.Void
   | _ -> error "conditional arms of types %s and %s" (Cty.to_c_string tt) (Cty.to_c_string tf)
 
-(* The return type of a call to [f] with arguments of the (decayed)
-   types [args], from the callee both executors pick: a builtin shadows
-   a defined function.  CUDA's atomics are overloaded: they return the
-   old value, of their pointer's pointee type. *)
-let call_type env (f : string) (args : Cty.t list) : Cty.t =
-  match (f, args) with
-  | ("atomicAdd" | "atomicCAS" | "atomicExch"), Cty.Ptr elt :: _ -> elt
-  | _ -> (
-    match List.assoc_opt f builtin_return_types with
-    | Some ty -> ty
-    | None -> (
-      match Hashtbl.find_opt env.funcs f with
-      | Some (ret, _) -> ret
-      | None -> error "call to unknown function '%s'" f))
-
 let check_convertible what ~dst ~src =
   if not (convertible ~dst ~src) then
     error "incompatible types in %s (%s from %s)" what (Cty.to_c_string dst) (Cty.to_c_string src)
+
+(* The return type of a call to [f] with arguments of the (decayed)
+   types [args], checked against the signature of the callee both
+   executors pick (a builtin shadows a defined or declared function):
+   the argument count, and each fixed argument converts to its
+   parameter type as by assignment (a function designator as a pointer
+   to it).  CUDA's atomics take their pointer's pointee type for the
+   other parameters and the result. *)
+let call_type env (f : string) (args : Cty.t list) : Cty.t =
+  let s =
+    match (builtin_signature f, Hashtbl.find_opt env.funcs f, args) with
+    | Some s, _, Cty.Ptr elt :: _ when overloaded f ->
+      { s with params = List.mapi (fun i p -> if i = 0 then p else elt) s.params; ret = elt }
+    | Some s, _, _ -> s
+    | None, Some (ret, params), _ -> { params = List.map snd params; variadic = false; ret }
+    | None, None, _ -> error "call to unknown function '%s'" f
+  in
+  let nparams = List.length s.params and nargs = List.length args in
+  if nargs < nparams || (nargs > nparams && not s.variadic) then
+    error "'%s' called with %d argument(s), its signature has %s%d" f nargs
+      (if s.variadic then "at least " else "") nparams;
+  List.iteri
+    (fun i src ->
+      match List.nth_opt s.params i with
+      | Some dst ->
+        let src = match src with Cty.Func _ -> Cty.Ptr src | _ -> src in
+        if not (convertible ~dst ~src) then
+          error "incompatible types in argument %d of '%s' (%s from %s)" (i + 1) f
+            (Cty.to_c_string dst) (Cty.to_c_string src)
+      | None -> () (* the variadic tail *))
+    args;
+  s.ret
 
 (* ---------------------------------------------------------------- *)
 (* Elaboration                                                        *)

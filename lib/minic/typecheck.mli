@@ -17,10 +17,19 @@ type env = {
   mutable scopes : (string, Cty.t) Hashtbl.t list;
 }
 
-(** Return types of the builtin functions: every name the host builtin
-    table (common builtins and the ORT entry points) or the device table
-    (the cudadev library and CUDA intrinsics) registers. *)
-val builtin_return_types : (string * Cty.t) list
+(** A callee's C signature: its parameter types, whether a variadic
+    tail follows them, and its return type. *)
+type signature = { params : Cty.t list; variadic : bool; ret : Cty.t }
+
+(** The one C prototype of a builtin (of the host or the device table),
+    [None] for any other name.  [printf], [ort_offload] and
+    [ort_offload_nowait] are variadic. *)
+val builtin_signature : string -> signature option
+
+(** [atomicAdd], [atomicCAS] and [atomicExch]: declared by their [int]
+    overload, they take their pointer's pointee type for their other
+    arguments and their result ({!call_type}). *)
+val overloaded : string -> bool
 
 val create : unit -> env
 
@@ -67,9 +76,14 @@ val unop_type : Ast.unop -> Cty.t -> Cty.t
 val cond_type : Cty.t -> Cty.t -> Cty.t
 
 (** The return type of a call to the named function with arguments of
-    the given decayed types, from the callee both executors pick: a
-    builtin shadows a defined function.  CUDA's [atomicAdd],
-    [atomicCAS] and [atomicExch] return their pointer's pointee type. *)
+    the given decayed types, from the signature of the callee both
+    executors pick: a builtin shadows a defined or declared function.
+    Raises {!Error} unless the call has the signature's argument count
+    (at least, for a variadic one) and each fixed argument converts to
+    its parameter type as by assignment (a function designator as a
+    pointer to it); the executors convert it at the call, with no step.
+    The {!overloaded} atomics take their pointer's pointee type for
+    their other parameters and their result. *)
 val call_type : env -> string -> Cty.t list -> Cty.t
 
 (** The type of an expression in the environment's current scope, with

@@ -383,10 +383,6 @@ let reduction_prologue_epilogue (params : Region.mapped_var list)
 (* Call graph (paper §3: inject called functions into the kernel file) *)
 (* ---------------------------------------------------------------- *)
 
-let builtin_names =
-  let names = List.map fst Typecheck.builtin_return_types in
-  fun n -> List.mem n names || String.length n > 8 && String.sub n 0 8 = "cudadev_"
-
 let calls_in_stmt (s : Ast.stmt) : string list =
   let acc = ref [] in
   Ast.iter_stmt
@@ -408,7 +404,10 @@ let callgraph_functions (g : gen) (roots : Ast.stmt list) : Ast.fundef list =
     g.g_program;
   let included = ref [] in
   let rec visit name =
-    if (not (List.exists (fun f -> f.Ast.f_name = name) !included)) && not (builtin_names name) then
+    if
+      (not (List.exists (fun f -> f.Ast.f_name = name) !included))
+      && Typecheck.builtin_signature name = None
+    then
       match Hashtbl.find_opt defined name with
       | Some f ->
         included := f :: !included;

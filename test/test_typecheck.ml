@@ -164,25 +164,68 @@ let test_builtin_shadows () =
   Alcotest.check cty "defined function's type" Cty.Float
     (Typecheck.type_of_expr env (Parser.parse_expr_string "h(1.5f)"))
 
-(* Every builtin either executor registers has a signature: the host
-   table (the common builtins and the ORT entry points) and the device
-   table (the common builtins and the device runtime). *)
-let test_builtin_signatures () =
+(* Calls are checked against the callee's signature, a builtin's or a
+   defined or declared function's: the argument count (at least the
+   fixed ones, for a variadic builtin) and each argument's conversion
+   to its parameter type. *)
+let test_call_signatures () =
+  let env =
+    Typecheck.of_program
+      (Parser.parse_program "int f(int a, int b) { return a + b; }\nfloat g(float *p);")
+  in
+  Typecheck.push_scope env;
+  List.iter (fun (n, ty) -> Typecheck.add_var env n ty) base;
+  let type_of src = Typecheck.type_of_expr env (Parser.parse_expr_string src) in
+  let error src =
+    match type_of src with
+    | exception Typecheck.Error m -> m
+    | ty -> Alcotest.failf "%s typed as %s" src (Cty.show ty)
+  in
+  let errors =
+    [
+      ( "omp_get_thread_num(1, 2.5)",
+        "'omp_get_thread_num' called with 2 argument(s), its signature has 0" );
+      ("sqrt()", "'sqrt' called with 0 argument(s), its signature has 1");
+      ("f(1)", "'f' called with 1 argument(s), its signature has 2");
+      ("g(p, 1)", "'g' called with 2 argument(s), its signature has 1");
+      ("printf()", "'printf' called with 0 argument(s), its signature has at least 1");
+      ("sqrt(p)", "incompatible types in argument 1 of 'sqrt' (double from float *)");
+      ("g(d)", "incompatible types in argument 1 of 'g' (float * from double)");
+      ( "cudadev_get_static_chunk(1)",
+        "'cudadev_get_static_chunk' called with 1 argument(s), its signature has 4" );
+      ("atomicAdd(p, p)", "incompatible types in argument 2 of 'atomicAdd' (float from float *)");
+    ]
+  in
+  List.iter (fun (src, msg) -> Alcotest.(check string) src msg (error src)) errors;
+  Alcotest.check cty "variadic tail" Cty.Int (type_of "printf(\"%d %f\", i, d)");
+  Alcotest.check cty "arguments convert" Cty.Int (type_of "abs(l) + f(d, 1.5f)");
+  Alcotest.check cty "an atomic takes its pointee type" Cty.Float (type_of "atomicAdd(p, 1)")
+
+(* The host table (the common builtins and the ORT entry points) and
+   the device table (the common builtins and the device runtime) build,
+   every registration checked against its signature; a name without a
+   signature, or an implementation of another arity, fails when the
+   table is built. *)
+let test_builtin_registration () =
   let host = (Hostrt.Hostexec.make_context (Hostrt.Rt.create ()) []).Cinterp.Interp.builtins in
   let device = Hashtbl.create 64 in
   Cinterp.Interp.install_common_builtins device;
   Devrt.Api.install (fun () -> Alcotest.fail "no block") device;
   List.iter
-    (fun (role, tbl) ->
-      let missing =
-        Hashtbl.fold
-          (fun name _ acc ->
-            if List.mem_assoc name Typecheck.builtin_return_types then acc else name :: acc)
-          tbl []
-      in
-      Alcotest.(check (list string)) (role ^ " builtins without a signature") []
-        (List.sort compare missing))
-    [ ("host", host); ("device", device) ]
+    (fun (tbl, name) -> Alcotest.(check bool) name true (Hashtbl.mem tbl name))
+    [ (host, "ort_offload"); (host, "printf"); (device, "cudadev_get_static_chunk");
+      (device, "atomicCAS") ];
+  let rejected what name impl =
+    match Cinterp.Interp.register_builtin device name impl with
+    | () -> Alcotest.failf "%s: '%s' registered" what name
+    | exception Invalid_argument _ -> ()
+  in
+  let open Cinterp.Interp in
+  rejected "no signature" "cudadev_no_such_entry" (F0 (fun _ -> Value.VVoid));
+  rejected "fewer arguments" "pow" (F1 (fun _ a -> a));
+  rejected "more arguments" "sqrt" (F2 (fun _ a _ -> a));
+  rejected "a variadic tail" "abs" (V1 (fun _ a _ -> a));
+  rejected "no variadic tail" "printf" (F1 (fun _ a -> a))
 
 let test_cuda_globals () =
   let src = "void k(float *x) { int i = blockIdx.x * blockDim.x + threadIdx.x; x[i] = i; }" in
@@ -212,6 +255,8 @@ let () =
           Alcotest.test_case "elaboration" `Quick test_elaboration;
           Alcotest.test_case "conditional type" `Quick test_cond_type;
           Alcotest.test_case "builtins shadow functions" `Quick test_builtin_shadows;
-          Alcotest.test_case "every builtin has a signature" `Quick test_builtin_signatures;
+          Alcotest.test_case "calls checked against signatures" `Quick test_call_signatures;
+          Alcotest.test_case "builtin tables register by signature" `Quick
+            test_builtin_registration;
         ] );
     ]
