@@ -111,7 +111,10 @@ let report_errors ~input f =
   | Omp.Pragma_parser.Pragma_error msg -> fail "%s: OpenMP pragma error: %s" input msg
   | Translator.Pipeline.Translate_error msg | Translator.Region.Unsupported msg ->
     fail "%s: translation error: %s" input msg
-  | Cinterp.Interp.Runtime_error msg | Machine.Addr.Addr_error msg | Machine.Mem.Bad_access msg ->
+  | Cinterp.Interp.Runtime_error msg
+  | Machine.Addr.Addr_error msg
+  | Machine.Mem.Bad_access msg
+  | Devrt.Api.Devrt_error msg ->
     fail "%s: runtime error: %s" input msg
 
 (* Write [tr] as Chrome-trace JSON; [true] once written.  An unwritable

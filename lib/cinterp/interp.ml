@@ -5,7 +5,7 @@
      runtime registered as builtins;
    - device role: one context per GPU thread, driven by the SIMT
      scheduler.  The builtin table (the cudadev device library) is built
-     once per launch and shared by every thread; each context carries
+     once per device and shared by every thread; each context carries
      only its [lane] and per-thread state.
 
    The performance model observes the run without touching its
@@ -41,9 +41,9 @@ type t = {
      context, which lives as long as its lane. *)
   mutable structs : Cty.layout_env;
   mutable funcs : (string, Ast.fundef) Hashtbl.t;
-  (* May be shared between contexts (all threads of a launch): builtins
+  (* May be shared between contexts (all threads of a device): builtins
      must find their per-thread state through the context, e.g. [lane]. *)
-  mutable builtins : (string, impl) Hashtbl.t;
+  builtins : (string, impl) Hashtbl.t;
   lane : int; (* device role: linear thread id within the block *)
   resolve : Addr.t -> Mem.t; (* the memory an address lives in *)
   (* [resolve] for a scalar load or store of the given bytes, accounted;

@@ -6,7 +6,7 @@
       [Hostrt.Hostexec.make_context]);
     - device role: one context per GPU thread, driven by the SIMT
       scheduler.  The builtin table (the cudadev device library) is
-      built once per launch and shared by every thread; a context
+      built once per device and shared by every thread; a context
       carries only its {!t.lane} and per-thread state.
 
     In both roles the closure JIT ({!Jit}) normally executes function
@@ -40,7 +40,7 @@ type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 type t = {
   mutable structs : Cty.layout_env;
   mutable funcs : (string, Ast.fundef) Hashtbl.t;
-  mutable builtins : (string, impl) Hashtbl.t;
+  builtins : (string, impl) Hashtbl.t;
       (** may be shared between contexts: a builtin finds its
           per-thread state through the context it is called with *)
   lane : int;  (** device role: linear thread id within the block *)
@@ -110,9 +110,9 @@ val create :
     the frames become [frames], and no call is active, no string
     literal interned, no function pointer taken and no engine attached
     ({!t.dispatch}).  The program fields ([structs], [funcs],
-    [builtins], [globals], [output]) are mutable so that a device
-    lane's context can be re-pointed at each launch instead of rebuilt
-    for every thread. *)
+    [globals], [output]) are mutable so that a device lane's context
+    can be re-pointed at each launch instead of rebuilt for every
+    thread; its builtins are the device's for its whole life. *)
 val reset : t -> frames:frame list -> unit
 
 (** Enter a builtin's implementation into a table, checked against its

@@ -16,9 +16,9 @@
      reads and writes are array indexing instead of hashtable probes
      through a frame list;
    - call targets are resolved lazily on first execution and memoized
-     once per launch ([link]): every thread of a launch shares one
-     builtin table and one function table, so a call site resolves the
-     same way for all of them;
+     once per link ([link]): every thread of a device shares one
+     builtin table, and every thread running a module one function
+     table, so a call site resolves the same way for all of them;
    - free names (threadIdx, device globals, ...) have their types from
      the program's static environment; their addresses are resolved
      lazily and memoized per thread, since they differ between threads.
@@ -26,6 +26,8 @@
    Per-thread state (the interpreter context, the slot frame) is
    threaded through every closure as an explicit [env] argument, so one
    compiled form is shared by all threads of all launches of a module.
+   A context is attached to a link once ([attach]) and re-armed for
+   each thread it runs ([rearm]); its entry call reuses one env.
 
    Typed closures.  The JIT compiles elaborated programs only
    ([Typecheck.elaborate]: every expression typed, every conversion C
@@ -139,11 +141,16 @@ and cfun = {
 (* Sizes of a call's frame and register arrays. *)
 and shape = { sh_slots : int; sh_ints : int; sh_longs : int; sh_flts : int; sh_ptrs : int }
 
-(* Per-thread instantiation of a compiled module. *)
+(* A context's instantiation of a linked module, attached once and
+   re-armed for every thread the context runs ([rearm]). *)
 and inst = {
   i_ctx : Interp.t;
   i_cells : cell array;
-  i_calls : target array; (* the launch's [l_calls], shared *)
+  i_calls : target array; (* the link's [l_calls], shared *)
+  i_dispatch : (Interp.t -> Ast.fundef -> Value.t list -> Value.t) option;
+      (* the context's [dispatch] while armed *)
+  mutable i_entry : (cfun * env) option;
+      (* the last entry call's (depth 0) env, reused by the next one *)
 }
 
 (* Execution environment threaded through every closure: the thread's
@@ -174,9 +181,9 @@ type compiled = {
   c_left_out : (string * string) list; (* function, why it failed to compile *)
 }
 
-(* A compiled module linked for one launch: the call-target memo shared
-   by every context attached to it, all of which use [l_builtins] and
-   [l_funcs]. *)
+(* A compiled module linked against one builtin table (a device's, or
+   the host context's): the call-target memo shared by every context
+   attached to it, all of which use [l_builtins] and [l_funcs]. *)
 type linked = {
   l_compiled : compiled;
   l_builtins : Interp.builtins;
@@ -439,6 +446,34 @@ let extract : type a. a kind -> Cty.t -> Value.t -> a =
   | Kflt -> Value.to_float ty v
   | Kptr -> Value.to_addr ty v
 
+(* A call's slot frame and registers, all zero. *)
+let fresh_env (inst : inst) (sh : shape) : env =
+  {
+    e_inst = inst;
+    e_frame = Array.make sh.sh_slots Addr.null;
+    e_ints = (if sh.sh_ints = 0 then [||] else Array.make sh.sh_ints 0);
+    e_longs = (if sh.sh_longs = 0 then [||] else Array.make sh.sh_longs 0L);
+    e_flts = (if sh.sh_flts = 0 then [||] else Array.make sh.sh_flts 0.0);
+    e_ptrs = (if sh.sh_ptrs = 0 then [||] else Array.make sh.sh_ptrs Addr.null);
+  }
+
+(* The env of an entry call (depth 0, so no other call of the context
+   is live): the previous entry call's, zeroed, when it called the same
+   function.  A kernel's threads then share one env per lane. *)
+let entry_env (inst : inst) (cf : cfun) : env =
+  match inst.i_entry with
+  | Some (cf', env) when cf' == cf ->
+    Array.fill env.e_frame 0 (Array.length env.e_frame) Addr.null;
+    Array.fill env.e_ints 0 (Array.length env.e_ints) 0;
+    Array.fill env.e_longs 0 (Array.length env.e_longs) 0L;
+    Array.fill env.e_flts 0 (Array.length env.e_flts) 0.0;
+    Array.fill env.e_ptrs 0 (Array.length env.e_ptrs) Addr.null;
+    env
+  | _ ->
+    let env = fresh_env inst cf.cf_shape in
+    inst.i_entry <- Some (cf, env);
+    env
+
 (* Call a compiled function: the interpreter's [tree_call_fundef]
    protocol (depth guard, one stack mark covering the parameters, the
    same per-parameter push+store sequence) with a slot frame instead of
@@ -451,22 +486,12 @@ let invoke (inst : inst) (cf : cfun) (args : Value.t list) : Value.t =
   if List.length args <> nparams then
     Interp.runtime_error "'%s' expects %d arguments, got %d" cf.cf_def.Ast.f_name nparams
       (List.length args);
+  let env = if ctx.Interp.depth = 0 then entry_env inst cf else fresh_env inst cf.cf_shape in
   ctx.Interp.depth <- ctx.Interp.depth + 1;
   let mark = Mem.mark ctx.Interp.local in
   let finally () =
     Mem.release ctx.Interp.local mark;
     ctx.Interp.depth <- ctx.Interp.depth - 1
-  in
-  let sh = cf.cf_shape in
-  let env =
-    {
-      e_inst = inst;
-      e_frame = Array.make sh.sh_slots Addr.null;
-      e_ints = (if sh.sh_ints = 0 then [||] else Array.make sh.sh_ints 0);
-      e_longs = (if sh.sh_longs = 0 then [||] else Array.make sh.sh_longs 0L);
-      e_flts = (if sh.sh_flts = 0 then [||] else Array.make sh.sh_flts 0.0);
-      e_ptrs = (if sh.sh_ptrs = 0 then [||] else Array.make sh.sh_ptrs Addr.null);
-    }
   in
   match
     List.iteri
@@ -1659,17 +1684,34 @@ let link (c : compiled) ~(builtins : Interp.builtins) ~(funcs : (string, Ast.fun
     linked =
   { l_compiled = c; l_builtins = builtins; l_funcs = funcs; l_calls = Array.make (max 1 c.c_ncalls) Tgt_unresolved }
 
-let attach (l : linked) (ctx : Interp.t) : unit =
+type instance = inst
+
+(* Free names resolve afresh (their memo holds one run's addresses and
+   function-pointer ids), and calls go through the compiled forms
+   again after [Interp.reset] detached them.  Allocates nothing. *)
+let rearm (inst : instance) : unit =
+  Array.fill inst.i_cells 0 (Array.length inst.i_cells) Cell_unresolved;
+  inst.i_ctx.Interp.dispatch <- inst.i_dispatch
+
+let attach (l : linked) (ctx : Interp.t) : instance =
   (* call sites resolve against the shared tables, once for all threads *)
   if ctx.Interp.builtins != l.l_builtins || ctx.Interp.funcs != l.l_funcs then
     invalid_arg "Jit.attach: context does not use the linked builtin and function tables";
   let c = l.l_compiled in
-  let inst =
-    { i_ctx = ctx; i_cells = Array.make (max 1 c.c_ncells) Cell_unresolved; i_calls = l.l_calls }
+  let cells = Array.make (max 1 c.c_ncells) Cell_unresolved in
+  let rec inst =
+    {
+      i_ctx = ctx;
+      i_cells = cells;
+      i_calls = l.l_calls;
+      i_dispatch =
+        Some
+          (fun ctx' fd args ->
+            match Hashtbl.find_opt c.c_funcs fd.Ast.f_name with
+            | Some cf when cf.cf_def == fd -> invoke inst cf args
+            | _ -> Interp.tree_call_fundef ctx' fd args);
+      i_entry = None;
+    }
   in
-  ctx.Interp.dispatch <-
-    Some
-      (fun ctx' fd args ->
-        match Hashtbl.find_opt c.c_funcs fd.Ast.f_name with
-        | Some cf when cf.cf_def == fd -> invoke inst cf args
-        | _ -> Interp.tree_call_fundef ctx' fd args)
+  rearm inst;
+  inst

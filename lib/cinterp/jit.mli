@@ -5,9 +5,9 @@
     kernels, when the host context is built for host programs — into
     pre-resolved OCaml closure chains: locals become slots of a flat
     per-call frame, constructor dispatch happens at compile time, call
-    targets are memoized once per link (a kernel launch, a host
-    context) and free names once per attached context (a GPU thread,
-    the host program).
+    targets are memoized once per link (a module on a device, a host
+    context) and free names once per armed context (a GPU thread, the
+    host program).
 
     It compiles elaborated programs only ({!Minic.Typecheck.elaborate}),
     so every expression's C type is known at compile time, and every
@@ -50,18 +50,30 @@ val function_count : compiled -> int
     order; empty when every function compiled. *)
 val left_out : compiled -> (string * string) list
 
-(** A compiled module linked for one launch (or one host context):
-    holds the call-target memo shared by every context attached to
-    it. *)
+(** A compiled module linked against one builtin table (a device's
+    lanes, or one host context): holds the call-target memo shared by
+    every context attached to it. *)
 type linked
 
 (** Link a module against the builtin and function tables that every
-    context of the launch (or the one host context) uses. *)
+    context attached to it uses. *)
 val link : compiled -> builtins:Interp.builtins -> funcs:(string, Ast.fundef) Hashtbl.t -> linked
 
+(** One context's attachment to a link: its free-name memo, its
+    dispatch closure and its entry call's frame, kept across the
+    threads the context runs. *)
+type instance
+
 (** Route an interpreter context's function calls through the compiled
-    forms (per-thread free-name memoization is created here).  Calls to
-    functions without a compiled form use {!Interp.tree_call_fundef}.
-    Raises [Invalid_argument] unless the context uses the linked
-    builtin and function tables. *)
-val attach : linked -> Interp.t -> unit
+    forms, and return the attachment, armed.  Calls to functions
+    without a compiled form use {!Interp.tree_call_fundef}.  Raises
+    [Invalid_argument] unless the context uses the linked builtin and
+    function tables. *)
+val attach : linked -> Interp.t -> instance
+
+(** Arm an attachment again for the next run of its context, after
+    {!Interp.reset} detached it: free names resolve afresh and calls
+    go through the compiled forms.  Allocates nothing.  An entry call
+    (one at depth 0) reuses the previous entry call's frame and
+    registers, zeroed, when it calls the same function. *)
+val rearm : instance -> unit

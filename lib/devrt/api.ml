@@ -1,10 +1,11 @@
 (* The cudadev device runtime library (paper §4.2.2), exposed to kernel
    code as interpreter builtins, each registered against its C
-   signature.  One [install] call per launch fills the launch's shared
-   builtin table.  As in the real runtime, state lives per team (the
-   block) and a thread carries only its ids: a builtin finds the running
-   block through the launch's accessor and its thread as
-   [bs_threads.(ctx.lane)], and closes over neither. *)
+   signature.  One [install] call per device, when its driver is
+   created, fills the device's shared builtin table.  As in the real
+   runtime, state lives per team (the block) and a thread carries only
+   its ids: a builtin finds the running block through the device's
+   accessor and its thread as [bs_threads.(ctx.lane)], and closes over
+   neither. *)
 
 open Machine
 open Gpusim

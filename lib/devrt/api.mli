@@ -1,11 +1,12 @@
 (** The cudadev device runtime library (paper 4.2.2), exposed to kernel
     code as interpreter builtins.
 
-    One {!install} call per launch fills the launch's shared builtin
-    table, each entry point registered against its C signature
+    One {!install} call per device (given to
+    {!Gpusim.Driver.create}) fills the device's shared builtin table,
+    each entry point registered against its C signature
     ({!Minic.Typecheck.builtin_signature}).  No builtin closes over
-    block or thread state: each finds the running block through the
-    launch's current-block accessor and its
+    launch, block or thread state: each finds the running block through
+    the device's current-block accessor and its
     thread as [bs_threads.(ctx.lane)], whose OpenMP ids
     ({!Gpusim.Simt.thread_state.ts_omp_id}/[ts_omp_num]) the
     master/worker engine overrides for the duration of a parallel

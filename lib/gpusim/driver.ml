@@ -14,8 +14,10 @@ type loaded_module = {
   lm_artifact : Nvcc.artifact;
   lm_source : Simt.kernel_source;
   (* closure-compiled form of the module's functions, produced once at
-     load time (None when the driver's closure JIT is disabled) *)
+     load time (None when the driver's closure JIT is disabled), and its
+     link against the device's builtin table *)
   lm_compiled : Cinterp.Jit.compiled option;
+  lm_linked : Cinterp.Jit.linked option;
 }
 
 type launch_stats = {
@@ -56,9 +58,10 @@ type t = {
   ordinal : int;
   tid_base : int;
   global : Mem.t;
-  (* the lanes (local memory and thread contexts), a device resource
-     as in a CUDA context: grown to the widest block launched, reset by
-     each launch *)
+  (* the lanes (local memory and thread contexts) and the device
+     builtin table, a device resource as in a CUDA context: the lanes
+     grown to the widest block launched and reset by each launch, the
+     table built once *)
   lanes : Simt.pool;
   jit_cache : (string, unit) Hashtbl.t; (* survives across contexts: disk cache *)
   mutable initialized : bool;
@@ -156,14 +159,16 @@ let tr_complete t ?(args = []) ~tid ~ts_ns ~dur_ns ~cat name =
    and trace spans stay balanced. *)
 let inj t site = match t.inject with Some f -> f site | None -> ()
 
-let create ?(spec = Spec.jetson_nano_2gb) ?(ordinal = 0) (clock : Simclock.t) : t =
+let create ?(spec = Spec.jetson_nano_2gb) ?(ordinal = 0) ~(install_builtins : Simt.installer)
+    (clock : Simclock.t) : t =
   {
     spec;
     clock;
     ordinal;
     tid_base = ordinal * 1000;
-    global = Mem.create ~initial:(1 lsl 20) ~limit:spec.Spec.global_mem_bytes ~space:Addr.Global "device-global";
-    lanes = Simt.create_pool ();
+    (* starts small and grows on demand, up to the device's memory *)
+    global = Mem.create ~limit:spec.Spec.global_mem_bytes ~space:Addr.Global "device-global";
+    lanes = Simt.create_pool install_builtins;
     jit_cache = Hashtbl.create 16;
     initialized = false;
     context_alive = false;
@@ -412,7 +417,14 @@ let load_module t (artifact : Nvcc.artifact) : loaded_module =
       end
       else None
     in
-    let m = { lm_artifact = artifact; lm_source = source; lm_compiled = compiled } in
+    let m =
+      {
+        lm_artifact = artifact;
+        lm_source = source;
+        lm_compiled = compiled;
+        lm_linked = Option.map (Simt.link t.lanes source) compiled;
+      }
+    in
     Hashtbl.replace t.modules artifact.Nvcc.art_hash m;
     tr_end t ~cat:"load" "module_load";
     m
@@ -436,7 +448,7 @@ let device_memories t ~(host : Mem.t option) : Simt.device_memories =
 (* The SIMT run and its cost conversion.  Memory effects happen here,
    at call time; no clock advance. *)
 let simulate_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.dim3)
-    ~(block : Simt.dim3) ~(args : Value.t list) ~install_builtins ~block_filter ~logical_blocks :
+    ~(block : Simt.dim3) ~(args : Value.t list) ~block_filter ~logical_blocks :
     Counters.t * Costmodel.breakdown =
   let counters = Counters.create t.spec in
   Counters.set_alloc_table counters (Array.of_list t.allocs);
@@ -446,8 +458,8 @@ let simulate_kernel t ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.d
   in
   Simt.launch ~spec:t.spec ~mem:(device_memories t ~host:t.pinned_host)
     ~source:modul.lm_source
-    ?compiled:(if t.closure_jit then modul.lm_compiled else None)
-    ~counters ~install_builtins ~output:t.output config;
+    ?linked:(if t.closure_jit then modul.lm_linked else None)
+    ~counters ~output:t.output config;
   (* A sharded launch executes only its own contiguous block range but
      keeps the full grid (so global team ids stay correct); the caller
      tells us how many blocks this device actually owns, which both
@@ -589,8 +601,8 @@ let record_launch t ~entry ~grid ~block (counters : Counters.t) (breakdown : Cos
    compute engine.  On the null stream the host waits for the kernel,
    inside a "kernel" span. *)
 let launch_kernel t ?stream ~(modul : loaded_module) ~(entry : string) ~(grid : Simt.dim3)
-    ~(block : Simt.dim3) ~(args : Value.t list) ~(install_builtins : Simt.installer)
-    ?(block_filter : (int -> bool) option) ?(logical_blocks : int option) () : launch_stats =
+    ~(block : Simt.dim3) ~(args : Value.t list) ?(block_filter : (int -> bool) option)
+    ?(logical_blocks : int option) () : launch_stats =
   ensure_initialized t;
   ignore (get_function modul entry);
   (* before the SIMT run: a failed launch has written nothing, so device
@@ -603,8 +615,7 @@ let launch_kernel t ?stream ~(modul : loaded_module) ~(entry : string) ~(grid : 
     ]
   in
   let counters, breakdown =
-    simulate_kernel t ~modul ~entry ~grid ~block ~args ~install_builtins ~block_filter
-      ~logical_blocks
+    simulate_kernel t ~modul ~entry ~grid ~block ~args ~block_filter ~logical_blocks
   in
   let dur = breakdown.Costmodel.bd_time_ns in
   (match stream with

@@ -14,6 +14,10 @@ type loaded_module = {
   lm_compiled : Cinterp.Jit.compiled option;
       (** closure-compiled form of the module's functions, produced once
           at load time ([None] when the closure JIT is disabled) *)
+  lm_linked : Cinterp.Jit.linked option;
+      (** [lm_compiled] linked against the device's builtin table
+          ({!Simt.link}), once at load time; every launch of the module
+          uses it *)
 }
 
 type launch_stats = {
@@ -53,7 +57,8 @@ type t = {
   lanes : Simt.pool;
       (** the device's lanes: local memory and thread contexts
           ({!Simt.pool}), grown to the widest block launched and reset
-          per launch *)
+          per launch; and the device builtin table, built once by
+          {!create} *)
   jit_cache : (string, unit) Hashtbl.t;  (** the on-disk JIT cache (survives contexts) *)
   mutable initialized : bool;
   mutable context_alive : bool;
@@ -93,7 +98,12 @@ type t = {
           true); the tree-walker remains the reference executor *)
 }
 
-val create : ?spec:Spec.t -> ?ordinal:int -> Simclock.t -> t
+(** A device on [clock].  [install_builtins] fills the device builtin
+    table (the device runtime, [Devrt.Api.install]) once, here: every
+    thread of every launch on the device shares it.  Global memory
+    starts at {!Machine.Mem.create}'s default storage and grows on
+    demand up to [spec]'s global memory. *)
+val create : ?spec:Spec.t -> ?ordinal:int -> install_builtins:Simt.installer -> Simclock.t -> t
 
 (** Attach (or detach, with [None]) a trace ring; the driver then emits
     init/mem/transfer/load/jit/kernel events into it. *)
@@ -200,7 +210,6 @@ val launch_kernel :
   grid:Simt.dim3 ->
   block:Simt.dim3 ->
   args:Value.t list ->
-  install_builtins:Simt.installer ->
   ?block_filter:(int -> bool) ->
   ?logical_blocks:int ->
   unit ->

@@ -1,18 +1,21 @@
 (* SIMT execution engine.
 
    Each GPU thread is a coroutine (OCaml effect handler fiber) running
-   its lane's mini-C interpreter context over the kernel AST.  The
-   device builtin table (common builtins plus the device runtime) is
-   built once per launch and shared by every thread: a builtin finds its
-   block through the launch's current-block accessor and its thread as
-   [bs_threads.(ctx.lane)].  Lanes are a device resource the driver
-   owns ([pool]): lane i's local memory and the context its threads run
-   in, built once and kept, so per-thread setup is only a reset of the
-   context and the block's dim3 values.  Each launch resets the lanes
-   it uses once, so it sees nothing of an earlier launch, and its blocks
-   then share them stale, each block only unwinding a lane's stack to
-   its base.  Blocks execute
-   sequentially; threads within a block are interleaved cooperatively.
+   its lane's mini-C interpreter context over the kernel AST.  Lanes
+   are a device resource the driver owns ([pool]), and so is the
+   device builtin table (common builtins plus the device runtime):
+   built once, when the pool is created with the driver's installer,
+   and shared by every thread of every launch.  A builtin finds its
+   block through the pool's current-block accessor and its thread as
+   [bs_threads.(ctx.lane)].  A module's JIT link against that table is
+   built once per loaded module ([link]).  Lane i keeps its local
+   memory, the context its threads run in and that context's JIT
+   attachment, so per-thread setup is only a reset of the context, a
+   re-arm of the attachment and the block's dim3 values.  Each launch
+   resets the lanes it uses once, so it sees nothing of an earlier
+   launch, and its blocks then share them stale, each block only
+   unwinding a lane's stack to its base.  Blocks execute sequentially;
+   threads within a block are interleaved cooperatively.
    Named barriers (PTX bar.sync) suspend threads until the expected
    number of participants arrive — the mechanism behind the paper's B1/B2
    master/worker protocol.  Divergence, locks and atomics are modelled at
@@ -126,21 +129,25 @@ type launch_config = {
    interpreter context its threads run in.  The context is built by the
    first launch that uses the lane and kept, with its base frame binding
    the four dim3 builtins at the bottom of the lane's stack; a launch
-   re-points it at its module and builtins, and each block
-   resets it and rewrites the dim3 values. *)
+   re-points it at its module, and each block resets it and rewrites
+   the dim3 values.  [ln_jit] is the context's attachment to the
+   launch's JIT link, kept for the next launch of that link and
+   re-armed for each thread; [None] on the tree-walker. *)
 type lane = {
   ln_local : Mem.t;
   mutable ln_ctx : Cinterp.Interp.t option;
   mutable ln_base : Cinterp.Interp.frame list; (* the base frame *)
   mutable ln_top : int; (* the stack mark just above it *)
   mutable ln_dim3 : Addr.t array; (* threadIdx..gridDim: x, y, z, padding *)
+  mutable ln_jit : (Cinterp.Jit.linked * Cinterp.Jit.instance) option;
 }
 
-(* The device's lanes, their contexts' accounted resolver, and what
-   those resolve against while a launch runs: its memories and
-   counters, block size, current block and structs. *)
+(* The device's lanes, the builtin table and accounted resolver their
+   contexts share, and what those resolve against while a launch runs:
+   its memories and counters, block size, current block and structs. *)
 and pool = {
   mutable lanes : lane array;
+  builtins : Cinterp.Interp.builtins;
   access : Cinterp.Interp.t -> Cinterp.Interp.access -> Addr.t -> int -> Mem.t;
   mutable run_mem : device_memories option;
   mutable run_counters : Counters.t option;
@@ -170,9 +177,10 @@ let ensure_lanes (pool : pool) (n : int) =
                ln_base = [];
                ln_top = 0;
                ln_dim3 = [||];
+               ln_jit = None;
              }))
 
-(* Fills a launch's shared builtin table; builtins reach the running
+(* Fills a device's shared builtin table; builtins reach the running
    block through the accessor. *)
 type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
 
@@ -237,11 +245,14 @@ let device_access (pool : pool) (ctx : Cinterp.Interp.t) kind (a : Addr.t) bytes
           (Addr.off a);
       m
 
-(* One accounted resolver for every lane context of the pool. *)
-let create_pool () =
+(* One builtin table and one accounted resolver for every lane context
+   of the pool. *)
+let create_pool (install_builtins : installer) =
+  let builtins = Hashtbl.create 64 in
   let rec pool =
     {
       lanes = [||];
+      builtins;
       access = (fun ctx kind a bytes -> device_access pool ctx kind a bytes);
       run_mem = None;
       run_counters = None;
@@ -250,7 +261,20 @@ let create_pool () =
       run_structs = Cty.create_layout_env ();
     }
   in
+  Cinterp.Interp.install_common_builtins builtins;
+  install_builtins
+    (fun () ->
+      match pool.run_block with
+      | Some bs -> bs
+      | None -> simt_error "device builtin called outside a block")
+    builtins;
   pool
+
+(* A compiled module linked against the pool's builtin table: its call
+   targets resolve once for every lane, launch after launch. *)
+let link (pool : pool) (source : kernel_source) (compiled : Cinterp.Jit.compiled) :
+    Cinterp.Jit.linked =
+  Cinterp.Jit.link compiled ~builtins:pool.builtins ~funcs:source.ks_funcs
 
 let shared_decl (pool : pool) name ty =
   match pool.run_block with
@@ -267,16 +291,15 @@ let shared_decl (pool : pool) name ty =
    reset of the lane, so its base frame binds the dim3 builtins at the
    bottom of the stack (16 bytes each, from offset 16), where every
    block finds them.  It keeps its own tally. *)
-let lane_context (pool : pool) (i : int) ~structs ~funcs ~builtins ~globals ~output :
-    Cinterp.Interp.t =
+let lane_context (pool : pool) (i : int) ~structs ~funcs ~globals ~output : Cinterp.Interp.t =
   let lane = pool.lanes.(i) in
   match lane.ln_ctx with
   | Some ctx -> ctx
   | None ->
     let ctx =
       Cinterp.Interp.create ~structs ~funcs ~resolve:(resolve pool) ~local:lane.ln_local
-        ~access:pool.access ~builtins ~globals ~lane:i ~shared_decl:(shared_decl pool)
-        ~output ()
+        ~access:pool.access ~builtins:pool.builtins ~globals ~lane:i
+        ~shared_decl:(shared_decl pool) ~output ()
     in
     Cinterp.Interp.push_frame ctx;
     lane.ln_dim3 <-
@@ -302,9 +325,8 @@ let write_dim3 (lane : lane) (k : int) (d : dim3) =
 
 (* Execute one block to completion, making it the pool's running block
    for the lanes' contexts and the shared builtins. *)
-let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
-    ~(linked : Cinterp.Jit.linked option) ~(counters : Counters.t) ~(config : launch_config)
-    ~(block_idx : dim3) ~(block_lin : int) : unit =
+let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source) ~(counters : Counters.t)
+    ~(config : launch_config) ~(block_idx : dim3) ~(block_lin : int) : unit =
   let n_threads = dim3_total config.lc_block in
   let thread lin =
     {
@@ -353,7 +375,8 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
   in
   (* Per-thread setup: the lane's context back to its base frame with a
      zero tally, the lane's stack unwound to just above it and the dim3
-     values written there, as binding them afresh would leave them. *)
+     values written there, as binding them afresh would leave them, and
+     its JIT attachment re-armed. *)
   let make_thread_body lin =
     let lane = pool.lanes.(lin) in
     let ctx = Option.get lane.ln_ctx in
@@ -367,7 +390,7 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
     (* Route this thread's calls through the module's closure-compiled
        form (if any); builtins and the effects-based yield points are
        untouched, so scheduling semantics do not change. *)
-    (match linked with Some l -> Cinterp.Jit.attach l ctx | None -> ());
+    (match lane.ln_jit with Some (_, inst) -> Cinterp.Jit.rearm inst | None -> ());
     fun () -> ignore (Cinterp.Interp.call_fundef ctx entry_fn config.lc_args)
   in
   (* Spawn all threads as fibers. *)
@@ -455,8 +478,8 @@ let run_block ~(spec : Spec.t) ~(pool : pool) ~(source : kernel_source)
 
 (* Launch a kernel over the whole grid (subject to the block filter). *)
 let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
-    ?(compiled : Cinterp.Jit.compiled option) ~(counters : Counters.t)
-    ~(install_builtins : installer) ~(output : Buffer.t) (config : launch_config) : unit =
+    ?(linked : Cinterp.Jit.linked option) ~(counters : Counters.t) ~(output : Buffer.t)
+    (config : launch_config) : unit =
   let n_threads = dim3_total config.lc_block in
   if n_threads > spec.Spec.max_threads_per_block then
     simt_error "block of %d threads exceeds device limit %d" n_threads spec.Spec.max_threads_per_block;
@@ -466,32 +489,27 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
   for i = 0 to n_threads - 1 do
     Mem.reset pool.lanes.(i).ln_local ~initial:local_bytes
   done;
-  (* one builtin table (and one JIT call-target memo) for every thread
-     of every block *)
-  let builtins = Hashtbl.create 64 in
-  Cinterp.Interp.install_common_builtins builtins;
-  install_builtins
-    (fun () ->
-      match pool.run_block with
-      | Some bs -> bs
-      | None -> simt_error "device builtin called outside a block")
-    builtins;
-  let linked = Option.map (fun c -> Cinterp.Jit.link c ~builtins ~funcs:source.ks_funcs) compiled in
   pool.run_mem <- Some mem;
   pool.run_counters <- Some counters;
   pool.run_threads <- n_threads;
   pool.run_structs <- source.ks_env.Typecheck.structs;
-  (* the lanes' contexts: this launch's module and builtins *)
+  (* the lanes' contexts: this launch's module, and their attachments
+     to its link (kept from an earlier launch of the same link), or none
+     on the tree-walker *)
   for lin = 0 to n_threads - 1 do
     let ctx =
-      lane_context pool lin ~structs:source.ks_env.Typecheck.structs ~funcs:source.ks_funcs ~builtins
+      lane_context pool lin ~structs:source.ks_env.Typecheck.structs ~funcs:source.ks_funcs
         ~globals:source.ks_globals ~output
     in
     ctx.Cinterp.Interp.structs <- source.ks_env.Typecheck.structs;
     ctx.Cinterp.Interp.funcs <- source.ks_funcs;
-    ctx.Cinterp.Interp.builtins <- builtins;
     ctx.Cinterp.Interp.globals <- source.ks_globals;
-    ctx.Cinterp.Interp.output <- output
+    ctx.Cinterp.Interp.output <- output;
+    let lane = pool.lanes.(lin) in
+    match (linked, lane.ln_jit) with
+    | Some l, Some (l', _) when l' == l -> ()
+    | Some l, _ -> lane.ln_jit <- Some (l, Cinterp.Jit.attach l ctx)
+    | None, _ -> lane.ln_jit <- None
   done;
   let total_blocks = dim3_total config.lc_grid in
   counters.Counters.blocks_total <- counters.Counters.blocks_total + total_blocks;
@@ -511,7 +529,7 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
             counters.Counters.block_contributed <- false
           end
           else counters.Counters.sample_block_seq <- -1;
-          run_block ~spec ~pool ~source ~linked ~counters ~config
+          run_block ~spec ~pool ~source ~counters ~config
             ~block_idx:{ x = bx; y = by; z = bz } ~block_lin;
           if counters.Counters.sample_block_seq >= 0 && counters.Counters.block_contributed then
             incr sampled_blocks

@@ -2,10 +2,11 @@
 
     Each GPU thread is a coroutine (OCaml effect-handler fiber) running
     one mini-C interpreter context over the kernel AST.  The device
-    builtin table is built once per launch and shared by all threads; a
-    builtin finds its block through the launch's current-block accessor
-    and its thread as [bs_threads.(ctx.lane)].  Per-lane local memory
-    belongs to the device (see {!device_memories}).  Blocks execute
+    builtin table belongs to the device, as its lanes do (see {!pool}):
+    it is built once, when the pool is created, and shared by every
+    thread of every launch.  A builtin finds its block through the
+    pool's current-block accessor and its thread as
+    [bs_threads.(ctx.lane)].  Blocks execute
     sequentially; threads within a block are interleaved cooperatively.
     Named barriers (PTX bar.sync) suspend threads until the expected
     number of participants arrive — the mechanism behind the paper's
@@ -111,14 +112,18 @@ type launch_config = {
     owns one pool, as a CUDA context owns its local memory).  Lane [i]
     holds its local memory, in space [Addr.Local i] with {!local_bytes}
     of storage, and the interpreter context its threads run in, which
-    is built by the first launch that uses the lane and then kept.
+    is built by the first launch that uses the lane and then kept,
+    with its attachment to the launch's JIT link
+    ({!Cinterp.Jit.attach}), kept for the next launch of that link and
+    re-armed for each thread.  Every context shares the pool's builtin
+    table.
 
     A launch of [n] threads per block uses the first [n] lanes (the
     pool grows to the widest block launched).  It resets each lane's
     memory once with {!Machine.Mem.reset}, so a launch never sees a
     byte, a growth or a frame of an earlier one, and an access to
     [Local i] with [i >= n] is a foreign-lane error; it re-points each
-    context at its module, builtins and counters.  Each block resets
+    context at its module and counters.  Each block resets
     the context ({!Cinterp.Interp.reset}) and writes its dim3 values
     into the base frame at the bottom of the lane's stack.  Between the
     blocks of one launch the memories are only unwound to that base, as
@@ -126,7 +131,20 @@ type launch_config = {
     above the stack top stay as the previous block left them. *)
 type pool
 
-val create_pool : unit -> pool
+(** Fills a device's shared builtin table (once, at {!create_pool}).
+    Builtins must not capture per-launch, per-block or per-thread
+    state: they reach the running block through the accessor and their
+    thread through the calling context's {!Cinterp.Interp.t.lane}. *)
+type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
+
+(** An empty pool and its builtin table: the common builtins
+    ({!Cinterp.Interp.install_common_builtins}), then the installer's. *)
+val create_pool : installer -> pool
+
+(** A module's closure-compiled form linked against the pool's builtin
+    table; build it once per loaded module and pass it to every
+    {!launch} of that module on this pool. *)
+val link : pool -> kernel_source -> Cinterp.Jit.compiled -> Cinterp.Jit.linked
 
 (** The memories a launch runs against.  [dm_host] is the host memory
     image as seen from the device — present only when pinned (zero-copy)
@@ -136,25 +154,19 @@ type device_memories = { dm_global : Mem.t; dm_host : Mem.t option; dm_lanes : p
 (** Storage of one lane's local memory at the start of a launch. *)
 val local_bytes : int
 
-(** Fills a launch's shared builtin table (once per launch).  Builtins
-    must not capture per-block or per-thread state: they reach the
-    running block through the accessor and their thread through the
-    calling context's {!Cinterp.Interp.t.lane}. *)
-type installer = (unit -> block_state) -> Cinterp.Interp.builtins -> unit
-
 (** Launch a kernel over the grid (subject to the block filter),
-    detecting barrier deadlocks and illegal memory-space accesses.
-    [install_builtins] runs once per launch, after the common builtins
-    are installed.  With [?compiled], each thread executes the module's
-    closure-compiled form instead of tree-walking the AST (identical
-    semantics, accounting and yield points; see {!Cinterp.Jit}). *)
+    detecting barrier deadlocks and illegal memory-space accesses.  It
+    builds no builtin table: its threads use the pool's.  With
+    [?linked] ({!link} of the module on [mem]'s pool), each thread
+    executes the module's closure-compiled form instead of tree-walking
+    the AST (identical semantics, accounting and yield points; see
+    {!Cinterp.Jit}). *)
 val launch :
   spec:Spec.t ->
   mem:device_memories ->
   source:kernel_source ->
-  ?compiled:Cinterp.Jit.compiled ->
+  ?linked:Cinterp.Jit.linked ->
   counters:Counters.t ->
-  install_builtins:installer ->
   output:Buffer.t ->
   launch_config ->
   unit

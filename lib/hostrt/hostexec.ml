@@ -139,7 +139,9 @@ let install_ort_builtins (rt : Rt.t) (tbl : Cinterp.Interp.builtins) : unit =
   reg "omp_get_num_threads" (F0 (fun _ -> Value.of_int 1));
   reg "malloc" (F1 (fun _ n -> Value.ptr ~ty:Cty.Void (Mem.alloc rt.Rt.host_mem (int_arg n))));
   reg "free" (F1 (fun _ p ->
-      Mem.free rt.Rt.host_mem (Value.as_addr p);
+      (* free(NULL) does nothing, as C specifies *)
+      let a = Value.as_addr p in
+      if not (Addr.is_null a) then Mem.free rt.Rt.host_mem a;
       Value.VVoid))
 
 let host_code = Addr.code_of_space Addr.Host
@@ -176,7 +178,8 @@ let make_context (rt : Rt.t) (program : Ast.program) : Cinterp.Interp.t =
      closure_compile trace event: that counts module loads. *)
   if Rt.jit rt then begin
     let compiled = Cinterp.Jit.compile ~env ~funcs in
-    Cinterp.Jit.attach (Cinterp.Jit.link compiled ~builtins:ctx.Cinterp.Interp.builtins ~funcs) ctx
+    let linked = Cinterp.Jit.link compiled ~builtins:ctx.Cinterp.Interp.builtins ~funcs in
+    ignore (Cinterp.Jit.attach linked ctx)
   end;
   (* allocate and initialise host globals *)
   Cinterp.Interp.push_frame ctx;

@@ -245,8 +245,8 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
     Simt.launch ~spec:driver.Driver.spec
       ~mem:(Driver.device_memories driver ~host:(Some host))
       ~source:c.c_modul.Driver.lm_source
-      ?compiled:(if driver.Driver.closure_jit then c.c_modul.Driver.lm_compiled else None)
-      ~counters ~install_builtins:Devrt.Api.install ~output:out
+      ?linked:(if driver.Driver.closure_jit then c.c_modul.Driver.lm_linked else None)
+      ~counters ~output:out
       {
         Simt.lc_grid = grid;
         lc_block = block;
@@ -332,7 +332,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
           (fun () ->
             Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"launch" (fun () ->
                 Driver.launch_kernel c.c_dev.Rt.dev_driver ~stream:c.c_stream ~modul:c.c_modul
-                  ~entry ~grid ~block ~args:c.c_values ~install_builtins:Devrt.Api.install
+                  ~entry ~grid ~block ~args:c.c_values
                   ~block_filter:(fun b -> b >= lo && b < hi)
                   ~logical_blocks:(hi - lo) ()))
       in

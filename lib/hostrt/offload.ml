@@ -125,7 +125,7 @@ let launch_phase (rt : Rt.t) (device : Rt.device) ?stream ~artifact ~modul ~entr
     (fun () ->
       resilient rt device ~artifact ~label:"launch" (fun () ->
           Driver.launch_kernel device.Rt.dev_driver ?stream ~modul ~entry ~grid ~block
-            ~args:values ~install_builtins:Devrt.Api.install ?block_filter ()))
+            ~args:values ?block_filter ()))
 
 (* A `target ... nowait` region's mapped operand: the region owns its
    whole map/launch/unmap sequence, so the maps travel with the launch

@@ -110,9 +110,11 @@ let create ?(config = default_config) () : t =
   positive "streams" c.streams;
   let cpu = Spec.cortex_a57 in
   let clock = Simclock.create ~step_ns:(step_cost_ns cpu) () in
-  let host_mem = Mem.create ~initial:(1 lsl 20) ~space:Addr.Host "host" in
-  (* the host stack's first segment, from the initial storage: carved
-     after the program's arrays it would sit at [brk] *)
+  (* starts small and grows on demand: zeroing a large initial region
+     would be paid by every runtime, whatever its program needs *)
+  let host_mem = Mem.create ~space:Addr.Host "host" in
+  (* the host stack's first segment, before any user allocation:
+     carved after the program's arrays it would sit at [brk] *)
   Mem.carve_stack host_mem;
   let faults =
     match c.faults with [] -> None | rules -> Some (Faults.create ~seed:c.fault_seed rules)
@@ -127,7 +129,9 @@ let create ?(config = default_config) () : t =
      [spec] position by position; missing positions fall back to [spec]. *)
   let spec_of id = match List.nth_opt c.specs id with Some s -> s | None -> c.spec in
   let make_device id =
-    let driver = Driver.create ~spec:(spec_of id) ~ordinal:id clock in
+    let driver =
+      Driver.create ~spec:(spec_of id) ~ordinal:id ~install_builtins:Devrt.Api.install clock
+    in
     Driver.set_jit driver c.jit;
     Driver.set_inject driver inject;
     let dataenv = Dataenv.create ~host:host_mem ~driver in

@@ -195,8 +195,7 @@ let launch_cuda ctx (m : Driver.loaded_module) ~(entry : string) ~(grid : Simt.d
   let total_blocks = Simt.dim3_total grid in
   let block_filter = Hostrt.Rt.sampling_filter ~total_blocks ctx.rt.Hostrt.Rt.sample_max_blocks in
   let stats =
-    Driver.launch_kernel (driver ctx) ~modul:m ~entry ~grid ~block ~args:values
-      ~install_builtins:Devrt.Api.install ?block_filter ()
+    Driver.launch_kernel (driver ctx) ~modul:m ~entry ~grid ~block ~args:values ?block_filter ()
   in
   ctx.cuda_launches <- stats :: ctx.cuda_launches;
   stats

@@ -10,7 +10,7 @@ open Gpusim
 let make_driver () =
   let clock = Simclock.create () in
   let host = Mem.create ~space:Addr.Host "host" in
-  let driver = Driver.create clock in
+  let driver = Driver.create ~install_builtins:Devrt.Api.install clock in
   Driver.ensure_initialized driver;
   (driver, host, clock)
 
@@ -202,8 +202,7 @@ let test_sync_launch_waits_for_compute_engine () =
   let launch ?stream () =
     Driver.launch_kernel driver ?stream ~modul:m ~entry:"k" ~grid:(Simt.dim3 8)
       ~block:(Simt.dim3 32)
-      ~args:[ Value.of_int 1024; Value.ptr ~ty:Cty.Float buf ]
-      ~install_builtins:Devrt.Api.install ()
+      ~args:[ Value.of_int 1024; Value.ptr ~ty:Cty.Float buf ] ()
   in
   let s = Driver.stream_create driver in
   ignore (launch ~stream:s ());

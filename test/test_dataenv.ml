@@ -7,7 +7,7 @@ open Gpusim
 let make () =
   let clock = Simclock.create () in
   let host = Mem.create ~space:Addr.Host "host" in
-  let driver = Driver.create clock in
+  let driver = Driver.create ~install_builtins:Devrt.Api.install clock in
   Driver.ensure_initialized driver;
   let env = Hostrt.Dataenv.create ~host ~driver in
   (env, host, driver, clock)

@@ -5,7 +5,7 @@
 open Machine
 open Gpusim
 
-let make_driver () = Driver.create (Simclock.create ())
+let make_driver () = Driver.create ~install_builtins:Devrt.Api.install (Simclock.create ())
 
 let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 128) (d : Driver.t) src entry args =
   let prog = Minic.Parser.parse_program src in
@@ -13,7 +13,7 @@ let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 128) (d : Driver.t) src ent
   | [] -> ()
   | errs -> Alcotest.failf "kernel type errors: %s" (String.concat "; " errs));
   let m = Driver.load_module d (Nvcc.compile ~mode:Nvcc.Cubin ~name:entry prog) in
-  Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ~install_builtins:Devrt.Api.install ()
+  Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ()
 
 let read_i32 (d : Driver.t) (a : Addr.t) i =
   Int32.to_int (Bytes.get_int32_le d.Driver.global.Mem.data (Addr.off a + (4 * i)))

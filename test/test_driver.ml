@@ -7,11 +7,13 @@ open Gpusim
 let saxpy_kernel =
   "void k(int n, float *x) { int i = blockIdx.x * blockDim.x + threadIdx.x; if (i < n) x[i] = x[i] * 2.0f; }"
 
+let create_driver = Driver.create ~install_builtins:Devrt.Api.install
+
 let artifact ?(mode = Nvcc.Cubin) ?(name = "k") src = Nvcc.compile ~mode ~name (Minic.Parser.parse_program src)
 
 let test_lazy_init () =
   let clock = Simclock.create () in
-  let d = Driver.create clock in
+  let d = create_driver clock in
   Alcotest.(check bool) "no cost until first use" true (Simclock.now_s clock = 0.0);
   ignore (Driver.mem_alloc d 64);
   Alcotest.(check bool) "first use pays initialisation" true (Simclock.now_s clock > 0.1);
@@ -20,7 +22,7 @@ let test_lazy_init () =
   Alcotest.(check bool) "initialisation paid once" true (Simclock.now_s clock -. t < 0.001)
 
 let test_alloc_free () =
-  let d = Driver.create (Simclock.create ()) in
+  let d = create_driver (Simclock.create ()) in
   let a = Driver.mem_alloc d 1024 in
   Alcotest.(check bool) "global space" true (Addr.space a = Addr.Global);
   Driver.mem_free d a;
@@ -28,7 +30,7 @@ let test_alloc_free () =
     (match Driver.mem_alloc d 0 with exception Driver.Cuda_error _ -> true | _ -> false)
 
 let test_memcpy_roundtrip () =
-  let d = Driver.create (Simclock.create ()) in
+  let d = create_driver (Simclock.create ()) in
   let host = Mem.create ~space:Addr.Host "host" in
   let src = Mem.alloc host 64 and dst = Mem.alloc host 64 in
   for i = 0 to 15 do
@@ -43,7 +45,7 @@ let test_memcpy_roundtrip () =
   done
 
 let test_memcpy_direction_checks () =
-  let d = Driver.create (Simclock.create ()) in
+  let d = create_driver (Simclock.create ()) in
   let host = Mem.create ~space:Addr.Host "host" in
   let h = Mem.alloc host 16 in
   Alcotest.(check bool) "h2d rejects host destination" true
@@ -53,7 +55,7 @@ let test_memcpy_direction_checks () =
 
 let test_transfer_time_scales () =
   let clock = Simclock.create () in
-  let d = Driver.create clock in
+  let d = create_driver clock in
   let host = Mem.create ~space:Addr.Host "host" in
   let small = Mem.alloc host 1024 and big = Mem.alloc host (1024 * 1024) in
   let dsmall = Driver.mem_alloc d 1024 and dbig = Driver.mem_alloc d (1024 * 1024) in
@@ -70,7 +72,7 @@ let test_module_loading_modes () =
   (* CUBIN loads cheaply; PTX pays JIT once, then hits the disk cache *)
   let load mode jit_seed =
     let clock = Simclock.create () in
-    let d = Driver.create clock in
+    let d = create_driver clock in
     Driver.ensure_initialized d;
     (match jit_seed with
     | Some cache -> Hashtbl.iter (fun k v -> Hashtbl.replace d.Driver.jit_cache k v) cache
@@ -90,7 +92,7 @@ let test_module_loading_modes () =
 
 let test_module_caching () =
   let clock = Simclock.create () in
-  let d = Driver.create clock in
+  let d = create_driver clock in
   Driver.ensure_initialized d;
   let a = artifact saxpy_kernel in
   ignore (Driver.load_module d a);
@@ -99,7 +101,7 @@ let test_module_caching () =
   Alcotest.(check bool) "second load is nearly free" true (Simclock.now_s clock -. t < 1e-4)
 
 let test_get_function () =
-  let d = Driver.create (Simclock.create ()) in
+  let d = create_driver (Simclock.create ()) in
   let m = Driver.load_module d (artifact saxpy_kernel) in
   ignore (Driver.get_function m "k");
   Alcotest.(check bool) "missing kernel" true
@@ -107,14 +109,13 @@ let test_get_function () =
 
 let test_launch_accounting () =
   let clock = Simclock.create () in
-  let d = Driver.create clock in
+  let d = create_driver clock in
   let buf = Driver.mem_alloc d (4 * 256) in
   let m = Driver.load_module d (artifact saxpy_kernel) in
   let t0 = Simclock.now_s clock in
   let stats =
     Driver.launch_kernel d ~modul:m ~entry:"k" ~grid:(Simt.dim3 8) ~block:(Simt.dim3 32)
-      ~args:[ Value.of_int 256; Value.ptr ~ty:Cty.Float buf ]
-      ~install_builtins:Devrt.Api.install ()
+      ~args:[ Value.of_int 256; Value.ptr ~ty:Cty.Float buf ] ()
   in
   Alcotest.(check bool) "clock advanced" true (Simclock.now_s clock > t0);
   Alcotest.(check int) "all blocks simulated" 8 stats.Driver.st_blocks_simulated;

@@ -14,7 +14,7 @@ module Mp = Hostrt.Mempolicy
 let make () =
   let clock = Simclock.create () in
   let host = Mem.create ~space:Addr.Host "host" in
-  let driver = Driver.create clock in
+  let driver = Driver.create ~install_builtins:Devrt.Api.install clock in
   Driver.ensure_initialized driver;
   let env = De.create ~host ~driver in
   (env, host, driver, clock)

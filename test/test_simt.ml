@@ -4,12 +4,13 @@
 open Machine
 open Gpusim
 
-let make_driver () = Driver.create (Simclock.create ())
+let make_driver ?(install = Devrt.Api.install) () =
+  Driver.create ~install_builtins:install (Simclock.create ())
 
 (* Compile a CUDA-style kernel source and launch it; [jit] selects the
    closure JIT or the tree-walking interpreter. *)
-let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 32) ?(jit = true)
-    ?(install = Devrt.Api.install) (d : Driver.t) src entry args =
+let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 32) ?(jit = true) (d : Driver.t) src entry
+    args =
   let prog = Minic.Parser.parse_program src in
   (match Minic.Typecheck.check_program ~cuda:true prog with
   | [] -> ()
@@ -17,7 +18,7 @@ let launch ?(grid = Simt.dim3 1) ?(block = Simt.dim3 32) ?(jit = true)
   Driver.set_jit d jit;
   let artifact = Nvcc.compile ~mode:Nvcc.Cubin ~name:entry prog in
   let m = Driver.load_module d artifact in
-  Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ~install_builtins:install ()
+  Driver.launch_kernel d ~modul:m ~entry ~grid ~block ~args ()
 
 (* Run [f] once per executor, labelling its checks. *)
 let both_executors f = List.iter (fun (jit, label) -> f ~jit label) [ (true, "jit"); (false, "no-jit") ]
@@ -310,20 +311,22 @@ void k(int *data)
     Alcotest.(check int) (Printf.sprintf "idle worker %d untouched" id) 0 (read_i32 d buf id)
   done
 
-(* The device builtin table is built once per launch and shared by every
-   thread: a builtin finds its thread through the calling context's lane,
-   never through a per-thread install. *)
-let test_install_once_per_launch () =
+(* The device builtin table is built once per device and shared by
+   every thread of every launch: a builtin finds its block through the
+   pool and its thread through the calling context's lane, never
+   through a per-launch or per-thread install. *)
+let test_install_once_per_device () =
   both_executors (fun ~jit label ->
-      let d = make_driver () in
-      let grid = 4 and bx = 32 and by = 4 in
-      let nthr = bx * by in
-      let buf = Driver.mem_alloc d (4 * 5 * grid * nthr) in
       let installs = ref 0 in
       let install block tbl =
         incr installs;
         Devrt.Api.install block tbl
       in
+      let d = make_driver ~install () in
+      Alcotest.(check int) (label ^ ": installed when the device is created") 1 !installs;
+      let grid = 4 and bx = 32 and by = 4 in
+      let nthr = bx * by in
+      let buf = Driver.mem_alloc d (4 * 5 * grid * nthr) in
       let src =
         {|
 void k(int *out)
@@ -338,26 +341,31 @@ void k(int *out)
 }
 |}
       in
-      ignore
-        (launch ~grid:(Simt.dim3 grid) ~block:(Simt.dim3 bx ~y:by) ~jit ~install d src "k" [ fi buf ]);
-      Alcotest.(check int) (label ^ ": one install per launch") 1 !installs;
-      for b = 0 to grid - 1 do
-        for lin = 0 to nthr - 1 do
-          let g = 5 * ((b * nthr) + lin) in
-          let field i what expected =
-            Alcotest.(check int)
-              (Printf.sprintf "%s: block %d lane %d %s" label b lin what)
-              expected (read_i32 d buf (g + i))
-          in
-          field 0 "cudadev_thread_id" lin;
-          field 1 "omp_get_thread_num" lin;
-          field 2 "omp_get_num_threads" nthr;
-          field 3 "omp_get_team_num" b;
-          field 4 "threadIdx" ((lin mod bx) + (1000 * (lin / bx)))
+      let check_identities round =
+        for b = 0 to grid - 1 do
+          for lin = 0 to nthr - 1 do
+            let g = 5 * ((b * nthr) + lin) in
+            let field i what expected =
+              Alcotest.(check int)
+                (Printf.sprintf "%s, %s launch: block %d lane %d %s" label round b lin what)
+                expected (read_i32 d buf (g + i))
+            in
+            field 0 "cudadev_thread_id" lin;
+            field 1 "omp_get_thread_num" lin;
+            field 2 "omp_get_num_threads" nthr;
+            field 3 "omp_get_team_num" b;
+            field 4 "threadIdx" ((lin mod bx) + (1000 * (lin / bx)))
+          done
         done
-      done;
-      ignore (launch ~jit ~install d "void k2(void) { }" "k2" []);
-      Alcotest.(check int) (label ^ ": one more launch, one more install") 2 !installs)
+      in
+      ignore (launch ~grid:(Simt.dim3 grid) ~block:(Simt.dim3 bx ~y:by) ~jit d src "k" [ fi buf ]);
+      check_identities "first";
+      (* another module, then the first again, on the same device *)
+      ignore (launch ~jit d "void k2(int *out) { out[0] = -1; }" "k2" [ fi buf ]);
+      Alcotest.(check int) (label ^ ": second module ran") (-1) (read_i32 d buf 0);
+      ignore (launch ~grid:(Simt.dim3 grid) ~block:(Simt.dim3 bx ~y:by) ~jit d src "k" [ fi buf ]);
+      check_identities "again";
+      Alcotest.(check int) (label ^ ": one install for three launches of two modules") 1 !installs)
 
 (* A standalone parallel region with fewer threads than workers: the
    OpenMP ids live in each thread's state, are overridden only for the
@@ -809,6 +817,28 @@ let test_sampled_access_no_alloc () =
   Alcotest.(check (pair int int)) "every access was sampled: (segments, lanes)" (3000, 11000)
     (sample_sums s)
 
+(* A repeated launch pays no per-launch or per-thread set-up beyond the
+   lane reset: no builtin table, JIT link or attachment, and the entry
+   call's frame is the lane's.  An empty 8 x 256 kernel's second launch
+   (the first built the lanes) allocates at most [bound] minor-heap
+   words per thread: about 53 under the JIT (74 when every launch built
+   its table and link and every thread its attachment and entry frame),
+   about 134 on the tree-walker, whose calls build hashtable frames. *)
+let test_launch_setup_words () =
+  List.iter
+    (fun (jit, label, bound) ->
+      let d = make_driver () in
+      let grid = Simt.dim3 8 and block = Simt.dim3 256 in
+      let threads = 8 * 256 in
+      ignore (launch ~grid ~block ~jit d "void k(void) { }" "k" []);
+      let w0 = Gc.minor_words () in
+      ignore (launch ~grid ~block ~jit d "void k(void) { }" "k" []);
+      let per_thread = (Gc.minor_words () -. w0) /. float_of_int threads in
+      if per_thread > bound then
+        Alcotest.failf "%s: a repeated launch allocates %.1f words per thread (bound %.0f)" label
+          per_thread bound)
+    [ (true, "jit", 60.0); (false, "no-jit", 140.0) ]
+
 let () =
   Alcotest.run "simt"
     [
@@ -835,7 +865,7 @@ let () =
           Alcotest.test_case "worker ids restored after a region" `Quick test_master_worker_id_isolation;
         ] );
       ( "builtins",
-        [ Alcotest.test_case "one install per launch" `Quick test_install_once_per_launch ] );
+        [ Alcotest.test_case "one install per device" `Quick test_install_once_per_device ] );
       ( "failure modes",
         [
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
@@ -855,6 +885,7 @@ let () =
           Alcotest.test_case "capacity back to 8 KiB" `Quick test_local_pool_capacity_restored;
           Alcotest.test_case "foreign lane after a wider launch" `Quick
             test_local_pool_foreign_lane;
+          Alcotest.test_case "repeated launch set-up words" `Quick test_launch_setup_words;
         ] );
       ( "coalescing",
         [
